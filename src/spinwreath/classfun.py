@@ -99,6 +99,7 @@ def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Cyc:
     gamma = f.gamma
     zetas = gamma.centralizer_orders
     perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
+    xivals: Dict[int, Cyc] = {}  # xi(c), computed once per class that occurs
     total = Cyc.rational(0)
     for rho, fval in f.values.items():
         gval = g.value(rho.relabel(perm))
@@ -107,7 +108,9 @@ def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Cyc:
         weight = Cyc.rational(1)
         for ci, part in enumerate(rho.parts):
             if part:
-                xival = xi.value_at(gamma, ci)
+                xival = xivals.get(ci)
+                if xival is None:
+                    xival = xivals[ci] = xi.value_at(gamma, ci)
                 for _ in part:
                     weight = weight * xival
         if weight.is_zero():

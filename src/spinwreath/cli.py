@@ -20,21 +20,17 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .classfun import (SpinClassFun, basic_char, basic_char_virtual, ch,
-                       induction_product, sigma_rho, weighted_inner)
+from .classfun import SpinClassFun, ch, induction_product, sigma_rho, weighted_inner
 from .fock import FockContext, FockVector, annihilate, create, inner
 from .gammadata import (ConcreteGroup, GammaData, GammaValidationError,
                         VirtualChar, builtin, cartan_matrix, load_gamma, mckay_xi)
-from .partitions import MultiPartition, big_z, multipartitions
+from .partitions import big_z, multipartitions
 from .qtable import TableCheckError, build_table
 from .scalars import Cyc
 from .spingroup import (basic_spin_trace, enumerate_classes_bruteforce,
-                        oracle_spin_rows, representative_of_type, SignedType,
-                        theory_classes)
+                        representative_of_type, SignedType, theory_classes)
 from .vertex import (TwistContext, affine_relation_check, clifford_check,
                      ope_check, prim_commutator_check, x_parity_check)
-
-log = logging.getLogger("spinwreath")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -523,6 +519,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, cfg.get(key, default))
+    for key in ("n", "degree", "window"):
+        value = getattr(args, key, None)
+        if isinstance(value, int) and value < 0:
+            raise ConfigError(f"--{key} must be at least 0, got {value}")
     return args
 
 
@@ -538,11 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handler = {"classes": cmd_classes, "chartable": cmd_chartable,
                    "verify": cmd_verify, "mckay": cmd_mckay}[args.command]
         return handler(args)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except GammaValidationError as exc:
+    except (ConfigError, GammaValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

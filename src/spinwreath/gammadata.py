@@ -35,8 +35,9 @@ class GammaData:
     """Validated class data and irreducible character values of Gamma.
 
     Characters are rows chars[i][c] with chars[0] the trivial character;
-    class 0 is the identity class.  All values live in Q(zeta_N) for N the
-    lcm of the class element orders.
+    class 0 is the identity class.  Rational values are stored at order 1;
+    irrational values live in Q(zeta_N) for N the lcm of the class element
+    orders.
     """
 
     def __init__(self, name: str, order: int, classes: Sequence[ClassInfo],
@@ -50,6 +51,9 @@ class GammaData:
 
     def _normalize(self, v) -> Cyc:
         v = Cyc.lift(v)
+        q = v.as_rational()
+        if q is not None:
+            return Cyc.rational(q)
         if v.order != self.exponent and self.exponent % v.order == 0:
             return v.promote(self.exponent)
         return v
@@ -366,15 +370,22 @@ def weighted_form(gamma: GammaData, xi: VirtualChar,
 
 
 def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[Fraction]]:
-    """Rational Gram matrix <gamma_i, gamma_j>_xi; raises if an entry is irrational."""
+    """Rational Gram matrix <gamma_i, gamma_j>_xi; raises if an entry is irrational.
+
+    Same sum as :func:`weighted_form` on basis vectors, with the class weight
+    w_c = xi(c)/zeta_c computed once per class.
+    """
     k = gamma.num_classes
+    weights = [xi.value_at(gamma, ci) / Fraction(gamma.centralizer_order(ci))
+               for ci in range(k)]
     out: List[List[Fraction]] = []
     for i in range(k):
         row = []
         for j in range(k):
-            e_i = [1 if t == i else 0 for t in range(k)]
-            e_j = [1 if t == j else 0 for t in range(k)]
-            val = weighted_form(gamma, xi, e_i, e_j)
+            val = Cyc.rational(0)
+            for ci, cls in enumerate(gamma.classes):
+                if not weights[ci].is_zero():
+                    val = val + weights[ci] * gamma.chars[i][ci] * gamma.chars[j][cls.inverse]
             q = val.as_rational()
             if q is None:
                 raise CycError(f"Gram entry ({i},{j}) is not rational: {val!r}")
@@ -402,6 +413,9 @@ def mckay_xi(gamma: GammaData, pi_index: Optional[int] = None) -> VirtualChar:
     coeffs = [0] * gamma.num_classes
     coeffs[0] = 2
     if pi_index is not None:
+        if not 0 <= pi_index < gamma.num_classes:
+            raise ValueError(f"pi index out of range: {pi_index} is not in "
+                             f"0..{gamma.num_classes - 1}")
         if gamma.degree(pi_index) != 2:
             raise ValueError(f"designated pi (index {pi_index}) is not 2-dimensional")
         coeffs[pi_index] -= 1

@@ -124,14 +124,20 @@ def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> TwistedVector:
 
 
 def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
-               x_vec: Optional[TwistedVector] = None) -> Cyc:
-    """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>."""
+               x_vec: Optional[TwistedVector] = None,
+               a_vec: Optional[FockVector] = None) -> Cyc:
+    """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>.
+
+    x_vec and a_vec, when given, must be x_lambda_vector(tctx, lam) and
+    a_prime_vector(tctx.fock, mu).
+    """
     if lam.weight != mu.weight:
         raise ValueError("weight mismatch between lambda and mu")
     if x_vec is None:
         x_vec = x_lambda_vector(tctx, lam)
-    fock = x_vec.fock_part(0)
-    val = inner(fock, a_prime_vector(tctx.fock, mu))
+    if a_vec is None:
+        a_vec = a_prime_vector(tctx.fock, mu)
+    val = inner(x_vec.fock_part(0), a_vec)
     exp = mu.length - lam.length // 2
     if exp >= 0:
         return val * (2**exp)
@@ -205,18 +211,27 @@ class TableCheckError(AssertionError):
 def build_table(gamma: GammaData, n: int, check: bool = False,
                 tctx: Optional[TwistContext] = None) -> CharTable:
     """Rows for all strict multipartitions over the characters, with the row
-    sign normalized so the degree entry is positive."""
+    sign normalized so the degree entry is positive.
+
+    Column by column: each a'_-mu is expanded once and paired with every
+    row's X_lambda vector, which are all built first.
+    """
     if tctx is None:
         tctx = TwistContext(gamma, VirtualChar.trivial(gamma))
     k = gamma.num_classes
     columns = list(multipartitions(n, k, "OP", per_index_ascending=True))
     lambdas = list(multipartitions(n, k, "SP"))
     identity_col = MultiPartition.single(k, 0, (1,) * n) if n else MultiPartition.empty(k)
+    x_vecs = [x_lambda_vector(tctx, lam) for lam in lambdas]
+    row_values: List[Dict[MultiPartition, Cyc]] = [{} for _ in lambdas]
+    for mu in columns:
+        a_vec = a_prime_vector(tctx.fock, mu)
+        for lam, x_vec, values in zip(lambdas, x_vecs, row_values):
+            v = char_value(tctx, lam, mu, x_vec, a_vec)
+            if not v.is_zero():
+                values[mu] = v
     rows: List[CharRow] = []
-    for lam in lambdas:
-        x_vec = x_lambda_vector(tctx, lam)
-        values = {mu: char_value(tctx, lam, mu, x_vec) for mu in columns}
-        values = {mu: v for mu, v in values.items() if not v.is_zero()}
+    for lam, values in zip(lambdas, row_values):
         deg_val = values.get(identity_col, Cyc.rational(0))
         q = deg_val.as_rational()
         if q is None or q.denominator != 1 or q == 0:

@@ -33,7 +33,6 @@ class TwistContext:
         self.fock = FockContext(gamma, xi)
         self.twist = LatticeTwist(gamma, xi)
         self._x_mono_cache: Dict[Tuple[IntVec, int, Monomial], FockVector] = {}
-        self._ladder_cache: Dict[Tuple[IntVec, Monomial], List[FockVector]] = {}
         self._lean_rows: Dict[Tuple, Tuple] = {}
         self._pair_cache: Dict[Tuple, Tuple] = {}
         self._prow_cache: Dict[IntVec, Tuple] = {}
@@ -142,16 +141,6 @@ def _annihilation_ladder(ctx: FockContext, v: FockVector, coeffs: Sequence[int],
             acc = acc + annihilate(prev, k, coeffs).scale(-2)
         ladder.append(acc.scale(Fraction(1, j)))
     return ladder
-
-
-def _mono_ladder(tctx: TwistContext, coeffs: IntVec, mono: Monomial) -> List[FockVector]:
-    key = (coeffs, mono)
-    cached = tctx._ladder_cache.get(key)
-    if cached is None:
-        base = FockVector(tctx.fock, {mono: Cyc.rational(1)})
-        cached = _annihilation_ladder(tctx.fock, base, coeffs, mono_degree(mono))
-        tctx._ladder_cache[key] = cached
-    return cached
 
 
 # -- integer Fock engine for X-component rows ------------------------------------

@@ -170,3 +170,54 @@ def test_self_duality():
     g3, _ = builtin("cyclic:3")
     assert VirtualChar([3, -1, -1]).is_self_dual(g3)
     assert not VirtualChar([0, 1, 0]).is_self_dual(g3)
+
+
+def _weights(g):
+    out = [VirtualChar.trivial(g), VirtualChar([2] + [-1] * g.r)]
+    try:
+        out.append(mckay_xi(g))
+    except ValueError:  # no 2-dimensional defining character for this group
+        pass
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["cyclic:4", "cyclic:5", "cyclic:8", "klein4"])
+def test_gram_matrix_matches_weighted_form(name):
+    g, _ = builtin(name)
+    k = g.num_classes
+    basis = [[1 if t == i else 0 for t in range(k)] for i in range(k)]
+    for xi in _weights(g):
+        gm = gram_matrix(g, xi)
+        assert gm == [[weighted_form(g, xi, basis[i], basis[j]) for j in range(k)]
+                      for i in range(k)]
+    mckay_groups = {"cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
+                    "cyclic:8", "quaternion8"}
+    assert (len(_weights(g)) == 3) == (name in mckay_groups)
+
+
+def test_rational_values_stored_at_order_1():
+    q8, _ = builtin("quaternion8")
+    assert q8.chars[4][1].order == 1
+    assert all(v.order == 1 for row in q8.chars for v in row)
+    c4, _ = builtin("cyclic:4")
+    assert c4.chars[2][1].order == 1 and c4.chars[2][1] == -1
+    assert c4.chars[1][1].order == 4  # zeta_4 stays in Q(zeta_4)
+    c6, _ = builtin("cyclic:6")
+    assert c6.chars[2][1].order == 6  # zeta_3 = zeta_6^2 is promoted to the exponent
+    assert c6.chars[3][1].order == 1
+
+
+def test_to_doc_unchanged_by_rational_storage():
+    g, _ = builtin("cyclic:4")
+    one, minus = [[1, 1]], [[-1, 1]]
+    i_, minus_i = [[0, 1], [1, 1]], [[0, 1], [-1, 1]]
+    rat = {1: one, -1: minus}
+    expect = [[{"N": 1, "coeffs": one}] * 4,
+              [{"N": 1, "coeffs": one}, {"N": 4, "coeffs": i_},
+               {"N": 1, "coeffs": minus}, {"N": 4, "coeffs": minus_i}],
+              [{"N": 1, "coeffs": rat[(-1) ** m]} for m in range(4)],
+              [{"N": 1, "coeffs": one}, {"N": 4, "coeffs": minus_i},
+               {"N": 1, "coeffs": minus}, {"N": 4, "coeffs": i_}]]
+    doc = g.to_doc()
+    assert doc["chars"] == expect
+    assert load_gamma(json.dumps(doc)).to_doc() == doc

@@ -8,7 +8,8 @@ from spinwreath.partitions import MultiPartition, multipartitions
 from spinwreath.qtable import (TableCheckError, build_table, char_degree,
                                char_value, q_power_product,
                                raising_coefficients, raising_expand,
-                               x_lambda_vector)
+                               verify_table, x_lambda_vector)
+from spinwreath.scalars import Cyc
 from spinwreath.spingroup import oracle_spin_rows
 from spinwreath.vertex import TwistContext
 
@@ -161,3 +162,29 @@ def test_table_doc():
     assert doc["n"] == 2 and doc["xi"] == "standard"
     assert len(doc["columns"]) == 3 and len(doc["rows"]) == 3
     assert all(len(r["values"]) == 3 for r in doc["rows"])
+
+
+@pytest.mark.parametrize("name,n", [("quaternion8", 2), ("cyclic:3", 3), ("cyclic:4", 2)])
+def test_build_table_matches_per_pair_route(name, n):
+    # build_table expands each a'_-mu once per table; char_value without
+    # prebuilt vectors expands both sides for every (lambda, mu) pair.
+    g, t = setup(name)
+    tab = build_table(g, n, tctx=t)
+    identity = tab.columns[0]
+    assert identity.parts[0] == (1,) * n
+    for row in tab.rows:
+        per_pair = {mu: char_value(t, row.lam, mu) for mu in tab.columns}
+        sign = 1 if per_pair[identity].as_rational() > 0 else -1
+        for mu in tab.columns:
+            assert row.values.get(mu, 0) == per_pair[mu] * sign, (row.lam, mu)
+
+
+def test_verify_table_catches_one_perturbed_value():
+    g, t = setup("quaternion8")
+    tab = build_table(g, 2, tctx=t)
+    verify_table(tab, t)
+    row = tab.rows[1]
+    mu = tab.columns[-1]
+    row.values[mu] = row.values.get(mu, Cyc.rational(0)) + 1
+    with pytest.raises(TableCheckError):
+        verify_table(tab, t)
