@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fock import (CoeffLike, FockContext, FockVector, Monomial, a_prime_vector,
-                   coproduct, create, inner, mono_degree, q_gen)
+                   coproduct, mono_degree)
 from .gammadata import GammaData, VirtualChar
 from .partitions import MultiPartition, big_z, multipartitions
 from .scalars import Cyc

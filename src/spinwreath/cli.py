@@ -375,30 +375,28 @@ def _verify_oracle(gamma: GammaData, cg: ConcreteGroup, n: int) -> List[dict]:
     return results
 
 
-def run_affine_suite(gamma_spec: str, window: int, degree: int,
-                     families: Optional[Sequence[str]] = None) -> List[dict]:
-    """Affine + toroidal certification for one group, both index sets.
+AFFINE_INDEX_SETS = ("toroidal", "affine")
 
-    Module-level so it can be dispatched to worker processes.
-    """
-    gamma, _ = _resolve_gamma(gamma_spec)
-    xi = mckay_xi(gamma)
-    tctx = TwistContext(gamma, xi)
+
+def _affine_docs(tctx: TwistContext, window: int, degree: int, label: str) -> List[dict]:
+    """Affine certification on one index set: "toroidal" (all classes) or
+    "affine" (the nontrivial ones)."""
+    k = tctx.gamma.num_classes
+    index_set = list(range(k)) if label == "toroidal" else list(range(1, k))
     out = []
-    r = gamma.num_classes - 1
-    for label, index_set in (("toroidal", list(range(r + 1))),
-                             ("affine", list(range(1, r + 1)))):
-        res = affine_relation_check(tctx, index_set, window, degree, families=families)
-        for item in res:
-            doc = item.to_doc()
-            doc["index_set"] = label
-            doc["gamma"] = gamma.name
-            out.append(doc)
+    for item in affine_relation_check(tctx, index_set, window, degree):
+        doc = item.to_doc()
+        doc["index_set"] = label
+        doc["gamma"] = tctx.gamma.name
+        out.append(doc)
     return out
 
 
-def _run_affine_star(job) -> List[dict]:
-    return run_affine_suite(*job)
+def run_affine_suite(gamma_spec: str, window: int, degree: int, label: str) -> List[dict]:
+    """`_affine_docs` in a fresh context; module-level so it can be
+    dispatched to worker processes."""
+    gamma, _ = _resolve_gamma(gamma_spec)
+    return _affine_docs(TwistContext(gamma, mckay_xi(gamma)), window, degree, label)
 
 
 def cmd_verify(args) -> int:
@@ -436,14 +434,18 @@ def cmd_verify(args) -> int:
         if args.jobs > 1:
             import multiprocessing as mp
 
-            jobs = [(args.gamma, args.window, args.degree, ["serre"]),
-                    (args.gamma, args.window, args.degree,
-                     ["hh", "hx", "x_parity", "xx_central_4n", "h_even_zero"])]
+            jobs = [(args.gamma, args.window, args.degree, label)
+                    for label in AFFINE_INDEX_SETS]
             with mp.Pool(min(args.jobs, len(jobs))) as pool:
-                for part in pool.map(_run_affine_star, jobs):
-                    results.extend(part)
+                parts = pool.starmap(run_affine_suite, jobs)
         else:
-            results = run_affine_suite(args.gamma, args.window, args.degree)
+            # one context for both index sets, so the affine run reuses the
+            # toroidal run's X rows
+            tctx = TwistContext(gamma, xi)
+            parts = [_affine_docs(tctx, args.window, args.degree, label)
+                     for label in AFFINE_INDEX_SETS]
+        for part in parts:
+            results.extend(part)
     elif suite == "oracle":
         if cg is None:
             raise ConfigError("the oracle suite needs a built-in Gamma")

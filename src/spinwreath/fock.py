@@ -14,7 +14,7 @@ normal ordering annihilators, never by a closed matching formula.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gammadata import GammaData, VirtualChar, gram_matrix
 from .partitions import MultiPartition

@@ -1,22 +1,21 @@
-"""The character lattice mod 2: alternating form, isotropic subgroup, cocycle.
+"""The character lattice mod 2: alternating form and cocycle.
 
 Vectors over GF(2) are int bitmasks (bit i = coordinate of gamma_i).  The
-alternating form c1 comes from the weighted Gram matrix; Phi is a maximal
-subgroup on which c1 vanishes, built as radical + one leg of each hyperbolic
-pair of a symplectic basis.  The two-cocycle epsilon is bi-additive with
-epsilon(gamma_i, gamma_j) = +1 for i <= j and (-1)^{c1(i,j)} otherwise.
+alternating form c1 comes from the weighted Gram matrix; its GF(2) rank is
+r0.  The two-cocycle epsilon is bi-additive with epsilon(gamma_i, gamma_j) =
++1 for i <= j and (-1)^{c1(i,j)} otherwise.
 
 The twisted state space used by the vertex operators is the group algebra
 of the full lattice mod 2 (dimension 2^(r+1)) with e_a e_b =
 epsilon(a,b) e_{a+b}; on it every cocycle relation holds exactly with signs
-in {+1,-1}.  The 2^(r0/2)-dimensional coset space of Phi is still computed
-and validated here.
+in {+1,-1}.  Because epsilon is bi-additive, a word of such operators whose
+masks add up to `shift` maps e^b to epsilon(shift, b) e^(b + shift) times
+its sign on e^0, so the vertex checkers certify each relation on e^0 alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .gammadata import GammaData, VirtualChar, cartan_matrix
 
@@ -24,7 +23,6 @@ from .gammadata import GammaData, VirtualChar, cartan_matrix
 def gf2_rank(rows: Sequence[int]) -> int:
     work = list(rows)
     rank = 0
-    pivot_col = 0
     ncols = max((r.bit_length() for r in work), default=0)
     for col in range(ncols):
         pivot = None
@@ -42,45 +40,6 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return rank
 
 
-def gf2_nullspace(rows: Sequence[int], ncols: int) -> List[int]:
-    """Basis of {v : rows . v = 0} over GF(2)."""
-    work = list(rows)
-    pivots: List[Tuple[int, int]] = []  # (row index in reduced form, column)
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r] >> col & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col & 1):
-                work[r] ^= work[rank]
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {col for _, col in pivots}
-    basis = []
-    for col in range(ncols):
-        if col in pivot_cols:
-            continue
-        v = 1 << col
-        for r, pc in pivots:
-            if work[r] >> col & 1:
-                v ^= 1 << pc
-        basis.append(v)
-    return basis
-
-
-def _span(basis: Sequence[int]) -> List[int]:
-    out = [0]
-    for b in basis:
-        out.extend([x ^ b for x in out])
-    return sorted(set(out))
-
-
 def vec_to_mask(alpha: Sequence[int]) -> int:
     mask = 0
     for i, a in enumerate(alpha):
@@ -90,7 +49,7 @@ def vec_to_mask(alpha: Sequence[int]) -> int:
 
 
 class LatticeTwist:
-    """c1, Phi, coset data, and the cocycle for one (Gamma, xi) pair."""
+    """c1, its rank r0, and the cocycle for one (Gamma, xi) pair."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
@@ -111,7 +70,6 @@ class LatticeTwist:
         self.r0 = gf2_rank(self.c1_rows)
         # strict lower triangle of c1 drives the cocycle
         self._lower = [self.c1_rows[i] & ((1 << i) - 1) for i in range(k)]
-        self._build_phi()
 
     # -- the form and the cocycle ------------------------------------------
 
@@ -147,75 +105,6 @@ class LatticeTwist:
 
     def epsilon(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
         return self.epsilon_masks(vec_to_mask(alpha), vec_to_mask(beta))
-
-    # -- Phi and the coset space -------------------------------------------
-
-    def _build_phi(self) -> None:
-        k = self.dim
-        radical = gf2_nullspace(self.c1_rows, k)
-        pairs: List[Tuple[int, int]] = []
-
-        def reduce_against_pairs(x: int) -> int:
-            # projects onto the symplectic complement of the chosen pairs
-            for u, v in pairs:
-                if self.c1(x, v):
-                    x ^= u
-                if self.c1(x, u):
-                    x ^= v
-            return x
-
-        def in_span(x: int, vecs: Sequence[int]) -> bool:
-            work = list(vecs)
-            for col in range(k):
-                pivot = next((w for w in work if w >> col & 1), None)
-                if pivot is None:
-                    continue
-                work = [w ^ pivot if (w >> col & 1) and w != pivot else w for w in work]
-                if x >> col & 1:
-                    x ^= pivot
-            return x == 0
-
-        while 2 * len(pairs) < self.r0:
-            spanned = radical + [w for p in pairs for w in p]
-            found = False
-            for cand in range(1, 1 << k):
-                x = reduce_against_pairs(cand)
-                if in_span(x, spanned):
-                    continue
-                for cand2 in range(1, 1 << k):
-                    y = reduce_against_pairs(cand2)
-                    if self.c1(x, y) == 1:
-                        pairs.append((x, y))
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                raise AssertionError("symplectic basis construction failed")
-        self.phi_basis = sorted(set(radical) | {u for u, _ in pairs})
-        self.coset_gens = [v for _, v in pairs]
-        phi_span = _span(self.phi_basis)
-        self.phi_span = set(phi_span)
-        self.coset_reps = _span(self.coset_gens)
-        # canonical index of each mod-2 vector's Phi-coset
-        self._coset_of: Dict[int, int] = {}
-        for idx, rep in enumerate(self.coset_reps):
-            for p in phi_span:
-                self._coset_of[rep ^ p] = idx
-
-    @property
-    def num_cosets(self) -> int:
-        return len(self.coset_reps)
-
-    def coset_index(self, mask: int) -> int:
-        return self._coset_of[mask]
-
-    def coset_act(self, alpha: Sequence[int], coset: int) -> Tuple[int, int]:
-        """Naive translation action on R/Phi cosets with the stored representative."""
-        mask = vec_to_mask(alpha)
-        rep = self.coset_reps[coset]
-        sign = self.epsilon_masks(mask, rep)
-        return sign, self.coset_index(mask ^ rep)
 
     # -- the full mod-2 state space used by the vertex operators ------------
 

@@ -10,7 +10,6 @@ matrix in the system inherits this ordering.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, List, Sequence, Tuple

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .classfun import SpinClassFun, weighted_inner
 from .fock import FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
-from .partitions import (MultiPartition, big_z, dominates_weakly, multipartitions)
+from .partitions import MultiPartition, multipartitions
 from .scalars import Cyc
 from .vertex import TwistContext, TwistedVector, x_component
 

@@ -16,7 +16,7 @@ from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gammadata import ConcreteGroup, GammaData
-from .partitions import MultiPartition, big_z, z_factor
+from .partitions import MultiPartition, big_z
 from .scalars import Cyc
 
 Perm = Tuple[int, ...]  # images, 0-based: s maps i -> s[i]

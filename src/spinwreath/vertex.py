@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fock import (FockContext, FockVector, Monomial, annihilate, create,
-                   inner, mono_degree, q_gen)
+                   mono_degree, q_gen)
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
 from .scalars import Cyc
@@ -40,7 +40,6 @@ class TwistContext:
         self._iladder_cache: Dict[Tuple, List] = {}
         self._xrow_cache: Dict[Tuple, Tuple] = {}
         self._mono_intern: Dict[Tuple, Tuple] = {}
-        self._eps_rows: Dict[int, List[int]] = {}
 
     def basis_vector(self, i: int) -> IntVec:
         return tuple(1 if t == i else 0 for t in range(self.gamma.num_classes))
@@ -437,26 +436,30 @@ class RelationResult:
         return doc
 
 
-def _basis_panel(tctx: TwistContext, max_degree: int,
-                 cosets: Optional[Sequence[int]] = None) -> List[TwistedVector]:
-    """All basis vectors (coset, monomial) of Fock degree <= max_degree."""
+def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
+    """All Fock monomials of degree <= max_degree."""
     from .partitions import multipartitions
 
     k = tctx.gamma.num_classes
-    monos: List[Monomial] = []
+    out: List[Monomial] = []
     for d in range(max_degree + 1):
         for mp in multipartitions(d, k, "OP"):
             factors: List[Tuple[int, int]] = []
             for i, part in enumerate(mp.parts):
                 factors.extend((n, i) for n in part)
-            monos.append(tuple(sorted(factors)))
-    if cosets is None:
-        cosets = range(tctx.twist.module_size)
-    out = []
-    for b in cosets:
-        for mono in monos:
-            out.append(TwistedVector(tctx, {(b, mono): Cyc.rational(1)}))
+            out.append(tuple(sorted(factors)))
     return out
+
+
+def _basis_panel(tctx: TwistContext, max_degree: int) -> List[TwistedVector]:
+    """The basis vectors (0, mono) of Fock degree <= max_degree.
+
+    The operators reach the lattice factor only through `LatticeTwist.act`,
+    so on (b, mono) a relation's two sides are epsilon(shift, b) times their
+    values on (0, mono), moved to b + shift; coset 0 certifies every coset.
+    """
+    return [TwistedVector(tctx, {(0, mono): Cyc.rational(1)})
+            for mono in _panel_monomials(tctx, max_degree)]
 
 
 def _witness(v: TwistedVector, extra: dict) -> dict:
@@ -621,12 +624,16 @@ def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
 #
 # where each Op is an X component or a Heisenberg generator.  On a basis
 # vector (b, mono) the Fock part of each term is independent of the lattice
-# class b: x_component applies epsilon(mask, .) as a scalar and shifts b by
-# the mask.  The terms' Fock parts are therefore computed once per monomial
-# (as rational-coefficient rows harvested from the same cached
-# _fock_x_monomial results the production operators use) and the b sweep
-# only recomputes the exact +-1 sign chain per term, so the certification
-# covers every (coset, monomial) basis vector at full strength.
+# class b: an X layer multiplies by epsilon(mask, cur) and moves cur to
+# cur + mask, a Heisenberg layer leaves cur alone.  Since epsilon is
+# bi-additive, epsilon(mask, b + s) = epsilon(mask, b) epsilon(mask, s), so a
+# term whose masks add up to `shift` has the sign epsilon(shift, b) c_t on
+# (b, mono), where c_t is its sign chain on (0, mono), and lands on
+# b + shift.  Terms of different shifts land on different cosets; terms of
+# one shift share the factor epsilon(shift, b).  So the identity holds on
+# every (coset, monomial) basis vector exactly when, for every shift,
+# sum c_t coef_t Fock_t(mono) = 0: one check on coset 0 covers them all.
+# The Fock parts are integer rows (`_x_row_int`) composed per monomial.
 
 XLayer = Tuple[str, int, IntVec, int]  # ("X"|"H", m, coeffs, mask)
 LeanRow = Tuple[int, Tuple[Tuple[Monomial, int], ...]]  # (denominator, entries)
@@ -709,116 +716,64 @@ def _apply_term(tctx: TwistContext, layers: Tuple[XLayer, ...], mono: Monomial) 
     return result
 
 
-def _eps_row(tctx: TwistContext, mask: int) -> List[int]:
-    row = tctx._eps_rows.get(mask)
-    if row is None:
-        row = [tctx.twist.epsilon_masks(mask, b) for b in range(tctx.twist.module_size)]
-        tctx._eps_rows[mask] = row
-    return row
-
-
-def _term_sign(tctx: TwistContext, layers: Tuple[XLayer, ...], b: int) -> int:
+def _term_sign(tctx: TwistContext, layers: Tuple[XLayer, ...]) -> Tuple[int, int]:
+    """A term's shift (the sum of its X masks) and its exact +-1 cocycle
+    sign chain on coset 0."""
     sign = 1
-    cur = b
+    cur = 0
     for kind, _, _, mask in reversed(layers):
         if kind == "X" and mask:
-            if _eps_row(tctx, mask)[cur] < 0:
-                sign = -sign
+            sign *= tctx.twist.epsilon_masks(mask, cur)
             cur ^= mask
-    return sign
+    return cur, sign
 
 
 Term = Tuple[Fraction, Tuple[XLayer, ...]]
 
 
-def _check_instance(tctx: TwistContext, terms: Sequence[Term], monos: Sequence[Monomial],
-                    cosets: Sequence[int]) -> Optional[dict]:
+def _check_instance(tctx: TwistContext, terms: Sequence[Term],
+                    monos: Sequence[Monomial]) -> Optional[dict]:
     """Verify sum_t coef_t * term_t = 0 on every (coset, monomial) basis vector.
 
-    The Fock part of each term is coset independent, and the exact +-1
-    cocycle sign chain of a term is monomial independent, so sign rows are
-    computed once per instance and term vectors once per monomial.  Terms
-    whose sign rows agree (up to global sign) are summed once; the residual
-    at each coset is then a signed combination of the group sums.  Returns
-    None on success, else a witness document.
+    By the bi-additivity of epsilon (see above) this is, for each monomial
+    and each shift, sum c_t coef_t term_t = 0 on coset 0, where c_t is the
+    term's sign chain there.  Returns None on success, else a witness
+    document naming coset 0.
     """
     from math import lcm
 
-    prepared = []  # (shift, canonical sign row, coef, layers)
+    prepared = []  # (shift, signed coef, layers)
     for coef, layers in terms:
-        shift = 0
-        for kind, _, _, mask in layers:
-            if kind == "X":
-                shift ^= mask
-        srow = tuple(_term_sign(tctx, layers, b) for b in cosets)
-        if srow[0] < 0:
-            srow = tuple(-s for s in srow)
-            coef = -coef
-        prepared.append((shift, srow, coef, layers))
+        shift, sign = _term_sign(tctx, layers)
+        prepared.append((shift, sign * coef, layers))
 
     for mono in monos:
-        by_key: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, Dict[Monomial, int]]] = {}
         dens: Dict[int, int] = {}
         vecs = []
-        for shift, srow, coef, layers in prepared:
+        for shift, coef, layers in prepared:
             den, entries = _apply_term(tctx, layers, mono)
             if not entries:
                 continue
-            vecs.append((shift, srow, coef, den, entries))
+            vecs.append((shift, coef, den, entries))
             dens[shift] = lcm(dens.get(shift, 1), den * coef.denominator)
-        for shift, srow, coef, den, entries in vecs:
+        by_shift: Dict[int, Dict[Monomial, int]] = {}
+        for shift, coef, den, entries in vecs:
             scale = coef.numerator * (dens[shift] // (den * coef.denominator))
-            acc = by_key.setdefault((shift, srow), {})
+            acc = by_shift.setdefault(shift, {})
             for mo, num in entries:
                 val = acc.get(mo, 0) + scale * num
                 if val:
                     acc[mo] = val
                 else:
                     acc.pop(mo, None)
-        by_shift: Dict[int, List[Tuple[Tuple[int, ...], Dict[Monomial, int]]]] = {}
-        for (shift, srow), acc in by_key.items():
-            if acc:
-                by_shift.setdefault(shift, []).append((srow, acc))
-        for shift, rows in by_shift.items():
-            if len(rows) == 1:
-                bad, b_witness = rows[0][1], cosets[0]
-            else:
-                bad = None
-                b_witness = None
-                for bi, b in enumerate(cosets):
-                    residual: Dict[Monomial, int] = {}
-                    for srow, vec in rows:
-                        s = srow[bi]
-                        for mo, num in vec.items():
-                            val = residual.get(mo, 0) + (num if s > 0 else -num)
-                            if val:
-                                residual[mo] = val
-                            else:
-                                residual.pop(mo, None)
-                    if residual:
-                        bad, b_witness = residual, b
-                        break
-                if bad is None:
-                    continue
+        for shift, bad in by_shift.items():
+            if not bad:
+                continue
             worst = sorted(bad.items())[:3]
-            return {"coset": b_witness, "mono": list(map(list, mono)),
+            return {"coset": 0, "mono": list(map(list, mono)),
                     "residual": [[list(map(list, mo)), f"{q}/{dens[shift]}"]
                                  for mo, q in worst]}
     return None
-
-
-def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
-    from .partitions import multipartitions
-
-    k = tctx.gamma.num_classes
-    out: List[Monomial] = []
-    for d in range(max_degree + 1):
-        for mp in multipartitions(d, k, "OP"):
-            factors: List[Tuple[int, int]] = []
-            for i, part in enumerate(mp.parts):
-                factors.extend((n, i) for n in part)
-            out.append(tuple(sorted(factors)))
-    return out
 
 
 def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[RelationResult]:
@@ -831,7 +786,6 @@ def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[Rel
         raise ValueError("the Clifford relations are certified at the standard weight only")
     k = tctx.gamma.num_classes
     monos = _panel_monomials(tctx, max_degree)
-    cosets = list(range(tctx.twist.module_size))
     results: List[RelationResult] = []
     one = Fraction(1)
     for i in range(k):
@@ -850,7 +804,7 @@ def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[Rel
                         terms: List[Term] = [(one, (la, lb)), (one, (lb, la))]
                         if coef:
                             terms.append((Fraction(-coef), ()))
-                        witness = _check_instance(tctx, terms, monos, cosets)
+                        witness = _check_instance(tctx, terms, monos)
                         if witness is not None:
                             name = "clifford_same_sign" if signed else "clifford_mixed"
                             witness.update({"i": i, "j": j, "neg_i": flip_i, "neg_j": flip_j})
@@ -863,8 +817,7 @@ def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[Rel
 
 
 def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: int,
-                          max_degree: int,
-                          families: Optional[Sequence[str]] = None) -> List[RelationResult]:
+                          max_degree: int) -> List[RelationResult]:
     """Certify the twisted affine/toroidal presentation under the assignment
     x_n(a_i) -> X_n(gamma_i), x_n(-a_i) -> eps(i,i) X_n(-gamma_i), h_i(m) -> a_m(gamma_i),
     C -> 1, h_i(even) = 0, on every basis vector of Fock degree <= max_degree.
@@ -880,7 +833,6 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
     results: List[RelationResult] = []
     gram = tctx.twist.gram
     monos = _panel_monomials(tctx, max_degree)
-    cosets = list(range(tctx.twist.module_size))
     odd = [m for m in range(-window, window + 1) if m % 2]
     one = Fraction(1)
 
@@ -891,7 +843,7 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
 
     def run(name: str, instances) -> bool:
         for params, terms in instances:
-            witness = _check_instance(tctx, terms, monos, cosets)
+            witness = _check_instance(tctx, terms, monos)
             if witness is not None:
                 results.append(RelationResult(name, params, "fail", witness))
                 return False
@@ -964,17 +916,13 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
                         yield {"i": i, "j": j, "a_ij": a, "n": n, "nprime": npr,
                                "family": name}, terms
 
-    all_families = {"hh": hh_instances, "hx": hx_instances, "x_parity": parity_instances,
-                    "xx_central_4n": xx_instances, "serre": serre_instances}
-    selected = list(all_families) if families is None else list(families)
-    for name in selected:
-        if name not in all_families:
-            raise ValueError(f"unknown relation family {name!r}")
-        if not run(name, all_families[name]()):
+    for name, instances in (("hh", hh_instances), ("hx", hx_instances),
+                            ("x_parity", parity_instances), ("xx_central_4n", xx_instances),
+                            ("serre", serre_instances)):
+        if not run(name, instances()):
             return results
         tctx._pair_cache.clear()
-    if families is None or "h_even_zero" in selected:
-        results.append(RelationResult(
-            "h_even_zero", {"note": "only odd Heisenberg generators exist; "
-                                    "h_i(2n) = 0 holds structurally"}, "pass"))
+    results.append(RelationResult(
+        "h_even_zero", {"note": "only odd Heisenberg generators exist; "
+                                "h_i(2n) = 0 holds structurally"}, "pass"))
     return results

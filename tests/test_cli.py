@@ -64,3 +64,15 @@ def test_size_zero_is_accepted():
     code, out, err = run_cli("chartable", "--gamma", "trivial", "--n", "0")
     assert code == 0 and err == ""
     assert json.loads(out)["n"] == 0
+
+
+def test_affine_jobs_split_matches_one_job():
+    argv = ["verify", "affine", "--xi", "mckay", "--gamma", "cyclic:2",
+            "--window", "1", "--degree", "1"]
+    code1, out1, err1 = run_cli(*argv, "--jobs", "1")
+    code2, out2, err2 = run_cli(*argv, "--jobs", "2")
+    assert (code1, code2) == (0, 0), err2
+    assert "Traceback" not in err2
+    assert out2 == out1
+    labels = [r["index_set"] for r in json.loads(out1)["results"]]
+    assert labels == ["toroidal"] * 6 + ["affine"] * 6

@@ -144,16 +144,52 @@ def test_checker_catches_wrong_relation():
 
     t = tctx_for("cyclic:2", mckay_xi(builtin("cyclic:2")[0]))
     monos = _panel_monomials(t, 2)
-    cosets = list(range(t.twist.module_size))
     g1 = t.basis_vector(1)
     xa = _x_layer(t, 1, g1)
     xb = _x_layer(t, -1, neg(g1))
     # correct central coefficient is 4, claim 8 instead
     terms = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-8), ())]
-    witness = _check_instance(t, terms, monos, cosets)
+    witness = _check_instance(t, terms, monos)
     assert witness is not None
+    assert witness["coset"] == 0
     good = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-4), ())]
-    assert _check_instance(t, good, monos, cosets) is None
+    assert _check_instance(t, good, monos) is None
+
+
+@pytest.mark.parametrize("name,weight", [("cyclic:3", "standard"), ("cyclic:2", "mckay")])
+def test_words_factor_through_coset_zero(name, weight):
+    # a word whose X masks add up to `shift` maps (b, mono) to
+    # epsilon(shift, b) times its image of (0, mono), moved to b + shift
+    g, _ = builtin(name)
+    t = TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
+    k = g.num_classes
+    rng = random.Random(21)
+    monos = vx._panel_monomials(t, 2)
+    nonzero = 0
+    for _ in range(12):
+        word, shift = [], 0
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.7:
+                coeffs = tuple(rng.randint(-1, 1) for _ in range(k))
+                word.append(X(t, rng.randint(-2, 2), coeffs))
+                shift ^= vx.vec_to_mask(coeffs)
+            else:
+                word.append(vx.H(t, rng.choice((-3, -1, 1, 3)), rng.randrange(k)))
+        for mono in monos:
+            images = []
+            for b in range(t.twist.module_size):
+                v = TwistedVector(t, {(b, mono): Cyc.rational(1)})
+                for op in reversed(word):
+                    v = op(v)
+                images.append(v)
+            base = images[0].terms
+            assert all(coset == shift for coset, _ in base)
+            nonzero += bool(base)
+            for b, image in enumerate(images):
+                sign = t.twist.epsilon_masks(shift, b)
+                assert image.terms == {(b ^ shift, mo): c * sign
+                                       for (_, mo), c in base.items()}, (b, mono)
+    assert nonzero >= 20  # the check is not vacuous
 
 
 def test_lean_engine_matches_production_operator():
