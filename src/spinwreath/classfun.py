@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .fock import (CoeffLike, FockContext, FockVector, Monomial, a_prime_vector,
                    coproduct, mono_degree)
@@ -159,33 +159,6 @@ def sigma_rho(gamma: GammaData, rho: MultiPartition) -> SpinClassFun:
         for r in part:
             out = induction_product(out, sigma_class(gamma, r, ci))
     return out
-
-
-def _splittings(rho: MultiPartition, k: int):
-    """All (rho', rho'', multiplicity) with rho' cup rho'' = rho per class."""
-    slots: List[Tuple[int, int, int]] = []  # (class, part, multiplicity)
-    for ci in range(k):
-        for part, mult in sorted(rho.multiplicities(ci).items()):
-            slots.append((ci, part, mult))
-
-    def rec(idx: int):
-        if idx == len(slots):
-            yield [], 1
-            return
-        ci, part, mult = slots[idx]
-        for rest, weight in rec(idx + 1):
-            for take in range(mult + 1):
-                yield [(ci, part, take, mult - take)] + rest, weight * comb(mult, take)
-
-    for picks, weight in rec(0):
-        left = [[] for _ in range(k)]
-        right = [[] for _ in range(k)]
-        for ci, part, take, keep in picks:
-            left[ci].extend([part] * take)
-            right[ci].extend([part] * keep)
-        yield (MultiPartition([tuple(sorted(p, reverse=True)) for p in left]),
-               MultiPartition([tuple(sorted(p, reverse=True)) for p in right]),
-               weight)
 
 
 def induction_product(f: SpinClassFun, g: SpinClassFun) -> SpinClassFun:

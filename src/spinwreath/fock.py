@@ -93,11 +93,6 @@ class FockVector:
     def zero(ctx: FockContext) -> "FockVector":
         return FockVector(ctx)
 
-    def copy(self) -> "FockVector":
-        out = FockVector(self.ctx)
-        out.terms = dict(self.terms)
-        return out
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -148,16 +143,8 @@ class FockVector:
         v.terms = out
         return v
 
-    def degree_component(self, d: int) -> "FockVector":
-        v = FockVector(self.ctx)
-        v.terms = {m: c for m, c in self.terms.items() if mono_degree(m) == d}
-        return v
-
     def degrees(self) -> List[int]:
         return sorted({mono_degree(m) for m in self.terms})
-
-    def max_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     def vacuum_coeff(self) -> Cyc:
         return self.terms.get((), Cyc.rational(0))
@@ -174,13 +161,6 @@ class FockVector:
             return "FockVector(0)"
         bits = [f"{c!r}*{m}" for m, c in sorted(self.terms.items())]
         return "FockVector(" + " + ".join(bits) + ")"
-
-    def to_doc(self, char_names: Sequence[str]) -> list:
-        out = []
-        for m in sorted(self.terms):
-            out.append({"mono": [[n, char_names[i]] for n, i in m],
-                        "coeff": self.terms[m].to_doc()})
-        return out
 
 
 def _require_odd_positive(n: int) -> None:

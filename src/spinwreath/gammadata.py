@@ -409,8 +409,14 @@ def cartan_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
 
 
 def mckay_xi(gamma: GammaData, pi_index: Optional[int] = None) -> VirtualChar:
-    """The McKay weight 2*gamma_0 - pi, pi the 2-dimensional defining character."""
-    coeffs = [0] * gamma.num_classes
+    """The McKay weight 2*gamma_0 - pi, pi the 2-dimensional defining character.
+
+    Without a designated index, pi is read from the character table: the
+    only faithful 2-dimensional irreducible, or, for an abelian Gamma of
+    order >= 2, chi + conj(chi) for the first faithful linear chi.
+    """
+    k = gamma.num_classes
+    coeffs = [0] * k
     coeffs[0] = 2
     if pi_index is not None:
         if not 0 <= pi_index < gamma.num_classes:
@@ -420,15 +426,21 @@ def mckay_xi(gamma: GammaData, pi_index: Optional[int] = None) -> VirtualChar:
             raise ValueError(f"designated pi (index {pi_index}) is not 2-dimensional")
         coeffs[pi_index] -= 1
         return VirtualChar(coeffs)
-    name = gamma.name
-    if name.startswith("cyclic") and gamma.order >= 2:
-        # pi = gamma_1 + gamma_{k-1} from the diag(zeta, zeta^{-1}) embedding.
-        k = gamma.order
-        coeffs[1 % k] -= 1
-        coeffs[(k - 1) % k] -= 1
+
+    def faithful(i: int) -> bool:
+        return all(gamma.chars[i][c] != gamma.chars[i][0] for c in range(1, k))
+
+    faithful_2d = [i for i in range(k) if gamma.degree(i) == 2 and faithful(i)]
+    faithful_1d = [i for i in range(k) if gamma.degree(i) == 1 and faithful(i)]
+    if len(faithful_2d) == 1:
+        coeffs[faithful_2d[0]] -= 1
         return VirtualChar(coeffs)
-    if name == "quaternion8":
-        coeffs[4] -= 1
+    if k == gamma.order >= 2 and faithful_1d:  # abelian: one class per element
+        chi = faithful_1d[0]
+        bar = next(j for j in range(k) if all(
+            gamma.chars[j][c] == gamma.chars[chi][gamma.dual_class(c)] for c in range(k)))
+        coeffs[chi] -= 1
+        coeffs[bar] -= 1
         return VirtualChar(coeffs)
-    raise ValueError(
-        f"no 2-dimensional defining character known for {name!r}; designate pi explicitly")
+    raise ValueError(f"no 2-dimensional defining character known for {gamma.name!r}; "
+                     "designate pi explicitly")

@@ -10,7 +10,6 @@ matrix in the system inherits this ordering.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -200,18 +199,3 @@ def dominance(rho: MultiPartition, pi: MultiPartition) -> str:
             return ">>"
         return ">="
     return "incomparable"
-
-
-def dominates_weakly(rho: MultiPartition, pi: MultiPartition) -> bool:
-    """Per-index dominance rho(x) >= pi(x); indices with equal parts allowed."""
-    return all(_dominates(a, b) for a, b in zip(rho.parts, pi.parts))
-
-
-@lru_cache(maxsize=None)
-def _count_kind(n: int, k: int, kind: str) -> int:
-    return count_multipartitions(n, k, kind)
-
-
-def euler_counts_agree(n: int, k: int) -> bool:
-    """|OP_n(X)| == |SP_n(X)| (the Euler-type identity used as an invariant)."""
-    return _count_kind(n, k, KIND_ODD) == _count_kind(n, k, KIND_STRICT)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Cyc", int, Fraction]
@@ -318,14 +318,3 @@ class Cyc:
         import json
 
         return json.dumps(self.to_doc(), separators=(",", ":"))
-
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
-
-
-def cyc_sum(values: Iterable[ScalarLike]) -> Cyc:
-    total: Cyc = ZERO
-    for v in values:
-        total = total + v
-    return total

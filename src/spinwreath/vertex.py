@@ -1,21 +1,30 @@
 """Twisted vertex operators on the Fock space tensored with the mod-2 lattice.
 
 A state is a finitely supported map (lattice class mod 2, Fock monomial) ->
-scalar.  The component X_m(gamma) is computed exactly: the annihilation
-half contributes only finitely many degrees on a finite-degree input, which
-pins the creation degree, so no series truncation is ever involved.  The
-relation checkers certify operator identities on every basis vector up to a
-degree bound and report the first witness on failure.
+scalar.  Every operator on it -- the component X_m(gamma), the Heisenberg
+generator a_m(gamma) and the normal-ordered product :X(alpha,z)X(beta,w): --
+runs on one row engine: its Fock part is an integer row (numerators over
+one denominator) per monomial, cached on the context, and its lattice part
+is the cocycle `LatticeTwist.act`.  The rows are built from the two pieces
+of the construction, exp(sum (2/k) a_{-k} z^k) (the q_n of `fock.q_gen`)
+and exp(-sum (2/k) a_k z^-k) (the integer ladder D_j), and they are exact:
+the annihilation half contributes only finitely many degrees on a
+finite-degree input, which pins the creation degree, so no series
+truncation is ever involved.  Apart from reading q_n and a_m off `fock`'s
+vectors once per row, `Cyc` scalars enter only where a row is applied to a
+`TwistedVector`.  The relation checkers certify operator identities on
+every basis vector up to a degree bound and report the first witness on
+failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import comb, gcd, lcm
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fock import (FockContext, FockVector, Monomial, annihilate, create,
+from .fock import (FockContext, FockVector, Monomial, _merge, annihilate, create,
                    mono_degree, q_gen)
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
@@ -32,13 +41,10 @@ class TwistContext:
         self.xi = xi
         self.fock = FockContext(gamma, xi)
         self.twist = LatticeTwist(gamma, xi)
-        self._x_mono_cache: Dict[Tuple[IntVec, int, Monomial], FockVector] = {}
         self._lean_rows: Dict[Tuple, Tuple] = {}
         self._pair_cache: Dict[Tuple, Tuple] = {}
         self._prow_cache: Dict[IntVec, Tuple] = {}
-        self._iq_cache: Dict[Tuple, Tuple] = {}
         self._iladder_cache: Dict[Tuple, List] = {}
-        self._xrow_cache: Dict[Tuple, Tuple] = {}
         self._mono_intern: Dict[Tuple, Tuple] = {}
 
     def basis_vector(self, i: int) -> IntVec:
@@ -103,13 +109,6 @@ class TwistedVector:
         zero = Cyc.rational(0)
         return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
 
-    def by_coset(self) -> Dict[int, FockVector]:
-        out: Dict[int, FockVector] = {}
-        for (b, mono), c in self.terms.items():
-            vec = out.setdefault(b, FockVector(self.ctx.fock))
-            vec.terms[mono] = vec.terms.get(mono, Cyc.rational(0)) + c
-        return out
-
     def fock_part(self, mask: int = 0) -> FockVector:
         v = FockVector(self.ctx.fock)
         for (b, mono), c in self.terms.items():
@@ -127,29 +126,25 @@ class TwistedVector:
         return f"TwistedVector({self.terms!r})"
 
 
-def _annihilation_ladder(ctx: FockContext, v: FockVector, coeffs: Sequence[int],
-                         top: int) -> List[FockVector]:
-    """D_j for exp(-sum (2/k) a_k z^-k): j D_j = sum_k -2 a_k(gamma) D_{j-k}."""
-    ladder = [v]
-    for j in range(1, top + 1):
-        acc = FockVector.zero(ctx)
-        for k in range(1, j + 1, 2):
-            prev = ladder[j - k]
-            if prev.is_zero():
-                continue
-            acc = acc + annihilate(prev, k, coeffs).scale(-2)
-        ladder.append(acc.scale(Fraction(1, j)))
-    return ladder
-
-
-# -- integer Fock engine for X-component rows ------------------------------------
+# -- the row engine ----------------------------------------------------------------
 #
-# X components only ever carry integer character vectors, so their matrix
-# rows are rational with small denominators.  The rows are computed here in
-# integer arithmetic (numerator dict + one denominator) and lifted to exact
-# scalars at the API boundary; the checker sweeps reuse the raw rows.
+# The vertex algebra is rational and X components carry integer character
+# vectors, so every operator row is rational with small denominators.  A row
+# is (denominator, ((monomial, integer numerator), ...)); a layer names the
+# operator:
+#
+#     ("X", m, coeffs, mask)             X_m(gamma)
+#     ("H", m, coeffs, 0)                a_m(gamma)
+#     ("N", a, b, alpha, beta, mask)     coefficient of z^-a w^-b in :X(alpha,z)X(beta,w):
+#
+# `_lean_row` is the one cached way to get a layer's row on a monomial, and
+# `_apply_rows` applies a layer to a `TwistedVector`, the only place where a
+# row meets `Cyc` scalars.
 
 IDict = Dict[Monomial, int]
+LeanRow = Tuple[int, Tuple[Tuple[Monomial, int], ...]]  # (denominator, entries)
+Layer = Tuple
+XLayer = Tuple[str, int, IntVec, int]  # an X or H layer
 
 
 def _intern_mono(tctx: TwistContext, mono: Monomial) -> Monomial:
@@ -158,8 +153,6 @@ def _intern_mono(tctx: TwistContext, mono: Monomial) -> Monomial:
 
 def _prow(tctx: TwistContext, coeffs: IntVec) -> Tuple[int, Tuple[int, ...]]:
     """<coeffs, gamma_j>_xi as integers over a common denominator."""
-    from math import lcm
-
     cached = tctx._prow_cache.get(coeffs)
     if cached is None:
         gram = tctx.fock.gram
@@ -173,11 +166,11 @@ def _prow(tctx: TwistContext, coeffs: IntVec) -> Tuple[int, Tuple[int, ...]]:
     return cached
 
 
-def _ilean_annihilate(tctx: TwistContext, den: int, vec: IDict, n: int,
-                      coeffs: IntVec) -> Tuple[int, IDict]:
+def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[Monomial, int]],
+                      n: int, coeffs: IntVec) -> Tuple[int, Iterable[Tuple[Monomial, int]]]:
     pden, prow = _prow(tctx, coeffs)
     out: IDict = {}
-    for mono, num in vec.items():
+    for mono, num in vec:
         seen = None
         for pos, (deg, idx) in enumerate(mono):
             if deg != n:
@@ -196,30 +189,10 @@ def _ilean_annihilate(tctx: TwistContext, den: int, vec: IDict, n: int,
             val = num * n * mult * prow[idx]
             mm = mono[:pos] + mono[pos + 1:]
             out[mm] = out.get(mm, 0) + val
-    return den * 2 * pden, {k: v for k, v in out.items() if v}
-
-
-def _ilean_create(den: int, vec: IDict, n: int, coeffs: IntVec) -> Tuple[int, IDict]:
-    out: IDict = {}
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        for mono, num in vec.items():
-            mm = _sorted_insert_mono(mono, (n, i))
-            out[mm] = out.get(mm, 0) + c * num
-    return den, {k: v for k, v in out.items() if v}
-
-
-def _sorted_insert_mono(mono: Monomial, factor: Tuple[int, int]) -> Monomial:
-    lo = 0
-    while lo < len(mono) and mono[lo] < factor:
-        lo += 1
-    return mono[:lo] + (factor,) + mono[lo:]
+    return den * 2 * pden, out.items()
 
 
 def _normalize_ivec(den: int, vec: IDict) -> Tuple[int, IDict]:
-    from math import gcd
-
     if not vec:
         return 1, {}
     g = den
@@ -233,161 +206,157 @@ def _normalize_ivec(den: int, vec: IDict) -> Tuple[int, IDict]:
     return den, vec
 
 
-def _ilean_q(tctx: TwistContext, coeffs: IntVec, k: int) -> Tuple[int, IDict]:
-    """q_k(gamma) in the integer representation, cached."""
-    from math import lcm
-
-    if k < 0:
-        return 1, {}
-    key = (coeffs, k)
-    cached = tctx._iq_cache.get(key)
-    if cached is not None:
-        return cached
-    if k == 0:
-        out = (1, {(): 1})
-    else:
-        parts = []
-        den = 1
-        for j in range(1, k + 1, 2):
-            dq, q = _ilean_q(tctx, coeffs, k - j)
-            dc, c = _ilean_create(dq, q, j, coeffs)
-            parts.append((dc, c))
-            den = lcm(den, dc)
-        den *= k
-        acc: IDict = {}
-        for dc, c in parts:
-            f = 2 * (den // (dc * k))
-            for mono, num in c.items():
-                acc[mono] = acc.get(mono, 0) + f * num
-        out = _normalize_ivec(den, {m: v for m, v in acc.items() if v})
-    tctx._iq_cache[key] = out
-    return out
+def _sum_rows(parts: Sequence[Tuple[int, int, Iterable[Tuple[Monomial, int]]]],
+              scale: int = 1) -> LeanRow:
+    """sum f * entries / d over the parts (f, d, entries), divided by `scale`,
+    as a row over its least denominator."""
+    den = 1
+    for _, d, _ in parts:
+        den = lcm(den, d)
+    acc: IDict = {}
+    for f, d, entries in parts:
+        f *= den // d
+        for mono, num in entries:
+            acc[mono] = acc.get(mono, 0) + f * num
+    den, acc = _normalize_ivec(den * scale, {mo: v for mo, v in acc.items() if v})
+    return den, tuple(sorted(acc.items()))
 
 
-def _ilean_mul(a: Tuple[int, IDict], b: Tuple[int, IDict]) -> Tuple[int, IDict]:
-    da, va = a
-    db, vb = b
-    out: IDict = {}
-    for m1, n1 in va.items():
-        for m2, n2 in vb.items():
-            mm = tuple(sorted(m1 + m2))
-            out[mm] = out.get(mm, 0) + n1 * n2
-    return da * db, {k: v for k, v in out.items() if v}
-
-
-def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, mono: Monomial) -> List[Tuple[int, IDict]]:
-    """D_j of exp(-sum (2/k) a_k z^-k) applied to mono, integer form."""
-    from math import lcm
-
+def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, mono: Monomial) -> List[LeanRow]:
+    """D_j of exp(-sum (2/k) a_k z^-k) applied to mono: j D_j = sum_k -2 a_k D_{j-k}."""
     key = (coeffs, mono)
     cached = tctx._iladder_cache.get(key)
     if cached is not None:
         return cached
-    ladder: List[Tuple[int, IDict]] = [(1, {mono: 1})]
-    top = mono_degree(mono)
-    for j in range(1, top + 1):
-        parts = []
-        den = 1
-        for k in range(1, j + 1, 2):
-            dprev, prev = ladder[j - k]
-            if not prev:
-                continue
-            da, a = _ilean_annihilate(tctx, dprev, prev, k, coeffs)
-            if a:
-                parts.append((da, a))
-                den = lcm(den, da)
-        den *= j
-        acc: IDict = {}
-        for da, a in parts:
-            f = -2 * (den // (da * j))
-            for mo, num in a.items():
-                acc[mo] = acc.get(mo, 0) + f * num
-        ladder.append(_normalize_ivec(den, {m: v for m, v in acc.items() if v}))
+    ladder: List[LeanRow] = [(1, ((mono, 1),))]
+    for j in range(1, mono_degree(mono) + 1):
+        ladder.append(_sum_rows([(-2,) + _ilean_annihilate(tctx, *ladder[j - k], k, coeffs)
+                                 for k in range(1, j + 1, 2)], j))
     tctx._iladder_cache[key] = ladder
     return ladder
 
 
-def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, mono: Monomial) -> LeanRow:
-    """The X_m(gamma) matrix row on one monomial: (denominator, integer entries)."""
-    from math import lcm
+def _lean_from_fock(vec: FockVector) -> LeanRow:
+    entries = []
+    den = 1
+    for mono, c in vec.terms.items():
+        q = c.as_rational()
+        if q is None:
+            raise ValueError("non-rational coefficient in a rational sweep")
+        entries.append((mono, q))
+        den = lcm(den, q.denominator)
+    return den, tuple((mono, int(q * den)) for mono, q in entries)
 
-    key = (m, coeffs, mono)
-    cached = tctx._xrow_cache.get(key)
+
+def _q_parts(tctx: TwistContext, n: int, coeffs: IntVec, num: int, den: int,
+             entries: Iterable[Tuple[Monomial, int]]) -> List[Tuple]:
+    """The `_sum_rows` parts of (num/den) q_n(coeffs) * entries.
+
+    q_n is `fock.q_gen`, read once per (n, coeffs) as a row cached beside the
+    operator rows."""
+    key = ("Q", n, coeffs)
+    q = tctx._lean_rows.get(key)
+    if q is None:
+        q = tctx._lean_rows[key] = _lean_from_fock(q_gen(tctx.fock, n, coeffs))
+    dq, qvec = q
+    return [(num * nq, den * dq, [(_merge(mq, mo), e) for mo, e in entries])
+            for mq, nq in qvec]
+
+
+def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, mono: Monomial) -> LeanRow:
+    """The X_m(gamma) row on one monomial: sum_j q_{j-m}(gamma) D_j(gamma) mono."""
+    ladder = _ilean_ladder(tctx, coeffs, mono)
+    parts: List[Tuple] = []
+    for j in range(max(0, m), len(ladder)):
+        parts += _q_parts(tctx, j - m, coeffs, 1, *ladder[j])
+    return _sum_rows(parts)
+
+
+def _n_row(tctx: TwistContext, a: int, b: int, alpha: IntVec, beta: IntVec,
+           mono: Monomial) -> LeanRow:
+    """The z^-a w^-b row of :X(alpha,z)X(beta,w): on one monomial,
+    sum q_{j1-a}(alpha) q_{j2-b}(beta) D_{j1}(alpha) D_{j2}(beta) mono; the
+    alpha half, summed over j1, is the X_a(alpha) row."""
+    xa = _x_layer(tctx, a, alpha)
+    ladder = _ilean_ladder(tctx, beta, mono)
+    parts: List[Tuple] = []
+    for j2 in range(max(0, b), len(ladder)):
+        d2, entries = ladder[j2]
+        for mo, num in entries:
+            dx, xrow = _lean_row(tctx, xa, mo)
+            parts += _q_parts(tctx, j2 - b, beta, num, d2 * dx, xrow)
+    return _sum_rows(parts)
+
+
+def _lean_row(tctx: TwistContext, layer: Layer, mono: Monomial) -> LeanRow:
+    """The layer's row on one monomial, without the lattice sign; cached."""
+    key = (layer, mono)
+    cached = tctx._lean_rows.get(key)
     if cached is not None:
         return cached
-    ladder = _ilean_ladder(tctx, coeffs, mono)
-    deg = mono_degree(mono)
-    parts = []
-    den = 1
-    for j in range(max(0, m), deg + 1):
-        dj = ladder[j]
-        if not dj[1]:
-            continue
-        prod = _ilean_mul(_ilean_q(tctx, coeffs, j - m), dj)
-        if prod[1]:
-            parts.append(prod)
-            den = lcm(den, prod[0])
-    acc: IDict = {}
-    for dp, p in parts:
-        f = den // dp
-        for mo, num in p.items():
-            acc[mo] = acc.get(mo, 0) + f * num
-    den, acc = _normalize_ivec(den, {mo: v for mo, v in acc.items() if v})
-    row = (den, tuple(sorted((_intern_mono(tctx, mo), num) for mo, num in acc.items())))
-    tctx._xrow_cache[key] = row
+    kind, m = layer[0], layer[1]
+    if kind == "X":
+        den, entries = _x_row_int(tctx, m, layer[2], mono)
+    elif kind == "N":
+        den, entries = _n_row(tctx, m, *layer[2:5], mono)
+    elif m % 2 == 0:
+        den, entries = 1, ()
+    else:
+        base = FockVector(tctx.fock, {mono: Cyc.rational(1)})
+        vec = annihilate(base, m, layer[2]) if m > 0 else create(base, -m, layer[2])
+        den, entries = _lean_from_fock(vec)
+    row = (den, tuple((_intern_mono(tctx, mo), num) for mo, num in entries))
+    tctx._lean_rows[key] = row
     return row
 
 
-def _fock_x_monomial(tctx: TwistContext, m: int, coeffs: IntVec, mono: Monomial) -> FockVector:
-    key = (coeffs, m, mono)
-    cached = tctx._x_mono_cache.get(key)
-    if cached is not None:
-        return cached
-    den, entries = _x_row_int(tctx, m, coeffs, mono)
-    out = FockVector(tctx.fock,
-                     {mo: Cyc.rational(Fraction(num, den)) for mo, num in entries})
-    tctx._x_mono_cache[key] = out
-    return out
+def _apply_rows(tctx: TwistContext, layer: Layer, v: TwistedVector) -> TwistedVector:
+    """A layer applied to v: on (b, mono) it is the cocycle sign times the
+    row on mono, moved to b + mask."""
+    mask = layer[-1]
+    out: Dict[Tuple[int, Monomial], Cyc] = {}
+    for (b, mono), c in v.terms.items():
+        sign, b2 = tctx.twist.act(mask, b)
+        den, entries = _lean_row(tctx, layer, mono)
+        for mono2, num in entries:
+            key = (b2, mono2)
+            val = c * Cyc.rational(Fraction(sign * num, den))
+            cur = out.get(key)
+            out[key] = val if cur is None else cur + val
+    w = TwistedVector(tctx)
+    w.terms = {key: c for key, c in out.items() if not c.is_zero()}
+    return w
+
+
+def _x_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
+    vec = tuple(int(c) for c in coeffs)
+    return ("X", m, vec, vec_to_mask(vec))
+
+
+def _h_layer(tctx: TwistContext, m: int, i: int) -> XLayer:
+    return ("H", m, tctx.basis_vector(i), 0)
 
 
 def x_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
                 v: TwistedVector) -> TwistedVector:
     """Coefficient of z^{-m} in X(gamma, z) applied to v."""
-    coeffs = tuple(int(c) for c in gamma_vec)
-    mask = vec_to_mask(coeffs)
-    out = TwistedVector(tctx)
-    for (b, mono), c in v.terms.items():
-        sign, b2 = tctx.twist.act(mask, b)
-        w = _fock_x_monomial(tctx, m, coeffs, mono)
-        if sign < 0:
-            c = -c
-        for mono2, c2 in w.terms.items():
-            key = (b2, mono2)
-            val = c * c2
-            cur = out.terms.get(key)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = val
-    return out
+    return _apply_rows(tctx, _x_layer(tctx, m, gamma_vec), v)
 
 
 def heis_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
                    v: TwistedVector) -> TwistedVector:
     """a_m(gamma) on the twisted space; zero for even m (only odd generators)."""
-    if m == 0 or m % 2 == 0:
-        return TwistedVector(tctx)
-    out = TwistedVector(tctx)
-    for b, fvec in v.by_coset().items():
-        w = annihilate(fvec, m, gamma_vec) if m > 0 else create(fvec, -m, gamma_vec)
-        for mono, c in w.terms.items():
-            key = (b, mono)
-            cur = out.terms.get(key)
-            val = c if cur is None else cur + c
-            out.terms[key] = val
-    out.terms = {k: c for k, c in out.terms.items() if not c.is_zero()}
-    return out
+    return _apply_rows(tctx, ("H", m, tuple(int(c) for c in gamma_vec), 0), v)
+
+
+def normal_ordered_component(tctx: TwistContext, a: int, b: int,
+                             alpha: Sequence[int], beta: Sequence[int],
+                             v: TwistedVector) -> TwistedVector:
+    """Coefficient of z^-a w^-b in :X(alpha,z) X(beta,w): applied to v."""
+    av = tuple(int(c) for c in alpha)
+    bv = tuple(int(c) for c in beta)
+    mask = vec_to_mask(tuple(x + y for x, y in zip(av, bv)))
+    return _apply_rows(tctx, ("N", a, b, av, bv, mask), v)
 
 
 Operator = Callable[[TwistedVector], TwistedVector]
@@ -551,42 +520,6 @@ def _ratio_series(kappa: int, nterms: int) -> List[Fraction]:
     return mul(den, series_inv(num))
 
 
-def normal_ordered_component(tctx: TwistContext, a: int, b: int,
-                             alpha: Sequence[int], beta: Sequence[int],
-                             v: TwistedVector) -> TwistedVector:
-    """Coefficient of z^-a w^-b in :X(alpha,z) X(beta,w): applied to v."""
-    ctx = tctx.fock
-    av = tuple(int(c) for c in alpha)
-    bv = tuple(int(c) for c in beta)
-    mask = vec_to_mask(tuple(x + y for x, y in zip(av, bv)))
-    out = TwistedVector(tctx)
-    for cb, fvec in v.by_coset().items():
-        sign, b2 = tctx.twist.act(mask, cb)
-        deg = fvec.max_degree()
-        ladder_b = _annihilation_ladder(ctx, fvec, bv, deg)
-        acc = FockVector.zero(ctx)
-        for j2 in range(max(0, b), deg + 1):
-            if ladder_b[j2].is_zero():
-                continue
-            inner_deg = ladder_b[j2].max_degree()
-            ladder_a = _annihilation_ladder(ctx, ladder_b[j2], av, inner_deg)
-            for j1 in range(max(0, a), inner_deg + 1):
-                if ladder_a[j1].is_zero():
-                    continue
-                term = q_gen(ctx, j1 - a, av) * (q_gen(ctx, j2 - b, bv) * ladder_a[j1])
-                acc = acc + term
-        acc = acc.scale(sign)
-        for mono, c in acc.terms.items():
-            key = (b2, mono)
-            cur = out.terms.get(key)
-            val = c if cur is None else cur + c
-            if val.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = val
-    return out
-
-
 def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
               cutoff: int, max_degree: int) -> RelationResult:
     """X(alpha,z)X(beta,w) = eps(alpha,beta) :XX: ((z-w)/(z+w))^<alpha,beta>,
@@ -633,58 +566,10 @@ def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
 # one shift share the factor epsilon(shift, b).  So the identity holds on
 # every (coset, monomial) basis vector exactly when, for every shift,
 # sum c_t coef_t Fock_t(mono) = 0: one check on coset 0 covers them all.
-# The Fock parts are integer rows (`_x_row_int`) composed per monomial.
-
-XLayer = Tuple[str, int, IntVec, int]  # ("X"|"H", m, coeffs, mask)
-LeanRow = Tuple[int, Tuple[Tuple[Monomial, int], ...]]  # (denominator, entries)
-
-
-def _lean_from_fock(vec: FockVector) -> LeanRow:
-    from math import lcm
-
-    entries = []
-    den = 1
-    for mono, c in vec.terms.items():
-        q = c.as_rational()
-        if q is None:
-            raise ValueError("non-rational coefficient in a rational sweep")
-        entries.append((mono, q))
-        den = lcm(den, q.denominator)
-    return den, tuple((mono, int(q * den)) for mono, q in entries)
-
-
-def _x_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
-    vec = tuple(int(c) for c in coeffs)
-    return ("X", m, vec, vec_to_mask(vec))
-
-
-def _h_layer(tctx: TwistContext, m: int, i: int) -> XLayer:
-    return ("H", m, tctx.basis_vector(i), 0)
-
-
-def _lean_row(tctx: TwistContext, layer: XLayer, mono: Monomial) -> LeanRow:
-    kind, m, coeffs, _ = layer
-    if kind == "X":
-        return _x_row_int(tctx, m, coeffs, mono)
-    key = (kind, m, coeffs, mono)
-    cached = tctx._lean_rows.get(key)
-    if cached is not None:
-        return cached
-    base = FockVector(tctx.fock, {mono: Cyc.rational(1)})
-    if m % 2 == 0 or m == 0:
-        row = (1, ())
-    elif m > 0:
-        row = _lean_from_fock(annihilate(base, m, coeffs))
-    else:
-        row = _lean_from_fock(create(base, -m, coeffs))
-    tctx._lean_rows[key] = row
-    return row
-
+# The Fock parts are the layers' rows (`_lean_row`) composed per monomial.
 
 def _apply_term(tctx: TwistContext, layers: Tuple[XLayer, ...], mono: Monomial) -> LeanRow:
-    """Integer-numerator result of the composed layers on one monomial; cached."""
-    from math import gcd, lcm
-
+    """The row of the composed layers on one monomial; cached."""
     if not layers:
         return 1, ((mono, 1),)
     if len(layers) == 1:
@@ -693,25 +578,8 @@ def _apply_term(tctx: TwistContext, layers: Tuple[XLayer, ...], mono: Monomial) 
     cached = tctx._pair_cache.get(key)
     if cached is not None:
         return cached
-    head, tail = layers[0], layers[1:]
-    den0, entries0 = _apply_term(tctx, tail, mono)
-    rows = [(num, _lean_row(tctx, head, mo)) for mo, num in entries0]
-    den = den0
-    for _, (d, _e) in rows:
-        den = lcm(den, den0 * d)
-    acc: Dict[Monomial, int] = {}
-    for num, (d, entries) in rows:
-        scale = den // (den0 * d)
-        f = num * scale
-        for mo2, num2 in entries:
-            acc[mo2] = acc.get(mo2, 0) + f * num2
-    acc = {k: v for k, v in acc.items() if v}
-    if acc:
-        g = gcd(den, *acc.values()) if acc else 1
-        if g > 1:
-            den //= g
-            acc = {k: v // g for k, v in acc.items()}
-    result = (den, tuple(sorted(acc.items())))
+    den0, entries0 = _apply_term(tctx, layers[1:], mono)
+    result = _sum_rows([(num,) + _lean_row(tctx, layers[0], mo) for mo, num in entries0], den0)
     tctx._pair_cache[key] = result
     return result
 
@@ -740,8 +608,6 @@ def _check_instance(tctx: TwistContext, terms: Sequence[Term],
     term's sign chain there.  Returns None on success, else a witness
     document naming coset 0.
     """
-    from math import lcm
-
     prepared = []  # (shift, signed coef, layers)
     for coef, layers in terms:
         shift, sign = _term_sign(tctx, layers)

@@ -166,6 +166,19 @@ def test_mckay_xi():
         mckay_xi(q8, pi_index=1)  # 1-dimensional character designated
 
 
+def test_mckay_xi_reads_pi_from_the_table():
+    # cyclic:4 with characters 1 and 2 swapped: index 1 is now the order-2
+    # character and index 2 the faithful one, so pi = gamma_2 + gamma_3
+    doc = builtin("cyclic:4")[0].to_doc()
+    doc["chars"][1], doc["chars"][2] = doc["chars"][2], doc["chars"][1]
+    g = load_gamma(json.dumps(doc))
+    assert g.name.startswith("cyclic")  # the name alone once chose pi
+    assert mckay_xi(g).coeffs == (2, 0, -1, -1)
+    k4, _ = builtin("klein4")
+    with pytest.raises(ValueError, match="designate pi explicitly"):
+        mckay_xi(k4)  # abelian, but no faithful linear character
+
+
 def test_self_duality():
     g3, _ = builtin("cyclic:3")
     assert VirtualChar([3, -1, -1]).is_self_dual(g3)

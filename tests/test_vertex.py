@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinwreath.fock import FockVector, create, inner, mono_degree, q_gen
+from spinwreath.fock import FockVector, annihilate, mono_degree, q_gen
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.scalars import Cyc
 from spinwreath.vertex import (TwistContext, TwistedVector, X,
@@ -192,29 +192,87 @@ def test_words_factor_through_coset_zero(name, weight):
     assert nonzero >= 20  # the check is not vacuous
 
 
-def test_lean_engine_matches_production_operator():
-    # the integer rows and the public x_component agree on random inputs
-    from spinwreath.vertex import _x_row_int
+# -- reference formulas for the integer rows, on Cyc Fock vectors ----------------
 
-    for name, xi in (("cyclic:2", None), ("cyclic:3", "mckay")):
-        g, _ = builtin(name)
-        x = mckay_xi(g) if xi == "mckay" else VirtualChar.trivial(g)
-        t = TwistContext(g, x)
-        rng = random.Random(6)
-        monos = vx._panel_monomials(t, 4)
-        for mono in rng.sample(monos, min(10, len(monos))):
-            for m in (-2, -1, 0, 1, 2):
-                coeffs = t.basis_vector(rng.randrange(g.num_classes))
-                den, entries = _x_row_int(t, m, coeffs, mono)
-                v = TwistedVector(t, {(0, mono): Cyc.rational(1)})
-                out = x_component(t, m, coeffs, v)
-                mask = vx.vec_to_mask(coeffs)
-                expect = {(mask, mo): Cyc.rational(Fraction(num, den))
-                          for mo, num in entries}
-                got = {k: c for k, c in out.terms.items()}
-                assert set(expect) == set(got)
-                for k in expect:
-                    assert expect[k] == got[k]
+
+def _ladder_reference(ctx, v, coeffs, top):
+    """D_j of exp(-sum (2/k) a_k z^-k) on v: j D_j = sum_k -2 a_k(gamma) D_{j-k}."""
+    ladder = [v]
+    for j in range(1, top + 1):
+        acc = FockVector.zero(ctx)
+        for k in range(1, j + 1, 2):
+            acc = acc + annihilate(ladder[j - k], k, coeffs).scale(-2)
+        ladder.append(acc.scale(Fraction(1, j)))
+    return ladder
+
+
+def _x_reference(ctx, m, coeffs, mono):
+    """X_m(gamma) on mono: sum_j q_{j-m}(gamma) D_j(gamma) mono."""
+    deg = mono_degree(mono)
+    ladder = _ladder_reference(ctx, FockVector(ctx, {mono: 1}), coeffs, deg)
+    out = FockVector.zero(ctx)
+    for j in range(max(0, m), deg + 1):
+        out = out + q_gen(ctx, j - m, coeffs) * ladder[j]
+    return out
+
+
+def _normal_ordered_reference(ctx, a, b, alpha, beta, mono):
+    """The z^-a w^-b coefficient of :X(alpha,z)X(beta,w): on mono,
+    sum q_{j1-a}(alpha) q_{j2-b}(beta) D_{j1}(alpha) D_{j2}(beta) mono."""
+    deg = mono_degree(mono)
+    ladder_b = _ladder_reference(ctx, FockVector(ctx, {mono: 1}), beta, deg)
+    out = FockVector.zero(ctx)
+    for j2 in range(max(0, b), deg + 1):
+        ladder_a = _ladder_reference(ctx, ladder_b[j2], alpha, deg - j2)
+        for j1 in range(max(0, a), deg - j2 + 1):
+            out = out + q_gen(ctx, j1 - a, alpha) * (q_gen(ctx, j2 - b, beta) * ladder_a[j1])
+    return out
+
+
+def _row_as_fock(ctx, row):
+    den, entries = row
+    assert all(num for _, num in entries)
+    return FockVector(ctx, {mo: Fraction(num, den) for mo, num in entries})
+
+
+def _row_contexts():
+    # cyclic:2 at the standard weight, cyclic:3 at the McKay weight
+    g2, _ = builtin("cyclic:2")
+    g3, _ = builtin("cyclic:3")
+    return [TwistContext(g2, VirtualChar.trivial(g2)), TwistContext(g3, mckay_xi(g3))]
+
+
+def test_lean_engine_matches_production_operator():
+    # the X_m rows against sum_j q_{j-m} D_j from fock.q_gen and fock.annihilate
+    for t in _row_contexts():
+        k = t.gamma.num_classes
+        nonzero = 0
+        for mono in vx._panel_monomials(t, 3):
+            for m in (-2, -1, 0, 1, 2, 3):
+                for coeffs in [t.basis_vector(i) for i in range(k)] + [(1,) * k, (-1,) + (1,) * (k - 1)]:
+                    got = _row_as_fock(t.fock, vx._x_row_int(t, m, coeffs, mono))
+                    assert got == _x_reference(t.fock, m, coeffs, mono), (m, coeffs, mono)
+                    nonzero += not got.is_zero()
+        assert nonzero > 100
+
+
+def test_normal_ordered_rows_match_the_reference_formula():
+    for t in _row_contexts():
+        k = t.gamma.num_classes
+        nonzero = 0
+        for mono in vx._panel_monomials(t, 3):
+            for i in range(k):
+                for j in range(k):
+                    alpha, beta = t.basis_vector(i), t.basis_vector(j)
+                    mask = vx.vec_to_mask(tuple(x + y for x, y in zip(alpha, beta)))
+                    for a in (-1, 1):
+                        for b in (-2, 0, 1):
+                            layer = ("N", a, b, alpha, beta, mask)
+                            got = _row_as_fock(t.fock, vx._lean_row(t, layer, mono))
+                            expect = _normal_ordered_reference(t.fock, a, b, alpha, beta, mono)
+                            assert got == expect, (a, b, alpha, beta, mono)
+                            nonzero += not got.is_zero()
+        assert nonzero > 100
 
 
 def test_normal_ordered_component_degree():
