@@ -236,7 +236,7 @@ def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]
 
     generators: List[SpinElement] = []
     ident = identity_element(n)
-    for e in range(1, cg.order):
+    for e in range(1, cg.order if n else 1):  # Gamma^0 has no Gamma generators
         generators.append(SpinElement((e,) + (0,) * (n - 1), 0, (), ident.s))
     for i in range(n):
         generators.append(SpinElement((0,) * n, 0, (i,), ident.s))

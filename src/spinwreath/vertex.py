@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fock import (FockContext, FockVector, Monomial, _merge, annihilate, create,
                    mono_degree, q_gen)
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
+from .partitions import multipartitions
 from .scalars import Cyc
 
 IntVec = Tuple[int, ...]
@@ -407,8 +408,6 @@ class RelationResult:
 
 def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
     """All Fock monomials of degree <= max_degree."""
-    from .partitions import multipartitions
-
     k = tctx.gamma.num_classes
     out: List[Monomial] = []
     for d in range(max_degree + 1):
@@ -682,14 +681,46 @@ def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[Rel
     return results
 
 
+def certify_instances(tctx: TwistContext, name: str,
+                      instances: Iterable[Tuple[dict, List[Term]]],
+                      monos: Sequence[Monomial], pass_params: dict) -> RelationResult:
+    """The family `name` on the monomials: a "fail" result with the first
+    failing instance's params and witness, else "pass" with pass_params."""
+    for params, terms in instances:
+        witness = _check_instance(tctx, terms, monos)
+        if witness is not None:
+            return RelationResult(name, params, "fail", witness)
+    return RelationResult(name, pass_params, "pass")
+
+
+def hh_instances(tctx: TwistContext, index_set: Sequence[int],
+                 window: int) -> Iterator[Tuple[dict, List[Term]]]:
+    """The Heisenberg relations [a_m(g_i), a_m'(g_j)] = (m/2) d_{m,-m'} <g_i, g_j>_xi
+    for i, j in index_set and odd m, m' in [-window, window], as `_check_instance`
+    terms; shared by the heisenberg suite and the `hh` family below."""
+    gram = tctx.twist.gram
+    odd = [m for m in range(-window, window + 1) if m % 2]
+    one = Fraction(1)
+    for i in index_set:
+        for j in index_set:
+            for m in odd:
+                for mp in odd:
+                    hi, hj = _h_layer(tctx, m, i), _h_layer(tctx, mp, j)
+                    terms = [(one, (hi, hj)), (-one, (hj, hi))]
+                    if m == -mp and gram[i][j]:
+                        terms.append((-Fraction(m, 2) * gram[i][j], ()))
+                    yield {"i": i, "j": j, "m": m, "mprime": mp}, terms
+
+
 def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: int,
                           max_degree: int) -> List[RelationResult]:
     """Certify the twisted affine/toroidal presentation under the assignment
     x_n(a_i) -> X_n(gamma_i), x_n(-a_i) -> eps(i,i) X_n(-gamma_i), h_i(m) -> a_m(gamma_i),
     C -> 1, h_i(even) = 0, on every basis vector of Fock degree <= max_degree.
 
-    Families: h-h, h-x, parity, the x/-x bracket, and both binomial Serre
-    families.  The x/-x bracket is certified in the form
+    Families: h-h (`hh_instances`, which the heisenberg suite shares), h-x,
+    parity, the x/-x bracket, and both binomial Serre families.  The x/-x
+    bracket is certified in the form
 
         [x_n(a_i), x_{n'}(-a_i)] = 8 h_i(n+n') + 4 n delta_{n,-n'} C,
 
@@ -706,27 +737,6 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
         if tctx.twist.epsilon_masks(1 << i, 1 << i) != 1:
             return [RelationResult("epsilon_diag", {"i": i}, "fail",
                                    {"note": "epsilon(gamma_i, gamma_i) != +1"})]
-
-    def run(name: str, instances) -> bool:
-        for params, terms in instances:
-            witness = _check_instance(tctx, terms, monos)
-            if witness is not None:
-                results.append(RelationResult(name, params, "fail", witness))
-                return False
-        results.append(RelationResult(name, {"window": window, "degree": max_degree,
-                                             "indices": list(index_set)}, "pass"))
-        return True
-
-    def hh_instances():
-        for i in index_set:
-            for j in index_set:
-                for m in odd:
-                    for mp in odd:
-                        hi, hj = _h_layer(tctx, m, i), _h_layer(tctx, mp, j)
-                        terms = [(one, (hi, hj)), (-one, (hj, hi))]
-                        if m == -mp and gram[i][j]:
-                            terms.append((-Fraction(m, 2) * gram[i][j], ()))
-                        yield {"i": i, "j": j, "m": m, "mprime": mp}, terms
 
     def hx_instances():
         for i in index_set:
@@ -782,10 +792,12 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
                         yield {"i": i, "j": j, "a_ij": a, "n": n, "nprime": npr,
                                "family": name}, terms
 
-    for name, instances in (("hh", hh_instances), ("hx", hx_instances),
-                            ("x_parity", parity_instances), ("xx_central_4n", xx_instances),
-                            ("serre", serre_instances)):
-        if not run(name, instances()):
+    for name, instances in (("hh", hh_instances(tctx, index_set, window)),
+                            ("hx", hx_instances()), ("x_parity", parity_instances()),
+                            ("xx_central_4n", xx_instances()), ("serre", serre_instances())):
+        results.append(certify_instances(tctx, name, instances, monos, {
+            "window": window, "degree": max_degree, "indices": list(index_set)}))
+        if results[-1].status == "fail":
             return results
         tctx._pair_cache.clear()
     results.append(RelationResult(

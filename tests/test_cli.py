@@ -76,3 +76,81 @@ def test_affine_jobs_split_matches_one_job():
     assert out2 == out1
     labels = [r["index_set"] for r in json.loads(out1)["results"]]
     assert labels == ["toroidal"] * 6 + ["affine"] * 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--oracle", "--gamma", "cyclic:2", "--n", "0"],
+    ["verify", "oracle", "--gamma", "cyclic:2", "--n", "0"],
+])
+def test_oracle_at_size_zero(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if argv[0] == "classes":
+        assert doc["oracle"] == {"status": "ok", "classes": 2, "even_split_pairs": 1,
+                                 "odd_split_pairs": 0, "mismatches": []}
+    else:
+        assert doc["status"] == "ok"
+
+
+def test_affine_window_zero_is_a_usage_error():
+    # [0, 0] holds no odd index, so hh and hx would pass on zero instances
+    assert_one_usage_error(*run_cli("verify", "affine", "--xi", "mckay", "--gamma", "cyclic:2",
+                                    "--window", "0", "--degree", "1"), "--window")
+
+
+# S3: classes e, t (transpositions), r (3-cycles); characters 1, sgn and the
+# 2-dimensional one.  An @file Gamma has no multiplication table.
+S3 = {"name": "s3", "order": 6,
+      "classes": [{"name": "e", "size": 1, "element_order": 1, "inverse": 0},
+                  {"name": "t", "size": 3, "element_order": 2, "inverse": 1},
+                  {"name": "r", "size": 2, "element_order": 3, "inverse": 2}],
+      "chars": [[{"N": 1, "coeffs": [[v, 1]]} for v in row]
+                for row in ([1, 1, 1], [1, -1, 1], [2, 0, -1])]}
+
+
+@pytest.fixture
+def s3_file(tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3))
+    return f"@{path}"
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["verify", "clifford", "--gamma", "cyclic:2", "--xi", "mckay"], "standard weight"),
+    (["verify", "affine", "--gamma", "cyclic:2", "--xi", "standard"], "McKay weight"),
+    (["verify", "affine", "--xi", "standard"], "McKay weight"),  # trivial Gamma: no McKay weight
+    (["verify", "heisenberg", "--gamma", "cyclic:3", "--xi", "1,2"], "xi needs 3 coefficients"),
+    (["verify", "heisenberg", "--gamma", "cyclic:3", "--xi", "1,a,2"], "xi must be"),
+    (["verify", "heisenberg", "--gamma", "cyclic:2", "--degree", "1", "--format", "csv"],
+     "csv output is not available"),
+])
+def test_verify_usage_errors(argv, expect):
+    assert_one_usage_error(*run_cli(*argv), expect)
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["verify", "oracle", "--n", "1"], "needs a built-in Gamma"),
+    (["classes", "--oracle", "--n", "1"], "needs a built-in Gamma"),
+])
+def test_oracle_needs_a_builtin_gamma(argv, expect, s3_file):
+    assert_one_usage_error(*run_cli(*argv, "--gamma", s3_file), expect)
+
+
+@pytest.mark.parametrize("content,expect", [
+    (None, "cannot read config"),
+    ("{not json", "cannot read config"),
+    ("[1, 2]", "must hold a JSON object"),
+])
+def test_bad_config_files(tmp_path, content, expect):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert_one_usage_error(*run_cli("chartable", "--config", str(cfg)), expect)
+
+
+def test_mckay_unrecognized_type_exits_3(s3_file):
+    code, out, err = run_cli("mckay", "--gamma", s3_file)
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["gamma"] == "s3" and doc["affine_type"] == "unrecognized"
