@@ -79,8 +79,11 @@ def _emit(doc: dict, fmt: str, out: Optional[str], csv_render=None) -> None:
     else:
         text = json.dumps(doc, separators=(",", ":")) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -261,10 +264,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, cfg.get(key, default))
-    for key in ("n", "degree", "window"):
+    for key, least in (("n", 0), ("degree", 0), ("window", 0), ("jobs", 1)):
         value = getattr(args, key, None)
-        if isinstance(value, int) and value < 0:
-            raise ConfigError(f"--{key} must be at least 0, got {value}")
+        if isinstance(value, int) and value < least:
+            raise ConfigError(f"--{key} must be at least {least}, got {value}")
     return args
 
 

@@ -11,10 +11,16 @@ and exp(-sum (2/k) a_k z^-k) (the integer ladder D_j), and they are exact:
 the annihilation half contributes only finitely many degrees on a
 finite-degree input, which pins the creation degree, so no series
 truncation is ever involved.  Apart from reading q_n and a_m off `fock`'s
-vectors once per row, `Cyc` scalars enter only where a row is applied to a
-`TwistedVector`.  The relation checkers certify operator identities on
-every basis vector up to a degree bound and report the first witness on
-failure.
+vectors once per row, `Cyc` scalars meet the rows only in `_apply_rows`,
+which applies a layer to a `TwistedVector` (the character table's X
+components).
+
+Every relation checker -- Clifford, OPE, X parity, the primary-field
+commutator and the affine families -- is a generator of instances
+(params, terms), each term a coefficient times a word of layers, and one
+loop, `certify_instances`, checks that every instance's terms sum to zero
+on every basis vector up to a degree bound and reports the first witness
+on failure.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fock import (FockContext, FockVector, Monomial, _merge, annihilate, create,
                    mono_degree, q_gen)
@@ -76,55 +82,12 @@ class TwistedVector:
     def vacuum(ctx: TwistContext, mask: int = 0) -> "TwistedVector":
         return TwistedVector(ctx, {(mask, ()): Cyc.rational(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TwistedVector") -> "TwistedVector":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            val = c if cur is None else cur + c
-            if val.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = val
-        v = TwistedVector(self.ctx)
-        v.terms = out
-        return v
-
-    def __sub__(self, other: "TwistedVector") -> "TwistedVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TwistedVector":
-        c = Cyc.lift(c)
-        if c.is_zero():
-            return TwistedVector(self.ctx)
-        v = TwistedVector(self.ctx)
-        v.terms = {k: x * c for k, x in self.terms.items()}
-        return v
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwistedVector):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = Cyc.rational(0)
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
-
     def fock_part(self, mask: int = 0) -> FockVector:
         v = FockVector(self.ctx.fock)
         for (b, mono), c in self.terms.items():
             if b == mask:
                 v.terms[mono] = c
         return v
-
-    def cosets(self) -> List[int]:
-        return sorted({b for b, _ in self.terms})
-
-    def max_degree(self) -> int:
-        return max((mono_degree(m) for _, m in self.terms), default=0)
-
-    def __repr__(self) -> str:
-        return f"TwistedVector({self.terms!r})"
 
 
 # -- the row engine ----------------------------------------------------------------
@@ -334,51 +297,14 @@ def _x_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
     return ("X", m, vec, vec_to_mask(vec))
 
 
-def _h_layer(tctx: TwistContext, m: int, i: int) -> XLayer:
-    return ("H", m, tctx.basis_vector(i), 0)
+def _h_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
+    return ("H", m, tuple(int(c) for c in coeffs), 0)
 
 
 def x_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
                 v: TwistedVector) -> TwistedVector:
     """Coefficient of z^{-m} in X(gamma, z) applied to v."""
     return _apply_rows(tctx, _x_layer(tctx, m, gamma_vec), v)
-
-
-def heis_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
-                   v: TwistedVector) -> TwistedVector:
-    """a_m(gamma) on the twisted space; zero for even m (only odd generators)."""
-    return _apply_rows(tctx, ("H", m, tuple(int(c) for c in gamma_vec), 0), v)
-
-
-def normal_ordered_component(tctx: TwistContext, a: int, b: int,
-                             alpha: Sequence[int], beta: Sequence[int],
-                             v: TwistedVector) -> TwistedVector:
-    """Coefficient of z^-a w^-b in :X(alpha,z) X(beta,w): applied to v."""
-    av = tuple(int(c) for c in alpha)
-    bv = tuple(int(c) for c in beta)
-    mask = vec_to_mask(tuple(x + y for x, y in zip(av, bv)))
-    return _apply_rows(tctx, ("N", a, b, av, bv, mask), v)
-
-
-Operator = Callable[[TwistedVector], TwistedVector]
-
-
-def X(tctx: TwistContext, m: int, gamma_vec: Sequence[int]) -> Operator:
-    vec = tuple(int(c) for c in gamma_vec)
-    return lambda v: x_component(tctx, m, vec, v)
-
-
-def H(tctx: TwistContext, m: int, i: int) -> Operator:
-    vec = tctx.basis_vector(i)
-    return lambda v: heis_component(tctx, m, vec, v)
-
-
-def commutator(a: Operator, b: Operator, v: TwistedVector) -> TwistedVector:
-    return a(b(v)) - b(a(v))
-
-
-def anticommutator(a: Operator, b: Operator, v: TwistedVector) -> TwistedVector:
-    return a(b(v)) + b(a(v))
 
 
 def neg(vec: Sequence[int]) -> IntVec:
@@ -419,145 +345,19 @@ def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
     return out
 
 
-def _basis_panel(tctx: TwistContext, max_degree: int) -> List[TwistedVector]:
-    """The basis vectors (0, mono) of Fock degree <= max_degree.
-
-    The operators reach the lattice factor only through `LatticeTwist.act`,
-    so on (b, mono) a relation's two sides are epsilon(shift, b) times their
-    values on (0, mono), moved to b + shift; coset 0 certifies every coset.
-    """
-    return [TwistedVector(tctx, {(0, mono): Cyc.rational(1)})
-            for mono in _panel_monomials(tctx, max_degree)]
-
-
-def _witness(v: TwistedVector, extra: dict) -> dict:
-    doc = dict(extra)
-    items = sorted(v.terms.items())[:3]
-    doc["difference"] = [
-        {"coset": b, "mono": list(map(list, mono)), "coeff": c.to_doc()}
-        for (b, mono), c in items
-    ]
-    return doc
-
-
-def x_parity_check(tctx: TwistContext, gamma_vec: Sequence[int], m_window: int,
-                   max_degree: int) -> RelationResult:
-    """X_m(-gamma) = (-1)^m X_m(gamma) on all basis vectors."""
-    panel = _basis_panel(tctx, max_degree)
-    gneg = neg(gamma_vec)
-    for m in range(-m_window, m_window + 1):
-        for v in panel:
-            lhs = x_component(tctx, m, gneg, v)
-            rhs = x_component(tctx, m, gamma_vec, v).scale(sign_pow(m))
-            if lhs != rhs:
-                return RelationResult("x_parity", {"gamma": list(gamma_vec), "m": m},
-                                      "fail", _witness(lhs - rhs, {"vector": repr(v)}))
-    return RelationResult("x_parity", {"gamma": list(gamma_vec), "window": m_window,
-                                       "degree": max_degree}, "pass")
-
-
-def prim_commutator_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
-                          n: int, m_window: int, max_degree: int) -> RelationResult:
-    """[a_n(alpha), X_m(beta)] = <alpha,beta>_xi X_{m+n}(beta)."""
-    if n % 2 == 0:
-        raise ValueError("Heisenberg index must be odd")
-    pairing = tctx.pairing(alpha, beta)
-    panel = _basis_panel(tctx, max_degree)
-    a_op = lambda v: heis_component(tctx, n, alpha, v)
-    for m in range(-m_window, m_window + 1):
-        x_op = X(tctx, m, beta)
-        for v in panel:
-            lhs = commutator(a_op, x_op, v)
-            rhs = x_component(tctx, m + n, beta, v).scale(pairing)
-            if lhs != rhs:
-                return RelationResult(
-                    "prim_commutator", {"alpha": list(alpha), "beta": list(beta),
-                                        "n": n, "m": m},
-                    "fail", _witness(lhs - rhs, {"vector": repr(v)}))
-    return RelationResult("prim_commutator",
-                          {"alpha": list(alpha), "beta": list(beta), "n": n,
-                           "window": m_window, "degree": max_degree}, "pass")
-
-
-def _ratio_series(kappa: int, nterms: int) -> List[Fraction]:
-    """Power series of ((1-u)/(1+u))^kappa in u, exact, expansion in u = w/z."""
-    def poly_pow(base: List[int], e: int) -> List[Fraction]:
-        out = [Fraction(1)]
-        for _ in range(e):
-            nxt = [Fraction(0)] * min(len(out) + 1, nterms + 1)
-            for i, c in enumerate(out):
-                for j, b in enumerate(base):
-                    if i + j <= nterms:
-                        nxt[i + j] += c * b
-            out = nxt
-        return out
-
-    def series_inv(f: List[Fraction]) -> List[Fraction]:
-        # 1/f with f[0] = 1
-        out = [Fraction(1)] + [Fraction(0)] * nterms
-        for i in range(1, nterms + 1):
-            acc = Fraction(0)
-            for j in range(1, min(i, len(f) - 1) + 1):
-                acc += f[j] * out[i - j]
-            out[i] = -acc
-        return out
-
-    def mul(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * (nterms + 1)
-        for i, c in enumerate(f[:nterms + 1]):
-            if c:
-                for j, b in enumerate(g[:nterms + 1 - i]):
-                    if b:
-                        out[i + j] += c * b
-        return out
-
-    e = abs(kappa)
-    num = poly_pow([1, -1], e)
-    den = poly_pow([1, 1], e)
-    if kappa >= 0:
-        return mul(num, series_inv(den))
-    return mul(den, series_inv(num))
-
-
-def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
-              cutoff: int, max_degree: int) -> RelationResult:
-    """X(alpha,z)X(beta,w) = eps(alpha,beta) :XX: ((z-w)/(z+w))^<alpha,beta>,
-    coefficients compared for |m|, |m'| <= cutoff on the basis panel."""
-    kappa = tctx.pairing(alpha, beta)
-    eps = tctx.twist.epsilon(alpha, beta)
-    panel = _basis_panel(tctx, max_degree)
-    series = _ratio_series(kappa, max_degree + 2 * cutoff + 2)
-    for m in range(-cutoff, cutoff + 1):
-        for mp in range(-cutoff, cutoff + 1):
-            for v in panel:
-                lhs = x_component(tctx, m, alpha, x_component(tctx, mp, beta, v))
-                rhs = TwistedVector(tctx)
-                tmax = v.max_degree() - mp
-                for t in range(0, tmax + 1):
-                    if t >= len(series) or not series[t]:
-                        continue
-                    term = normal_ordered_component(tctx, m - t, mp + t, alpha, beta, v)
-                    rhs = rhs + term.scale(series[t])
-                rhs = rhs.scale(eps)
-                if lhs != rhs:
-                    return RelationResult(
-                        "ope", {"alpha": list(alpha), "beta": list(beta),
-                                "m": m, "mprime": mp},
-                        "fail", _witness(lhs - rhs, {"vector": repr(v)}))
-    return RelationResult("ope", {"alpha": list(alpha), "beta": list(beta),
-                                  "cutoff": cutoff, "degree": max_degree}, "pass")
-
-
-# -- lean instance engine for the heavy operator sweeps --------------------------
+# -- the instance engine: one certification loop for every checker -----------------
 #
-# Every checker below certifies identities of the shape
+# Every checker certifies identities of the shape
 #
 #     sum_t coef_t * Op_{t,1} Op_{t,2} ... (v) = 0
 #
-# where each Op is an X component or a Heisenberg generator.  On a basis
-# vector (b, mono) the Fock part of each term is independent of the lattice
-# class b: an X layer multiplies by epsilon(mask, cur) and moves cur to
-# cur + mask, a Heisenberg layer leaves cur alone.  Since epsilon is
+# where each Op is a layer: an X component, a Heisenberg generator or a
+# normal-ordered product.  A checker is a generator of instances (params,
+# terms), and `certify_instances` checks them on the Fock monomials of the
+# panel; `Cyc` scalars never enter.  On a basis vector (b, mono) the Fock
+# part of each term is independent of the lattice class b: a layer of mask
+# `mask` multiplies by epsilon(mask, cur) and moves cur to cur + mask (an H
+# layer has mask 0; an N layer the mask of alpha + beta).  Since epsilon is
 # bi-additive, epsilon(mask, b + s) = epsilon(mask, b) epsilon(mask, s), so a
 # term whose masks add up to `shift` has the sign epsilon(shift, b) c_t on
 # (b, mono), where c_t is its sign chain on (0, mono), and lands on
@@ -567,7 +367,7 @@ def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
 # sum c_t coef_t Fock_t(mono) = 0: one check on coset 0 covers them all.
 # The Fock parts are the layers' rows (`_lean_row`) composed per monomial.
 
-def _apply_term(tctx: TwistContext, layers: Tuple[XLayer, ...], mono: Monomial) -> LeanRow:
+def _apply_term(tctx: TwistContext, layers: Tuple[Layer, ...], mono: Monomial) -> LeanRow:
     """The row of the composed layers on one monomial; cached."""
     if not layers:
         return 1, ((mono, 1),)
@@ -583,19 +383,21 @@ def _apply_term(tctx: TwistContext, layers: Tuple[XLayer, ...], mono: Monomial) 
     return result
 
 
-def _term_sign(tctx: TwistContext, layers: Tuple[XLayer, ...]) -> Tuple[int, int]:
-    """A term's shift (the sum of its X masks) and its exact +-1 cocycle
-    sign chain on coset 0."""
+def _term_sign(tctx: TwistContext, layers: Tuple[Layer, ...]) -> Tuple[int, int]:
+    """A term's shift (the sum of its layers' masks) and its exact +-1
+    cocycle sign chain on coset 0."""
     sign = 1
     cur = 0
-    for kind, _, _, mask in reversed(layers):
-        if kind == "X" and mask:
+    for layer in reversed(layers):
+        mask = layer[-1]
+        if mask:
             sign *= tctx.twist.epsilon_masks(mask, cur)
             cur ^= mask
     return cur, sign
 
 
-Term = Tuple[Fraction, Tuple[XLayer, ...]]
+Term = Tuple[Fraction, Tuple[Layer, ...]]
+Instance = Tuple[dict, List[Term]]
 
 
 def _check_instance(tctx: TwistContext, terms: Sequence[Term],
@@ -641,48 +443,7 @@ def _check_instance(tctx: TwistContext, terms: Sequence[Term],
     return None
 
 
-def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[RelationResult]:
-    """The three anticommutator families at the standard weight:
-
-        {X_n(g_i), X_n'(g_j)} = 2 (-1)^n d_ij d_{n,-n'}   (same for both negated)
-        {X_n(g_i), X_n'(-g_j)} = 2 d_ij d_{n,-n'}
-    """
-    if tctx.xi.coeffs != VirtualChar.trivial(tctx.gamma).coeffs:
-        raise ValueError("the Clifford relations are certified at the standard weight only")
-    k = tctx.gamma.num_classes
-    monos = _panel_monomials(tctx, max_degree)
-    results: List[RelationResult] = []
-    one = Fraction(1)
-    for i in range(k):
-        for j in range(k):
-            for flip_i, flip_j, signed in ((False, False, True), (True, True, True),
-                                           (False, True, False)):
-                vi = neg(tctx.basis_vector(i)) if flip_i else tctx.basis_vector(i)
-                vj = neg(tctx.basis_vector(j)) if flip_j else tctx.basis_vector(j)
-                for n in range(-window, window + 1):
-                    for npr in range(-window, window + 1):
-                        la = _x_layer(tctx, n, vi)
-                        lb = _x_layer(tctx, npr, vj)
-                        coef = 0
-                        if i == j and n == -npr:
-                            coef = 2 * sign_pow(n) if signed else 2
-                        terms: List[Term] = [(one, (la, lb)), (one, (lb, la))]
-                        if coef:
-                            terms.append((Fraction(-coef), ()))
-                        witness = _check_instance(tctx, terms, monos)
-                        if witness is not None:
-                            name = "clifford_same_sign" if signed else "clifford_mixed"
-                            witness.update({"i": i, "j": j, "neg_i": flip_i, "neg_j": flip_j})
-                            results.append(RelationResult(
-                                name, {"n": n, "nprime": npr}, "fail", witness))
-                            return results
-    results.append(RelationResult("clifford", {"window": window, "degree": max_degree},
-                                  "pass"))
-    return results
-
-
-def certify_instances(tctx: TwistContext, name: str,
-                      instances: Iterable[Tuple[dict, List[Term]]],
+def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instance],
                       monos: Sequence[Monomial], pass_params: dict) -> RelationResult:
     """The family `name` on the monomials: a "fail" result with the first
     failing instance's params and witness, else "pass" with pass_params."""
@@ -693,23 +454,182 @@ def certify_instances(tctx: TwistContext, name: str,
     return RelationResult(name, pass_params, "pass")
 
 
+# -- the relation families -----------------------------------------------------------
+
+
 def hh_instances(tctx: TwistContext, index_set: Sequence[int],
-                 window: int) -> Iterator[Tuple[dict, List[Term]]]:
+                 window: int) -> Iterator[Instance]:
     """The Heisenberg relations [a_m(g_i), a_m'(g_j)] = (m/2) d_{m,-m'} <g_i, g_j>_xi
-    for i, j in index_set and odd m, m' in [-window, window], as `_check_instance`
-    terms; shared by the heisenberg suite and the `hh` family below."""
+    for i, j in index_set and odd m, m' in [-window, window]; shared by the
+    heisenberg suite and the affine `hh` family."""
     gram = tctx.twist.gram
     odd = [m for m in range(-window, window + 1) if m % 2]
     one = Fraction(1)
     for i in index_set:
+        gi = tctx.basis_vector(i)
         for j in index_set:
+            gj = tctx.basis_vector(j)
             for m in odd:
                 for mp in odd:
-                    hi, hj = _h_layer(tctx, m, i), _h_layer(tctx, mp, j)
+                    hi, hj = _h_layer(tctx, m, gi), _h_layer(tctx, mp, gj)
                     terms = [(one, (hi, hj)), (-one, (hj, hi))]
                     if m == -mp and gram[i][j]:
                         terms.append((-Fraction(m, 2) * gram[i][j], ()))
                     yield {"i": i, "j": j, "m": m, "mprime": mp}, terms
+
+
+def hx_instances(tctx: TwistContext, pairs: Iterable[Tuple[dict, Sequence[int], Sequence[int]]],
+                 ns: Sequence[int], window: int) -> Iterator[Instance]:
+    """[a_n(alpha), X_m(beta)] = <alpha, beta>_xi X_{n+m}(beta) for each
+    (label, alpha, beta) in pairs, n in ns and |m| <= window; an instance's
+    params are its label with n and m.  Shared by `prim_commutator_check`
+    and the affine `hx` family."""
+    one = Fraction(1)
+    for label, alpha, beta in pairs:
+        pairing = tctx.pairing(alpha, beta)
+        for n in ns:
+            ha = _h_layer(tctx, n, alpha)
+            for m in range(-window, window + 1):
+                xm = _x_layer(tctx, m, beta)
+                terms = [(one, (ha, xm)), (-one, (xm, ha))]
+                if pairing:
+                    terms.append((Fraction(-pairing), (_x_layer(tctx, n + m, beta),)))
+                yield dict(label, n=n, m=m), terms
+
+
+def parity_instances(tctx: TwistContext, gammas: Iterable[Tuple[dict, Sequence[int]]],
+                     window: int) -> Iterator[Instance]:
+    """X_n(-gamma) = (-1)^n X_n(gamma) for each (label, gamma) in gammas and
+    |n| <= window; an instance's params are its label with n.  Shared by
+    `x_parity_check` and the affine `x_parity` family."""
+    one = Fraction(1)
+    for label, gamma in gammas:
+        for n in range(-window, window + 1):
+            yield dict(label, n=n), [(one, (_x_layer(tctx, n, gamma),)),
+                                     (Fraction(-sign_pow(n)), (_x_layer(tctx, n, neg(gamma)),))]
+
+
+def x_parity_check(tctx: TwistContext, gamma_vec: Sequence[int], m_window: int,
+                   max_degree: int) -> RelationResult:
+    """X_m(-gamma) = (-1)^m X_m(gamma) on all basis vectors."""
+    label = {"gamma": list(gamma_vec)}
+    instances = parity_instances(tctx, [(label, gamma_vec)], m_window)
+    return certify_instances(tctx, "x_parity", instances, _panel_monomials(tctx, max_degree),
+                             dict(label, window=m_window, degree=max_degree))
+
+
+def prim_commutator_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
+                          n: int, m_window: int, max_degree: int) -> RelationResult:
+    """[a_n(alpha), X_m(beta)] = <alpha,beta>_xi X_{m+n}(beta)."""
+    if n % 2 == 0:
+        raise ValueError("Heisenberg index must be odd")
+    label = {"alpha": list(alpha), "beta": list(beta)}
+    instances = hx_instances(tctx, [(label, alpha, beta)], [n], m_window)
+    return certify_instances(tctx, "prim_commutator", instances,
+                             _panel_monomials(tctx, max_degree),
+                             dict(label, n=n, window=m_window, degree=max_degree))
+
+
+def _ratio_series(kappa: int, nterms: int) -> List[Fraction]:
+    """Power series of ((1-u)/(1+u))^kappa in u, exact, expansion in u = w/z."""
+    def poly_pow(base: List[int], e: int) -> List[Fraction]:
+        out = [Fraction(1)]
+        for _ in range(e):
+            nxt = [Fraction(0)] * min(len(out) + 1, nterms + 1)
+            for i, c in enumerate(out):
+                for j, b in enumerate(base):
+                    if i + j <= nterms:
+                        nxt[i + j] += c * b
+            out = nxt
+        return out
+
+    def series_inv(f: List[Fraction]) -> List[Fraction]:
+        # 1/f with f[0] = 1
+        out = [Fraction(1)] + [Fraction(0)] * nterms
+        for i in range(1, nterms + 1):
+            acc = Fraction(0)
+            for j in range(1, min(i, len(f) - 1) + 1):
+                acc += f[j] * out[i - j]
+            out[i] = -acc
+        return out
+
+    def mul(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
+        out = [Fraction(0)] * (nterms + 1)
+        for i, c in enumerate(f[:nterms + 1]):
+            if c:
+                for j, b in enumerate(g[:nterms + 1 - i]):
+                    if b:
+                        out[i + j] += c * b
+        return out
+
+    e = abs(kappa)
+    num = poly_pow([1, -1], e)
+    den = poly_pow([1, 1], e)
+    if kappa >= 0:
+        return mul(num, series_inv(den))
+    return mul(den, series_inv(num))
+
+
+def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
+              cutoff: int, max_degree: int) -> RelationResult:
+    """X(alpha,z)X(beta,w) = eps(alpha,beta) :XX: ((z-w)/(z+w))^<alpha,beta>,
+    coefficients compared for |m|, |m'| <= cutoff on the basis panel.
+
+    The z^-m w^-m' coefficient is X_m(alpha) X_m'(beta) = eps sum_t s_t N_{m-t,m'+t},
+    s_t the series coefficients; the N row of w-index m' + t vanishes on
+    monomials of degree below it, so t <= max_degree - m' is exact."""
+    av, bv = tuple(int(c) for c in alpha), tuple(int(c) for c in beta)
+    eps = tctx.twist.epsilon(av, bv)
+    series = _ratio_series(tctx.pairing(av, bv), max_degree + cutoff)
+    mask = vec_to_mask(av) ^ vec_to_mask(bv)
+    one = Fraction(1)
+
+    def instances() -> Iterator[Instance]:
+        for m in range(-cutoff, cutoff + 1):
+            for mp in range(-cutoff, cutoff + 1):
+                terms: List[Term] = [(one, (_x_layer(tctx, m, av), _x_layer(tctx, mp, bv)))]
+                for t in range(max_degree - mp + 1):
+                    if series[t]:
+                        terms.append((-eps * series[t], (("N", m - t, mp + t, av, bv, mask),)))
+                yield {"alpha": list(alpha), "beta": list(beta), "m": m, "mprime": mp}, terms
+
+    return certify_instances(tctx, "ope", instances(), _panel_monomials(tctx, max_degree),
+                             {"alpha": list(alpha), "beta": list(beta),
+                              "cutoff": cutoff, "degree": max_degree})
+
+
+def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[RelationResult]:
+    """The three anticommutator families at the standard weight:
+
+        {X_n(g_i), X_n'(g_j)} = 2 (-1)^n d_ij d_{n,-n'}   (same for both negated)
+        {X_n(g_i), X_n'(-g_j)} = 2 d_ij d_{n,-n'}
+    """
+    if tctx.xi.coeffs != VirtualChar.trivial(tctx.gamma).coeffs:
+        raise ValueError("the Clifford relations are certified at the standard weight only")
+    k = tctx.gamma.num_classes
+    one = Fraction(1)
+
+    def instances() -> Iterator[Instance]:
+        for i in range(k):
+            for j in range(k):
+                for flip_i, flip_j, family in ((False, False, "same_sign"),
+                                               (True, True, "same_sign"),
+                                               (False, True, "mixed")):
+                    vi = neg(tctx.basis_vector(i)) if flip_i else tctx.basis_vector(i)
+                    vj = neg(tctx.basis_vector(j)) if flip_j else tctx.basis_vector(j)
+                    for n in range(-window, window + 1):
+                        for npr in range(-window, window + 1):
+                            la = _x_layer(tctx, n, vi)
+                            lb = _x_layer(tctx, npr, vj)
+                            terms: List[Term] = [(one, (la, lb)), (one, (lb, la))]
+                            if i == j and n == -npr:
+                                central = 2 * sign_pow(n) if family == "same_sign" else 2
+                                terms.append((Fraction(-central), ()))
+                            yield {"family": family, "i": i, "j": j, "neg_i": flip_i,
+                                   "neg_j": flip_j, "n": n, "nprime": npr}, terms
+
+    return [certify_instances(tctx, "clifford", instances(), _panel_monomials(tctx, max_degree),
+                              {"window": window, "degree": max_degree})]
 
 
 def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: int,
@@ -718,9 +638,10 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
     x_n(a_i) -> X_n(gamma_i), x_n(-a_i) -> eps(i,i) X_n(-gamma_i), h_i(m) -> a_m(gamma_i),
     C -> 1, h_i(even) = 0, on every basis vector of Fock degree <= max_degree.
 
-    Families: h-h (`hh_instances`, which the heisenberg suite shares), h-x,
-    parity, the x/-x bracket, and both binomial Serre families.  The x/-x
-    bracket is certified in the form
+    Families: h-h (`hh_instances`, which the heisenberg suite shares), h-x
+    (`hx_instances`) and parity (`parity_instances`), which the ope suite's
+    checkers share, the x/-x bracket, and both binomial Serre families.  The
+    x/-x bracket is certified in the form
 
         [x_n(a_i), x_{n'}(-a_i)] = 8 h_i(n+n') + 4 n delta_{n,-n'} C,
 
@@ -738,27 +659,6 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
             return [RelationResult("epsilon_diag", {"i": i}, "fail",
                                    {"note": "epsilon(gamma_i, gamma_i) != +1"})]
 
-    def hx_instances():
-        for i in index_set:
-            for j in index_set:
-                gj = tctx.basis_vector(j)
-                for n in odd:
-                    for m in range(-window, window + 1):
-                        hi = _h_layer(tctx, n, i)
-                        xm = _x_layer(tctx, m, gj)
-                        terms = [(one, (hi, xm)), (-one, (xm, hi))]
-                        if gram[i][j]:
-                            terms.append((Fraction(-gram[i][j]), (_x_layer(tctx, n + m, gj),)))
-                        yield {"i": i, "j": j, "n": n, "m": m}, terms
-
-    def parity_instances():
-        for i in index_set:
-            gi = tctx.basis_vector(i)
-            for n in range(-window, window + 1):
-                terms = [(one, (_x_layer(tctx, n, gi),)),
-                         (Fraction(-sign_pow(n)), (_x_layer(tctx, n, neg(gi)),))]
-                yield {"i": i, "n": n}, terms
-
     def xx_instances():
         for i in index_set:
             gi = tctx.basis_vector(i)
@@ -767,7 +667,7 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
                     xa = _x_layer(tctx, n, gi)
                     xb = _x_layer(tctx, npr, neg(gi))
                     terms = [(one, (xa, xb)), (-one, (xb, xa)),
-                             (Fraction(-8), (_h_layer(tctx, n + npr, i),))]
+                             (Fraction(-8), (_h_layer(tctx, n + npr, gi),))]
                     if n == -npr and n:
                         terms.append((Fraction(-4 * n), ()))
                     yield {"i": i, "n": n, "nprime": npr}, terms
@@ -792,9 +692,14 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
                         yield {"i": i, "j": j, "a_ij": a, "n": n, "nprime": npr,
                                "family": name}, terms
 
-    for name, instances in (("hh", hh_instances(tctx, index_set, window)),
-                            ("hx", hx_instances()), ("x_parity", parity_instances()),
-                            ("xx_central_4n", xx_instances()), ("serre", serre_instances())):
+    basis = {i: tctx.basis_vector(i) for i in index_set}
+    pairs = [({"i": i, "j": j}, basis[i], basis[j]) for i in index_set for j in index_set]
+    for name, instances in (
+            ("hh", hh_instances(tctx, index_set, window)),
+            ("hx", hx_instances(tctx, pairs, odd, window)),
+            ("x_parity", parity_instances(tctx, [({"i": i}, basis[i]) for i in index_set],
+                                          window)),
+            ("xx_central_4n", xx_instances()), ("serre", serre_instances())):
         results.append(certify_instances(tctx, name, instances, monos, {
             "window": window, "degree": max_degree, "indices": list(index_set)}))
         if results[-1].status == "fail":

@@ -46,6 +46,13 @@ def test_negative_size_from_config_file(tmp_path):
     assert_one_usage_error(*run_cli("chartable", "--config", str(cfg)), "--n must be at least 0")
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    argv = ["classes", "--gamma", "trivial", "--n", "1", "--out"]
+    missing = tmp_path / "nodir" / "x.json"
+    assert_one_usage_error(*run_cli(*argv, str(missing)), f"cannot write --out {missing}")
+    assert_one_usage_error(*run_cli(*argv, str(tmp_path)), f"cannot write --out {tmp_path}")
+
+
 def test_mckay_pi_index_out_of_range():
     assert_one_usage_error(*run_cli("mckay", "--gamma", "quaternion8", "--pi-index", "9"),
                            "pi index out of range")

@@ -59,11 +59,16 @@ def test_flag_beats_config_beats_default(flags, config):
         assert getattr(args, key) == expect, key
 
 
+LEAST = {"n": 0, "degree": 0, "window": 0, "jobs": 1}
+
+
 @settings(max_examples=40, deadline=None)
-@given(key=st.sampled_from(["n", "degree", "window"]),
-       value=st.integers(max_value=-1), from_config=st.booleans())
-def test_negative_sizes_raise(key, value, from_config):
-    with pytest.raises(ConfigError, match=f"--{key} must be at least 0"):
+@given(key=st.sampled_from(sorted(LEAST)), data=st.data(), from_config=st.booleans())
+def test_negative_sizes_raise(key, data, from_config):
+    # sizes below 0, and --jobs below 1, from a flag or the config file
+    least = LEAST[key]
+    value = data.draw(st.integers(max_value=least - 1))
+    with pytest.raises(ConfigError, match=f"--{key} must be at least {least}, got {value}"):
         if from_config:
             merged({}, {key: value})
         else:

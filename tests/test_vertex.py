@@ -6,11 +6,9 @@ import pytest
 from spinwreath.fock import FockVector, annihilate, mono_degree, q_gen
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.scalars import Cyc
-from spinwreath.vertex import (TwistContext, TwistedVector, X,
-                               affine_relation_check, anticommutator,
-                               clifford_check, commutator, heis_component, neg,
-                               ope_check, prim_commutator_check, x_component,
-                               x_parity_check)
+from spinwreath.vertex import (TwistContext, TwistedVector, affine_relation_check,
+                               clifford_check, neg, ope_check, prim_commutator_check,
+                               x_component, x_parity_check)
 import spinwreath.vertex as vx
 
 
@@ -19,11 +17,32 @@ def tctx_for(name, xi=None):
     return TwistContext(g, xi if xi is not None else VirtualChar.trivial(g))
 
 
+def max_degree(v):
+    return max((mono_degree(mo) for _, mo in v.terms), default=0)
+
+
+def apply_word(t, layers, v):
+    """The word of layers (rightmost first) applied to v through `_apply_rows`."""
+    for layer in reversed(layers):
+        v = vx._apply_rows(t, layer, v)
+    return v
+
+
+def terms_on(t, terms, v):
+    """sum coef * word(v) over the (coef, word) terms, on `Cyc` vectors; the
+    nonzero entries."""
+    out = {}
+    for coef, layers in terms:
+        for key, c in apply_word(t, layers, v).terms.items():
+            out[key] = out.get(key, 0) + c * coef
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
 def test_x_kills_vacuum_positive_components():
     t = tctx_for("trivial")
     vac = TwistedVector.vacuum(t)
     for n in (1, 2, 3):
-        assert x_component(t, n, (1,), vac).is_zero()
+        assert not x_component(t, n, (1,), vac).terms
 
 
 def test_x0_translates_with_cocycle_sign():
@@ -49,11 +68,11 @@ def test_x_degree_shift():
     rng = random.Random(1)
     vac = TwistedVector.vacuum(t)
     v = x_component(t, -3, (1, 0), x_component(t, -2, (0, 1), vac))
-    d = v.max_degree()
+    d = max_degree(v)
     for m in (-2, -1, 0, 1, 2):
         out = x_component(t, m, (1, 1), v)
-        if not out.is_zero():
-            assert out.max_degree() == d - m
+        if out.terms:
+            assert max_degree(out) == d - m
 
 
 def test_x_parity():
@@ -78,11 +97,13 @@ def test_prim_commutator():
 
 
 def test_clifford_vacuum_instances():
+    # the anticommutators on the vacuum, on Cyc vectors through `_apply_rows`
     t = tctx_for("trivial")
     vac = TwistedVector.vacuum(t)
     one = (1,)
-    assert anticommutator(X(t, 0, one), X(t, 0, neg(one)), vac) == vac.scale(2)
-    assert anticommutator(X(t, 1, one), X(t, -1, one), vac) == vac.scale(-2)
+    for (m, a), (mp, b), central in (((0, one), (0, neg(one)), 2), ((1, one), (-1, one), -2)):
+        xa, xb = vx._x_layer(t, m, a), vx._x_layer(t, mp, b)
+        assert terms_on(t, [(1, (xa, xb)), (1, (xb, xa)), (-central, ())], vac) == {}
 
 
 def test_clifford_families_small():
@@ -106,16 +127,45 @@ def test_ope():
     assert ope_check(t2m, (1, 0), (0, 1), cutoff=3, max_degree=3).status == "pass"
 
 
+def _bump_gram(t):
+    t.twist.gram[0][1] += 1  # the expected pairing; the rows keep the true form
+
+
+def _poison_x0_on_vacuum(t):
+    t._lean_rows[(vx._x_layer(t, 0, t.basis_vector(0)), ())] = (1, (((), 7),))
+
+
+@pytest.mark.parametrize("relation,perturb,check", [
+    ("ope", _bump_gram,
+     lambda t: ope_check(t, t.basis_vector(0), t.basis_vector(1), cutoff=1, max_degree=2)),
+    ("x_parity", _poison_x0_on_vacuum, lambda t: x_parity_check(t, t.basis_vector(0), 1, 1)),
+    ("prim_commutator", _bump_gram,
+     lambda t: prim_commutator_check(t, t.basis_vector(0), t.basis_vector(1), 1, 1, 2)),
+    ("clifford", _poison_x0_on_vacuum, lambda t: clifford_check(t, 1, 1)[-1]),
+])
+def test_folded_families_fail_with_a_coset_zero_witness(relation, perturb, check):
+    t = tctx_for("cyclic:2")
+    perturb(t)
+    r = check(t)
+    assert (r.relation, r.status) == (relation, "fail")
+    assert r.witness["coset"] == 0
+    assert r.witness["residual"]
+
+
 def test_xx_bracket_instances():
     g2, _ = builtin("cyclic:2")
     t = TwistContext(g2, mckay_xi(g2))
     vac = TwistedVector.vacuum(t)
     g1 = t.basis_vector(1)
+    xb = vx._x_layer(t, -1, neg(g1))
     # central term: [x_1, x_{-1}(-a)] = 4 on the vacuum (n = 1)
-    assert commutator(X(t, 1, g1), X(t, -1, neg(g1)), vac) == vac.scale(4)
+    xa = vx._x_layer(t, 1, g1)
+    assert terms_on(t, [(1, (xa, xb)), (-1, (xb, xa)), (-4, ())], vac) == {}
     # h term: [x_0, x_{-1}(-a)] = 8 a_{-1}
-    lhs = commutator(X(t, 0, g1), X(t, -1, neg(g1)), vac)
-    assert lhs == heis_component(t, -1, g1, vac).scale(8)
+    xa = vx._x_layer(t, 0, g1)
+    h = vx._h_layer(t, -1, g1)
+    assert terms_on(t, [(1, (xa, xb)), (-1, (xb, xa)), (-8, (h,))], vac) == {}
+    assert terms_on(t, [(1, (h,))], vac)  # not vacuous
 
 
 def test_affine_families_small():
@@ -135,7 +185,7 @@ def test_h_even_is_zero():
     t = tctx_for("cyclic:2")
     v = x_component(t, -2, (1, 0), TwistedVector.vacuum(t))
     for m in (-2, 0, 2):
-        assert heis_component(t, m, (1, 0), v).is_zero()
+        assert not vx._apply_rows(t, vx._h_layer(t, m, (1, 0)), v).terms
 
 
 def test_checker_catches_wrong_relation():
@@ -158,38 +208,48 @@ def test_checker_catches_wrong_relation():
 
 @pytest.mark.parametrize("name,weight", [("cyclic:3", "standard"), ("cyclic:2", "mckay")])
 def test_words_factor_through_coset_zero(name, weight):
-    # a word whose X masks add up to `shift` maps (b, mono) to
-    # epsilon(shift, b) times its image of (0, mono), moved to b + shift
+    # a word whose layer masks add up to `shift` maps (b, mono) to
+    # epsilon(shift, b) times its image of (0, mono), moved to b + shift;
+    # X, H and N layers alike, which is what `_term_sign` relies on
     g, _ = builtin(name)
     t = TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
     k = g.num_classes
     rng = random.Random(21)
     monos = vx._panel_monomials(t, 2)
     nonzero = 0
-    for _ in range(12):
+    kinds = set()
+
+    def random_vec():
+        return tuple(rng.randint(-1, 1) for _ in range(k))
+
+    for _ in range(16):
         word, shift = [], 0
         for _ in range(rng.randint(1, 3)):
-            if rng.random() < 0.7:
-                coeffs = tuple(rng.randint(-1, 1) for _ in range(k))
-                word.append(X(t, rng.randint(-2, 2), coeffs))
-                shift ^= vx.vec_to_mask(coeffs)
+            draw = rng.random()
+            if draw < 0.5:
+                layer = vx._x_layer(t, rng.randint(-2, 2), random_vec())
+            elif draw < 0.75:
+                layer = vx._h_layer(t, rng.choice((-3, -1, 1, 3)), t.basis_vector(rng.randrange(k)))
             else:
-                word.append(vx.H(t, rng.choice((-3, -1, 1, 3)), rng.randrange(k)))
+                alpha, beta = random_vec(), random_vec()
+                layer = ("N", rng.randint(-1, 1), rng.randint(-1, 1), alpha, beta,
+                         vx.vec_to_mask(alpha) ^ vx.vec_to_mask(beta))
+            word.append(layer)
+            shift ^= layer[-1]
         for mono in monos:
-            images = []
-            for b in range(t.twist.module_size):
-                v = TwistedVector(t, {(b, mono): Cyc.rational(1)})
-                for op in reversed(word):
-                    v = op(v)
-                images.append(v)
+            images = [apply_word(t, word, TwistedVector(t, {(b, mono): Cyc.rational(1)}))
+                      for b in range(t.twist.module_size)]
             base = images[0].terms
             assert all(coset == shift for coset, _ in base)
             nonzero += bool(base)
+            if base:
+                kinds.update(layer[0] for layer in word)
             for b, image in enumerate(images):
                 sign = t.twist.epsilon_masks(shift, b)
                 assert image.terms == {(b ^ shift, mo): c * sign
                                        for (_, mo), c in base.items()}, (b, mono)
     assert nonzero >= 20  # the check is not vacuous
+    assert kinds == {"X", "H", "N"}
 
 
 # -- reference formulas for the integer rows, on Cyc Fock vectors ----------------
@@ -276,10 +336,8 @@ def test_normal_ordered_rows_match_the_reference_formula():
 
 
 def test_normal_ordered_component_degree():
-    from spinwreath.vertex import normal_ordered_component
-
     t = tctx_for("trivial")
     vac = TwistedVector.vacuum(t)
-    out = normal_ordered_component(t, -1, -1, (1,), (1,), vac)
-    assert out.max_degree() == 2
-    assert not out.is_zero()
+    out = vx._apply_rows(t, ("N", -1, -1, (1,), (1,), 0), vac)
+    assert out.terms
+    assert max_degree(out) == 2
