@@ -66,7 +66,11 @@ def _resolve_xi(gamma: GammaData, spec: str) -> VirtualChar:
         raise ConfigError(f"xi must be 'standard', 'mckay' or a comma list: {spec!r}") from exc
     if len(coeffs) != gamma.num_classes:
         raise ConfigError(f"xi needs {gamma.num_classes} coefficients")
-    return VirtualChar(coeffs)
+    xi = VirtualChar(coeffs)
+    if not xi.is_self_dual(gamma):
+        # the weighted form is symmetric only when xi(c) = xi(c^-1)
+        raise ConfigError(f"xi {spec} is not self-dual on {gamma.name}")
+    return xi
 
 
 def _emit(doc: dict, fmt: str, out: Optional[str], csv_render=None) -> None:

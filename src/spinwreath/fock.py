@@ -9,6 +9,14 @@ derivation with the commutator normalization
 which pins the m/2 factor so the inner product of single generators is
 (n/2) times the weighted Gram matrix.  The bilinear form is computed by
 normal ordering annihilators, never by a closed matching formula.
+
+Normal ordering a_n(gamma_i) against a monomial kills one factor (n, j) with
+weight gram[i][j], so <mu, mv> vanishes unless each factor (n, i) of mu can
+be matched with its own factor (n, j) of mv with gram[i][j] != 0.  The
+monomials mv that admit such a matching are the partners of mu
+(`_partners`); `inner` and `tensor_inner` value only partner pairs, each
+by normal ordering.  At a diagonal Gram matrix, such as the standard
+weight, a monomial's only partner is itself.
 """
 
 from __future__ import annotations
@@ -25,14 +33,19 @@ CoeffLike = Union[int, Fraction, Cyc]
 
 
 class FockContext:
-    """Shared state: the group, the weight xi, and the rational Gram matrix."""
+    """Shared state: the group, the weight xi, the rational Gram matrix and
+    its nonzero pattern."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
         self.xi = xi
         self.gram = gram_matrix(gamma, xi)
+        k = gamma.num_classes
+        # links[i]: the irreducibles gamma_j with gram[i][j] != 0
+        self.links = [[j for j in range(k) if self.gram[i][j]] for i in range(k)]
         self._q_cache: Dict[Tuple[Tuple[Fraction, ...], int], "FockVector"] = {}
         self._inner_cache: Dict[Tuple[Monomial, Monomial], Cyc] = {}
+        self._partner_cache: Dict[Monomial, List[Monomial]] = {}
         self._row_cache: Dict[Tuple, List[Cyc]] = {}
 
     def pair_row(self, coeffs: Sequence[CoeffLike]) -> List[Cyc]:
@@ -229,10 +242,6 @@ def class_create(v: FockVector, n: int, ci: int) -> FockVector:
     return create(v, n, class_vector(v.ctx, ci))
 
 
-def class_annihilate(v: FockVector, n: int, ci: int) -> FockVector:
-    return annihilate(v, n, class_vector(v.ctx, ci))
-
-
 def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
     """a'_{-rho} = prod_c a_{-rho(c)}(c), expanded in the monomial basis."""
     v = FockVector.vacuum(ctx)
@@ -244,18 +253,24 @@ def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
     return v
 
 
-def _mono_profile(m: Monomial) -> Tuple[int, ...]:
-    return tuple(n for n, _ in m)
+def _partners(ctx: FockContext, mu: Monomial) -> List[Monomial]:
+    """The monomials mv with <mu, mv> not forced to vanish, sorted and distinct:
+    each factor (n, i) of mu replaced by some (n, j) with gram[i][j] != 0."""
+    cached = ctx._partner_cache.get(mu)
+    if cached is not None:
+        return cached
+    out = {()}
+    for n, i in mu:
+        out = {_sorted_insert(p, (n, j)) for p in out for j in ctx.links[i]}
+    result = sorted(out)
+    ctx._partner_cache[mu] = result
+    return result
 
 
 def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Cyc:
     cached = ctx._inner_cache.get((mu, mv))
     if cached is not None:
         return cached
-    zero = Cyc.rational(0)
-    if _mono_profile(mu) != _mono_profile(mv):
-        ctx._inner_cache[(mu, mv)] = zero
-        return zero
     v = FockVector(ctx, {mv: Cyc.rational(1)})
     k = ctx.gamma.num_classes
     for n, i in reversed(mu):
@@ -268,15 +283,32 @@ def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Cyc:
     return result
 
 
+def _pair_monomial(ctx: FockContext, mu: Monomial, v: FockVector) -> Optional[Cyc]:
+    """<mu, v>, summed over the partners of mu that occur in v; None when no
+    partner pairs with mu to a nonzero value."""
+    total = None
+    for mv in _partners(ctx, mu):
+        cv = v.terms.get(mv)
+        if cv is None:
+            continue
+        val = _inner_monomials(ctx, mu, mv)
+        if not val.is_zero():
+            term = cv * val
+            total = term if total is None else total + term
+    return total
+
+
 def inner(u: FockVector, v: FockVector) -> Cyc:
-    """<u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma)."""
+    """<u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma).
+
+    Each monomial of u is paired only with its partners in v; every other
+    monomial pair has no matching of factors and contributes zero."""
     u._check_ctx(v)
     total = Cyc.rational(0)
     for mu, cu in u.terms.items():
-        for mv, cv in v.terms.items():
-            val = _inner_monomials(u.ctx, mu, mv)
-            if not val.is_zero():
-                total = total + cu * cv * val
+        val = _pair_monomial(u.ctx, mu, v)
+        if val is not None:
+            total = total + cu * val
     return total
 
 
@@ -344,16 +376,15 @@ def coproduct(v: FockVector) -> TensorTerms:
 
 
 def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector, v: FockVector) -> Cyc:
-    """<t, u (x) v> for a coproduct result t."""
+    """<t, u (x) v> for a coproduct result t.
+
+    The form is the product of the two tensor factors' forms, so each side of
+    a term (ml, mr) is paired with u and v as in `inner`: ml only with its
+    partners in u, mr only with its partners in v."""
     total = Cyc.rational(0)
     for (ml, mr), c in t.items():
-        lval = Cyc.rational(0)
-        for mu, cu in u.terms.items():
-            lval = lval + cu * _inner_monomials(ctx, ml, mu)
-        if lval.is_zero():
-            continue
-        rval = Cyc.rational(0)
-        for mv, cv in v.terms.items():
-            rval = rval + cv * _inner_monomials(ctx, mr, mv)
-        total = total + c * lval * rval
+        lval = _pair_monomial(ctx, ml, u)
+        rval = None if lval is None else _pair_monomial(ctx, mr, v)
+        if rval is not None:
+            total = total + c * lval * rval
     return total

@@ -131,6 +131,12 @@ def s3_file(tmp_path):
     (["verify", "heisenberg", "--gamma", "cyclic:3", "--xi", "1,a,2"], "xi must be"),
     (["verify", "heisenberg", "--gamma", "cyclic:2", "--degree", "1", "--format", "csv"],
      "csv output is not available"),
+    (["verify", "isometry", "--gamma", "cyclic:3", "--n", "2", "--xi", "1,2,0"],
+     "xi 1,2,0 is not self-dual"),
+    (["verify", "hopf", "--gamma", "cyclic:3", "--n", "3", "--xi", "1,2,0"],
+     "xi 1,2,0 is not self-dual"),
+    (["verify", "isometry", "--gamma", "cyclic:4", "--n", "2", "--xi", "1,1,0,0"],
+     "xi 1,1,0,0 is not self-dual"),
 ])
 def test_verify_usage_errors(argv, expect):
     assert_one_usage_error(*run_cli(*argv), expect)

@@ -3,17 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from spinwreath.fock import (FockContext, FockVector, a_prime_vector, annihilate,
-                             class_create, class_annihilate, coproduct, create,
-                             inner, q_gen, tensor_inner)
+from spinwreath.fock import (FockContext, FockVector, _inner_monomials, _partners,
+                             a_prime_vector, annihilate, class_create, class_vector,
+                             coproduct, create, inner, q_gen, tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
-from spinwreath.scalars import Cyc
+from spinwreath.scalars import Cyc, euler_phi
 
 
 def ctx_for(name, xi=None):
     g, _ = builtin(name)
     return FockContext(g, xi if xi is not None else VirtualChar.trivial(g))
+
+
+def monomials(k, max_degree):
+    """Every Fock monomial on k irreducibles of degree at most max_degree."""
+    out = []
+    for d in range(max_degree + 1):
+        for mp in multipartitions(d, k, "OP"):
+            out.append(tuple(sorted((n, i) for i, part in enumerate(mp.parts) for n in part)))
+    return out
 
 
 def test_create_basics():
@@ -52,13 +61,7 @@ def test_heisenberg_relation_small():
         ctx = ctx_for(name, xi)
         k = ctx.gamma.num_classes
         basis = [[1 if t == i else 0 for t in range(k)] for i in range(k)]
-        monos = []
-        for d in range(5):
-            for mp in multipartitions(d, k, "OP"):
-                factors = []
-                for i, part in enumerate(mp.parts):
-                    factors.extend((n, i) for n in part)
-                monos.append(tuple(sorted(factors)))
+        monos = monomials(k, 4)
         for i in range(k):
             for j in range(k):
                 for m in (1, 3):
@@ -80,7 +83,7 @@ def test_class_generator_examples():
     vac2 = FockVector.vacuum(ctx2)
     assert class_create(vac2, 1, 1) == create(vac2, 1, [1, 0]) - create(vac2, 1, [0, 1])
     # prop_orth: [a_1(c0), a_{-1}(c0)] = 1/2 zeta_c0 xi(c0) = 1 on the vacuum
-    assert class_annihilate(class_create(vac2, 1, 0), 1, 0).vacuum_coeff() == 1
+    assert annihilate(class_create(vac2, 1, 0), 1, class_vector(ctx2, 0)).vacuum_coeff() == 1
 
 
 def test_prop_orth_all_classes_cyclic3():
@@ -94,7 +97,7 @@ def test_prop_orth_all_classes_cyclic3():
         for c in range(3):
             for m in (1, 3, 5):
                 for n in (1, 3, 5):
-                    v = class_annihilate(class_create(vac, n, c), m, g.dual_class(cp))
+                    v = annihilate(class_create(vac, n, c), m, class_vector(ctx, g.dual_class(cp)))
                     if m == n and cp == c:
                         expect = Fraction(m, 2) * g.centralizer_order(c)
                         assert v.vacuum_coeff() == Cyc.lift(expect) * xi.value_at(g, c)
@@ -209,6 +212,84 @@ def test_pairing_characterization():
         g = q_gen(ctx, rng.randint(0, 3), [rng.randint(-1, 2) for _ in range(3)])
         h = q_gen(ctx, rng.randint(0, 6), [rng.randint(-1, 2) for _ in range(3)])
         assert inner(f * g, h) == tensor_inner(ctx, coproduct(h), f, g)
+
+
+# -- the partner pairing against an all-pairs reference ----------------------------
+
+
+def all_pairs_inner(u, v):
+    """<u, v> over every monomial pair, each valued by normal ordering."""
+    total = Cyc.rational(0)
+    for mu, cu in u.terms.items():
+        for mv, cv in v.terms.items():
+            total = total + cu * cv * _inner_monomials(u.ctx, mu, mv)
+    return total
+
+
+def all_pairs_tensor_inner(ctx, t, u, v):
+    total = Cyc.rational(0)
+    for (ml, mr), c in t.items():
+        lval = all_pairs_inner(FockVector(ctx, {ml: 1}), u)
+        rval = all_pairs_inner(FockVector(ctx, {mr: 1}), v)
+        total = total + c * lval * rval
+    return total
+
+
+# (group, weight): the standard and McKay weights, a non-diagonal self-dual xi on
+# klein4, and xi = 1,2,0 on cyclic:3, whose Gram matrix is not symmetric, so
+# the pairing must read gram[i][j] with i from the left monomial
+PAIRING_CASES = [("trivial", "standard"), ("cyclic:3", "standard"), ("cyclic:3", "mckay"),
+                 ("cyclic:3", "1,2,0"), ("klein4", "standard"), ("klein4", "1,2,0,-1"),
+                 ("quaternion8", "standard"), ("quaternion8", "mckay")]
+
+
+def pairing_ctx(name, weight):
+    g, _ = builtin(name)
+    if weight == "standard":
+        return FockContext(g, VirtualChar.trivial(g))
+    if weight == "mckay":
+        return FockContext(g, mckay_xi(g))
+    return FockContext(g, VirtualChar([int(x) for x in weight.split(",")]))
+
+
+@pytest.mark.parametrize("name,weight", PAIRING_CASES)
+def test_partner_pairing_matches_all_pairs(name, weight):
+    rng = random.Random(f"{name}:{weight}")
+    ctx = pairing_ctx(name, weight)
+    order = max(c.order for row in ctx.gamma.chars for c in row)
+    monos = monomials(ctx.gamma.num_classes, 5)
+
+    def rand_vec(pool, size):
+        coeffs = {}
+        for m in rng.sample(pool, min(size, len(pool))):
+            coeffs[m] = Cyc(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for _ in range(euler_phi(order))])
+        return FockVector(ctx, coeffs)
+
+    # monomials of every degree up to 5, so degree profiles mix; one side
+    # much larger than the other, both ways round
+    values = []
+    for small, large in ((2, 60), (25, 25), (1, len(monos)), (3, len(monos))):
+        u, v = rand_vec(monos, small), rand_vec(monos, large)
+        for a, b in ((u, v), (v, u)):
+            values.append(all_pairs_inner(a, b))
+            assert inner(a, b) == values[-1]
+    assert any(not x.is_zero() for x in values)
+    values = []
+    low = monomials(ctx.gamma.num_classes, 3)
+    for size in (3, 12):
+        t = coproduct(rand_vec(monos, size))
+        f, g = rand_vec(low, len(low)), rand_vec(low, rng.choice((2, len(low))))
+        values.append(all_pairs_tensor_inner(ctx, t, f, g))
+        assert tensor_inner(ctx, t, f, g) == values[-1]
+    assert any(not x.is_zero() for x in values)
+
+
+@pytest.mark.parametrize("name", ["cyclic:3", "quaternion8"])
+def test_standard_weight_pairs_equal_monomials_only(name):
+    ctx = pairing_ctx(name, "standard")
+    for mu in monomials(ctx.gamma.num_classes, 5):
+        assert _partners(ctx, mu) == [mu]
 
 
 def test_degenerate_radical_stable():
