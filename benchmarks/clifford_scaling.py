@@ -40,7 +40,7 @@ def main() -> int:
             status = clifford_check(tctx, 1, 1)[-1].status
             runs.append(round(time.perf_counter() - start, 4))
         failed = failed or status != "pass"
-        print(json.dumps({"gamma": f"cyclic:{k}", "module_size": tctx.twist.module_size,
+        print(json.dumps({"gamma": f"cyclic:{k}", "module_size": 1 << tctx.twist.dim,
                           "window": 1, "degree": 1, "instances": 27 * k * k,
                           "status": status, "median_s": statistics.median(runs),
                           "runs_s": runs}))

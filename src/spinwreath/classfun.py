@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .fock import (CoeffLike, FockContext, FockVector, Monomial, a_prime_vector,
-                   coproduct, mono_degree)
+from .fock import CoeffLike, FockContext, FockVector, a_prime_vector
 from .gammadata import GammaData, VirtualChar
 from .partitions import MultiPartition, big_z, multipartitions
 from .scalars import Cyc
@@ -46,27 +45,6 @@ class SpinClassFun:
     def value(self, rho: MultiPartition) -> Cyc:
         return self.values.get(rho, Cyc.rational(0))
 
-    def __add__(self, other: "SpinClassFun") -> "SpinClassFun":
-        if self.gamma is not other.gamma or self.n != other.n:
-            raise ValueError("degree or group mismatch")
-        out = dict(self.values)
-        for rho, c in other.values.items():
-            cur = out.get(rho)
-            val = c if cur is None else cur + c
-            if val.is_zero():
-                out.pop(rho, None)
-            else:
-                out[rho] = val
-        return SpinClassFun(self.gamma, self.n, out)
-
-    def scale(self, c: CoeffLike) -> "SpinClassFun":
-        c = Cyc.lift(c)
-        return SpinClassFun(self.gamma, self.n,
-                            {rho: v * c for rho, v in self.values.items()})
-
-    def __sub__(self, other: "SpinClassFun") -> "SpinClassFun":
-        return self + other.scale(-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinClassFun):
             return NotImplemented
@@ -75,21 +53,8 @@ class SpinClassFun:
         keys = set(self.values) | set(other.values)
         return all(self.value(k) == other.value(k) for k in keys)
 
-    def bar(self) -> "SpinClassFun":
-        perm = [self.gamma.dual_class(i) for i in range(self.gamma.num_classes)]
-        return SpinClassFun(self.gamma, self.n,
-                            {rho.relabel(perm): c for rho, c in self.values.items()})
-
     def __repr__(self) -> str:
         return f"SpinClassFun(n={self.n}, {self.values!r})"
-
-    def to_doc(self) -> dict:
-        names = self.gamma.class_names
-        rows = []
-        for rho in multipartitions(self.n, self.gamma.num_classes, "OP"):
-            if rho in self.values:
-                rows.append({"rho": rho.to_doc(names), "value": self.values[rho].to_doc()})
-        return {"n": self.n, "values": rows}
 
 
 def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Cyc:
@@ -139,17 +104,6 @@ def sigma_class(gamma: GammaData, n: int, ci: int) -> SpinClassFun:
         raise ValueError("sigma_n needs odd positive n")
     rho = MultiPartition.single(gamma.num_classes, ci, (n,))
     return SpinClassFun(gamma, n, {rho: Cyc.rational(n * gamma.centralizer_order(ci))})
-
-
-def sigma_char(gamma: GammaData, n: int, coeffs: Sequence[CoeffLike]) -> SpinClassFun:
-    """sigma_n(gamma): value n*gamma(c) on each class c_n."""
-    if n % 2 == 0 or n <= 0:
-        raise ValueError("sigma_n needs odd positive n")
-    values: Dict[MultiPartition, Cyc] = {}
-    for ci in range(gamma.num_classes):
-        rho = MultiPartition.single(gamma.num_classes, ci, (n,))
-        values[rho] = gamma.char_value(coeffs, ci) * n
-    return SpinClassFun(gamma, n, values)
 
 
 def sigma_rho(gamma: GammaData, rho: MultiPartition) -> SpinClassFun:
@@ -207,126 +161,3 @@ def ch(ctx: FockContext, f: SpinClassFun) -> FockVector:
         vec = a_prime_vector(ctx, rho.relabel(perm))
         out = out + vec.scale(c / Fraction(big_z(rho, zetas)))
     return out
-
-
-def _monomial_to_class_basis(ctx: FockContext, mono: Monomial) -> Dict[MultiPartition, Cyc]:
-    """Expand a gamma-basis monomial in the a'_{-rho} class basis.
-
-    Uses a_m(gamma) = sum_c zeta_c^{-1} gamma(c) a_m(c) factor by factor.
-    """
-    gamma = ctx.gamma
-    k = gamma.num_classes
-    acc: Dict[Tuple[Tuple[int, ...], ...], Cyc] = {((),) * k: Cyc.rational(1)}
-    for n, i in mono:
-        nxt: Dict[Tuple[Tuple[int, ...], ...], Cyc] = {}
-        for ci in range(k):
-            coeff = gamma.chars[i][ci] / Fraction(gamma.centralizer_order(ci))
-            if coeff.is_zero():
-                continue
-            for key, c in acc.items():
-                parts = list(key)
-                parts[ci] = tuple(sorted(parts[ci] + (n,), reverse=True))
-                kk = tuple(parts)
-                val = c * coeff
-                cur = nxt.get(kk)
-                val = val if cur is None else cur + val
-                if val.is_zero():
-                    nxt.pop(kk, None)
-                else:
-                    nxt[kk] = val
-        acc = nxt
-    return {MultiPartition(key): c for key, c in acc.items()}
-
-
-def ch_inverse(ctx: FockContext, v: FockVector) -> SpinClassFun:
-    """Inverse of ch on a homogeneous vector."""
-    degs = v.degrees()
-    if len(degs) > 1:
-        raise ValueError(f"ch_inverse needs a homogeneous vector, degrees {degs}")
-    n = degs[0] if degs else 0
-    gamma = ctx.gamma
-    zetas = gamma.centralizer_orders
-    perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
-    weights: Dict[MultiPartition, Cyc] = {}
-    for mono, c in v.terms.items():
-        for rho, coeff in _monomial_to_class_basis(ctx, mono).items():
-            val = c * coeff
-            cur = weights.get(rho)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                weights.pop(rho, None)
-            else:
-                weights[rho] = val
-    values: Dict[MultiPartition, Cyc] = {}
-    for rho, w in weights.items():
-        # coefficient of a'_{-rho} carries f(rho_bar)/Z
-        target = rho.relabel(perm)
-        values[target] = w * big_z(rho, zetas)
-    return SpinClassFun(gamma, n, values)
-
-
-def restriction_coproduct(ctx: FockContext, f: SpinClassFun) -> Dict[Tuple[MultiPartition, MultiPartition], Cyc]:
-    """Comultiplication, computed through the Fock side; keys are (rho_left, rho_right)."""
-    tensor = coproduct(ch(ctx, f))
-    by_split: Dict[Tuple[int, int], Dict[Tuple[Monomial, Monomial], Cyc]] = {}
-    for (ml, mr), c in tensor.items():
-        by_split.setdefault((mono_degree(ml), mono_degree(mr)), {})[(ml, mr)] = c
-    out: Dict[Tuple[MultiPartition, MultiPartition], Cyc] = {}
-    for (dl, dr), terms in by_split.items():
-        lefts: Dict[Monomial, Dict[Monomial, Cyc]] = {}
-        for (ml, mr), c in terms.items():
-            lefts.setdefault(ml, {})[mr] = c
-        for ml, rights in lefts.items():
-            fl = ch_inverse(ctx, FockVector(ctx, {ml: Cyc.rational(1)}))
-            fr = ch_inverse(ctx, FockVector(ctx, rights))
-            for rho_l, cl in fl.values.items():
-                for rho_r, cr in fr.values.items():
-                    val = cl * cr
-                    key = (rho_l, rho_r)
-                    cur = out.get(key)
-                    val = val if cur is None else cur + val
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-    return out
-
-
-def basic_char_virtual(ctx: FockContext, n: int, beta: Sequence[CoeffLike],
-                       gamma_c: Sequence[CoeffLike]) -> SpinClassFun:
-    """The alternating induction sum for the basic character of beta - gamma."""
-    g = ctx.gamma
-    out = SpinClassFun(g, n)
-    for m in range(n + 1):
-        term = induction_product(basic_char(g, n - m, beta), basic_char(g, m, gamma_c))
-        out = out + term.scale((-1) ** m)
-    return out
-
-
-def heis_create(ctx: FockContext, n: int, coeffs: Sequence[CoeffLike],
-                f: SpinClassFun) -> SpinClassFun:
-    """The group-side creation operator: multiply by sigma_n(gamma)."""
-    return induction_product(sigma_char(ctx.gamma, n, coeffs), f)
-
-
-def heis_annihilate(ctx: FockContext, n: int, coeffs: Sequence[CoeffLike],
-                    f: SpinClassFun) -> SpinClassFun:
-    """The group-side annihilation operator: restrict, then pair with sigma_n(gamma)."""
-    sig = sigma_char(ctx.gamma, n, coeffs)
-    parts = restriction_coproduct(ctx, f)
-    values: Dict[MultiPartition, Cyc] = {}
-    for (rho_l, rho_r), c in parts.items():
-        if rho_l.weight != n:
-            continue
-        left = SpinClassFun(ctx.gamma, n, {rho_l: Cyc.rational(1)})
-        pairing = weighted_inner(sig, left, ctx.xi)
-        if pairing.is_zero():
-            continue
-        val = c * pairing
-        cur = values.get(rho_r)
-        val = val if cur is None else cur + val
-        if val.is_zero():
-            values.pop(rho_r, None)
-        else:
-            values[rho_r] = val
-    return SpinClassFun(ctx.gamma, f.n - n, values)

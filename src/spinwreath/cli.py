@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chartable", help="spin super character table")
     _add_common(p)
     p.add_argument("--n", type=int)
-    p.add_argument("--check", action="store_true", help="run the orthogonality/degree suite")
+    p.add_argument("--check", action="store_true",
+                   help="certify X_lambda e^(-[lambda]) = Q_lambda per row, "
+                        "orthogonality and the degree formula")
 
     p = sub.add_parser("verify", help="relation certification suites")
     p.add_argument("suite", choices=list(SUITES))
@@ -243,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", default=None, help="standard | mckay | comma separated ints")
     p.add_argument("--degree", type=int)
     p.add_argument("--window", type=int)
-    p.add_argument("--jobs", type=int)
 
     p = sub.add_parser("mckay", help="weighted Cartan matrix and affine type")
     _add_common(p)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DEFAULTS = {"n": 2, "degree": 4, "window": 2, "jobs": 1, "format": "json",
+_DEFAULTS = {"n": 2, "degree": 4, "window": 2, "format": "json",
              "gamma": "trivial", "xi": "standard"}
 
 
@@ -268,7 +269,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, cfg.get(key, default))
-    for key, least in (("n", 0), ("degree", 0), ("window", 0), ("jobs", 1)):
+    for key, least in (("n", 0), ("degree", 0), ("window", 0)):
         value = getattr(args, key, None)
         if isinstance(value, int) and value < least:
             raise ConfigError(f"--{key} must be at least {least}, got {value}")

@@ -156,9 +156,6 @@ class FockVector:
         v.terms = out
         return v
 
-    def degrees(self) -> List[int]:
-        return sorted({mono_degree(m) for m in self.terms})
-
     def vacuum_coeff(self) -> Cyc:
         return self.terms.get((), Cyc.rational(0))
 

@@ -118,6 +118,11 @@ class GammaData:
             raise GammaValidationError("identity class must be self-inverse")
         if not all(self.chars[0][ci] == 1 for ci in range(k)):
             raise GammaValidationError("first character must be trivial")
+        for i, row in enumerate(self.chars):
+            q = row[0].as_rational()
+            if q is None or q.denominator != 1 or q <= 0:
+                raise GammaValidationError(
+                    f"degree of character {i} is not a positive integer: {row[0].pretty()}")
         for i in range(k):
             for j in range(k):
                 val = Cyc.rational(0)
@@ -189,15 +194,9 @@ class ConcreteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def element_order(self, a: int) -> int:
-        n = 1
-        x = a
-        while x != 0:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     def conjugacy_classes(self) -> List[List[int]]:
+        """Test oracle: the conjugacy classes from the Cayley table, which the
+        tests compare with the built-in class data."""
         seen = [False] * self.order
         out = []
         for a in range(self.order):
@@ -359,7 +358,8 @@ class VirtualChar:
 def weighted_form(gamma: GammaData, xi: VirtualChar,
                   f: Sequence[Union[int, Fraction, Cyc]],
                   g: Sequence[Union[int, Fraction, Cyc]]) -> Cyc:
-    """<f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) g(c^{-1}), f and g char vectors."""
+    """Test oracle: <f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) g(c^{-1}), f and g
+    char vectors; the tests check `gram_matrix` against it."""
     total = Cyc.rational(0)
     for ci, cls in enumerate(gamma.classes):
         zc = gamma.centralizer_order(ci)

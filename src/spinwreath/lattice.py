@@ -74,17 +74,17 @@ class LatticeTwist:
     # -- the form and the cocycle ------------------------------------------
 
     def c1(self, a: int, b: int) -> int:
-        return bin(a & self._c1_apply(b)).count("1") & 1
-
-    def _c1_apply(self, b: int) -> int:
+        """Test oracle: c1 on GF(2) masks, read off its rows; the cocycle tests
+        check epsilon's commutator sign against it."""
         out = 0
         for i in range(self.dim):
-            if bin(self.c1_rows[i] & b).count("1") & 1:
-                out |= 1 << i
+            if a >> i & 1:
+                out ^= bin(self.c1_rows[i] & b).count("1") & 1
         return out
 
     def c1_pair(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        """c1 on honest lattice vectors: <a,b> + <a,a><b,b> mod 2."""
+        """Test oracle: c1 on honest lattice vectors, <a,b> + <a,a><b,b> mod 2,
+        straight from the Gram matrix."""
         ab = sum(alpha[i] * self.gram[i][j] * beta[j]
                  for i in range(self.dim) for j in range(self.dim))
         aa = sum(alpha[i] * self.gram[i][j] * alpha[j]
@@ -107,10 +107,6 @@ class LatticeTwist:
         return self.epsilon_masks(vec_to_mask(alpha), vec_to_mask(beta))
 
     # -- the full mod-2 state space used by the vertex operators ------------
-
-    @property
-    def module_size(self) -> int:
-        return 1 << self.dim
 
     def act(self, mask: int, b: int) -> Tuple[int, int]:
         """e_alpha . e^b = epsilon(alpha, b) e^(alpha + b) on the mod-2 group algebra."""

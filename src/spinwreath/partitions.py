@@ -18,8 +18,6 @@ Partition = Tuple[int, ...]
 KIND_ALL = "P"
 KIND_ODD = "OP"
 KIND_STRICT = "SP"
-KIND_STRICT_EVEN = "SPplus"
-KIND_STRICT_ODD = "SPminus"
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -102,14 +100,6 @@ class MultiPartition:
     def to_doc(self, names: Sequence[str]) -> dict:
         return {names[i]: list(p) for i, p in enumerate(self.parts) if p}
 
-    @staticmethod
-    def from_doc(doc: dict, names: Sequence[str]) -> "MultiPartition":
-        lookup = {name: i for i, name in enumerate(names)}
-        parts: List[Sequence[int]] = [()] * len(names)
-        for name, plist in doc.items():
-            parts[lookup[name]] = tuple(plist)
-        return MultiPartition(parts)
-
 
 def multipartitions(n: int, k: int, kind: str = KIND_ALL,
                     per_index_ascending: bool = False) -> Iterator[MultiPartition]:
@@ -117,10 +107,8 @@ def multipartitions(n: int, k: int, kind: str = KIND_ALL,
     weight to the earliest index first, reverse-lex per index ((n) first).
     With per_index_ascending the per-index order flips ((1,..,1) first),
     which puts the identity class type first; character table columns use it."""
-    base_kind = KIND_STRICT if kind in (KIND_STRICT_EVEN, KIND_STRICT_ODD) else kind
-
     def plist(w: int) -> List[Partition]:
-        out = list(partitions_of(w, base_kind))
+        out = list(partitions_of(w, kind))
         return out[::-1] if per_index_ascending else out
 
     def gen(idx: int, remaining: int) -> Iterator[Tuple[Partition, ...]]:
@@ -138,16 +126,7 @@ def multipartitions(n: int, k: int, kind: str = KIND_ALL,
             yield MultiPartition(())
         return
     for parts in gen(0, n):
-        mp = MultiPartition(parts)
-        if kind == KIND_STRICT_EVEN and mp.length % 2 != 0:
-            continue
-        if kind == KIND_STRICT_ODD and mp.length % 2 != 1:
-            continue
-        yield mp
-
-
-def count_multipartitions(n: int, k: int, kind: str = KIND_ALL) -> int:
-    return sum(1 for _ in multipartitions(n, k, kind))
+        yield MultiPartition(parts)
 
 
 def z_factor(partition: Partition) -> int:
@@ -169,11 +148,9 @@ def big_z(rho: MultiPartition, centralizer_orders: Sequence[int]) -> int:
     return out
 
 
-def d_parity(rho: MultiPartition) -> int:
-    return (rho.weight - rho.length) % 2
-
-
-def _dominates(a: Partition, b: Partition) -> bool:
+def dominates(a: Partition, b: Partition) -> bool:
+    """a >= b in the dominance order: equal weights, and every partial sum of
+    a at least the matching partial sum of b."""
     if sum(a) != sum(b):
         return False
     ta = 0
@@ -184,18 +161,3 @@ def _dominates(a: Partition, b: Partition) -> bool:
         if ta < tb:
             return False
     return True
-
-
-def dominance(rho: MultiPartition, pi: MultiPartition) -> str:
-    """Classify rho against pi: '>=', '>>' (>= with rho != pi at each index),
-    or 'incomparable'.  Requires matching weights per index."""
-    if len(rho) != len(pi):
-        raise ValueError("index sets differ")
-    for a, b in zip(rho.parts, pi.parts):
-        if sum(a) != sum(b):
-            raise ValueError("per-index weights differ; dominance undefined")
-    if all(_dominates(a, b) for a, b in zip(rho.parts, pi.parts)):
-        if all(a != b for a, b in zip(rho.parts, pi.parts)):
-            return ">>"
-        return ">="
-    return "incomparable"

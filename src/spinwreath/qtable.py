@@ -3,8 +3,10 @@
 Two independent routes produce the same symmetric function for a strict
 multipartition: the raising-operator expansion prod (1-R_ij)/(1+R_ij)
 applied to a product of q-generators, and iterated vertex-operator
-components applied to a shifted lattice vacuum.  Their agreement is a
-standing acceptance property.  Character values come from the matrix
+components applied to a shifted lattice vacuum.  Their agreement, the
+realization identity X_lambda e^(-[lambda]) = Q_lambda, is certified row by
+row by `build_table(check=True)` (`chartable --check`).  Character values
+come from the matrix
 coefficient 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>
 at the standard weight; every ceiling in the source formulas is read as a
 floor (the n = 1 norm and the basic-module dimension force that reading).
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .classfun import SpinClassFun, weighted_inner
 from .fock import FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
-from .partitions import MultiPartition, multipartitions
+from .partitions import MultiPartition, dominates, multipartitions
 from .scalars import Cyc
 from .vertex import TwistContext, TwistedVector, x_component
 
@@ -182,10 +184,6 @@ class CharTable:
     columns: List[MultiPartition]
     rows: List[CharRow]
 
-    def matrix(self) -> List[List[Cyc]]:
-        zero = Cyc.rational(0)
-        return [[row.values.get(mu, zero) for mu in self.columns] for row in self.rows]
-
     def to_doc(self) -> dict:
         cnames = self.gamma.class_names
         gnames = self.gamma.char_names
@@ -214,7 +212,9 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     sign normalized so the degree entry is positive.
 
     Column by column: each a'_-mu is expanded once and paired with every
-    row's X_lambda vector, which are all built first.
+    row's X_lambda vector, which are all built first.  With check, each
+    X_lambda vector is certified against Q_lambda (`verify_realization`)
+    before any pairing, and the finished table by `verify_table`.
     """
     if tctx is None:
         tctx = TwistContext(gamma, VirtualChar.trivial(gamma))
@@ -223,6 +223,9 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     lambdas = list(multipartitions(n, k, "SP"))
     identity_col = MultiPartition.single(k, 0, (1,) * n) if n else MultiPartition.empty(k)
     x_vecs = [x_lambda_vector(tctx, lam) for lam in lambdas]
+    if check:
+        for lam, x_vec in zip(lambdas, x_vecs):
+            verify_realization(tctx, lam, x_vec)
     row_values: List[Dict[MultiPartition, Cyc]] = [{} for _ in lambdas]
     for mu in columns:
         a_vec = a_prime_vector(tctx.fock, mu)
@@ -242,11 +245,19 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
         rows.append(CharRow(lam, row_type, abs(q.numerator), values))
     table = CharTable(gamma, n, columns, rows)
     if check:
-        verify_table(table, tctx)
+        verify_table(table)
     return table
 
 
-def verify_table(table: CharTable, tctx: Optional[TwistContext] = None) -> None:
+def verify_realization(tctx: TwistContext, lam: MultiPartition, x_vec: TwistedVector) -> None:
+    """X_lambda e^(-[lambda]) = Q_lambda: the row's vertex-operator vector, in
+    the zero lattice class, against the raising-operator expansion.  The two
+    routes meet only in `fock.q_gen`."""
+    if any(b for b, _ in x_vec.terms) or not x_vec.fock_part(0) == raising_expand(tctx.fock, lam):
+        raise TableCheckError(f"X_lambda e^(-[lambda]) differs from Q_lambda at {lam!r}")
+
+
+def verify_table(table: CharTable) -> None:
     """Row orthogonality with the type norms, degree formula, squareness,
     and the unitriangular integral transition of the raising expansion."""
     gamma = table.gamma
@@ -281,17 +292,5 @@ def verify_table(table: CharTable, tctx: Optional[TwistContext] = None) -> None:
             for tup, c in coeffs.items():
                 if not isinstance(c, int):
                     raise TableCheckError(f"non-integer raising coefficient {c}")
-                if tup != parts:
-                    if not _dominates_tuple(tup, parts):
-                        raise TableCheckError(
-                            f"raising support {tup} does not dominate {parts}")
-
-
-def _dominates_tuple(a: Tuple_, b: Tuple_) -> bool:
-    ta = tb = 0
-    for i in range(max(len(a), len(b))):
-        ta += a[i] if i < len(a) else 0
-        tb += b[i] if i < len(b) else 0
-        if ta < tb:
-            return False
-    return ta == tb
+                if tup != parts and not dominates(tup, parts):
+                    raise TableCheckError(f"raising support {tup} does not dominate {parts}")

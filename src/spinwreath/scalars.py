@@ -39,6 +39,8 @@ def euler_phi(n: int) -> int:
 
 
 def moebius(n: int) -> int:
+    """Test oracle: the Moebius function mu(n), which the primitive n-th
+    roots of unity must sum to in `Cyc` arithmetic."""
     if n <= 0:
         raise ValueError("moebius needs n >= 1")
     result = 1
@@ -274,17 +276,6 @@ class Cyc:
         if q is None or q.denominator != 1:
             raise CycError(f"not an integer: {self!r}")
         return q.numerator
-
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        n = self.order
-        if n <= 2:
-            return self
-        deg = euler_phi(n)
-        out = [_ZERO] * n
-        for i, c in enumerate(self.coeffs):
-            out[(-i) % n] += c
-        return Cyc._reduce(n, out)
 
     # -- serialization -----------------------------------------------------
 

@@ -375,7 +375,8 @@ def theory_classes(gdata: GammaData, n: int) -> List[TheoryClass]:
 
 
 def _block_decompose(x: SpinElement, blocks: List[Tuple[int, int]]) -> Optional[List[SpinElement]]:
-    """Split (g, z^k a_I s) into contiguous-block factors; None if s mixes blocks.
+    """Test oracle (through `oracle_spin_rows`): split (g, z^k a_I s) into
+    contiguous-block factors; None if s mixes blocks.
 
     The z power rides on the first factor; no reordering signs arise because
     the index blocks are contiguous and increasing.
@@ -400,8 +401,9 @@ def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, n: int,
                                     nu: Sequence[int],
                                     elements: List[SpinElement],
                                     targets: List[SpinElement]) -> List[Cyc]:
-    """Character of Ind[ L_{nu_1} (x) ... (x) L_{nu_l} ] at the target elements,
-    normalized by 2^(-floor(l/2)) for the type-Q pair collapses.
+    """Test oracle (through `oracle_spin_rows`): the character of
+    Ind[ L_{nu_1} (x) ... (x) L_{nu_l} ] at the target elements, normalized by
+    2^(-floor(l/2)) for the type-Q pair collapses.
 
     The subgroup is the full block-preserving preimage; the product character
     at a block-decomposable element is the product of basic spin traces.
@@ -444,8 +446,9 @@ def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, n: int,
 
 
 def oracle_spin_rows(cg: ConcreteGroup, gdata: GammaData, n: int):
-    """Irreducible spin super character rows of the double cover, computed
-    from concrete induced products of basic modules by triangular reduction.
+    """Test oracle: irreducible spin super character rows of the double cover,
+    computed from concrete induced products of basic modules by triangular
+    reduction; the tests compare `qtable.build_table` against it.
 
     Returns (columns, rows) where columns are the even split types in table
     order and rows map strict partitions to exact value lists.  Only the

@@ -3,7 +3,7 @@
 `SUITES` maps each suite name, in the order `verify` lists them, to a
 function (gamma, cg, xi, args) -> result documents: the resolved Gamma, its
 multiplication table (None for an @file Gamma), the weight and the merged
-options (n, degree, window, jobs).  A suite checks its own preconditions and
+options (n, degree, window).  A suite checks its own preconditions and
 raises `ConfigError` when they fail.
 """
 
@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .classfun import SpinClassFun, ch, induction_product, sigma_rho, weighted_inner
+from .classfun import (SpinClassFun, basic_char, ch, induction_product, sigma_rho,
+                       weighted_inner)
 from .fock import FockContext, coproduct, inner, tensor_inner
-from .gammadata import ConcreteGroup, GammaData, VirtualChar, load_gamma, mckay_xi
+from .gammadata import ConcreteGroup, GammaData, VirtualChar, mckay_xi
 from .partitions import big_z, multipartitions
 from .scalars import Cyc
 from .spingroup import (SignedType, basic_spin_trace, enumerate_classes_bruteforce,
@@ -85,13 +86,6 @@ def _affine_docs(tctx: TwistContext, window: int, degree: int, label: str) -> Li
     return out
 
 
-def run_affine_suite(gamma_doc: dict, window: int, degree: int, label: str) -> List[dict]:
-    """`_affine_docs` in a fresh context at the McKay weight; module-level so
-    it can be dispatched to worker processes, which get Gamma as a document."""
-    gamma = load_gamma(gamma_doc)
-    return _affine_docs(TwistContext(gamma, mckay_xi(gamma)), window, degree, label)
-
-
 def _affine(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
     try:
         mckay = mckay_xi(gamma)
@@ -102,19 +96,11 @@ def _affine(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
     if args.window < 1:
         # [-window, window] must hold an odd index, or hh and hx check nothing
         raise ConfigError(f"--window must be at least 1 for the affine suite, got {args.window}")
-    if args.jobs > 1:
-        import multiprocessing  # here, so that other runs do not pay for its import
-
-        jobs = [(gamma.to_doc(), args.window, args.degree, label) for label in AFFINE_INDEX_SETS]
-        with multiprocessing.Pool(min(args.jobs, len(jobs))) as pool:
-            parts = pool.starmap(run_affine_suite, jobs)
-    else:
-        # one context for both index sets, so the affine run reuses the
-        # toroidal run's X rows
-        tctx = TwistContext(gamma, xi)
-        parts = [_affine_docs(tctx, args.window, args.degree, label)
-                 for label in AFFINE_INDEX_SETS]
-    return [doc for part in parts for doc in part]
+    # one context for both index sets, so the affine run reuses the
+    # toroidal run's X rows
+    tctx = TwistContext(gamma, xi)
+    return [doc for label in AFFINE_INDEX_SETS
+            for doc in _affine_docs(tctx, args.window, args.degree, label)]
 
 
 # -- on Cyc Fock vectors and the brute-force group -------------------------------
@@ -223,15 +209,12 @@ def _oracle(gamma: GammaData, cg: Optional[ConcreteGroup], xi: VirtualChar,
     for v_index in range(k):
         if v_index not in cg.rep_matrices:
             continue
+        basic = basic_char(gamma, n, [1 if i == v_index else 0 for i in range(k)])
         for tc in theory_classes(gamma, n):
             rep = representative_of_type(cg, n, SignedType(tc.rho_plus, tc.rho_minus))
             tr = basic_spin_trace(cg, gamma, v_index, n, rep)
             if tc.split and tc.parity == 0:
-                expect = Cyc.rational(2 ** tc.rho_plus.length)
-                for ci, part in enumerate(tc.rho_plus.parts):
-                    for _ in part:
-                        expect = expect * gamma.chars[v_index][ci]
-                ok = tr == expect
+                ok = tr == basic.value(tc.rho_plus)
             else:
                 ok = tr.is_zero()
             if not ok:

@@ -3,13 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from spinwreath.classfun import (SpinClassFun, basic_char, basic_char_virtual,
-                                 ch, ch_inverse, heis_annihilate, heis_create,
-                                 induction_product, restriction_coproduct,
-                                 sigma_char, sigma_class, sigma_rho,
-                                 weighted_inner)
-from spinwreath.fock import (FockContext, FockVector, annihilate, create, inner,
-                             q_gen)
+from spinwreath.classfun import (SpinClassFun, basic_char, ch, induction_product,
+                                 sigma_class, sigma_rho, weighted_inner)
+from spinwreath.fock import (FockContext, FockVector, coproduct, create, inner, q_gen,
+                             tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
 from spinwreath.scalars import Cyc
@@ -49,14 +46,25 @@ def test_basic_char_values():
     assert f.value(rho2) == -8
 
 
+def alternating_induction_sum(g, n, beta, gamma_c):
+    """sum_m (-1)^m chi_{n-m}(beta) . chi_m(gamma_c) as a value map."""
+    out = {}
+    for m in range(n + 1):
+        term = induction_product(basic_char(g, n - m, beta), basic_char(g, m, gamma_c))
+        for rho, c in term.values.items():
+            out[rho] = out.get(rho, Cyc.rational(0)) + c * (-1) ** m
+    return SpinClassFun(g, n, out)
+
+
 def test_basic_char_virtual_consistency():
-    g2, _, ctx2 = setup("cyclic:2")
+    # the basic character of a virtual character beta - gamma is the
+    # alternating induction sum of the basic characters of beta and gamma
+    g2, _, _ = setup("cyclic:2")
     for n in range(5):
         closed = basic_char(g2, n, [1, -1])
-        alt = basic_char_virtual(ctx2, n, [1, 0], [0, 1])
-        assert closed == alt
+        assert closed == alternating_induction_sum(g2, n, [1, 0], [0, 1])
     for n in (1, 2, 3):
-        assert not basic_char_virtual(ctx2, n, [1, 0], [1, 0]).values
+        assert not alternating_induction_sum(g2, n, [1, 0], [1, 0]).values
 
 
 def test_sigma():
@@ -70,12 +78,6 @@ def test_sigma():
         sr = sigma_rho(g, rho)
         assert sr.value(rho) == big_z(rho, g.centralizer_orders)
         assert len(sr.values) == 1
-    # sigma_1(gamma) vs chi_1(gamma): values gamma(c) vs 2 gamma(c)
-    g2, _, _ = setup("cyclic:2")
-    s1 = sigma_char(g2, 1, [0, 1])
-    c1 = basic_char(g2, 1, [0, 1])
-    for rho in multipartitions(1, 2, "OP"):
-        assert c1.value(rho) == s1.value(rho) + s1.value(rho)
 
 
 def test_induction_product():
@@ -132,43 +134,6 @@ def test_ch_isometry():
                             == inner(chs[r1], chs[r2])
 
 
-def test_ch_inverse_round_trip():
-    rng = random.Random(2)
-    for name in ("trivial", "cyclic:2", "cyclic:3"):
-        g, xi, ctx = setup(name)
-        k = g.num_classes
-        for n in range(5):
-            values = {}
-            for rho in multipartitions(n, k, "OP"):
-                values[rho] = Cyc.rational(rng.randint(-4, 4))
-            if all(v.is_zero() for v in values.values()):
-                values[next(iter(values))] = Cyc.rational(1)
-            f = SpinClassFun(g, n, values)
-            assert ch_inverse(ctx, ch(ctx, f)) == f
-    with pytest.raises(ValueError):
-        g, xi, ctx = setup("trivial")
-        bad = q_gen(ctx, 1, [1]) + q_gen(ctx, 3, [1])
-        ch_inverse(ctx, bad)
-
-
-def test_restriction_coproduct():
-    g, xi, ctx = setup("cyclic:2")
-    # primitivity of sigma_n
-    s = sigma_char(g, 3, [1, 1])
-    parts = restriction_coproduct(ctx, s)
-    empty = MultiPartition.empty(2)
-    nonzero = {k: v for k, v in parts.items() if not v.is_zero()}
-    for (l, r), c in nonzero.items():
-        assert l == empty or r == empty
-        assert s.value(l if r == empty else r) == c or (l == empty and r == empty)
-    # counit component recovers f
-    f = sigma_rho(g, MultiPartition([(3,), (1,)]))
-    parts = restriction_coproduct(ctx, f)
-    for rho, val in f.values.items():
-        assert parts[(rho, empty)] == val
-        assert parts[(empty, rho)] == val
-
-
 def test_hopf_adjointness_random():
     rng = random.Random(13)
     g, xi, ctx = setup("cyclic:2")
@@ -182,50 +147,7 @@ def test_hopf_adjointness_random():
         na, nb = rng.randint(0, 2), rng.randint(0, 3)
         f, gg = rand_fun(na), rand_fun(nb)
         h = rand_fun(na + nb)
+        # <f.g, h> on the group side is <f (x) g, Delta h> on the Fock side
         lhs = weighted_inner(induction_product(f, gg), h, xi)
-        rhs = Cyc.rational(0)
-        for (l, r), c in restriction_coproduct(ctx, h).items():
-            if l.weight != na:
-                continue
-            lf = SpinClassFun(g, na, {l: Cyc.rational(1)})
-            rf = SpinClassFun(g, nb, {r: Cyc.rational(1)})
-            rhs = rhs + c * weighted_inner(f, lf, xi) * weighted_inner(gg, rf, xi)
+        rhs = tensor_inner(ctx, coproduct(ch(ctx, h)), ch(ctx, f), ch(ctx, gg))
         assert lhs == rhs
-
-
-def test_heisenberg_transport():
-    # ch intertwines the group-side operators with create/annihilate up to
-    # the documented dual twist on the character argument
-    for name in ("cyclic:2", "cyclic:3"):
-        g, xi, ctx = setup(name)
-        k = g.num_classes
-        dual = [g.dual_class(i) for i in range(k)]
-
-        def dualize(vec):
-            out = [Cyc.rational(0)] * k
-            for i, c in enumerate(vec):
-                # gamma_i -> conjugate character: row permutation via values
-                # for cyclic groups the dual of gamma_i is gamma_{-i}
-                out[(k - i) % k if name.startswith("cyclic") else i] = Cyc.rational(c)
-            return out
-
-        f = sigma_rho(g, MultiPartition.single(k, min(1, k - 1), (3, 1)))
-        for n in (1, 3):
-            for i in range(k):
-                vec = [1 if t == i else 0 for t in range(k)]
-                lhs = ch(ctx, heis_create(ctx, n, vec, f))
-                rhs = create(ch(ctx, f), n, dualize(vec))
-                assert lhs == rhs, (name, n, i)
-        for n in (1, 3):
-            vec = [1 if t == 0 else 0 for t in range(k)]
-            lhs = ch(ctx, heis_annihilate(ctx, n, vec, f))
-            rhs = annihilate(ch(ctx, f), n, dualize(vec))
-            assert lhs == rhs, (name, n)
-
-
-def test_serialization():
-    g, xi, ctx = setup("cyclic:2")
-    f = basic_char(g, 2, [1, 1])
-    doc = f.to_doc()
-    assert doc["n"] == 2
-    assert all("rho" in row and "value" in row for row in doc["values"])

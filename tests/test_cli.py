@@ -73,16 +73,16 @@ def test_size_zero_is_accepted():
     assert json.loads(out)["n"] == 0
 
 
-def test_affine_jobs_split_matches_one_job():
+def test_affine_runs_both_index_sets_and_has_no_jobs_flag():
     argv = ["verify", "affine", "--xi", "mckay", "--gamma", "cyclic:2",
             "--window", "1", "--degree", "1"]
-    code1, out1, err1 = run_cli(*argv, "--jobs", "1")
-    code2, out2, err2 = run_cli(*argv, "--jobs", "2")
-    assert (code1, code2) == (0, 0), err2
-    assert "Traceback" not in err2
-    assert out2 == out1
-    labels = [r["index_set"] for r in json.loads(out1)["results"]]
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    labels = [r["index_set"] for r in json.loads(out)["results"]]
     assert labels == ["toroidal"] * 6 + ["affine"] * 6
+    code, out, err = run_cli(*argv, "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --jobs 2" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,3 +167,17 @@ def test_mckay_unrecognized_type_exits_3(s3_file):
     assert (code, err) == (3, "")
     doc = json.loads(out)
     assert doc["gamma"] == "s3" and doc["affine_type"] == "unrecognized"
+
+
+def test_gamma_with_a_negative_degree_is_a_usage_error(tmp_path):
+    # orthonormal rows, but the second character has degree -1
+    doc = {"name": "bad", "order": 2,
+           "classes": [{"name": "e", "size": 1, "element_order": 1, "inverse": 0},
+                       {"name": "c", "size": 1, "element_order": 2, "inverse": 1}],
+           "chars": [[{"N": 1, "coeffs": [[v, 1]]} for v in row] for row in ([1, 1], [-1, 1])]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["chartable", "--n", "2"], ["chartable", "--check", "--n", "2"],
+                 ["verify", "isometry", "--n", "2"]):
+        assert_one_usage_error(*run_cli(*argv, "--gamma", f"@{path}"),
+                               "degree of character 1 is not a positive integer: -1")

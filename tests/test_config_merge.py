@@ -17,7 +17,6 @@ VALUES = {
     "n": SIZE,
     "degree": SIZE,
     "window": SIZE,
-    "jobs": st.integers(min_value=1, max_value=8),
     "format": st.sampled_from(["json", "csv", "pretty"]),
     "gamma": st.sampled_from(["trivial", "cyclic:3", "klein4", "@g.json"]),
     "xi": st.sampled_from(["standard", "mckay", "1,0,-1"]),
@@ -59,13 +58,13 @@ def test_flag_beats_config_beats_default(flags, config):
         assert getattr(args, key) == expect, key
 
 
-LEAST = {"n": 0, "degree": 0, "window": 0, "jobs": 1}
+LEAST = {"n": 0, "degree": 0, "window": 0}
 
 
 @settings(max_examples=40, deadline=None)
 @given(key=st.sampled_from(sorted(LEAST)), data=st.data(), from_config=st.booleans())
 def test_negative_sizes_raise(key, data, from_config):
-    # sizes below 0, and --jobs below 1, from a flag or the config file
+    # sizes below 0, from a flag or the config file
     least = LEAST[key]
     value = data.draw(st.integers(max_value=least - 1))
     with pytest.raises(ConfigError, match=f"--{key} must be at least {least}, got {value}"):

@@ -85,6 +85,16 @@ def test_load_rejects_bad_sizes():
         load_gamma(json.dumps(doc))
 
 
+def test_load_rejects_non_positive_degree():
+    # the rows stay orthonormal, so only the degree check can see it
+    g, _ = builtin("cyclic:2")
+    doc = g.to_doc()
+    doc["chars"][1] = [{"N": 1, "coeffs": [[-1, 1]]}, {"N": 1, "coeffs": [[1, 1]]}]
+    with pytest.raises(GammaValidationError,
+                       match="degree of character 1 is not a positive integer: -1"):
+        load_gamma(json.dumps(doc))
+
+
 def test_load_rejects_garbage():
     with pytest.raises(GammaValidationError):
         load_gamma(b"not json at all {")

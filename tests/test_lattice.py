@@ -73,7 +73,7 @@ def test_epsilon_masks_bi_additive(name):
         weights.append(mckay_xi(g))
     for xi in weights:
         lt = LatticeTwist(g, xi)
-        size = lt.module_size
+        size = 1 << lt.dim
         _assert_bi_additive(lt, ((a, b, c) for a in range(size) for b in range(size)
                                  for c in range(size)))
 
@@ -83,7 +83,7 @@ def test_epsilon_masks_bi_additive_sampled_cyclic8():
     rng = random.Random(13)
     for xi in (VirtualChar.trivial(g), mckay_xi(g)):
         lt = LatticeTwist(g, xi)
-        size = lt.module_size
+        size = 1 << lt.dim
         _assert_bi_additive(lt, [(rng.randrange(size), rng.randrange(size),
                                   rng.randrange(size)) for _ in range(3000)])
 
@@ -120,8 +120,8 @@ def test_module_squares():
     # e_a^2 acts as epsilon(a, a) * identity on the mod-2 group algebra
     for name in ("cyclic:2", "cyclic:3", "quaternion8"):
         lt = twist(name)
-        for mask in range(lt.module_size):
-            for b in range(lt.module_size):
+        for mask in range(1 << lt.dim):
+            for b in range(1 << lt.dim):
                 s1, b1 = lt.act(mask, b)
                 s2, b2 = lt.act(mask, b1)
                 assert b2 == b
@@ -134,9 +134,9 @@ def test_module_squares():
 def test_module_commutator_exact():
     for name in ("cyclic:2", "cyclic:3"):
         lt = twist(name)
-        for a in range(lt.module_size):
-            for b in range(lt.module_size):
-                for v in range(lt.module_size):
+        for a in range(1 << lt.dim):
+            for b in range(1 << lt.dim):
+                for v in range(1 << lt.dim):
                     s1, v1 = lt.act(b, v)
                     s2, v2 = lt.act(a, v1)
                     t1, w1 = lt.act(a, v)

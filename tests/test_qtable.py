@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from spinwreath import cli, qtable
+from spinwreath import vertex as vx
 from spinwreath.fock import FockContext, FockVector, create, inner
 from spinwreath.gammadata import VirtualChar, builtin
 from spinwreath.partitions import MultiPartition, multipartitions
@@ -116,7 +119,7 @@ def test_char_degree():
 def test_build_table_matrix():
     g, t = setup("trivial")
     tab = build_table(g, 3, check=True, tctx=t)
-    assert [[v.as_rational() for v in row] for row in tab.matrix()] \
+    assert [[row.values[mu] for mu in tab.columns] for row in tab.rows] \
         == [[8, 2], [4, -2]]
     assert [r.module_type for r in tab.rows] == ["Q", "M"]
     assert [r.degree for r in tab.rows] == [8, 4]
@@ -182,9 +185,29 @@ def test_build_table_matches_per_pair_route(name, n):
 def test_verify_table_catches_one_perturbed_value():
     g, t = setup("quaternion8")
     tab = build_table(g, 2, tctx=t)
-    verify_table(tab, t)
+    verify_table(tab)
     row = tab.rows[1]
     mu = tab.columns[-1]
     row.values[mu] = row.values.get(mu, Cyc.rational(0)) + 1
     with pytest.raises(TableCheckError):
-        verify_table(tab, t)
+        verify_table(tab)
+
+
+def test_poisoned_x_row_fails_the_realization_check(monkeypatch, capsys):
+    # double the cached X_{-2}(gamma_0) row on the vacuum, which builds the
+    # one row lambda = (2) of the trivial table at n = 2
+    def poisoned(gamma, xi):
+        t = TwistContext(gamma, xi)
+        layer = vx._x_layer(t, -2, t.basis_vector(0))
+        den, entries = vx._lean_row(t, layer, ())
+        t._lean_rows[(layer, ())] = (den, tuple((mono, 2 * num) for mono, num in entries))
+        return t
+
+    monkeypatch.setattr(qtable, "TwistContext", poisoned)
+    argv = ["chartable", "--gamma", "trivial", "--n", "2"]
+    assert cli.main(argv) == 0  # without --check the wrong row is printed
+    capsys.readouterr()
+    assert cli.main(argv + ["--check"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "check_failed"
+    assert doc["witness"] == "X_lambda e^(-[lambda]) differs from Q_lambda at MultiPartition((2,),)"

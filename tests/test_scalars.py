@@ -99,14 +99,6 @@ def test_division_rules():
         z / 0
 
 
-def test_conjugate():
-    z = Cyc.zeta(12, 5)
-    assert z * z.conjugate() == 1
-    assert (z + z.conjugate()).as_rational() is None or True  # stays exact
-    v = Cyc.zeta(3)
-    assert v.conjugate() == Cyc.zeta(3, 2)
-
-
 def test_serialization_round_trip():
     rng = random.Random(3)
     for n in ORDERS:

@@ -1,0 +1,166 @@
+"""Every definition in `src/spinwreath` is reached from the command line.
+
+The walk starts at `cli.main` and at every module-level statement, and
+follows names and attributes through the bodies of what it reaches:
+
+- a bare name reaches the top-level definition it denotes in its module,
+  directly or through a `from .module import name`;
+- an attribute `C.name` on a name that denotes a class with a method
+  `name` reaches that method;
+- any other attribute `x.name` reaches every method called `name` and every
+  top-level definition called `name` (the walk has no types, so it keeps
+  every candidate);
+- a reached class reaches its base classes, its decorators, the statements
+  of its body and its dunder methods, which Python calls implicitly.
+
+A top-level function, class or non-dunder method that the walk does not
+reach fails the test, unless its docstring says "Test oracle": a reference
+implementation that only tests run against the code under test.
+"""
+
+import ast
+import os
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "spinwreath")
+ORACLE_MARK = "Test oracle"
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+class Surface:
+    """Definitions of the package, keyed by (module, qualified name)."""
+
+    def __init__(self, package):
+        self.defs = {}         # (module, qualname) -> def/class node
+        self.imports = {}      # module -> {local name: (module, name)}
+        self.by_name = {}      # bare name -> keys of top-level defs and methods
+        self.module_stmts = []  # (module, statement) outside any def or class
+        for fname in sorted(os.listdir(package)):
+            if fname.endswith(".py"):
+                module = fname[:-3]
+                with open(os.path.join(package, fname)) as fh:
+                    self._scan(module, ast.parse(fh.read(), fname))
+
+    def _add(self, key, node):
+        self.defs[key] = node
+        self.by_name.setdefault(key[1].rsplit(".", 1)[-1], []).append(key)
+
+    def _scan(self, module, tree):
+        imports = self.imports.setdefault(module, {})
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                source = stmt.module or "__init__"
+                for alias in stmt.names:
+                    imports[alias.asname or alias.name] = (source, alias.name)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._add((module, stmt.name), stmt)
+            elif isinstance(stmt, ast.ClassDef):
+                self._add((module, stmt.name), stmt)
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        self._add((module, f"{stmt.name}.{item.name}"), item)
+            else:
+                self.module_stmts.append((module, stmt))
+
+    def _resolve(self, module, name):
+        """The top-level definition a bare name denotes in `module`, if any."""
+        seen = set()
+        while (module, name) not in self.defs:
+            target = self.imports.get(module, {}).get(name)
+            if target is None or target in seen:
+                return None
+            seen.add(target)
+            module, name = target
+        return module, name
+
+    def _refs(self, module, node, skip_body_defs=False):
+        """Definitions a node's names and attributes reach."""
+        out = []
+        nodes = [node]
+        if skip_body_defs:  # a class: its methods are walked one by one
+            nodes = ([*node.bases, *node.keywords, *node.decorator_list]
+                     + [s for s in node.body
+                        if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))])
+        for top in nodes:
+            for sub in ast.walk(top):
+                if isinstance(sub, ast.Name):
+                    key = self._resolve(module, sub.id)
+                    if key is not None:
+                        out.append(key)
+                elif isinstance(sub, ast.Attribute):
+                    out.extend(self._attribute(module, sub))
+        return out
+
+    def _attribute(self, module, node):
+        if isinstance(node.value, ast.Name):
+            owner = self._resolve(module, node.value.id)
+            if owner is not None:
+                method = (owner[0], f"{owner[1]}.{node.attr}")
+                if method in self.defs:
+                    return [method]
+        return self.by_name.get(node.attr, ())
+
+    def reached(self):
+        todo = [("cli", "main")]
+        for module, stmt in self.module_stmts:
+            todo.extend(self._refs(module, stmt))
+        seen = set()
+        while todo:
+            key = todo.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            module, qualname = key
+            node = self.defs[key]
+            if isinstance(node, ast.ClassDef):
+                todo.extend(self._refs(module, node, skip_body_defs=True))
+                todo.extend((module, f"{qualname}.{item.name}") for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and _dunder(item.name))
+            else:
+                if "." in qualname:  # a method needs its class
+                    todo.append((module, qualname.rsplit(".", 1)[0]))
+                todo.extend(self._refs(module, node))
+        return seen
+
+    def unreached(self):
+        reached = self.reached()
+        out = []
+        for key, node in self.defs.items():
+            if key in reached or _dunder(key[1].rsplit(".", 1)[-1]):
+                continue
+            if ORACLE_MARK in (ast.get_docstring(node) or ""):
+                continue
+            out.append(f"{key[0]}.{key[1]}")
+        return sorted(out)
+
+    def oracles(self):
+        return sorted(f"{m}.{q}" for (m, q), node in self.defs.items()
+                      if ORACLE_MARK in (ast.get_docstring(node) or ""))
+
+
+def test_every_definition_is_reached_from_the_cli():
+    assert Surface(PACKAGE).unreached() == []
+
+
+def test_the_walk_sees_an_unreached_definition(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from .util import used\n\n"
+        "def main():\n    return used()\n")
+    (tmp_path / "util.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = 1\n"
+        "    def kept(self):\n        return self.v\n"
+        "    def dropped(self):\n        return 0\n"
+        "    @staticmethod\n    def make():\n        return Box()\n\n"
+        "class Other:\n    def make(self):\n        return 0\n\n"
+        "def used():\n    return Box.make().kept()\n\n"
+        "def unused():\n    return 0\n\n"
+        "def reference():\n    \"\"\"Test oracle: recomputes used().\"\"\"\n    return 1\n")
+    surface = Surface(str(tmp_path))
+    assert surface.unreached() == ["util.Box.dropped", "util.Other", "util.Other.make",
+                                   "util.unused"]
+    assert surface.oracles() == ["util.reference"]

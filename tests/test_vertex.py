@@ -238,7 +238,7 @@ def test_words_factor_through_coset_zero(name, weight):
             shift ^= layer[-1]
         for mono in monos:
             images = [apply_word(t, word, TwistedVector(t, {(b, mono): Cyc.rational(1)}))
-                      for b in range(t.twist.module_size)]
+                      for b in range(1 << t.twist.dim)]
             base = images[0].terms
             assert all(coset == shift for coset, _ in base)
             nonzero += bool(base)
