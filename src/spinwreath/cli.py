@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks cli.create
 from .gammadata import (ConcreteGroup, GammaData, GammaValidationError,
-                        VirtualChar, builtin, cartan_matrix, load_gamma, mckay_xi)
+                        VirtualChar, builtin, gram_matrix, load_gamma, mckay_xi)
 from .qtable import TableCheckError, build_table
 from .scalars import Cyc
 from .spingroup import theory_classes
@@ -185,7 +185,7 @@ def cmd_mckay(args) -> int:
         xi = mckay_xi(gamma, args.pi_index)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cartan = cartan_matrix(gamma, xi)
+    cartan = gram_matrix(gamma, xi)
     affine = identify_affine_type(cartan)
     doc = {"gamma": gamma.name, "xi": "mckay", "cartan": cartan,
            "affine_type": affine if affine else "unrecognized"}
@@ -211,9 +211,12 @@ def cmd_verify(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+_FORMATS = ("json", "csv", "pretty")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", help="built-in name (trivial, cyclic:k, klein4, quaternion8) or @file.json")
-    p.add_argument("--format", choices=["json", "csv", "pretty"], default=None)
+    p.add_argument("--format", choices=_FORMATS, default=None)
     p.add_argument("--out", default=None, help="write the document to a file")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
 
@@ -268,7 +271,15 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError("config file must hold a JSON object")
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, cfg.get(key, default))
+            value = cfg.get(key, default)
+            # the flag's type: a JSON true is not an int, nor 3 a str
+            if type(value) is not type(default):
+                raise ConfigError(f"config value {key!r} must be {type(default).__name__}, "
+                                  f"got {json.dumps(value)}")
+            if key == "format" and value not in _FORMATS:
+                raise ConfigError(f"config value 'format' must be one of "
+                                  f"{', '.join(_FORMATS)}, got {json.dumps(value)}")
+            setattr(args, key, value)
     for key, least in (("n", 0), ("degree", 0), ("window", 0)):
         value = getattr(args, key, None)
         if isinstance(value, int) and value < least:

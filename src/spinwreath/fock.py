@@ -33,7 +33,7 @@ CoeffLike = Union[int, Fraction, Cyc]
 
 
 class FockContext:
-    """Shared state: the group, the weight xi, the rational Gram matrix and
+    """Shared state: the group, the weight xi, the integer Gram matrix and
     its nonzero pattern."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):

@@ -134,6 +134,24 @@ class GammaData:
                     raise GammaValidationError(
                         f"row orthogonality fails for characters ({i}, {j})")
 
+    def require_products_decompose(self) -> None:
+        """Each gamma_i gamma_j must be a sum of irreducibles with nonnegative
+        integer multiplicities, as in any group: orthonormal rows alone do
+        not make a character table.  Run on outside input only."""
+        k = len(self.classes)
+        weights = [Fraction(c.size, self.order) for c in self.classes]
+        for i in range(k):
+            for j in range(i, k):
+                prod = [self.chars[i][ci] * self.chars[j][ci] * weights[ci] for ci in range(k)]
+                for t in range(k):
+                    val = Cyc.rational(0)
+                    for ci, c in enumerate(self.classes):
+                        val = val + prod[ci] * self.chars[t][c.inverse]
+                    q = val.as_rational()
+                    if q is None or q.denominator != 1 or q < 0:
+                        raise GammaValidationError(
+                            f"g{i}*g{j} is not a character: g{t} occurs {val.pretty()} times")
+
     # -- serialization --------------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -153,11 +171,13 @@ class GammaData:
                                  int(c["element_order"]), int(c["inverse"]))
                        for c in doc["classes"]]
             chars = [[Cyc.from_doc(v) for v in row] for row in doc["chars"]]
-            return GammaData(str(doc["name"]), int(doc["order"]), classes, chars)
+            gamma = GammaData(str(doc["name"]), int(doc["order"]), classes, chars)
         except (KeyError, TypeError, ValueError, CycError) as exc:
             if isinstance(exc, GammaValidationError):
                 raise
             raise GammaValidationError(f"malformed Gamma document: {exc}") from exc
+        gamma.require_products_decompose()
+        return gamma
 
 
 def load_gamma(document: Union[bytes, str, dict]) -> GammaData:
@@ -286,18 +306,16 @@ def _builtin_quaternion8() -> Tuple[GammaData, ConcreteGroup]:
     mat_i: Matrix = ((zi, zero), (zero, -zi))
     mat_j: Matrix = ((zero, one), (-one, zero))
     two_dim: Dict[int, Matrix] = {}
-    eye: Matrix = ((one, zero), (zero, one))
+    mat_k = _mat_mul(mat_i, mat_j)
     for idx, u in enumerate(units):
         a, b, c, d = u
-        m = eye
         acc = ((Cyc.rational(a), zero), (zero, Cyc.rational(a)))
         if b:
             acc = tuple(tuple(acc[r][s] + Cyc.rational(b) * mat_i[r][s] for s in range(2)) for r in range(2))
         if c:
             acc = tuple(tuple(acc[r][s] + Cyc.rational(c) * mat_j[r][s] for s in range(2)) for r in range(2))
         if d:
-            mk = _mat_mul(mat_i, mat_j)
-            acc = tuple(tuple(acc[r][s] + Cyc.rational(d) * mk[r][s] for s in range(2)) for r in range(2))
+            acc = tuple(tuple(acc[r][s] + Cyc.rational(d) * mat_k[r][s] for s in range(2)) for r in range(2))
         two_dim[idx] = acc
     reps: Dict[int, List[Matrix]] = {}
     for i in range(4):
@@ -369,16 +387,19 @@ def weighted_form(gamma: GammaData, xi: VirtualChar,
     return total
 
 
-def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[Fraction]]:
-    """Rational Gram matrix <gamma_i, gamma_j>_xi; raises if an entry is irrational.
+def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
+    """Integer Gram matrix a_ij = <gamma_i, gamma_j>_xi; raises if an entry is
+    not an integer.
 
     Same sum as :func:`weighted_form` on basis vectors, with the class weight
-    w_c = xi(c)/zeta_c computed once per class.
+    w_c = xi(c)/zeta_c computed once per class.  The entry is the
+    multiplicity of gamma_j in xi gamma_i, an integer for every Gamma whose
+    products of irreducibles decompose (`GammaData.from_doc` checks that).
     """
     k = gamma.num_classes
     weights = [xi.value_at(gamma, ci) / Fraction(gamma.centralizer_order(ci))
                for ci in range(k)]
-    out: List[List[Fraction]] = []
+    out: List[List[int]] = []
     for i in range(k):
         row = []
         for j in range(k):
@@ -387,24 +408,10 @@ def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[Fraction]]:
                 if not weights[ci].is_zero():
                     val = val + weights[ci] * gamma.chars[i][ci] * gamma.chars[j][cls.inverse]
             q = val.as_rational()
-            if q is None:
-                raise CycError(f"Gram entry ({i},{j}) is not rational: {val!r}")
-            row.append(q)
+            if q is None or q.denominator != 1:
+                raise CycError(f"Gram entry ({i},{j}) is not an integer: {val.pretty()}")
+            row.append(q.numerator)
         out.append(row)
-    return out
-
-
-def cartan_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
-    """Integer matrix a_ij = <gamma_i, gamma_j>_xi; loud failure on non-integers."""
-    gm = gram_matrix(gamma, xi)
-    out = []
-    for i, row in enumerate(gm):
-        irow = []
-        for j, q in enumerate(row):
-            if q.denominator != 1:
-                raise CycError(f"Cartan entry ({i},{j}) = {q} is not an integer")
-            irow.append(q.numerator)
-        out.append(irow)
     return out
 
 

@@ -1,23 +1,22 @@
 """The character lattice mod 2: alternating form and cocycle.
 
 Vectors over GF(2) are int bitmasks (bit i = coordinate of gamma_i).  The
-alternating form c1 comes from the weighted Gram matrix; its GF(2) rank is
+alternating form c1 comes from the integer weighted Gram matrix
+(`gammadata.gram_matrix`, the one the Fock form uses); its GF(2) rank is
 r0.  The two-cocycle epsilon is bi-additive with epsilon(gamma_i, gamma_j) =
 +1 for i <= j and (-1)^{c1(i,j)} otherwise.
 
-The twisted state space used by the vertex operators is the group algebra
-of the full lattice mod 2 (dimension 2^(r+1)) with e_a e_b =
-epsilon(a,b) e_{a+b}; on it every cocycle relation holds exactly with signs
-in {+1,-1}.  Because epsilon is bi-additive, a word of such operators whose
-masks add up to `shift` maps e^b to epsilon(shift, b) e^(b + shift) times
-its sign on e^0, so the vertex checkers certify each relation on e^0 alone.
+The twisted state space of the vertex operators is the Fock space tensored
+with the group algebra of the lattice mod 2, e_a e_b = epsilon(a,b) e_{a+b}.
+It is never stored: since epsilon is bi-additive, a word of operators whose
+masks add up to `shift` maps e^b to epsilon(shift, b) e^(b + shift) times its
+sign on e^0, so the vertex checkers certify each relation on e^0 alone, and
+`qtable.x_lambda_vector` carries e^(-[lambda]) to e^0 one `act` at a time.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-from .gammadata import GammaData, VirtualChar, cartan_matrix
+from typing import List, Sequence, Tuple
 
 
 def gf2_rank(rows: Sequence[int]) -> int:
@@ -49,13 +48,11 @@ def vec_to_mask(alpha: Sequence[int]) -> int:
 
 
 class LatticeTwist:
-    """c1, its rank r0, and the cocycle for one (Gamma, xi) pair."""
+    """c1, its rank r0, and the cocycle of one integer Gram matrix."""
 
-    def __init__(self, gamma: GammaData, xi: VirtualChar):
-        self.gamma = gamma
-        self.xi = xi
-        self.dim = gamma.num_classes  # r + 1
-        self.gram = cartan_matrix(gamma, xi)
+    def __init__(self, gram: List[List[int]]):
+        self.dim = len(gram)  # r + 1
+        self.gram = gram
         k = self.dim
         self.c1_rows = []
         for i in range(k):

@@ -22,9 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .classfun import SpinClassFun, weighted_inner
 from .fock import FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
+from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
 from .scalars import Cyc
-from .vertex import TwistContext, TwistedVector, x_component
+from .vertex import TwistContext, x_component
 
 Tuple_ = Tuple[int, ...]
 
@@ -104,31 +105,38 @@ def lambda_shift(lam: MultiPartition) -> Tuple_:
     return tuple(len(p) for p in lam.parts)
 
 
-def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> TwistedVector:
-    """Iterated vertex components X_{-lambda(gamma_i)}(gamma_i) on e^(-[lambda]).
+def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> FockVector:
+    """X_lambda e^(-[lambda]): the vertex components X_{-lambda(gamma_i)}(gamma_i)
+    iterated on the lattice vacuum e^(-[lambda]).
 
     Components are applied per character index in table order, smallest part
-    first within an index; the result lives in the zero lattice class.
+    first within an index.  Their Fock parts compose on one integer row from
+    the Fock vacuum (`x_component`); their lattice parts carry e^(-[lambda])
+    to the zero class, each step signed by the cocycle, and that sign chain
+    scales the final row.  (In this order every step's sign is +1: epsilon
+    (gamma_i, b) = +1 when b has no bit below i.)  The result is the Fock
+    vector in the zero class.
     """
-    shift = lambda_shift(lam)
-    start_mask = 0
-    for i, l in enumerate(shift):
-        if l % 2:
-            start_mask |= 1 << i
-    v = TwistedVector.vacuum(tctx, start_mask)
+    cur = vec_to_mask(lambda_shift(lam))  # -[lambda] mod 2
+    sign = 1
+    row = (1, (((), 1),))
     for i, parts in enumerate(lam.parts):
         if parts and len(set(parts)) != len(parts):
             raise ValueError(f"lambda must be strict per index, got {parts}")
         gi = tctx.basis_vector(i)
         for p in sorted(parts):
-            v = x_component(tctx, -p, gi, v)
-    return v
+            row = x_component(tctx, -p, gi, row)
+            eps, cur = tctx.twist.act(1 << i, cur)
+            sign *= eps
+    den, entries = row
+    return FockVector(tctx.fock, {mono: Fraction(sign * num, den) for mono, num in entries})
 
 
 def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
-               x_vec: Optional[TwistedVector] = None,
+               x_vec: Optional[FockVector] = None,
                a_vec: Optional[FockVector] = None) -> Cyc:
-    """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>.
+    """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>,
+    the pairing taken by `fock.inner` on the zero-class Fock vector.
 
     x_vec and a_vec, when given, must be x_lambda_vector(tctx, lam) and
     a_prime_vector(tctx.fock, mu).
@@ -139,7 +147,7 @@ def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
         x_vec = x_lambda_vector(tctx, lam)
     if a_vec is None:
         a_vec = a_prime_vector(tctx.fock, mu)
-    val = inner(x_vec.fock_part(0), a_vec)
+    val = inner(x_vec, a_vec)
     exp = mu.length - lam.length // 2
     if exp >= 0:
         return val * (2**exp)
@@ -249,11 +257,11 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     return table
 
 
-def verify_realization(tctx: TwistContext, lam: MultiPartition, x_vec: TwistedVector) -> None:
-    """X_lambda e^(-[lambda]) = Q_lambda: the row's vertex-operator vector, in
-    the zero lattice class, against the raising-operator expansion.  The two
+def verify_realization(tctx: TwistContext, lam: MultiPartition, x_vec: FockVector) -> None:
+    """X_lambda e^(-[lambda]) = Q_lambda: the row's vertex-operator vector
+    (`x_lambda_vector`) against the raising-operator expansion.  The two
     routes meet only in `fock.q_gen`."""
-    if any(b for b, _ in x_vec.terms) or not x_vec.fock_part(0) == raising_expand(tctx.fock, lam):
+    if not x_vec == raising_expand(tctx.fock, lam):
         raise TableCheckError(f"X_lambda e^(-[lambda]) differs from Q_lambda at {lam!r}")
 
 

@@ -156,7 +156,6 @@ class SignedType:
 
 
 def signed_type(cg: ConcreteGroup, x: SpinElement) -> SignedType:
-    k = len(set(cg.class_of))
     num_classes = max(cg.class_of) + 1
     plus: List[List[int]] = [[] for _ in range(num_classes)]
     minus: List[List[int]] = [[] for _ in range(num_classes)]

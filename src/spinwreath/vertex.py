@@ -1,19 +1,21 @@
 """Twisted vertex operators on the Fock space tensored with the mod-2 lattice.
 
-A state is a finitely supported map (lattice class mod 2, Fock monomial) ->
-scalar.  Every operator on it -- the component X_m(gamma), the Heisenberg
-generator a_m(gamma) and the normal-ordered product :X(alpha,z)X(beta,w): --
-runs on one row engine: its Fock part is an integer row (numerators over
-one denominator) per monomial, cached on the context, and its lattice part
-is the cocycle `LatticeTwist.act`.  The rows are built from the two pieces
-of the construction, exp(sum (2/k) a_{-k} z^k) (the q_n of `fock.q_gen`)
-and exp(-sum (2/k) a_k z^-k) (the integer ladder D_j), and they are exact:
-the annihilation half contributes only finitely many degrees on a
-finite-degree input, which pins the creation degree, so no series
-truncation is ever involved.  Apart from reading q_n and a_m off `fock`'s
-vectors once per row, `Cyc` scalars meet the rows only in `_apply_rows`,
-which applies a layer to a `TwistedVector` (the character table's X
-components).
+A basis state is (lattice class mod 2, Fock monomial).  Every operator on
+that space -- the component X_m(gamma), the Heisenberg generator a_m(gamma)
+and the normal-ordered product :X(alpha,z)X(beta,w): -- runs on one row
+engine: its Fock part is an integer row (numerators over one denominator)
+per monomial, cached on the context, and its lattice part is a +-1 sign
+from the cocycle (`LatticeTwist.epsilon_masks`).  The rows are built from
+the two pieces of the construction, exp(sum (2/k) a_{-k} z^k) (the q_n of
+`fock.q_gen`) and exp(-sum (2/k) a_k z^-k) (the integer ladder D_j), and
+they are exact: the annihilation half contributes only finitely many
+degrees on a finite-degree input, which pins the creation degree, so no
+series truncation is ever involved.  The weighted Gram matrix is the
+integer one of `gammadata.gram_matrix`, computed once per context and
+shared by the Fock form and the cocycle.  Rows never meet `Cyc` scalars:
+q_n and a_m are read off `fock`'s vectors once per row as rationals, and
+`x_component` applies an X layer to an integer row (the character table's
+X_lambda vectors, `qtable.x_lambda_vector`).
 
 Every relation checker -- Clifford, OPE, X parity, the primary-field
 commutator and the affine families -- is a generator of instances
@@ -35,19 +37,19 @@ from .fock import (FockContext, FockVector, Monomial, _merge, annihilate, create
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
 from .partitions import multipartitions
-from .scalars import Cyc
 
 IntVec = Tuple[int, ...]
 
 
 class TwistContext:
-    """Fock context plus lattice twist for one (Gamma, xi) pair."""
+    """Fock context plus lattice twist for one (Gamma, xi) pair, both on the
+    Fock context's integer Gram matrix."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
         self.xi = xi
         self.fock = FockContext(gamma, xi)
-        self.twist = LatticeTwist(gamma, xi)
+        self.twist = LatticeTwist(self.fock.gram)
         self._lean_rows: Dict[Tuple, Tuple] = {}
         self._pair_cache: Dict[Tuple, Tuple] = {}
         self._prow_cache: Dict[IntVec, Tuple] = {}
@@ -63,33 +65,6 @@ class TwistContext:
         return sum(alpha[i] * g[i][j] * beta[j] for i in range(k) for j in range(k))
 
 
-class TwistedVector:
-    """Finitely supported map (coset mask, monomial) -> scalar."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: TwistContext,
-                 terms: Optional[Dict[Tuple[int, Monomial], Cyc]] = None):
-        self.ctx = ctx
-        self.terms: Dict[Tuple[int, Monomial], Cyc] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Cyc.lift(c)
-                if not c.is_zero():
-                    self.terms[key] = c
-
-    @staticmethod
-    def vacuum(ctx: TwistContext, mask: int = 0) -> "TwistedVector":
-        return TwistedVector(ctx, {(mask, ()): Cyc.rational(1)})
-
-    def fock_part(self, mask: int = 0) -> FockVector:
-        v = FockVector(self.ctx.fock)
-        for (b, mono), c in self.terms.items():
-            if b == mask:
-                v.terms[mono] = c
-        return v
-
-
 # -- the row engine ----------------------------------------------------------------
 #
 # The vertex algebra is rational and X components carry integer character
@@ -102,8 +77,7 @@ class TwistedVector:
 #     ("N", a, b, alpha, beta, mask)     coefficient of z^-a w^-b in :X(alpha,z)X(beta,w):
 #
 # `_lean_row` is the one cached way to get a layer's row on a monomial, and
-# `_apply_rows` applies a layer to a `TwistedVector`, the only place where a
-# row meets `Cyc` scalars.
+# `_apply_layer` the one way to apply a layer to a row.
 
 IDict = Dict[Monomial, int]
 LeanRow = Tuple[int, Tuple[Tuple[Monomial, int], ...]]  # (denominator, entries)
@@ -115,24 +89,20 @@ def _intern_mono(tctx: TwistContext, mono: Monomial) -> Monomial:
     return tctx._mono_intern.setdefault(mono, mono)
 
 
-def _prow(tctx: TwistContext, coeffs: IntVec) -> Tuple[int, Tuple[int, ...]]:
-    """<coeffs, gamma_j>_xi as integers over a common denominator."""
+def _prow(tctx: TwistContext, coeffs: IntVec) -> Tuple[int, ...]:
+    """<coeffs, gamma_j>_xi for each j, as integers."""
     cached = tctx._prow_cache.get(coeffs)
     if cached is None:
         gram = tctx.fock.gram
         k = tctx.gamma.num_classes
-        vals = [sum(coeffs[i] * gram[i][j] for i in range(k)) for j in range(k)]
-        den = 1
-        for v in vals:
-            den = lcm(den, v.denominator)
-        cached = (den, tuple(int(v * den) for v in vals))
+        cached = tuple(sum(coeffs[i] * gram[i][j] for i in range(k)) for j in range(k))
         tctx._prow_cache[coeffs] = cached
     return cached
 
 
 def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[Monomial, int]],
                       n: int, coeffs: IntVec) -> Tuple[int, Iterable[Tuple[Monomial, int]]]:
-    pden, prow = _prow(tctx, coeffs)
+    prow = _prow(tctx, coeffs)
     out: IDict = {}
     for mono, num in vec:
         seen = None
@@ -153,7 +123,7 @@ def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[Monomial
             val = num * n * mult * prow[idx]
             mm = mono[:pos] + mono[pos + 1:]
             out[mm] = out.get(mm, 0) + val
-    return den * 2 * pden, out.items()
+    return den * 2, out.items()
 
 
 def _normalize_ivec(den: int, vec: IDict) -> Tuple[int, IDict]:
@@ -266,7 +236,7 @@ def _lean_row(tctx: TwistContext, layer: Layer, mono: Monomial) -> LeanRow:
     elif m % 2 == 0:
         den, entries = 1, ()
     else:
-        base = FockVector(tctx.fock, {mono: Cyc.rational(1)})
+        base = FockVector(tctx.fock, {mono: 1})
         vec = annihilate(base, m, layer[2]) if m > 0 else create(base, -m, layer[2])
         den, entries = _lean_from_fock(vec)
     row = (den, tuple((_intern_mono(tctx, mo), num) for mo, num in entries))
@@ -274,22 +244,11 @@ def _lean_row(tctx: TwistContext, layer: Layer, mono: Monomial) -> LeanRow:
     return row
 
 
-def _apply_rows(tctx: TwistContext, layer: Layer, v: TwistedVector) -> TwistedVector:
-    """A layer applied to v: on (b, mono) it is the cocycle sign times the
-    row on mono, moved to b + mask."""
-    mask = layer[-1]
-    out: Dict[Tuple[int, Monomial], Cyc] = {}
-    for (b, mono), c in v.terms.items():
-        sign, b2 = tctx.twist.act(mask, b)
-        den, entries = _lean_row(tctx, layer, mono)
-        for mono2, num in entries:
-            key = (b2, mono2)
-            val = c * Cyc.rational(Fraction(sign * num, den))
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-    w = TwistedVector(tctx)
-    w.terms = {key: c for key, c in out.items() if not c.is_zero()}
-    return w
+def _apply_layer(tctx: TwistContext, layer: Layer, row: LeanRow) -> LeanRow:
+    """The layer applied to a row, monomial by monomial through `_lean_row`;
+    without the lattice sign."""
+    den, entries = row
+    return _sum_rows([(num,) + _lean_row(tctx, layer, mo) for mo, num in entries], den)
 
 
 def _x_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
@@ -302,9 +261,10 @@ def _h_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
 
 
 def x_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
-                v: TwistedVector) -> TwistedVector:
-    """Coefficient of z^{-m} in X(gamma, z) applied to v."""
-    return _apply_rows(tctx, _x_layer(tctx, m, gamma_vec), v)
+                row: LeanRow) -> LeanRow:
+    """The Fock part of the coefficient of z^{-m} in X(gamma, z) applied to
+    an integer row; the lattice sign is the caller's."""
+    return _apply_layer(tctx, _x_layer(tctx, m, gamma_vec), row)
 
 
 def neg(vec: Sequence[int]) -> IntVec:
@@ -377,8 +337,7 @@ def _apply_term(tctx: TwistContext, layers: Tuple[Layer, ...], mono: Monomial) -
     cached = tctx._pair_cache.get(key)
     if cached is not None:
         return cached
-    den0, entries0 = _apply_term(tctx, layers[1:], mono)
-    result = _sum_rows([(num,) + _lean_row(tctx, layers[0], mo) for mo, num in entries0], den0)
+    result = _apply_layer(tctx, layers[0], _apply_term(tctx, layers[1:], mono))
     tctx._pair_cache[key] = result
     return result
 
@@ -531,43 +490,15 @@ def prim_commutator_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequen
 
 
 def _ratio_series(kappa: int, nterms: int) -> List[Fraction]:
-    """Power series of ((1-u)/(1+u))^kappa in u, exact, expansion in u = w/z."""
-    def poly_pow(base: List[int], e: int) -> List[Fraction]:
-        out = [Fraction(1)]
-        for _ in range(e):
-            nxt = [Fraction(0)] * min(len(out) + 1, nterms + 1)
-            for i, c in enumerate(out):
-                for j, b in enumerate(base):
-                    if i + j <= nterms:
-                        nxt[i + j] += c * b
-            out = nxt
-        return out
-
-    def series_inv(f: List[Fraction]) -> List[Fraction]:
-        # 1/f with f[0] = 1
-        out = [Fraction(1)] + [Fraction(0)] * nterms
-        for i in range(1, nterms + 1):
-            acc = Fraction(0)
-            for j in range(1, min(i, len(f) - 1) + 1):
-                acc += f[j] * out[i - j]
-            out[i] = -acc
-        return out
-
-    def mul(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * (nterms + 1)
-        for i, c in enumerate(f[:nterms + 1]):
-            if c:
-                for j, b in enumerate(g[:nterms + 1 - i]):
-                    if b:
-                        out[i + j] += c * b
-        return out
-
-    e = abs(kappa)
-    num = poly_pow([1, -1], e)
-    den = poly_pow([1, 1], e)
-    if kappa >= 0:
-        return mul(num, series_inv(den))
-    return mul(den, series_inv(num))
+    """Power series of ((1-u)/(1+u))^kappa in u = w/z, exact, through u^nterms:
+    the |kappa|-th power of (1-u)/(1+u) = 1 + sum_k 2 (-1)^k u^k, or of its
+    inverse 1 + sum_k 2 u^k when kappa < 0."""
+    s = -1 if kappa >= 0 else 1
+    base = [1] + [2 * s ** k for k in range(1, nterms + 1)]
+    out = [1] + [0] * nterms
+    for _ in range(abs(kappa)):
+        out = [sum(out[i] * base[t - i] for i in range(t + 1)) for t in range(nterms + 1)]
+    return [Fraction(c) for c in out]
 
 
 def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],

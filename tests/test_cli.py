@@ -181,3 +181,44 @@ def test_gamma_with_a_negative_degree_is_a_usage_error(tmp_path):
                  ["verify", "isometry", "--n", "2"]):
         assert_one_usage_error(*run_cli(*argv, "--gamma", f"@{path}"),
                                "degree of character 1 is not a positive integer: -1")
+
+
+# orthonormal rows with positive degrees, but no group: g1*g1 has g1 with
+# multiplicity -8/9, and the McKay-like weight 2,-1,0,0 has Gram entry 26/9
+FAKE4 = {"name": "fake4", "order": 4,
+         "classes": [{"name": f"c{c}", "size": 1, "element_order": 1 if c == 0 else 2,
+                      "inverse": c} for c in range(4)],
+         "chars": [[{"N": 1, "coeffs": [[1, 1]]}] * 4]
+         + [[{"N": 1, "coeffs": [[1, 1]]}] + [{"N": 1, "coeffs": [[-5, 3] if c == i else [1, 3]]}
+                                              for c in range(1, 4)] for i in range(1, 4)]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "--n", "2"], ["chartable", "--check", "--n", "2"],
+    ["verify", "heisenberg", "--xi", "2,-1,0,0"], ["verify", "ope", "--xi", "2,-1,0,0"],
+    ["verify", "isometry", "--xi", "2,-1,0,0"],
+])
+def test_gamma_whose_products_do_not_decompose_is_a_usage_error(tmp_path, argv):
+    path = tmp_path / "fake4.json"
+    path.write_text(json.dumps(FAKE4))
+    assert_one_usage_error(*run_cli(*argv, "--gamma", f"@{path}"),
+                           "g1*g1 is not a character: g1 occurs -8/9 times")
+
+
+BAD_CONFIG_VALUES = [
+    ({"n": "3"}, "config value 'n' must be int, got \"3\""),
+    ({"n": True}, "config value 'n' must be int, got true"),
+    ({"gamma": 5}, "config value 'gamma' must be str, got 5"),
+    ({"xi": [1, 0]}, "config value 'xi' must be str, got [1, 0]"),
+    ({"format": "xml"}, "config value 'format' must be one of json, csv, pretty, got \"xml\""),
+]
+
+
+# chartable has no --xi, so it never reads a config xi
+@pytest.mark.parametrize("argv,config,expect", [
+    (argv, config, expect) for argv in (["chartable"], ["verify", "heisenberg"])
+    for config, expect in BAD_CONFIG_VALUES if not (argv == ["chartable"] and "xi" in config)])
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, argv, config, expect):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert_one_usage_error(*run_cli(*argv, "--config", str(cfg)), expect)

@@ -72,3 +72,28 @@ def test_negative_sizes_raise(key, data, from_config):
             merged({}, {key: value})
         else:
             merged({key: value}, None)
+
+
+# JSON values of another type than the flag's: sizes are int and not bool;
+# gamma, xi and format are str, and format is one of the flag's choices
+NOT_INT = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                    st.floats(allow_nan=False), st.lists(st.integers(), max_size=2))
+NOT_STR = st.one_of(st.booleans(), st.none(), st.integers(), st.lists(st.integers(), max_size=2))
+WRONG = {
+    "n": NOT_INT,
+    "degree": NOT_INT,
+    "window": NOT_INT,
+    "format": st.one_of(NOT_STR, st.text(max_size=5).filter(
+        lambda s: s not in ("json", "csv", "pretty"))),
+    "gamma": NOT_STR,
+    "xi": NOT_STR,
+}
+assert set(WRONG) == set(_DEFAULTS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(sorted(WRONG)), data=st.data())
+def test_wrong_type_from_config_raises(key, data):
+    value = data.draw(WRONG[key])
+    with pytest.raises(ConfigError, match=f"config value '{key}' must be"):
+        merged({}, {key: value})

@@ -1,10 +1,11 @@
 import json
 
+from fractions import Fraction
+
 import pytest
 
 from spinwreath.gammadata import (GammaValidationError, VirtualChar, builtin,
-                                  cartan_matrix, gram_matrix, load_gamma,
-                                  mckay_xi, weighted_form)
+                                  gram_matrix, load_gamma, mckay_xi, weighted_form)
 from spinwreath.scalars import Cyc, CycError
 
 BUILTINS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:6", "klein4", "quaternion8"]
@@ -95,6 +96,29 @@ def test_load_rejects_non_positive_degree():
         load_gamma(json.dumps(doc))
 
 
+def fake_order4_doc():
+    """Four self-inverse classes of size 1 and orthonormal rows with degree 1,
+    but no group: g1*g1 has g1 with multiplicity -8/9."""
+    rows = [[1, 1, 1, 1]] + [[1] + [Fraction(-5, 3) if c == i else Fraction(1, 3)
+                                     for c in range(1, 4)] for i in range(1, 4)]
+    return {"name": "fake4", "order": 4,
+            "classes": [{"name": f"c{c}", "size": 1, "element_order": 1 if c == 0 else 2,
+                         "inverse": c} for c in range(4)],
+            "chars": [[{"N": 1, "coeffs": [[Fraction(v).numerator, Fraction(v).denominator]]}
+                       for v in row] for row in rows]}
+
+
+def test_load_rejects_products_that_do_not_decompose():
+    with pytest.raises(GammaValidationError, match=r"g1\*g1 is not a character: g1 occurs -8/9"):
+        load_gamma(json.dumps(fake_order4_doc()))
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["cyclic:4", "cyclic:5", "cyclic:8", "klein4"])
+def test_builtin_tables_pass_the_product_check(name):
+    g, _ = builtin(name)
+    g.require_products_decompose()
+
+
 def test_load_rejects_garbage():
     with pytest.raises(GammaValidationError):
         load_gamma(b"not json at all {")
@@ -128,10 +152,10 @@ def test_weighted_form_zero_xi():
 
 def test_cartan_matrices():
     g2, _ = builtin("cyclic:2")
-    assert cartan_matrix(g2, mckay_xi(g2)) == [[2, -2], [-2, 2]]
+    assert gram_matrix(g2, mckay_xi(g2)) == [[2, -2], [-2, 2]]
     for k in range(3, 7):
         g, _ = builtin(f"cyclic:{k}")
-        a = cartan_matrix(g, mckay_xi(g))
+        a = gram_matrix(g, mckay_xi(g))
         for i in range(k):
             assert a[i][i] == 2
             for j in range(k):
@@ -139,7 +163,7 @@ def test_cartan_matrices():
                     expect = -1 if (i - j) % k in (1, k - 1) else 0
                     assert a[i][j] == expect
     q8, _ = builtin("quaternion8")
-    a = cartan_matrix(q8, mckay_xi(q8))
+    a = gram_matrix(q8, mckay_xi(q8))
     assert a == [[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1],
                  [0, 0, 0, 2, -1], [-1, -1, -1, -1, 2]]
 
@@ -147,20 +171,22 @@ def test_cartan_matrices():
 def test_cartan_null_vector_is_degrees():
     for name in ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "quaternion8"):
         g, _ = builtin(name)
-        a = cartan_matrix(g, mckay_xi(g))
+        a = gram_matrix(g, mckay_xi(g))
         degs = [g.degree(i) for i in range(g.num_classes)]
         for row in a:
             assert sum(x * d for x, d in zip(row, degs)) == 0
 
 
 def test_gram_is_rational_and_integral():
-    # any integer virtual weight yields an integer Gram matrix
+    # any integer virtual weight yields an integer Gram matrix, returned as ints
     for name in BUILTINS:
         g, _ = builtin(name)
         xi = VirtualChar([2] + [-1] * g.r)
         gm = gram_matrix(g, xi)
-        assert all(q.denominator == 1 for row in gm for q in row)
-        assert cartan_matrix(g, xi) == [[q.numerator for q in row] for row in gm]
+        assert all(type(a) is int for row in gm for a in row)
+        assert gm == [[weighted_form(g, xi, [int(t == i) for t in range(g.num_classes)],
+                                     [int(t == j) for t in range(g.num_classes)])
+                       for j in range(g.num_classes)] for i in range(g.num_classes)]
 
 
 def test_mckay_xi():

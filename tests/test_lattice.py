@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
+from spinwreath.gammadata import VirtualChar, builtin, gram_matrix, mckay_xi
 from spinwreath.lattice import LatticeTwist, gf2_rank
 
 
 def twist(name, xi=None):
     g, _ = builtin(name)
-    return LatticeTwist(g, xi if xi is not None else VirtualChar.trivial(g))
+    return LatticeTwist(gram_matrix(g, xi if xi is not None else VirtualChar.trivial(g)))
 
 
 def test_gf2_helpers():
@@ -49,7 +49,7 @@ def test_rank_and_coset_counts():
     for name in ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
                  "quaternion8"):
         g, _ = builtin(name)
-        lt = LatticeTwist(g, mckay_xi(g))
+        lt = LatticeTwist(gram_matrix(g, mckay_xi(g)))
         assert lt.r0 % 2 == 0  # c1 is alternating
 
 
@@ -72,7 +72,7 @@ def test_epsilon_masks_bi_additive(name):
     if name != "trivial" and name != "klein4":
         weights.append(mckay_xi(g))
     for xi in weights:
-        lt = LatticeTwist(g, xi)
+        lt = LatticeTwist(gram_matrix(g, xi))
         size = 1 << lt.dim
         _assert_bi_additive(lt, ((a, b, c) for a in range(size) for b in range(size)
                                  for c in range(size)))
@@ -82,7 +82,7 @@ def test_epsilon_masks_bi_additive_sampled_cyclic8():
     g, _ = builtin("cyclic:8")
     rng = random.Random(13)
     for xi in (VirtualChar.trivial(g), mckay_xi(g)):
-        lt = LatticeTwist(g, xi)
+        lt = LatticeTwist(gram_matrix(g, xi))
         size = 1 << lt.dim
         _assert_bi_additive(lt, [(rng.randrange(size), rng.randrange(size),
                                   rng.randrange(size)) for _ in range(3000)])

@@ -64,9 +64,7 @@ def test_raising_rejects_non_strict():
 def test_x_lambda_examples():
     g, t = setup("trivial")
     lam = MultiPartition([(1,)])
-    v = x_lambda_vector(t, lam)
-    assert {b for b, _ in v.terms} == {0}
-    fk = v.fock_part(0)
+    fk = x_lambda_vector(t, lam)
     assert fk == create(FockVector.vacuum(t.fock), 1, [1]).scale(2)
     assert inner(fk, fk) == 2  # norm 2^l
 
@@ -75,11 +73,23 @@ def test_x_lambda_orthogonality_trivial():
     g, t = setup("trivial")
     for n in range(5):
         lams = list(multipartitions(n, 1, "SP"))
-        vecs = {lam: x_lambda_vector(t, lam).fock_part(0) for lam in lams}
+        vecs = {lam: x_lambda_vector(t, lam) for lam in lams}
         for a in lams:
             for b in lams:
                 val = inner(vecs[a], vecs[b])
                 assert val == (2 ** a.length if a == b else 0), (a, b)
+
+
+def test_x_lambda_vector_reads_the_cocycle_sign_chain(monkeypatch):
+    # in table order every step is epsilon(gamma_i, b) with b free of bits
+    # below i, which is +1; a cocycle that signs every step -1 shows the chain
+    # is taken, once per component
+    g, t = setup("cyclic:2")
+    lam = MultiPartition([(2, 1), (1,)])
+    expect = x_lambda_vector(t, lam)
+    assert not expect.is_zero()
+    monkeypatch.setattr(t.twist, "act", lambda mask, b: (-1, mask ^ b))
+    assert x_lambda_vector(t, lam) == expect.scale(-1)  # three components
 
 
 def test_dual_paths_agree():
@@ -87,9 +97,8 @@ def test_dual_paths_agree():
         g, t = setup(name)
         for n in range(nmax + 1):
             for lam in multipartitions(n, g.num_classes, "SP"):
-                xv = x_lambda_vector(t, lam)
-                assert {b for b, _ in xv.terms} <= {0}
-                assert xv.fock_part(0) == raising_expand(t.fock, lam), (name, lam)
+                # the sign chain of e^(-[lambda]) included: a wrong sign shows here
+                assert x_lambda_vector(t, lam) == raising_expand(t.fock, lam), (name, lam)
 
 
 def test_char_values_trivial():

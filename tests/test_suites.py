@@ -28,7 +28,10 @@ def test_heisenberg_passes_at_standard_and_mckay_weight():
 def test_heisenberg_fails_on_a_perturbed_gram_entry():
     g, _ = builtin("cyclic:3")
     tctx = TwistContext(g, VirtualChar.trivial(g))
-    tctx.twist.gram[1][2] += 1  # the expected bracket; the H rows keep the true form
+    # the expected bracket reads twist.gram, which is fock.gram, the H rows'
+    # form: perturb a copy bound to the bracket side only
+    tctx.twist.gram = [list(row) for row in tctx.twist.gram]
+    tctx.twist.gram[1][2] += 1
     docs = heisenberg_docs(tctx, 2, 1)
     assert len(docs) == 1
     doc = docs[0]

@@ -16,6 +16,10 @@ follows names and attributes through the bodies of what it reaches:
 A top-level function, class or non-dunder method that the walk does not
 reach fails the test, unless its docstring says "Test oracle": a reference
 implementation that only tests run against the code under test.
+
+A second check pins where `Cyc` may appear: the twisted space's operators
+(`vertex`) and the cocycle (`lattice`) are integer-valued and import nothing
+from `scalars`.
 """
 
 import ast
@@ -164,3 +168,23 @@ def test_the_walk_sees_an_unreached_definition(tmp_path):
     assert surface.unreached() == ["util.Box.dropped", "util.Other", "util.Other.make",
                                    "util.unused"]
     assert surface.oracles() == ["util.reference"]
+
+
+def _imported_modules(path):
+    """The modules a file imports from, relative ones as `.name`."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_the_twisted_space_imports_nothing_from_scalars():
+    for name in ("vertex.py", "lattice.py"):
+        imported = _imported_modules(os.path.join(PACKAGE, name))
+        assert imported, name
+        assert not {m for m in imported if m.rsplit(".", 1)[-1] == "scalars"}, name

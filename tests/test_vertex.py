@@ -1,15 +1,17 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from spinwreath.fock import FockVector, annihilate, mono_degree, q_gen
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
-from spinwreath.scalars import Cyc
-from spinwreath.vertex import (TwistContext, TwistedVector, affine_relation_check,
-                               clifford_check, neg, ope_check, prim_commutator_check,
-                               x_component, x_parity_check)
+from spinwreath.vertex import (TwistContext, affine_relation_check, clifford_check, neg,
+                               ope_check, prim_commutator_check, x_component,
+                               x_parity_check)
 import spinwreath.vertex as vx
+
+VACUUM_ROW = (1, (((), 1),))
 
 
 def tctx_for(name, xi=None):
@@ -17,62 +19,69 @@ def tctx_for(name, xi=None):
     return TwistContext(g, xi if xi is not None else VirtualChar.trivial(g))
 
 
-def max_degree(v):
-    return max((mono_degree(mo) for _, mo in v.terms), default=0)
+def max_degree(monos):
+    return max((mono_degree(mo) for mo in monos), default=0)
+
+
+# -- an explicit-coset reference: vectors are dicts (coset mask, monomial) ->
+# Fraction, and a layer acts on every coset through its row and the cocycle
+
+
+def vacuum(mask=0):
+    return {(mask, ()): Fraction(1)}
 
 
 def apply_word(t, layers, v):
-    """The word of layers (rightmost first) applied to v through `_apply_rows`."""
+    """The word of layers (rightmost first) applied to v: a layer maps
+    (b, mono) to its row on mono (`_lean_row`), moved to b + mask and signed
+    by `LatticeTwist.act`."""
     for layer in reversed(layers):
-        v = vx._apply_rows(t, layer, v)
+        out = {}
+        for (b, mono), c in v.items():
+            sign, b2 = t.twist.act(layer[-1], b)
+            den, entries = vx._lean_row(t, layer, mono)
+            for mo, num in entries:
+                out[(b2, mo)] = out.get((b2, mo), 0) + c * Fraction(sign * num, den)
+        v = {key: c for key, c in out.items() if c}
     return v
 
 
 def terms_on(t, terms, v):
-    """sum coef * word(v) over the (coef, word) terms, on `Cyc` vectors; the
-    nonzero entries."""
+    """sum coef * word(v) over the (coef, word) terms; the nonzero entries."""
     out = {}
     for coef, layers in terms:
-        for key, c in apply_word(t, layers, v).terms.items():
+        for key, c in apply_word(t, layers, v).items():
             out[key] = out.get(key, 0) + c * coef
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return {key: c for key, c in out.items() if c}
 
 
 def test_x_kills_vacuum_positive_components():
     t = tctx_for("trivial")
-    vac = TwistedVector.vacuum(t)
     for n in (1, 2, 3):
-        assert not x_component(t, n, (1,), vac).terms
+        assert x_component(t, n, (1,), VACUUM_ROW) == (1, ())
 
 
 def test_x0_translates_with_cocycle_sign():
     t = tctx_for("cyclic:2")
     for mask in range(4):
-        vac = TwistedVector.vacuum(t, mask)
-        out = x_component(t, 0, (0, 1), vac)
-        sign = t.twist.epsilon_masks(2, mask)
-        assert out.terms == {(mask ^ 2, ()): out.terms[(mask ^ 2, ())]}
-        assert out.terms[(mask ^ 2, ())] == sign
+        out = apply_word(t, [vx._x_layer(t, 0, (0, 1))], vacuum(mask))
+        assert out == {(mask ^ 2, ()): t.twist.epsilon_masks(2, mask)}
 
 
 def test_x_minus1_is_q1():
     t = tctx_for("trivial")
-    vac = TwistedVector.vacuum(t)
-    out = x_component(t, -1, (1,), vac)
-    assert list(out.terms) == [(1, ((1, 0),))]
-    assert out.terms[(1, ((1, 0),))] == 2
+    assert x_component(t, -1, (1,), VACUUM_ROW) == (1, ((((1, 0),), 2),))
 
 
 def test_x_degree_shift():
     t = tctx_for("cyclic:2")
-    rng = random.Random(1)
-    vac = TwistedVector.vacuum(t)
-    v = x_component(t, -3, (1, 0), x_component(t, -2, (0, 1), vac))
-    d = max_degree(v)
+    v = x_component(t, -3, (1, 0), x_component(t, -2, (0, 1), VACUUM_ROW))
+    d = max_degree(mo for mo, _ in v[1])
+    assert d == 5
     for m in (-2, -1, 0, 1, 2):
-        out = x_component(t, m, (1, 1), v)
-        if out.terms:
-            assert max_degree(out) == d - m
+        _, out = x_component(t, m, (1, 1), v)
+        if out:
+            assert max_degree(mo for mo, _ in out) == d - m
 
 
 def test_x_parity():
@@ -97,9 +106,9 @@ def test_prim_commutator():
 
 
 def test_clifford_vacuum_instances():
-    # the anticommutators on the vacuum, on Cyc vectors through `_apply_rows`
+    # the anticommutators on the vacuum, on every coset through `apply_word`
     t = tctx_for("trivial")
-    vac = TwistedVector.vacuum(t)
+    vac = vacuum()
     one = (1,)
     for (m, a), (mp, b), central in (((0, one), (0, neg(one)), 2), ((1, one), (-1, one), -2)):
         xa, xb = vx._x_layer(t, m, a), vx._x_layer(t, mp, b)
@@ -128,7 +137,10 @@ def test_ope():
 
 
 def _bump_gram(t):
-    t.twist.gram[0][1] += 1  # the expected pairing; the rows keep the true form
+    # the expected pairing reads twist.gram, which is fock.gram, the rows'
+    # form: perturb a copy bound to the pairing side only
+    t.twist.gram = [list(row) for row in t.twist.gram]
+    t.twist.gram[0][1] += 1
 
 
 def _poison_x0_on_vacuum(t):
@@ -155,7 +167,7 @@ def test_folded_families_fail_with_a_coset_zero_witness(relation, perturb, check
 def test_xx_bracket_instances():
     g2, _ = builtin("cyclic:2")
     t = TwistContext(g2, mckay_xi(g2))
-    vac = TwistedVector.vacuum(t)
+    vac = vacuum()
     g1 = t.basis_vector(1)
     xb = vx._x_layer(t, -1, neg(g1))
     # central term: [x_1, x_{-1}(-a)] = 4 on the vacuum (n = 1)
@@ -183,9 +195,10 @@ def test_affine_families_small():
 
 def test_h_even_is_zero():
     t = tctx_for("cyclic:2")
-    v = x_component(t, -2, (1, 0), TwistedVector.vacuum(t))
+    v = apply_word(t, [vx._x_layer(t, -2, (1, 0))], vacuum())
+    assert v
     for m in (-2, 0, 2):
-        assert not vx._apply_rows(t, vx._h_layer(t, m, (1, 0)), v).terms
+        assert not apply_word(t, [vx._h_layer(t, m, (1, 0))], v)
 
 
 def test_checker_catches_wrong_relation():
@@ -210,7 +223,9 @@ def test_checker_catches_wrong_relation():
 def test_words_factor_through_coset_zero(name, weight):
     # a word whose layer masks add up to `shift` maps (b, mono) to
     # epsilon(shift, b) times its image of (0, mono), moved to b + shift;
-    # X, H and N layers alike, which is what `_term_sign` relies on
+    # X, H and N layers alike, which is what `_term_sign` relies on.  The
+    # image of (0, mono) is the coset-0 reduction: the composed row
+    # (`_apply_term`) times the sign chain (`_term_sign`).
     g, _ = builtin(name)
     t = TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
     k = g.num_classes
@@ -236,18 +251,21 @@ def test_words_factor_through_coset_zero(name, weight):
                          vx.vec_to_mask(alpha) ^ vx.vec_to_mask(beta))
             word.append(layer)
             shift ^= layer[-1]
+        term_shift, chain = vx._term_sign(t, tuple(word))
+        assert term_shift == shift
         for mono in monos:
-            images = [apply_word(t, word, TwistedVector(t, {(b, mono): Cyc.rational(1)}))
+            images = [apply_word(t, word, {(b, mono): Fraction(1)})
                       for b in range(1 << t.twist.dim)]
-            base = images[0].terms
-            assert all(coset == shift for coset, _ in base)
+            den, entries = vx._apply_term(t, tuple(word), mono)
+            base = images[0]
+            assert base == {(shift, mo): Fraction(chain * num, den) for mo, num in entries}
             nonzero += bool(base)
             if base:
                 kinds.update(layer[0] for layer in word)
             for b, image in enumerate(images):
                 sign = t.twist.epsilon_masks(shift, b)
-                assert image.terms == {(b ^ shift, mo): c * sign
-                                       for (_, mo), c in base.items()}, (b, mono)
+                assert image == {(b ^ shift, mo): c * sign
+                                 for (_, mo), c in base.items()}, (b, mono)
     assert nonzero >= 20  # the check is not vacuous
     assert kinds == {"X", "H", "N"}
 
@@ -337,7 +355,46 @@ def test_normal_ordered_rows_match_the_reference_formula():
 
 def test_normal_ordered_component_degree():
     t = tctx_for("trivial")
-    vac = TwistedVector.vacuum(t)
-    out = vx._apply_rows(t, ("N", -1, -1, (1,), (1,), 0), vac)
-    assert out.terms
-    assert max_degree(out) == 2
+    out = apply_word(t, [("N", -1, -1, (1,), (1,), 0)], vacuum())
+    assert out
+    assert max_degree(mo for _, mo in out) == 2
+
+
+def test_one_context_computes_the_gram_matrix_once(monkeypatch):
+    # the Fock form and the cocycle share one integer matrix
+    import spinwreath
+    from spinwreath import gammadata
+
+    original = gammadata.gram_matrix
+    calls = []
+
+    def counting(gamma, xi):
+        calls.append(gamma.name)
+        return original(gamma, xi)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith(spinwreath.__name__):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    g, _ = builtin("cyclic:3")
+    t = TwistContext(g, mckay_xi(g))
+    assert calls == ["cyclic3"]
+    assert t.twist.gram is t.fock.gram
+    assert all(type(a) is int for row in t.fock.gram for a in row)
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_ratio_series_of_kappa_one(kappa):
+    # (1-u)/(1+u) = 1 - 2u + 2u^2 - ...; its inverse has every sign +
+    sign = -1 if kappa == 1 else 1
+    assert vx._ratio_series(kappa, 5) == [1] + [2 * sign ** k for k in range(1, 6)]
+
+
+def test_ratio_series_of_kappa_and_minus_kappa_multiply_to_one():
+    nterms = 9
+    for kappa in range(7):
+        f, g = vx._ratio_series(kappa, nterms), vx._ratio_series(-kappa, nterms)
+        product = [sum(f[i] * g[t - i] for i in range(t + 1)) for t in range(nterms + 1)]
+        assert product == [1] + [0] * nterms, kappa
