@@ -11,13 +11,14 @@ ch sends sigma_n(c) to a_{-n}(c^{-1}) (bar relabel on non-real classes).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .fock import CoeffLike, FockContext, FockVector, a_prime_vector
 from .gammadata import GammaData, VirtualChar
 from .partitions import MultiPartition, big_z, multipartitions
-from .scalars import Cyc
+from .scalars import Cyc, weighted_dot
 
 
 class SpinClassFun:
@@ -57,32 +58,50 @@ class SpinClassFun:
         return f"SpinClassFun(n={self.n}, {self.values!r})"
 
 
+@lru_cache(maxsize=None)
+def _dual(gamma: GammaData, rho: MultiPartition) -> Tuple[MultiPartition, Fraction, Tuple]:
+    """rho_bar, 1/(2^l(rho) Z_rho) and the pairs (c, l(rho(c))) with
+    l(rho(c)) > 0: all depend only on (Gamma, rho)."""
+    perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
+    norm = 2 ** rho.length * big_z(rho, gamma.centralizer_orders)
+    lengths = tuple((ci, len(part)) for ci, part in enumerate(rho.parts) if part)
+    return rho.relabel(perm), Fraction(1, norm), lengths
+
+
 def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Cyc:
-    """sum_rho (2^l(rho) Z_rho)^{-1} f(rho) g(rho_bar) prod_c xi(c)^l(rho(c))."""
+    """sum_rho (2^l(rho) Z_rho)^{-1} f(rho) g(rho_bar) prod_c xi(c)^l(rho(c)).
+
+    rho_bar and 1/(2^l(rho) Z_rho) are computed once per Gamma (`_dual`);
+    xi is evaluated once per call at each class that occurs.  A rational
+    xi weight joins the rational factor of the term, an irrational one
+    multiplies f(rho), and `scalars.weighted_dot` sums the terms exactly on
+    one common denominator, reducing mod Phi_N once.
+    """
     if f.n != g.n:
         raise ValueError("degree mismatch")
     gamma = f.gamma
-    zetas = gamma.centralizer_orders
-    perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
-    xivals: Dict[int, Cyc] = {}  # xi(c), computed once per class that occurs
-    total = Cyc.rational(0)
+    gvalues = g.values
+    xivals: Dict[int, Union[Fraction, Cyc]] = {}  # xi(c), rational where it is
+    terms = []
     for rho, fval in f.values.items():
-        gval = g.value(rho.relabel(perm))
-        if gval.is_zero():
+        bar, w, lengths = _dual(gamma, rho)
+        gval = gvalues.get(bar)
+        if gval is None:
             continue
-        weight = Cyc.rational(1)
-        for ci, part in enumerate(rho.parts):
-            if part:
-                xival = xivals.get(ci)
-                if xival is None:
-                    xival = xivals[ci] = xi.value_at(gamma, ci)
-                for _ in part:
-                    weight = weight * xival
-        if weight.is_zero():
-            continue
-        denom = Fraction(2 ** rho.length * big_z(rho, zetas))
-        total = total + fval * gval * weight / denom
-    return total
+        for ci, length in lengths:
+            v = xivals.get(ci)
+            if v is None:
+                c = xi.value_at(gamma, ci)
+                q = c.as_rational()
+                v = xivals[ci] = c if q is None else q
+            if isinstance(v, Cyc):
+                for _ in range(length):
+                    fval = fval * v
+            elif v != 1:
+                w = w * v ** length
+        if w:
+            terms.append((w, fval, gval))
+    return weighted_dot(terms)
 
 
 def basic_char(gamma: GammaData, n: int, coeffs: Sequence[CoeffLike]) -> SpinClassFun:

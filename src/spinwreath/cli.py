@@ -14,20 +14,17 @@ and nothing else.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks cli.create
-from .gammadata import (ConcreteGroup, GammaData, GammaValidationError,
-                        VirtualChar, builtin, gram_matrix, load_gamma, mckay_xi)
-from .qtable import TableCheckError, build_table
-from .scalars import Cyc
+from .gammadata import (ConcreteGroup, GammaData, GammaValidationError, VirtualChar,
+                        builtin, gram_matrix, identify_affine_type, load_gamma, mckay_xi)
+from .qtable import TableCheckError, build_table, table_csv
 from .spingroup import theory_classes
 from .suites import SUITES, ConfigError, oracle_class_report
 
@@ -127,18 +124,6 @@ def cmd_classes(args) -> int:
 # -- chartable -------------------------------------------------------------------
 
 
-def _chartable_csv(doc: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, quoting=csv.QUOTE_ALL)
-    cols = [json.dumps(c, separators=(",", ":")) for c in doc["columns"]]
-    w.writerow(["lambda", "type", "degree"] + cols)
-    for row in doc["rows"]:
-        rendered = [Cyc.from_doc(v).pretty() for v in row["values"]]
-        w.writerow([json.dumps(row["lambda"], separators=(",", ":")),
-                    row["type"], row["degree"]] + rendered)
-    return buf.getvalue()
-
-
 def cmd_chartable(args) -> int:
     gamma, _ = _resolve_gamma(args.gamma)
     try:
@@ -147,36 +132,11 @@ def cmd_chartable(args) -> int:
         _emit({"gamma": gamma.name, "n": args.n, "status": "check_failed",
                "witness": str(exc)}, "json", args.out)
         return EXIT_VERIFY
-    _emit(table.to_doc(), args.format, args.out, csv_render=_chartable_csv)
+    _emit(table.to_doc(), args.format, args.out, csv_render=table_csv)
     return EXIT_OK
 
 
 # -- mckay -----------------------------------------------------------------------
-
-
-def identify_affine_type(cartan: List[List[int]]) -> Optional[str]:
-    """Match a weighted Cartan matrix against the stored affine Dynkin shapes."""
-    k = len(cartan)
-    if any(cartan[i][i] != 2 for i in range(k)):
-        return None
-    if k == 2 and cartan[0][1] == cartan[1][0] == -2:
-        return "A1~"
-    if any(cartan[i][j] != cartan[j][i] or cartan[i][j] not in (0, -1)
-           for i in range(k) for j in range(i)):
-        return None
-    nbrs = [[j for j in range(k) if j != i and cartan[i][j]] for i in range(k)]
-    degree = sorted(len(ns) for ns in nbrs)
-    if k == 5 and degree == [1, 1, 1, 1, 4]:
-        return "D4~"
-    if k >= 3 and degree == [2] * k:
-        # walk the cycle through node 0; it must visit all k nodes
-        prev, cur, length = 0, nbrs[0][0], 1
-        while cur != 0:
-            prev, cur = cur, next(t for t in nbrs[cur] if t != prev)
-            length += 1
-        if length == k:
-            return f"A{k - 1}~"
-    return None
 
 
 def cmd_mckay(args) -> int:
@@ -269,6 +229,12 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        # one file may serve several commands, so every known key is accepted
+        unknown = sorted(set(cfg) - set(_DEFAULTS))
+        if unknown:
+            raise ConfigError(f"unknown config key{'s' * (len(unknown) > 1)} "
+                              f"{', '.join(map(repr, unknown))}; "
+                              f"known keys: {', '.join(sorted(_DEFAULTS))}")
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             value = cfg.get(key, default)

@@ -87,10 +87,8 @@ class GammaData:
         """Value at class ci of the virtual character sum_i coeffs[i]*gamma_i."""
         total = Cyc.rational(0)
         for i, s in enumerate(coeffs):
-            s = Cyc.lift(s)
-            if s.is_zero():
-                continue
-            total = total + s * self.chars[i][ci]
+            if s:
+                total = total + self.chars[i][ci] * s
         return total
 
     def degree(self, i: int) -> int:
@@ -413,6 +411,31 @@ def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
             row.append(q.numerator)
         out.append(row)
     return out
+
+
+def identify_affine_type(cartan: List[List[int]]) -> Optional[str]:
+    """Match a weighted Cartan matrix against the stored affine Dynkin shapes."""
+    k = len(cartan)
+    if any(cartan[i][i] != 2 for i in range(k)):
+        return None
+    if k == 2 and cartan[0][1] == cartan[1][0] == -2:
+        return "A1~"
+    if any(cartan[i][j] != cartan[j][i] or cartan[i][j] not in (0, -1)
+           for i in range(k) for j in range(i)):
+        return None
+    nbrs = [[j for j in range(k) if j != i and cartan[i][j]] for i in range(k)]
+    degree = sorted(len(ns) for ns in nbrs)
+    if k == 5 and degree == [1, 1, 1, 1, 4]:
+        return "D4~"
+    if k >= 3 and degree == [2] * k:
+        # walk the cycle through node 0; it must visit all k nodes
+        prev, cur, length = 0, nbrs[0][0], 1
+        while cur != 0:
+            prev, cur = cur, next(t for t in nbrs[cur] if t != prev)
+            length += 1
+        if length == k:
+            return f"A{k - 1}~"
+    return None
 
 
 def mckay_xi(gamma: GammaData, pi_index: Optional[int] = None) -> VirtualChar:

@@ -14,6 +14,9 @@ floor (the n = 1 norm and the basic-module dimension force that reading).
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -210,6 +213,20 @@ class CharTable:
         }
 
 
+def table_csv(doc: dict) -> str:
+    """The CSV rendering of a `CharTable.to_doc` document: one quoted row per
+    character, exact values as `Cyc.pretty` prints them."""
+    buf = io.StringIO()
+    w = csv.writer(buf, quoting=csv.QUOTE_ALL)
+    cols = [json.dumps(c, separators=(",", ":")) for c in doc["columns"]]
+    w.writerow(["lambda", "type", "degree"] + cols)
+    for row in doc["rows"]:
+        rendered = [Cyc.from_doc(v).pretty() for v in row["values"]]
+        w.writerow([json.dumps(row["lambda"], separators=(",", ":")),
+                    row["type"], row["degree"]] + rendered)
+    return buf.getvalue()
+
+
 class TableCheckError(AssertionError):
     """A verification pass over a character table failed."""
 
@@ -267,7 +284,12 @@ def verify_realization(tctx: TwistContext, lam: MultiPartition, x_vec: FockVecto
 
 def verify_table(table: CharTable) -> None:
     """Row orthogonality with the type norms, degree formula, squareness,
-    and the unitriangular integral transition of the raising expansion."""
+    and the unitriangular integral transition of the raising expansion.
+
+    Each pair of rows is one `classfun.weighted_inner` call at the standard
+    weight: an exact integer sum over one common denominator, with rho_bar
+    and 2^l(rho) Z_rho taken from a per-Gamma cache, so no change to a norm
+    or a zero is too small to see."""
     gamma = table.gamma
     n = table.n
     if len(table.rows) != len(table.columns):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Cyc", int, Fraction]
@@ -309,3 +309,45 @@ class Cyc:
         import json
 
         return json.dumps(self.to_doc(), separators=(",", ":"))
+
+
+def _numerators(x: Cyc) -> Tuple[Tuple[int, ...], int]:
+    # x's power-basis coefficients as integers over one denominator
+    coeffs = x.coeffs
+    if len(coeffs) == 1:
+        return (coeffs[0].numerator,), coeffs[0].denominator
+    den = lcm(*[c.denominator for c in coeffs])
+    return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
+
+
+def weighted_dot(terms: Iterable[Tuple[RationalLike, Cyc, Cyc]]) -> Cyc:
+    """sum w*x*y over the terms (w rational, x and y Cyc), in one exact pass.
+
+    Each x and y is read as an integer numerator polynomial over its own
+    denominator, zeta_k standing for z^(N/k) at N the lcm of every operand's
+    order.  Each product goes unreduced onto the common denominator D of all
+    terms, exponents taken mod N (z^N = 1); the sum is reduced mod Phi_N and
+    divided by D once.  The empty sum is Cyc.rational(0).
+    """
+    prods = []
+    order = 1
+    for w, x, y in terms:
+        nx, dx = _numerators(x)
+        ny, dy = _numerators(y)
+        prods.append((w.numerator, w.denominator * dx * dy, x.order, nx, y.order, ny))
+        if x.order != order or y.order != order:
+            order = lcm(order, x.order, y.order)
+    if not prods:
+        return Cyc.rational(0)
+    den = lcm(*[p[1] for p in prods])
+    acc = [0] * order
+    for num, d, ox, nx, oy, ny in prods:
+        num *= den // d
+        sx, sy = order // ox, order // oy
+        for i, a in enumerate(nx):
+            if a:
+                a *= num
+                for j, b in enumerate(ny):
+                    if b:
+                        acc[(i * sx + j * sy) % order] += a * b
+    return Cyc._reduce(order, acc) / den

@@ -9,7 +9,7 @@ from spinwreath.fock import (FockContext, FockVector, coproduct, create, inner, 
                              tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
-from spinwreath.scalars import Cyc
+from spinwreath.scalars import Cyc, euler_phi
 
 
 def setup(name, xi=None):
@@ -151,3 +151,85 @@ def test_hopf_adjointness_random():
         lhs = weighted_inner(induction_product(f, gg), h, xi)
         rhs = tensor_inner(ctx, coproduct(ch(ctx, h)), ch(ctx, f), ch(ctx, gg))
         assert lhs == rhs
+
+
+# -- weighted_inner against the per-term Cyc loop it replaced ---------------------
+
+
+def reference_weighted_inner(f, g, xi):
+    """The form term by term in Cyc arithmetic, relabelling rho and taking
+    big_z for every term."""
+    gamma = f.gamma
+    zetas = gamma.centralizer_orders
+    perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
+    total = Cyc.rational(0)
+    for rho, fval in f.values.items():
+        gval = g.value(rho.relabel(perm))
+        if gval.is_zero():
+            continue
+        weight = Cyc.rational(1)
+        for ci, part in enumerate(rho.parts):
+            for _ in part:
+                weight = weight * xi.value_at(gamma, ci)
+        if weight.is_zero():
+            continue
+        denom = Fraction(2 ** rho.length * big_z(rho, zetas))
+        total = total + fval * gval * weight / denom
+    return total
+
+
+def random_value(rng, order):
+    """A nonzero rational (order 1) or a random element of Q(zeta_order),
+    with coefficients that have denominators."""
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 9]))
+
+    if order > 1 and rng.random() < 0.5:
+        return Cyc(order, [q() for _ in range(euler_phi(order))])
+    return Cyc.rational(q() or 1)
+
+
+def random_pair(rng, g, n, support):
+    """Two degree-n functions: each with one value ("sparse"), on every class
+    ("dense"), or with supports that no rho_bar links ("disjoint")."""
+    rhos = list(multipartitions(n, g.num_classes, "OP"))
+    order = g.exponent
+
+    def fun(keys):
+        return SpinClassFun(g, n, {rho: random_value(rng, order) for rho in keys})
+
+    if support == "sparse":
+        return fun([rng.choice(rhos)]), fun([rng.choice(rhos)])
+    if support == "dense":
+        return fun(rhos), fun(rhos)
+    perm = [g.dual_class(i) for i in range(g.num_classes)]
+    left = rng.sample(rhos, max(1, len(rhos) // 2))
+    linked = {rho.relabel(perm) for rho in left}
+    return fun(left), fun([rho for rho in rhos if rho not in linked])
+
+
+XIS = [("trivial", "standard"), ("cyclic:3", "standard"), ("cyclic:3", "mckay"),
+       ("cyclic:5", "standard"), ("cyclic:5", "0,1,0,0,1"), ("klein4", "standard"),
+       ("quaternion8", "standard")]
+
+
+@pytest.mark.parametrize("support", ["sparse", "dense", "disjoint"])
+@pytest.mark.parametrize("name,xi_spec", XIS)
+def test_weighted_inner_matches_the_per_term_loop(name, xi_spec, support):
+    g, _ = builtin(name)
+    if xi_spec == "standard":
+        xi = VirtualChar.trivial(g)
+    elif xi_spec == "mckay":
+        xi = mckay_xi(g)
+    else:
+        xi = VirtualChar([int(c) for c in xi_spec.split(",")])
+        assert xi.is_self_dual(g)
+        assert any(xi.value_at(g, ci).as_rational() is None for ci in range(g.num_classes))
+    rng = random.Random(f"{name}/{xi_spec}/{support}")
+    for n in range(4 if g.num_classes < 5 else 3):
+        for _ in range(3):
+            f, h = random_pair(rng, g, n, support)
+            got = weighted_inner(f, h, xi)
+            assert got == reference_weighted_inner(f, h, xi), (n, f, h)
+            if support == "disjoint":
+                assert got == 0

@@ -222,3 +222,24 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, argv, config,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert_one_usage_error(*run_cli(*argv, "--config", str(cfg)), expect)
+
+
+@pytest.mark.parametrize("argv,config,unknown", [
+    (["verify", "heisenberg"], {"n": 2, "degre": 1}, "unknown config key 'degre'"),
+    (["chartable"], {"n": 2, "jobs": 3}, "unknown config key 'jobs'"),
+    (["chartable"], {"check": True}, "unknown config key 'check'"),
+    (["verify", "isometry"], {"jobs": 3, "check": True}, "unknown config keys 'check', 'jobs'"),
+])
+def test_unknown_config_key_is_a_usage_error(tmp_path, argv, config, unknown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert_one_usage_error(*run_cli(*argv, "--config", str(cfg)), unknown)
+
+
+def test_known_config_key_without_a_flag_is_accepted(tmp_path):
+    # one file serves several commands: chartable has no --window or --xi
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 1, "window": 3, "xi": "mckay", "degree": 1}))
+    code, out, err = run_cli("chartable", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 1

@@ -97,3 +97,20 @@ def test_wrong_type_from_config_raises(key, data):
     value = data.draw(WRONG[key])
     with pytest.raises(ConfigError, match=f"config value '{key}' must be"):
         merged({}, {key: value})
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                        st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(known=st.fixed_dictionaries({key: optional(s) for key, s in VALUES.items()}),
+       unknown=st.dictionaries(st.text(min_size=1, max_size=8).filter(
+           lambda key: key not in _DEFAULTS), JSON_VALUES, min_size=1, max_size=3))
+def test_unknown_keys_raise(known, unknown):
+    # however many valid keys come with them, unknown keys are named
+    config = {key: value for key, value in known.items() if value is not None}
+    config.update(unknown)
+    with pytest.raises(ConfigError, match="unknown config key") as info:
+        merged({}, config)
+    assert all(repr(key) in str(info.value) for key in unknown)

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from spinwreath import cli, qtable
 from spinwreath import vertex as vx
+from spinwreath.classfun import weighted_inner
 from spinwreath.fock import FockContext, FockVector, create, inner
 from spinwreath.gammadata import VirtualChar, builtin
 from spinwreath.partitions import MultiPartition, multipartitions
@@ -199,6 +201,49 @@ def test_verify_table_catches_one_perturbed_value():
     mu = tab.columns[-1]
     row.values[mu] = row.values.get(mu, Cyc.rational(0)) + 1
     with pytest.raises(TableCheckError):
+        verify_table(tab)
+
+
+def _plus_zeta5(g, tab):
+    # an irrational entry plus zeta_5
+    row, mu = next((row, mu) for row in tab.rows for mu, v in row.values.items()
+                   if v.as_rational() is None)
+    row.values[mu] = row.values[mu] + Cyc.zeta(5)
+
+
+def _plus_finest_step(g, tab):
+    # a rational entry off the identity column plus 1/(2^n |Gamma|^n n!)
+    n = tab.n
+    row, mu = next((row, mu) for row in tab.rows for mu, v in row.values.items()
+                   if mu != tab.columns[0] and v.as_rational() is not None)
+    row.values[mu] = row.values[mu] + Fraction(1, 2**n * g.order**n * factorial(n))
+
+
+def _negate_one_entry(g, tab):
+    # -f(mu) at a self-dual column keeps every row norm and breaks a pair
+    row, mu = next((row, mu) for row in tab.rows for mu in row.values
+                   if mu != tab.columns[0])
+    assert all(g.dual_class(ci) == ci for ci in range(g.num_classes))
+    row.values[mu] = -row.values[mu]
+    xi = VirtualChar.trivial(g)
+    for r in tab.rows:
+        f = r.as_classfun(g, tab.n)
+        assert weighted_inner(f, f, xi) == (1 if r.module_type == "M" else 2)
+
+
+@pytest.mark.parametrize("name,n,perturb", [
+    ("cyclic:5", 2, _plus_zeta5),
+    ("quaternion8", 2, _plus_finest_step),
+    ("klein4", 2, _plus_finest_step),
+    ("quaternion8", 2, _negate_one_entry),
+], ids=["irrational-plus-zeta5", "quaternion8-finest-step", "klein4-finest-step",
+        "off-diagonal-only"])
+def test_orthogonality_catches_a_small_perturbation(name, n, perturb):
+    g, t = setup(name)
+    tab = build_table(g, n, tctx=t)
+    verify_table(tab)
+    perturb(g, tab)
+    with pytest.raises(TableCheckError, match="orthogonality fails at rows"):
         verify_table(tab)
 
 

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from spinwreath.scalars import Cyc, CycError, cyclotomic_poly, euler_phi, moebius
+from spinwreath.scalars import (Cyc, CycError, cyclotomic_poly, euler_phi, moebius,
+                               weighted_dot)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -114,3 +115,32 @@ def test_pretty():
     assert Cyc.rational(Fraction(-3, 2)).pretty() == "-3/2"
     assert Cyc.rational(5).pretty() == "5"
     assert "N" in Cyc.zeta(5).pretty()
+
+
+def test_weighted_dot_empty_and_single_term():
+    empty = weighted_dot([])
+    assert empty == 0 and empty.order == 1
+    z5 = Cyc.zeta(5)
+    x = Cyc(5, [Fraction(1, 2), 0, Fraction(-2, 3), 0])
+    got = weighted_dot([(Fraction(3, 4), x, z5)])
+    assert got == x * z5 * Fraction(3, 4) and got.order == 5
+    assert weighted_dot([(7, Cyc.rational(Fraction(1, 3)), Cyc.rational(2))]) == Fraction(14, 3)
+
+
+def test_weighted_dot_mixes_orders():
+    # terms at orders 1, 3, 4 and 6 meet at N = 12, with denominators
+    rng = random.Random(5)
+    for _ in range(20):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            w = Fraction(rng.randint(-5, 5), rng.randint(1, 12))
+            terms.append((w, rand_cyc(rng, rng.choice([1, 3, 4, 6])),
+                          rand_cyc(rng, rng.choice([1, 3, 12]))))
+        expect = Cyc.rational(0).promote(12)
+        for w, x, y in terms:
+            expect = expect + x.promote(12) * y.promote(12) * w
+        got = weighted_dot(terms)
+        assert got == expect and got.order in (1, 3, 4, 6, 12)
+    # z_3 z_4 = z_12^7, and (-1)(-1) z_3 = z_12^4
+    got = weighted_dot([(1, Cyc.zeta(3), Cyc.zeta(4)), (-1, Cyc.rational(-1), Cyc.zeta(3))])
+    assert got == Cyc.zeta(12, 7) + Cyc.zeta(12, 4) and got.order == 12
