@@ -113,7 +113,7 @@ def cmd_classes(args) -> int:
     if args.oracle:
         if cg is None:
             raise ConfigError("--oracle needs a built-in Gamma with a multiplication table")
-        report = oracle_class_report(cg, gamma, n)
+        report = oracle_class_report(cg, gamma, n, classes)
         doc["oracle"] = report
         if report["status"] != "ok":
             status = EXIT_VERIFY

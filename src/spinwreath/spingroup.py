@@ -1,37 +1,30 @@
 """Concrete construction of the double cover of (Gamma x Z2)^n x| S_n.
 
 Elements are kept in the normal form (g, z^k a_I s) with I strictly
-increasing; the single normalization routine owns every sign rule of the
-Pi_n relations a_i^2 = z, a_i a_j = z a_j a_i.  Everything here is oracle
-machinery for small n: exact conjugacy classes, split detection, and traces
-of the basic spin supermodules on the Clifford algebra L_n.
+increasing.  `SpinLaw` is the one group law: for a given (Gamma, n) it packs
+elements as (g, k, mask of I, permutation index) and reads the z power of a
+product from tables, by a closed form of the Pi_n relations a_i^2 = z,
+a_i a_j = z a_j a_i (see its docstring) that the tests check against sorting
+the a-word one swap at a time.  Everything here is oracle machinery for small
+n: exact conjugacy classes, split detection, and traces of the basic spin
+supermodules on the Clifford algebra L_n.  Tables are built on demand, after
+the oracle's size guard, never at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import getitem, itemgetter
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .gammadata import ConcreteGroup, GammaData
 from .partitions import MultiPartition, big_z
 from .scalars import Cyc
 
 Perm = Tuple[int, ...]  # images, 0-based: s maps i -> s[i]
-
-
-def perm_mul(s: Perm, t: Perm) -> Perm:
-    """Composition s o t (t first)."""
-    return tuple(s[t[i]] for i in range(len(s)))
-
-
-def perm_inv(s: Perm) -> Perm:
-    out = [0] * len(s)
-    for i, si in enumerate(s):
-        out[si] = i
-    return tuple(out)
+Packed = Tuple[Tuple[int, ...], int, int, int]  # (g, k, mask of I, permutation index)
 
 
 def perm_cycles(s: Perm) -> List[List[int]]:
@@ -51,35 +44,6 @@ def perm_cycles(s: Perm) -> List[List[int]]:
     return cycles
 
 
-def normalize_word(indices: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
-    """Sort a product a_{i1}...a_{im} into strict normal form.
-
-    Returns (z exponent mod 2, strictly increasing index tuple).  Each swap of
-    distinct neighbours and each cancellation a_i a_i = z contributes one z.
-    """
-    word = list(indices)
-    z = 0
-    changed = True
-    while changed:
-        changed = False
-        j = 0
-        while j + 1 < len(word):
-            a, b = word[j], word[j + 1]
-            if a == b:
-                del word[j:j + 2]
-                z ^= 1
-                changed = True
-                if j > 0:
-                    j -= 1
-            elif a > b:
-                word[j], word[j + 1] = b, a
-                z ^= 1
-                changed = True
-            else:
-                j += 1
-    return z, tuple(word)
-
-
 @dataclass(frozen=True)
 class SpinElement:
     """Normal form (g, z^k a_I s); g is a tuple of ConcreteGroup element ids."""
@@ -97,50 +61,89 @@ class SpinElement:
         return f"(g={self.g}, z^{self.k} a{list(self.I)} s={self.s})"
 
 
-def identity_element(n: int) -> SpinElement:
-    return SpinElement((0,) * n, 0, (), tuple(range(n)))
+class SpinLaw:
+    """The group law of the double cover for one (Gamma, n), on packed elements.
 
+    A packed element (g, k, mask, p) stands for (g, z^k a_I s) with I the set
+    bits of mask and s = perms[p], perms in `itertools.permutations` order.
+    The product is
 
-def multiply(cg: ConcreteGroup, x: SpinElement, y: SpinElement) -> SpinElement:
-    if len(x.g) != len(y.g):
-        raise ValueError("size mismatch")
-    n = len(x.g)
-    s_inv = perm_inv(x.s)
-    g = tuple(cg.mul(x.g[i], y.g[s_inv[i]]) for i in range(n))
-    z, word = normalize_word(list(x.I) + [x.s[j] for j in y.I])
-    return SpinElement(g, (x.k + y.k + z) % 2, word, perm_mul(x.s, y.s))
+        (g, z^k a_I s)(h, z^l a_J t) = (g . s(h), z^(k+l+e) a_{I ^ s(J)} st),
+        e = inv(s(j_1) ... s(j_m)) + #{(i, j) in I x s(J) : i > j} + |I & s(J)|,
 
+    with s(h)_i = h_{s^-1(i)}: the inversions of the image sequence of J plus
+    the merge parity of a_I a_{s(J)}, one z for each swap of distinct
+    neighbours and one for each cancellation a_i a_i = z.  The tables hold
+    permutation products and inverses, the image mask and inversion parity of
+    each (perm, mask), and the merge parity of each (mask, mask) pair, so a
+    product is one Gamma-table lookup per slot plus three table lookups for
+    k, the mask and the permutation.
+    """
 
-def inverse(cg: ConcreteGroup, x: SpinElement) -> SpinElement:
-    n = len(x.g)
-    s_inv = perm_inv(x.s)
-    g = tuple(cg.inv(x.g[x.s[i]]) for i in range(n))
-    # a_I^{-1} = z^{|I|} a_{i_m} ... a_{i_1}; conjugating through s^{-1}
-    # relabels each index.
-    z, word = normalize_word([s_inv[i] for i in reversed(x.I)])
-    return SpinElement(g, (x.k + len(x.I) + z) % 2, word, s_inv)
+    def __init__(self, cg: ConcreteGroup, n: int):
+        self.n = n
+        self.order = cg.order
+        self.grow = cg.table.__getitem__  # a -> the row of a in Gamma's table
+        self.ginv = cg.inverse.__getitem__
+        self.perms: List[Perm] = list(permutations(range(n)))
+        self.perm_index = {s: p for p, s in enumerate(self.perms)}
+        # permuted[p](t) is t o perms[p], the images t[s[0]], ..., t[s[n-1]]
+        # (itemgetter of one index returns a scalar, so n <= 1 composes by hand)
+        self.permuted = ([itemgetter(*s) for s in self.perms] if n > 1
+                         else [lambda t: t])
+        columns = [list(map(self.perm_index.__getitem__, map(c, self.perms)))
+                   for c in self.permuted]
+        self.pmul = [list(row) for row in zip(*columns)]
+        self.pinv = [row.index(0) for row in self.pmul]
+        self.unpermuted = [self.permuted[q] for q in self.pinv]  # t o perms[p]^-1
+        self.image = [self._image_row(s) for s in self.perms]
+        full = 1 << n
+        # #{(i, j) in I x J : i > j} counts, for each j in J, the i in I above it
+        self.merge = [[((i & j).bit_count() + sum((i >> (b + 1)).bit_count()
+                                                  for b in range(n) if j >> b & 1)) & 1
+                       for j in range(full)] for i in range(full)]
+        # a_I^-1 = z^|I| a_{i_m} ... a_{i_1}, and reversing costs C(|I|, 2) swaps
+        self.reversal = [m.bit_count() * (m.bit_count() + 1) // 2 & 1 for m in range(full)]
 
+    def _image_row(self, s: Perm) -> List[Tuple[int, int]]:
+        """(mask of s(J), inversion parity of s(j_1) ... s(j_m)) for each mask J."""
+        # above[j]: the i < j with s(i) > s(j)
+        above = [sum(1 << i for i in range(j) if s[i] > s[j]) for j in range(self.n)]
+        row = [(0, 0)] * (1 << self.n)
+        for mask in range(1, 1 << self.n):
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            img, par = row[rest]
+            row[mask] = (img | 1 << s[top], (par + (rest & above[top]).bit_count()) & 1)
+        return row
 
-def times_z(x: SpinElement) -> SpinElement:
-    return SpinElement(x.g, x.k ^ 1, x.I, x.s)
+    def mul(self, x: Packed, y: Packed) -> Packed:
+        gx, kx, mx, px = x
+        gy, ky, my, py = y
+        img, par = self.image[px][my]
+        # slot i: gx[i] times gy[s^-1(i)]
+        return (tuple(map(getitem, map(self.grow, gx), self.unpermuted[px](gy))),
+                kx ^ ky ^ par ^ self.merge[mx][img], mx ^ img, self.pmul[px][py])
 
+    def inv(self, x: Packed) -> Packed:
+        g, k, m, p = x
+        q = self.pinv[p]
+        img, par = self.image[q][m]
+        # slot i: the inverse of g[s(i)]
+        return (tuple(map(self.ginv, self.permuted[p](g))),
+                k ^ self.reversal[m] ^ par, img, q)
 
-def all_elements(cg: ConcreteGroup, n: int) -> Iterator[SpinElement]:
-    subsets = []
-    for mask in range(1 << n):
-        subsets.append(tuple(i for i in range(n) if mask >> i & 1))
-    perms = list(_permutations(n))
-    for g in product(range(cg.order), repeat=n):
-        for k in (0, 1):
-            for I in subsets:
-                for s in perms:
-                    yield SpinElement(tuple(g), k, I, s)
+    def elements(self) -> Iterator[Packed]:
+        """Every element, in the order g (lexicographic), k, mask, permutation."""
+        for g in product(range(self.order), repeat=self.n):
+            for k in (0, 1):
+                for m in range(1 << self.n):
+                    for p in range(len(self.perms)):
+                        yield (g, k, m, p)
 
-
-def _permutations(n: int) -> Iterator[Perm]:
-    from itertools import permutations
-
-    return (tuple(p) for p in permutations(range(n)))
+    def unpack(self, x: Packed) -> SpinElement:
+        g, k, m, p = x
+        return SpinElement(g, k, tuple(i for i in range(self.n) if m >> i & 1), self.perms[p])
 
 
 @dataclass(frozen=True)
@@ -227,45 +230,75 @@ class OracleClass:
     split: bool
 
 
+def _generating_set(cg: ConcreteGroup) -> List[int]:
+    """Elements that generate Gamma: each step adds the one that, with those
+    already chosen, generates the largest subgroup (the first on ties)."""
+
+    def span(gens: List[int]) -> Set[int]:
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            a = frontier.pop()
+            for h in gens:
+                b = cg.table[a][h]
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        return reached
+
+    gens: List[int] = []
+    while len(span(gens)) < cg.order:
+        gens.append(max(range(cg.order), key=lambda e: len(span(gens + [e]))))
+    return gens
+
+
 def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]:
-    """Exact conjugacy classes of the double cover by orbit closure."""
+    """Exact conjugacy classes of the double cover by orbit closure.
+
+    Elements are visited in `SpinLaw.elements` order; each class is the
+    closure of the first unvisited one under conjugation by generators of the
+    group (generators of Gamma at the first slot, the first a_i, the
+    transposition of the first two slots and the n-cycle), and that element is
+    its representative.
+    """
     group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
-    if cg.order**n * 2 ** (n + 1) * factorial(n) > 10**6:
+    if group_order > 10**6:
         raise ValueError(f"oracle guard exceeded: group order {group_order}")
 
-    generators: List[SpinElement] = []
-    ident = identity_element(n)
-    for e in range(1, cg.order if n else 1):  # Gamma^0 has no Gamma generators
-        generators.append(SpinElement((e,) + (0,) * (n - 1), 0, (), ident.s))
-    for i in range(n):
-        generators.append(SpinElement((0,) * n, 0, (i,), ident.s))
-    for i in range(n - 1):
-        images = list(range(n))
-        images[i], images[i + 1] = images[i + 1], images[i]
-        generators.append(SpinElement((0,) * n, 0, (), tuple(images)))
-    gen_invs = [inverse(cg, h) for h in generators]
+    law = SpinLaw(cg, n)
+    unit = (0,) * n
+    generators: List[Packed] = []
+    if n:  # at n = 0 there is no slot and no a_i
+        generators += [((e,) + unit[1:], 0, 0, 0) for e in _generating_set(cg)]
+        generators.append((unit, 0, 1, 0))
+    if n >= 2:
+        generators.append((unit, 0, 0, law.perm_index[(1, 0) + tuple(range(2, n))]))
+    if n >= 3:
+        generators.append((unit, 0, 0, law.perm_index[tuple(range(1, n)) + (0,)]))
+    pairs = [(h, law.inv(h)) for h in generators]
+    mul = law.mul
 
-    assigned: Dict[SpinElement, int] = {}
+    assigned: Set[Packed] = set()
     classes: List[OracleClass] = []
-    for x in all_elements(cg, n):
+    for x in law.elements():
         if x in assigned:
             continue
         orbit = {x}
         frontier = [x]
         while frontier:
             y = frontier.pop()
-            for h, hinv in zip(generators, gen_invs):
-                w = multiply(cg, multiply(cg, h, y), hinv)
+            for h, hinv in pairs:
+                w = mul(mul(h, y), hinv)
                 if w not in orbit:
                     orbit.add(w)
                     frontier.append(w)
-        idx = len(classes)
-        for w in orbit:
-            assigned[w] = idx
-        split = times_z(x) not in orbit
-        st = signed_type(cg, x)
+        assigned |= orbit
+        g, k, m, p = x
+        split = (g, k ^ 1, m, p) not in orbit
+        rep = law.unpack(x)
+        st = signed_type(cg, rep)
         classes.append(OracleClass(
-            representative=x,
+            representative=rep,
             size=len(orbit),
             centralizer_order=group_order // len(orbit),
             signed_type=st,
@@ -368,133 +401,3 @@ def theory_classes(gdata: GammaData, n: int) -> List[TheoryClass]:
                 out.append(TheoryClass(rp, rm, st.parity, split, qsize,
                                        cover_size, cover_centralizer))
     return out
-
-
-# -- oracle spin character rows --------------------------------------------------
-
-
-def _block_decompose(x: SpinElement, blocks: List[Tuple[int, int]]) -> Optional[List[SpinElement]]:
-    """Test oracle (through `oracle_spin_rows`): split (g, z^k a_I s) into
-    contiguous-block factors; None if s mixes blocks.
-
-    The z power rides on the first factor; no reordering signs arise because
-    the index blocks are contiguous and increasing.
-    """
-    out = []
-    for bi, (lo, hi) in enumerate(blocks):
-        size = hi - lo
-        images = []
-        for i in range(lo, hi):
-            img = x.s[i]
-            if not (lo <= img < hi):
-                return None
-            images.append(img - lo)
-        g = tuple(x.g[lo:hi])
-        I = tuple(i - lo for i in x.I if lo <= i < hi)
-        k = x.k if bi == 0 else 0
-        out.append(SpinElement(g, k, I, tuple(images)))
-    return out
-
-
-def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, n: int,
-                                    nu: Sequence[int],
-                                    elements: List[SpinElement],
-                                    targets: List[SpinElement]) -> List[Cyc]:
-    """Test oracle (through `oracle_spin_rows`): the character of
-    Ind[ L_{nu_1} (x) ... (x) L_{nu_l} ] at the target elements, normalized by
-    2^(-floor(l/2)) for the type-Q pair collapses.
-
-    The subgroup is the full block-preserving preimage; the product character
-    at a block-decomposable element is the product of basic spin traces.
-    """
-    blocks = []
-    pos = 0
-    for m in nu:
-        blocks.append((pos, pos + m))
-        pos += m
-    if pos != n:
-        raise ValueError("partition does not sum to n")
-
-    def f(h: SpinElement) -> Optional[Cyc]:
-        parts = _block_decompose(h, blocks)
-        if parts is None:
-            return None
-        val = Cyc.rational(1)
-        for bi, (lo, hi) in enumerate(blocks):
-            val = val * basic_spin_trace(cg, gdata, 0, hi - lo, parts[bi])
-        return val
-
-    subgroup_order = 1
-    for m in nu:
-        subgroup_order *= 2 ** (m + 1) * factorial(m) * cg.order**m
-    subgroup_order //= 2 ** (len(nu) - 1)
-
-    out = []
-    inverses = {x: inverse(cg, x) for x in elements}
-    for x in targets:
-        total = Cyc.rational(0)
-        for y in elements:
-            w = multiply(cg, multiply(cg, y, x), inverses[y])
-            val = f(w)
-            if val is not None:
-                total = total + val
-        total = total / Fraction(subgroup_order)
-        total = total / Fraction(2 ** (len(nu) // 2))
-        out.append(total)
-    return out
-
-
-def oracle_spin_rows(cg: ConcreteGroup, gdata: GammaData, n: int):
-    """Test oracle: irreducible spin super character rows of the double cover,
-    computed from concrete induced products of basic modules by triangular
-    reduction; the tests compare `qtable.build_table` against it.
-
-    Returns (columns, rows) where columns are the even split types in table
-    order and rows map strict partitions to exact value lists.  Only the
-    trivial base group is supported (the basic blocks use its one character).
-    """
-    from .partitions import multipartitions, partitions_of
-
-    if cg.order != 1:
-        raise ValueError("oracle rows are implemented for the trivial base group")
-    classes = enumerate_classes_bruteforce(cg, n)
-    elements = list(all_elements(cg, n))
-
-    columns = list(multipartitions(n, 1, "OP", per_index_ascending=True))
-    reps = {}
-    for mu in columns:
-        st = SignedType(mu, MultiPartition.empty(1))
-        reps[mu] = representative_of_type(cg, n, st)
-    targets = [reps[mu] for mu in columns]
-    zetas = gdata.centralizer_orders
-
-    def std_inner(u: List[Cyc], v: List[Cyc]) -> Cyc:
-        total = Cyc.rational(0)
-        for mu, a, b in zip(columns, u, v):
-            denom = Fraction(2**mu.length * big_z(mu, zetas))
-            total = total + a * b / denom
-        return total
-
-    # Induced products expand into irreducibles with dominance-larger labels,
-    # so extraction runs from the dominance-largest row downward.
-    lambdas = sorted(partitions_of(n, "SP"), reverse=True)
-    rows: dict = {}
-    for lam in lambdas:
-        vals = induced_basic_product_character(cg, gdata, n, lam, elements, targets)
-        for prev, pvals in rows.items():
-            norm = std_inner(pvals, pvals)
-            coef = std_inner(vals, pvals) / norm.as_rational()
-            q = coef.as_rational()
-            if q is None or q.denominator != 1:
-                raise AssertionError(f"non-integer reduction coefficient {coef!r}")
-            if q:
-                vals = [a - b * q for a, b in zip(vals, pvals)]
-        # normalize the global sign so the degree entry is positive
-        ident = columns.index(MultiPartition([(1,) * n]) if n else MultiPartition.empty(1))
-        dv = vals[ident].as_rational()
-        if dv is None or dv == 0:
-            raise AssertionError("oracle row has zero degree")
-        if dv < 0:
-            vals = [-a for a in vals]
-        rows[lam] = vals
-    return columns, rows

@@ -18,8 +18,9 @@ from .fock import FockContext, coproduct, inner, tensor_inner
 from .gammadata import ConcreteGroup, GammaData, VirtualChar, mckay_xi
 from .partitions import big_z, multipartitions
 from .scalars import Cyc
-from .spingroup import (SignedType, basic_spin_trace, enumerate_classes_bruteforce,
-                        is_split, representative_of_type, theory_classes)
+from .spingroup import (SignedType, TheoryClass, basic_spin_trace,
+                        enumerate_classes_bruteforce, is_split, representative_of_type,
+                        theory_classes)
 from .vertex import (TwistContext, _panel_monomials, affine_relation_check,
                      certify_instances, clifford_check, hh_instances, ope_check,
                      prim_commutator_check, x_parity_check)
@@ -156,9 +157,11 @@ def _hopf(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
     return [{"relation": "hopf", "params": {"n_max": args.n}, "status": "pass"}]
 
 
-def oracle_class_report(cg: ConcreteGroup, gamma: GammaData, n: int) -> dict:
+def oracle_class_report(cg: ConcreteGroup, gamma: GammaData, n: int,
+                        theory: List[TheoryClass]) -> dict:
     """Brute-force class data against the split-classification and centralizer
-    formula; exact equality or a witness."""
+    formula and the theory-side classes `theory_classes(gamma, n)`; exact
+    equality or a witness."""
     classes = enumerate_classes_bruteforce(cg, n)
     zetas = gamma.centralizer_orders
     mismatches = []
@@ -179,7 +182,7 @@ def oracle_class_report(cg: ConcreteGroup, gamma: GammaData, n: int) -> dict:
                            if cs[0].split and cs[0].parity == 0)
     odd_split_types = sum(1 for key, cs in by_type.items()
                           if cs[0].split and cs[0].parity == 1)
-    for tc in theory_classes(gamma, n):
+    for tc in theory:
         found = by_type.get((tc.rho_plus, tc.rho_minus))
         if not found:
             mismatches.append({"kind": "missing_type", "type": str(tc.rho_plus.parts)})
@@ -200,18 +203,20 @@ def _oracle(gamma: GammaData, cg: Optional[ConcreteGroup], xi: VirtualChar,
     if cg is None:
         raise ConfigError("the oracle suite needs a built-in Gamma")
     n = args.n
-    report = oracle_class_report(cg, gamma, n)
+    theory = theory_classes(gamma, n)
+    report = oracle_class_report(cg, gamma, n, theory)
     results = [{"relation": "split_classification",
                 "params": {"n": n}, "status": "pass" if report["status"] == "ok" else "fail",
                 "witness": report["mismatches"] or None}]
     # basic spin traces against the closed character values
     k = gamma.num_classes
+    reps = [representative_of_type(cg, n, SignedType(tc.rho_plus, tc.rho_minus))
+            for tc in theory]
     for v_index in range(k):
         if v_index not in cg.rep_matrices:
             continue
         basic = basic_char(gamma, n, [1 if i == v_index else 0 for i in range(k)])
-        for tc in theory_classes(gamma, n):
-            rep = representative_of_type(cg, n, SignedType(tc.rho_plus, tc.rho_minus))
+        for tc, rep in zip(theory, reps):
             tr = basic_spin_trace(cg, gamma, v_index, n, rep)
             if tc.split and tc.parity == 0:
                 ok = tr == basic.value(tc.rho_plus)

@@ -15,8 +15,9 @@ from spinwreath.qtable import (TableCheckError, build_table, char_degree,
                                raising_coefficients, raising_expand,
                                verify_table, x_lambda_vector)
 from spinwreath.scalars import Cyc
-from spinwreath.spingroup import oracle_spin_rows
 from spinwreath.vertex import TwistContext
+
+from spin_oracle import oracle_spin_rows
 
 
 def setup(name):

@@ -1,15 +1,126 @@
+import dataclasses
 import random
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
+from spinwreath import spingroup
 from spinwreath.gammadata import builtin
 from spinwreath.partitions import MultiPartition, big_z
-from spinwreath.spingroup import (SignedType, SpinElement, all_elements,
-                                  basic_spin_trace, clifford_trace,
-                                  enumerate_classes_bruteforce, identity_element,
-                                  inverse, is_split, multiply, normalize_word,
-                                  oracle_spin_rows, representative_of_type,
-                                  signed_type, theory_classes, times_z)
+from spinwreath.spingroup import (SignedType, SpinElement, SpinLaw, basic_spin_trace,
+                                  clifford_trace, enumerate_classes_bruteforce,
+                                  is_split, representative_of_type, signed_type,
+                                  theory_classes)
+
+from spin_oracle import oracle_spin_rows, pack
+
+
+# -- reference group law: word sorting on SpinElement ----------------------------
+
+
+def normalize_word(indices):
+    """Sort a product a_{i1}...a_{im} into strict normal form.
+
+    Returns (z exponent mod 2, strictly increasing index tuple).  Each swap of
+    distinct neighbours and each cancellation a_i a_i = z contributes one z.
+    """
+    word = list(indices)
+    z = 0
+    changed = True
+    while changed:
+        changed = False
+        j = 0
+        while j + 1 < len(word):
+            a, b = word[j], word[j + 1]
+            if a == b:
+                del word[j:j + 2]
+                z ^= 1
+                changed = True
+                if j > 0:
+                    j -= 1
+            elif a > b:
+                word[j], word[j + 1] = b, a
+                z ^= 1
+                changed = True
+            else:
+                j += 1
+    return z, tuple(word)
+
+
+def perm_inv(s):
+    out = [0] * len(s)
+    for i, si in enumerate(s):
+        out[si] = i
+    return tuple(out)
+
+
+def ref_multiply(cg, x, y):
+    n = len(x.g)
+    s_inv = perm_inv(x.s)
+    g = tuple(cg.mul(x.g[i], y.g[s_inv[i]]) for i in range(n))
+    z, word = normalize_word(list(x.I) + [x.s[j] for j in y.I])
+    return SpinElement(g, (x.k + y.k + z) % 2, word, tuple(x.s[t] for t in y.s))
+
+
+def ref_inverse(cg, x):
+    n = len(x.g)
+    s_inv = perm_inv(x.s)
+    g = tuple(cg.inv(x.g[x.s[i]]) for i in range(n))
+    # a_I^{-1} = z^{|I|} a_{i_m} ... a_{i_1}; conjugating through s^{-1}
+    # relabels each index.
+    z, word = normalize_word([s_inv[i] for i in reversed(x.I)])
+    return SpinElement(g, (x.k + len(x.I) + z) % 2, word, s_inv)
+
+
+def ref_elements(cg, n):
+    subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    perms = list(permutations(range(n)))
+    for g in product(range(cg.order), repeat=n):
+        for k in (0, 1):
+            for I in subsets:
+                for s in perms:
+                    yield SpinElement(g, k, I, s)
+
+
+def ref_classes(cg, n):
+    """Orbit closure under every Gamma element at the first slot, every a_i and
+    every adjacent transposition, on the reference law."""
+    group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
+    ident = identity_element(n)
+    generators = [SpinElement((e,) + (0,) * (n - 1), 0, (), ident.s)
+                  for e in range(1, cg.order if n else 1)]
+    generators += [SpinElement((0,) * n, 0, (i,), ident.s) for i in range(n)]
+    for i in range(n - 1):
+        images = list(range(n))
+        images[i], images[i + 1] = images[i + 1], images[i]
+        generators.append(SpinElement((0,) * n, 0, (), tuple(images)))
+    gen_invs = [ref_inverse(cg, h) for h in generators]
+    assigned = set()
+    out = []
+    for x in ref_elements(cg, n):
+        if x in assigned:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for h, hinv in zip(generators, gen_invs):
+                w = ref_multiply(cg, ref_multiply(cg, h, y), hinv)
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        assigned |= orbit
+        out.append((x, len(orbit), times_z(x) not in orbit, group_order // len(orbit)))
+    return out
+
+
+def identity_element(n):
+    return SpinElement((0,) * n, 0, (), tuple(range(n)))
+
+
+def times_z(x):
+    return dataclasses.replace(x, k=x.k ^ 1)
 
 
 def rand_element(rng, order, n):
@@ -19,51 +130,109 @@ def rand_element(rng, order, n):
                        tuple(rng.sample(range(n), n)))
 
 
+class Law:
+    """SpinLaw on SpinElement operands, for readable relations."""
+
+    def __init__(self, name, n):
+        self.gamma, self.cg = builtin(name)
+        self.law = SpinLaw(self.cg, n)
+
+    def mul(self, x, y):
+        return self.law.unpack(self.law.mul(pack(self.law, x), pack(self.law, y)))
+
+    def inv(self, x):
+        return self.law.unpack(self.law.inv(pack(self.law, x)))
+
+
+# -- the tabled law ---------------------------------------------------------------
+
+
 def test_pin_relations():
-    g, cg = builtin("trivial")
+    law = Law("trivial", 2)
     e = identity_element(2)
     a1 = SpinElement((0, 0), 0, (0,), e.s)
     a2 = SpinElement((0, 0), 0, (1,), e.s)
-    assert multiply(cg, a1, a1) == times_z(e)
-    assert multiply(cg, a1, a2) == times_z(multiply(cg, a2, a1))
+    assert law.mul(a1, a1) == times_z(e)
+    assert law.mul(a1, a2) == times_z(law.mul(a2, a1))
     z = times_z(e)
-    assert multiply(cg, z, z) == e
+    assert law.mul(z, z) == e
 
 
 def test_normalize_word_signs():
     # a_2 a_1 = z a_1 a_2; a_1 a_1 = z
-    assert normalize_word([1, 0]) == (1, (0, 1))
-    assert normalize_word([0, 0]) == (1, ())
-    assert normalize_word([2, 1, 0]) == (1, (0, 1, 2))  # three inversions
-    assert normalize_word([0, 1, 1, 0]) == (0, ())
+    cases = [([1, 0], (1, (0, 1))), ([0, 0], (1, ())),
+             ([2, 1, 0], (1, (0, 1, 2))),  # three inversions
+             ([0, 1, 1, 0], (0, ()))]
+    law = Law("trivial", 3)
+    e = identity_element(3)
+    for word, expect in cases:
+        assert normalize_word(word) == expect
+        out = e
+        for i in word:
+            out = law.mul(out, SpinElement((0, 0, 0), 0, (i,), e.s))
+        assert (out.k, out.I) == expect
+
+
+def test_table_sign_matches_word_sorting():
+    # every word a_I a_{s(j_1)} ... a_{s(j_m)}, I increasing and the s(j) distinct
+    words = 0
+    for n in range(6):
+        law = SpinLaw(builtin("trivial")[1], n)
+        unit = (0,) * n
+        by_sequence = {}
+        for p, s in enumerate(law.perms):
+            for J in range(1 << n):
+                seq = tuple(s[j] for j in range(n) if J >> j & 1)
+                by_sequence.setdefault(seq, (p, J))
+        for I in range(1 << n):
+            indices = [i for i in range(n) if I >> i & 1]
+            for seq, (p, J) in by_sequence.items():
+                _, k, mask, q = law.mul((unit, 0, I, p), (unit, 0, J, 0))
+                z, word = normalize_word(indices + list(seq))
+                assert (k, mask, q) == (z, sum(1 << i for i in word), p), (n, indices, seq)
+                words += 1
+    assert words == 11625
+
+
+@pytest.mark.parametrize("name,n", [("trivial", 4), ("cyclic:3", 3), ("klein4", 3),
+                                    ("quaternion8", 3)])
+def test_packed_law_matches_reference(name, n):
+    law = Law(name, n)
+    rng = random.Random(n)
+    for _ in range(200):
+        x = rand_element(rng, law.cg.order, n)
+        y = rand_element(rng, law.cg.order, n)
+        assert law.law.unpack(pack(law.law, x)) == x
+        assert law.mul(x, y) == ref_multiply(law.cg, x, y)
+        assert law.inv(x) == ref_inverse(law.cg, x)
 
 
 def test_conjugation_lemma_example():
     # conjugating a_emptyset (12) by a_{1,2} (12) gives z (12)
-    g, cg = builtin("trivial")
+    law = Law("trivial", 2)
     s12 = (1, 0)
     x = SpinElement((0, 0), 0, (0, 1), s12)
     y = SpinElement((0, 0), 0, (), s12)
-    out = multiply(cg, multiply(cg, x, y), inverse(cg, x))
+    out = law.mul(law.mul(x, y), law.inv(x))
     assert out == times_z(y)
 
 
 def test_inverse_random():
     rng = random.Random(0)
     for name, n in (("trivial", 3), ("cyclic:2", 3), ("cyclic:3", 2)):
-        g, cg = builtin(name)
+        law = Law(name, n)
         for _ in range(40):
-            x = rand_element(rng, cg.order, n)
-            assert multiply(cg, x, inverse(cg, x)) == identity_element(n)
-            assert multiply(cg, inverse(cg, x), x) == identity_element(n)
+            x = rand_element(rng, law.cg.order, n)
+            assert law.mul(x, law.inv(x)) == identity_element(n)
+            assert law.mul(law.inv(x), x) == identity_element(n)
 
 
 def test_multiply_associative_random():
     rng = random.Random(1)
-    g, cg = builtin("cyclic:2")
+    law = Law("cyclic:2", 3)
     for _ in range(40):
         x, y, z = (rand_element(rng, 2, 3) for _ in range(3))
-        assert multiply(cg, multiply(cg, x, y), z) == multiply(cg, x, multiply(cg, y, z))
+        assert law.mul(law.mul(x, y), z) == law.mul(x, law.mul(y, z))
 
 
 def test_signed_type_examples():
@@ -97,7 +266,10 @@ def test_is_split_examples():
 def test_element_count():
     g, cg = builtin("cyclic:2")
     n = 2
-    count = sum(1 for _ in all_elements(cg, n))
+    law = SpinLaw(cg, n)
+    elements = [law.unpack(x) for x in law.elements()]
+    assert elements == list(ref_elements(cg, n))
+    count = len(elements)
     assert count == 2 ** (n + 1) * 2 * cg.order ** n  # 2^{n+1} n! |Gamma|^n
 
 
@@ -141,7 +313,7 @@ def test_signed_type_is_class_invariant_for_even_part():
     for c in classes:
         st0 = c.signed_type
         count = 0
-        for x in all_elements(cg, 3):
+        for x in ref_elements(cg, 3):
             if signed_type(cg, x) == st0 and x.k == 0:
                 count += 1
         # total number of k=0 elements of this type equals the quotient class size
@@ -200,6 +372,28 @@ def test_guard():
     g, cg = builtin("cyclic:6")
     with pytest.raises(ValueError, match="guard"):
         enumerate_classes_bruteforce(cg, 5)
+
+
+def test_guard_comes_before_any_table(monkeypatch):
+    def refuse(cg, n):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(spingroup, "SpinLaw", refuse)
+    g, cg = builtin("cyclic:6")
+    with pytest.raises(ValueError, match="guard"):
+        enumerate_classes_bruteforce(cg, 5)
+    with pytest.raises(AssertionError, match="tables built"):  # under the guard
+        enumerate_classes_bruteforce(cg, 1)
+
+
+@pytest.mark.parametrize("name,n", [("trivial", 0), ("trivial", 1), ("trivial", 2),
+                                    ("trivial", 3), ("trivial", 4), ("cyclic:2", 3),
+                                    ("cyclic:3", 2), ("klein4", 2), ("quaternion8", 2)])
+def test_classes_match_reference_orbit_closure(name, n):
+    g, cg = builtin(name)
+    got = [(c.representative, c.size, c.split, c.centralizer_order)
+           for c in enumerate_classes_bruteforce(cg, n)]
+    assert got == ref_classes(cg, n)
 
 
 def test_oracle_rows_small():

@@ -48,3 +48,20 @@ def test_heisenberg_instances_pair_every_odd_index_both_ways():
     pairs = {(p["m"], p["mprime"]) for p, _ in hh_instances(tctx, [0, 1], 3)}
     odd = (-3, -1, 1, 3)
     assert pairs == {(m, mp) for m in odd for mp in odd}
+
+
+@pytest.mark.parametrize("argv", [["verify", "oracle", "--gamma", "klein4", "--n", "2"],
+                                  ["classes", "--oracle", "--gamma", "klein4", "--n", "2"]])
+def test_oracle_builds_the_theory_classes_once(monkeypatch, capsys, argv):
+    from spinwreath import cli, spingroup, suites
+
+    calls = []
+
+    def counted(gamma, n):
+        calls.append(n)
+        return spingroup.theory_classes(gamma, n)
+
+    monkeypatch.setattr(suites, "theory_classes", counted)
+    monkeypatch.setattr(cli, "theory_classes", counted)
+    assert cli.main(argv) == 0
+    assert calls == [2]
