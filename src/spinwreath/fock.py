@@ -16,7 +16,10 @@ be matched with its own factor (n, j) of mv with gram[i][j] != 0.  The
 monomials mv that admit such a matching are the partners of mu
 (`_partners`); `inner` and `tensor_inner` value only partner pairs, each
 by normal ordering.  At a diagonal Gram matrix, such as the standard
-weight, a monomial's only partner is itself.
+weight, a monomial's only partner is itself.  A pair's value is rational,
+because the Gram matrix is integer, and is cached as a `Fraction`; the
+pairings' coefficient products are summed on integer numerators by one
+`scalars.weighted_dot` call per pairing.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gammadata import GammaData, VirtualChar, gram_matrix
 from .partitions import MultiPartition
-from .scalars import Cyc
+from .scalars import Cyc, weighted_dot
 
 Monomial = Tuple[Tuple[int, int], ...]  # sorted ((n, char_index), ...)
 CoeffLike = Union[int, Fraction, Cyc]
@@ -44,7 +47,7 @@ class FockContext:
         # links[i]: the irreducibles gamma_j with gram[i][j] != 0
         self.links = [[j for j in range(k) if self.gram[i][j]] for i in range(k)]
         self._q_cache: Dict[Tuple[Tuple[Fraction, ...], int], "FockVector"] = {}
-        self._inner_cache: Dict[Tuple[Monomial, Monomial], Cyc] = {}
+        self._inner_cache: Dict[Tuple[Monomial, Monomial], Fraction] = {}
         self._partner_cache: Dict[Monomial, List[Monomial]] = {}
         self._row_cache: Dict[Tuple, List[Cyc]] = {}
 
@@ -264,7 +267,8 @@ def _partners(ctx: FockContext, mu: Monomial) -> List[Monomial]:
     return result
 
 
-def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Cyc:
+def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Fraction:
+    """<mu, mv> by normal ordering; rational, as the Gram matrix is integer."""
     cached = ctx._inner_cache.get((mu, mv))
     if cached is not None:
         return cached
@@ -275,38 +279,34 @@ def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Cyc:
         v = annihilate(v, n, basis)
         if v.is_zero():
             break
-    result = v.vacuum_coeff()
+    result = v.vacuum_coeff().as_rational()
     ctx._inner_cache[(mu, mv)] = result
     return result
 
 
-def _pair_monomial(ctx: FockContext, mu: Monomial, v: FockVector) -> Optional[Cyc]:
-    """<mu, v>, summed over the partners of mu that occur in v; None when no
-    partner pairs with mu to a nonzero value."""
-    total = None
+def _pairings(ctx: FockContext, mu: Monomial, v: FockVector) -> List[Tuple[Fraction, Cyc]]:
+    """(<mu, mv>, v_mv) over the partners mv of mu that occur in v and pair
+    with mu to a nonzero value."""
+    out = []
     for mv in _partners(ctx, mu):
         cv = v.terms.get(mv)
-        if cv is None:
-            continue
-        val = _inner_monomials(ctx, mu, mv)
-        if not val.is_zero():
-            term = cv * val
-            total = term if total is None else total + term
-    return total
+        if cv is not None:
+            w = _inner_monomials(ctx, mu, mv)
+            if w:
+                out.append((w, cv))
+    return out
 
 
 def inner(u: FockVector, v: FockVector) -> Cyc:
     """<u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma).
 
-    Each monomial of u is paired only with its partners in v; every other
-    monomial pair has no matching of factors and contributes zero."""
+    Each monomial mu of u is paired only with its partners mv in v; every
+    other monomial pair has no matching of factors and contributes zero.
+    The triples (<mu, mv>, u_mu, v_mv) are summed exactly by one
+    `scalars.weighted_dot` call."""
     u._check_ctx(v)
-    total = Cyc.rational(0)
-    for mu, cu in u.terms.items():
-        val = _pair_monomial(u.ctx, mu, v)
-        if val is not None:
-            total = total + cu * val
-    return total
+    return weighted_dot((w, cu, cv) for mu, cu in u.terms.items()
+                        for w, cv in _pairings(u.ctx, mu, v))
 
 
 def _coeff_key(coeffs: Sequence[CoeffLike]) -> Tuple:
@@ -376,12 +376,14 @@ def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector, v: FockVector)
     """<t, u (x) v> for a coproduct result t.
 
     The form is the product of the two tensor factors' forms, so each side of
-    a term (ml, mr) is paired with u and v as in `inner`: ml only with its
-    partners in u, mr only with its partners in v."""
-    total = Cyc.rational(0)
+    a term (ml, mr) is paired as in `inner`: ml only with its partners pl in
+    u, mr only with its partners pr in v.  The triples
+    (<ml, pl> <mr, pr>, t_(ml, mr), u_pl v_pr) are summed exactly by one
+    `scalars.weighted_dot` call."""
+    terms = []
     for (ml, mr), c in t.items():
-        lval = _pair_monomial(ctx, ml, u)
-        rval = None if lval is None else _pair_monomial(ctx, mr, v)
-        if rval is not None:
-            total = total + c * lval * rval
-    return total
+        left = _pairings(ctx, ml, u)
+        if left:
+            right = _pairings(ctx, mr, v)
+            terms += [(wl * wr, c, cl * cr) for wl, cl in left for wr, cr in right]
+    return weighted_dot(terms)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import Cyc, CycError
+from .scalars import Cyc, CycError, weighted_dot
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
 
@@ -29,6 +29,23 @@ class ClassInfo:
     size: int
     element_order: int
     inverse: int  # index of the inverse class
+
+
+def _order_clash(left: Sequence[Cyc], right: Sequence[Cyc]) -> Optional[Tuple[int, int]]:
+    """The first two distinct orders above 1 that summing the products x*y
+    term by term in `Cyc` arithmetic would meet, or None."""
+    cur = 1
+    for x, y in zip(left, right):
+        o = x.order
+        if y.order != 1:
+            if o != 1 and o != y.order:
+                return o, y.order
+            o = y.order
+        if o != 1:
+            if cur != 1 and cur != o:
+                return cur, o
+            cur = o
+    return None
 
 
 class GammaData:
@@ -121,12 +138,16 @@ class GammaData:
             if q is None or q.denominator != 1 or q <= 0:
                 raise GammaValidationError(
                     f"degree of character {i} is not a positive integer: {row[0].pretty()}")
+        weights = [Fraction(c.size, self.order) for c in self.classes]
+        mixed = len({v.order for row in self.chars for v in row} - {1}) > 1
         for i in range(k):
             for j in range(k):
-                val = Cyc.rational(0)
-                for ci, c in enumerate(self.classes):
-                    term = self.chars[i][ci] * self.chars[j][c.inverse]
-                    val = val + term * Fraction(c.size, self.order)
+                right = [self.chars[j][c.inverse] for c in self.classes]
+                clash = mixed and _order_clash(self.chars[i], right)
+                if clash:
+                    raise CycError(f"incompatible cyclotomic orders {clash[0]} and "
+                                   f"{clash[1]}; promote explicitly")
+                val = weighted_dot(zip(weights, self.chars[i], right))
                 expect = 1 if i == j else 0
                 if not val == expect:
                     raise GammaValidationError(

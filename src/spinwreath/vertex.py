@@ -12,10 +12,17 @@ they are exact: the annihilation half contributes only finitely many
 degrees on a finite-degree input, which pins the creation degree, so no
 series truncation is ever involved.  The weighted Gram matrix is the
 integer one of `gammadata.gram_matrix`, computed once per context and
-shared by the Fock form and the cocycle.  Rows never meet `Cyc` scalars:
-q_n and a_m are read off `fock`'s vectors once per row as rationals, and
-`x_component` applies an X layer to an integer row (the character table's
-X_lambda vectors, `qtable.x_lambda_vector`).
+shared by the Fock form and the cocycle.
+
+The engine works on integers only.  The context numbers each Fock monomial
+once (`TwistContext.index`), a row's entries are (monomial index, integer
+numerator) pairs, and every cache keys on those indices: the layers' rows,
+the composed words' rows, the annihilation table and the products with
+q_n.  Rows never meet `Cyc` scalars: q_n and a_m are read off `fock`'s
+vectors once per row as rationals.  Indices turn back into monomials only
+at the edges: in a failure witness, and in `x_component`, which applies an
+X layer to a row on monomials (the character table's X_lambda vectors,
+`qtable.x_lambda_vector`).
 
 Every relation checker -- Clifford, OPE, X parity, the primary-field
 commutator and the affine families -- is a generator of instances
@@ -43,18 +50,32 @@ IntVec = Tuple[int, ...]
 
 class TwistContext:
     """Fock context plus lattice twist for one (Gamma, xi) pair, both on the
-    Fock context's integer Gram matrix."""
+    Fock context's integer Gram matrix.
+
+    The context numbers every Fock monomial the row engine meets, once:
+    `index` gives a monomial's number and `monos` maps numbers back."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
         self.xi = xi
         self.fock = FockContext(gamma, xi)
         self.twist = LatticeTwist(self.fock.gram)
-        self._lean_rows: Dict[Tuple, Tuple] = {}
-        self._pair_cache: Dict[Tuple, Tuple] = {}
+        self.monos: List[Monomial] = []
+        self._index: Dict[Monomial, int] = {}
+        self._lean_rows: Dict[Layer, Dict[int, LeanRow]] = {}
+        self._pair_cache: Dict[Tuple[Layer, ...], Dict[int, LeanRow]] = {}
         self._prow_cache: Dict[IntVec, Tuple] = {}
-        self._iladder_cache: Dict[Tuple, List] = {}
-        self._mono_intern: Dict[Tuple, Tuple] = {}
+        self._iladder_cache: Dict[Tuple[IntVec, int], List[LeanRow]] = {}
+        self._ann_table: Dict[Tuple[int, int], Tuple] = {}
+        self._q_rows: Dict[Tuple[int, IntVec], Tuple] = {}
+
+    def index(self, mono: Monomial) -> int:
+        """The number of a Fock monomial, assigned on first sight."""
+        i = self._index.get(mono)
+        if i is None:
+            i = self._index[mono] = len(self.monos)
+            self.monos.append(mono)
+        return i
 
     def basis_vector(self, i: int) -> IntVec:
         return tuple(1 if t == i else 0 for t in range(self.gamma.num_classes))
@@ -69,7 +90,9 @@ class TwistContext:
 #
 # The vertex algebra is rational and X components carry integer character
 # vectors, so every operator row is rational with small denominators.  A row
-# is (denominator, ((monomial, integer numerator), ...)); a layer names the
+# is (denominator, ((monomial index, integer numerator), ...)) over the
+# context's monomial numbering (`TwistContext.index`), its entries in no
+# particular order and its denominator the least one; a layer names the
 # operator:
 #
 #     ("X", m, coeffs, mask)             X_m(gamma)
@@ -77,16 +100,15 @@ class TwistContext:
 #     ("N", a, b, alpha, beta, mask)     coefficient of z^-a w^-b in :X(alpha,z)X(beta,w):
 #
 # `_lean_row` is the one cached way to get a layer's row on a monomial, and
-# `_apply_layer` the one way to apply a layer to a row.
+# `_apply_layer` the one way to apply a layer to a row.  The two products
+# the rows are built from are tables on indices: annihilating one factor of
+# degree n (`_ann`) and multiplying by q_n (`_q_parts`).  Indices map back
+# to monomials only at the edges: a failure witness and `x_component`.
 
-IDict = Dict[Monomial, int]
-LeanRow = Tuple[int, Tuple[Tuple[Monomial, int], ...]]  # (denominator, entries)
+IDict = Dict[int, int]
+LeanRow = Tuple[int, Tuple[Tuple[int, int], ...]]  # (denominator, entries)
 Layer = Tuple
 XLayer = Tuple[str, int, IntVec, int]  # an X or H layer
-
-
-def _intern_mono(tctx: TwistContext, mono: Monomial) -> Monomial:
-    return tctx._mono_intern.setdefault(mono, mono)
 
 
 def _prow(tctx: TwistContext, coeffs: IntVec) -> Tuple[int, ...]:
@@ -100,106 +122,110 @@ def _prow(tctx: TwistContext, coeffs: IntVec) -> Tuple[int, ...]:
     return cached
 
 
-def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[Monomial, int]],
-                      n: int, coeffs: IntVec) -> Tuple[int, Iterable[Tuple[Monomial, int]]]:
+def _ann(tctx: TwistContext, i: int, n: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(j, n * mult, index) for each distinct factor (n, j) of monomial i: its
+    multiplicity times n, and the monomial with one copy removed."""
+    key = (i, n)
+    table = tctx._ann_table.get(key)
+    if table is None:
+        mono = tctx.monos[i]
+        out = []
+        for pos, f in enumerate(mono):
+            if f[0] == n and (pos == 0 or mono[pos - 1] != f):
+                out.append((f[1], n * mono.count(f), tctx.index(mono[:pos] + mono[pos + 1:])))
+        table = tctx._ann_table[key] = tuple(out)
+    return table
+
+
+def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[int, int]],
+                      n: int, coeffs: IntVec) -> Tuple[int, Iterable[Tuple[int, int]]]:
     prow = _prow(tctx, coeffs)
     out: IDict = {}
-    for mono, num in vec:
-        seen = None
-        for pos, (deg, idx) in enumerate(mono):
-            if deg != n:
-                continue
-            if seen is None:
-                seen = set()
-            if idx in seen:
-                continue
-            seen.add(idx)
-            if not prow[idx]:
-                continue
-            mult = 0
-            for f in mono:
-                if f == (deg, idx):
-                    mult += 1
-            val = num * n * mult * prow[idx]
-            mm = mono[:pos] + mono[pos + 1:]
-            out[mm] = out.get(mm, 0) + val
+    for i, num in vec:
+        for j, weight, rest in _ann(tctx, i, n):
+            if prow[j]:
+                out[rest] = out.get(rest, 0) + num * weight * prow[j]
     return den * 2, out.items()
 
 
-def _normalize_ivec(den: int, vec: IDict) -> Tuple[int, IDict]:
-    if not vec:
-        return 1, {}
-    g = den
-    for v in vec.values():
-        g = gcd(g, v)
-        if g == 1:
-            return den, vec
-    if g > 1:
-        den //= g
-        vec = {k: v // g for k, v in vec.items()}
-    return den, vec
-
-
-def _sum_rows(parts: Sequence[Tuple[int, int, Iterable[Tuple[Monomial, int]]]],
+def _sum_rows(parts: Sequence[Tuple[int, int, Iterable[Tuple[int, int]]]],
               scale: int = 1) -> LeanRow:
     """sum f * entries / d over the parts (f, d, entries), divided by `scale`,
     as a row over its least denominator."""
     den = 1
     for _, d, _ in parts:
-        den = lcm(den, d)
+        if den % d:
+            den = lcm(den, d)
     acc: IDict = {}
+    get = acc.get
     for f, d, entries in parts:
         f *= den // d
-        for mono, num in entries:
-            acc[mono] = acc.get(mono, 0) + f * num
-    den, acc = _normalize_ivec(den * scale, {mo: v for mo, v in acc.items() if v})
-    return den, tuple(sorted(acc.items()))
+        for i, num in entries:
+            acc[i] = get(i, 0) + f * num
+    den *= scale
+    g = den
+    for v in acc.values():
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                break
+    if g == 1:
+        return den, tuple([(i, v) for i, v in acc.items() if v])
+    return den // g, tuple([(i, v // g) for i, v in acc.items() if v])
 
 
-def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, mono: Monomial) -> List[LeanRow]:
-    """D_j of exp(-sum (2/k) a_k z^-k) applied to mono: j D_j = sum_k -2 a_k D_{j-k}."""
-    key = (coeffs, mono)
+def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
+    """D_j of exp(-sum (2/k) a_k z^-k) applied to monomial i: j D_j = sum_k -2 a_k D_{j-k}."""
+    key = (coeffs, i)
     cached = tctx._iladder_cache.get(key)
     if cached is not None:
         return cached
-    ladder: List[LeanRow] = [(1, ((mono, 1),))]
-    for j in range(1, mono_degree(mono) + 1):
+    ladder: List[LeanRow] = [(1, ((i, 1),))]
+    for j in range(1, mono_degree(tctx.monos[i]) + 1):
         ladder.append(_sum_rows([(-2,) + _ilean_annihilate(tctx, *ladder[j - k], k, coeffs)
                                  for k in range(1, j + 1, 2)], j))
     tctx._iladder_cache[key] = ladder
     return ladder
 
 
-def _lean_from_fock(vec: FockVector) -> LeanRow:
+def _lean_from_fock(tctx: TwistContext, vec: FockVector) -> LeanRow:
     entries = []
     den = 1
     for mono, c in vec.terms.items():
         q = c.as_rational()
         if q is None:
             raise ValueError("non-rational coefficient in a rational sweep")
-        entries.append((mono, q))
+        entries.append((tctx.index(mono), q))
         den = lcm(den, q.denominator)
-    return den, tuple((mono, int(q * den)) for mono, q in entries)
+    return den, tuple((i, int(q * den)) for i, q in entries)
 
 
 def _q_parts(tctx: TwistContext, n: int, coeffs: IntVec, num: int, den: int,
-             entries: Iterable[Tuple[Monomial, int]]) -> List[Tuple]:
-    """The `_sum_rows` parts of (num/den) q_n(coeffs) * entries.
+             entries: Iterable[Tuple[int, int]]) -> List[Tuple]:
+    """The `_sum_rows` parts of (num/den) q_n(coeffs) * entries, one per entry.
 
-    q_n is `fock.q_gen`, read once per (n, coeffs) as a row cached beside the
-    operator rows."""
-    key = ("Q", n, coeffs)
-    q = tctx._lean_rows.get(key)
+    q_n is `fock.q_gen`, read once per (n, coeffs) as a row; beside it is
+    cached the product of q_n with each monomial met, as index entries."""
+    key = (n, coeffs)
+    q = tctx._q_rows.get(key)
     if q is None:
-        q = tctx._lean_rows[key] = _lean_from_fock(q_gen(tctx.fock, n, coeffs))
-    dq, qvec = q
-    return [(num * nq, den * dq, [(_merge(mq, mo), e) for mo, e in entries])
-            for mq, nq in qvec]
+        q = tctx._q_rows[key] = _lean_from_fock(tctx, q_gen(tctx.fock, n, coeffs)) + ({},)
+    dq, qvec, products = q
+    monos = tctx.monos
+    parts = []
+    for i, e in entries:
+        prod = products.get(i)
+        if prod is None:
+            mono = monos[i]
+            prod = products[i] = tuple((tctx.index(_merge(monos[iq], mono)), nq)
+                                       for iq, nq in qvec)
+        parts.append((num * e, den * dq, prod))
+    return parts
 
 
-def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, mono: Monomial) -> LeanRow:
-    """The X_m(gamma) row on one monomial: sum_j q_{j-m}(gamma) D_j(gamma) mono."""
-    ladder = _ilean_ladder(tctx, coeffs, mono)
+def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, i: int) -> LeanRow:
+    """The X_m(gamma) row on monomial i: sum_j q_{j-m}(gamma) D_j(gamma) mono."""
+    ladder = _ilean_ladder(tctx, coeffs, i)
     parts: List[Tuple] = []
     for j in range(max(0, m), len(ladder)):
         parts += _q_parts(tctx, j - m, coeffs, 1, *ladder[j])
@@ -207,40 +233,42 @@ def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, mono: Monomial) -> Le
 
 
 def _n_row(tctx: TwistContext, a: int, b: int, alpha: IntVec, beta: IntVec,
-           mono: Monomial) -> LeanRow:
-    """The z^-a w^-b row of :X(alpha,z)X(beta,w): on one monomial,
+           i: int) -> LeanRow:
+    """The z^-a w^-b row of :X(alpha,z)X(beta,w): on monomial i,
     sum q_{j1-a}(alpha) q_{j2-b}(beta) D_{j1}(alpha) D_{j2}(beta) mono; the
     alpha half, summed over j1, is the X_a(alpha) row."""
     xa = _x_layer(tctx, a, alpha)
-    ladder = _ilean_ladder(tctx, beta, mono)
+    ladder = _ilean_ladder(tctx, beta, i)
     parts: List[Tuple] = []
     for j2 in range(max(0, b), len(ladder)):
         d2, entries = ladder[j2]
-        for mo, num in entries:
-            dx, xrow = _lean_row(tctx, xa, mo)
+        for j, num in entries:
+            dx, xrow = _lean_row(tctx, xa, j)
             parts += _q_parts(tctx, j2 - b, beta, num, d2 * dx, xrow)
     return _sum_rows(parts)
 
 
-def _lean_row(tctx: TwistContext, layer: Layer, mono: Monomial) -> LeanRow:
-    """The layer's row on one monomial, without the lattice sign; cached."""
-    key = (layer, mono)
-    cached = tctx._lean_rows.get(key)
-    if cached is not None:
-        return cached
+def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
+    """The layer's row on monomial i, without the lattice sign; cached in
+    `_lean_rows` by layer, then by monomial index."""
+    rows = tctx._lean_rows.get(layer)
+    if rows is None:
+        rows = tctx._lean_rows[layer] = {}
+    row = rows.get(i)
+    if row is not None:
+        return row
     kind, m = layer[0], layer[1]
     if kind == "X":
-        den, entries = _x_row_int(tctx, m, layer[2], mono)
+        row = _x_row_int(tctx, m, layer[2], i)
     elif kind == "N":
-        den, entries = _n_row(tctx, m, *layer[2:5], mono)
+        row = _n_row(tctx, m, *layer[2:5], i)
     elif m % 2 == 0:
-        den, entries = 1, ()
+        row = (1, ())
     else:
-        base = FockVector(tctx.fock, {mono: 1})
+        base = FockVector(tctx.fock, {tctx.monos[i]: 1})
         vec = annihilate(base, m, layer[2]) if m > 0 else create(base, -m, layer[2])
-        den, entries = _lean_from_fock(vec)
-    row = (den, tuple((_intern_mono(tctx, mo), num) for mo, num in entries))
-    tctx._lean_rows[key] = row
+        row = _lean_from_fock(tctx, vec)
+    rows[i] = row
     return row
 
 
@@ -248,7 +276,7 @@ def _apply_layer(tctx: TwistContext, layer: Layer, row: LeanRow) -> LeanRow:
     """The layer applied to a row, monomial by monomial through `_lean_row`;
     without the lattice sign."""
     den, entries = row
-    return _sum_rows([(num,) + _lean_row(tctx, layer, mo) for mo, num in entries], den)
+    return _sum_rows([(num,) + _lean_row(tctx, layer, i) for i, num in entries], den)
 
 
 def _x_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
@@ -260,11 +288,19 @@ def _h_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
     return ("H", m, tuple(int(c) for c in coeffs), 0)
 
 
+MonoRow = Tuple[int, Tuple[Tuple[Monomial, int], ...]]  # a row on monomials
+
+
 def x_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
-                row: LeanRow) -> LeanRow:
+                row: MonoRow) -> MonoRow:
     """The Fock part of the coefficient of z^{-m} in X(gamma, z) applied to
-    an integer row; the lattice sign is the caller's."""
-    return _apply_layer(tctx, _x_layer(tctx, m, gamma_vec), row)
+    an integer row on monomials, as a row on monomials in sorted order; the
+    lattice sign is the caller's."""
+    den, entries = row
+    out_den, out = _apply_layer(tctx, _x_layer(tctx, m, gamma_vec),
+                                (den, [(tctx.index(mo), num) for mo, num in entries]))
+    monos = tctx.monos
+    return out_den, tuple(sorted((monos[i], num) for i, num in out))
 
 
 def neg(vec: Sequence[int]) -> IntVec:
@@ -327,19 +363,20 @@ def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
 # sum c_t coef_t Fock_t(mono) = 0: one check on coset 0 covers them all.
 # The Fock parts are the layers' rows (`_lean_row`) composed per monomial.
 
-def _apply_term(tctx: TwistContext, layers: Tuple[Layer, ...], mono: Monomial) -> LeanRow:
-    """The row of the composed layers on one monomial; cached."""
+def _apply_term(tctx: TwistContext, layers: Tuple[Layer, ...], i: int) -> LeanRow:
+    """The row of the composed layers on monomial i; cached, a composition's
+    in `_pair_cache` by word and monomial index."""
     if not layers:
-        return 1, ((mono, 1),)
+        return 1, ((i, 1),)
     if len(layers) == 1:
-        return _lean_row(tctx, layers[0], mono)
-    key = (layers, mono)
-    cached = tctx._pair_cache.get(key)
-    if cached is not None:
-        return cached
-    result = _apply_layer(tctx, layers[0], _apply_term(tctx, layers[1:], mono))
-    tctx._pair_cache[key] = result
-    return result
+        return _lean_row(tctx, layers[0], i)
+    rows = tctx._pair_cache.get(layers)
+    if rows is None:
+        rows = tctx._pair_cache[layers] = {}
+    row = rows.get(i)
+    if row is None:
+        row = rows[i] = _apply_layer(tctx, layers[0], _apply_term(tctx, layers[1:], i))
+    return row
 
 
 def _term_sign(tctx: TwistContext, layers: Tuple[Layer, ...]) -> Tuple[int, int]:
@@ -366,36 +403,38 @@ def _check_instance(tctx: TwistContext, terms: Sequence[Term],
     By the bi-additivity of epsilon (see above) this is, for each monomial
     and each shift, sum c_t coef_t term_t = 0 on coset 0, where c_t is the
     term's sign chain there.  Returns None on success, else a witness
-    document naming coset 0.
+    document naming coset 0, its residual monomials in sorted order over the
+    lcm of the terms' row denominators.
     """
-    prepared = []  # (shift, signed coef, layers)
+    prepared = []  # (shift, signed numerator, denominator, layers)
     for coef, layers in terms:
         shift, sign = _term_sign(tctx, layers)
-        prepared.append((shift, sign * coef, layers))
+        prepared.append((shift, sign * coef.numerator, coef.denominator, layers))
 
     for mono in monos:
+        i = tctx.index(mono)
         dens: Dict[int, int] = {}
         vecs = []
-        for shift, coef, layers in prepared:
-            den, entries = _apply_term(tctx, layers, mono)
-            if not entries:
+        for shift, num, cden, layers in prepared:
+            den, entries = _apply_term(tctx, layers, i)
+            if entries:
+                den *= cden
+                vecs.append((shift, num, den, entries))
+                old = dens.get(shift, 1)
+                dens[shift] = old if old % den == 0 else lcm(old, den)
+        by_shift: Dict[int, IDict] = {}
+        for shift, num, den, entries in vecs:
+            scale = num * (dens[shift] // den)
+            acc = by_shift.get(shift)
+            if acc is None:
+                acc = by_shift[shift] = {}
+            get = acc.get
+            for j, n in entries:
+                acc[j] = get(j, 0) + scale * n
+        for shift, acc in by_shift.items():
+            if not any(acc.values()):
                 continue
-            vecs.append((shift, coef, den, entries))
-            dens[shift] = lcm(dens.get(shift, 1), den * coef.denominator)
-        by_shift: Dict[int, Dict[Monomial, int]] = {}
-        for shift, coef, den, entries in vecs:
-            scale = coef.numerator * (dens[shift] // (den * coef.denominator))
-            acc = by_shift.setdefault(shift, {})
-            for mo, num in entries:
-                val = acc.get(mo, 0) + scale * num
-                if val:
-                    acc[mo] = val
-                else:
-                    acc.pop(mo, None)
-        for shift, bad in by_shift.items():
-            if not bad:
-                continue
-            worst = sorted(bad.items())[:3]
+            worst = sorted((tctx.monos[j], q) for j, q in acc.items() if q)[:3]
             return {"coset": 0, "mono": list(map(list, mono)),
                     "residual": [[list(map(list, mo)), f"{q}/{dens[shift]}"]
                                  for mo, q in worst]}

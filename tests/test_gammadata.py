@@ -270,3 +270,33 @@ def test_to_doc_unchanged_by_rational_storage():
     doc = g.to_doc()
     assert doc["chars"] == expect
     assert load_gamma(json.dumps(doc)).to_doc() == doc
+
+
+@pytest.mark.parametrize("name,row,col", [("cyclic:3", 1, 2), ("cyclic:8", 3, 5)])
+def test_validate_rejects_one_perturbed_irrational_entry(name, row, col):
+    # orthogonality is summed on integer numerators (`scalars.weighted_dot`);
+    # moving one irrational value by zeta^2/9 must still break it
+    g, _ = builtin(name)
+    doc = g.to_doc()
+    value = g.chars[row][col]
+    assert value.as_rational() is None
+    doc["chars"][row][col] = (value + Cyc.zeta(value.order, 2) * Fraction(1, 9)).to_doc()
+    with pytest.raises(GammaValidationError, match="row orthogonality fails for characters"):
+        load_gamma(json.dumps(doc))
+
+
+def test_validate_reports_values_at_incompatible_orders():
+    # the cyclic:3 table with row 1 stored in Q(zeta_3) and row 2 in
+    # Q(zeta_6), and element orders that name neither, so nothing promotes
+    # them: the rows are orthonormal, but the table must be refused with the
+    # message Cyc arithmetic gives, not passed on to fail later
+    one = {"N": 1, "coeffs": [[1, 1]]}
+    doc = {"name": "mixed", "order": 3,
+           "classes": [{"name": f"c{c}", "size": 1, "element_order": 1,
+                        "inverse": (-c) % 3} for c in range(3)],
+           "chars": [[one, one, one],
+                     [one, Cyc.zeta(3, 1).to_doc(), Cyc.zeta(3, 2).to_doc()],
+                     [one, Cyc.zeta(6, 4).to_doc(), Cyc.zeta(6, 2).to_doc()]]}
+    with pytest.raises(GammaValidationError, match="malformed Gamma document: incompatible "
+                       "cyclotomic orders 3 and 6; promote explicitly"):
+        load_gamma(json.dumps(doc))

@@ -254,8 +254,9 @@ def test_poisoned_x_row_fails_the_realization_check(monkeypatch, capsys):
     def poisoned(gamma, xi):
         t = TwistContext(gamma, xi)
         layer = vx._x_layer(t, -2, t.basis_vector(0))
-        den, entries = vx._lean_row(t, layer, ())
-        t._lean_rows[(layer, ())] = (den, tuple((mono, 2 * num) for mono, num in entries))
+        vac = t.index(())
+        den, entries = vx._lean_row(t, layer, vac)
+        t._lean_rows.setdefault(layer, {})[vac] = (den, tuple((i, 2 * num) for i, num in entries))
         return t
 
     monkeypatch.setattr(qtable, "TwistContext", poisoned)

@@ -33,14 +33,15 @@ def vacuum(mask=0):
 
 def apply_word(t, layers, v):
     """The word of layers (rightmost first) applied to v: a layer maps
-    (b, mono) to its row on mono (`_lean_row`), moved to b + mask and signed
-    by `LatticeTwist.act`."""
+    (b, mono) to its row on mono (`_lean_row` on the monomial's index),
+    moved to b + mask and signed by `LatticeTwist.act`."""
     for layer in reversed(layers):
         out = {}
         for (b, mono), c in v.items():
             sign, b2 = t.twist.act(layer[-1], b)
-            den, entries = vx._lean_row(t, layer, mono)
-            for mo, num in entries:
+            den, entries = vx._lean_row(t, layer, t.index(mono))
+            for i, num in entries:
+                mo = t.monos[i]
                 out[(b2, mo)] = out.get((b2, mo), 0) + c * Fraction(sign * num, den)
         v = {key: c for key, c in out.items() if c}
     return v
@@ -144,7 +145,8 @@ def _bump_gram(t):
 
 
 def _poison_x0_on_vacuum(t):
-    t._lean_rows[(vx._x_layer(t, 0, t.basis_vector(0)), ())] = (1, (((), 7),))
+    vac = t.index(())
+    t._lean_rows.setdefault(vx._x_layer(t, 0, t.basis_vector(0)), {})[vac] = (1, ((vac, 7),))
 
 
 @pytest.mark.parametrize("relation,perturb,check", [
@@ -256,9 +258,10 @@ def test_words_factor_through_coset_zero(name, weight):
         for mono in monos:
             images = [apply_word(t, word, {(b, mono): Fraction(1)})
                       for b in range(1 << t.twist.dim)]
-            den, entries = vx._apply_term(t, tuple(word), mono)
+            den, entries = vx._apply_term(t, tuple(word), t.index(mono))
             base = images[0]
-            assert base == {(shift, mo): Fraction(chain * num, den) for mo, num in entries}
+            assert base == {(shift, t.monos[i]): Fraction(chain * num, den)
+                            for i, num in entries}
             nonzero += bool(base)
             if base:
                 kinds.update(layer[0] for layer in word)
@@ -307,10 +310,10 @@ def _normal_ordered_reference(ctx, a, b, alpha, beta, mono):
     return out
 
 
-def _row_as_fock(ctx, row):
+def _row_as_fock(t, row):
     den, entries = row
     assert all(num for _, num in entries)
-    return FockVector(ctx, {mo: Fraction(num, den) for mo, num in entries})
+    return FockVector(t.fock, {t.monos[i]: Fraction(num, den) for i, num in entries})
 
 
 def _row_contexts():
@@ -328,7 +331,7 @@ def test_lean_engine_matches_production_operator():
         for mono in vx._panel_monomials(t, 3):
             for m in (-2, -1, 0, 1, 2, 3):
                 for coeffs in [t.basis_vector(i) for i in range(k)] + [(1,) * k, (-1,) + (1,) * (k - 1)]:
-                    got = _row_as_fock(t.fock, vx._x_row_int(t, m, coeffs, mono))
+                    got = _row_as_fock(t, vx._x_row_int(t, m, coeffs, t.index(mono)))
                     assert got == _x_reference(t.fock, m, coeffs, mono), (m, coeffs, mono)
                     nonzero += not got.is_zero()
         assert nonzero > 100
@@ -346,7 +349,7 @@ def test_normal_ordered_rows_match_the_reference_formula():
                     for a in (-1, 1):
                         for b in (-2, 0, 1):
                             layer = ("N", a, b, alpha, beta, mask)
-                            got = _row_as_fock(t.fock, vx._lean_row(t, layer, mono))
+                            got = _row_as_fock(t, vx._lean_row(t, layer, t.index(mono)))
                             expect = _normal_ordered_reference(t.fock, a, b, alpha, beta, mono)
                             assert got == expect, (a, b, alpha, beta, mono)
                             nonzero += not got.is_zero()
@@ -398,3 +401,82 @@ def test_ratio_series_of_kappa_and_minus_kappa_multiply_to_one():
         f, g = vx._ratio_series(kappa, nterms), vx._ratio_series(-kappa, nterms)
         product = [sum(f[i] * g[t - i] for i in range(t + 1)) for t in range(nterms + 1)]
         assert product == [1] + [0] * nterms, kappa
+
+
+# -- pinned failure documents: the witness bytes of broken relations ---------------
+#
+# A witness document is part of the CLI's output, so each is pinned byte for
+# byte: the failing panel monomial, the first three residual monomials in
+# sorted order, and each residual as "q/den" over the lcm of the terms'
+# reduced row denominators (not reduced against q, so "192/3" stays "192/3").
+
+
+def _poisoned_clifford(t):
+    # the X_0(gamma_0) row on a_{-1}(gamma_1) times 2/3
+    layer, i = vx._x_layer(t, 0, t.basis_vector(0)), t.index(((1, 1),))
+    den, entries = vx._lean_row(t, layer, i)
+    t._lean_rows.setdefault(layer, {})[i] = (3 * den, tuple((j, 2 * num) for j, num in entries))
+    return clifford_check(t, 1, 3)[-1]
+
+
+def _wrong_central_hh(t):
+    # the central coefficient (m/2) <g_i, g_j> of every hh instance times 3/2
+    def instances():
+        for params, terms in vx.hh_instances(t, range(t.gamma.num_classes), 3):
+            yield params, [(c * Fraction(3, 2) if not layers else c, layers)
+                           for c, layers in terms]
+    return vx.certify_instances(t, "hh", instances(), vx._panel_monomials(t, 3), {})
+
+
+def _flipped_ope(index, alpha=None, beta=None):
+    # the N term of series coefficient `index` enters with the wrong sign;
+    # alpha and beta default to gamma_0 and gamma_1
+    def check(t, monkeypatch):
+        series = vx._ratio_series
+
+        def flipped(kappa, nterms):
+            out = series(kappa, nterms)
+            out[index] = -out[index]
+            return out
+
+        monkeypatch.setattr(vx, "_ratio_series", flipped)
+        return ope_check(t, alpha or t.basis_vector(0), beta or t.basis_vector(1),
+                         cutoff=1, max_degree=3)
+    return check
+
+
+PINNED_WITNESSES = [
+    ("cyclic:3", "standard", lambda t, mp: _poisoned_clifford(t),
+     '{"relation": "clifford", "params": {"family": "same_sign", "i": 0, "j": 0, '
+     '"neg_i": false, "neg_j": false, "n": -1, "nprime": 0}, "status": "fail", '
+     '"witness": {"coset": 0, "mono": [[1, 1]], "residual": [[[[1, 0], [1, 1]], "-2/3"]]}}'),
+    ("cyclic:3", "mckay", lambda t, mp: _wrong_central_hh(t),
+     '{"relation": "hh", "params": {"i": 0, "j": 0, "m": -3, "mprime": 3}, '
+     '"status": "fail", "witness": {"coset": 0, "mono": [], "residual": [[[], "3/2"]]}}'),
+    ("cyclic:3", "mckay", _flipped_ope(2),
+     '{"relation": "ope", "params": {"alpha": [1, 0, 0], "beta": [0, 1, 0], "m": -1, '
+     '"mprime": -1}, "status": "fail", "witness": {"coset": 0, "mono": [[1, 0]], '
+     '"residual": [[[[1, 0], [1, 0], [1, 0]], "16/3"], [[[3, 0]], "8/3"]]}}'),
+    ("cyclic:2", "mckay", _flipped_ope(3),
+     '{"relation": "ope", "params": {"alpha": [1, 0], "beta": [0, 1], "m": -1, '
+     '"mprime": -1}, "status": "fail", "witness": {"coset": 0, "mono": [[1, 0], [1, 0]], '
+     '"residual": [[[[1, 0], [1, 0], [1, 0], [1, 0]], "192/3"], '
+     '[[[1, 0], [3, 0]], "384/3"]]}}'),
+    # more than three residual monomials: the first three in sorted order
+    ("cyclic:3", "mckay", _flipped_ope(2, (1, 1, 0), (0, 1, 1)),
+     '{"relation": "ope", "params": {"alpha": [1, 1, 0], "beta": [0, 1, 1], "m": -1, '
+     '"mprime": -1}, "status": "fail", "witness": {"coset": 0, "mono": [[1, 0]], '
+     '"residual": [[[[1, 0], [1, 0], [1, 0]], "32/3"], [[[1, 0], [1, 0], [1, 1]], "96/3"], '
+     '[[[1, 0], [1, 1], [1, 1]], "96/3"]]}}'),
+]
+
+
+@pytest.mark.parametrize("name,weight,broken,expect", PINNED_WITNESSES,
+                         ids=["clifford-poisoned-row", "hh-central", "ope-flip-2",
+                              "ope-flip-3", "ope-flip-2-wide"])
+def test_failure_documents_are_pinned(name, weight, broken, expect, monkeypatch):
+    import json
+
+    g, _ = builtin(name)
+    t = TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
+    assert json.dumps(broken(t, monkeypatch).to_doc()) == expect
