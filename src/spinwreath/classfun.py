@@ -171,12 +171,16 @@ def induction_product(f: SpinClassFun, g: SpinClassFun) -> SpinClassFun:
 
 
 def ch(ctx: FockContext, f: SpinClassFun) -> FockVector:
-    """ch(f) = sum_rho (1/Z_rho) f(rho) a'_{-rho_bar}."""
+    """ch(f) = sum_rho (1/Z_rho) f(rho) a'_{-rho_bar}; each a'_{-rho_bar}
+    is expanded once per context and kept in `FockContext._a_prime_bar`."""
     gamma = ctx.gamma
     zetas = gamma.centralizer_orders
     perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
+    cache = ctx._a_prime_bar
     out = FockVector.zero(ctx)
     for rho, c in f.values.items():
-        vec = a_prime_vector(ctx, rho.relabel(perm))
+        vec = cache.get(rho)
+        if vec is None:
+            vec = cache[rho] = a_prime_vector(ctx, rho.relabel(perm))
         out = out + vec.scale(c / Fraction(big_z(rho, zetas)))
     return out

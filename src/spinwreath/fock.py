@@ -50,6 +50,7 @@ class FockContext:
         self._inner_cache: Dict[Tuple[Monomial, Monomial], Fraction] = {}
         self._partner_cache: Dict[Monomial, List[Monomial]] = {}
         self._row_cache: Dict[Tuple, List[Cyc]] = {}
+        self._a_prime_bar: Dict[MultiPartition, "FockVector"] = {}  # rho -> a'_{-rho_bar}
 
     def pair_row(self, coeffs: Sequence[CoeffLike]) -> List[Cyc]:
         """<coeffs, gamma_j>_xi for each j, as scalars."""

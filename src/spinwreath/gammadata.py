@@ -265,8 +265,6 @@ def _builtin_trivial() -> Tuple[GammaData, ConcreteGroup]:
 
 
 def _builtin_cyclic(k: int) -> Tuple[GammaData, ConcreteGroup]:
-    if k < 1:
-        raise ValueError("cyclic(k) needs k >= 1")
     if k == 1:
         return _builtin_trivial()
     classes = [ClassInfo("e" if m == 0 else f"c{m}", 1,
@@ -349,7 +347,13 @@ def builtin(name: str) -> Tuple[GammaData, ConcreteGroup]:
     if name == "trivial":
         return _builtin_trivial()
     if name.startswith("cyclic:"):
-        return _builtin_cyclic(int(name.split(":", 1)[1]))
+        try:
+            k = int(name.split(":", 1)[1])
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise ValueError(f"bad built-in group {name!r}: cyclic:k needs k a positive integer")
+        return _builtin_cyclic(k)
     if name == "klein4":
         return _builtin_klein4()
     if name == "quaternion8":
@@ -410,22 +414,24 @@ def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
     """Integer Gram matrix a_ij = <gamma_i, gamma_j>_xi; raises if an entry is
     not an integer.
 
-    Same sum as :func:`weighted_form` on basis vectors, with the class weight
-    w_c = xi(c)/zeta_c computed once per class.  The entry is the
-    multiplicity of gamma_j in xi gamma_i, an integer for every Gamma whose
-    products of irreducibles decompose (`GammaData.from_doc` checks that).
+    Same sum as :func:`weighted_form` on basis vectors: xi(c) gamma_i(c) is
+    formed once per (i, c), and each entry is one `scalars.weighted_dot` sum
+    of the terms (1/zeta_c, xi(c) gamma_i(c), gamma_j(c^{-1})) over the
+    classes where xi does not vanish.  The entry is the multiplicity of
+    gamma_j in xi gamma_i, an integer for every Gamma whose products of
+    irreducibles decompose (`GammaData.from_doc` checks that).
     """
     k = gamma.num_classes
-    weights = [xi.value_at(gamma, ci) / Fraction(gamma.centralizer_order(ci))
-               for ci in range(k)]
+    xis = [xi.value_at(gamma, ci) for ci in range(k)]
+    live = [ci for ci in range(k) if not xis[ci].is_zero()]
+    weights = [Fraction(1, gamma.centralizer_order(ci)) for ci in live]
+    left = [[xis[ci] * row[ci] for ci in live] for row in gamma.chars]
+    right = [[row[gamma.classes[ci].inverse] for ci in live] for row in gamma.chars]
     out: List[List[int]] = []
     for i in range(k):
         row = []
         for j in range(k):
-            val = Cyc.rational(0)
-            for ci, cls in enumerate(gamma.classes):
-                if not weights[ci].is_zero():
-                    val = val + weights[ci] * gamma.chars[i][ci] * gamma.chars[j][cls.inverse]
+            val = weighted_dot(zip(weights, left[i], right[j]))
             q = val.as_rational()
             if q is None or q.denominator != 1:
                 raise CycError(f"Gram entry ({i},{j}) is not an integer: {val.pretty()}")

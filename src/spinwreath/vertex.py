@@ -17,11 +17,11 @@ shared by the Fock form and the cocycle.
 The engine works on integers only.  The context numbers each Fock monomial
 once (`TwistContext.index`), a row's entries are (monomial index, integer
 numerator) pairs, and every cache keys on those indices: the layers' rows,
-the composed words' rows, the annihilation table and the products with
-q_n.  Rows never meet `Cyc` scalars: q_n and a_m are read off `fock`'s
-vectors once per row as rationals.  Indices turn back into monomials only
-at the edges: in a failure witness, and in `x_component`, which applies an
-X layer to a row on monomials (the character table's X_lambda vectors,
+the annihilation table and the products with q_n.  Rows never meet `Cyc`
+scalars: q_n and a_m are read off `fock`'s vectors once per row as
+rationals.  Indices turn back into monomials only at the edges: in a
+failure witness, and in `x_component`, which applies an X layer to a row
+on monomials (the character table's X_lambda vectors,
 `qtable.x_lambda_vector`).
 
 Every relation checker -- Clifford, OPE, X parity, the primary-field
@@ -29,7 +29,10 @@ commutator and the affine families -- is a generator of instances
 (params, terms), each term a coefficient times a word of layers, and one
 loop, `certify_instances`, checks that every instance's terms sum to zero
 on every basis vector up to a degree bound and reports the first witness
-on failure.
+on failure.  It checks a whole panel of monomials at once: a word's rows
+on every panel monomial form one integer block over one denominator,
+built by applying the word's layers to the panel one layer at a time and
+cached per word, and an instance is one sum of its terms' blocks.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class TwistContext:
         self.monos: List[Monomial] = []
         self._index: Dict[Monomial, int] = {}
         self._lean_rows: Dict[Layer, Dict[int, LeanRow]] = {}
-        self._pair_cache: Dict[Tuple[Layer, ...], Dict[int, LeanRow]] = {}
+        self._blocks: Dict[Tuple[int, ...], Dict[Tuple[Layer, ...], Block]] = {}
         self._prow_cache: Dict[IntVec, Tuple] = {}
         self._iladder_cache: Dict[Tuple[IntVec, int], List[LeanRow]] = {}
         self._ann_table: Dict[Tuple[int, int], Tuple] = {}
@@ -99,8 +102,9 @@ class TwistContext:
 #     ("H", m, coeffs, 0)                a_m(gamma)
 #     ("N", a, b, alpha, beta, mask)     coefficient of z^-a w^-b in :X(alpha,z)X(beta,w):
 #
-# `_lean_row` is the one cached way to get a layer's row on a monomial, and
-# `_apply_layer` the one way to apply a layer to a row.  The two products
+# `_lean_row` is the one cached way to get a layer's row on a monomial; a
+# layer is applied to a row by `_apply_layer` and to a panel block (the
+# instance engine below) by `_apply_block`, both through it.  The two products
 # the rows are built from are tables on indices: annihilating one factor of
 # degree n (`_ann`) and multiplying by q_n (`_q_parts`).  Indices map back
 # to monomials only at the edges: a failure witness and `x_component`.
@@ -361,22 +365,57 @@ def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
 # one shift share the factor epsilon(shift, b).  So the identity holds on
 # every (coset, monomial) basis vector exactly when, for every shift,
 # sum c_t coef_t Fock_t(mono) = 0: one check on coset 0 covers them all.
-# The Fock parts are the layers' rows (`_lean_row`) composed per monomial.
+#
+# The Fock part of a term is its word's block: the word's rows on every
+# panel monomial at once, one integer map (target index * panel size +
+# panel position) -> numerator over one denominator.  A word's block is its
+# left layer applied, through the layer's cached rows (`_lean_row`), to the
+# block of the rest of the word, down to the panel itself; blocks are cached
+# per panel and word.  An instance then sums its term blocks per shift over
+# one common denominator, and only a failing instance goes back to single
+# monomials, to write its witness.
 
-def _apply_term(tctx: TwistContext, layers: Tuple[Layer, ...], i: int) -> LeanRow:
-    """The row of the composed layers on monomial i; cached, a composition's
-    in `_pair_cache` by word and monomial index."""
-    if not layers:
-        return 1, ((i, 1),)
-    if len(layers) == 1:
-        return _lean_row(tctx, layers[0], i)
-    rows = tctx._pair_cache.get(layers)
-    if rows is None:
-        rows = tctx._pair_cache[layers] = {}
-    row = rows.get(i)
-    if row is None:
-        row = rows[i] = _apply_layer(tctx, layers[0], _apply_term(tctx, layers[1:], i))
-    return row
+Block = Tuple[int, IDict]  # (denominator, {target * panel size + position: numerator})
+
+
+def _apply_block(tctx: TwistContext, layer: Layer, block: Block, size: int) -> Block:
+    """The layer applied to a block over a panel of `size` monomials,
+    without the lattice sign."""
+    den, entries = block
+    cached = tctx._lean_rows.setdefault(layer, {})
+    parts = []
+    lcd = 1
+    for key, num in entries.items():
+        j, p = divmod(key, size)
+        d, row = cached.get(j) or _lean_row(tctx, layer, j)
+        if row:
+            if lcd % d:
+                lcd = lcm(lcd, d)
+            parts.append((p, num, d, row))
+    out: IDict = {}
+    get = out.get
+    for p, num, d, row in parts:
+        f = num * (lcd // d)
+        for t, e in row:
+            key = t * size + p
+            out[key] = get(key, 0) + f * e
+    return den * lcd, {key: v for key, v in out.items() if v}
+
+
+def _block(tctx: TwistContext, layers: Tuple[Layer, ...], panel: Tuple[int, ...],
+           blocks: Dict[Tuple[Layer, ...], Block]) -> Block:
+    """The word's block on the panel (monomial indices); cached in `blocks`,
+    the panel's dict in `TwistContext._blocks`, by word."""
+    block = blocks.get(layers)
+    if block is None:
+        if layers:
+            block = _apply_block(tctx, layers[0], _block(tctx, layers[1:], panel, blocks),
+                                 len(panel))
+        else:
+            size = len(panel)
+            block = 1, {i * size + p: 1 for p, i in enumerate(panel)}
+        blocks[layers] = block
+    return block
 
 
 def _term_sign(tctx: TwistContext, layers: Tuple[Layer, ...]) -> Tuple[int, int]:
@@ -394,61 +433,91 @@ def _term_sign(tctx: TwistContext, layers: Tuple[Layer, ...]) -> Tuple[int, int]
 
 Term = Tuple[Fraction, Tuple[Layer, ...]]
 Instance = Tuple[dict, List[Term]]
+Prepared = Tuple[int, int, int, Tuple[Layer, ...], Block]
+# a term as (shift, signed coefficient numerator, its denominator, word, block)
 
 
 def _check_instance(tctx: TwistContext, terms: Sequence[Term],
-                    monos: Sequence[Monomial]) -> Optional[dict]:
-    """Verify sum_t coef_t * term_t = 0 on every (coset, monomial) basis vector.
+                    panel: Tuple[int, ...]) -> Optional[dict]:
+    """Verify sum_t coef_t * term_t = 0 on every (coset, monomial) basis
+    vector, the monomials given by their indices in `panel`.
 
-    By the bi-additivity of epsilon (see above) this is, for each monomial
-    and each shift, sum c_t coef_t term_t = 0 on coset 0, where c_t is the
-    term's sign chain there.  Returns None on success, else a witness
-    document naming coset 0, its residual monomials in sorted order over the
-    lcm of the terms' row denominators.
+    By the bi-additivity of epsilon (see above) this is, for each shift,
+    sum c_t coef_t block_t = 0 on coset 0, where c_t is the term's sign
+    chain there; the blocks are summed over one lcm of their denominators
+    times their coefficients'.  Returns None on success, else the witness
+    of `_witness` on the first failing panel monomial.
     """
-    prepared = []  # (shift, signed numerator, denominator, layers)
+    blocks = tctx._blocks.setdefault(panel, {})
+    prepared: List[Prepared] = []
+    lcd = 1
     for coef, layers in terms:
         shift, sign = _term_sign(tctx, layers)
-        prepared.append((shift, sign * coef.numerator, coef.denominator, layers))
+        block = _block(tctx, layers, panel, blocks)
+        prepared.append((shift, sign * coef.numerator, coef.denominator, layers, block))
+        den = block[0] * coef.denominator
+        if lcd % den:
+            lcd = lcm(lcd, den)
+    by_shift: Dict[int, IDict] = {}
+    for shift, num, cden, _, (den, entries) in prepared:
+        scale = num * (lcd // (den * cden))
+        acc = by_shift.setdefault(shift, {})
+        get = acc.get
+        for key, n in entries.items():
+            acc[key] = get(key, 0) + scale * n
+    size = len(panel)
+    failing = [key % size for acc in by_shift.values() for key, v in acc.items() if v]
+    return _witness(tctx, prepared, panel, min(failing)) if failing else None
 
-    for mono in monos:
-        i = tctx.index(mono)
-        dens: Dict[int, int] = {}
-        vecs = []
-        for shift, num, cden, layers in prepared:
-            den, entries = _apply_term(tctx, layers, i)
-            if entries:
-                den *= cden
-                vecs.append((shift, num, den, entries))
-                old = dens.get(shift, 1)
-                dens[shift] = old if old % den == 0 else lcm(old, den)
-        by_shift: Dict[int, IDict] = {}
-        for shift, num, den, entries in vecs:
-            scale = num * (dens[shift] // den)
-            acc = by_shift.get(shift)
-            if acc is None:
-                acc = by_shift[shift] = {}
-            get = acc.get
-            for j, n in entries:
-                acc[j] = get(j, 0) + scale * n
-        for shift, acc in by_shift.items():
-            if not any(acc.values()):
-                continue
-            worst = sorted((tctx.monos[j], q) for j, q in acc.items() if q)[:3]
-            return {"coset": 0, "mono": list(map(list, mono)),
-                    "residual": [[list(map(list, mo)), f"{q}/{dens[shift]}"]
-                                 for mo, q in worst]}
-    return None
+
+def _witness(tctx: TwistContext, prepared: Sequence[Prepared], panel: Tuple[int, ...],
+             p: int) -> dict:
+    """The failure witness on the panel's p-th monomial: coset 0, the first
+    failing shift's first three residual monomials in sorted order, each as
+    "q/den" over the lcm of the shift's nonempty terms' row denominators
+    (a one-layer word's stored row denominator, a longer word's least one)
+    times their coefficients' denominators; shifts in the order of their
+    first term that is nonempty on the monomial."""
+    size = len(panel)
+    dens: Dict[int, int] = {}
+    by_shift: Dict[int, Dict[int, Fraction]] = {}
+    for shift, num, cden, layers, (den, entries) in prepared:
+        row = [(key // size, n) for key, n in entries.items() if key % size == p]
+        if not row:
+            continue
+        if len(layers) == 1:
+            row_den = _lean_row(tctx, layers[0], panel[p])[0]
+        else:
+            row_den = den // gcd(den, *(n for _, n in row))
+        dens[shift] = lcm(dens.get(shift, 1), row_den * cden)
+        acc = by_shift.setdefault(shift, {})
+        for j, n in row:
+            acc[j] = acc.get(j, 0) + Fraction(num * n, cden * den)
+    shift, acc = next(item for item in by_shift.items() if any(item[1].values()))
+    worst = sorted((tctx.monos[j], q) for j, q in acc.items() if q)[:3]
+    den = dens[shift]
+    return {"coset": 0, "mono": list(map(list, tctx.monos[panel[p]])),
+            "residual": [[list(map(list, mo)), f"{(q * den).numerator}/{den}"]
+                         for mo, q in worst]}
 
 
 def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instance],
                       monos: Sequence[Monomial], pass_params: dict) -> RelationResult:
     """The family `name` on the monomials: a "fail" result with the first
-    failing instance's params and witness, else "pass" with pass_params."""
+    failing instance's params and witness, else "pass" with pass_params.  A
+    family with no instance or no monomial fails with the reason
+    "no_instances", so a pass never rests on an empty check."""
+    panel = tuple(tctx.index(mono) for mono in monos)
+    checked = False
     for params, terms in instances:
-        witness = _check_instance(tctx, terms, monos)
+        if not panel:
+            break
+        checked = True
+        witness = _check_instance(tctx, terms, panel)
         if witness is not None:
             return RelationResult(name, params, "fail", witness)
+    if not checked:
+        return RelationResult(name, pass_params, "fail", {"reason": "no_instances"})
     return RelationResult(name, pass_params, "pass")
 
 
@@ -674,7 +743,7 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
             "window": window, "degree": max_degree, "indices": list(index_set)}))
         if results[-1].status == "fail":
             return results
-        tctx._pair_cache.clear()
+        tctx._blocks.clear()
     results.append(RelationResult(
         "h_even_zero", {"note": "only odd Heisenberg generators exist; "
                                 "h_i(2n) = 0 holds structurally"}, "pass"))

@@ -67,6 +67,12 @@ def test_usage_error_is_printed_once(tmp_path):
     assert_one_usage_error(*run_cli("chartable", "--gamma", f"@{bad}"), "invalid Gamma document")
 
 
+@pytest.mark.parametrize("spec", ["cyclic:x", "cyclic:2:3", "cyclic:", "cyclic:0", "cyclic:-2"])
+def test_bad_cyclic_spec_is_one_usage_error(spec):
+    assert_one_usage_error(*run_cli("chartable", "--gamma", spec, "--n", "1"),
+                           f"bad built-in group {spec!r}: cyclic:k needs k a positive integer")
+
+
 def test_size_zero_is_accepted():
     code, out, err = run_cli("chartable", "--gamma", "trivial", "--n", "0")
     assert code == 0 and err == ""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinwreath.gammadata import (GammaValidationError, VirtualChar, builtin,
+from spinwreath.gammadata import (GammaData, GammaValidationError, VirtualChar, builtin,
                                   gram_matrix, load_gamma, mckay_xi, weighted_form)
 from spinwreath.scalars import Cyc, CycError
 
@@ -111,6 +111,15 @@ def fake_order4_doc():
 def test_load_rejects_products_that_do_not_decompose():
     with pytest.raises(GammaValidationError, match=r"g1\*g1 is not a character: g1 occurs -8/9"):
         load_gamma(json.dumps(fake_order4_doc()))
+
+
+def test_gram_matrix_refuses_a_non_integer_entry(monkeypatch):
+    # skip the product check that `load_gamma` makes, so the fake table
+    # reaches the Gram matrix; its McKay-like weight gives 26/9 at (1, 1)
+    monkeypatch.setattr(GammaData, "require_products_decompose", lambda self: None)
+    g = load_gamma(json.dumps(fake_order4_doc()))
+    with pytest.raises(CycError, match=r"Gram entry \(1,1\) is not an integer: 26/9"):
+        gram_matrix(g, VirtualChar([2, -1, 0, 0]))
 
 
 @pytest.mark.parametrize("name", BUILTINS + ["cyclic:4", "cyclic:5", "cyclic:8", "klein4"])

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -208,17 +209,58 @@ def test_checker_catches_wrong_relation():
     from spinwreath.vertex import _check_instance, _panel_monomials, _x_layer
 
     t = tctx_for("cyclic:2", mckay_xi(builtin("cyclic:2")[0]))
-    monos = _panel_monomials(t, 2)
+    panel = tuple(map(t.index, _panel_monomials(t, 2)))
     g1 = t.basis_vector(1)
     xa = _x_layer(t, 1, g1)
     xb = _x_layer(t, -1, neg(g1))
     # correct central coefficient is 4, claim 8 instead
     terms = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-8), ())]
-    witness = _check_instance(t, terms, monos)
+    witness = _check_instance(t, terms, panel)
     assert witness is not None
     assert witness["coset"] == 0
     good = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-4), ())]
-    assert _check_instance(t, good, monos) is None
+    assert _check_instance(t, good, panel) is None
+
+
+def _random_words(t, rng, count):
+    """`count` random words of one to three X, H and N layers, with the sum
+    of each word's layer masks."""
+    k = t.gamma.num_classes
+
+    def random_vec():
+        return tuple(rng.randint(-1, 1) for _ in range(k))
+
+    for _ in range(count):
+        word, shift = [], 0
+        for _ in range(rng.randint(1, 3)):
+            draw = rng.random()
+            if draw < 0.5:
+                layer = vx._x_layer(t, rng.randint(-2, 2), random_vec())
+            elif draw < 0.75:
+                m, i = rng.choice((-3, -1, 1, 3)), rng.randrange(k)
+                layer = vx._h_layer(t, m, t.basis_vector(i))
+            else:
+                alpha, beta = random_vec(), random_vec()
+                layer = ("N", rng.randint(-1, 1), rng.randint(-1, 1), alpha, beta,
+                         vx.vec_to_mask(alpha) ^ vx.vec_to_mask(beta))
+            word.append(layer)
+            shift ^= layer[-1]
+        yield tuple(word), shift
+
+
+def _block_rows(block, size):
+    """A block's rows by panel position: position -> {target index: numerator}."""
+    den, entries = block
+    rows = {}
+    for key, num in entries.items():
+        j, p = divmod(key, size)
+        rows.setdefault(p, {})[j] = num
+    return den, rows
+
+
+def _twist_for(name, weight):
+    g, _ = builtin(name)
+    return TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
 
 
 @pytest.mark.parametrize("name,weight", [("cyclic:3", "standard"), ("cyclic:2", "mckay")])
@@ -226,42 +268,23 @@ def test_words_factor_through_coset_zero(name, weight):
     # a word whose layer masks add up to `shift` maps (b, mono) to
     # epsilon(shift, b) times its image of (0, mono), moved to b + shift;
     # X, H and N layers alike, which is what `_term_sign` relies on.  The
-    # image of (0, mono) is the coset-0 reduction: the composed row
-    # (`_apply_term`) times the sign chain (`_term_sign`).
-    g, _ = builtin(name)
-    t = TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
-    k = g.num_classes
-    rng = random.Random(21)
+    # image of (0, mono) is the coset-0 reduction: the word's row in its
+    # panel block (`_block`) times the sign chain (`_term_sign`).
+    t = _twist_for(name, weight)
     monos = vx._panel_monomials(t, 2)
+    panel = tuple(map(t.index, monos))
     nonzero = 0
     kinds = set()
-
-    def random_vec():
-        return tuple(rng.randint(-1, 1) for _ in range(k))
-
-    for _ in range(16):
-        word, shift = [], 0
-        for _ in range(rng.randint(1, 3)):
-            draw = rng.random()
-            if draw < 0.5:
-                layer = vx._x_layer(t, rng.randint(-2, 2), random_vec())
-            elif draw < 0.75:
-                layer = vx._h_layer(t, rng.choice((-3, -1, 1, 3)), t.basis_vector(rng.randrange(k)))
-            else:
-                alpha, beta = random_vec(), random_vec()
-                layer = ("N", rng.randint(-1, 1), rng.randint(-1, 1), alpha, beta,
-                         vx.vec_to_mask(alpha) ^ vx.vec_to_mask(beta))
-            word.append(layer)
-            shift ^= layer[-1]
-        term_shift, chain = vx._term_sign(t, tuple(word))
+    for word, shift in _random_words(t, random.Random(21), 16):
+        term_shift, chain = vx._term_sign(t, word)
         assert term_shift == shift
-        for mono in monos:
+        den, rows = _block_rows(vx._block(t, word, panel, {}), len(panel))
+        for p, mono in enumerate(monos):
             images = [apply_word(t, word, {(b, mono): Fraction(1)})
                       for b in range(1 << t.twist.dim)]
-            den, entries = vx._apply_term(t, tuple(word), t.index(mono))
             base = images[0]
             assert base == {(shift, t.monos[i]): Fraction(chain * num, den)
-                            for i, num in entries}
+                            for i, num in rows.get(p, {}).items()}
             nonzero += bool(base)
             if base:
                 kinds.update(layer[0] for layer in word)
@@ -271,6 +294,40 @@ def test_words_factor_through_coset_zero(name, weight):
                                  for (_, mo), c in base.items()}, (b, mono)
     assert nonzero >= 20  # the check is not vacuous
     assert kinds == {"X", "H", "N"}
+
+
+def _compose_reference(t, layers, i):
+    """The row of the composed layers on monomial i, one monomial at a time:
+    a one-layer word's stored row, a longer word its left layer applied to
+    the rest's row (`_apply_layer`), over its least denominator."""
+    if not layers:
+        return 1, ((i, 1),)
+    if len(layers) == 1:
+        return vx._lean_row(t, layers[0], i)
+    return vx._apply_layer(t, layers[0], _compose_reference(t, layers[1:], i))
+
+
+@pytest.mark.parametrize("name,weight", [("cyclic:3", "standard"), ("cyclic:2", "mckay")])
+def test_blocks_match_per_monomial_composition(name, weight):
+    # every panel row of a word's block equals the per-monomial composition,
+    # and its least denominator is the one a witness reports
+    t = _twist_for(name, weight)
+    panel = tuple(map(t.index, vx._panel_monomials(t, 3)))
+    blocks = {}
+    nonzero = 0
+    for word, _ in _random_words(t, random.Random(5), 40):
+        den, rows = _block_rows(vx._block(t, word, panel, blocks), len(panel))
+        for p, i in enumerate(panel):
+            ref_den, ref = _compose_reference(t, word, i)
+            got = rows.get(p, {})
+            assert {j: Fraction(num, den) for j, num in got.items()} == \
+                {j: Fraction(num, ref_den) for j, num in ref}, (word, p)
+            if got:
+                assert den // math.gcd(den, *got.values()) == ref_den
+                nonzero += 1
+    assert nonzero >= 100
+    # the cache holds each suffix of every word, and the panel itself
+    assert () in blocks and all(word[1:] in blocks for word in blocks if word)
 
 
 # -- reference formulas for the integer rows, on Cyc Fock vectors ----------------
@@ -445,6 +502,25 @@ def _flipped_ope(index, alpha=None, beta=None):
     return check
 
 
+def _mixed_shifts(t):
+    # one wrong instance whose terms land on four shifts, all failing on the
+    # monomial a_{-1}(g_0); its first term is empty there, so the reported
+    # shift is the second term's, and that shift's two-layer rows have
+    # denominators 1 and 2 (the three-layer row reduces to 1)
+    e = t.basis_vector
+    x, h = (lambda m, v: vx._x_layer(t, m, v)), (lambda m, v: vx._h_layer(t, m, v))
+    terms = [(Fraction(1, 5), (x(2, e(1)),)),
+             (Fraction(-1, 2), (x(-2, e(2)), h(1, e(1)))),
+             (Fraction(1, 3), (x(0, e(2)), h(1, e(1)))),
+             (Fraction(1, 6), (h(-1, e(1)), x(-1, e(2)), h(1, e(1)))),
+             (Fraction(1, 3), (x(-1, e(1)), h(1, e(0)))),
+             (Fraction(1), (x(0, e(0)), h(1, e(0)))),
+             (Fraction(2), (x(0, e(0)), x(-1, e(1)), h(1, e(2)))),
+             (Fraction(3, 4), (x(1, e(0)), h(-1, e(0)), h(1, e(1))))]
+    return vx.certify_instances(t, "mixed", iter([({"case": "mixed"}, terms)]),
+                                vx._panel_monomials(t, 2), {})
+
+
 PINNED_WITNESSES = [
     ("cyclic:3", "standard", lambda t, mp: _poisoned_clifford(t),
      '{"relation": "clifford", "params": {"family": "same_sign", "i": 0, "j": 0, '
@@ -468,15 +544,38 @@ PINNED_WITNESSES = [
      '"mprime": -1}, "status": "fail", "witness": {"coset": 0, "mono": [[1, 0]], '
      '"residual": [[[[1, 0], [1, 0], [1, 0]], "32/3"], [[[1, 0], [1, 0], [1, 1]], "96/3"], '
      '[[[1, 0], [1, 1], [1, 1]], "96/3"]]}}'),
+    # residuals under four shifts with mixed row denominators: the first
+    # nonempty term's shift, over the lcm of that shift's denominators
+    ("cyclic:3", "mckay", lambda t, mp: _mixed_shifts(t),
+     '{"relation": "mixed", "params": {"case": "mixed"}, "status": "fail", '
+     '"witness": {"coset": 0, "mono": [[1, 0]], "residual": [[[], "-1/6"], '
+     '[[[1, 1], [1, 2]], "-1/6"], [[[1, 2], [1, 2]], "3/6"]]}}'),
 ]
 
 
 @pytest.mark.parametrize("name,weight,broken,expect", PINNED_WITNESSES,
                          ids=["clifford-poisoned-row", "hh-central", "ope-flip-2",
-                              "ope-flip-3", "ope-flip-2-wide"])
+                              "ope-flip-3", "ope-flip-2-wide", "mixed-shifts"])
 def test_failure_documents_are_pinned(name, weight, broken, expect, monkeypatch):
     import json
 
     g, _ = builtin(name)
     t = TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
     assert json.dumps(broken(t, monkeypatch).to_doc()) == expect
+
+
+def test_an_empty_family_cannot_pass():
+    # no instance, or no panel monomial to check them on, is a failure
+    t = tctx_for("cyclic:2")
+    monos = vx._panel_monomials(t, 1)
+    no_instances = {"reason": "no_instances"}
+
+    def parity():
+        return vx.parity_instances(t, [({"gamma": [1, 0]}, t.basis_vector(0))], 1)
+
+    r = vx.certify_instances(t, "x_parity", iter(()), monos, {"window": 1})
+    assert r.to_doc() == {"relation": "x_parity", "params": {"window": 1},
+                          "status": "fail", "witness": no_instances}
+    r = vx.certify_instances(t, "x_parity", parity(), [], {"window": 1})
+    assert (r.status, r.witness) == ("fail", no_instances)
+    assert vx.certify_instances(t, "x_parity", parity(), monos, {}).status == "pass"
