@@ -138,7 +138,7 @@ class GammaData:
             if q is None or q.denominator != 1 or q <= 0:
                 raise GammaValidationError(
                     f"degree of character {i} is not a positive integer: {row[0].pretty()}")
-        weights = [Fraction(c.size, self.order) for c in self.classes]
+        form = _weighted_gram(self, [Cyc.rational(1)] * k)
         mixed = len({v.order for row in self.chars for v in row} - {1}) > 1
         for i in range(k):
             for j in range(k):
@@ -147,9 +147,7 @@ class GammaData:
                 if clash:
                     raise CycError(f"incompatible cyclotomic orders {clash[0]} and "
                                    f"{clash[1]}; promote explicitly")
-                val = weighted_dot(zip(weights, self.chars[i], right))
-                expect = 1 if i == j else 0
-                if not val == expect:
+                if not form[i][j] == (1 if i == j else 0):
                     raise GammaValidationError(
                         f"row orthogonality fails for characters ({i}, {j})")
 
@@ -158,14 +156,11 @@ class GammaData:
         integer multiplicities, as in any group: orthonormal rows alone do
         not make a character table.  Run on outside input only."""
         k = len(self.classes)
-        weights = [Fraction(c.size, self.order) for c in self.classes]
+        forms = [_weighted_gram(self, row) for row in self.chars]  # xi = gamma_j
         for i in range(k):
             for j in range(i, k):
-                prod = [self.chars[i][ci] * self.chars[j][ci] * weights[ci] for ci in range(k)]
                 for t in range(k):
-                    val = Cyc.rational(0)
-                    for ci, c in enumerate(self.classes):
-                        val = val + prod[ci] * self.chars[t][c.inverse]
+                    val = forms[j][i][t]
                     q = val.as_rational()
                     if q is None or q.denominator != 1 or q < 0:
                         raise GammaValidationError(
@@ -410,34 +405,40 @@ def weighted_form(gamma: GammaData, xi: VirtualChar,
     return total
 
 
-def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
-    """Integer Gram matrix a_ij = <gamma_i, gamma_j>_xi; raises if an entry is
-    not an integer.
+def _weighted_gram(gamma: GammaData, xis: Sequence[Cyc]) -> List[List[Cyc]]:
+    """The matrix <gamma_i, gamma_j>_xi for xi given by its class values xis.
 
-    Same sum as :func:`weighted_form` on basis vectors: xi(c) gamma_i(c) is
-    formed once per (i, c), and each entry is one `scalars.weighted_dot` sum
-    of the terms (1/zeta_c, xi(c) gamma_i(c), gamma_j(c^{-1})) over the
-    classes where xi does not vanish.  The entry is the multiplicity of
-    gamma_j in xi gamma_i, an integer for every Gamma whose products of
-    irreducibles decompose (`GammaData.from_doc` checks that).
+    Same sum as :func:`weighted_form` on basis vectors: each entry is one
+    `scalars.weighted_dot` sum of the terms (xi(c)/zeta_c, gamma_i(c),
+    gamma_j(c^{-1})) over the classes where xi does not vanish, an
+    irrational xi(c) moved from the weight into gamma_i(c), once per (i, c).
+    The entry is the multiplicity of gamma_j in xi gamma_i when xi is a
+    character.
     """
     k = gamma.num_classes
-    xis = [xi.value_at(gamma, ci) for ci in range(k)]
     live = [ci for ci in range(k) if not xis[ci].is_zero()]
-    weights = [Fraction(1, gamma.centralizer_order(ci)) for ci in live]
-    left = [[xis[ci] * row[ci] for ci in live] for row in gamma.chars]
+    qs = [xis[ci].as_rational() for ci in live]
+    weights = [Fraction(1 if q is None else q) / gamma.centralizer_order(ci)
+               for ci, q in zip(live, qs)]
+    left = [[row[ci] if q is not None else xis[ci] * row[ci] for ci, q in zip(live, qs)]
+            for row in gamma.chars]
     right = [[row[gamma.classes[ci].inverse] for ci in live] for row in gamma.chars]
-    out: List[List[int]] = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            val = weighted_dot(zip(weights, left[i], right[j]))
+    return [[weighted_dot(zip(weights, left[i], right[j])) for j in range(k)]
+            for i in range(k)]
+
+
+def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
+    """Integer Gram matrix a_ij = <gamma_i, gamma_j>_xi (`_weighted_gram`);
+    raises if an entry is not an integer, which it is for every Gamma whose
+    products of irreducibles decompose (`GammaData.from_doc` checks that)."""
+    form = _weighted_gram(gamma, [xi.value_at(gamma, ci) for ci in range(gamma.num_classes)])
+    for i, row in enumerate(form):
+        for j, val in enumerate(row):
             q = val.as_rational()
             if q is None or q.denominator != 1:
                 raise CycError(f"Gram entry ({i},{j}) is not an integer: {val.pretty()}")
-            row.append(q.numerator)
-        out.append(row)
-    return out
+            row[j] = q.numerator
+    return form
 
 
 def identify_affine_type(cartan: List[List[int]]) -> Optional[str]:

@@ -113,16 +113,17 @@ def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> FockVector:
     iterated on the lattice vacuum e^(-[lambda]).
 
     Components are applied per character index in table order, smallest part
-    first within an index.  Their Fock parts compose on one integer row from
-    the Fock vacuum (`x_component`); their lattice parts carry e^(-[lambda])
-    to the zero class, each step signed by the cocycle, and that sign chain
+    first within an index.  Their Fock parts compose on one integer row of
+    monomial indices from the Fock vacuum (`x_component`), read back as
+    monomials once, at the end; their lattice parts carry e^(-[lambda]) to
+    the zero class, each step signed by the cocycle, and that sign chain
     scales the final row.  (In this order every step's sign is +1: epsilon
     (gamma_i, b) = +1 when b has no bit below i.)  The result is the Fock
     vector in the zero class.
     """
     cur = vec_to_mask(lambda_shift(lam))  # -[lambda] mod 2
     sign = 1
-    row = (1, (((), 1),))
+    row = (1, ((tctx.index(()), 1),))
     for i, parts in enumerate(lam.parts):
         if parts and len(set(parts)) != len(parts):
             raise ValueError(f"lambda must be strict per index, got {parts}")
@@ -132,7 +133,7 @@ def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> FockVector:
             eps, cur = tctx.twist.act(1 << i, cur)
             sign *= eps
     den, entries = row
-    return FockVector(tctx.fock, {mono: Fraction(sign * num, den) for mono, num in entries})
+    return FockVector(tctx.fock, {tctx.monos[i]: Fraction(sign * num, den) for i, num in entries})
 
 
 def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,

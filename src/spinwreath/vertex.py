@@ -18,11 +18,11 @@ The engine works on integers only.  The context numbers each Fock monomial
 once (`TwistContext.index`), a row's entries are (monomial index, integer
 numerator) pairs, and every cache keys on those indices: the layers' rows,
 the annihilation table and the products with q_n.  Rows never meet `Cyc`
-scalars: q_n and a_m are read off `fock`'s vectors once per row as
-rationals.  Indices turn back into monomials only at the edges: in a
-failure witness, and in `x_component`, which applies an X layer to a row
-on monomials (the character table's X_lambda vectors,
-`qtable.x_lambda_vector`).
+scalars: the a_m rows come from the annihilation table and from inserting
+a factor, and only q_n is read off `fock`'s vectors, once per (n, gamma),
+as rationals.  Indices turn back into monomials only in a failure witness;
+`x_component` applies an X layer to an index row (the character table's
+X_lambda vectors, `qtable.x_lambda_vector`).
 
 Every relation checker -- Clifford, OPE, X parity, the primary-field
 commutator and the affine families -- is a generator of instances
@@ -32,7 +32,8 @@ on every basis vector up to a degree bound and reports the first witness
 on failure.  It checks a whole panel of monomials at once: a word's rows
 on every panel monomial form one integer block over one denominator,
 built by applying the word's layers to the panel one layer at a time and
-cached per word, and an instance is one sum of its terms' blocks.
+cached per word for one family, and an instance is one sum of its terms'
+blocks.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fock import (FockContext, FockVector, Monomial, _merge, annihilate, create,
-                   mono_degree, q_gen)
+from .fock import FockContext, FockVector, Monomial, _merge, mono_degree, q_gen
+from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks vertex.create
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
 from .partitions import multipartitions
@@ -66,7 +67,6 @@ class TwistContext:
         self.monos: List[Monomial] = []
         self._index: Dict[Monomial, int] = {}
         self._lean_rows: Dict[Layer, Dict[int, LeanRow]] = {}
-        self._blocks: Dict[Tuple[int, ...], Dict[Tuple[Layer, ...], Block]] = {}
         self._prow_cache: Dict[IntVec, Tuple] = {}
         self._iladder_cache: Dict[Tuple[IntVec, int], List[LeanRow]] = {}
         self._ann_table: Dict[Tuple[int, int], Tuple] = {}
@@ -102,12 +102,13 @@ class TwistContext:
 #     ("H", m, coeffs, 0)                a_m(gamma)
 #     ("N", a, b, alpha, beta, mask)     coefficient of z^-a w^-b in :X(alpha,z)X(beta,w):
 #
-# `_lean_row` is the one cached way to get a layer's row on a monomial; a
-# layer is applied to a row by `_apply_layer` and to a panel block (the
-# instance engine below) by `_apply_block`, both through it.  The two products
-# the rows are built from are tables on indices: annihilating one factor of
-# degree n (`_ann`) and multiplying by q_n (`_q_parts`).  Indices map back
-# to monomials only at the edges: a failure witness and `x_component`.
+# `_lean_row` is the one cached way to get a layer's row on a monomial, and
+# `_apply_block` the one way to apply a layer to rows: to a panel block (the
+# instance engine below), or to a single index row as a one-entry panel
+# (`x_component`).  The products the rows are built from are tables on
+# indices: annihilating one factor of degree n (`_ann`), which gives the X
+# ladders and the a_m rows, and multiplying by q_n (`_q_parts`).  Indices
+# map back to monomials only in a failure witness.
 
 IDict = Dict[int, int]
 LeanRow = Tuple[int, Tuple[Tuple[int, int], ...]]  # (denominator, entries)
@@ -268,19 +269,14 @@ def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
         row = _n_row(tctx, m, *layer[2:5], i)
     elif m % 2 == 0:
         row = (1, ())
+    elif m > 0:
+        row = _sum_rows([(1,) + _ilean_annihilate(tctx, 1, ((i, 1),), m, layer[2])])
     else:
-        base = FockVector(tctx.fock, {tctx.monos[i]: 1})
-        vec = annihilate(base, m, layer[2]) if m > 0 else create(base, -m, layer[2])
-        row = _lean_from_fock(tctx, vec)
+        mono = tctx.monos[i]
+        row = 1, tuple((tctx.index(_merge(mono, ((-m, j),))), c)
+                       for j, c in enumerate(layer[2]) if c)
     rows[i] = row
     return row
-
-
-def _apply_layer(tctx: TwistContext, layer: Layer, row: LeanRow) -> LeanRow:
-    """The layer applied to a row, monomial by monomial through `_lean_row`;
-    without the lattice sign."""
-    den, entries = row
-    return _sum_rows([(num,) + _lean_row(tctx, layer, i) for i, num in entries], den)
 
 
 def _x_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
@@ -292,19 +288,13 @@ def _h_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
     return ("H", m, tuple(int(c) for c in coeffs), 0)
 
 
-MonoRow = Tuple[int, Tuple[Tuple[Monomial, int], ...]]  # a row on monomials
-
-
 def x_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
-                row: MonoRow) -> MonoRow:
+                row: LeanRow) -> LeanRow:
     """The Fock part of the coefficient of z^{-m} in X(gamma, z) applied to
-    an integer row on monomials, as a row on monomials in sorted order; the
+    an integer row on monomial indices, over its least denominator; the
     lattice sign is the caller's."""
-    den, entries = row
-    out_den, out = _apply_layer(tctx, _x_layer(tctx, m, gamma_vec),
-                                (den, [(tctx.index(mo), num) for mo, num in entries]))
-    monos = tctx.monos
-    return out_den, tuple(sorted((monos[i], num) for i, num in out))
+    den, block = _apply_block(tctx, _x_layer(tctx, m, gamma_vec), (row[0], dict(row[1])), 1)
+    return _sum_rows([(1, den, block.items())])
 
 
 def neg(vec: Sequence[int]) -> IntVec:
@@ -371,9 +361,9 @@ def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
 # panel position) -> numerator over one denominator.  A word's block is its
 # left layer applied, through the layer's cached rows (`_lean_row`), to the
 # block of the rest of the word, down to the panel itself; blocks are cached
-# per panel and word.  An instance then sums its term blocks per shift over
-# one common denominator, and only a failing instance goes back to single
-# monomials, to write its witness.
+# by word for one family (`certify_instances`).  An instance then sums its
+# term blocks per shift over one common denominator, and only a failing
+# instance goes back to single monomials, to write its witness.
 
 Block = Tuple[int, IDict]  # (denominator, {target * panel size + position: numerator})
 
@@ -404,8 +394,8 @@ def _apply_block(tctx: TwistContext, layer: Layer, block: Block, size: int) -> B
 
 def _block(tctx: TwistContext, layers: Tuple[Layer, ...], panel: Tuple[int, ...],
            blocks: Dict[Tuple[Layer, ...], Block]) -> Block:
-    """The word's block on the panel (monomial indices); cached in `blocks`,
-    the panel's dict in `TwistContext._blocks`, by word."""
+    """The word's block on the panel (monomial indices); cached in `blocks`
+    by word."""
     block = blocks.get(layers)
     if block is None:
         if layers:
@@ -433,33 +423,33 @@ def _term_sign(tctx: TwistContext, layers: Tuple[Layer, ...]) -> Tuple[int, int]
 
 Term = Tuple[Fraction, Tuple[Layer, ...]]
 Instance = Tuple[dict, List[Term]]
-Prepared = Tuple[int, int, int, Tuple[Layer, ...], Block]
-# a term as (shift, signed coefficient numerator, its denominator, word, block)
+Prepared = Tuple[int, int, int, Block]
+# a term as (shift, signed coefficient numerator, its denominator, block)
 
 
-def _check_instance(tctx: TwistContext, terms: Sequence[Term],
-                    panel: Tuple[int, ...]) -> Optional[dict]:
+def _check_instance(tctx: TwistContext, terms: Sequence[Term], panel: Tuple[int, ...],
+                    blocks: Dict[Tuple[Layer, ...], Block]) -> Optional[dict]:
     """Verify sum_t coef_t * term_t = 0 on every (coset, monomial) basis
     vector, the monomials given by their indices in `panel`.
 
     By the bi-additivity of epsilon (see above) this is, for each shift,
     sum c_t coef_t block_t = 0 on coset 0, where c_t is the term's sign
-    chain there; the blocks are summed over one lcm of their denominators
-    times their coefficients'.  Returns None on success, else the witness
-    of `_witness` on the first failing panel monomial.
+    chain there; the blocks, cached in `blocks` by word, are summed over one
+    lcm of their denominators times their coefficients'.  Returns None on
+    success, else the witness of `_witness` on the first failing panel
+    monomial.
     """
-    blocks = tctx._blocks.setdefault(panel, {})
     prepared: List[Prepared] = []
     lcd = 1
     for coef, layers in terms:
         shift, sign = _term_sign(tctx, layers)
         block = _block(tctx, layers, panel, blocks)
-        prepared.append((shift, sign * coef.numerator, coef.denominator, layers, block))
+        prepared.append((shift, sign * coef.numerator, coef.denominator, block))
         den = block[0] * coef.denominator
         if lcd % den:
             lcd = lcm(lcd, den)
     by_shift: Dict[int, IDict] = {}
-    for shift, num, cden, _, (den, entries) in prepared:
+    for shift, num, cden, (den, entries) in prepared:
         scale = num * (lcd // (den * cden))
         acc = by_shift.setdefault(shift, {})
         get = acc.get
@@ -474,22 +464,17 @@ def _witness(tctx: TwistContext, prepared: Sequence[Prepared], panel: Tuple[int,
              p: int) -> dict:
     """The failure witness on the panel's p-th monomial: coset 0, the first
     failing shift's first three residual monomials in sorted order, each as
-    "q/den" over the lcm of the shift's nonempty terms' row denominators
-    (a one-layer word's stored row denominator, a longer word's least one)
-    times their coefficients' denominators; shifts in the order of their
-    first term that is nonempty on the monomial."""
+    "q/den" over the lcm of the shift's nonempty terms' least row
+    denominators times their coefficients' denominators; shifts in the order
+    of their first term that is nonempty on the monomial."""
     size = len(panel)
     dens: Dict[int, int] = {}
     by_shift: Dict[int, Dict[int, Fraction]] = {}
-    for shift, num, cden, layers, (den, entries) in prepared:
+    for shift, num, cden, (den, entries) in prepared:
         row = [(key // size, n) for key, n in entries.items() if key % size == p]
         if not row:
             continue
-        if len(layers) == 1:
-            row_den = _lean_row(tctx, layers[0], panel[p])[0]
-        else:
-            row_den = den // gcd(den, *(n for _, n in row))
-        dens[shift] = lcm(dens.get(shift, 1), row_den * cden)
+        dens[shift] = lcm(dens.get(shift, 1), den // gcd(den, *(n for _, n in row)) * cden)
         acc = by_shift.setdefault(shift, {})
         for j, n in row:
             acc[j] = acc.get(j, 0) + Fraction(num * n, cden * den)
@@ -508,12 +493,13 @@ def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instanc
     family with no instance or no monomial fails with the reason
     "no_instances", so a pass never rests on an empty check."""
     panel = tuple(tctx.index(mono) for mono in monos)
+    blocks: Dict[Tuple[Layer, ...], Block] = {}
     checked = False
     for params, terms in instances:
         if not panel:
             break
         checked = True
-        witness = _check_instance(tctx, terms, panel)
+        witness = _check_instance(tctx, terms, panel, blocks)
         if witness is not None:
             return RelationResult(name, params, "fail", witness)
     if not checked:
@@ -743,7 +729,6 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
             "window": window, "degree": max_degree, "indices": list(index_set)}))
         if results[-1].status == "fail":
             return results
-        tctx._blocks.clear()
     results.append(RelationResult(
         "h_even_zero", {"note": "only odd Heisenberg generators exist; "
                                 "h_i(2n) = 0 holds structurally"}, "pass"))

@@ -19,7 +19,7 @@ implementation that only tests run against the code under test.
 
 A second check pins where `Cyc` may appear: the twisted space's operators
 (`vertex`) and the cocycle (`lattice`) are integer-valued and import nothing
-from `scalars`.
+from `scalars`, and `vertex` builds no `Cyc` Fock vector.
 """
 
 import ast
@@ -188,3 +188,15 @@ def test_the_twisted_space_imports_nothing_from_scalars():
         imported = _imported_modules(os.path.join(PACKAGE, name))
         assert imported, name
         assert not {m for m in imported if m.rsplit(".", 1)[-1] == "scalars"}, name
+
+
+def test_the_row_engine_calls_no_cyc_fock_operator():
+    # `vertex` may import `create` (perfbench checks the binding) but builds
+    # its rows on its own integer tables, never through `Cyc` Fock vectors
+    with open(os.path.join(PACKAGE, "vertex.py")) as fh:
+        tree = ast.parse(fh.read())
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert "_lean_row" in called  # the walk sees the engine's calls
+    assert not called & {"annihilate", "create", "FockVector"}

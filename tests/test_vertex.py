@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from spinwreath.fock import FockVector, annihilate, mono_degree, q_gen
+from spinwreath.fock import FockVector, annihilate, create, mono_degree, q_gen
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.vertex import (TwistContext, affine_relation_check, clifford_check, neg,
                                ope_check, prim_commutator_check, x_component,
                                x_parity_check)
 import spinwreath.vertex as vx
-
-VACUUM_ROW = (1, (((), 1),))
 
 
 def tctx_for(name, xi=None):
@@ -57,10 +55,15 @@ def terms_on(t, terms, v):
     return {key: c for key, c in out.items() if c}
 
 
+def vacuum_row(t):
+    """The Fock vacuum as an index row."""
+    return 1, ((t.index(()), 1),)
+
+
 def test_x_kills_vacuum_positive_components():
     t = tctx_for("trivial")
     for n in (1, 2, 3):
-        assert x_component(t, n, (1,), VACUUM_ROW) == (1, ())
+        assert x_component(t, n, (1,), vacuum_row(t)) == (1, ())
 
 
 def test_x0_translates_with_cocycle_sign():
@@ -72,18 +75,19 @@ def test_x0_translates_with_cocycle_sign():
 
 def test_x_minus1_is_q1():
     t = tctx_for("trivial")
-    assert x_component(t, -1, (1,), VACUUM_ROW) == (1, ((((1, 0),), 2),))
+    den, entries = x_component(t, -1, (1,), vacuum_row(t))
+    assert (den, [(t.monos[i], num) for i, num in entries]) == (1, [(((1, 0),), 2)])
 
 
 def test_x_degree_shift():
     t = tctx_for("cyclic:2")
-    v = x_component(t, -3, (1, 0), x_component(t, -2, (0, 1), VACUUM_ROW))
-    d = max_degree(mo for mo, _ in v[1])
+    v = x_component(t, -3, (1, 0), x_component(t, -2, (0, 1), vacuum_row(t)))
+    d = max_degree(t.monos[i] for i, _ in v[1])
     assert d == 5
     for m in (-2, -1, 0, 1, 2):
         _, out = x_component(t, m, (1, 1), v)
         if out:
-            assert max_degree(mo for mo, _ in out) == d - m
+            assert max_degree(t.monos[i] for i, _ in out) == d - m
 
 
 def test_x_parity():
@@ -215,11 +219,11 @@ def test_checker_catches_wrong_relation():
     xb = _x_layer(t, -1, neg(g1))
     # correct central coefficient is 4, claim 8 instead
     terms = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-8), ())]
-    witness = _check_instance(t, terms, panel)
+    witness = _check_instance(t, terms, panel, {})
     assert witness is not None
     assert witness["coset"] == 0
     good = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-4), ())]
-    assert _check_instance(t, good, panel) is None
+    assert _check_instance(t, good, panel, {}) is None
 
 
 def _random_words(t, rng, count):
@@ -298,13 +302,12 @@ def test_words_factor_through_coset_zero(name, weight):
 
 def _compose_reference(t, layers, i):
     """The row of the composed layers on monomial i, one monomial at a time:
-    a one-layer word's stored row, a longer word its left layer applied to
-    the rest's row (`_apply_layer`), over its least denominator."""
+    the left layer's stored rows (`_lean_row`) on the rest's row, summed
+    over its least denominator (`_sum_rows`)."""
     if not layers:
         return 1, ((i, 1),)
-    if len(layers) == 1:
-        return vx._lean_row(t, layers[0], i)
-    return vx._apply_layer(t, layers[0], _compose_reference(t, layers[1:], i))
+    den, entries = _compose_reference(t, layers[1:], i)
+    return vx._sum_rows([(num,) + vx._lean_row(t, layers[0], j) for j, num in entries], den)
 
 
 @pytest.mark.parametrize("name,weight", [("cyclic:3", "standard"), ("cyclic:2", "mckay")])
@@ -392,6 +395,42 @@ def test_lean_engine_matches_production_operator():
                     assert got == _x_reference(t.fock, m, coeffs, mono), (m, coeffs, mono)
                     nonzero += not got.is_zero()
         assert nonzero > 100
+
+
+def test_heisenberg_rows_match_the_production_operator():
+    # the a_m rows against fock.annihilate (m > 0) and fock.create (m < 0)
+    for t in _row_contexts():
+        k = t.gamma.num_classes
+        mixed = [(1,) * k, (-1,) + (1,) * (k - 1), (2,) + (-1,) * (k - 1)]
+        nonzero = 0
+        for mono in vx._panel_monomials(t, 3):
+            base = FockVector(t.fock, {mono: 1})
+            for m in (-3, -1, 1, 3):
+                for coeffs in [t.basis_vector(i) for i in range(k)] + mixed:
+                    got = _row_as_fock(t, vx._lean_row(t, vx._h_layer(t, m, coeffs),
+                                                       t.index(mono)))
+                    expect = annihilate(base, m, coeffs) if m > 0 else create(base, -m, coeffs)
+                    assert got == expect, (m, coeffs, mono)
+                    nonzero += not got.is_zero()
+        assert nonzero > 100
+
+
+@pytest.mark.parametrize("name,weight", [("cyclic:2", "standard"), ("cyclic:3", "mckay")])
+def test_stored_rows_are_over_their_least_denominator(name, weight):
+    # the witness reads a row's denominator off its block, reduced against
+    # the row's numerators; that is the stored row's own only if every
+    # stored X, H and N row is over its least denominator
+    t = _twist_for(name, weight)
+    panel = tuple(map(t.index, vx._panel_monomials(t, 2)))
+    blocks = {}
+    for word, _ in _random_words(t, random.Random(13), 40):
+        vx._block(t, word, panel, blocks)
+    kinds = {layer[0] for layer in t._lean_rows}
+    assert kinds == {"X", "H", "N"}
+    stored = [row for rows in t._lean_rows.values() for row in rows.values()]
+    assert len(stored) > 100
+    for den, entries in stored:
+        assert math.gcd(den, *(num for _, num in entries)) == 1, (den, entries)
 
 
 def test_normal_ordered_rows_match_the_reference_formula():
@@ -521,6 +560,17 @@ def _mixed_shifts(t):
                                 vx._panel_monomials(t, 2), {})
 
 
+def _bumped_hx(t):
+    # [a_3(gamma_0), X_m(gamma_1 + gamma_2)] with <gamma_0, gamma_1> off by
+    # one on the pairing side; the a_3 rows weigh by the McKay Gram row
+    # (2, -1, -1)
+    _bump_gram(t)
+    alpha, beta = t.basis_vector(0), (0, 1, 1)
+    label = {"alpha": list(alpha), "beta": list(beta)}
+    instances = vx.hx_instances(t, [(label, alpha, beta)], [3], 1)
+    return vx.certify_instances(t, "hx", instances, vx._panel_monomials(t, 3), {})
+
+
 PINNED_WITNESSES = [
     ("cyclic:3", "standard", lambda t, mp: _poisoned_clifford(t),
      '{"relation": "clifford", "params": {"family": "same_sign", "i": 0, "j": 0, '
@@ -550,12 +600,19 @@ PINNED_WITNESSES = [
      '{"relation": "mixed", "params": {"case": "mixed"}, "status": "fail", '
      '"witness": {"coset": 0, "mono": [[1, 0]], "residual": [[[], "-1/6"], '
      '[[[1, 1], [1, 2]], "-1/6"], [[[1, 2], [1, 2]], "3/6"]]}}'),
+    # an H layer off the standard weight: a_3 after an X layer that raises
+    # the degree to 3
+    ("cyclic:3", "mckay", lambda t, mp: _bumped_hx(t),
+     '{"relation": "hx", "params": {"alpha": [1, 0, 0], "beta": [0, 1, 1], "n": 3, '
+     '"m": -1}, "status": "fail", "witness": {"coset": 0, "mono": [[1, 0], [1, 0]], '
+     '"residual": [[[], "-4/1"]]}}'),
 ]
 
 
 @pytest.mark.parametrize("name,weight,broken,expect", PINNED_WITNESSES,
                          ids=["clifford-poisoned-row", "hh-central", "ope-flip-2",
-                              "ope-flip-3", "ope-flip-2-wide", "mixed-shifts"])
+                              "ope-flip-3", "ope-flip-2-wide", "mixed-shifts",
+                              "hx-bumped-pairing"])
 def test_failure_documents_are_pinned(name, weight, broken, expect, monkeypatch):
     import json
 
