@@ -1,16 +1,17 @@
-"""Time the Fock pairing on quaternion8 against n: the character table and the isometry.
+"""Time the Fock pairing against n: the character table and the isometry.
 
-    python3 benchmarks/pairing_scaling.py [--src SRC] [--max-n 5] [--repeats 3]
+    python3 benchmarks/pairing_scaling.py [--src SRC] [--gamma SPEC] [--max-n 5] [--repeats 3]
 
-For quaternion8 at the standard weight and n = 2..max-n, it times
-`qtable.build_table` and the `verify isometry` suite, each from a fresh
-context per repeat, and prints one JSON row per n: the median seconds and
-every repeat of each, and the number of monomial pairs each valued by normal
-ordering (the size of its `FockContext._inner_cache`).  `--src` points at the
-`src` directory of the checkout to measure (default: this checkout's).  It
-exits 1 when the isometry does not pass, or when a row's value on the
-identity class is not its degree from `qtable.char_degree`, so a timing is
-never reported for a wrong result.
+For a built-in Gamma (default quaternion8, whose values are all rational;
+cyclic:k for k >= 3 has irrational ones) at the standard weight and
+n = 2..max-n, it times `qtable.build_table` and the `verify isometry` suite,
+each from a fresh context per repeat, and prints one JSON row per n: the
+median seconds and every repeat of each, and the number of monomial pairs
+each valued by normal ordering (the size of its `FockContext._inner_cache`).
+`--src` points at the `src` directory of the checkout to measure (default:
+this checkout's).  It exits 1 when the isometry does not pass, or when a
+row's value on the identity class is not its degree from
+`qtable.char_degree`, so a timing is never reported for a wrong result.
 """
 
 import argparse
@@ -25,6 +26,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src"))
+    ap.add_argument("--gamma", default="quaternion8")
     ap.add_argument("--max-n", type=int, default=5)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
@@ -44,7 +46,7 @@ def main() -> int:
             contexts.append(self)
 
     suites.FockContext = RecordedContext
-    gamma, _ = builtin("quaternion8")
+    gamma, _ = builtin(args.gamma)
     xi = VirtualChar.trivial(gamma)
     failed = False
     for n in range(2, args.max_n + 1):
@@ -61,7 +63,7 @@ def main() -> int:
         degrees_ok = all(row.values.get(identity) == char_degree(row.lam, gamma)
                          for row in table.rows)
         failed = failed or status != "pass" or not degrees_ok
-        print(json.dumps({"gamma": "quaternion8", "n": n, "rows": len(table.rows),
+        print(json.dumps({"gamma": args.gamma, "n": n, "rows": len(table.rows),
                           "degrees_ok": degrees_ok, "isometry": status,
                           "repeats": args.repeats,
                           "table_median_s": statistics.median(table_runs),

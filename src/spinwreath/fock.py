@@ -14,22 +14,31 @@ Normal ordering a_n(gamma_i) against a monomial kills one factor (n, j) with
 weight gram[i][j], so <mu, mv> vanishes unless each factor (n, i) of mu can
 be matched with its own factor (n, j) of mv with gram[i][j] != 0.  The
 monomials mv that admit such a matching are the partners of mu
-(`_partners`); `inner` and `tensor_inner` value only partner pairs, each
-by normal ordering.  At a diagonal Gram matrix, such as the standard
-weight, a monomial's only partner is itself.  A pair's value is rational,
-because the Gram matrix is integer, and is cached as a `Fraction`; the
-pairings' coefficient products are summed on integer numerators by one
-`scalars.weighted_dot` call per pairing.
+(`_partners`); `inner` and `tensor_inner` value only the partners present in
+the other vector, each pair by normal ordering.  At a diagonal Gram matrix,
+such as the standard weight, a monomial's only partner is itself.  A pair's
+value is rational, because the Gram matrix is integer, and is cached as a
+`Fraction` whose denominator divides 2^(length of mu).
+
+The character table's two hot paths run on integers, with `Cyc` only at
+their edges.  `a_prime_vector` expands a'_{-rho} on integer numerator arrays
+mod z^N - 1, N the lcm of the orders of Gamma's character values
+(`GammaData.value_numerators`), and reduces each monomial's coefficient mod
+Phi_N once.  A pairing reads each vector's coefficients as integer
+numerators over one denominator, derived once per vector (`FockVector.
+_numerators`), sums the pair products on an integer array and builds one
+`Cyc` per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gammadata import GammaData, VirtualChar, gram_matrix
 from .partitions import MultiPartition
-from .scalars import Cyc, weighted_dot
+from .scalars import Cyc, cyc_from_numerators, integer_terms
 
 Monomial = Tuple[Tuple[int, int], ...]  # sorted ((n, char_index), ...)
 CoeffLike = Union[int, Fraction, Cyc]
@@ -89,12 +98,17 @@ def mono_degree(mono: Monomial) -> int:
 
 
 class FockVector:
-    """Finitely supported scalar combination of Fock monomials."""
+    """Finitely supported scalar combination of Fock monomials.
 
-    __slots__ = ("ctx", "terms")
+    A vector is never mutated after construction: every operation returns a
+    new vector.  So the integer numerators of its coefficients, which a
+    pairing derives on first use, are kept with it (`_numerators`)."""
+
+    __slots__ = ("ctx", "terms", "_nums")
 
     def __init__(self, ctx: FockContext, terms: Optional[Dict[Monomial, Cyc]] = None):
         self.ctx = ctx
+        self._nums = None
         self.terms: Dict[Monomial, Cyc] = {}
         if terms:
             for m, c in terms.items():
@@ -159,6 +173,15 @@ class FockVector:
         v = FockVector(self.ctx)
         v.terms = out
         return v
+
+    def _numerators(self) -> Tuple[int, int, int, Dict]:
+        """(axis, den, top, nums): `scalars.integer_terms` of the coefficients, and
+        top the largest monomial length, so 2^top clears the denominator of
+        every pair value with a monomial of this vector."""
+        if self._nums is None:
+            axis, den, nums = integer_terms(self.terms)
+            self._nums = (axis, den, max(map(len, self.terms), default=0), nums)
+        return self._nums
 
     def vacuum_coeff(self) -> Cyc:
         return self.terms.get((), Cyc.rational(0))
@@ -234,24 +257,55 @@ def annihilate(v: FockVector, n: int, coeffs: Sequence[CoeffLike]) -> FockVector
 
 
 def class_vector(ctx: FockContext, ci: int) -> List[Cyc]:
-    """Coefficients of the class-basis generator a_m(c) = sum gamma(c^{-1}) a_m(gamma)."""
+    """Test oracle: coefficients of the class-basis generator
+    a_m(c) = sum gamma(c^{-1}) a_m(gamma), which `a_prime_vector` reads as
+    integer numerators; the tests expand a'_{-rho} with `create` on these."""
     inv = ctx.gamma.dual_class(ci)
     return [ctx.gamma.chars[i][inv] for i in range(ctx.gamma.num_classes)]
 
 
-def class_create(v: FockVector, n: int, ci: int) -> FockVector:
-    return create(v, n, class_vector(v.ctx, ci))
-
-
 def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
-    """a'_{-rho} = prod_c a_{-rho(c)}(c), expanded in the monomial basis."""
-    v = FockVector.vacuum(ctx)
+    """a'_{-rho} = prod_c a_{-rho(c)}(c), expanded in the monomial basis.
+
+    Each class generator a_{-r}(c) = sum_i gamma_i(c^{-1}) a_{-r}(gamma_i)
+    has its coefficients read as integer numerators on Gamma's value axis
+    z^N = 1 (`GammaData.value_numerators`).  The product runs on integer
+    arrays of length N, and each monomial's coefficient is reduced mod Phi_N
+    once, at the end: rational ones come out at order 1, the others at order
+    N, and zero ones are dropped."""
+    gamma = ctx.gamma
+    order, den, nums = gamma.value_numerators
+    terms: Dict[Monomial, List[int]] = {(): [1] + [0] * (order - 1)}
+    scale = 1
     for ci, part in enumerate(rho.parts):
+        inv = gamma.dual_class(ci)
+        gens = [(i, row[inv]) for i, row in enumerate(nums) if row[inv]]
         for r in part:
             if r % 2 == 0:
                 raise ValueError(f"a'_-rho needs odd parts, got {r}")
-            v = class_create(v, r, ci)
-    return v
+            scale *= den
+            nxt: Dict[Monomial, List[int]] = {}
+            for m, poly in terms.items():
+                for i, gen in gens:
+                    mm = _sorted_insert(m, (r, i))
+                    acc = nxt.get(mm)
+                    if acc is None:
+                        acc = nxt[mm] = [0] * order
+                    for e, a in enumerate(poly):
+                        if a:
+                            for f, b in gen:
+                                acc[(e + f) % order] += a * b
+            terms = nxt
+    out: Dict[Monomial, Cyc] = {}
+    for m, poly in terms.items():
+        c = cyc_from_numerators(order, poly, scale)
+        if any(c.coeffs[1:]):
+            out[m] = c
+        elif c.coeffs[0]:
+            out[m] = Cyc._raw(1, c.coeffs[:1])
+    res = FockVector(ctx)
+    res.terms = out
+    return res
 
 
 def _partners(ctx: FockContext, mu: Monomial) -> List[Monomial]:
@@ -285,29 +339,63 @@ def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Fraction:
     return result
 
 
-def _pairings(ctx: FockContext, mu: Monomial, v: FockVector) -> List[Tuple[Fraction, Cyc]]:
-    """(<mu, mv>, v_mv) over the partners mv of mu that occur in v and pair
-    with mu to a nonzero value."""
-    out = []
+def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict, axis: int, step: int,
+                 big: int) -> Tuple[Optional[List[int]], int]:
+    """(sum <mu, mv> big v_mv, lcm of the orders of those v_mv), the sum an
+    integer array on the axis z^axis = 1 over the partners mv of mu that
+    occur in v and pair with mu to a nonzero value; (None, 1) when there are
+    none.  nums are v's integer terms, step is axis over v's own axis, and
+    big is a multiple of 2^top of v, so it clears every pair value's
+    denominator."""
+    acc = None
+    order = 1
     for mv in _partners(ctx, mu):
-        cv = v.terms.get(mv)
-        if cv is not None:
-            w = _inner_monomials(ctx, mu, mv)
-            if w:
-                out.append((w, cv))
-    return out
+        y = nums.get(mv)
+        if y is None:
+            continue
+        w = _inner_monomials(ctx, mu, mv)
+        if not w:
+            continue
+        if acc is None:
+            acc = [0] * axis
+        o, cv = y
+        order = lcm(order, o)
+        w = w.numerator * (big // w.denominator)
+        for e, b in cv:
+            acc[e * step] += w * b
+    return acc, order
 
 
-def inner(u: FockVector, v: FockVector) -> Cyc:
-    """<u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma).
+def inner(u: FockVector, v: FockVector, scale: Union[int, Fraction] = 1) -> Cyc:
+    """scale <u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma).
 
     Each monomial mu of u is paired only with its partners mv in v; every
     other monomial pair has no matching of factors and contributes zero.
-    The triples (<mu, mv>, u_mu, v_mv) are summed exactly by one
-    `scalars.weighted_dot` call."""
+    The products u_mu <mu, mv> v_mv are summed on both vectors' integer
+    numerators (`FockVector._numerators`) over one denominator, then reduced
+    mod Phi and divided once: one `Cyc`, at the lcm of the orders of the
+    coefficients that pair.  The rational scale enters as integers, its
+    numerator with the pair values and its denominator with the sum's."""
     u._check_ctx(v)
-    return weighted_dot((w, cu, cv) for mu, cu in u.terms.items()
-                        for w, cv in _pairings(u.ctx, mu, v))
+    ua, ud, _, un = u._numerators()
+    va, vd, top, vn = v._numerators()
+    axis = lcm(ua, va)
+    su, sv = axis // ua, axis // va
+    big = scale.numerator << top
+    acc = [0] * axis
+    order = 1
+    for mu, (ou, cu) in un.items():
+        s, so = _partner_sum(u.ctx, mu, vn, axis, sv, big)
+        if s is None:
+            continue
+        order = lcm(order, ou, so)
+        for e, a in cu:
+            e *= su
+            for f, b in enumerate(s):
+                if b:
+                    acc[(e + f) % axis] += a * b
+    # every term's exponent is a multiple of axis // order
+    return cyc_from_numerators(order, acc[::axis // order], (ud * vd * scale.denominator) << top)
 
 
 def _coeff_key(coeffs: Sequence[CoeffLike]) -> Tuple:
@@ -376,15 +464,30 @@ def coproduct(v: FockVector) -> TensorTerms:
 def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector, v: FockVector) -> Cyc:
     """<t, u (x) v> for a coproduct result t.
 
-    The form is the product of the two tensor factors' forms, so each side of
-    a term (ml, mr) is paired as in `inner`: ml only with its partners pl in
-    u, mr only with its partners pr in v.  The triples
-    (<ml, pl> <mr, pr>, t_(ml, mr), u_pl v_pr) are summed exactly by one
-    `scalars.weighted_dot` call."""
-    terms = []
-    for (ml, mr), c in t.items():
-        left = _pairings(ctx, ml, u)
-        if left:
-            right = _pairings(ctx, mr, v)
-            terms += [(wl * wr, c, cl * cr) for wl, cl in left for wr, cr in right]
-    return weighted_dot(terms)
+    The form is the product of the two tensor factors' forms, so a term
+    t_(ml, mr) contributes t_(ml, mr) (sum <ml, pl> u_pl) (sum <mr, pr> v_pr),
+    each sum over the partners present as in `inner` (`_partner_sum`).  The
+    terms are summed on integer numerators and make one `Cyc`."""
+    ta, td, tn = integer_terms(t)
+    ua, ud, utop, un = u._numerators()
+    va, vd, vtop, vn = v._numerators()
+    axis = lcm(ta, ua, va)
+    st = axis // ta
+    acc = [0] * axis
+    order = 1
+    for (ml, mr), (oc, cc) in tn.items():
+        left, lo = _partner_sum(ctx, ml, un, axis, axis // ua, 1 << utop)
+        if left is None:
+            continue
+        right, ro = _partner_sum(ctx, mr, vn, axis, axis // va, 1 << vtop)
+        if right is None:
+            continue
+        order = lcm(order, oc, lo, ro)
+        for e, a in cc:
+            e *= st
+            for i, x in enumerate(left):
+                if x:
+                    for j, y in enumerate(right):
+                        if y:
+                            acc[(e + i + j) % axis] += a * x * y
+    return cyc_from_numerators(order, acc[::axis // order], (td * ud * vd) << (utop + vtop))

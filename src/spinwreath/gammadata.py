@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import Cyc, CycError, weighted_dot
+from .scalars import (Cyc, CycError, cyc_from_numerators, integer_terms, reduce_mod_phi,
+                      weighted_dot)
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
 
@@ -151,18 +153,48 @@ class GammaData:
                     raise GammaValidationError(
                         f"row orthogonality fails for characters ({i}, {j})")
 
+    @cached_property
+    def value_numerators(self) -> Tuple[int, int, List[List[Tuple[Tuple[int, int], ...]]]]:
+        """(N, d, nums): N the lcm of the orders of the character values, d the
+        lcm of their denominators, and nums[i][c] the integer numerators of
+        d * chars[i][c] on the axis z^N = 1 (`scalars.integer_terms`).
+        Derived once, on first use."""
+        order, den, nums = integer_terms({(i, c): v for i, row in enumerate(self.chars)
+                                          for c, v in enumerate(row)})
+        return order, den, [[nums[i, c][1] for c in range(len(row))]
+                            for i, row in enumerate(self.chars)]
+
     def require_products_decompose(self) -> None:
         """Each gamma_i gamma_j must be a sum of irreducibles with nonnegative
         integer multiplicities, as in any group: orthonormal rows alone do
-        not make a character table.  Run on outside input only."""
-        k = len(self.classes)
-        forms = [_weighted_gram(self, row) for row in self.chars]  # xi = gamma_j
-        for i in range(k):
-            for j in range(i, k):
-                for t in range(k):
-                    val = forms[j][i][t]
-                    q = val.as_rational()
-                    if q is None or q.denominator != 1 or q < 0:
+        not make a character table.  Run on outside input only.
+
+        The multiplicity of gamma_t is sum_c |c| gamma_i(c) gamma_j(c)
+        gamma_t(c^{-1}) / |Gamma|, symmetric in i and j, so only i <= j is
+        summed; each sum runs on the integer numerators of `value_numerators`
+        and is reduced mod Phi_N once."""
+        order, den, nums = self.value_numerators
+        scale = self.order * den ** 3
+        for i in range(len(self.classes)):
+            for j in range(i, len(self.classes)):
+                prods = []  # (class, |c| gamma_i(c) gamma_j(c)) where nonzero
+                for ci, cls in enumerate(self.classes):
+                    p: Dict[int, int] = {}
+                    for e, a in nums[i][ci]:
+                        for f, b in nums[j][ci]:
+                            x = (e + f) % order
+                            p[x] = p.get(x, 0) + cls.size * a * b
+                    if p:
+                        prods.append((cls.inverse, list(p.items())))
+                for t, row in enumerate(nums):
+                    acc = [0] * order
+                    for inv, p in prods:
+                        for e, a in p:
+                            for f, b in row[inv]:
+                                acc[(e + f) % order] += a * b
+                    red = reduce_mod_phi(order, acc)
+                    if any(red[1:]) or red[0] % scale or red[0] < 0:
+                        val = cyc_from_numerators(order, acc, scale)
                         raise GammaValidationError(
                             f"g{i}*g{j} is not a character: g{t} occurs {val.pretty()} times")
 

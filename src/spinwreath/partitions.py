@@ -21,6 +21,8 @@ KIND_STRICT = "SP"
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
+    if not parts:
+        return ()
     parts = tuple(int(p) for p in parts)
     if any(p <= 0 for p in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
@@ -44,12 +46,18 @@ def partitions_of(n: int, kind: str = KIND_ALL, _max_part: int | None = None) ->
 
 
 class MultiPartition:
-    """A partition-valued function on indices 0..k-1, hashable and ordered."""
+    """A partition-valued function on indices 0..k-1, hashable and ordered.
 
-    __slots__ = ("parts",)
+    Immutable, so its weight (the sum of all parts) and length (the number
+    of parts) are computed once, at construction."""
+
+    __slots__ = ("parts", "weight", "length")
 
     def __init__(self, parts: Sequence[Sequence[int]]):
-        object.__setattr__(self, "parts", tuple(check_partition(p) for p in parts))
+        parts = tuple(check_partition(p) for p in parts)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "weight", sum(map(sum, parts)))
+        object.__setattr__(self, "length", sum(map(len, parts)))
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPartition is immutable")
@@ -78,14 +86,6 @@ class MultiPartition:
 
     def __repr__(self) -> str:
         return f"MultiPartition{self.parts!r}"
-
-    @property
-    def weight(self) -> int:
-        return sum(sum(p) for p in self.parts)
-
-    @property
-    def length(self) -> int:
-        return sum(len(p) for p in self.parts)
 
     def multiplicities(self, index: int) -> Dict[int, int]:
         out: Dict[int, int] = {}

@@ -142,7 +142,10 @@ def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
     """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>,
     the pairing taken by `fock.inner` on the zero-class Fock vector.
 
-    x_vec and a_vec, when given, must be x_lambda_vector(tctx, lam) and
+    The rational row vector and the integer-expanded a'_-mu are paired on
+    their cached integer numerators, and the power of 2 enters the pairing's
+    integer scale, so each entry is one `Cyc`, built once.  x_vec and a_vec,
+    when given, must be x_lambda_vector(tctx, lam) and
     a_prime_vector(tctx.fock, mu).
     """
     if lam.weight != mu.weight:
@@ -151,11 +154,7 @@ def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
         x_vec = x_lambda_vector(tctx, lam)
     if a_vec is None:
         a_vec = a_prime_vector(tctx.fock, mu)
-    val = inner(x_vec, a_vec)
-    exp = mu.length - lam.length // 2
-    if exp >= 0:
-        return val * (2**exp)
-    return val / Fraction(2 ** (-exp))
+    return inner(x_vec, a_vec, Fraction(2) ** (mu.length - lam.length // 2))
 
 
 def char_degree(lam: MultiPartition, gamma: GammaData) -> int:
@@ -199,6 +198,7 @@ class CharTable:
     def to_doc(self) -> dict:
         cnames = self.gamma.class_names
         gnames = self.gamma.char_names
+        zero = Cyc.rational(0)
         return {
             "gamma": self.gamma.name,
             "n": self.n,
@@ -208,7 +208,7 @@ class CharTable:
                 "lambda": row.lam.to_doc(gnames),
                 "type": row.module_type,
                 "degree": row.degree,
-                "values": [row.values.get(mu, Cyc.rational(0)).to_doc()
+                "values": [row.values.get(mu, zero).to_doc()
                            for mu in self.columns],
             } for row in self.rows],
         }

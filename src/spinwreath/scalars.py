@@ -11,9 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
+K = TypeVar("K")
 ScalarLike = Union["Cyc", int, Fraction]
 
 
@@ -91,6 +92,22 @@ def cyclotomic_poly(n: int) -> Tuple[int, ...]:
     return tuple(num)
 
 
+def reduce_mod_phi(order: int, acc: Sequence[RationalLike]) -> List[RationalLike]:
+    """sum_i acc[i] z^i, z = zeta_order, in the power basis of Q(zeta_order):
+    phi(order) coefficients, reduced mod Phi_order; integer when acc is."""
+    deg = euler_phi(order)
+    out = list(acc) + [0] * max(0, deg - len(acc))
+    if len(out) > deg:
+        phi = cyclotomic_poly(order)
+        for k in range(len(out) - 1, deg - 1, -1):
+            c = out[k]
+            if c:  # x^k == -x^(k-deg) * (low part of Phi)
+                for j in range(deg):
+                    if phi[j]:
+                        out[k - deg + j] -= c * phi[j]
+    return out[:deg]
+
+
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -150,18 +167,7 @@ class Cyc:
 
     @staticmethod
     def _reduce(order: int, coeffs: Sequence[Fraction]) -> "Cyc":
-        deg = euler_phi(order)
-        out = list(coeffs) + [_ZERO] * max(0, deg - len(coeffs))
-        if len(out) > deg:
-            phi = cyclotomic_poly(order)
-            for k in range(len(out) - 1, deg - 1, -1):
-                c = out[k]
-                if c:
-                    out[k] = _ZERO
-                    for j in range(deg):  # x^k == -x^(k-deg) * (low part of Phi)
-                        if phi[j]:
-                            out[k - deg + j] -= c * phi[j]
-        return Cyc(order, out[:deg])
+        return Cyc._raw(order, tuple(reduce_mod_phi(order, coeffs)))
 
     # -- promotion ---------------------------------------------------------
 
@@ -320,6 +326,26 @@ def _numerators(x: Cyc) -> Tuple[Tuple[int, ...], int]:
     return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
 
 
+def integer_terms(terms: Dict[K, Cyc]) -> Tuple[int, int, Dict[K, Tuple[int, Tuple]]]:
+    """(axis, den, nums): axis the lcm of the values' orders, den the lcm of
+    their denominators, and nums[key] = (order of the value, ((exponent,
+    numerator), ...)) over its nonzero power-basis coefficients, the
+    exponents on the axis z^axis = 1 and the numerators over den."""
+    raw = {key: (c.order,) + _numerators(c) for key, c in terms.items()}
+    axis = lcm(*{o for o, _, _ in raw.values()})
+    den = lcm(*{d for _, _, d in raw.values()})
+    return axis, den, {
+        key: (o, tuple((e * (axis // o), a * (den // d)) for e, a in enumerate(ns) if a))
+        for key, (o, ns, d) in raw.items()}
+
+
+def cyc_from_numerators(order: int, acc: Sequence[int], den: int) -> Cyc:
+    """sum_i acc[i] zeta_order^i / den as one Cyc at this order
+    (`reduce_mod_phi`, then one division per nonzero coefficient)."""
+    return Cyc._raw(order, tuple(Fraction(c, den) if c else _ZERO
+                                 for c in reduce_mod_phi(order, acc)))
+
+
 def weighted_dot(terms: Iterable[Tuple[RationalLike, Cyc, Cyc]]) -> Cyc:
     """sum w*x*y over the terms (w rational, x and y Cyc), in one exact pass.
 
@@ -350,4 +376,4 @@ def weighted_dot(terms: Iterable[Tuple[RationalLike, Cyc, Cyc]]) -> Cyc:
                 for j, b in enumerate(ny):
                     if b:
                         acc[(i * sx + j * sy) % order] += a * b
-    return Cyc._reduce(order, acc) / den
+    return cyc_from_numerators(order, acc, den)

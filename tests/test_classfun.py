@@ -102,10 +102,10 @@ def test_ch_examples():
         assert ch(ctx, basic_char(g, n, [1])) == q_gen(ctx, n, [1])
     # ch sends sigma_rho to the class-basis product with the bar relabel
     g3, xi3, ctx3 = setup("cyclic:3")
-    from spinwreath.fock import class_create
+    from spinwreath.fock import class_vector
     vac3 = FockVector.vacuum(ctx3)
     got = ch(ctx3, sigma_class(g3, 1, 1))
-    assert got == class_create(vac3, 1, 2)  # c_1 lands on a(c_1^{-1}) = a(c_2)
+    assert got == create(vac3, 1, class_vector(ctx3, 2))  # c_1 lands on a(c_1^{-1}) = a(c_2)
 
 
 def test_ch_chi_dual_twist():

@@ -4,6 +4,7 @@ Each case runs the CLI in a child interpreter, so stderr holds everything a
 user would see, log records included.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -249,3 +250,27 @@ def test_known_config_key_without_a_flag_is_accepted(tmp_path):
     code, out, err = run_cli("chartable", "--config", str(cfg))
     assert (code, err) == (0, "")
     assert json.loads(out)["n"] == 1
+
+
+# stdout sha256 of runs the benchmark's goldens do not cover: tables with
+# irrational values at several orders, and the pairing at the McKay weight,
+# whose Gram matrix is not diagonal
+OUTPUT_SHA256 = {
+    "chartable --gamma cyclic:9 --n 2":
+        "921602185014d0fce9ee37a6e45adc9ae2a1f7a2cdd707d69b3db984c49138aa",
+    "chartable --gamma cyclic:5 --n 3":
+        "3405ad4fb85d0a0fde8937216d13c8c8a77fb3f7b55aeec41cccbdfc6374919c",
+    "chartable --gamma cyclic:8 --n 2":
+        "fa40e55cdfa7db5556136af8bc86aefa10346a4eae85f35d7bf724e6c5ae0d47",
+    "verify isometry --xi mckay --gamma cyclic:3 --n 3":
+        "6b9b301df39adb4f8ab0753a0c6b74a3146be1079db6a6a14dc57ebbc7c4b25a",
+    "verify hopf --xi mckay --gamma quaternion8 --n 3":
+        "16ea4e29593bd2e2a5ec3ee786fb97e333bb3ce64dcfc739db484993f43c2411",
+}
+
+
+@pytest.mark.parametrize("job", sorted(OUTPUT_SHA256))
+def test_output_bytes_are_pinned(job):
+    code, out, err = run_cli(*job.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[job]

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from spinwreath.fock import (FockContext, FockVector, _inner_monomials, _partners,
-                             a_prime_vector, annihilate, class_create, class_vector,
-                             coproduct, create, inner, q_gen, tensor_inner)
+                             a_prime_vector, annihilate, class_vector, coproduct, create,
+                             inner, q_gen, tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
-from spinwreath.scalars import Cyc, euler_phi
+from spinwreath.scalars import Cyc, euler_phi, weighted_dot
 
 
 def ctx_for(name, xi=None):
@@ -78,12 +78,14 @@ def test_heisenberg_relation_small():
 def test_class_generator_examples():
     ctx = ctx_for("trivial")
     vac = FockVector.vacuum(ctx)
-    assert class_create(vac, 1, 0) == create(vac, 1, [1])
+    assert create(vac, 1, class_vector(ctx, 0)) == create(vac, 1, [1])
     ctx2 = ctx_for("cyclic:2")
     vac2 = FockVector.vacuum(ctx2)
-    assert class_create(vac2, 1, 1) == create(vac2, 1, [1, 0]) - create(vac2, 1, [0, 1])
+    assert create(vac2, 1, class_vector(ctx2, 1)) \
+        == create(vac2, 1, [1, 0]) - create(vac2, 1, [0, 1])
     # prop_orth: [a_1(c0), a_{-1}(c0)] = 1/2 zeta_c0 xi(c0) = 1 on the vacuum
-    assert annihilate(class_create(vac2, 1, 0), 1, class_vector(ctx2, 0)).vacuum_coeff() == 1
+    assert annihilate(create(vac2, 1, class_vector(ctx2, 0)), 1,
+                      class_vector(ctx2, 0)).vacuum_coeff() == 1
 
 
 def test_prop_orth_all_classes_cyclic3():
@@ -97,7 +99,8 @@ def test_prop_orth_all_classes_cyclic3():
         for c in range(3):
             for m in (1, 3, 5):
                 for n in (1, 3, 5):
-                    v = annihilate(class_create(vac, n, c), m, class_vector(ctx, g.dual_class(cp)))
+                    v = annihilate(create(vac, n, class_vector(ctx, c)), m,
+                                   class_vector(ctx, g.dual_class(cp)))
                     if m == n and cp == c:
                         expect = Fraction(m, 2) * g.centralizer_order(c)
                         assert v.vacuum_coeff() == Cyc.lift(expect) * xi.value_at(g, c)
@@ -283,6 +286,110 @@ def test_partner_pairing_matches_all_pairs(name, weight):
         values.append(all_pairs_tensor_inner(ctx, t, f, g))
         assert tensor_inner(ctx, t, f, g) == values[-1]
     assert any(not x.is_zero() for x in values)
+
+
+# -- the integer routes against the Cyc routes they replaced ------------------------
+
+
+def create_product_a_prime(ctx, rho):
+    """a'_{-rho} as a product of `create` calls on the class generators."""
+    v = FockVector.vacuum(ctx)
+    for ci, part in enumerate(rho.parts):
+        for r in part:
+            v = create(v, r, class_vector(ctx, ci))
+    return v
+
+
+@pytest.mark.parametrize("name", ["cyclic:3", "cyclic:4", "cyclic:6", "klein4", "quaternion8"])
+def test_a_prime_vector_matches_the_create_product(name):
+    ctx = ctx_for(name)
+    for n in range(4):
+        for rho in multipartitions(n, ctx.gamma.num_classes, "OP"):
+            got, expect = a_prime_vector(ctx, rho), create_product_a_prime(ctx, rho)
+            assert sorted(got.terms) == sorted(expect.terms), rho
+            for m, c in expect.terms.items():
+                assert got.terms[m] == c, (rho, m)
+                # rational values come out at order 1, irrational ones at the
+                # create route's order
+                assert got.terms[m].order == (1 if c.as_rational() is not None else c.order)
+    with pytest.raises(ValueError, match="odd parts"):
+        a_prime_vector(ctx, MultiPartition.single(ctx.gamma.num_classes, 0, (2,)))
+
+
+def weighted_dot_pairings(ctx, mu, v):
+    """(<mu, mv>, v_mv) over the partners mv of mu present in v, nonzero."""
+    out = []
+    for mv in _partners(ctx, mu):
+        if mv in v.terms:
+            w = _inner_monomials(ctx, mu, mv)
+            if w:
+                out.append((w, v.terms[mv]))
+    return out
+
+
+def weighted_dot_inner(u, v):
+    """`inner` as one `scalars.weighted_dot` over the partner pairings."""
+    return weighted_dot((w, cu, cv) for mu, cu in u.terms.items()
+                        for w, cv in weighted_dot_pairings(u.ctx, mu, v))
+
+
+def weighted_dot_tensor_inner(ctx, t, u, v):
+    terms = []
+    for (ml, mr), c in t.items():
+        left = weighted_dot_pairings(ctx, ml, u)
+        if left:
+            right = weighted_dot_pairings(ctx, mr, v)
+            terms += [(wl * wr, c, cl * cr) for wl, cl in left for wr, cr in right]
+    return weighted_dot(terms)
+
+
+@pytest.mark.parametrize("name,order", [("cyclic:3", 3), ("quaternion8", 4)])
+def test_integer_pairing_matches_the_weighted_dot_route(name, order):
+    rng = random.Random(f"integer pairing {name}")
+    ctx = pairing_ctx(name, "mckay")
+    assert any(len(links) > 1 for links in ctx.links)  # the Gram matrix is not diagonal
+    k = ctx.gamma.num_classes
+
+    def rand_vec(pool, size, rational_share=0.25):
+        coeffs = {}
+        for m in rng.sample(pool, min(size, len(pool))):
+            if rng.random() < rational_share:
+                coeffs[m] = Cyc.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            else:
+                coeffs[m] = Cyc(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                        for _ in range(euler_phi(order))])
+        return FockVector(ctx, coeffs)
+
+    monos, low = monomials(k, 4), monomials(k, 2)
+    # partners keep the degree, so the last vector meets the rational one
+    # before it only on its rational coefficients, at degrees <= 2
+    split = FockVector(ctx, {**rand_vec(low, 8, 1).terms,
+                             **rand_vec([m for m in monos if m not in low], 20, 0).terms})
+    vecs = [rand_vec(monos, size) for size in (1, 4, 12, 40, len(monos))]
+    vecs += [rand_vec(low, len(low), 1), split]
+    values = []
+    # every vector is paired many times, on either side, after its first pairing
+    for u in vecs:
+        for v in vecs:
+            got, expect = inner(u, v), weighted_dot_inner(u, v)
+            assert got == expect and got.order == expect.order
+            assert inner(u, v, Fraction(1, 8)) == expect * Fraction(1, 8)
+            values.append(got)
+    assert any(x.as_rational() is None for x in values)
+    assert values[-2] and values[-2].order == 1  # rational, though split is not
+    # tensor factors of different top lengths; rational factors under an
+    # irrational coproduct
+    for rational_share in (0.25, 1):
+        f = rand_vec(monomials(k, 3), 40, rational_share)
+        g = rand_vec(monomials(k, 1), k + 1, rational_share)
+        for size in (3, 12):
+            t = coproduct(rand_vec(monos, size, 0.25 if rational_share < 1 else 0))
+            for a, b in ((f, g), (g, f), (f, f)):
+                got = tensor_inner(ctx, t, a, b)
+                expect = weighted_dot_tensor_inner(ctx, t, a, b)
+                assert got == expect and got.order == expect.order
+                values.append(got)
+        assert any(x.as_rational() is None for x in values[-6:])
 
 
 @pytest.mark.parametrize("name", ["cyclic:3", "quaternion8"])
