@@ -1,52 +1,61 @@
 """The Fock space: symmetric algebra on odd-degree creation generators.
 
-Monomials are sorted tuples of (n, char_index) with n odd positive; a vector
-is a finitely supported map monomial -> scalar.  Annihilation acts as a
-derivation with the commutator normalization
+Monomials are sorted tuples of (n, char_index) with n odd positive.  A vector
+is (den, {monomial: numerators}): every coefficient lies in Q(zeta_N), N
+Gamma's value axis (`GammaData.value_numerators`, the lcm of the orders of
+its character values; N = 1 when they are all rational), and is stored as
+its phi(N) integer numerators in the power basis mod Phi_N, over the
+vector's one denominator.  The form is canonical: no zero coefficient is
+stored and den is the least, so a zero test and `==` compare integers.
+
+Annihilation acts as a derivation with the commutator normalization
 
     [a_m(gamma), a_n(gamma')] = (m/2) delta_{m,-n} <gamma, gamma'>_xi,
 
 which pins the m/2 factor so the inner product of single generators is
-(n/2) times the weighted Gram matrix.  The bilinear form is computed by
-normal ordering annihilators, never by a closed matching formula.
+(n/2) times the weighted Gram matrix.  `create`, `annihilate` and `q_gen`
+take gamma as an integer vector over the irreducibles (an element of
+R_Z(Gamma)); against the integer Gram matrix that is one integer pair row
+(`FockContext.pair_row`).  The bilinear form is computed by normal ordering
+annihilators, never by a closed matching formula.
 
 Normal ordering a_n(gamma_i) against a monomial kills one factor (n, j) with
 weight gram[i][j], so <mu, mv> vanishes unless each factor (n, i) of mu can
 be matched with its own factor (n, j) of mv with gram[i][j] != 0.  The
 monomials mv that admit such a matching are the partners of mu
 (`_partners`); `inner` and `tensor_inner` value only the partners present in
-the other vector, each pair by normal ordering.  At a diagonal Gram matrix,
-such as the standard weight, a monomial's only partner is itself.  A pair's
-value is rational, because the Gram matrix is integer, and is cached as a
-`Fraction` whose denominator divides 2^(length of mu).
+the other vector, each pair by normal ordering (`_inner_monomials`).  At a
+diagonal Gram matrix, such as the standard weight, a monomial's only partner
+is itself.  A pair's value is rational, because the Gram matrix is integer,
+and is cached as a `Fraction` whose denominator divides 2^(length of mu).
 
-The character table's two hot paths run on integers, with `Cyc` only at
-their edges.  `a_prime_vector` expands a'_{-rho} on integer numerator arrays
-mod z^N - 1, N the lcm of the orders of Gamma's character values
-(`GammaData.value_numerators`), and reduces each monomial's coefficient mod
-Phi_N once.  A pairing reads each vector's coefficients as integer
-numerators over one denominator, derived once per vector (`FockVector.
-_numerators`), sums the pair products on an integer array and builds one
-`Cyc` per call.
+`Cyc` appears only at the edges: a scalar handed in (a constructor's dict,
+`scale`'s factor, such as `classfun.ch`'s class-function values) is read
+onto the axis (`_scalar`), and a pairing's result (`inner`, `tensor_inner`)
+is built as one `Cyc`, at order 1 when rational and at order N otherwise.
+The vacuum coefficient of v is the pairing <1, v>.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain, product
+from math import comb, gcd, lcm
+from operator import add, index
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .gammadata import GammaData, VirtualChar, gram_matrix
 from .partitions import MultiPartition
-from .scalars import Cyc, cyc_from_numerators, integer_terms
+from .scalars import Cyc, cyc_from_numerators, euler_phi, reduce_mod_phi
 
 Monomial = Tuple[Tuple[int, int], ...]  # sorted ((n, char_index), ...)
+Coeff = Tuple[int, ...]  # phi(N) power-basis numerators of one coefficient
 CoeffLike = Union[int, Fraction, Cyc]
 
 
 class FockContext:
     """Shared state: the group, the weight xi, the integer Gram matrix and
-    its nonzero pattern."""
+    its nonzero pattern, and Gamma's value axis N."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
@@ -55,29 +64,24 @@ class FockContext:
         k = gamma.num_classes
         # links[i]: the irreducibles gamma_j with gram[i][j] != 0
         self.links = [[j for j in range(k) if self.gram[i][j]] for i in range(k)]
-        self._q_cache: Dict[Tuple[Tuple[Fraction, ...], int], "FockVector"] = {}
+        self.axis = gamma.value_numerators[0]
+        self.width = euler_phi(self.axis)  # numerators per coefficient
+        self._q_cache: Dict[Tuple[Tuple[int, ...], int], "FockVector"] = {}
         self._inner_cache: Dict[Tuple[Monomial, Monomial], Fraction] = {}
         self._partner_cache: Dict[Monomial, List[Monomial]] = {}
-        self._row_cache: Dict[Tuple, List[Cyc]] = {}
+        self._pair_rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._a_prime_bar: Dict[MultiPartition, "FockVector"] = {}  # rho -> a'_{-rho_bar}
 
-    def pair_row(self, coeffs: Sequence[CoeffLike]) -> List[Cyc]:
-        """<coeffs, gamma_j>_xi for each j, as scalars."""
-        key = _coeff_key(coeffs)
-        cached = self._row_cache.get(key)
-        if cached is not None:
-            return cached
-        k = self.gamma.num_classes
-        out = []
-        for j in range(k):
-            total = Cyc.rational(0)
-            for i, c in enumerate(coeffs):
-                c = Cyc.lift(c)
-                if not c.is_zero() and self.gram[i][j]:
-                    total = total + c * self.gram[i][j]
-            out.append(total)
-        self._row_cache[key] = out
-        return out
+    def pair_row(self, coeffs: Sequence[int]) -> Tuple[int, ...]:
+        """<coeffs, gamma_j>_xi = sum_i coeffs[i] gram[i][j] for each j, for
+        an integer vector coeffs; cached by coeffs."""
+        key = tuple(map(index, coeffs))
+        row = self._pair_rows.get(key)
+        if row is None:
+            k = len(self.gram)
+            row = self._pair_rows[key] = tuple(
+                sum(key[i] * self.gram[i][j] for i in range(k)) for j in range(k))
+        return row
 
 
 def _sorted_insert(mono: Monomial, factor: Tuple[int, int]) -> Monomial:
@@ -97,35 +101,83 @@ def mono_degree(mono: Monomial) -> int:
     return sum(n for n, _ in mono)
 
 
+def _add_into(out: Dict, key, c: Coeff) -> None:
+    cur = out.get(key)
+    out[key] = c if cur is None else tuple(map(add, cur, c))
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product of two numerator polynomials, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _times(axis: int, a: Coeff, b: Coeff) -> Coeff:
+    """The product of two coefficients, reduced mod Phi_axis."""
+    return tuple(reduce_mod_phi(axis, _poly_mul(a, b)))
+
+
+def _scalar(ctx: FockContext, c: CoeffLike) -> Tuple[int, Coeff]:
+    """A scalar handed in, as (den, numerators on the context's axis); a
+    `Cyc` must lie in Q(zeta_N)."""
+    if isinstance(c, Cyc):
+        q = c.as_rational()
+        if q is None:
+            c = c.promote(ctx.axis)
+            den = lcm(*(x.denominator for x in c.coeffs))
+            return den, tuple(x.numerator * (den // x.denominator) for x in c.coeffs)
+        c = q
+    q = Fraction(c)
+    return q.denominator, (q.numerator,) + (0,) * (ctx.width - 1)
+
+
 class FockVector:
-    """Finitely supported scalar combination of Fock monomials.
+    """Finitely supported combination of Fock monomials, nums / den.
 
     A vector is never mutated after construction: every operation returns a
-    new vector.  So the integer numerators of its coefficients, which a
-    pairing derives on first use, are kept with it (`_numerators`)."""
+    new vector, in canonical form (`from_numerators`)."""
 
-    __slots__ = ("ctx", "terms", "_nums")
+    __slots__ = ("ctx", "den", "nums")
 
-    def __init__(self, ctx: FockContext, terms: Optional[Dict[Monomial, Cyc]] = None):
+    def __init__(self, ctx: FockContext, terms: Optional[Dict[Monomial, CoeffLike]] = None):
+        """sum terms[m] m, each scalar an int, a Fraction or a `Cyc`."""
+        scalars = {m: _scalar(ctx, c) for m, c in (terms or {}).items()}
+        den = lcm(*(d for d, _ in scalars.values()))
         self.ctx = ctx
-        self._nums = None
-        self.terms: Dict[Monomial, Cyc] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Cyc.lift(c)
-                if not c.is_zero():
-                    self.terms[m] = c
+        self.den, self.nums = _canonical(
+            den, {m: tuple(x * (den // d) for x in c) for m, (d, c) in scalars.items()})
+
+    @staticmethod
+    def from_numerators(ctx: FockContext, den: int, nums: Dict) -> "FockVector":
+        """sum nums[m] m / den, nums[m] the power-basis numerators of m's
+        coefficient on the context's axis."""
+        v = object.__new__(FockVector)
+        v.ctx = ctx
+        v.den, v.nums = _canonical(den, nums)
+        return v
+
+    @staticmethod
+    def from_row(ctx: FockContext, den: int,
+                 entries: Iterable[Tuple[Monomial, int]]) -> "FockVector":
+        """The rational vector sum num m / den over the (m, num) entries."""
+        pad = (0,) * (ctx.width - 1)
+        return FockVector.from_numerators(ctx, den, {m: (num,) + pad for m, num in entries})
 
     @staticmethod
     def vacuum(ctx: FockContext) -> "FockVector":
-        return FockVector(ctx, {(): Cyc.rational(1)})
+        return FockVector.from_row(ctx, 1, [((), 1)])
 
     @staticmethod
     def zero(ctx: FockContext) -> "FockVector":
         return FockVector(ctx)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _check_ctx(self, other: "FockVector") -> None:
         if self.ctx is not other.ctx:
@@ -133,71 +185,52 @@ class FockVector:
 
     def __add__(self, other: "FockVector") -> "FockVector":
         self._check_ctx(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            val = c if cur is None else cur + c
-            if val.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = val
-        v = FockVector(self.ctx)
-        v.terms = out
-        return v
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {m: tuple(fa * x for x in c) for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            _add_into(out, m, tuple(fb * x for x in c))
+        return FockVector.from_numerators(self.ctx, den, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, c: CoeffLike) -> "FockVector":
-        c = Cyc.lift(c)
-        if c.is_zero():
-            return FockVector.zero(self.ctx)
-        v = FockVector(self.ctx)
-        v.terms = {m: x * c for m, x in self.terms.items()}
-        return v
+        d, x = _scalar(self.ctx, c)
+        axis = self.ctx.axis
+        return FockVector.from_numerators(self.ctx, self.den * d,
+                                          {m: _times(axis, a, x) for m, a in self.nums.items()})
 
     def __mul__(self, other: "FockVector") -> "FockVector":
         """Product in the symmetric algebra."""
         self._check_ctx(other)
-        out: Dict[Monomial, Cyc] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _merge(ma, mb)
-                c = ca * cb
-                cur = out.get(m)
-                val = c if cur is None else cur + c
-                if val.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = val
-        v = FockVector(self.ctx)
-        v.terms = out
-        return v
-
-    def _numerators(self) -> Tuple[int, int, int, Dict]:
-        """(axis, den, top, nums): `scalars.integer_terms` of the coefficients, and
-        top the largest monomial length, so 2^top clears the denominator of
-        every pair value with a monomial of this vector."""
-        if self._nums is None:
-            axis, den, nums = integer_terms(self.terms)
-            self._nums = (axis, den, max(map(len, self.terms), default=0), nums)
-        return self._nums
-
-    def vacuum_coeff(self) -> Cyc:
-        return self.terms.get((), Cyc.rational(0))
+        axis = self.ctx.axis
+        out: Dict[Monomial, Coeff] = {}
+        for ma, ca in self.nums.items():
+            for mb, cb in other.nums.items():
+                _add_into(out, _merge(ma, mb), _times(axis, ca, cb))
+        return FockVector.from_numerators(self.ctx, self.den * other.den, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = Cyc.rational(0)
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
+        return self.den == other.den and self.nums == other.nums
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "FockVector(0)"
-        bits = [f"{c!r}*{m}" for m, c in sorted(self.terms.items())]
-        return "FockVector(" + " + ".join(bits) + ")"
+        bits = [f"{c}*{m}" for m, c in sorted(self.nums.items())]
+        return f"FockVector(({' + '.join(bits)}) / {self.den})"
+
+
+def _canonical(den: int, nums: Dict) -> Tuple[int, Dict]:
+    """nums / den with the zero coefficients dropped, over its least
+    denominator."""
+    nums = {m: c for m, c in nums.items() if any(c)}
+    g = gcd(den, *chain.from_iterable(nums.values()))
+    if g == 1:
+        return den, nums
+    return den // g, {m: tuple(x // g for x in c) for m, c in nums.items()}
 
 
 def _require_odd_positive(n: int) -> None:
@@ -205,63 +238,29 @@ def _require_odd_positive(n: int) -> None:
         raise ValueError(f"generator degree must be odd positive, got {n}")
 
 
-def create(v: FockVector, n: int, coeffs: Sequence[CoeffLike]) -> FockVector:
+def create(v: FockVector, n: int, coeffs: Sequence[int]) -> FockVector:
     """Multiplication by a_{-n}(gamma) for gamma = sum coeffs[i] gamma_i."""
     _require_odd_positive(n)
-    out: Dict[Monomial, Cyc] = {}
-    for i, ci in enumerate(coeffs):
-        ci = Cyc.lift(ci)
-        if ci.is_zero():
-            continue
-        for m, c in v.terms.items():
-            mm = _sorted_insert(m, (n, i))
-            val = c * ci
-            cur = out.get(mm)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                out.pop(mm, None)
-            else:
-                out[mm] = val
-    res = FockVector(v.ctx)
-    res.terms = out
-    return res
+    out: Dict[Monomial, Coeff] = {}
+    for i, ci in enumerate(map(index, coeffs)):
+        if ci:
+            for m, c in v.nums.items():
+                _add_into(out, _sorted_insert(m, (n, i)), tuple(ci * x for x in c))
+    return FockVector.from_numerators(v.ctx, v.den, out)
 
 
-def annihilate(v: FockVector, n: int, coeffs: Sequence[CoeffLike]) -> FockVector:
-    """The derivation a_n(gamma), n odd positive, with the (n/2) factor."""
+def annihilate(v: FockVector, n: int, coeffs: Sequence[int]) -> FockVector:
+    """The derivation a_n(gamma), n odd positive, with the (n/2) factor: a
+    factor (n, j) of multiplicity k goes with weight (n/2) k <gamma, gamma_j>_xi."""
     _require_odd_positive(n)
     row = v.ctx.pair_row(coeffs)
-    half_n = Fraction(n, 2)
-    out: Dict[Monomial, Cyc] = {}
-    for m, c in v.terms.items():
-        seen = set()
-        for pos, (deg, idx) in enumerate(m):
-            if deg != n or (deg, idx) in seen:
-                continue
-            seen.add((deg, idx))
-            mult = sum(1 for f in m if f == (deg, idx))
-            coeff = row[idx]
-            if coeff.is_zero():
-                continue
-            val = c * coeff * (half_n * mult)
-            mm = m[:pos] + m[pos + 1:]
-            cur = out.get(mm)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                out.pop(mm, None)
-            else:
-                out[mm] = val
-    res = FockVector(v.ctx)
-    res.terms = out
-    return res
-
-
-def class_vector(ctx: FockContext, ci: int) -> List[Cyc]:
-    """Test oracle: coefficients of the class-basis generator
-    a_m(c) = sum gamma(c^{-1}) a_m(gamma), which `a_prime_vector` reads as
-    integer numerators; the tests expand a'_{-rho} with `create` on these."""
-    inv = ctx.gamma.dual_class(ci)
-    return [ctx.gamma.chars[i][inv] for i in range(ctx.gamma.num_classes)]
+    out: Dict[Monomial, Coeff] = {}
+    for m, c in v.nums.items():
+        for pos, f in enumerate(m):
+            if f[0] == n and row[f[1]] and (pos == 0 or m[pos - 1] != f):
+                w = n * m.count(f) * row[f[1]]
+                _add_into(out, m[:pos] + m[pos + 1:], tuple(w * x for x in c))
+    return FockVector.from_numerators(v.ctx, 2 * v.den, out)
 
 
 def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
@@ -271,8 +270,7 @@ def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
     has its coefficients read as integer numerators on Gamma's value axis
     z^N = 1 (`GammaData.value_numerators`).  The product runs on integer
     arrays of length N, and each monomial's coefficient is reduced mod Phi_N
-    once, at the end: rational ones come out at order 1, the others at order
-    N, and zero ones are dropped."""
+    once, at the end."""
     gamma = ctx.gamma
     order, den, nums = gamma.value_numerators
     terms: Dict[Monomial, List[int]] = {(): [1] + [0] * (order - 1)}
@@ -296,16 +294,8 @@ def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
                             for f, b in gen:
                                 acc[(e + f) % order] += a * b
             terms = nxt
-    out: Dict[Monomial, Cyc] = {}
-    for m, poly in terms.items():
-        c = cyc_from_numerators(order, poly, scale)
-        if any(c.coeffs[1:]):
-            out[m] = c
-        elif c.coeffs[0]:
-            out[m] = Cyc._raw(1, c.coeffs[:1])
-    res = FockVector(ctx)
-    res.terms = out
-    return res
+    return FockVector.from_numerators(
+        ctx, scale, {m: tuple(reduce_mod_phi(order, poly)) for m, poly in terms.items()})
 
 
 def _partners(ctx: FockContext, mu: Monomial) -> List[Monomial]:
@@ -327,28 +317,23 @@ def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Fraction:
     cached = ctx._inner_cache.get((mu, mv))
     if cached is not None:
         return cached
-    v = FockVector(ctx, {mv: Cyc.rational(1)})
+    v = FockVector.from_row(ctx, 1, [(mv, 1)])
     k = ctx.gamma.num_classes
     for n, i in reversed(mu):
-        basis = [1 if t == i else 0 for t in range(k)]
-        v = annihilate(v, n, basis)
+        v = annihilate(v, n, [1 if t == i else 0 for t in range(k)])
         if v.is_zero():
             break
-    result = v.vacuum_coeff().as_rational()
+    result = Fraction(v.nums.get((), (0,))[0], v.den)
     ctx._inner_cache[(mu, mv)] = result
     return result
 
 
-def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict, axis: int, step: int,
-                 big: int) -> Tuple[Optional[List[int]], int]:
-    """(sum <mu, mv> big v_mv, lcm of the orders of those v_mv), the sum an
-    integer array on the axis z^axis = 1 over the partners mv of mu that
-    occur in v and pair with mu to a nonzero value; (None, 1) when there are
-    none.  nums are v's integer terms, step is axis over v's own axis, and
-    big is a multiple of 2^top of v, so it clears every pair value's
-    denominator."""
+def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict) -> Optional[List[int]]:
+    """sum 2^l <mu, mv> nums[mv] over the partners mv of mu in nums that pair
+    with mu to a nonzero value, l the length of mu, as numerators; None when
+    there are none.  2^l clears every pair value's denominator."""
     acc = None
-    order = 1
+    big = 1 << len(mu)
     for mv in _partners(ctx, mu):
         y = nums.get(mv)
         if y is None:
@@ -356,14 +341,23 @@ def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict, axis: int, step: in
         w = _inner_monomials(ctx, mu, mv)
         if not w:
             continue
-        if acc is None:
-            acc = [0] * axis
-        o, cv = y
-        order = lcm(order, o)
         w = w.numerator * (big // w.denominator)
-        for e, b in cv:
-            acc[e * step] += w * b
-    return acc, order
+        if acc is None:
+            acc = [w * b for b in y]
+        else:
+            acc = [a + w * b for a, b in zip(acc, y)]
+    return acc
+
+
+def _over_2_top(accs: Dict[int, List[int]]) -> Tuple[int, List[int]]:
+    """(top, acc): the sum of the accs[l], numerators over 2^l all of one
+    length, as numerators over 2^top."""
+    top = max(accs, default=0)
+    acc = [0] * len(next(iter(accs.values()), [0]))
+    for l, part in accs.items():
+        for i, x in enumerate(part):
+            acc[i] += x << (top - l)
+    return top, acc
 
 
 def inner(u: FockVector, v: FockVector, scale: Union[int, Fraction] = 1) -> Cyc:
@@ -371,49 +365,33 @@ def inner(u: FockVector, v: FockVector, scale: Union[int, Fraction] = 1) -> Cyc:
 
     Each monomial mu of u is paired only with its partners mv in v; every
     other monomial pair has no matching of factors and contributes zero.
-    The products u_mu <mu, mv> v_mv are summed on both vectors' integer
-    numerators (`FockVector._numerators`) over one denominator, then reduced
-    mod Phi and divided once: one `Cyc`, at the lcm of the orders of the
-    coefficients that pair.  The rational scale enters as integers, its
-    numerator with the pair values and its denominator with the sum's."""
+    The products u_mu <mu, mv> v_mv are summed on the numerators over 2^l
+    per monomial length l, then over one power of 2 (`_over_2_top`), scaled
+    by the rational scale, reduced mod Phi_N and divided once: one `Cyc`."""
     u._check_ctx(v)
-    ua, ud, _, un = u._numerators()
-    va, vd, top, vn = v._numerators()
-    axis = lcm(ua, va)
-    su, sv = axis // ua, axis // va
-    big = scale.numerator << top
-    acc = [0] * axis
-    order = 1
-    for mu, (ou, cu) in un.items():
-        s, so = _partner_sum(u.ctx, mu, vn, axis, sv, big)
-        if s is None:
-            continue
-        order = lcm(order, ou, so)
-        for e, a in cu:
-            e *= su
-            for f, b in enumerate(s):
-                if b:
-                    acc[(e + f) % axis] += a * b
-    # every term's exponent is a multiple of axis // order
-    return cyc_from_numerators(order, acc[::axis // order], (ud * vd * scale.denominator) << top)
+    size = 2 * u.ctx.width - 1
+    accs: Dict[int, List[int]] = {}
+    for mu, a in u.nums.items():
+        s = _partner_sum(u.ctx, mu, v.nums)
+        if s is not None:
+            acc = accs.get(len(mu)) or accs.setdefault(len(mu), [0] * size)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(s):
+                        acc[i + j] += x * y
+    top, acc = _over_2_top(accs)
+    return cyc_from_numerators(u.ctx.axis, [scale.numerator * x for x in acc],
+                               (u.den * v.den * scale.denominator) << top)
 
 
-def _coeff_key(coeffs: Sequence[CoeffLike]) -> Tuple:
-    out = []
-    for c in coeffs:
-        c = Cyc.lift(c)
-        out.append((c.order, c.coeffs))
-    return tuple(out)
-
-
-def q_gen(ctx: FockContext, n: int, coeffs: Sequence[CoeffLike]) -> FockVector:
+def q_gen(ctx: FockContext, n: int, coeffs: Sequence[int]) -> FockVector:
     """Degree-n coefficient of exp(sum_{k odd} (2/k) a_{-k}(gamma) z^k).
 
     Computed by the recursion n q_n = sum_{k odd <= n} 2 a_{-k}(gamma) q_{n-k}.
     """
     if n < 0:
         return FockVector.zero(ctx)
-    key = (_coeff_key(coeffs), n)
+    key = (tuple(map(index, coeffs)), n)
     cached = ctx._q_cache.get(key)
     if cached is not None:
         return cached
@@ -428,21 +406,17 @@ def q_gen(ctx: FockContext, n: int, coeffs: Sequence[CoeffLike]) -> FockVector:
     return out
 
 
-TensorTerms = Dict[Tuple[Monomial, Monomial], Cyc]
+TensorTerms = Tuple[int, Dict[Tuple[Monomial, Monomial], Coeff]]  # (den, nums)
 
 
 def coproduct(v: FockVector) -> TensorTerms:
-    """Algebra-morphism extension of Delta(a) = a(x)1 + 1(x)a on monomials."""
-    from itertools import product as iproduct
-    from math import comb
-
-    out: TensorTerms = {}
-    for m, c in v.terms.items():
-        factors: List[Tuple[Tuple[int, int], int]] = []
-        for f in sorted(set(m)):
-            factors.append((f, sum(1 for x in m if x == f)))
-        choices = [range(mult + 1) for _, mult in factors]
-        for pick in iproduct(*choices):
+    """Algebra-morphism extension of Delta(a) = a(x)1 + 1(x)a on monomials,
+    over v's denominator: each split (left, right) of a monomial's factors
+    occurs once, weighted by the binomials of the multiplicities."""
+    out: Dict[Tuple[Monomial, Monomial], Coeff] = {}
+    for m, c in v.nums.items():
+        factors = [(f, m.count(f)) for f in sorted(set(m))]
+        for pick in product(*[range(mult + 1) for _, mult in factors]):
             left: List[Tuple[int, int]] = []
             right: List[Tuple[int, int]] = []
             weight = 1
@@ -450,15 +424,8 @@ def coproduct(v: FockVector) -> TensorTerms:
                 weight *= comb(mult, take)
                 left.extend([f] * take)
                 right.extend([f] * (mult - take))
-            key = (tuple(left), tuple(right))
-            val = c * weight
-            cur = out.get(key)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return out
+            out[(tuple(left), tuple(right))] = tuple(weight * x for x in c)
+    return v.den, out
 
 
 def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector, v: FockVector) -> Cyc:
@@ -467,27 +434,18 @@ def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector, v: FockVector)
     The form is the product of the two tensor factors' forms, so a term
     t_(ml, mr) contributes t_(ml, mr) (sum <ml, pl> u_pl) (sum <mr, pr> v_pr),
     each sum over the partners present as in `inner` (`_partner_sum`).  The
-    terms are summed on integer numerators and make one `Cyc`."""
-    ta, td, tn = integer_terms(t)
-    ua, ud, utop, un = u._numerators()
-    va, vd, vtop, vn = v._numerators()
-    axis = lcm(ta, ua, va)
-    st = axis // ta
-    acc = [0] * axis
-    order = 1
-    for (ml, mr), (oc, cc) in tn.items():
-        left, lo = _partner_sum(ctx, ml, un, axis, axis // ua, 1 << utop)
+    terms are summed on the numerators and make one `Cyc`."""
+    td, tn = t
+    accs: Dict[int, List[int]] = {}
+    for (ml, mr), c in tn.items():
+        left = _partner_sum(ctx, ml, u.nums)
         if left is None:
             continue
-        right, ro = _partner_sum(ctx, mr, vn, axis, axis // va, 1 << vtop)
-        if right is None:
-            continue
-        order = lcm(order, oc, lo, ro)
-        for e, a in cc:
-            e *= st
-            for i, x in enumerate(left):
-                if x:
-                    for j, y in enumerate(right):
-                        if y:
-                            acc[(e + i + j) % axis] += a * x * y
-    return cyc_from_numerators(order, acc[::axis // order], (td * ud * vd) << (utop + vtop))
+        right = _partner_sum(ctx, mr, v.nums)
+        if right is not None:
+            p = _poly_mul(_poly_mul(c, left), right)
+            acc = accs.setdefault(len(ml) + len(mr), [0] * len(p))
+            for i, x in enumerate(p):
+                acc[i] += x
+    top, acc = _over_2_top(accs)
+    return cyc_from_numerators(ctx.axis, acc, (td * u.den * v.den) << top)

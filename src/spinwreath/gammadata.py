@@ -15,8 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import (Cyc, CycError, cyc_from_numerators, integer_terms, reduce_mod_phi,
-                      weighted_dot)
+from .scalars import Cyc, CycError, cyc_from_numerators, reduce_mod_phi
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
 
@@ -31,6 +30,22 @@ class ClassInfo:
     size: int
     element_order: int
     inverse: int  # index of the inverse class
+
+
+Numerators = Sequence[Tuple[int, int]]  # (exponent on the axis, numerator), nonzero
+
+
+def _axis_product(order: int, scale: int, *polys: Numerators) -> List[Tuple[int, int]]:
+    """scale times the product of the polys on the axis z^order = 1."""
+    p = {0: scale}
+    for poly in polys:
+        q: Dict[int, int] = {}
+        for e, a in p.items():
+            for f, b in poly:
+                x = (e + f) % order
+                q[x] = q.get(x, 0) + a * b
+        p = q
+    return [(e, a) for e, a in p.items() if a]
 
 
 def _order_clash(left: Sequence[Cyc], right: Sequence[Cyc]) -> Optional[Tuple[int, int]]:
@@ -140,7 +155,7 @@ class GammaData:
             if q is None or q.denominator != 1 or q <= 0:
                 raise GammaValidationError(
                     f"degree of character {i} is not a positive integer: {row[0].pretty()}")
-        form = _weighted_gram(self, [Cyc.rational(1)] * k)
+        den, form = _weighted_gram(self, [1] + [0] * (k - 1))
         mixed = len({v.order for row in self.chars for v in row} - {1}) > 1
         for i in range(k):
             for j in range(k):
@@ -149,20 +164,37 @@ class GammaData:
                 if clash:
                     raise CycError(f"incompatible cyclotomic orders {clash[0]} and "
                                    f"{clash[1]}; promote explicitly")
-                if not form[i][j] == (1 if i == j else 0):
+                if form[i][j][0] != (den if i == j else 0) or any(form[i][j][1:]):
                     raise GammaValidationError(
                         f"row orthogonality fails for characters ({i}, {j})")
 
     @cached_property
-    def value_numerators(self) -> Tuple[int, int, List[List[Tuple[Tuple[int, int], ...]]]]:
+    def value_numerators(self) -> Tuple[int, int, List[List[Numerators]]]:
         """(N, d, nums): N the lcm of the orders of the character values, d the
-        lcm of their denominators, and nums[i][c] the integer numerators of
-        d * chars[i][c] on the axis z^N = 1 (`scalars.integer_terms`).
+        lcm of their denominators, and nums[i][c] the nonzero power-basis
+        numerators of d * chars[i][c], each exponent put on the axis z^N = 1.
         Derived once, on first use."""
-        order, den, nums = integer_terms({(i, c): v for i, row in enumerate(self.chars)
-                                          for c, v in enumerate(row)})
-        return order, den, [[nums[i, c][1] for c in range(len(row))]
-                            for i, row in enumerate(self.chars)]
+        values = [v for row in self.chars for v in row]
+        order = lcm(*(v.order for v in values))
+        den = lcm(*(c.denominator for v in values for c in v.coeffs))
+        return order, den, [[tuple((e * (order // v.order), c.numerator * (den // c.denominator))
+                                   for e, c in enumerate(v.coeffs) if c) for v in row]
+                            for row in self.chars]
+
+    def _against_duals(self, prods: Sequence[Tuple[int, Numerators]]) -> List[List[int]]:
+        """For each t, sum_c p_c gamma_t(c^{-1}) over the (c, p_c) in prods,
+        p_c numerators on the axis of `value_numerators`: its numerators
+        reduced mod Phi_N."""
+        order, _, nums = self.value_numerators
+        out = []
+        for row in nums:
+            acc = [0] * order
+            for ci, p in prods:
+                for e, a in p:
+                    for f, b in row[self.classes[ci].inverse]:
+                        acc[(e + f) % order] += a * b
+            out.append(reduce_mod_phi(order, acc))
+        return out
 
     def require_products_decompose(self) -> None:
         """Each gamma_i gamma_j must be a sum of irreducibles with nonnegative
@@ -172,29 +204,16 @@ class GammaData:
         The multiplicity of gamma_t is sum_c |c| gamma_i(c) gamma_j(c)
         gamma_t(c^{-1}) / |Gamma|, symmetric in i and j, so only i <= j is
         summed; each sum runs on the integer numerators of `value_numerators`
-        and is reduced mod Phi_N once."""
+        (`_against_duals`) and is reduced mod Phi_N once."""
         order, den, nums = self.value_numerators
         scale = self.order * den ** 3
         for i in range(len(self.classes)):
             for j in range(i, len(self.classes)):
-                prods = []  # (class, |c| gamma_i(c) gamma_j(c)) where nonzero
-                for ci, cls in enumerate(self.classes):
-                    p: Dict[int, int] = {}
-                    for e, a in nums[i][ci]:
-                        for f, b in nums[j][ci]:
-                            x = (e + f) % order
-                            p[x] = p.get(x, 0) + cls.size * a * b
-                    if p:
-                        prods.append((cls.inverse, list(p.items())))
-                for t, row in enumerate(nums):
-                    acc = [0] * order
-                    for inv, p in prods:
-                        for e, a in p:
-                            for f, b in row[inv]:
-                                acc[(e + f) % order] += a * b
-                    red = reduce_mod_phi(order, acc)
+                prods = [(ci, _axis_product(order, cls.size, nums[i][ci], nums[j][ci]))
+                         for ci, cls in enumerate(self.classes)]
+                for t, red in enumerate(self._against_duals(prods)):
                     if any(red[1:]) or red[0] % scale or red[0] < 0:
-                        val = cyc_from_numerators(order, acc, scale)
+                        val = cyc_from_numerators(order, red, scale)
                         raise GammaValidationError(
                             f"g{i}*g{j} is not a character: g{t} occurs {val.pretty()} times")
 
@@ -437,40 +456,40 @@ def weighted_form(gamma: GammaData, xi: VirtualChar,
     return total
 
 
-def _weighted_gram(gamma: GammaData, xis: Sequence[Cyc]) -> List[List[Cyc]]:
-    """The matrix <gamma_i, gamma_j>_xi for xi given by its class values xis.
+def _weighted_gram(gamma: GammaData, xi: Sequence[int]) -> Tuple[int, List[List[List[int]]]]:
+    """(den, form): form[i][j] the numerators over den, reduced mod Phi_N, of
+    <gamma_i, gamma_j>_xi for the integer vector xi over the irreducibles.
 
-    Same sum as :func:`weighted_form` on basis vectors: each entry is one
-    `scalars.weighted_dot` sum of the terms (xi(c)/zeta_c, gamma_i(c),
-    gamma_j(c^{-1})) over the classes where xi does not vanish, an
-    irrational xi(c) moved from the weight into gamma_i(c), once per (i, c).
-    The entry is the multiplicity of gamma_j in xi gamma_i when xi is a
-    character.
+    Same sum as :func:`weighted_form` on basis vectors, with 1/zeta_c =
+    |c|/|Gamma|: row i is one `GammaData._against_duals` sum of the products
+    |c| xi(c) gamma_i(c) over the classes, on `value_numerators`.  The entry
+    is the multiplicity of gamma_j in xi gamma_i when xi is a character.
     """
-    k = gamma.num_classes
-    live = [ci for ci in range(k) if not xis[ci].is_zero()]
-    qs = [xis[ci].as_rational() for ci in live]
-    weights = [Fraction(1 if q is None else q) / gamma.centralizer_order(ci)
-               for ci, q in zip(live, qs)]
-    left = [[row[ci] if q is not None else xis[ci] * row[ci] for ci, q in zip(live, qs)]
-            for row in gamma.chars]
-    right = [[row[gamma.classes[ci].inverse] for ci in live] for row in gamma.chars]
-    return [[weighted_dot(zip(weights, left[i], right[j])) for j in range(k)]
-            for i in range(k)]
+    order, den, nums = gamma.value_numerators
+    xis = []  # xi(c) d, as numerators
+    for ci in range(gamma.num_classes):
+        p: Dict[int, int] = {}
+        for t, x in enumerate(xi):
+            for e, a in nums[t][ci]:
+                p[e] = p.get(e, 0) + x * a
+        xis.append([(e, a) for e, a in p.items() if a])
+    form = [gamma._against_duals([(ci, _axis_product(order, cls.size, xis[ci], nums[i][ci]))
+                                  for ci, cls in enumerate(gamma.classes) if xis[ci]])
+            for i in range(gamma.num_classes)]
+    return gamma.order * den ** 3, form
 
 
 def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
     """Integer Gram matrix a_ij = <gamma_i, gamma_j>_xi (`_weighted_gram`);
     raises if an entry is not an integer, which it is for every Gamma whose
     products of irreducibles decompose (`GammaData.from_doc` checks that)."""
-    form = _weighted_gram(gamma, [xi.value_at(gamma, ci) for ci in range(gamma.num_classes)])
+    den, form = _weighted_gram(gamma, xi.coeffs)
     for i, row in enumerate(form):
-        for j, val in enumerate(row):
-            q = val.as_rational()
-            if q is None or q.denominator != 1:
+        for j, red in enumerate(row):
+            if any(red[1:]) or red[0] % den:
+                val = cyc_from_numerators(gamma.value_numerators[0], red, den)
                 raise CycError(f"Gram entry ({i},{j}) is not an integer: {val.pretty()}")
-            row[j] = q.numerator
-    return form
+    return [[red[0] // den for red in row] for row in form]
 
 
 def identify_affine_type(cartan: List[List[int]]) -> Optional[str]:

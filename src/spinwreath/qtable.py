@@ -133,7 +133,7 @@ def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> FockVector:
             eps, cur = tctx.twist.act(1 << i, cur)
             sign *= eps
     den, entries = row
-    return FockVector(tctx.fock, {tctx.monos[i]: Fraction(sign * num, den) for i, num in entries})
+    return FockVector.from_row(tctx.fock, den, [(tctx.monos[i], sign * num) for i, num in entries])
 
 
 def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
@@ -142,9 +142,9 @@ def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
     """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>,
     the pairing taken by `fock.inner` on the zero-class Fock vector.
 
-    The rational row vector and the integer-expanded a'_-mu are paired on
-    their cached integer numerators, and the power of 2 enters the pairing's
-    integer scale, so each entry is one `Cyc`, built once.  x_vec and a_vec,
+    Both vectors hold integer numerators on Gamma's value axis, and the
+    power of 2 enters the pairing's integer scale, so each entry is one
+    `Cyc`, built once, by the pairing.  x_vec and a_vec,
     when given, must be x_lambda_vector(tctx, lam) and
     a_prime_vector(tctx.fock, mu).
     """

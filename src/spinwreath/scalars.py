@@ -11,10 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
-K = TypeVar("K")
 ScalarLike = Union["Cyc", int, Fraction]
 
 
@@ -326,24 +325,14 @@ def _numerators(x: Cyc) -> Tuple[Tuple[int, ...], int]:
     return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
 
 
-def integer_terms(terms: Dict[K, Cyc]) -> Tuple[int, int, Dict[K, Tuple[int, Tuple]]]:
-    """(axis, den, nums): axis the lcm of the values' orders, den the lcm of
-    their denominators, and nums[key] = (order of the value, ((exponent,
-    numerator), ...)) over its nonzero power-basis coefficients, the
-    exponents on the axis z^axis = 1 and the numerators over den."""
-    raw = {key: (c.order,) + _numerators(c) for key, c in terms.items()}
-    axis = lcm(*{o for o, _, _ in raw.values()})
-    den = lcm(*{d for _, _, d in raw.values()})
-    return axis, den, {
-        key: (o, tuple((e * (axis // o), a * (den // d)) for e, a in enumerate(ns) if a))
-        for key, (o, ns, d) in raw.items()}
-
-
 def cyc_from_numerators(order: int, acc: Sequence[int], den: int) -> Cyc:
-    """sum_i acc[i] zeta_order^i / den as one Cyc at this order
-    (`reduce_mod_phi`, then one division per nonzero coefficient)."""
-    return Cyc._raw(order, tuple(Fraction(c, den) if c else _ZERO
-                                 for c in reduce_mod_phi(order, acc)))
+    """sum_i acc[i] zeta_order^i / den as one Cyc, at this order or at order
+    1 when the value is rational (`reduce_mod_phi`, then one division per
+    nonzero coefficient)."""
+    red = reduce_mod_phi(order, acc)
+    if not any(red[1:]):
+        return Cyc._raw(1, (Fraction(red[0], den),))
+    return Cyc._raw(order, tuple(Fraction(c, den) if c else _ZERO for c in red))
 
 
 def weighted_dot(terms: Iterable[Tuple[RationalLike, Cyc, Cyc]]) -> Cyc:

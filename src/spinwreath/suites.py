@@ -104,7 +104,7 @@ def _affine(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
             for doc in _affine_docs(tctx, args.window, args.degree, label)]
 
 
-# -- on Cyc Fock vectors and the brute-force group -------------------------------
+# -- on Fock vectors and the brute-force group -----------------------------------
 
 
 def _isometry(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:

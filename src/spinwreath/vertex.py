@@ -18,9 +18,11 @@ The engine works on integers only.  The context numbers each Fock monomial
 once (`TwistContext.index`), a row's entries are (monomial index, integer
 numerator) pairs, and every cache keys on those indices: the layers' rows,
 the annihilation table and the products with q_n.  Rows never meet `Cyc`
-scalars: the a_m rows come from the annihilation table and from inserting
-a factor, and only q_n is read off `fock`'s vectors, once per (n, gamma),
-as rationals.  Indices turn back into monomials only in a failure witness;
+scalars: the a_m rows come from the annihilation table, weighted by the
+Fock context's integer pair rows (`FockContext.pair_row`), and from
+inserting a factor, and only q_n is read off `fock`'s vectors, once per
+(n, gamma), as their integer numerators.  Indices turn back into monomials
+only in a failure witness;
 `x_component` applies an X layer to an index row (the character table's
 X_lambda vectors, `qtable.x_lambda_vector`).
 
@@ -43,7 +45,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fock import FockContext, FockVector, Monomial, _merge, mono_degree, q_gen
+from .fock import FockContext, Monomial, _merge, mono_degree, q_gen
 from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks vertex.create
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
@@ -67,7 +69,6 @@ class TwistContext:
         self.monos: List[Monomial] = []
         self._index: Dict[Monomial, int] = {}
         self._lean_rows: Dict[Layer, Dict[int, LeanRow]] = {}
-        self._prow_cache: Dict[IntVec, Tuple] = {}
         self._iladder_cache: Dict[Tuple[IntVec, int], List[LeanRow]] = {}
         self._ann_table: Dict[Tuple[int, int], Tuple] = {}
         self._q_rows: Dict[Tuple[int, IntVec], Tuple] = {}
@@ -116,17 +117,6 @@ Layer = Tuple
 XLayer = Tuple[str, int, IntVec, int]  # an X or H layer
 
 
-def _prow(tctx: TwistContext, coeffs: IntVec) -> Tuple[int, ...]:
-    """<coeffs, gamma_j>_xi for each j, as integers."""
-    cached = tctx._prow_cache.get(coeffs)
-    if cached is None:
-        gram = tctx.fock.gram
-        k = tctx.gamma.num_classes
-        cached = tuple(sum(coeffs[i] * gram[i][j] for i in range(k)) for j in range(k))
-        tctx._prow_cache[coeffs] = cached
-    return cached
-
-
 def _ann(tctx: TwistContext, i: int, n: int) -> Tuple[Tuple[int, int, int], ...]:
     """(j, n * mult, index) for each distinct factor (n, j) of monomial i: its
     multiplicity times n, and the monomial with one copy removed."""
@@ -144,7 +134,7 @@ def _ann(tctx: TwistContext, i: int, n: int) -> Tuple[Tuple[int, int, int], ...]
 
 def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[int, int]],
                       n: int, coeffs: IntVec) -> Tuple[int, Iterable[Tuple[int, int]]]:
-    prow = _prow(tctx, coeffs)
+    prow = tctx.fock.pair_row(coeffs)
     out: IDict = {}
     for i, num in vec:
         for j, weight, rest in _ann(tctx, i, n):
@@ -193,28 +183,19 @@ def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
     return ladder
 
 
-def _lean_from_fock(tctx: TwistContext, vec: FockVector) -> LeanRow:
-    entries = []
-    den = 1
-    for mono, c in vec.terms.items():
-        q = c.as_rational()
-        if q is None:
-            raise ValueError("non-rational coefficient in a rational sweep")
-        entries.append((tctx.index(mono), q))
-        den = lcm(den, q.denominator)
-    return den, tuple((i, int(q * den)) for i, q in entries)
-
-
 def _q_parts(tctx: TwistContext, n: int, coeffs: IntVec, num: int, den: int,
              entries: Iterable[Tuple[int, int]]) -> List[Tuple]:
     """The `_sum_rows` parts of (num/den) q_n(coeffs) * entries, one per entry.
 
-    q_n is `fock.q_gen`, read once per (n, coeffs) as a row; beside it is
-    cached the product of q_n with each monomial met, as index entries."""
+    q_n is `fock.q_gen`, whose coefficients are rational, read once per
+    (n, coeffs) as a row of its numerators; beside it is cached the product
+    of q_n with each monomial met, as index entries."""
     key = (n, coeffs)
     q = tctx._q_rows.get(key)
     if q is None:
-        q = tctx._q_rows[key] = _lean_from_fock(tctx, q_gen(tctx.fock, n, coeffs)) + ({},)
+        vec = q_gen(tctx.fock, n, coeffs)
+        q = tctx._q_rows[key] = (vec.den, tuple((tctx.index(m), c[0])
+                                                for m, c in vec.nums.items()), {})
     dq, qvec, products = q
     monos = tctx.monos
     parts = []

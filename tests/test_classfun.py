@@ -10,6 +10,7 @@ from spinwreath.fock import (FockContext, FockVector, coproduct, create, inner, 
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
 from spinwreath.scalars import Cyc, euler_phi
+from test_fock import by_class
 
 
 def setup(name, xi=None):
@@ -102,10 +103,9 @@ def test_ch_examples():
         assert ch(ctx, basic_char(g, n, [1])) == q_gen(ctx, n, [1])
     # ch sends sigma_rho to the class-basis product with the bar relabel
     g3, xi3, ctx3 = setup("cyclic:3")
-    from spinwreath.fock import class_vector
     vac3 = FockVector.vacuum(ctx3)
     got = ch(ctx3, sigma_class(g3, 1, 1))
-    assert got == create(vac3, 1, class_vector(ctx3, 2))  # c_1 lands on a(c_1^{-1}) = a(c_2)
+    assert got == by_class(create, vac3, 1, 2)  # c_1 lands on a(c_1^{-1}) = a(c_2)
 
 
 def test_ch_chi_dual_twist():
@@ -114,7 +114,7 @@ def test_ch_chi_dual_twist():
     g3, xi3, ctx3 = setup("cyclic:3")
     for n in range(4):
         lhs = ch(ctx3, basic_char(g3, n, [0, 1, 0]))
-        rhs = q_gen(ctx3, n, [Cyc.rational(0), Cyc.rational(0), Cyc.rational(1)])
+        rhs = q_gen(ctx3, n, [0, 0, 1])
         assert lhs == rhs, n
 
 

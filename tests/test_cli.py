@@ -266,6 +266,11 @@ OUTPUT_SHA256 = {
         "6b9b301df39adb4f8ab0753a0c6b74a3146be1079db6a6a14dc57ebbc7c4b25a",
     "verify hopf --xi mckay --gamma quaternion8 --n 3":
         "16ea4e29593bd2e2a5ec3ee786fb97e333bb3ce64dcfc739db484993f43c2411",
+    # ch images, coproducts and tensor pairings with irrational coefficients
+    "verify hopf --gamma cyclic:3 --n 3":
+        "bd1be951d0319d2c93ec28b0da219e6b1be32410cc9fd66d0f69e99e5c8f6970",
+    "verify isometry --gamma cyclic:4 --n 3":
+        "56da5b54a93e9dc882707ccefdc4bcf87d69be5eeefd93d34c0ec0c1648f9912",
 }
 
 

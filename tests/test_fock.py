@@ -4,16 +4,44 @@ from fractions import Fraction
 import pytest
 
 from spinwreath.fock import (FockContext, FockVector, _inner_monomials, _partners,
-                             a_prime_vector, annihilate, class_vector, coproduct, create,
-                             inner, q_gen, tensor_inner)
+                             a_prime_vector, annihilate, coproduct, create, inner, q_gen,
+                             tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
-from spinwreath.scalars import Cyc, euler_phi, weighted_dot
+from spinwreath.scalars import Cyc, CycError, cyc_from_numerators, euler_phi, weighted_dot
 
 
 def ctx_for(name, xi=None):
     g, _ = builtin(name)
     return FockContext(g, xi if xi is not None else VirtualChar.trivial(g))
+
+
+def cyc_terms(v):
+    """A vector's coefficients as `Cyc` values at Gamma's value axis."""
+    return {m: cyc_from_numerators(v.ctx.axis, c, v.den) for m, c in v.nums.items()}
+
+
+def vacuum_coeff(v):
+    """The coefficient of the vacuum, as the pairing <1, v>."""
+    return inner(FockVector.vacuum(v.ctx), v)
+
+
+def class_vector(ctx, ci):
+    """Test oracle: coefficients gamma_i(c^{-1}) of the class-basis generator
+    a_m(c) = sum_i gamma_i(c^{-1}) a_m(gamma_i), which `a_prime_vector`
+    reads as integer numerators."""
+    inv = ctx.gamma.dual_class(ci)
+    return [ctx.gamma.chars[i][inv] for i in range(ctx.gamma.num_classes)]
+
+
+def by_class(op, v, n, ci):
+    """op (`create` or `annihilate`) with gamma the class generator of ci,
+    expanded by linearity: sum_i gamma_i(c^{-1}) op(v, n, e_i)."""
+    k = v.ctx.gamma.num_classes
+    out = FockVector.zero(v.ctx)
+    for i, c in enumerate(class_vector(v.ctx, ci)):
+        out = out + op(v, n, [int(t == i) for t in range(k)]).scale(c)
+    return out
 
 
 def monomials(k, max_degree):
@@ -29,7 +57,7 @@ def test_create_basics():
     ctx = ctx_for("trivial")
     vac = FockVector.vacuum(ctx)
     a1 = create(vac, 1, [1])
-    assert list(a1.terms) == [((1, 0),)]
+    assert list(a1.nums) == [((1, 0),)]
     # creations commute
     assert create(create(vac, 1, [1]), 3, [1]) == create(create(vac, 3, [1]), 1, [1])
     with pytest.raises(ValueError):
@@ -49,7 +77,7 @@ def test_annihilate_examples():
     ctx = ctx_for("trivial")
     vac = FockVector.vacuum(ctx)
     a1 = create(vac, 1, [1])
-    assert annihilate(a1, 1, [1]).vacuum_coeff() == Fraction(1, 2)
+    assert vacuum_coeff(annihilate(a1, 1, [1])) == Fraction(1, 2)
     a11 = create(a1, 1, [1])
     assert annihilate(a11, 1, [1]) == a1
     assert annihilate(a1, 3, [1]).is_zero()
@@ -78,14 +106,15 @@ def test_heisenberg_relation_small():
 def test_class_generator_examples():
     ctx = ctx_for("trivial")
     vac = FockVector.vacuum(ctx)
-    assert create(vac, 1, class_vector(ctx, 0)) == create(vac, 1, [1])
+    assert by_class(create, vac, 1, 0) == create(vac, 1, [1])
     ctx2 = ctx_for("cyclic:2")
     vac2 = FockVector.vacuum(ctx2)
-    assert create(vac2, 1, class_vector(ctx2, 1)) \
-        == create(vac2, 1, [1, 0]) - create(vac2, 1, [0, 1])
+    assert by_class(create, vac2, 1, 1) == create(vac2, 1, [1, 0]) - create(vac2, 1, [0, 1])
     # prop_orth: [a_1(c0), a_{-1}(c0)] = 1/2 zeta_c0 xi(c0) = 1 on the vacuum
-    assert annihilate(create(vac2, 1, class_vector(ctx2, 0)), 1,
-                      class_vector(ctx2, 0)).vacuum_coeff() == 1
+    assert vacuum_coeff(by_class(annihilate, by_class(create, vac2, 1, 0), 1, 0)) == 1
+    # integer coefficient vectors only
+    with pytest.raises(TypeError):
+        create(vac2, 1, class_vector(ctx2, 1))
 
 
 def test_prop_orth_all_classes_cyclic3():
@@ -99,11 +128,10 @@ def test_prop_orth_all_classes_cyclic3():
         for c in range(3):
             for m in (1, 3, 5):
                 for n in (1, 3, 5):
-                    v = annihilate(create(vac, n, class_vector(ctx, c)), m,
-                                   class_vector(ctx, g.dual_class(cp)))
+                    v = by_class(annihilate, by_class(create, vac, n, c), m, g.dual_class(cp))
                     if m == n and cp == c:
                         expect = Fraction(m, 2) * g.centralizer_order(c)
-                        assert v.vacuum_coeff() == Cyc.lift(expect) * xi.value_at(g, c)
+                        assert vacuum_coeff(v) == Cyc.lift(expect) * xi.value_at(g, c)
                     else:
                         assert v.is_zero()
 
@@ -193,17 +221,25 @@ def test_coproduct():
     ctx = ctx_for("trivial")
     vac = FockVector.vacuum(ctx)
     a1 = create(vac, 1, [1])
-    t = coproduct(a1)
+    den, t = coproduct(a1)
     key_l = (((1, 0),), ())
     key_r = ((), ((1, 0),))
-    assert t[key_l] == 1 and t[key_r] == 1 and len(t) == 2
+    assert den == 1 and t[key_l] == (1,) and t[key_r] == (1,) and len(t) == 2
     a11 = create(a1, 1, [1])
-    t2 = coproduct(a11)
-    assert t2[(((1, 0), (1, 0)), ())] == 1
-    assert t2[(((1, 0),), ((1, 0),))] == 2
+    den2, t2 = coproduct(a11)
+    assert den2 == 1
+    assert t2[(((1, 0), (1, 0)), ())] == (1,)
+    assert t2[(((1, 0),), ((1, 0),))] == (2,)
     # counit: the (full, empty) component recovers the vector
-    for mono, c in a11.terms.items():
+    for mono, c in a11.nums.items():
         assert t2[(mono, ())] == c
+    # over the vector's denominator, with irrational coefficients
+    ctx3 = ctx_for("cyclic:3")
+    v = FockVector(ctx3, {((1, 1), (1, 1)): Cyc.zeta(3) / 5, ((3, 2),): Fraction(1, 2)})
+    den3, t3 = coproduct(v)
+    assert den3 == v.den == 10
+    assert cyc_from_numerators(3, t3[(((1, 1),), ((1, 1),))], den3) == Cyc.zeta(3) * Fraction(2, 5)
+    assert cyc_from_numerators(3, t3[((), ((3, 2),))], den3) == Fraction(1, 2)
 
 
 def test_pairing_characterization():
@@ -223,15 +259,18 @@ def test_pairing_characterization():
 def all_pairs_inner(u, v):
     """<u, v> over every monomial pair, each valued by normal ordering."""
     total = Cyc.rational(0)
-    for mu, cu in u.terms.items():
-        for mv, cv in v.terms.items():
+    vterms = cyc_terms(v)
+    for mu, cu in cyc_terms(u).items():
+        for mv, cv in vterms.items():
             total = total + cu * cv * _inner_monomials(u.ctx, mu, mv)
     return total
 
 
 def all_pairs_tensor_inner(ctx, t, u, v):
     total = Cyc.rational(0)
-    for (ml, mr), c in t.items():
+    den, nums = t
+    for (ml, mr), c in nums.items():
+        c = cyc_from_numerators(ctx.axis, c, den)
         lval = all_pairs_inner(FockVector(ctx, {ml: 1}), u)
         rval = all_pairs_inner(FockVector(ctx, {mr: 1}), v)
         total = total + c * lval * rval
@@ -296,22 +335,21 @@ def create_product_a_prime(ctx, rho):
     v = FockVector.vacuum(ctx)
     for ci, part in enumerate(rho.parts):
         for r in part:
-            v = create(v, r, class_vector(ctx, ci))
+            v = by_class(create, v, r, ci)
     return v
 
 
 @pytest.mark.parametrize("name", ["cyclic:3", "cyclic:4", "cyclic:6", "klein4", "quaternion8"])
 def test_a_prime_vector_matches_the_create_product(name):
     ctx = ctx_for(name)
+    irrational = 0
     for n in range(4):
         for rho in multipartitions(n, ctx.gamma.num_classes, "OP"):
             got, expect = a_prime_vector(ctx, rho), create_product_a_prime(ctx, rho)
-            assert sorted(got.terms) == sorted(expect.terms), rho
-            for m, c in expect.terms.items():
-                assert got.terms[m] == c, (rho, m)
-                # rational values come out at order 1, irrational ones at the
-                # create route's order
-                assert got.terms[m].order == (1 if c.as_rational() is not None else c.order)
+            assert sorted(got.nums) == sorted(expect.nums), rho
+            assert got == expect, rho
+            irrational += sum(any(c[1:]) for c in got.nums.values())
+    assert (irrational > 0) == (ctx.axis > 1)
     with pytest.raises(ValueError, match="odd parts"):
         a_prime_vector(ctx, MultiPartition.single(ctx.gamma.num_classes, 0, (2,)))
 
@@ -319,23 +357,26 @@ def test_a_prime_vector_matches_the_create_product(name):
 def weighted_dot_pairings(ctx, mu, v):
     """(<mu, mv>, v_mv) over the partners mv of mu present in v, nonzero."""
     out = []
+    terms = cyc_terms(v)
     for mv in _partners(ctx, mu):
-        if mv in v.terms:
+        if mv in terms:
             w = _inner_monomials(ctx, mu, mv)
             if w:
-                out.append((w, v.terms[mv]))
+                out.append((w, terms[mv]))
     return out
 
 
 def weighted_dot_inner(u, v):
     """`inner` as one `scalars.weighted_dot` over the partner pairings."""
-    return weighted_dot((w, cu, cv) for mu, cu in u.terms.items()
+    return weighted_dot((w, cu, cv) for mu, cu in cyc_terms(u).items()
                         for w, cv in weighted_dot_pairings(u.ctx, mu, v))
 
 
 def weighted_dot_tensor_inner(ctx, t, u, v):
     terms = []
-    for (ml, mr), c in t.items():
+    den, nums = t
+    for (ml, mr), c in nums.items():
+        c = cyc_from_numerators(ctx.axis, c, den)
         left = weighted_dot_pairings(ctx, ml, u)
         if left:
             right = weighted_dot_pairings(ctx, mr, v)
@@ -343,7 +384,12 @@ def weighted_dot_tensor_inner(ctx, t, u, v):
     return weighted_dot(terms)
 
 
-@pytest.mark.parametrize("name,order", [("cyclic:3", 3), ("quaternion8", 4)])
+def canonical_order(value, axis):
+    """A pairing's order: 1 for a rational value, else Gamma's value axis."""
+    return 1 if value.as_rational() is not None else axis
+
+
+@pytest.mark.parametrize("name,order", [("cyclic:3", 3), ("cyclic:4", 4)])
 def test_integer_pairing_matches_the_weighted_dot_route(name, order):
     rng = random.Random(f"integer pairing {name}")
     ctx = pairing_ctx(name, "mckay")
@@ -363,8 +409,8 @@ def test_integer_pairing_matches_the_weighted_dot_route(name, order):
     monos, low = monomials(k, 4), monomials(k, 2)
     # partners keep the degree, so the last vector meets the rational one
     # before it only on its rational coefficients, at degrees <= 2
-    split = FockVector(ctx, {**rand_vec(low, 8, 1).terms,
-                             **rand_vec([m for m in monos if m not in low], 20, 0).terms})
+    split = FockVector(ctx, {**cyc_terms(rand_vec(low, 8, 1)),
+                             **cyc_terms(rand_vec([m for m in monos if m not in low], 20, 0))})
     vecs = [rand_vec(monos, size) for size in (1, 4, 12, 40, len(monos))]
     vecs += [rand_vec(low, len(low), 1), split]
     values = []
@@ -372,7 +418,7 @@ def test_integer_pairing_matches_the_weighted_dot_route(name, order):
     for u in vecs:
         for v in vecs:
             got, expect = inner(u, v), weighted_dot_inner(u, v)
-            assert got == expect and got.order == expect.order
+            assert got == expect and got.order == canonical_order(expect, order)
             assert inner(u, v, Fraction(1, 8)) == expect * Fraction(1, 8)
             values.append(got)
     assert any(x.as_rational() is None for x in values)
@@ -387,7 +433,7 @@ def test_integer_pairing_matches_the_weighted_dot_route(name, order):
             for a, b in ((f, g), (g, f), (f, f)):
                 got = tensor_inner(ctx, t, a, b)
                 expect = weighted_dot_tensor_inner(ctx, t, a, b)
-                assert got == expect and got.order == expect.order
+                assert got == expect and got.order == canonical_order(expect, order)
                 values.append(got)
         assert any(x.as_rational() is None for x in values[-6:])
 
@@ -410,7 +456,7 @@ def test_degenerate_radical_stable():
         # substitute a(g1) = a(u) - a(g0) with u = g0 + g1; membership means
         # every monomial keeps at least one u factor
         subs = {}
-        for mono, c in v.terms.items():
+        for mono, c in cyc_terms(v).items():
             expansions = [((), Cyc.rational(1))]
             for (n, i) in mono:
                 new = []
@@ -433,6 +479,18 @@ def test_degenerate_radical_stable():
     for n in (1, 3):
         for gam in ([1, 0], [0, 1], [2, -1]):
             assert in_radical_ideal(annihilate(elem, n, gam))
+
+
+def test_a_scalar_outside_the_value_field_is_refused():
+    # quaternion8's character values are rational, so its vectors hold
+    # rational coefficients only
+    ctx = ctx_for("quaternion8")
+    assert ctx.axis == 1
+    with pytest.raises(CycError):
+        FockVector(ctx, {(): Cyc.zeta(4)})
+    with pytest.raises(CycError):
+        FockVector.vacuum(ctx).scale(Cyc.zeta(4))
+    assert FockVector.vacuum(ctx).scale(Cyc.zeta(4) * Cyc.zeta(4)) == FockVector(ctx, {(): -1})
 
 
 def test_context_mismatch():

@@ -65,3 +65,52 @@ def test_oracle_builds_the_theory_classes_once(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "theory_classes", counted)
     assert cli.main(argv) == 0
     assert calls == [2]
+
+
+# -- the Fock-side suites fail on a perturbed Fock side ------------------------------
+#
+# A pass document names only its sizes, so each suite gets a run in which its
+# Fock side is wrong, and the failure document is pinned byte for byte.
+
+
+def _run_verify(capsys, argv):
+    from spinwreath import cli
+
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_isometry_fails_when_the_degree_3_images_are_doubled(monkeypatch, capsys):
+    from spinwreath import suites
+
+    ch = suites.ch
+    monkeypatch.setattr(suites, "ch", lambda ctx, f: ch(ctx, f).scale(2 if f.n == 3 else 1))
+    code, out = _run_verify(capsys, ["verify", "isometry", "--gamma", "cyclic:4", "--n", "3"])
+    assert code == 3
+    assert out == (
+        '{"suite":"isometry","gamma":"cyclic4","xi":"standard","params":{"n":3,"degree":4,'
+        '"window":2},"results":[{"relation":"isometry","status":"fail","params":{"n":3,'
+        '"rho1":"MultiPartition((3,), (), (), ())","rho2":"MultiPartition((3,), (), (), ())"}}],'
+        '"status":"fail"}\n')
+
+
+@pytest.mark.parametrize("perturbed,relation,params", [
+    ("ch", "hopf_product", '{"na":1,"nb":1}'),
+    ("coproduct", "hopf_pairing", '{"na":2,"nb":2}'),
+], ids=["product", "pairing"])
+def test_hopf_fails_on_a_doubled_fock_side(monkeypatch, capsys, perturbed, relation, params):
+    # doubling every ch image breaks the product check; doubling the vector
+    # a coproduct is taken of breaks only the pairing check
+    from spinwreath import suites
+
+    real = getattr(suites, perturbed)
+    if perturbed == "ch":
+        monkeypatch.setattr(suites, "ch", lambda ctx, f: real(ctx, f).scale(2))
+    else:
+        monkeypatch.setattr(suites, "coproduct", lambda v: real(v.scale(2)))
+    code, out = _run_verify(capsys, ["verify", "hopf", "--gamma", "cyclic:3", "--n", "3"])
+    assert code == 3
+    assert out == (
+        '{"suite":"hopf","gamma":"cyclic3","xi":"standard","params":{"n":3,"degree":4,'
+        f'"window":2}},"results":[{{"relation":"{relation}","status":"fail","params":{params}}}],'
+        '"status":"fail"}\n')

@@ -17,9 +17,10 @@ A top-level function, class or non-dunder method that the walk does not
 reach fails the test, unless its docstring says "Test oracle": a reference
 implementation that only tests run against the code under test.
 
-A second check pins where `Cyc` may appear: the twisted space's operators
+Further checks pin where `Cyc` may appear: the twisted space's operators
 (`vertex`) and the cocycle (`lattice`) are integer-valued and import nothing
-from `scalars`, and `vertex` builds no `Cyc` Fock vector.
+from `scalars`, `vertex` applies no Fock operator, and a Fock vector holds
+integers, `fock` building a `Cyc` only for a pairing's result.
 """
 
 import ast
@@ -192,7 +193,7 @@ def test_the_twisted_space_imports_nothing_from_scalars():
 
 def test_the_row_engine_calls_no_cyc_fock_operator():
     # `vertex` may import `create` (perfbench checks the binding) but builds
-    # its rows on its own integer tables, never through `Cyc` Fock vectors
+    # its rows on its own integer tables, never through Fock operators
     with open(os.path.join(PACKAGE, "vertex.py")) as fh:
         tree = ast.parse(fh.read())
     called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -200,3 +201,43 @@ def test_the_row_engine_calls_no_cyc_fock_operator():
               and isinstance(node.func, (ast.Name, ast.Attribute))}
     assert "_lean_row" in called  # the walk sees the engine's calls
     assert not called & {"annihilate", "create", "FockVector"}
+
+
+def _functions_naming(path, names):
+    """The functions and methods of a module whose bodies mention any of the
+    names (annotations aside)."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)}
+            if used & names:
+                out.add(node.name)
+    return out
+
+
+def test_fock_vectors_hold_integers_and_build_cyc_only_at_the_pairing():
+    # a scalar handed in is read onto Gamma's value axis (`_scalar`), and a
+    # pairing's result is the one `Cyc` a Fock operation builds
+    from spinwreath import fock, vertex
+    from spinwreath.classfun import ch, sigma_rho
+    from spinwreath.gammadata import VirtualChar, builtin
+    from spinwreath.partitions import multipartitions
+
+    path = os.path.join(PACKAGE, "fock.py")
+    assert _functions_naming(path, {"Cyc", "cyc_from_numerators"}) == {
+        "_scalar", "inner", "tensor_inner"}
+    assert fock.FockVector.__slots__ == ("ctx", "den", "nums")
+    assert not hasattr(fock.FockVector, "_numerators")
+    assert not hasattr(fock, "_coeff_key") and not hasattr(vertex, "_lean_from_fock")
+    assert not hasattr(vertex, "_prow")
+    g, _ = builtin("cyclic:4")
+    ctx = fock.FockContext(g, VirtualChar.trivial(g))
+    assert not hasattr(ctx, "_row_cache") and ctx.pair_row((1, 0, 0, 0)) == (1, 0, 0, 0)
+    images = [ch(ctx, sigma_rho(g, rho)) for rho in multipartitions(3, 4, "OP")]
+    coeffs = [c for v in images for c in v.nums.values()]
+    assert all(type(v.den) is int for v in images)
+    assert all(len(c) == 2 and all(type(x) is int for x in c) for c in coeffs)
+    assert any(c[1] for c in coeffs)  # irrational coefficients occur

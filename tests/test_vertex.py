@@ -333,7 +333,7 @@ def test_blocks_match_per_monomial_composition(name, weight):
     assert () in blocks and all(word[1:] in blocks for word in blocks if word)
 
 
-# -- reference formulas for the integer rows, on Cyc Fock vectors ----------------
+# -- reference formulas for the integer rows, on Fock vectors --------------------
 
 
 def _ladder_reference(ctx, v, coeffs, top):
