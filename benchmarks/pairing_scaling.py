@@ -8,8 +8,11 @@ n = 2..max-n, it times `qtable.build_table` and the `verify isometry` suite,
 each from a fresh context per repeat, and prints one JSON row per n: the
 median seconds and every repeat of each, and the number of monomial pairs
 each valued by normal ordering (the size of its `FockContext._inner_cache`).
+Where `mckay_xi` finds a McKay weight, the row's `mckay_isometry` field holds
+the same for the isometry at that weight, whose Gram matrix is not diagonal,
+so a monomial can have more than one partner; it is null elsewhere.
 `--src` points at the `src` directory of the checkout to measure (default:
-this checkout's).  It exits 1 when the isometry does not pass, or when a
+this checkout's).  It exits 1 when an isometry does not pass, or when a
 row's value on the identity class is not its degree from
 `qtable.char_degree`, so a timing is never reported for a wrong result.
 """
@@ -32,7 +35,7 @@ def main() -> int:
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from spinwreath import suites
-    from spinwreath.gammadata import VirtualChar, builtin
+    from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
     from spinwreath.partitions import MultiPartition
     from spinwreath.qtable import build_table, char_degree
     from spinwreath.vertex import TwistContext
@@ -48,21 +51,38 @@ def main() -> int:
     suites.FockContext = RecordedContext
     gamma, _ = builtin(args.gamma)
     xi = VirtualChar.trivial(gamma)
+    try:
+        mckay = mckay_xi(gamma)
+    except ValueError:  # no 2-dimensional defining character
+        mckay = None
+
+    def isometry(weight, n, runs):
+        """One run of the isometry suite, its seconds appended to runs: its
+        status and the number of monomial pairs it valued."""
+        start = time.perf_counter()
+        status = suites.SUITES["isometry"](gamma, None, weight, argparse.Namespace(n=n))[-1]["status"]
+        runs.append(round(time.perf_counter() - start, 4))
+        return status, len(contexts[-1]._inner_cache)
+
     failed = False
     for n in range(2, args.max_n + 1):
-        table_runs, iso_runs = [], []
+        table_runs, iso_runs, mckay_runs = [], [], []
         for _ in range(args.repeats):
             tctx = TwistContext(gamma, xi)
             start = time.perf_counter()
             table = build_table(gamma, n, tctx=tctx)
             table_runs.append(round(time.perf_counter() - start, 4))
-            start = time.perf_counter()
-            status = suites.SUITES["isometry"](gamma, None, xi, argparse.Namespace(n=n))[-1]["status"]
-            iso_runs.append(round(time.perf_counter() - start, 4))
+            status, iso_pairs = isometry(xi, n, iso_runs)
+            if mckay is not None:
+                mckay_status, mckay_pairs = isometry(mckay, n, mckay_runs)
         identity = MultiPartition.single(gamma.num_classes, 0, (1,) * n)
         degrees_ok = all(row.values.get(identity) == char_degree(row.lam, gamma)
                          for row in table.rows)
-        failed = failed or status != "pass" or not degrees_ok
+        mckay_row = None if mckay is None else {
+            "isometry": mckay_status, "median_s": statistics.median(mckay_runs),
+            "runs_s": mckay_runs, "pairs": mckay_pairs}
+        failed = (failed or status != "pass" or not degrees_ok
+                  or (mckay is not None and mckay_status != "pass"))
         print(json.dumps({"gamma": args.gamma, "n": n, "rows": len(table.rows),
                           "degrees_ok": degrees_ok, "isometry": status,
                           "repeats": args.repeats,
@@ -71,7 +91,8 @@ def main() -> int:
                           "table_pairs": len(tctx.fock._inner_cache),
                           "isometry_median_s": statistics.median(iso_runs),
                           "isometry_runs_s": iso_runs,
-                          "isometry_pairs": len(contexts[-1]._inner_cache)}), flush=True)
+                          "isometry_pairs": iso_pairs,
+                          "mckay_isometry": mckay_row}), flush=True)
     return 1 if failed else 0
 
 

@@ -21,13 +21,13 @@ annihilators, never by a closed matching formula.
 
 Normal ordering a_n(gamma_i) against a monomial kills one factor (n, j) with
 weight gram[i][j], so <mu, mv> vanishes unless each factor (n, i) of mu can
-be matched with its own factor (n, j) of mv with gram[i][j] != 0.  The
-monomials mv that admit such a matching are the partners of mu
-(`_partners`); `inner` and `tensor_inner` value only the partners present in
-the other vector, each pair by normal ordering (`_inner_monomials`).  At a
-diagonal Gram matrix, such as the standard weight, a monomial's only partner
-is itself.  A pair's value is rational, because the Gram matrix is integer,
-and is cached as a `Fraction` whose denominator divides 2^(length of mu).
+be matched with its own factor (n, j) of mv with gram[i][j] != 0.  Such mv
+are the partners of mu (`_partners`), all of mu's length; at a diagonal Gram
+matrix, such as the standard weight, mu is its own only partner.  A pair's
+value is rational, as the Gram matrix is integer: a cached `Fraction` over a
+power of 2.  A pairing reads its right vector v through v's dual, a memo
+kept on v: dual(v)[mu] = sum 2^T <mu, mv> v[mv] over mu's partners in v, T
+v's top length, valued by normal ordering (`_inner_monomials`) once per mu.
 
 `Cyc` appears only at the edges: a scalar handed in (a constructor's dict,
 `scale`'s factor, such as `classfun.ch`'s class-function values) is read
@@ -38,6 +38,7 @@ The vacuum coefficient of v is the pairing <1, v>.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, gcd, lcm
@@ -85,12 +86,8 @@ class FockContext:
 
 
 def _sorted_insert(mono: Monomial, factor: Tuple[int, int]) -> Monomial:
-    out = list(mono)
-    lo = 0
-    while lo < len(out) and out[lo] < factor:
-        lo += 1
-    out.insert(lo, factor)
-    return tuple(out)
+    lo = bisect_left(mono, factor)
+    return mono[:lo] + (factor,) + mono[lo:]
 
 
 def _merge(a: Monomial, b: Monomial) -> Monomial:
@@ -139,16 +136,16 @@ def _scalar(ctx: FockContext, c: CoeffLike) -> Tuple[int, Coeff]:
 class FockVector:
     """Finitely supported combination of Fock monomials, nums / den.
 
-    A vector is never mutated after construction: every operation returns a
-    new vector, in canonical form (`from_numerators`)."""
+    Its values never change; the dual is a memo filled on first use.  Every
+    operation returns a new vector, in canonical form (`from_numerators`)."""
 
-    __slots__ = ("ctx", "den", "nums")
+    __slots__ = ("ctx", "den", "nums", "_dual")
 
     def __init__(self, ctx: FockContext, terms: Optional[Dict[Monomial, CoeffLike]] = None):
         """sum terms[m] m, each scalar an int, a Fraction or a `Cyc`."""
         scalars = {m: _scalar(ctx, c) for m, c in (terms or {}).items()}
         den = lcm(*(d for d, _ in scalars.values()))
-        self.ctx = ctx
+        self.ctx, self._dual = ctx, None
         self.den, self.nums = _canonical(
             den, {m: tuple(x * (den // d) for x in c) for m, (d, c) in scalars.items()})
 
@@ -157,7 +154,7 @@ class FockVector:
         """sum nums[m] m / den, nums[m] the power-basis numerators of m's
         coefficient on the context's axis."""
         v = object.__new__(FockVector)
-        v.ctx = ctx
+        v.ctx, v._dual = ctx, None
         v.den, v.nums = _canonical(den, nums)
         return v
 
@@ -178,6 +175,13 @@ class FockVector:
 
     def is_zero(self) -> bool:
         return not self.nums
+
+    def dual(self) -> "_Dual":
+        """This vector's partner sums, a memo (`_Dual`) made on first use."""
+        if self._dual is None:
+            d = self._dual = _Dual()
+            d.ctx, d.nums, d.top = self.ctx, self.nums, max(map(len, self.nums), default=0)
+        return self._dual
 
     def _check_ctx(self, other: "FockVector") -> None:
         if self.ctx is not other.ctx:
@@ -307,8 +311,7 @@ def _partners(ctx: FockContext, mu: Monomial) -> List[Monomial]:
     out = {()}
     for n, i in mu:
         out = {_sorted_insert(p, (n, j)) for p in out for j in ctx.links[i]}
-    result = sorted(out)
-    ctx._partner_cache[mu] = result
+    result = ctx._partner_cache[mu] = sorted(out)
     return result
 
 
@@ -323,17 +326,16 @@ def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Fraction:
         v = annihilate(v, n, [1 if t == i else 0 for t in range(k)])
         if v.is_zero():
             break
-    result = Fraction(v.nums.get((), (0,))[0], v.den)
-    ctx._inner_cache[(mu, mv)] = result
+    result = ctx._inner_cache[(mu, mv)] = Fraction(v.nums.get((), (0,))[0], v.den)
     return result
 
 
-def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict) -> Optional[List[int]]:
-    """sum 2^l <mu, mv> nums[mv] over the partners mv of mu in nums that pair
-    with mu to a nonzero value, l the length of mu, as numerators; None when
-    there are none.  2^l clears every pair value's denominator."""
+def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict, top: int) -> Optional[List[int]]:
+    """sum 2^top <mu, mv> nums[mv] over the partners mv of mu in nums that
+    pair with mu to a nonzero value, as numerators; None when there are none.
+    2^top, top at least mu's length, clears every pair value's denominator."""
     acc = None
-    big = 1 << len(mu)
+    big = 1 << top
     for mv in _partners(ctx, mu):
         y = nums.get(mv)
         if y is None:
@@ -342,46 +344,48 @@ def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict) -> Optional[List[in
         if not w:
             continue
         w = w.numerator * (big // w.denominator)
-        if acc is None:
-            acc = [w * b for b in y]
-        else:
-            acc = [a + w * b for a, b in zip(acc, y)]
+        acc = [w * b for b in y] if acc is None else [a + w * b for a, b in zip(acc, y)]
     return acc
 
 
-def _over_2_top(accs: Dict[int, List[int]]) -> Tuple[int, List[int]]:
-    """(top, acc): the sum of the accs[l], numerators over 2^l all of one
-    length, as numerators over 2^top."""
-    top = max(accs, default=0)
-    acc = [0] * len(next(iter(accs.values()), [0]))
-    for l, part in accs.items():
-        for i, x in enumerate(part):
-            acc[i] += x << (top - l)
-    return top, acc
+class _Dual(dict):
+    """The dual of a vector v: self[mu] = sum 2^top <mu, mv> v[mv] over the
+    partners mv of mu, top the length of v's longest monomial, as numerators
+    over v.den 2^top, or None when no partner pairs (`_partner_sum`); each
+    entry is valued on its first lookup and kept."""
+
+    __slots__ = ("ctx", "nums", "top")
+
+    def __missing__(self, mu: Monomial) -> Optional[List[int]]:
+        s = self[mu] = _partner_sum(self.ctx, mu, self.nums, self.top)
+        return s
+
+
+_ZERO = Cyc.rational(0)  # immutable, so every pairing that sums to zero shares it
 
 
 def inner(u: FockVector, v: FockVector, scale: Union[int, Fraction] = 1) -> Cyc:
     """scale <u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma).
 
-    Each monomial mu of u is paired only with its partners mv in v; every
-    other monomial pair has no matching of factors and contributes zero.
-    The products u_mu <mu, mv> v_mv are summed on the numerators over 2^l
-    per monomial length l, then over one power of 2 (`_over_2_top`), scaled
-    by the rational scale, reduced mod Phi_N and divided once: one `Cyc`."""
+    One integer dot of u's numerators with v's dual (`FockVector.dual`), so
+    each monomial of u is paired with its partners in v at most once per v,
+    however often v is paired.  The dot runs on unreduced numerator products
+    over u.den v.den 2^top scale.denominator, and is reduced mod Phi_N and
+    divided once: one `Cyc`, or a shared rational zero."""
     u._check_ctx(v)
-    size = 2 * u.ctx.width - 1
-    accs: Dict[int, List[int]] = {}
+    dual = v.dual()
+    acc = [0] * (2 * u.ctx.width - 1)
     for mu, a in u.nums.items():
-        s = _partner_sum(u.ctx, mu, v.nums)
+        s = dual[mu]
         if s is not None:
-            acc = accs.get(len(mu)) or accs.setdefault(len(mu), [0] * size)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(s):
                         acc[i + j] += x * y
-    top, acc = _over_2_top(accs)
+    if not any(acc):
+        return _ZERO
     return cyc_from_numerators(u.ctx.axis, [scale.numerator * x for x in acc],
-                               (u.den * v.den * scale.denominator) << top)
+                               (u.den * v.den * scale.denominator) << dual.top)
 
 
 def q_gen(ctx: FockContext, n: int, coeffs: Sequence[int]) -> FockVector:
@@ -432,20 +436,16 @@ def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector, v: FockVector)
     """<t, u (x) v> for a coproduct result t.
 
     The form is the product of the two tensor factors' forms, so a term
-    t_(ml, mr) contributes t_(ml, mr) (sum <ml, pl> u_pl) (sum <mr, pr> v_pr),
-    each sum over the partners present as in `inner` (`_partner_sum`).  The
-    terms are summed on the numerators and make one `Cyc`."""
+    t_(ml, mr) contributes t_(ml, mr) dual(u)[ml] dual(v)[mr], read from the
+    duals as in `inner`; the terms are summed on the numerators and make one
+    `Cyc`, or a shared rational zero."""
     td, tn = t
-    accs: Dict[int, List[int]] = {}
+    left, right = u.dual(), v.dual()
+    acc = [0] * (3 * ctx.width - 2)
     for (ml, mr), c in tn.items():
-        left = _partner_sum(ctx, ml, u.nums)
-        if left is None:
-            continue
-        right = _partner_sum(ctx, mr, v.nums)
-        if right is not None:
-            p = _poly_mul(_poly_mul(c, left), right)
-            acc = accs.setdefault(len(ml) + len(mr), [0] * len(p))
-            for i, x in enumerate(p):
-                acc[i] += x
-    top, acc = _over_2_top(accs)
-    return cyc_from_numerators(ctx.axis, acc, (td * u.den * v.den) << top)
+        lsum = left[ml]
+        if lsum is not None and (rsum := right[mr]) is not None:
+            acc = list(map(add, acc, _poly_mul(_poly_mul(c, lsum), rsum)))
+    if not any(acc):
+        return _ZERO
+    return cyc_from_numerators(ctx.axis, acc, (td * u.den * v.den) << (left.top + right.top))

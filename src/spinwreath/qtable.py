@@ -142,11 +142,11 @@ def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
     """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>,
     the pairing taken by `fock.inner` on the zero-class Fock vector.
 
-    Both vectors hold integer numerators on Gamma's value axis, and the
-    power of 2 enters the pairing's integer scale, so each entry is one
-    `Cyc`, built once, by the pairing.  x_vec and a_vec,
-    when given, must be x_lambda_vector(tctx, lam) and
-    a_prime_vector(tctx.fock, mu).
+    The pairing reads a'_-mu through its dual, so a column's a_vec values
+    each monomial of the rows' X_lambda once.  The power of 2 is the
+    pairing's scale, an int or 1/2^k, so each entry is one `Cyc`, built
+    once, by the pairing.  x_vec and a_vec, when given, must be
+    x_lambda_vector(tctx, lam) and a_prime_vector(tctx.fock, mu).
     """
     if lam.weight != mu.weight:
         raise ValueError("weight mismatch between lambda and mu")
@@ -154,7 +154,8 @@ def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
         x_vec = x_lambda_vector(tctx, lam)
     if a_vec is None:
         a_vec = a_prime_vector(tctx.fock, mu)
-    return inner(x_vec, a_vec, Fraction(2) ** (mu.length - lam.length // 2))
+    e = mu.length - lam.length // 2
+    return inner(x_vec, a_vec, 1 << e if e >= 0 else Fraction(1, 1 << -e))
 
 
 def char_degree(lam: MultiPartition, gamma: GammaData) -> int:

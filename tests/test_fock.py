@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from spinwreath import fock
 from spinwreath.fock import (FockContext, FockVector, _inner_monomials, _partners,
                              a_prime_vector, annihilate, coproduct, create, inner, q_gen,
                              tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
+from spinwreath.qtable import x_lambda_vector
 from spinwreath.scalars import Cyc, CycError, cyc_from_numerators, euler_phi, weighted_dot
+from spinwreath.vertex import TwistContext
 
 
 def ctx_for(name, xi=None):
@@ -325,6 +328,52 @@ def test_partner_pairing_matches_all_pairs(name, weight):
         values.append(all_pairs_tensor_inner(ctx, t, f, g))
         assert tensor_inner(ctx, t, f, g) == values[-1]
     assert any(not x.is_zero() for x in values)
+
+
+@pytest.mark.parametrize("name,weight", PAIRING_CASES)
+def test_a_vector_paired_many_times_reads_its_dual(name, weight):
+    # v's dual is filled by the pairings that ask for it: each later pairing
+    # reads entries an earlier one left, with v on either side of inner and
+    # in either tensor factor
+    rng = random.Random(f"dual {name}:{weight}")
+    ctx = pairing_ctx(name, weight)
+    order = max(c.order for row in ctx.gamma.chars for c in row)
+    monos = monomials(ctx.gamma.num_classes, 3)
+
+    def rand_vec(size):
+        return FockVector(ctx, {m: Cyc(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                               for _ in range(euler_phi(order))])
+                                for m in rng.sample(monos, min(size, len(monos)))})
+
+    v = rand_vec(len(monos) // 2)
+    assert v._dual is None
+    values = []
+    for size in (1, 4, 12, len(monos)):
+        u = rand_vec(size)
+        assert inner(u, v) == all_pairs_inner(u, v) and set(u.nums) <= set(v.dual())
+        assert inner(v, u) == all_pairs_inner(v, u)
+        t = coproduct(rand_vec(3))
+        for a, b in ((u, v), (v, u)):
+            values.append(all_pairs_tensor_inner(ctx, t, a, b))
+            assert tensor_inner(ctx, t, a, b) == values[-1]
+    assert any(not x.is_zero() for x in values)
+
+
+def test_a_second_pass_of_one_column_values_no_partner_sum(monkeypatch):
+    g, _ = builtin("quaternion8")
+    tctx = TwistContext(g, VirtualChar.trivial(g))
+    rows = [x_lambda_vector(tctx, lam) for lam in multipartitions(3, g.num_classes, "SP")]
+    a_vec = a_prime_vector(tctx.fock, MultiPartition.single(g.num_classes, 0, (1, 1, 1)))
+    asked = []
+    partner_sum = fock._partner_sum
+    monkeypatch.setattr(fock, "_partner_sum", lambda *a: asked.append(a[1]) or partner_sum(*a))
+    first = [inner(x, a_vec) for x in rows]
+    row_monos = {m for x in rows for m in x.nums}
+    # one call per monomial the rows hold, and only those: the dual is not
+    # filled from a_vec's side
+    assert sorted(asked) == sorted(row_monos) and set(a_vec.dual()) == row_monos
+    assert [inner(x, a_vec) for x in rows] == first and len(asked) == len(row_monos)
+    assert any(not x.is_zero() for x in first)
 
 
 # -- the integer routes against the Cyc routes they replaced ------------------------

@@ -7,7 +7,7 @@ import pytest
 from spinwreath import cli, qtable
 from spinwreath import vertex as vx
 from spinwreath.classfun import weighted_inner
-from spinwreath.fock import FockContext, FockVector, create, inner
+from spinwreath.fock import FockContext, FockVector, a_prime_vector, create, inner
 from spinwreath.gammadata import VirtualChar, builtin
 from spinwreath.partitions import MultiPartition, multipartitions
 from spinwreath.qtable import (TableCheckError, build_table, char_degree,
@@ -119,6 +119,31 @@ def test_char_values_trivial():
     with pytest.raises(ValueError):
         char_value(t, lam1, mu3)
 
+
+def test_char_value_scales_by_a_power_of_two_in_either_direction(monkeypatch):
+    # the scale 2^(l(mu) - l(lambda)//2) reaches the pairing as an int, or as
+    # 1/2^k when l(lambda)//2 > l(mu), and the entry is the pairing under
+    # Fraction(2) ** (l(mu) - l(lambda)//2)
+    g, t = setup("cyclic:3")
+    scales = []
+
+    def recording_inner(x_vec, a_vec, scale):
+        scales.append(scale)
+        return inner(x_vec, a_vec, scale)
+
+    monkeypatch.setattr(qtable, "inner", recording_inner)
+    x_vecs = {lam: x_lambda_vector(t, lam) for lam in multipartitions(5, 3, "SP")}
+    exponents = set()
+    for mu in multipartitions(5, 3, "OP"):
+        a_vec = a_prime_vector(t.fock, mu)
+        for lam, x_vec in x_vecs.items():
+            e = mu.length - lam.length // 2
+            got = char_value(t, lam, mu, x_vec, a_vec)
+            assert scales[-1] == Fraction(2) ** e
+            assert type(scales[-1]) is (int if e >= 0 else Fraction)
+            assert got == inner(x_vec, a_vec, Fraction(2) ** e), (lam, mu)
+            exponents.add(e)
+    assert min(exponents) < 0 < max(exponents)
 
 def test_char_degree():
     g, _ = setup("trivial")

@@ -229,8 +229,8 @@ def test_fock_vectors_hold_integers_and_build_cyc_only_at_the_pairing():
     path = os.path.join(PACKAGE, "fock.py")
     assert _functions_naming(path, {"Cyc", "cyc_from_numerators"}) == {
         "_scalar", "inner", "tensor_inner"}
-    assert fock.FockVector.__slots__ == ("ctx", "den", "nums")
-    assert not hasattr(fock.FockVector, "_numerators")
+    assert fock.FockVector.__slots__ == ("ctx", "den", "nums", "_dual")
+    assert not hasattr(fock.FockVector, "_numerators") and not hasattr(fock, "_over_2_top")
     assert not hasattr(fock, "_coeff_key") and not hasattr(vertex, "_lean_from_fock")
     assert not hasattr(vertex, "_prow")
     g, _ = builtin("cyclic:4")
