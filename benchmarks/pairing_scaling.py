@@ -76,7 +76,7 @@ def main() -> int:
             if mckay is not None:
                 mckay_status, mckay_pairs = isometry(mckay, n, mckay_runs)
         identity = MultiPartition.single(gamma.num_classes, 0, (1,) * n)
-        degrees_ok = all(row.values.get(identity) == char_degree(row.lam, gamma)
+        degrees_ok = all(row.values.value(identity) == char_degree(row.lam, gamma)
                          for row in table.rows)
         mckay_row = None if mckay is None else {
             "isometry": mckay_status, "median_s": statistics.median(mckay_runs),

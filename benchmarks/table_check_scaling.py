@@ -58,7 +58,7 @@ def main() -> int:
             row = {"gamma": name, "n": n, "repeats": args.repeats}
             if error is None:
                 identity = MultiPartition.single(gamma.num_classes, 0, (1,) * n)
-                degrees_ok = all(r.values.get(identity) == char_degree(r.lam, gamma)
+                degrees_ok = all(r.values.value(identity) == char_degree(r.lam, gamma)
                                  for r in table.rows)
                 row.update({"rows": len(table.rows), "degrees_ok": degrees_ok})
                 for key, secs in runs.items():

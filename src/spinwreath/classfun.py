@@ -3,118 +3,136 @@
 A degree-n spin super class function stores only its values on the even
 split classes, indexed by odd-part multipartitions over the classes of
 Gamma; negation under the central element and vanishing elsewhere live in
-the bilinear form.  The characteristic map follows the inverse-relabelled
-convention ch(f) = sum (1/Z_rho) f(rho) a'_{-rho_bar}; as a consequence
-ch sends sigma_n(c) to a_{-n}(c^{-1}) (bar relabel on non-real classes).
+the bilinear form.  The values are stored as a Fock vector's coefficients
+are, as integer numerators on Gamma's value axis, so the induction product,
+`weighted_inner` and `ch` run on integers; only `SpinClassFun.value` builds
+a `Cyc`, for the brute-force oracle.  The characteristic map follows the
+inverse-relabelled convention ch(f) = sum (1/Z_rho) f(rho) a'_{-rho_bar};
+so ch sends sigma_n(c) to a_{-n}(c^{-1}) (bar relabel on non-real classes).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Dict, Optional, Sequence, Tuple, Union
+from math import comb, lcm, prod
+from typing import Dict, Optional, Sequence, Tuple
 
-from .fock import CoeffLike, FockContext, FockVector, a_prime_vector
-from .gammadata import GammaData, VirtualChar
+from .fock import FockContext, FockVector, a_prime_vector
+from .gammadata import GammaData, ValueLike, VirtualChar
 from .partitions import MultiPartition, big_z, multipartitions
-from .scalars import Cyc, weighted_dot
+from .scalars import (Coeff, Cyc, add_into, axis_scalar, canonical, cyc_from_numerators,
+                      euler_phi, on_one_denominator, poly_mul, times)
 
 
 class SpinClassFun:
-    """Values on the even split classes D_rho^+, rho in OP_n(Gamma_*)."""
+    """Values nums[rho] / den on the even split classes D_rho^+, rho in
+    OP_n(Gamma_*), canonical (`scalars.canonical`): `==` compares integers."""
 
-    __slots__ = ("gamma", "n", "values")
+    __slots__ = ("gamma", "n", "den", "nums")
 
     def __init__(self, gamma: GammaData, n: int,
-                 values: Optional[Dict[MultiPartition, Cyc]] = None):
-        self.gamma = gamma
-        self.n = n
-        self.values: Dict[MultiPartition, Cyc] = {}
-        if values:
-            for rho, c in values.items():
-                c = Cyc.lift(c)
-                if not c.is_zero():
-                    if rho.weight != n:
-                        raise ValueError(f"value at weight {rho.weight} in degree {n}")
-                    self.values[rho] = c
+                 values: Optional[Dict[MultiPartition, ValueLike]] = None):
+        """values[rho] in Gamma's value field (`GammaData.on_axis`)."""
+        self.gamma, self.n = gamma, n
+        self.den, self.nums = canonical(*on_one_denominator(
+            {rho: gamma.on_axis(c) for rho, c in (values or {}).items()}))
+        for rho in self.nums:
+            if rho.weight != n:
+                raise ValueError(f"value at weight {rho.weight} in degree {n}")
+
+    @staticmethod
+    def from_numerators(gamma: GammaData, n: int, den: int,
+                        nums: Dict[MultiPartition, Coeff]) -> "SpinClassFun":
+        """sum nums[rho] / den, nums[rho] numerators on Gamma's value axis."""
+        f = object.__new__(SpinClassFun)
+        f.gamma, f.n = gamma, n
+        f.den, f.nums = canonical(den, nums)
+        return f
 
     @staticmethod
     def unit(gamma: GammaData) -> "SpinClassFun":
-        return SpinClassFun(gamma, 0, {MultiPartition.empty(gamma.num_classes): Cyc.rational(1)})
+        return SpinClassFun(gamma, 0, {MultiPartition.empty(gamma.num_classes): 1})
 
     def value(self, rho: MultiPartition) -> Cyc:
-        return self.values.get(rho, Cyc.rational(0))
+        """The value at D_rho^+ as one `Cyc`, for the brute-force oracle."""
+        return cyc_from_numerators(self.gamma.value_numerators[0],
+                                   self.nums.get(rho, (0,)), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinClassFun):
             return NotImplemented
-        if self.gamma is not other.gamma or self.n != other.n:
-            return False
-        keys = set(self.values) | set(other.values)
-        return all(self.value(k) == other.value(k) for k in keys)
+        return (self.gamma is other.gamma and self.n == other.n
+                and self.den == other.den and self.nums == other.nums)
 
     def __repr__(self) -> str:
-        return f"SpinClassFun(n={self.n}, {self.values!r})"
+        return f"SpinClassFun(n={self.n}, {self.nums!r} / {self.den})"
 
 
 @lru_cache(maxsize=None)
-def _dual(gamma: GammaData, rho: MultiPartition) -> Tuple[MultiPartition, Fraction, Tuple]:
-    """rho_bar, 1/(2^l(rho) Z_rho) and the pairs (c, l(rho(c))) with
-    l(rho(c)) > 0: all depend only on (Gamma, rho)."""
+def _dual(gamma: GammaData, rho: MultiPartition) -> Tuple[MultiPartition, int, Tuple]:
+    """rho_bar, 2^l(rho) Z_rho and the pairs (c, l(rho(c))) with l(rho(c)) > 0:
+    all depend only on (Gamma, rho)."""
     perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
     norm = 2 ** rho.length * big_z(rho, gamma.centralizer_orders)
     lengths = tuple((ci, len(part)) for ci, part in enumerate(rho.parts) if part)
-    return rho.relabel(perm), Fraction(1, norm), lengths
+    return rho.relabel(perm), norm, lengths
 
 
-def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Cyc:
-    """sum_rho (2^l(rho) Z_rho)^{-1} f(rho) g(rho_bar) prod_c xi(c)^l(rho(c)).
+def _power_product(axis: int, values, lengths: Tuple) -> Tuple[int, Coeff]:
+    """prod_c values[c]^l over the (c, l) in lengths, each values[c] a value
+    (den, numerators) on the axis."""
+    den, x = 1, (1,) + (0,) * (euler_phi(axis) - 1)
+    for ci, length in lengths:
+        d, v = values[ci]
+        for _ in range(length):
+            den, x = den * d, times(axis, x, v)
+    return den, x
 
-    rho_bar and 1/(2^l(rho) Z_rho) are computed once per Gamma (`_dual`);
-    xi is evaluated once per call at each class that occurs.  A rational
-    xi weight joins the rational factor of the term, an irrational one
-    multiplies f(rho), and `scalars.weighted_dot` sums the terms exactly on
-    one common denominator, reducing mod Phi_N once.
-    """
+
+# (Gamma, xi) -> {lengths: prod_c xi(c)^l}: the pairings at one weight ask for few
+_WEIGHTS: Dict[Tuple[GammaData, VirtualChar], Dict[Tuple, Tuple[int, Coeff]]] = {}
+
+
+def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Tuple[int, Coeff]:
+    """sum_rho (2^l(rho) Z_rho)^{-1} f(rho) g(rho_bar) prod_c xi(c)^l(rho(c)),
+    as one canonical value (den, numerators) on Gamma's value axis.
+
+    rho_bar and 2^l(rho) Z_rho come from a per-Gamma cache (`_dual`), and
+    xi's weight prod_c xi(c)^l(rho(c)) from a memo per (Gamma, xi)
+    (`_WEIGHTS`), xi read through `VirtualChar.value_at` when a profile of
+    lengths is first met.  The terms go unreduced onto one denominator, and
+    the sum is reduced mod Phi_N once (`scalars.axis_scalar`)."""
     if f.n != g.n:
         raise ValueError("degree mismatch")
     gamma = f.gamma
-    gvalues = g.values
-    xivals: Dict[int, Union[Fraction, Cyc]] = {}  # xi(c), rational where it is
-    terms = []
-    for rho, fval in f.values.items():
-        bar, w, lengths = _dual(gamma, rho)
-        gval = gvalues.get(bar)
+    axis = gamma.value_numerators[0]
+    gnums = g.nums
+    weights = _WEIGHTS.setdefault((gamma, xi), {})
+    sums: Dict[int, Coeff] = {}  # denominator -> the sum of the terms over it
+    for rho, fval in f.nums.items():
+        bar, norm, lengths = _dual(gamma, rho)
+        gval = gnums.get(bar)
         if gval is None:
             continue
-        for ci, length in lengths:
-            v = xivals.get(ci)
-            if v is None:
-                c = xi.value_at(gamma, ci)
-                q = c.as_rational()
-                v = xivals[ci] = c if q is None else q
-            if isinstance(v, Cyc):
-                for _ in range(length):
-                    fval = fval * v
-            elif v != 1:
-                w = w * v ** length
-        if w:
-            terms.append((w, fval, gval))
-    return weighted_dot(terms)
+        w = weights.get(lengths)
+        if w is None:
+            xivals = {ci: gamma.on_axis(xi.value_at(gamma, ci)) for ci, _ in lengths}
+            w = weights[lengths] = _power_product(axis, xivals, lengths)
+        add_into(sums, norm * w[0], poly_mul(poly_mul(fval, gval), w[1]))
+    den = lcm(*sums)
+    acc = [sum(col) for col in zip(*([den // d * x for x in s] for d, s in sums.items()))]
+    return axis_scalar(axis, acc, f.den * g.den * den)
 
 
-def basic_char(gamma: GammaData, n: int, coeffs: Sequence[CoeffLike]) -> SpinClassFun:
+def basic_char(gamma: GammaData, n: int, coeffs: Sequence[ValueLike]) -> SpinClassFun:
     """Basic spin character values 2^l(rho) prod_c gamma(c)^l(rho(c)) at D_rho^+."""
-    values: Dict[MultiPartition, Cyc] = {}
-    class_values = [gamma.char_value(coeffs, ci) for ci in range(gamma.num_classes)]
+    axis = gamma.value_numerators[0]
+    class_values = [gamma.on_axis(gamma.char_value(coeffs, ci)) for ci in range(gamma.num_classes)]
+    values = {}
     for rho in multipartitions(n, gamma.num_classes, "OP"):
-        val = Cyc.rational(2 ** rho.length)
-        for ci, part in enumerate(rho.parts):
-            for _ in part:
-                val = val * class_values[ci]
-        values[rho] = val
-    return SpinClassFun(gamma, n, values)
+        den, x = _power_product(axis, class_values, _dual(gamma, rho)[2])
+        values[rho] = (den, tuple(y << rho.length for y in x))
+    return SpinClassFun.from_numerators(gamma, n, *on_one_denominator(values))
 
 
 def sigma_class(gamma: GammaData, n: int, ci: int) -> SpinClassFun:
@@ -122,7 +140,7 @@ def sigma_class(gamma: GammaData, n: int, ci: int) -> SpinClassFun:
     if n % 2 == 0 or n <= 0:
         raise ValueError("sigma_n needs odd positive n")
     rho = MultiPartition.single(gamma.num_classes, ci, (n,))
-    return SpinClassFun(gamma, n, {rho: Cyc.rational(n * gamma.centralizer_order(ci))})
+    return SpinClassFun(gamma, n, {rho: n * gamma.centralizer_order(ci)})
 
 
 def sigma_rho(gamma: GammaData, rho: MultiPartition) -> SpinClassFun:
@@ -142,45 +160,40 @@ def induction_product(f: SpinClassFun, g: SpinClassFun) -> SpinClassFun:
     if f.gamma is not g.gamma:
         raise ValueError("group mismatch")
     gamma = f.gamma
+    axis = gamma.value_numerators[0]
     k = gamma.num_classes
-    out: Dict[MultiPartition, Cyc] = {}
-    for rho_f, cf in f.values.items():
-        for rho_g, cg in g.values.items():
-            merged = []
-            for ci in range(k):
-                merged.append(tuple(sorted(rho_f[ci] + rho_g[ci], reverse=True)))
-            rho = MultiPartition(merged)
-            weight = 1
-            for ci in range(k):
-                mf = rho_f.multiplicities(ci)
-                mm = rho.multiplicities(ci)
-                for part, mult in mm.items():
-                    take = mf.get(part, 0)
-                    weight *= comb(mult, take)
-            val = cf * cg * weight
-            cur = out.get(rho)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                out.pop(rho, None)
-            else:
-                out[rho] = val
-    return SpinClassFun(gamma, f.n + g.n, out)
+    out: Dict[MultiPartition, Coeff] = {}
+    for rho_f, cf in f.nums.items():
+        for rho_g, cg in g.nums.items():
+            rho = MultiPartition([tuple(sorted(rho_f[ci] + rho_g[ci], reverse=True))
+                                  for ci in range(k)])
+            weight = prod(comb(mult, rho_f.multiplicities(ci).get(part, 0))
+                          for ci in range(k) for part, mult in rho.multiplicities(ci).items())
+            add_into(out, rho, tuple(weight * x for x in times(axis, cf, cg)))
+    return SpinClassFun.from_numerators(gamma, f.n + g.n, f.den * g.den, out)
 
 
 # -- the characteristic map ------------------------------------------------------
 
 
 def ch(ctx: FockContext, f: SpinClassFun) -> FockVector:
-    """ch(f) = sum_rho (1/Z_rho) f(rho) a'_{-rho_bar}; each a'_{-rho_bar}
-    is expanded once per context and kept in `FockContext._a_prime_bar`."""
+    """ch(f) = sum_rho (1/Z_rho) f(rho) a'_{-rho_bar}, summed on numerators
+    over one common denominator; each a'_{-rho_bar} is expanded once per
+    context and kept in `FockContext._a_prime_bar`."""
     gamma = ctx.gamma
     zetas = gamma.centralizer_orders
     perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
     cache = ctx._a_prime_bar
-    out = FockVector.zero(ctx)
-    for rho, c in f.values.items():
+    terms = []
+    for rho, c in f.nums.items():
         vec = cache.get(rho)
         if vec is None:
             vec = cache[rho] = a_prime_vector(ctx, rho.relabel(perm))
-        out = out + vec.scale(c / Fraction(big_z(rho, zetas)))
-    return out
+        terms.append((big_z(rho, zetas) * vec.den, c, vec.nums))
+    den = lcm(*(d for d, _, _ in terms))
+    out: Dict = {}
+    for d, c, nums in terms:
+        c = tuple(den // d * x for x in c)
+        for m, a in nums.items():
+            add_into(out, m, times(ctx.axis, c, a))
+    return FockVector.from_numerators(ctx, f.den * den, out)

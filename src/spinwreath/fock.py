@@ -29,10 +29,10 @@ power of 2.  A pairing reads its right vector v through v's dual, a memo
 kept on v: dual(v)[mu] = sum 2^T <mu, mv> v[mv] over mu's partners in v, T
 v's top length, valued by normal ordering (`_inner_monomials`) once per mu.
 
-`Cyc` appears only at the edges: a scalar handed in (a constructor's dict,
-`scale`'s factor, such as `classfun.ch`'s class-function values) is read
-onto the axis (`_scalar`), and a pairing's result (`inner`, `tensor_inner`)
-is built as one `Cyc`, at order 1 when rational and at order N otherwise.
+A scalar handed in (a constructor's dict, `scale`'s factor) is read onto
+the axis by `GammaData.on_axis`, and a pairing's result (`inner`,
+`tensor_inner`) is one canonical value (den, numerators) on the same axis
+(`scalars.axis_scalar`), the form `classfun` keeps its class functions in.
 The vacuum coefficient of v is the pairing <1, v>.
 """
 
@@ -40,18 +40,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, product
-from math import comb, gcd, lcm
+from itertools import product
+from math import comb, lcm
 from operator import add, index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .gammadata import GammaData, VirtualChar, gram_matrix
+from .gammadata import GammaData, ValueLike, VirtualChar, gram_matrix
 from .partitions import MultiPartition
-from .scalars import Cyc, cyc_from_numerators, euler_phi, reduce_mod_phi
+from .scalars import (Coeff, add_into, axis_scalar, canonical, euler_phi, on_one_denominator,
+                      poly_mul, reduce_mod_phi, times)
 
 Monomial = Tuple[Tuple[int, int], ...]  # sorted ((n, char_index), ...)
-Coeff = Tuple[int, ...]  # phi(N) power-basis numerators of one coefficient
-CoeffLike = Union[int, Fraction, Cyc]
 
 
 class FockContext:
@@ -98,41 +97,6 @@ def mono_degree(mono: Monomial) -> int:
     return sum(n for n, _ in mono)
 
 
-def _add_into(out: Dict, key, c: Coeff) -> None:
-    cur = out.get(key)
-    out[key] = c if cur is None else tuple(map(add, cur, c))
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """The product of two numerator polynomials, unreduced."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _times(axis: int, a: Coeff, b: Coeff) -> Coeff:
-    """The product of two coefficients, reduced mod Phi_axis."""
-    return tuple(reduce_mod_phi(axis, _poly_mul(a, b)))
-
-
-def _scalar(ctx: FockContext, c: CoeffLike) -> Tuple[int, Coeff]:
-    """A scalar handed in, as (den, numerators on the context's axis); a
-    `Cyc` must lie in Q(zeta_N)."""
-    if isinstance(c, Cyc):
-        q = c.as_rational()
-        if q is None:
-            c = c.promote(ctx.axis)
-            den = lcm(*(x.denominator for x in c.coeffs))
-            return den, tuple(x.numerator * (den // x.denominator) for x in c.coeffs)
-        c = q
-    q = Fraction(c)
-    return q.denominator, (q.numerator,) + (0,) * (ctx.width - 1)
-
-
 class FockVector:
     """Finitely supported combination of Fock monomials, nums / den.
 
@@ -141,13 +105,11 @@ class FockVector:
 
     __slots__ = ("ctx", "den", "nums", "_dual")
 
-    def __init__(self, ctx: FockContext, terms: Optional[Dict[Monomial, CoeffLike]] = None):
-        """sum terms[m] m, each scalar an int, a Fraction or a `Cyc`."""
-        scalars = {m: _scalar(ctx, c) for m, c in (terms or {}).items()}
-        den = lcm(*(d for d, _ in scalars.values()))
+    def __init__(self, ctx: FockContext, terms: Optional[Dict[Monomial, ValueLike]] = None):
+        """sum terms[m] m, each scalar in Gamma's value field (`GammaData.on_axis`)."""
         self.ctx, self._dual = ctx, None
-        self.den, self.nums = _canonical(
-            den, {m: tuple(x * (den // d) for x in c) for m, (d, c) in scalars.items()})
+        self.den, self.nums = canonical(*on_one_denominator(
+            {m: ctx.gamma.on_axis(c) for m, c in (terms or {}).items()}))
 
     @staticmethod
     def from_numerators(ctx: FockContext, den: int, nums: Dict) -> "FockVector":
@@ -155,7 +117,7 @@ class FockVector:
         coefficient on the context's axis."""
         v = object.__new__(FockVector)
         v.ctx, v._dual = ctx, None
-        v.den, v.nums = _canonical(den, nums)
+        v.den, v.nums = canonical(den, nums)
         return v
 
     @staticmethod
@@ -193,17 +155,18 @@ class FockVector:
         fa, fb = den // self.den, den // other.den
         out = {m: tuple(fa * x for x in c) for m, c in self.nums.items()}
         for m, c in other.nums.items():
-            _add_into(out, m, tuple(fb * x for x in c))
+            add_into(out, m, tuple(fb * x for x in c))
         return FockVector.from_numerators(self.ctx, den, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
-    def scale(self, c: CoeffLike) -> "FockVector":
-        d, x = _scalar(self.ctx, c)
+    def scale(self, c: ValueLike) -> "FockVector":
+        """c times this vector, c in Gamma's value field (`GammaData.on_axis`)."""
+        d, x = self.ctx.gamma.on_axis(c)
         axis = self.ctx.axis
         return FockVector.from_numerators(self.ctx, self.den * d,
-                                          {m: _times(axis, a, x) for m, a in self.nums.items()})
+                                          {m: times(axis, a, x) for m, a in self.nums.items()})
 
     def __mul__(self, other: "FockVector") -> "FockVector":
         """Product in the symmetric algebra."""
@@ -212,7 +175,7 @@ class FockVector:
         out: Dict[Monomial, Coeff] = {}
         for ma, ca in self.nums.items():
             for mb, cb in other.nums.items():
-                _add_into(out, _merge(ma, mb), _times(axis, ca, cb))
+                add_into(out, _merge(ma, mb), times(axis, ca, cb))
         return FockVector.from_numerators(self.ctx, self.den * other.den, out)
 
     def __eq__(self, other) -> bool:
@@ -227,16 +190,6 @@ class FockVector:
         return f"FockVector(({' + '.join(bits)}) / {self.den})"
 
 
-def _canonical(den: int, nums: Dict) -> Tuple[int, Dict]:
-    """nums / den with the zero coefficients dropped, over its least
-    denominator."""
-    nums = {m: c for m, c in nums.items() if any(c)}
-    g = gcd(den, *chain.from_iterable(nums.values()))
-    if g == 1:
-        return den, nums
-    return den // g, {m: tuple(x // g for x in c) for m, c in nums.items()}
-
-
 def _require_odd_positive(n: int) -> None:
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"generator degree must be odd positive, got {n}")
@@ -249,7 +202,7 @@ def create(v: FockVector, n: int, coeffs: Sequence[int]) -> FockVector:
     for i, ci in enumerate(map(index, coeffs)):
         if ci:
             for m, c in v.nums.items():
-                _add_into(out, _sorted_insert(m, (n, i)), tuple(ci * x for x in c))
+                add_into(out, _sorted_insert(m, (n, i)), tuple(ci * x for x in c))
     return FockVector.from_numerators(v.ctx, v.den, out)
 
 
@@ -263,7 +216,7 @@ def annihilate(v: FockVector, n: int, coeffs: Sequence[int]) -> FockVector:
         for pos, f in enumerate(m):
             if f[0] == n and row[f[1]] and (pos == 0 or m[pos - 1] != f):
                 w = n * m.count(f) * row[f[1]]
-                _add_into(out, m[:pos] + m[pos + 1:], tuple(w * x for x in c))
+                add_into(out, m[:pos] + m[pos + 1:], tuple(w * x for x in c))
     return FockVector.from_numerators(v.ctx, 2 * v.den, out)
 
 
@@ -361,17 +314,15 @@ class _Dual(dict):
         return s
 
 
-_ZERO = Cyc.rational(0)  # immutable, so every pairing that sums to zero shares it
-
-
-def inner(u: FockVector, v: FockVector, scale: Union[int, Fraction] = 1) -> Cyc:
-    """scale <u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma).
+def inner(u: FockVector, v: FockVector, scale: Union[int, Fraction] = 1) -> Tuple[int, Coeff]:
+    """scale <u, v>' with <1,1> = 1 and a_n(gamma)* = a_{-n}(gamma), as one
+    canonical value (den, numerators) on the axis.
 
     One integer dot of u's numerators with v's dual (`FockVector.dual`), so
     each monomial of u is paired with its partners in v at most once per v,
     however often v is paired.  The dot runs on unreduced numerator products
     over u.den v.den 2^top scale.denominator, and is reduced mod Phi_N and
-    divided once: one `Cyc`, or a shared rational zero."""
+    brought to its least denominator once (`scalars.axis_scalar`)."""
     u._check_ctx(v)
     dual = v.dual()
     acc = [0] * (2 * u.ctx.width - 1)
@@ -382,10 +333,8 @@ def inner(u: FockVector, v: FockVector, scale: Union[int, Fraction] = 1) -> Cyc:
                 if x:
                     for j, y in enumerate(s):
                         acc[i + j] += x * y
-    if not any(acc):
-        return _ZERO
-    return cyc_from_numerators(u.ctx.axis, [scale.numerator * x for x in acc],
-                               (u.den * v.den * scale.denominator) << dual.top)
+    return axis_scalar(u.ctx.axis, [scale.numerator * x for x in acc],
+                       (u.den * v.den * scale.denominator) << dual.top)
 
 
 def q_gen(ctx: FockContext, n: int, coeffs: Sequence[int]) -> FockVector:
@@ -432,20 +381,20 @@ def coproduct(v: FockVector) -> TensorTerms:
     return v.den, out
 
 
-def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector, v: FockVector) -> Cyc:
-    """<t, u (x) v> for a coproduct result t.
+def tensor_inner(ctx: FockContext, t: TensorTerms, u: FockVector,
+                 v: FockVector) -> Tuple[int, Coeff]:
+    """<t, u (x) v> for a coproduct result t, as one canonical value on the
+    axis.
 
     The form is the product of the two tensor factors' forms, so a term
     t_(ml, mr) contributes t_(ml, mr) dual(u)[ml] dual(v)[mr], read from the
-    duals as in `inner`; the terms are summed on the numerators and make one
-    `Cyc`, or a shared rational zero."""
+    duals as in `inner`; the terms are summed on the numerators and made
+    canonical once."""
     td, tn = t
     left, right = u.dual(), v.dual()
     acc = [0] * (3 * ctx.width - 2)
     for (ml, mr), c in tn.items():
         lsum = left[ml]
         if lsum is not None and (rsum := right[mr]) is not None:
-            acc = list(map(add, acc, _poly_mul(_poly_mul(c, lsum), rsum)))
-    if not any(acc):
-        return _ZERO
-    return cyc_from_numerators(ctx.axis, acc, (td * u.den * v.den) << (left.top + right.top))
+            acc = list(map(add, acc, poly_mul(poly_mul(c, lsum), rsum)))
+    return axis_scalar(ctx.axis, acc, (td * u.den * v.den) << (left.top + right.top))

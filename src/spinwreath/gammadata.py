@@ -15,9 +15,10 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import Cyc, CycError, cyc_from_numerators, reduce_mod_phi
+from .scalars import Coeff, Cyc, CycError, cyc_from_numerators, euler_phi, reduce_mod_phi
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
+ValueLike = Union[int, Fraction, Cyc]  # a value of Gamma's value field, as handed in
 
 
 class GammaValidationError(ValueError):
@@ -117,7 +118,7 @@ class GammaData:
     def char_names(self) -> List[str]:
         return [f"g{i}" for i in range(self.num_classes)]
 
-    def char_value(self, coeffs: Sequence[Union[int, Fraction, Cyc]], ci: int) -> Cyc:
+    def char_value(self, coeffs: Sequence[ValueLike], ci: int) -> Cyc:
         """Value at class ci of the virtual character sum_i coeffs[i]*gamma_i."""
         total = Cyc.rational(0)
         for i, s in enumerate(coeffs):
@@ -180,6 +181,15 @@ class GammaData:
         return order, den, [[tuple((e * (order // v.order), c.numerator * (den // c.denominator))
                                    for e, c in enumerate(v.coeffs) if c) for v in row]
                             for row in self.chars]
+
+    def on_axis(self, c: ValueLike) -> Tuple[int, Coeff]:
+        """A value of Gamma's value field as canonical (den, numerators) on the
+        axis of `value_numerators`; a `Cyc` outside it raises `CycError`."""
+        order = self.value_numerators[0]
+        q = c.as_rational() if isinstance(c, Cyc) else Fraction(c)
+        if q is None:
+            return c.promote(order).numerators()
+        return q.denominator, (q.numerator,) + (0,) * (euler_phi(order) - 1)
 
     def _against_duals(self, prods: Sequence[Tuple[int, Numerators]]) -> List[List[int]]:
         """For each t, sum_c p_c gamma_t(c^{-1}) over the (c, p_c) in prods,
@@ -443,8 +453,8 @@ class VirtualChar:
 
 
 def weighted_form(gamma: GammaData, xi: VirtualChar,
-                  f: Sequence[Union[int, Fraction, Cyc]],
-                  g: Sequence[Union[int, Fraction, Cyc]]) -> Cyc:
+                  f: Sequence[ValueLike],
+                  g: Sequence[ValueLike]) -> Cyc:
     """Test oracle: <f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) g(c^{-1}), f and g
     char vectors; the tests check `gram_matrix` against it."""
     total = Cyc.rational(0)

@@ -27,7 +27,7 @@ from .fock import FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
 from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
-from .scalars import Cyc
+from .scalars import Coeff, Cyc, cyc_from_numerators, on_one_denominator, value_doc
 from .vertex import TwistContext, x_component
 
 Tuple_ = Tuple[int, ...]
@@ -138,15 +138,16 @@ def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> FockVector:
 
 def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,
                x_vec: Optional[FockVector] = None,
-               a_vec: Optional[FockVector] = None) -> Cyc:
+               a_vec: Optional[FockVector] = None) -> Tuple[int, Coeff]:
     """chi_lambda(D_mu^+) = 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>,
     the pairing taken by `fock.inner` on the zero-class Fock vector.
 
     The pairing reads a'_-mu through its dual, so a column's a_vec values
     each monomial of the rows' X_lambda once.  The power of 2 is the
-    pairing's scale, an int or 1/2^k, so each entry is one `Cyc`, built
-    once, by the pairing.  x_vec and a_vec, when given, must be
-    x_lambda_vector(tctx, lam) and a_prime_vector(tctx.fock, mu).
+    pairing's scale, an int or 1/2^k, so each entry is the pairing's one
+    canonical value (den, numerators) on Gamma's value axis.  x_vec and
+    a_vec, when given, must be x_lambda_vector(tctx, lam) and
+    a_prime_vector(tctx.fock, mu).
     """
     if lam.weight != mu.weight:
         raise ValueError("weight mismatch between lambda and mu")
@@ -183,10 +184,7 @@ class CharRow:
     lam: MultiPartition
     module_type: str  # "M" (even length) or "Q" (odd length)
     degree: int
-    values: Dict[MultiPartition, Cyc]
-
-    def as_classfun(self, gamma: GammaData, n: int) -> SpinClassFun:
-        return SpinClassFun(gamma, n, dict(self.values))
+    values: SpinClassFun  # the row's values on the columns
 
 
 @dataclass
@@ -197,9 +195,10 @@ class CharTable:
     rows: List[CharRow]
 
     def to_doc(self) -> dict:
+        """Each value's document is written from its numerators (`value_doc`)."""
         cnames = self.gamma.class_names
         gnames = self.gamma.char_names
-        zero = Cyc.rational(0)
+        axis = self.gamma.value_numerators[0]
         return {
             "gamma": self.gamma.name,
             "n": self.n,
@@ -209,7 +208,7 @@ class CharTable:
                 "lambda": row.lam.to_doc(gnames),
                 "type": row.module_type,
                 "degree": row.degree,
-                "values": [row.values.get(mu, zero).to_doc()
+                "values": [value_doc(axis, row.values.nums.get(mu, (0,)), row.values.den)
                            for mu in self.columns],
             } for row in self.rows],
         }
@@ -253,23 +252,24 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     if check:
         for lam, x_vec in zip(lambdas, x_vecs):
             verify_realization(tctx, lam, x_vec)
-    row_values: List[Dict[MultiPartition, Cyc]] = [{} for _ in lambdas]
+    row_values: List[Dict[MultiPartition, Tuple[int, Coeff]]] = [{} for _ in lambdas]
     for mu in columns:
         a_vec = a_prime_vector(tctx.fock, mu)
         for lam, x_vec, values in zip(lambdas, x_vecs, row_values):
             v = char_value(tctx, lam, mu, x_vec, a_vec)
-            if not v.is_zero():
+            if any(v[1]):
                 values[mu] = v
     rows: List[CharRow] = []
     for lam, values in zip(lambdas, row_values):
-        deg_val = values.get(identity_col, Cyc.rational(0))
-        q = deg_val.as_rational()
-        if q is None or q.denominator != 1 or q == 0:
-            raise TableCheckError(f"identity value of {lam!r} is not a nonzero integer: {deg_val!r}")
-        if q < 0:  # resolve the global sign so the degree is positive
-            values = {mu: -v for mu, v in values.items()}
+        deg_den, deg = values.get(identity_col, (1, (0,)))
+        if deg_den != 1 or any(deg[1:]) or not deg[0]:
+            shown = cyc_from_numerators(tctx.fock.axis, deg, deg_den)
+            raise TableCheckError(f"identity value of {lam!r} is not a nonzero integer: {shown!r}")
+        if deg[0] < 0:  # resolve the global sign so the degree is positive
+            values = {mu: (d, tuple(-x for x in c)) for mu, (d, c) in values.items()}
         row_type = "M" if lam.length % 2 == 0 else "Q"
-        rows.append(CharRow(lam, row_type, abs(q.numerator), values))
+        rows.append(CharRow(lam, row_type, abs(deg[0]),
+                            SpinClassFun.from_numerators(gamma, n, *on_one_denominator(values))))
     table = CharTable(gamma, n, columns, rows)
     if check:
         verify_table(table)
@@ -291,23 +291,23 @@ def verify_table(table: CharTable) -> None:
     Each pair of rows is one `classfun.weighted_inner` call at the standard
     weight: an exact integer sum over one common denominator, with rho_bar
     and 2^l(rho) Z_rho taken from a per-Gamma cache, so no change to a norm
-    or a zero is too small to see."""
+    or a zero is too small to see.  A failure shows the value as a `Cyc`."""
     gamma = table.gamma
-    n = table.n
     if len(table.rows) != len(table.columns):
         raise TableCheckError(
             f"table is not square: {len(table.rows)} rows, {len(table.columns)} columns")
     xi0 = VirtualChar.trivial(gamma)
-    funs = [row.as_classfun(gamma, n) for row in table.rows]
+    axis = gamma.value_numerators[0]
     for a, ra in enumerate(table.rows):
         for b, rb in enumerate(table.rows):
-            val = weighted_inner(funs[a], funs[b], xi0)
+            val = weighted_inner(ra.values, rb.values, xi0)
             expect = 0
             if a == b:
                 expect = 1 if ra.module_type == "M" else 2
-            if not val == expect:
+            if val != gamma.on_axis(expect):
+                shown = cyc_from_numerators(axis, val[1], val[0])
                 raise TableCheckError(
-                    f"orthogonality fails at rows {ra.lam!r}, {rb.lam!r}: {val!r}")
+                    f"orthogonality fails at rows {ra.lam!r}, {rb.lam!r}: {shown!r}")
     for row in table.rows:
         if char_degree(row.lam, gamma) != row.degree:
             raise TableCheckError(

@@ -1,26 +1,34 @@
 """Exact cyclotomic arithmetic: Q(zeta_N) in the power basis mod Phi_N.
 
-Every number in the library is a :class:`Cyc` -- a vector of rationals over
-the power basis 1, z, ..., z^(phi(N)-1) of Q(zeta_N), reduced modulo the
-N-th cyclotomic polynomial.  Rationals are the N = 1 case.  There is no
-floating point anywhere.
+A value is written in the power basis 1, z, ..., z^(phi(N)-1) reduced mod
+Phi_N, in one of two forms.  The engines keep phi(N) integer numerators
+over one denominator on an axis N that the caller fixes (Gamma's value
+axis); in canonical form (`canonical`, `axis_scalar`) equal values are equal
+tuples.  A :class:`Cyc` holds phi(N) rationals at the value's own order (1
+for a rational): Gamma's character values, the brute-force oracle,
+documents and messages.  `value_doc` writes either form's document.  There
+is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Cyc", int, Fraction]
+Coeff = Tuple[int, ...]  # phi(N) power-basis numerators of one value on an axis N
 
 
 class CycError(ValueError):
     """Raised on illegal cyclotomic operations (order mismatch, bad division)."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n <= 0:
         raise ValueError("euler_phi needs n >= 1")
@@ -105,6 +113,65 @@ def reduce_mod_phi(order: int, acc: Sequence[RationalLike]) -> List[RationalLike
                     if phi[j]:
                         out[k - deg + j] -= c * phi[j]
     return out[:deg]
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product of two numerator polynomials, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def times(axis: int, a: Coeff, b: Coeff) -> Coeff:
+    """The product of two values' numerators, reduced mod Phi_axis."""
+    return tuple(reduce_mod_phi(axis, poly_mul(a, b)))
+
+
+def add_into(out: Dict, key, c: Coeff) -> None:
+    """out[key] += c, numerator by numerator."""
+    cur = out.get(key)
+    out[key] = c if cur is None else tuple(map(add, cur, c))
+
+
+def canonical(den: int, nums: Dict) -> Tuple[int, Dict]:
+    """nums / den with the zero values dropped, over its least denominator."""
+    if not all(map(any, nums.values())):
+        nums = {k: c for k, c in nums.items() if any(c)}
+    g = gcd(den, *chain.from_iterable(nums.values()))
+    if g == 1:
+        return den, nums
+    return den // g, {k: tuple([x // g for x in c]) for k, c in nums.items()}
+
+
+def on_one_denominator(values: Dict) -> Tuple[int, Dict]:
+    """Values, each (den, numerators), over their least common denominator:
+    canonical when every value is canonical and nonzero."""
+    den = lcm(*(d for d, _ in values.values()))
+    return den, {k: tuple([x * (den // d) for x in c]) for k, (d, c) in values.items()}
+
+
+def axis_scalar(order: int, acc: Sequence[int], den: int) -> Tuple[int, Coeff]:
+    """sum_i acc[i] zeta_order^i / den (den > 0) as one canonical value: the
+    least den and the numerators reduced mod Phi_order; zero is (1, zeros)."""
+    red = reduce_mod_phi(order, acc)
+    g = gcd(den, *red)
+    return den // g, tuple([x // g for x in red])
+
+
+def value_doc(order: int, nums: Sequence[int], den: int) -> dict:
+    """The {"N", "coeffs"} document of sum_i nums[i] zeta_order^i / den (nums
+    reduced mod Phi_order, den > 0), at N = 1 when the value is rational."""
+    if not any(nums[1:]):
+        order, nums = 1, nums[:1]
+    coeffs = []
+    for c in nums:
+        g = gcd(c, den)
+        coeffs.append([c // g, den // g])
+    return {"N": order, "coeffs": coeffs}
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -284,11 +351,14 @@ class Cyc:
 
     # -- serialization -----------------------------------------------------
 
+    def numerators(self) -> Tuple[int, Coeff]:
+        """(den, numerators): the coefficients over their least denominator."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+
     def to_doc(self) -> dict:
-        q = self.as_rational()
-        if q is not None:
-            return {"N": 1, "coeffs": [[q.numerator, q.denominator]]}
-        return {"N": self.order, "coeffs": [[c.numerator, c.denominator] for c in self.coeffs]}
+        den, nums = self.numerators()
+        return value_doc(self.order, nums, den)
 
     @staticmethod
     def from_doc(doc: dict) -> "Cyc":
@@ -316,15 +386,6 @@ class Cyc:
         return json.dumps(self.to_doc(), separators=(",", ":"))
 
 
-def _numerators(x: Cyc) -> Tuple[Tuple[int, ...], int]:
-    # x's power-basis coefficients as integers over one denominator
-    coeffs = x.coeffs
-    if len(coeffs) == 1:
-        return (coeffs[0].numerator,), coeffs[0].denominator
-    den = lcm(*[c.denominator for c in coeffs])
-    return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
-
-
 def cyc_from_numerators(order: int, acc: Sequence[int], den: int) -> Cyc:
     """sum_i acc[i] zeta_order^i / den as one Cyc, at this order or at order
     1 when the value is rational (`reduce_mod_phi`, then one division per
@@ -333,36 +394,3 @@ def cyc_from_numerators(order: int, acc: Sequence[int], den: int) -> Cyc:
     if not any(red[1:]):
         return Cyc._raw(1, (Fraction(red[0], den),))
     return Cyc._raw(order, tuple(Fraction(c, den) if c else _ZERO for c in red))
-
-
-def weighted_dot(terms: Iterable[Tuple[RationalLike, Cyc, Cyc]]) -> Cyc:
-    """sum w*x*y over the terms (w rational, x and y Cyc), in one exact pass.
-
-    Each x and y is read as an integer numerator polynomial over its own
-    denominator, zeta_k standing for z^(N/k) at N the lcm of every operand's
-    order.  Each product goes unreduced onto the common denominator D of all
-    terms, exponents taken mod N (z^N = 1); the sum is reduced mod Phi_N and
-    divided by D once.  The empty sum is Cyc.rational(0).
-    """
-    prods = []
-    order = 1
-    for w, x, y in terms:
-        nx, dx = _numerators(x)
-        ny, dy = _numerators(y)
-        prods.append((w.numerator, w.denominator * dx * dy, x.order, nx, y.order, ny))
-        if x.order != order or y.order != order:
-            order = lcm(order, x.order, y.order)
-    if not prods:
-        return Cyc.rational(0)
-    den = lcm(*[p[1] for p in prods])
-    acc = [0] * order
-    for num, d, ox, nx, oy, ny in prods:
-        num *= den // d
-        sx, sy = order // ox, order // oy
-        for i, a in enumerate(nx):
-            if a:
-                a *= num
-                for j, b in enumerate(ny):
-                    if b:
-                        acc[(i * sx + j * sy) % order] += a * b
-    return cyc_from_numerators(order, acc, den)

@@ -17,7 +17,6 @@ from .classfun import (SpinClassFun, basic_char, ch, induction_product, sigma_rh
 from .fock import FockContext, coproduct, inner, tensor_inner
 from .gammadata import ConcreteGroup, GammaData, VirtualChar, mckay_xi
 from .partitions import big_z, multipartitions
-from .scalars import Cyc
 from .spingroup import (SignedType, TheoryClass, basic_spin_trace,
                         enumerate_classes_bruteforce, is_split, representative_of_type,
                         theory_classes)
@@ -132,7 +131,7 @@ def _hopf(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
     def random_fun(n: int) -> SpinClassFun:
         values = {}
         for rho in multipartitions(n, k, "OP"):
-            values[rho] = Cyc.rational(rng.randint(-3, 3))
+            values[rho] = rng.randint(-3, 3)
         return SpinClassFun(gamma, n, values)
 
     for _ in range(6):

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fock import FockContext, Monomial, _merge, mono_degree, q_gen
@@ -85,9 +86,8 @@ class TwistContext:
         return tuple(1 if t == i else 0 for t in range(self.gamma.num_classes))
 
     def pairing(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        g = self.twist.gram
-        k = self.gamma.num_classes
-        return sum(alpha[i] * g[i][j] * beta[j] for i in range(k) for j in range(k))
+        """<alpha, beta>_xi, read off alpha's cached pair row (`FockContext.pair_row`)."""
+        return sum(map(mul, self.fock.pair_row(alpha), beta))
 
 
 # -- the row engine ----------------------------------------------------------------

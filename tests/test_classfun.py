@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,7 @@ from spinwreath.fock import (FockContext, FockVector, coproduct, create, inner, 
                              tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
-from spinwreath.scalars import Cyc, euler_phi
+from spinwreath.scalars import Cyc, CycError, cyc_from_numerators, euler_phi
 from test_fock import by_class
 
 
@@ -19,19 +20,46 @@ def setup(name, xi=None):
     return g, xi, FockContext(g, xi)
 
 
+def as_cyc(g, value):
+    """A value (den, numerators) on Gamma's value axis, as one `Cyc`."""
+    den, nums = value
+    return cyc_from_numerators(g.value_numerators[0], nums, den)
+
+
 def test_weighted_inner_examples():
     g, xi, ctx = setup("trivial")
     f = basic_char(g, 1, [1])
-    assert weighted_inner(f, f, xi) == 2
+    assert weighted_inner(f, f, xi) == (1, (2,))
     s1 = sigma_class(g, 1, 0)
-    assert weighted_inner(s1, s1, xi) == Fraction(1, 2)
+    assert weighted_inner(s1, s1, xi) == (2, (1,))
     # disjoint support pairs to zero
     g2, xi2, _ = setup("cyclic:2")
     a = SpinClassFun(g2, 1, {MultiPartition.single(2, 0, (1,)): Cyc.rational(1)})
     b = SpinClassFun(g2, 1, {MultiPartition.single(2, 1, (1,)): Cyc.rational(1)})
-    assert weighted_inner(a, b, xi2).is_zero()
+    assert weighted_inner(a, b, xi2) == (1, (0,))
+    # an irrational value on cyclic:3's axis, over its least denominator
+    g3, xi3, _ = setup("cyclic:3")
+    rho = MultiPartition.single(3, 0, (1,))
+    c = SpinClassFun(g3, 1, {rho: Cyc.zeta(3) * Fraction(2, 3)})
+    assert weighted_inner(c, SpinClassFun(g3, 1, {rho: 1}), xi3) == (9, (0, 1))
     with pytest.raises(ValueError):
         weighted_inner(basic_char(g, 1, [1]), basic_char(g, 2, [1]), xi)
+
+
+def test_class_function_values_are_canonical_numerators():
+    g, _, _ = setup("cyclic:3")
+    one, rho, sigma = (MultiPartition.single(3, ci, (1,)) for ci in range(3))
+    f = SpinClassFun(g, 1, {rho: Cyc.zeta(3) / 4, sigma: Fraction(1, 6), one: 0})
+    assert (f.den, f.nums) == (12, {rho: (0, 3), sigma: (2, 0)})  # no zero is stored
+    assert f.value(rho) == Cyc.zeta(3) / 4 and f.value(sigma) == Fraction(1, 6)
+    assert f.value(one) == 0
+    assert f == SpinClassFun(g, 1, {sigma: Cyc.rational(Fraction(2, 12)), rho: Cyc.zeta(3) / 4})
+    assert f != SpinClassFun(g, 1, {rho: Cyc.zeta(3) / 4})
+    with pytest.raises(ValueError, match="value at weight 1 in degree 2"):
+        SpinClassFun(g, 2, {rho: 1})
+    # a value outside Gamma's value field is refused, as a Fock vector's is
+    with pytest.raises(CycError, match="cannot promote order 4 into order 3"):
+        SpinClassFun(g, 1, {rho: Cyc.zeta(4)})
 
 
 def test_basic_char_values():
@@ -52,8 +80,8 @@ def alternating_induction_sum(g, n, beta, gamma_c):
     out = {}
     for m in range(n + 1):
         term = induction_product(basic_char(g, n - m, beta), basic_char(g, m, gamma_c))
-        for rho, c in term.values.items():
-            out[rho] = out.get(rho, Cyc.rational(0)) + c * (-1) ** m
+        for rho in term.nums:
+            out[rho] = out.get(rho, Cyc.rational(0)) + term.value(rho) * (-1) ** m
     return SpinClassFun(g, n, out)
 
 
@@ -65,7 +93,7 @@ def test_basic_char_virtual_consistency():
         closed = basic_char(g2, n, [1, -1])
         assert closed == alternating_induction_sum(g2, n, [1, 0], [0, 1])
     for n in (1, 2, 3):
-        assert not alternating_induction_sum(g2, n, [1, 0], [1, 0]).values
+        assert not alternating_induction_sum(g2, n, [1, 0], [1, 0]).nums
 
 
 def test_sigma():
@@ -78,14 +106,14 @@ def test_sigma():
     for rho in multipartitions(5, 1, "OP"):
         sr = sigma_rho(g, rho)
         assert sr.value(rho) == big_z(rho, g.centralizer_orders)
-        assert len(sr.values) == 1
+        assert len(sr.nums) == 1
 
 
 def test_induction_product():
     g, xi, ctx = setup("trivial")
     s1 = sigma_class(g, 1, 0)
     p = induction_product(s1, s1)
-    assert p.value(MultiPartition([(1, 1)])) == 2 and len(p.values) == 1
+    assert p.value(MultiPartition([(1, 1)])) == 2 and len(p.nums) == 1
     f = sigma_rho(g, MultiPartition([(3, 1)]))
     h = sigma_rho(g, MultiPartition([(1, 1)]))
     assert induction_product(f, h) == induction_product(h, f)
@@ -163,7 +191,8 @@ def reference_weighted_inner(f, g, xi):
     zetas = gamma.centralizer_orders
     perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
     total = Cyc.rational(0)
-    for rho, fval in f.values.items():
+    for rho in f.nums:
+        fval = f.value(rho)
         gval = g.value(rho.relabel(perm))
         if gval.is_zero():
             continue
@@ -193,7 +222,7 @@ def random_pair(rng, g, n, support):
     """Two degree-n functions: each with one value ("sparse"), on every class
     ("dense"), or with supports that no rho_bar links ("disjoint")."""
     rhos = list(multipartitions(n, g.num_classes, "OP"))
-    order = g.exponent
+    order = g.value_numerators[0]  # Gamma's value field: Q for quaternion8
 
     def fun(keys):
         return SpinClassFun(g, n, {rho: random_value(rng, order) for rho in keys})
@@ -230,6 +259,8 @@ def test_weighted_inner_matches_the_per_term_loop(name, xi_spec, support):
         for _ in range(3):
             f, h = random_pair(rng, g, n, support)
             got = weighted_inner(f, h, xi)
-            assert got == reference_weighted_inner(f, h, xi), (n, f, h)
+            den, nums = got
+            assert len(nums) == euler_phi(g.value_numerators[0]) and gcd(den, *nums) == 1
+            assert as_cyc(g, got) == reference_weighted_inner(f, h, xi), (n, f, h)
             if support == "disjoint":
-                assert got == 0
+                assert got == (1, (0,) * len(nums))

@@ -271,6 +271,18 @@ OUTPUT_SHA256 = {
         "bd1be951d0319d2c93ec28b0da219e6b1be32410cc9fd66d0f69e99e5c8f6970",
     "verify isometry --gamma cyclic:4 --n 3":
         "56da5b54a93e9dc882707ccefdc4bcf87d69be5eeefd93d34c0ec0c1648f9912",
+    # the CSV rendering of the pinned tables, read back from their documents
+    "chartable --gamma cyclic:9 --n 2 --format csv":
+        "cf590fa95b4b19096cccaf33a47209f90d4e2e99654c801b8ce5a28e094330a7",
+    "chartable --gamma cyclic:5 --n 3 --format csv":
+        "c42d54246c815103e790612dbf3da8d827a2f6eaced6f09b2717d2acb57b762f",
+    "chartable --gamma cyclic:8 --n 2 --format csv":
+        "2bac348619008e0a1f05f8a4d5f6485da7826c7a44b984376a3cae73eaac58fb",
+    # orthogonality and the isometry on a value axis of phi(7) = 6 numerators
+    "chartable --check --gamma cyclic:7 --n 2":
+        "8b0c5449b2bb779d1e4a814af4c13dcd42de520f47f63528594d71598adc4f78",
+    "verify isometry --gamma cyclic:7 --n 2":
+        "f0dcd6ac267bbf9177cde88c8131adce4b796b35f06a8ac53c06f0f51ddee85f",
 }
 
 

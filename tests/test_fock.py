@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,8 +11,10 @@ from spinwreath.fock import (FockContext, FockVector, _inner_monomials, _partner
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
 from spinwreath.qtable import x_lambda_vector
-from spinwreath.scalars import Cyc, CycError, cyc_from_numerators, euler_phi, weighted_dot
+from spinwreath.scalars import Cyc, CycError, cyc_from_numerators, euler_phi
 from spinwreath.vertex import TwistContext
+
+from test_scalars import weighted_dot
 
 
 def ctx_for(name, xi=None):
@@ -24,9 +27,35 @@ def cyc_terms(v):
     return {m: cyc_from_numerators(v.ctx.axis, c, v.den) for m, c in v.nums.items()}
 
 
+def as_cyc(ctx, value):
+    """A pairing's value (den, numerators) on the axis, as one `Cyc`."""
+    den, nums = value
+    return cyc_from_numerators(ctx.axis, nums, den)
+
+
+def is_canonical(ctx, value):
+    """(den, numerators): phi(N) numerators over the least positive den."""
+    den, nums = value
+    return den > 0 and len(nums) == ctx.width and gcd(den, *nums) == 1
+
+
+def pair(u, v, scale=1):
+    """`inner` as one `Cyc`, its value checked to be canonical."""
+    value = inner(u, v, scale)
+    assert is_canonical(u.ctx, value)
+    return as_cyc(u.ctx, value)
+
+
+def tensor_pair(ctx, t, u, v):
+    """`tensor_inner` as one `Cyc`, its value checked to be canonical."""
+    value = tensor_inner(ctx, t, u, v)
+    assert is_canonical(ctx, value)
+    return as_cyc(ctx, value)
+
+
 def vacuum_coeff(v):
     """The coefficient of the vacuum, as the pairing <1, v>."""
-    return inner(FockVector.vacuum(v.ctx), v)
+    return pair(FockVector.vacuum(v.ctx), v)
 
 
 def class_vector(ctx, ci):
@@ -144,10 +173,14 @@ def test_inner_examples():
     vac = FockVector.vacuum(ctx)
     a1 = create(vac, 1, [1])
     a111 = create(create(a1, 1, [1]), 1, [1])
-    assert inner(a111, a111) == Fraction(3, 4)
-    assert inner(vac, a1).is_zero()
+    assert inner(a111, a111) == (4, (3,))
+    assert inner(vac, a1) == (1, (0,))
     rho = MultiPartition([(1,)])
-    assert inner(a_prime_vector(ctx, rho), a_prime_vector(ctx, rho)) == Fraction(1, 2)
+    assert inner(a_prime_vector(ctx, rho), a_prime_vector(ctx, rho)) == (2, (1,))
+    ctx3 = ctx_for("cyclic:3")
+    a1 = create(FockVector.vacuum(ctx3), 1, [1, 0, 0])
+    assert inner(a1.scale(Cyc.zeta(3)), a1) == (2, (0, 1))
+    assert inner(a1, a1, Fraction(1, 8)) == (16, (1, 0))
 
 
 def test_eq_inner_closed_form():
@@ -161,7 +194,7 @@ def test_eq_inner_closed_form():
         for n in range(5):
             for rho in multipartitions(n, k, "OP"):
                 for pi in multipartitions(n, k, "OP"):
-                    val = inner(a_prime_vector(ctx, pi), a_prime_vector(ctx, rho.relabel(perm)))
+                    val = pair(a_prime_vector(ctx, pi), a_prime_vector(ctx, rho.relabel(perm)))
                     if pi == rho:
                         expect = Cyc.rational(Fraction(big_z(rho, g.centralizer_orders),
                                                        2 ** rho.length))
@@ -318,7 +351,7 @@ def test_partner_pairing_matches_all_pairs(name, weight):
         u, v = rand_vec(monos, small), rand_vec(monos, large)
         for a, b in ((u, v), (v, u)):
             values.append(all_pairs_inner(a, b))
-            assert inner(a, b) == values[-1]
+            assert pair(a, b) == values[-1]
     assert any(not x.is_zero() for x in values)
     values = []
     low = monomials(ctx.gamma.num_classes, 3)
@@ -326,7 +359,7 @@ def test_partner_pairing_matches_all_pairs(name, weight):
         t = coproduct(rand_vec(monos, size))
         f, g = rand_vec(low, len(low)), rand_vec(low, rng.choice((2, len(low))))
         values.append(all_pairs_tensor_inner(ctx, t, f, g))
-        assert tensor_inner(ctx, t, f, g) == values[-1]
+        assert tensor_pair(ctx, t, f, g) == values[-1]
     assert any(not x.is_zero() for x in values)
 
 
@@ -350,12 +383,12 @@ def test_a_vector_paired_many_times_reads_its_dual(name, weight):
     values = []
     for size in (1, 4, 12, len(monos)):
         u = rand_vec(size)
-        assert inner(u, v) == all_pairs_inner(u, v) and set(u.nums) <= set(v.dual())
-        assert inner(v, u) == all_pairs_inner(v, u)
+        assert pair(u, v) == all_pairs_inner(u, v) and set(u.nums) <= set(v.dual())
+        assert pair(v, u) == all_pairs_inner(v, u)
         t = coproduct(rand_vec(3))
         for a, b in ((u, v), (v, u)):
             values.append(all_pairs_tensor_inner(ctx, t, a, b))
-            assert tensor_inner(ctx, t, a, b) == values[-1]
+            assert tensor_pair(ctx, t, a, b) == values[-1]
     assert any(not x.is_zero() for x in values)
 
 
@@ -373,7 +406,7 @@ def test_a_second_pass_of_one_column_values_no_partner_sum(monkeypatch):
     # filled from a_vec's side
     assert sorted(asked) == sorted(row_monos) and set(a_vec.dual()) == row_monos
     assert [inner(x, a_vec) for x in rows] == first and len(asked) == len(row_monos)
-    assert any(not x.is_zero() for x in first)
+    assert any(any(nums) for _, nums in first)
 
 
 # -- the integer routes against the Cyc routes they replaced ------------------------
@@ -433,11 +466,6 @@ def weighted_dot_tensor_inner(ctx, t, u, v):
     return weighted_dot(terms)
 
 
-def canonical_order(value, axis):
-    """A pairing's order: 1 for a rational value, else Gamma's value axis."""
-    return 1 if value.as_rational() is not None else axis
-
-
 @pytest.mark.parametrize("name,order", [("cyclic:3", 3), ("cyclic:4", 4)])
 def test_integer_pairing_matches_the_weighted_dot_route(name, order):
     rng = random.Random(f"integer pairing {name}")
@@ -466,12 +494,12 @@ def test_integer_pairing_matches_the_weighted_dot_route(name, order):
     # every vector is paired many times, on either side, after its first pairing
     for u in vecs:
         for v in vecs:
-            got, expect = inner(u, v), weighted_dot_inner(u, v)
-            assert got == expect and got.order == canonical_order(expect, order)
-            assert inner(u, v, Fraction(1, 8)) == expect * Fraction(1, 8)
+            got, expect = pair(u, v), weighted_dot_inner(u, v)
+            assert got == expect
+            assert pair(u, v, Fraction(1, 8)) == expect * Fraction(1, 8)
             values.append(got)
     assert any(x.as_rational() is None for x in values)
-    assert values[-2] and values[-2].order == 1  # rational, though split is not
+    assert values[-2] and values[-2].as_rational() is not None  # though split is not rational
     # tensor factors of different top lengths; rational factors under an
     # irrational coproduct
     for rational_share in (0.25, 1):
@@ -480,9 +508,9 @@ def test_integer_pairing_matches_the_weighted_dot_route(name, order):
         for size in (3, 12):
             t = coproduct(rand_vec(monos, size, 0.25 if rational_share < 1 else 0))
             for a, b in ((f, g), (g, f), (f, f)):
-                got = tensor_inner(ctx, t, a, b)
+                got = tensor_pair(ctx, t, a, b)
                 expect = weighted_dot_tensor_inner(ctx, t, a, b)
-                assert got == expect and got.order == canonical_order(expect, order)
+                assert got == expect
                 values.append(got)
         assert any(x.as_rational() is None for x in values[-6:])
 

@@ -283,8 +283,9 @@ def test_to_doc_unchanged_by_rational_storage():
 
 @pytest.mark.parametrize("name,row,col", [("cyclic:3", 1, 2), ("cyclic:8", 3, 5)])
 def test_validate_rejects_one_perturbed_irrational_entry(name, row, col):
-    # orthogonality is summed on integer numerators (`scalars.weighted_dot`);
-    # moving one irrational value by zeta^2/9 must still break it
+    # orthogonality is summed on integer numerators (`_weighted_gram` on
+    # `value_numerators`); moving one irrational value by zeta^2/9 must
+    # still break it
     g, _ = builtin(name)
     doc = g.to_doc()
     value = g.chars[row][col]
@@ -309,3 +310,17 @@ def test_validate_reports_values_at_incompatible_orders():
     with pytest.raises(GammaValidationError, match="malformed Gamma document: incompatible "
                        "cyclotomic orders 3 and 6; promote explicitly"):
         load_gamma(json.dumps(doc))
+
+
+def test_a_value_is_read_onto_the_value_axis():
+    # (den, numerators) on the axis of `value_numerators`, canonical
+    c6, _ = builtin("cyclic:6")
+    assert c6.value_numerators[0] == 6
+    assert c6.on_axis(Cyc.zeta(3) / 4) == (4, (-1, 1))  # zeta_3 = zeta_6 - 1
+    assert c6.on_axis(Fraction(-3, 9)) == (3, (-1, 0))
+    assert c6.on_axis(0) == (1, (0, 0))
+    assert c6.on_axis(Cyc.zeta(2)) == (1, (-1, 0))
+    q8, _ = builtin("quaternion8")
+    assert q8.on_axis(Cyc.zeta(4) * Cyc.zeta(4)) == (1, (-1,))
+    with pytest.raises(CycError, match="cannot promote order 4 into order 1"):
+        q8.on_axis(Cyc.zeta(4))

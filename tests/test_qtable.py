@@ -6,7 +6,7 @@ import pytest
 
 from spinwreath import cli, qtable
 from spinwreath import vertex as vx
-from spinwreath.classfun import weighted_inner
+from spinwreath.classfun import SpinClassFun, weighted_inner
 from spinwreath.fock import FockContext, FockVector, a_prime_vector, create, inner
 from spinwreath.gammadata import VirtualChar, builtin
 from spinwreath.partitions import MultiPartition, multipartitions
@@ -14,7 +14,7 @@ from spinwreath.qtable import (TableCheckError, build_table, char_degree,
                                char_value, q_power_product,
                                raising_coefficients, raising_expand,
                                verify_table, x_lambda_vector)
-from spinwreath.scalars import Cyc
+from spinwreath.scalars import Cyc, cyc_from_numerators
 from spinwreath.vertex import TwistContext
 
 from spin_oracle import oracle_spin_rows
@@ -24,6 +24,12 @@ def setup(name):
     g, _ = builtin(name)
     t = TwistContext(g, VirtualChar.trivial(g))
     return g, t
+
+
+def as_cyc(g, value):
+    """A value (den, numerators) on Gamma's value axis, as one `Cyc`."""
+    den, nums = value
+    return cyc_from_numerators(g.value_numerators[0], nums, den)
 
 
 def test_q_power_product():
@@ -69,7 +75,7 @@ def test_x_lambda_examples():
     lam = MultiPartition([(1,)])
     fk = x_lambda_vector(t, lam)
     assert fk == create(FockVector.vacuum(t.fock), 1, [1]).scale(2)
-    assert inner(fk, fk) == 2  # norm 2^l
+    assert inner(fk, fk) == (1, (2,))  # norm 2^l
 
 
 def test_x_lambda_orthogonality_trivial():
@@ -80,7 +86,7 @@ def test_x_lambda_orthogonality_trivial():
         for a in lams:
             for b in lams:
                 val = inner(vecs[a], vecs[b])
-                assert val == (2 ** a.length if a == b else 0), (a, b)
+                assert val == (1, (2 ** a.length if a == b else 0,)), (a, b)
 
 
 def test_x_lambda_vector_reads_the_cocycle_sign_chain(monkeypatch):
@@ -109,13 +115,13 @@ def test_char_values_trivial():
     lam3 = MultiPartition([(3,)])
     mu111 = MultiPartition([(1, 1, 1)])
     mu3 = MultiPartition([(3,)])
-    assert char_value(t, lam3, mu111) == 8
-    assert char_value(t, lam3, mu3) == 2
+    assert char_value(t, lam3, mu111) == (1, (8,))
+    assert char_value(t, lam3, mu3) == (1, (2,))
     lam21 = MultiPartition([(2, 1)])
-    assert char_value(t, lam21, mu111) == 4
-    assert char_value(t, lam21, mu3) == -2
+    assert char_value(t, lam21, mu111) == (1, (4,))
+    assert char_value(t, lam21, mu3) == (1, (-2,))
     lam1 = MultiPartition([(1,)])
-    assert char_value(t, lam1, MultiPartition([(1,)])) == 2
+    assert char_value(t, lam1, MultiPartition([(1,)])) == (1, (2,))
     with pytest.raises(ValueError):
         char_value(t, lam1, mu3)
 
@@ -156,8 +162,10 @@ def test_char_degree():
 def test_build_table_matrix():
     g, t = setup("trivial")
     tab = build_table(g, 3, check=True, tctx=t)
-    assert [[row.values[mu] for mu in tab.columns] for row in tab.rows] \
+    assert [[row.values.value(mu) for mu in tab.columns] for row in tab.rows] \
         == [[8, 2], [4, -2]]
+    assert [(row.values.den, row.values.nums) for row in tab.rows] \
+        == [(1, {mu: (v,) for mu, v in zip(tab.columns, vals)}) for vals in ([8, 2], [4, -2])]
     assert [r.module_type for r in tab.rows] == ["Q", "M"]
     assert [r.degree for r in tab.rows] == [8, 4]
 
@@ -190,9 +198,8 @@ def test_table_vs_oracle_small():
         assert cols == tab.columns
         for r in tab.rows:
             oracle_vals = rows[r.lam.parts[0]]
-            table_vals = [r.values.get(mu, None) for mu in cols]
-            for a, b in zip(oracle_vals, table_vals):
-                assert a == (b if b is not None else 0)
+            table_vals = [r.values.value(mu) for mu in cols]
+            assert oracle_vals == table_vals
 
 
 def test_table_doc():
@@ -213,64 +220,95 @@ def test_build_table_matches_per_pair_route(name, n):
     identity = tab.columns[0]
     assert identity.parts[0] == (1,) * n
     for row in tab.rows:
-        per_pair = {mu: char_value(t, row.lam, mu) for mu in tab.columns}
+        per_pair = {mu: as_cyc(g, char_value(t, row.lam, mu)) for mu in tab.columns}
         sign = 1 if per_pair[identity].as_rational() > 0 else -1
         for mu in tab.columns:
-            assert row.values.get(mu, 0) == per_pair[mu] * sign, (row.lam, mu)
+            assert row.values.value(mu) == per_pair[mu] * sign, (row.lam, mu)
+
+
+def _perturb(g, tab, row, mu, change):
+    """Replace row's value at mu by change(value), values taken as `Cyc`."""
+    values = {m: row.values.value(m) for m in tab.columns}
+    values[mu] = change(values[mu])
+    row.values = SpinClassFun(g, tab.n, values)
 
 
 def test_verify_table_catches_one_perturbed_value():
     g, t = setup("quaternion8")
     tab = build_table(g, 2, tctx=t)
     verify_table(tab)
-    row = tab.rows[1]
-    mu = tab.columns[-1]
-    row.values[mu] = row.values.get(mu, Cyc.rational(0)) + 1
-    with pytest.raises(TableCheckError):
+    _perturb(g, tab, tab.rows[1], tab.columns[-1], lambda v: v + 1)
+    with pytest.raises(TableCheckError) as err:
         verify_table(tab)
+    assert str(err.value) == (
+        "orthogonality fails at rows MultiPartition((2,), (), (), (), ()), "
+        "MultiPartition((1,), (1,), (), (), ()): Cyc(1/32)")
 
 
 def _plus_zeta5(g, tab):
     # an irrational entry plus zeta_5
-    row, mu = next((row, mu) for row in tab.rows for mu, v in row.values.items()
-                   if v.as_rational() is None)
-    row.values[mu] = row.values[mu] + Cyc.zeta(5)
+    row, mu = next((row, mu) for row in tab.rows for mu in row.values.nums
+                   if row.values.value(mu).as_rational() is None)
+    _perturb(g, tab, row, mu, lambda v: v + Cyc.zeta(5))
 
 
 def _plus_finest_step(g, tab):
     # a rational entry off the identity column plus 1/(2^n |Gamma|^n n!)
     n = tab.n
-    row, mu = next((row, mu) for row in tab.rows for mu, v in row.values.items()
-                   if mu != tab.columns[0] and v.as_rational() is not None)
-    row.values[mu] = row.values[mu] + Fraction(1, 2**n * g.order**n * factorial(n))
+    row, mu = next((row, mu) for row in tab.rows for mu in row.values.nums
+                   if mu != tab.columns[0] and row.values.value(mu).as_rational() is not None)
+    _perturb(g, tab, row, mu, lambda v: v + Fraction(1, 2**n * g.order**n * factorial(n)))
 
 
 def _negate_one_entry(g, tab):
     # -f(mu) at a self-dual column keeps every row norm and breaks a pair
-    row, mu = next((row, mu) for row in tab.rows for mu in row.values
+    row, mu = next((row, mu) for row in tab.rows for mu in row.values.nums
                    if mu != tab.columns[0])
     assert all(g.dual_class(ci) == ci for ci in range(g.num_classes))
-    row.values[mu] = -row.values[mu]
+    _perturb(g, tab, row, mu, lambda v: -v)
     xi = VirtualChar.trivial(g)
     for r in tab.rows:
-        f = r.as_classfun(g, tab.n)
-        assert weighted_inner(f, f, xi) == (1 if r.module_type == "M" else 2)
+        assert weighted_inner(r.values, r.values, xi) == (1, (1 if r.module_type == "M" else 2,))
 
 
-@pytest.mark.parametrize("name,n,perturb", [
-    ("cyclic:5", 2, _plus_zeta5),
-    ("quaternion8", 2, _plus_finest_step),
-    ("klein4", 2, _plus_finest_step),
-    ("quaternion8", 2, _negate_one_entry),
+# each failure message shows the pairing's value as `Cyc.__repr__` prints it
+@pytest.mark.parametrize("name,n,perturb,message", [
+    ("cyclic:5", 2, _plus_zeta5,
+     "MultiPartition((2,), (), (), (), ()), MultiPartition((1,), (1,), (), (), ()): "
+     "Cyc(1/25*z5^1)"),
+    ("quaternion8", 2, _plus_finest_step,
+     "MultiPartition((2,), (), (), (), ()), MultiPartition((2,), (), (), (), ()): "
+     "Cyc(134221825/67108864)"),
+    ("klein4", 2, _plus_finest_step,
+     "MultiPartition((2,), (), (), ()), MultiPartition((2,), (), (), ()): "
+     "Cyc(2098177/1048576)"),
+    ("quaternion8", 2, _negate_one_entry,
+     "MultiPartition((2,), (), (), (), ()), MultiPartition((1,), (1,), (), (), ()): "
+     "Cyc(-1/8)"),
 ], ids=["irrational-plus-zeta5", "quaternion8-finest-step", "klein4-finest-step",
         "off-diagonal-only"])
-def test_orthogonality_catches_a_small_perturbation(name, n, perturb):
+def test_orthogonality_catches_a_small_perturbation(name, n, perturb, message):
     g, t = setup(name)
     tab = build_table(g, n, tctx=t)
     verify_table(tab)
     perturb(g, tab)
-    with pytest.raises(TableCheckError, match="orthogonality fails at rows"):
+    with pytest.raises(TableCheckError) as err:
         verify_table(tab)
+    assert str(err.value) == "orthogonality fails at rows " + message
+
+
+@pytest.mark.parametrize("factor,shown", [
+    (Fraction(1, 3), "Cyc(4/3)"), (0, "Cyc(0)"), (Cyc.zeta(3), "Cyc(4*z3^1)"),
+], ids=["fraction", "zero", "irrational"])
+def test_an_identity_value_off_the_integers_is_reported(monkeypatch, factor, shown):
+    g, t = setup("cyclic:3")
+    real = qtable.x_lambda_vector
+    monkeypatch.setattr(qtable, "x_lambda_vector",
+                        lambda tctx, lam: real(tctx, lam).scale(factor))
+    with pytest.raises(TableCheckError) as err:
+        build_table(g, 2, tctx=t)
+    assert str(err.value) == (
+        f"identity value of MultiPartition((2,), (), ()) is not a nonzero integer: {shown}")
 
 
 def test_poisoned_x_row_fails_the_realization_check(monkeypatch, capsys):

@@ -1,13 +1,46 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from spinwreath.scalars import (Cyc, CycError, cyclotomic_poly, euler_phi, moebius,
-                               weighted_dot)
+from spinwreath.scalars import (Cyc, CycError, axis_scalar, cyc_from_numerators,
+                               cyclotomic_poly, euler_phi, moebius, reduce_mod_phi, value_doc)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
+
+
+def weighted_dot(terms):
+    """sum w*x*y over the terms (w rational, x and y Cyc), in one exact pass:
+    the reference the integer pairings are tested against.
+
+    Each x and y is read as an integer numerator polynomial over its own
+    denominator, zeta_k standing for z^(N/k) at N the lcm of every operand's
+    order.  Each product goes unreduced onto the common denominator D of all
+    terms, exponents taken mod N (z^N = 1); the sum is reduced mod Phi_N and
+    divided by D once.  The empty sum is Cyc.rational(0).
+    """
+    prods = []
+    order = 1
+    for w, x, y in terms:
+        w = Fraction(w)
+        dx, nx = x.numerators()
+        dy, ny = y.numerators()
+        prods.append((w.numerator, w.denominator * dx * dy, x.order, nx, y.order, ny))
+        order = lcm(order, x.order, y.order)
+    if not prods:
+        return Cyc.rational(0)
+    den = lcm(*[p[1] for p in prods])
+    acc = [0] * order
+    for num, d, ox, nx, oy, ny in prods:
+        num *= den // d
+        sx, sy = order // ox, order // oy
+        for i, a in enumerate(nx):
+            for j, b in enumerate(ny):
+                acc[(i * sx + j * sy) % order] += num * a * b
+    return cyc_from_numerators(order, acc, den)
 
 
 def rand_cyc(rng, n):
@@ -144,3 +177,43 @@ def test_weighted_dot_mixes_orders():
     # z_3 z_4 = z_12^7, and (-1)(-1) z_3 = z_12^4
     got = weighted_dot([(1, Cyc.zeta(3), Cyc.zeta(4)), (-1, Cyc.rational(-1), Cyc.zeta(3))])
     assert got == Cyc.zeta(12, 7) + Cyc.zeta(12, 4) and got.order == 12
+
+
+# -- values on an axis: the document writer and the canonical form ---------------
+
+
+@st.composite
+def axis_values(draw):
+    """(order, numerators reduced mod Phi_order, den): any sign, zero, and on
+    an irrational axis also values whose numerators past the first vanish."""
+    order = draw(st.integers(1, 12))
+    width = euler_phi(order)
+    nums = draw(st.lists(st.integers(-60, 60), min_size=width, max_size=width))
+    if draw(st.booleans()):
+        nums = nums[:1] + [0] * (width - 1)  # a rational value, on any axis
+    return order, nums, draw(st.integers(1, 360))
+
+
+@given(axis_values())
+@example((1, [0], 7))
+@example((5, [0, 0, 0, 0], 3))
+@example((8, [-6, 0, 0, 0], 4))
+@example((12, [0, -3, 0, 9], 6))
+def test_value_doc_is_the_cyc_document(value):
+    order, nums, den = value
+    cyc = cyc_from_numerators(order, nums, den)
+    assert value_doc(order, nums, den) == cyc.to_doc()
+    assert value_doc(order, tuple(nums), den) == cyc.to_doc()
+
+
+@given(axis_values(), st.lists(st.integers(-9, 9), max_size=30))
+def test_axis_scalar_is_canonical(value, tail):
+    # unreduced input (past phi(order)) with a common factor folded in
+    order, nums, den = value
+    acc = [3 * x for x in nums + tail]
+    got_den, got = axis_scalar(order, acc, 3 * den)
+    assert len(got) == euler_phi(order) and got_den > 0
+    assert gcd(got_den, *got) == 1
+    assert cyc_from_numerators(order, got, got_den) == cyc_from_numerators(order, acc, 3 * den)
+    if not any(reduce_mod_phi(order, acc)):
+        assert (got_den, got) == (1, (0,) * euler_phi(order))

@@ -19,8 +19,9 @@ implementation that only tests run against the code under test.
 
 Further checks pin where `Cyc` may appear: the twisted space's operators
 (`vertex`) and the cocycle (`lattice`) are integer-valued and import nothing
-from `scalars`, `vertex` applies no Fock operator, and a Fock vector holds
-integers, `fock` building a `Cyc` only for a pairing's result.
+from `scalars`, `vertex` applies no Fock operator, `fock` names no `Cyc`,
+and `classfun` and `qtable` build one only at the edges: the oracle's
+accessor, documents and failure messages.
 """
 
 import ast
@@ -218,21 +219,34 @@ def _functions_naming(path, names):
     return out
 
 
-def test_fock_vectors_hold_integers_and_build_cyc_only_at_the_pairing():
-    # a scalar handed in is read onto Gamma's value axis (`_scalar`), and a
-    # pairing's result is the one `Cyc` a Fock operation builds
-    from spinwreath import fock, vertex
+def _names(path):
+    """Every name and attribute a module's code mentions, docstrings aside."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return ({sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+            | {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+            | {alias.name for sub in ast.walk(tree) if isinstance(sub, ast.ImportFrom)
+               for alias in sub.names})
+
+
+def test_fock_vectors_hold_integers_and_name_no_cyc():
+    # a scalar handed in is read onto Gamma's value axis (`GammaData.on_axis`),
+    # and a pairing's result is one canonical (den, numerators) value
+    from spinwreath import classfun, fock, qtable, scalars, vertex
     from spinwreath.classfun import ch, sigma_rho
     from spinwreath.gammadata import VirtualChar, builtin
     from spinwreath.partitions import multipartitions
 
     path = os.path.join(PACKAGE, "fock.py")
-    assert _functions_naming(path, {"Cyc", "cyc_from_numerators"}) == {
-        "_scalar", "inner", "tensor_inner"}
+    assert not _names(path) & {"Cyc", "cyc_from_numerators", "CoeffLike"}
     assert fock.FockVector.__slots__ == ("ctx", "den", "nums", "_dual")
     assert not hasattr(fock.FockVector, "_numerators") and not hasattr(fock, "_over_2_top")
     assert not hasattr(fock, "_coeff_key") and not hasattr(vertex, "_lean_from_fock")
     assert not hasattr(vertex, "_prow")
+    assert not hasattr(fock, "_ZERO") and not hasattr(fock, "_scalar")
+    assert not hasattr(scalars, "weighted_dot") and not hasattr(scalars, "_numerators")
+    assert not hasattr(qtable.CharRow, "as_classfun")
+    assert classfun.SpinClassFun.__slots__ == ("gamma", "n", "den", "nums")
     g, _ = builtin("cyclic:4")
     ctx = fock.FockContext(g, VirtualChar.trivial(g))
     assert not hasattr(ctx, "_row_cache") and ctx.pair_row((1, 0, 0, 0)) == (1, 0, 0, 0)
@@ -241,3 +255,13 @@ def test_fock_vectors_hold_integers_and_build_cyc_only_at_the_pairing():
     assert all(type(v.den) is int for v in images)
     assert all(len(c) == 2 and all(type(x) is int for x in c) for c in coeffs)
     assert any(c[1] for c in coeffs)  # irrational coefficients occur
+
+
+def test_class_functions_and_tables_build_cyc_only_at_the_edges():
+    # classfun: the oracle's accessor `SpinClassFun.value`; qtable: the
+    # failure messages of the identity and orthogonality checks, and the CSV
+    # rendering of a document (`CharTable.to_doc` writes from numerators)
+    cyc = {"Cyc", "cyc_from_numerators"}
+    assert _functions_naming(os.path.join(PACKAGE, "classfun.py"), cyc) == {"value"}
+    assert _functions_naming(os.path.join(PACKAGE, "qtable.py"), cyc) == {
+        "build_table", "verify_table", "table_csv"}

@@ -111,6 +111,22 @@ def test_prim_commutator():
     assert r.status == "pass"
 
 
+@pytest.mark.parametrize("name,weight", [("cyclic:3", (1, 2, 0)), ("quaternion8", None)])
+def test_pairing_is_the_double_sum_over_the_gram_matrix(name, weight):
+    # xi = 1,2,0 on cyclic:3 has a non-symmetric Gram matrix, so the pair
+    # row must be alpha's: sum_ij alpha_i gram[i][j] beta_j
+    g, _ = builtin(name)
+    t = tctx_for(name, VirtualChar(weight) if weight else mckay_xi(g))
+    gram, k = t.twist.gram, g.num_classes
+    assert gram is t.fock.gram
+    rng = random.Random(name)
+    for _ in range(20):
+        alpha = tuple(rng.randint(-3, 3) for _ in range(k))
+        beta = tuple(rng.randint(-3, 3) for _ in range(k))
+        assert t.pairing(alpha, beta) == sum(alpha[i] * gram[i][j] * beta[j]
+                                             for i in range(k) for j in range(k))
+
+
 def test_clifford_vacuum_instances():
     # the anticommutators on the vacuum, on every coset through `apply_word`
     t = tctx_for("trivial")
@@ -143,10 +159,11 @@ def test_ope():
 
 
 def _bump_gram(t):
-    # the expected pairing reads twist.gram, which is fock.gram, the rows'
-    # form: perturb a copy bound to the pairing side only
-    t.twist.gram = [list(row) for row in t.twist.gram]
-    t.twist.gram[0][1] += 1
+    # <gamma_0, gamma_1>_xi off by one on the pairing side only: the expected
+    # pairing reads the Fock context's pair rows, which the operator rows
+    # share, so the bump wraps `TwistContext.pairing`
+    real = t.pairing
+    t.pairing = lambda alpha, beta: real(alpha, beta) + alpha[0] * beta[1]
 
 
 def _poison_x0_on_vacuum(t):
