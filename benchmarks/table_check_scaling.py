@@ -5,8 +5,10 @@
 For Gamma in cyclic:4 and klein4 and n = 2..max-n, each repeat builds Gamma
 afresh (so its per-Gamma caches start cold, as in one CLI run) and times
 `qtable.build_table` without and with `check`, then `qtable.verify_table`
-alone on the checked table.  It prints one JSON row per (Gamma, n): the
-median seconds and every repeat of each.  `--src` points at the `src`
+alone on the unchecked table, whose rows have never been paired (a checked
+table's rows keep their weighted duals, so checking it again would time
+warm duals).  It prints one JSON row per (Gamma, n): the median seconds and
+every repeat of each.  `--src` points at the `src`
 directory of the checkout to measure (default: this checkout's).  It exits 1
 when a check raises, or when a row's value on the identity class is not its
 degree from `qtable.char_degree`, so a timing is never reported for a wrong
@@ -45,12 +47,12 @@ def main() -> int:
             error = None
             for _ in range(args.repeats):
                 gamma, _ = builtin(name)
-                _, secs = timed(build_table, gamma, n)
+                unchecked, secs = timed(build_table, gamma, n)
                 runs["table"].append(secs)
                 try:
                     table, secs = timed(build_table, gamma, n, check=True)
                     runs["checked"].append(secs)
-                    _, secs = timed(verify_table, table)
+                    _, secs = timed(verify_table, unchecked)
                     runs["verify"].append(secs)
                 except TableCheckError as exc:
                     error = str(exc)

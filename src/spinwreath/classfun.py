@@ -6,34 +6,42 @@ Gamma; negation under the central element and vanishing elsewhere live in
 the bilinear form.  The values are stored as a Fock vector's coefficients
 are, as integer numerators on Gamma's value axis, so the induction product,
 `weighted_inner` and `ch` run on integers; only `SpinClassFun.value` builds
-a `Cyc`, for the brute-force oracle.  The characteristic map follows the
-inverse-relabelled convention ch(f) = sum (1/Z_rho) f(rho) a'_{-rho_bar};
-so ch sends sigma_n(c) to a_{-n}(c^{-1}) (bar relabel on non-real classes).
+a `Cyc`, for the brute-force oracle.
+
+As `fock.inner` reads a Fock vector's dual, `weighted_inner` reads its right
+argument's weighted dual, made once per weight xi; a table check stays one
+call per pair of rows, as the benchmark counts them (ROADMAP item 1).
+
+The characteristic map follows the inverse-relabelled convention
+ch(f) = sum (1/Z_rho) f(rho) a'_{-rho_bar}; so ch sends sigma_n(c) to
+a_{-n}(c^{-1}) (bar relabel on non-real classes).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, lcm, prod
+from operator import mul
 from typing import Dict, Optional, Sequence, Tuple
 
 from .fock import FockContext, FockVector, a_prime_vector
 from .gammadata import GammaData, ValueLike, VirtualChar
 from .partitions import MultiPartition, big_z, multipartitions
 from .scalars import (Coeff, Cyc, add_into, axis_scalar, canonical, cyc_from_numerators,
-                      euler_phi, on_one_denominator, poly_mul, times)
+                      euler_phi, on_one_denominator, times)
 
 
 class SpinClassFun:
     """Values nums[rho] / den on the even split classes D_rho^+, rho in
-    OP_n(Gamma_*), canonical (`scalars.canonical`): `==` compares integers."""
+    OP_n(Gamma_*), canonical (`scalars.canonical`): `==` compares integers.
+    Its values never change; its weighted duals are a memo (`_weighted_dual`)."""
 
-    __slots__ = ("gamma", "n", "den", "nums")
+    __slots__ = ("gamma", "n", "den", "nums", "_dual")
 
     def __init__(self, gamma: GammaData, n: int,
                  values: Optional[Dict[MultiPartition, ValueLike]] = None):
         """values[rho] in Gamma's value field (`GammaData.on_axis`)."""
-        self.gamma, self.n = gamma, n
+        self.gamma, self.n, self._dual = gamma, n, None
         self.den, self.nums = canonical(*on_one_denominator(
             {rho: gamma.on_axis(c) for rho, c in (values or {}).items()}))
         for rho in self.nums:
@@ -45,7 +53,7 @@ class SpinClassFun:
                         nums: Dict[MultiPartition, Coeff]) -> "SpinClassFun":
         """sum nums[rho] / den, nums[rho] numerators on Gamma's value axis."""
         f = object.__new__(SpinClassFun)
-        f.gamma, f.n = gamma, n
+        f.gamma, f.n, f._dual = gamma, n, None
         f.den, f.nums = canonical(den, nums)
         return f
 
@@ -93,34 +101,59 @@ def _power_product(axis: int, values, lengths: Tuple) -> Tuple[int, Coeff]:
 _WEIGHTS: Dict[Tuple[GammaData, VirtualChar], Dict[Tuple, Tuple[int, Coeff]]] = {}
 
 
+def _weighted_dual(g: SpinClassFun, xi: VirtualChar) -> Tuple[int, Dict[MultiPartition, Coeff]]:
+    """g's weighted dual at xi, (D, {rho: numerators over g.den D}): the
+    values g(rho_bar) prod_c xi(c)^l(rho(c)) / (2^l(rho) Z_rho) that are not
+    zero, made once per (g, xi) and kept in `g._dual`.  xi is read through
+    `VirtualChar.value_at` once per profile of lengths (`_WEIGHTS`)."""
+    if g._dual is None:
+        g._dual = {}
+    out = g._dual.get(xi)
+    if out is None:
+        gamma = g.gamma
+        axis = gamma.value_numerators[0]
+        weights = _WEIGHTS.setdefault((gamma, xi), {})
+        terms = {}
+        own = {sigma: sigma for sigma in g.nums}  # so a table's columns match by identity
+        for sigma, gval in g.nums.items():
+            rho = _dual(gamma, sigma)[0]
+            rho = own.get(rho, rho)
+            _, norm, lengths = _dual(gamma, rho)
+            w = weights.get(lengths)
+            if w is None:
+                xivals = {ci: gamma.on_axis(xi.value_at(gamma, ci)) for ci, _ in lengths}
+                w = weights[lengths] = _power_product(axis, xivals, lengths)
+            if any(w[1]):
+                terms[rho] = (norm * w[0], times(axis, gval, w[1]))
+        out = g._dual[xi] = on_one_denominator(terms)
+    return out
+
+
 def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Tuple[int, Coeff]:
     """sum_rho (2^l(rho) Z_rho)^{-1} f(rho) g(rho_bar) prod_c xi(c)^l(rho(c)),
     as one canonical value (den, numerators) on Gamma's value axis.
 
-    rho_bar and 2^l(rho) Z_rho come from a per-Gamma cache (`_dual`), and
-    xi's weight prod_c xi(c)^l(rho(c)) from a memo per (Gamma, xi)
-    (`_WEIGHTS`), xi read through `VirtualChar.value_at` when a profile of
-    lengths is first met.  The terms go unreduced onto one denominator, and
-    the sum is reduced mod Phi_N once (`scalars.axis_scalar`)."""
+    One integer dot of f's numerators with g's weighted dual at xi
+    (`_weighted_dual`), which holds everything that depends on g and xi
+    alone: rho_bar, 2^l(rho) Z_rho (`_dual`), xi's weight and one common
+    denominator D.  The dot runs on unreduced numerator products, and is
+    reduced mod Phi_N and brought to its least denominator over
+    f.den g.den D once (`scalars.axis_scalar`)."""
     if f.n != g.n:
         raise ValueError("degree mismatch")
-    gamma = f.gamma
-    axis = gamma.value_numerators[0]
-    gnums = g.nums
-    weights = _WEIGHTS.setdefault((gamma, xi), {})
-    sums: Dict[int, Coeff] = {}  # denominator -> the sum of the terms over it
-    for rho, fval in f.nums.items():
-        bar, norm, lengths = _dual(gamma, rho)
-        gval = gnums.get(bar)
-        if gval is None:
-            continue
-        w = weights.get(lengths)
-        if w is None:
-            xivals = {ci: gamma.on_axis(xi.value_at(gamma, ci)) for ci, _ in lengths}
-            w = weights[lengths] = _power_product(axis, xivals, lengths)
-        add_into(sums, norm * w[0], poly_mul(poly_mul(fval, gval), w[1]))
-    den = lcm(*sums)
-    acc = [sum(col) for col in zip(*([den // d * x for x in s] for d, s in sums.items()))]
+    axis = f.gamma.value_numerators[0]
+    den, dual = _weighted_dual(g, xi)
+    terms = [(a, s) for rho, a in f.nums.items() if (s := dual.get(rho)) is not None]
+    width = euler_phi(axis)
+    acc = [0] * (2 * width - 1)
+    # the dot by numerator positions, on lists: tuples of these lengths
+    # would be kept on CPython's tuple free lists and raise the peak RSS
+    right = [[s[j] for _, s in terms] for j in range(width)]
+    for i in range(width):
+        x = [a[i] for a, _ in terms]
+        if any(x):
+            for j, y in enumerate(right):
+                acc[i + j] += sum(map(mul, x, y))
     return axis_scalar(axis, acc, f.den * g.den * den)
 
 

@@ -48,16 +48,17 @@ def partitions_of(n: int, kind: str = KIND_ALL, _max_part: int | None = None) ->
 class MultiPartition:
     """A partition-valued function on indices 0..k-1, hashable and ordered.
 
-    Immutable, so its weight (the sum of all parts) and length (the number
-    of parts) are computed once, at construction."""
+    Immutable, so its weight (the sum of all parts), length (the number
+    of parts) and hash are computed once, at construction."""
 
-    __slots__ = ("parts", "weight", "length")
+    __slots__ = ("parts", "weight", "length", "_hash")
 
     def __init__(self, parts: Sequence[Sequence[int]]):
         parts = tuple(check_partition(p) for p in parts)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "weight", sum(map(sum, parts)))
         object.__setattr__(self, "length", sum(map(len, parts)))
+        object.__setattr__(self, "_hash", hash(parts))
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPartition is immutable")
@@ -82,7 +83,7 @@ class MultiPartition:
         return isinstance(other, MultiPartition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"MultiPartition{self.parts!r}"

@@ -19,6 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +28,7 @@ from .fock import FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
 from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
-from .scalars import Coeff, Cyc, cyc_from_numerators, on_one_denominator, value_doc
+from .scalars import Coeff, cyc_from_numerators, on_one_denominator, value_doc
 from .vertex import TwistContext, x_component
 
 Tuple_ = Tuple[int, ...]
@@ -76,8 +77,10 @@ def _raising_tuples(parts: Tuple_, total: int) -> Dict[Tuple_, int]:
     return state
 
 
+@lru_cache(maxsize=None)
 def raising_coefficients(lam_parts: Tuple_) -> Dict[Tuple_, int]:
-    """Integer transition coefficients of Q_lambda onto sorted q-monomials."""
+    """Integer transition coefficients of Q_lambda onto sorted q-monomials,
+    computed once per parts; the dict is shared, so read it only."""
     total = sum(lam_parts)
     out: Dict[Tuple_, int] = {}
     for tup, coef in _raising_tuples(lam_parts, total).items():
@@ -214,15 +217,24 @@ class CharTable:
         }
 
 
+def _pretty(value: dict) -> str:
+    """A value document as `Cyc.pretty` prints it: "p" or "p/q" when the
+    value is rational, else the compact document itself."""
+    if not any(p for p, _ in value["coeffs"][1:]):
+        return str(Fraction(*value["coeffs"][0]))
+    return json.dumps(value, separators=(",", ":"))
+
+
 def table_csv(doc: dict) -> str:
     """The CSV rendering of a `CharTable.to_doc` document: one quoted row per
-    character, exact values as `Cyc.pretty` prints them."""
+    character, exact values as `Cyc.pretty` prints them, read straight from
+    each value's document (`_pretty`)."""
     buf = io.StringIO()
     w = csv.writer(buf, quoting=csv.QUOTE_ALL)
     cols = [json.dumps(c, separators=(",", ":")) for c in doc["columns"]]
     w.writerow(["lambda", "type", "degree"] + cols)
     for row in doc["rows"]:
-        rendered = [Cyc.from_doc(v).pretty() for v in row["values"]]
+        rendered = [_pretty(v) for v in row["values"]]
         w.writerow([json.dumps(row["lambda"], separators=(",", ":")),
                     row["type"], row["degree"]] + rendered)
     return buf.getvalue()
@@ -288,10 +300,11 @@ def verify_table(table: CharTable) -> None:
     """Row orthogonality with the type norms, degree formula, squareness,
     and the unitriangular integral transition of the raising expansion.
 
-    Each pair of rows is one `classfun.weighted_inner` call at the standard
-    weight: an exact integer sum over one common denominator, with rho_bar
-    and 2^l(rho) Z_rho taken from a per-Gamma cache, so no change to a norm
-    or a zero is too small to see.  A failure shows the value as a `Cyc`."""
+    Each pair of rows is one `classfun.weighted_inner` call, in row order,
+    as the benchmark counts them (ROADMAP item 1): one exact integer dot
+    with the right row's weighted dual, its column of W M_bar^T in the Gram
+    product M W M_bar^T, made once per row, so no change to a norm or a
+    zero is too small to see.  A failure shows the value as a `Cyc`."""
     gamma = table.gamma
     if len(table.rows) != len(table.columns):
         raise TableCheckError(

@@ -264,3 +264,48 @@ def test_weighted_inner_matches_the_per_term_loop(name, xi_spec, support):
             assert as_cyc(g, got) == reference_weighted_inner(f, h, xi), (n, f, h)
             if support == "disjoint":
                 assert got == (1, (0,) * len(nums))
+
+
+# -- the weighted dual: one fill per (function, xi) --------------------------------
+
+
+def test_table_check_fills_one_dual_per_row(monkeypatch):
+    from spinwreath import classfun
+    from spinwreath.qtable import build_table, verify_table
+    g, _ = builtin("cyclic:3")
+    table = build_table(g, 2)
+    fills = []
+    real = classfun.on_one_denominator
+    monkeypatch.setattr(classfun, "on_one_denominator",
+                        lambda values: fills.append(len(values)) or real(values))
+    verify_table(table)
+    assert len(fills) == len(table.rows) > 1
+    xi0 = VirtualChar.trivial(g)
+    duals = [row.values._dual for row in table.rows]
+    assert all(list(d) == [xi0] for d in duals)
+    kept = [d[xi0] for d in duals]
+    verify_table(table)  # the second check reads the kept duals
+    assert len(fills) == len(table.rows)
+    assert all(d[xi0] is k for d, k in zip(duals, kept))
+
+
+def test_weighted_dual_is_kept_per_weight():
+    # standard and non-self-dual weights on one pair of functions, in both
+    # orders: the dual is keyed by rho_bar, and a second weight keeps its own
+    g, _ = builtin("cyclic:3")
+    xis = [VirtualChar.trivial(g), VirtualChar([0, 1, 0])]
+    assert not xis[1].is_self_dual(g)
+    rng = random.Random("cyclic:3/weights")
+    for n in range(1, 4):
+        f, h = random_pair(rng, g, n, "dense")
+        for xi in xis:
+            for left, right in ((f, h), (h, f)):
+                assert as_cyc(g, weighted_inner(left, right, xi)) \
+                    == reference_weighted_inner(left, right, xi), (n, xi)
+        assert set(f._dual) == set(h._dual) == set(xis)
+    # f at a non-real class pairs with h at the inverse class only
+    rho, rho_bar = (MultiPartition.single(3, ci, (1,)) for ci in (1, 2))
+    f = SpinClassFun(g, 1, {rho: 1})
+    h = SpinClassFun(g, 1, {rho_bar: Cyc.zeta(3)})
+    assert weighted_inner(f, h, xis[0]) == (6, (0, 1))
+    assert weighted_inner(f, f, xis[0]) == (1, (0, 0))

@@ -283,6 +283,9 @@ OUTPUT_SHA256 = {
         "8b0c5449b2bb779d1e4a814af4c13dcd42de520f47f63528594d71598adc4f78",
     "verify isometry --gamma cyclic:7 --n 2":
         "f0dcd6ac267bbf9177cde88c8131adce4b796b35f06a8ac53c06f0f51ddee85f",
+    # the largest table check: 95 rows, 9 025 pairings
+    "chartable --check --gamma quaternion8 --n 4":
+        "181f7a35efb041ac1ef6bbcd4778387c1de30b04c4e91c296d14689c9ab475c0",
 }
 
 

@@ -14,7 +14,7 @@ from spinwreath.qtable import (TableCheckError, build_table, char_degree,
                                char_value, q_power_product,
                                raising_coefficients, raising_expand,
                                verify_table, x_lambda_vector)
-from spinwreath.scalars import Cyc, cyc_from_numerators
+from spinwreath.scalars import Cyc, cyc_from_numerators, value_doc
 from spinwreath.vertex import TwistContext
 
 from spin_oracle import oracle_spin_rows
@@ -330,3 +330,15 @@ def test_poisoned_x_row_fails_the_realization_check(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "check_failed"
     assert doc["witness"] == "X_lambda e^(-[lambda]) differs from Q_lambda at MultiPartition((2,),)"
+
+
+@pytest.mark.parametrize("name,n", [("cyclic:9", 2), ("cyclic:5", 3), ("quaternion8", 3)])
+def test_csv_values_render_as_the_cyc_round_trip_did(name, n):
+    # `table_csv` reads each value document directly; the reference is the
+    # `Cyc` round trip it replaced
+    g, t = setup(name)
+    values = [v for row in build_table(g, n, tctx=t).to_doc()["rows"] for v in row["values"]]
+    assert any(v["N"] > 1 for v in values) == (name != "quaternion8")
+    # character values are integral: add values with denominators by hand
+    values += [value_doc(1, (1,), 2), value_doc(3, (-3, 0), 4), value_doc(5, (1, 0, 2, 0), 6)]
+    assert [qtable._pretty(v) for v in values] == [Cyc.from_doc(v).pretty() for v in values]

@@ -246,7 +246,7 @@ def test_fock_vectors_hold_integers_and_name_no_cyc():
     assert not hasattr(fock, "_ZERO") and not hasattr(fock, "_scalar")
     assert not hasattr(scalars, "weighted_dot") and not hasattr(scalars, "_numerators")
     assert not hasattr(qtable.CharRow, "as_classfun")
-    assert classfun.SpinClassFun.__slots__ == ("gamma", "n", "den", "nums")
+    assert classfun.SpinClassFun.__slots__ == ("gamma", "n", "den", "nums", "_dual")
     g, _ = builtin("cyclic:4")
     ctx = fock.FockContext(g, VirtualChar.trivial(g))
     assert not hasattr(ctx, "_row_cache") and ctx.pair_row((1, 0, 0, 0)) == (1, 0, 0, 0)
@@ -259,9 +259,9 @@ def test_fock_vectors_hold_integers_and_name_no_cyc():
 
 def test_class_functions_and_tables_build_cyc_only_at_the_edges():
     # classfun: the oracle's accessor `SpinClassFun.value`; qtable: the
-    # failure messages of the identity and orthogonality checks, and the CSV
-    # rendering of a document (`CharTable.to_doc` writes from numerators)
+    # failure messages of the identity and orthogonality checks
+    # (`CharTable.to_doc` writes from numerators, `table_csv` reads documents)
     cyc = {"Cyc", "cyc_from_numerators"}
     assert _functions_naming(os.path.join(PACKAGE, "classfun.py"), cyc) == {"value"}
     assert _functions_naming(os.path.join(PACKAGE, "qtable.py"), cyc) == {
-        "build_table", "verify_table", "table_csv"}
+        "build_table", "verify_table"}
