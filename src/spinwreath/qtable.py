@@ -219,10 +219,12 @@ class CharTable:
 
 def _pretty(value: dict) -> str:
     """A value document as `Cyc.pretty` prints it: "p" or "p/q" when the
-    value is rational, else the compact document itself."""
+    value is rational, else the compact document itself, as
+    `json.dumps(value, separators=(",", ":"))` writes it."""
     if not any(p for p, _ in value["coeffs"][1:]):
         return str(Fraction(*value["coeffs"][0]))
-    return json.dumps(value, separators=(",", ":"))
+    cells = ",".join(f"[{p},{q}]" for p, q in value["coeffs"])
+    return f'{{"N":{value["N"]},"coeffs":[{cells}]}}'
 
 
 def table_csv(doc: dict) -> str:

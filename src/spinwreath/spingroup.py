@@ -6,18 +6,20 @@ elements as (g, k, mask of I, permutation index) and reads the z power of a
 product from tables, by a closed form of the Pi_n relations a_i^2 = z,
 a_i a_j = z a_j a_i (see its docstring) that the tests check against sorting
 the a-word one swap at a time.  Everything here is oracle machinery for small
-n: exact conjugacy classes, split detection, and traces of the basic spin
-supermodules on the Clifford algebra L_n.  Tables are built on demand, after
-the oracle's size guard, never at import.
+n: exact conjugacy classes, closed on the quotient by the central z with k
+as a label (a label conflict marks a non-split class, a split one has a
+z-twin), and traces of the basic spin supermodules on the Clifford algebra
+L_n, for every V at once.  Tables are built on demand, after the oracle's
+size guard, never at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 from operator import getitem, itemgetter
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from .gammadata import ConcreteGroup, GammaData
 from .partitions import MultiPartition, big_z
@@ -133,13 +135,31 @@ class SpinLaw:
         return (tuple(map(self.ginv, self.permuted[p](g))),
                 k ^ self.reversal[m] ^ par, img, q)
 
+    def conjugation(self, h: Packed) -> Callable[[Packed], Packed]:
+        """y -> h y h^-1, as mul(mul(h, y), inv(h)).  When h's Gamma part is
+        the unit, so is inv(h)'s, and the map is one pass over the tables that
+        only moves y's Gamma slots, with no Gamma product."""
+        hinv, mul = self.inv(h), self.mul
+        if any(h[0]):
+            return lambda y: mul(mul(h, y), hinv)
+        (_, kh, mh, ph), (_, ki, mi, pi) = h, hinv
+        image, merge, pmul, move = self.image, self.merge, self.pmul, self.unpermuted[ph]
+        image_h, merge_h, pmul_h = image[ph], merge[mh], pmul[ph]
+
+        def conj(y: Packed) -> Packed:
+            gy, ky, my, py = y
+            img, par = image_h[my]
+            m, p = mh ^ img, pmul_h[py]
+            img2, par2 = image[p][mi]
+            return (move(gy), kh ^ ky ^ ki ^ par ^ par2 ^ merge_h[img] ^ merge[m][img2],
+                    m ^ img2, pmul[p][pi])
+
+        return conj
+
     def elements(self) -> Iterator[Packed]:
         """Every element, in the order g (lexicographic), k, mask, permutation."""
-        for g in product(range(self.order), repeat=self.n):
-            for k in (0, 1):
-                for m in range(1 << self.n):
-                    for p in range(len(self.perms)):
-                        yield (g, k, m, p)
+        return product(product(range(self.order), repeat=self.n), (0, 1),
+                       range(1 << self.n), range(len(self.perms)))
 
     def unpack(self, x: Packed) -> SpinElement:
         g, k, m, p = x
@@ -158,17 +178,25 @@ class SignedType:
         return self.rho_minus.length % 2
 
 
+def _cycle_classes(cg: ConcreteGroup, x: SpinElement) -> List[Tuple[List[int], int]]:
+    """Each cycle (j_1 ... j_m) of s with the Gamma class of g_{j_m} ... g_{j_1}."""
+    out = []
+    for cyc in perm_cycles(x.s):
+        prod = 0
+        for j in cyc:
+            prod = cg.mul(x.g[j], prod)
+        out.append((cyc, cg.class_of[prod]))
+    return out
+
+
 def signed_type(cg: ConcreteGroup, x: SpinElement) -> SignedType:
     num_classes = max(cg.class_of) + 1
     plus: List[List[int]] = [[] for _ in range(num_classes)]
     minus: List[List[int]] = [[] for _ in range(num_classes)]
     iset = set(x.I)
-    for cyc in perm_cycles(x.s):
-        prod = 0
-        for j in cyc:  # g_{j_m} ... g_{j_1} for the cycle (j_1 ... j_m)
-            prod = cg.mul(x.g[j], prod)
+    for cyc, c in _cycle_classes(cg, x):
         target = plus if len(iset & set(cyc)) % 2 == 0 else minus
-        target[cg.class_of[prod]].append(len(cyc))
+        target[c].append(len(cyc))
     plus_parts = [tuple(sorted(p, reverse=True)) for p in plus]
     minus_parts = [tuple(sorted(p, reverse=True)) for p in minus]
     return SignedType(MultiPartition(plus_parts), MultiPartition(minus_parts))
@@ -252,20 +280,10 @@ def _generating_set(cg: ConcreteGroup) -> List[int]:
     return gens
 
 
-def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]:
-    """Exact conjugacy classes of the double cover by orbit closure.
-
-    Elements are visited in `SpinLaw.elements` order; each class is the
-    closure of the first unvisited one under conjugation by generators of the
-    group (generators of Gamma at the first slot, the first a_i, the
-    transposition of the first two slots and the n-cycle), and that element is
-    its representative.
-    """
-    group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
-    if group_order > 10**6:
-        raise ValueError(f"oracle guard exceeded: group order {group_order}")
-
-    law = SpinLaw(cg, n)
+def _generators(cg: ConcreteGroup, law: SpinLaw) -> List[Packed]:
+    """Generators of the double cover: generators of Gamma at the first slot,
+    the first a_i, the transposition of the first two slots and the n-cycle."""
+    n = law.n
     unit = (0,) * n
     generators: List[Packed] = []
     if n:  # at n = 0 there is no slot and no a_i
@@ -275,95 +293,100 @@ def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]
         generators.append((unit, 0, 0, law.perm_index[(1, 0) + tuple(range(2, n))]))
     if n >= 3:
         generators.append((unit, 0, 0, law.perm_index[tuple(range(1, n)) + (0,)]))
-    pairs = [(h, law.inv(h)) for h in generators]
-    mul = law.mul
+    return generators
 
+
+def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]:
+    """Exact conjugacy classes of the double cover by orbit closure on the
+    quotient by z.
+
+    z is central, so each class C has a z-twin z.C over the same orbit of the
+    quotient (g, mask, perm).  Each orbit is closed under conjugation by
+    `_generators` from its first quotient element, taken with k = 0, and
+    each element reached keeps its k as a label.  An edge that reaches a
+    labelled element with the other k makes the orbit non-split: one class of
+    twice the orbit's size.  Otherwise the labelled set is a class and its
+    z-twin another.  Classes are sorted by representative, the least
+    (g, k, mask, perm) of the class: the order in which a closure over the
+    whole cover in `SpinLaw.elements` order meets them.
+    """
+    group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
+    if group_order > 10**6:
+        raise ValueError(f"oracle guard exceeded: group order {group_order}")
+
+    law = SpinLaw(cg, n)
+    steps = [law.conjugation(h) for h in _generators(cg, law)]
     assigned: Set[Packed] = set()
-    classes: List[OracleClass] = []
-    for x in law.elements():
-        if x in assigned:
+    found: List[Tuple[Packed, int, bool]] = []  # (representative, size, split)
+    for x in law.elements():  # (g, 1, m, p) comes after (g, 0, m, p): k = 0 starts
+        g, k, m, p = x
+        if x in assigned or (g, k ^ 1, m, p) in assigned:
             continue
         orbit = {x}
         frontier = [x]
+        split = True
         while frontier:
             y = frontier.pop()
-            for h, hinv in pairs:
-                w = mul(mul(h, y), hinv)
+            for step in steps:
+                w = step(y)
                 if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
+                    gw, kw, mw, pw = w
+                    if (gw, kw ^ 1, mw, pw) in orbit:
+                        split = False
+                    else:
+                        orbit.add(w)
+                        frontier.append(w)
         assigned |= orbit
-        g, k, m, p = x
-        split = (g, k ^ 1, m, p) not in orbit
+        found.append((x, len(orbit) if split else 2 * len(orbit), split))
+        if split:
+            found.append((min((gw, kw ^ 1, mw, pw) for gw, kw, mw, pw in orbit),
+                          len(orbit), True))
+    classes: List[OracleClass] = []
+    for x, size, split in sorted(found):
         rep = law.unpack(x)
         st = signed_type(cg, rep)
-        classes.append(OracleClass(
-            representative=rep,
-            size=len(orbit),
-            centralizer_order=group_order // len(orbit),
-            signed_type=st,
-            parity=st.parity,
-            split=split,
-        ))
+        classes.append(OracleClass(rep, size, group_order // size, st, st.parity, split))
     return classes
 
 
 # -- basic spin supermodule traces ---------------------------------------------
 
 
-def _clifford_left_mul(i: int, coeff: int, subset: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-    # e_i . e_subset with {e_i, e_j} = -2 delta_ij; subset strictly increasing.
-    below = sum(1 for j in subset if j < i)
-    if i in subset:
-        sign = -((-1) ** below)
-        return coeff * sign, tuple(j for j in subset if j != i)
-    sign = (-1) ** below
-    pos = below
-    return coeff * sign, subset[:pos] + (i,) + subset[pos:]
-
-
-def clifford_action(x: SpinElement, subset: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-    """(a_I s).e_J on the Clifford basis: permute indices, then left-multiply."""
-    images = sorted(x.s[j] for j in subset)
-    seq = [x.s[j] for j in subset]
-    sign = 1
-    # permutation parity of the image sequence (distinct entries)
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    coeff, out = sign, tuple(images)
-    for i in reversed(x.I):
-        coeff, out = _clifford_left_mul(i, coeff, out)
-    return coeff, out
-
-
 def clifford_trace(x: SpinElement, n: int) -> int:
+    """Trace of a_I s on L_n.  s takes e_J to e_{s(j_1)} ... e_{s(j_m)}, which
+    is e_K, K = s(J), times the sign of that sequence; and e_I e_K =
+    (-1)^e e_{I ^ K}, e = |I & K| + #{(i, j) in I x K : i > j}, as in
+    `SpinLaw` at z = -1."""
+    mask = sum(1 << i for i in x.I)
     total = 0
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        coeff, out = clifford_action(x, subset)
-        if out == subset:
-            total += coeff
+    for subset in range(1 << n):
+        seq = [x.s[j] for j in range(n) if subset >> j & 1]
+        img = sum(1 << i for i in seq)
+        if mask ^ img == subset:
+            total += (-1) ** (sum(a > b for a, b in combinations(seq, 2))
+                              + (mask & img).bit_count()
+                              + sum((mask >> j + 1).bit_count() for j in seq))
     return total
 
 
-def basic_spin_trace(cg: ConcreteGroup, gdata: GammaData, v_index: int,
-                     n: int, x: SpinElement) -> Cyc:
-    """Trace of x on V^(x)n (x) L_n for V the v_index-th irreducible of Gamma.
+def basic_spin_trace(cg: ConcreteGroup, gdata: GammaData, n: int,
+                     x: SpinElement) -> Dict[int, Cyc]:
+    """Trace of x on V^(x)n (x) L_n, for each V realized in cg.
 
     The module factorizes, so the trace is the wreath-product character of
-    (g, s) on V^(x)n times the Clifford trace of a_I s, times (-1)^k.
+    (g, s) on V^(x)n times the Clifford trace of a_I s, times (-1)^k.  The
+    Clifford trace and the cycles' Gamma classes are found once for every V,
+    and when the Clifford trace is 0 no character value is read.
     """
-    if v_index not in cg.rep_matrices:
-        raise ValueError(f"character {v_index} has no realization for {cg.name}")
-    val = Cyc.rational((-1) ** x.k)
-    for cyc in perm_cycles(x.s):
-        prod = 0
-        for j in cyc:
-            prod = cg.mul(x.g[j], prod)
-        val = val * gdata.chars[v_index][cg.class_of[prod]]
-    return val * clifford_trace(x, n)
+    clifford = (-1) ** x.k * clifford_trace(x, n)
+    classes = [c for _, c in _cycle_classes(cg, x)] if clifford else []
+    out = {}
+    for v in cg.rep_matrices:
+        val = Cyc.rational(clifford)
+        for c in classes:
+            val = val * gdata.chars[v][c]
+        out[v] = val
+    return out
 
 
 # -- theory-side class tables ---------------------------------------------------

@@ -209,14 +209,14 @@ def _oracle(gamma: GammaData, cg: Optional[ConcreteGroup], xi: VirtualChar,
                 "witness": report["mismatches"] or None}]
     # basic spin traces against the closed character values
     k = gamma.num_classes
-    reps = [representative_of_type(cg, n, SignedType(tc.rho_plus, tc.rho_minus))
-            for tc in theory]
+    traces = [basic_spin_trace(cg, gamma, n, representative_of_type(
+        cg, n, SignedType(tc.rho_plus, tc.rho_minus))) for tc in theory]
     for v_index in range(k):
         if v_index not in cg.rep_matrices:
             continue
         basic = basic_char(gamma, n, [1 if i == v_index else 0 for i in range(k)])
-        for tc, rep in zip(theory, reps):
-            tr = basic_spin_trace(cg, gamma, v_index, n, rep)
+        for tc, tr_by_v in zip(theory, traces):
+            tr = tr_by_v[v_index]
             if tc.split and tc.parity == 0:
                 ok = tr == basic.value(tc.rho_plus)
             else:

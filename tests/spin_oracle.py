@@ -68,7 +68,7 @@ def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, law: Sp
             return None
         val = Cyc.rational(1)
         for bi, (lo, hi) in enumerate(blocks):
-            val = val * basic_spin_trace(cg, gdata, 0, hi - lo, parts[bi])
+            val = val * basic_spin_trace(cg, gdata, hi - lo, parts[bi])[0]
         return val
 
     subgroup_order = 1

@@ -286,6 +286,12 @@ OUTPUT_SHA256 = {
     # the largest table check: 95 rows, 9 025 pairings
     "chartable --check --gamma quaternion8 --n 4":
         "181f7a35efb041ac1ef6bbcd4778387c1de30b04c4e91c296d14689c9ab475c0",
+    # the brute-force oracle: split classification and basic spin traces on
+    # the largest cover it runs in a test, and the class list at trivial n=5
+    "verify oracle --gamma quaternion8 --n 3":
+        "0c9cde056adc3d6f899281f2fd7c1846f29be886e62097236e29fc7d55f8fea9",
+    "classes --oracle --gamma trivial --n 5":
+        "288234cc121f44e0bfc1ba6ffdb75be1d3013b028fd666a01c258fda7f666ee0",
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from spinwreath import spingroup
 from spinwreath.gammadata import builtin
 from spinwreath.partitions import MultiPartition, big_z
+from spinwreath.scalars import Cyc
 from spinwreath.spingroup import (SignedType, SpinElement, SpinLaw, basic_spin_trace,
                                   clifford_trace, enumerate_classes_bruteforce,
                                   is_split, representative_of_type, signed_type,
@@ -130,6 +131,68 @@ def rand_element(rng, order, n):
                        tuple(rng.sample(range(n), n)))
 
 
+def cover_classes(cg, n):
+    """Orbit closure over the whole cover on the packed law, in
+    `SpinLaw.elements` order: (representative, size, split, centralizer)."""
+    group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
+    law = SpinLaw(cg, n)
+    pairs = [(h, law.inv(h)) for h in spingroup._generators(cg, law)]
+    assigned = set()
+    out = []
+    for x in law.elements():
+        if x in assigned:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for h, hinv in pairs:
+                w = law.mul(law.mul(h, y), hinv)
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        assigned |= orbit
+        g, k, m, p = x
+        out.append((law.unpack(x), len(orbit), (g, k ^ 1, m, p) not in orbit,
+                    group_order // len(orbit)))
+    return out
+
+
+def _clifford_left_mul(i, coeff, subset):
+    # e_i . e_subset with {e_i, e_j} = -2 delta_ij; subset strictly increasing.
+    below = sum(1 for j in subset if j < i)
+    if i in subset:
+        return -coeff * (-1) ** below, tuple(j for j in subset if j != i)
+    return coeff * (-1) ** below, subset[:below] + (i,) + subset[below:]
+
+
+def ref_clifford_trace(x, n):
+    """Trace of a_I s on L_n, each basis vector e_J moved by s (sign of the
+    image sequence) and then multiplied on the left by e_i for i in reversed(I)."""
+    total = 0
+    for mask in range(1 << n):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        seq = [x.s[j] for j in subset]
+        coeff = (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+        out = tuple(sorted(seq))
+        for i in reversed(x.I):
+            coeff, out = _clifford_left_mul(i, coeff, out)
+        if out == subset:
+            total += coeff
+    return total
+
+
+def ref_basic_spin_trace(cg, gdata, v_index, n, x):
+    """The trace on one V as a product over cycles, Clifford trace last."""
+    val = Cyc.rational((-1) ** x.k)
+    for cyc in spingroup.perm_cycles(x.s):
+        prod = 0
+        for j in cyc:
+            prod = cg.mul(x.g[j], prod)
+        val = val * gdata.chars[v_index][cg.class_of[prod]]
+    return val * ref_clifford_trace(x, n)
+
+
 class Law:
     """SpinLaw on SpinElement operands, for readable relations."""
 
@@ -235,6 +298,20 @@ def test_multiply_associative_random():
         assert law.mul(law.mul(x, y), z) == law.mul(x, law.mul(y, z))
 
 
+@pytest.mark.parametrize("name,n", [("trivial", 4), ("cyclic:3", 3), ("klein4", 3),
+                                    ("quaternion8", 3)])
+def test_conjugation_step_matches_mul(name, n):
+    law = Law(name, n).law
+    rng = random.Random(n)
+    elements = [pack(law, rand_element(rng, law.order, n)) for _ in range(200)]
+    generators = spingroup._generators(builtin(name)[1], law)
+    assert any(any(h[0]) for h in generators) == (name != "trivial")
+    for h in generators:
+        step, hinv = law.conjugation(h), law.inv(h)
+        for y in elements:
+            assert step(y) == law.mul(law.mul(h, y), hinv)
+
+
 def test_signed_type_examples():
     g, cg = builtin("trivial")
     x = SpinElement((0, 0, 0), 0, (0,), (1, 2, 0))  # a_1 (123)
@@ -337,20 +414,20 @@ def test_clifford_traces():
     g, cg = builtin("trivial")
     ident = identity_element(3)
     assert clifford_trace(ident, 3) == 8
-    assert basic_spin_trace(cg, g, 0, 3, ident) == 8
+    assert basic_spin_trace(cg, g, 3, ident)[0] == 8
     rep3 = representative_of_type(cg, 3, SignedType(MultiPartition([(3,)]),
                                                     MultiPartition([()])))
-    assert basic_spin_trace(cg, g, 0, 3, rep3) == 2
+    assert basic_spin_trace(cg, g, 3, rep3)[0] == 2
     rep111 = representative_of_type(cg, 3, SignedType(MultiPartition([(1, 1, 1)]),
                                                       MultiPartition([()])))
-    assert basic_spin_trace(cg, g, 0, 3, rep111) == 8
+    assert basic_spin_trace(cg, g, 3, rep111)[0] == 8
 
 
 def test_basic_trace_dimension_count():
     g, cg = builtin("quaternion8")
     ident = identity_element(2)
     # trace at the identity is deg(V)^n 2^n
-    assert basic_spin_trace(cg, g, 4, 2, ident) == (2 ** 2) * (2 ** 2)
+    assert basic_spin_trace(cg, g, 2, ident)[4] == (2 ** 2) * (2 ** 2)
 
 
 def test_trace_vanishes_off_split_even():
@@ -358,14 +435,37 @@ def test_trace_vanishes_off_split_even():
         g, cg = builtin(name)
         classes = enumerate_classes_bruteforce(cg, n)
         for c in classes:
-            for v_index in range(g.num_classes):
-                tr = basic_spin_trace(cg, g, v_index, n, c.representative)
-                if not c.split or c.parity == 1:
-                    assert tr.is_zero()
+            traces = basic_spin_trace(cg, g, n, c.representative)
+            assert sorted(traces) == list(range(g.num_classes))
+            if not c.split or c.parity == 1:
+                assert all(tr.is_zero() for tr in traces.values())
         # z flips the sign: trace(zx) = -trace(x)
         for c in classes[:6]:
-            tr = basic_spin_trace(cg, g, 0, n, c.representative)
-            assert basic_spin_trace(cg, g, 0, n, times_z(c.representative)) == -1 * tr
+            tr = basic_spin_trace(cg, g, n, c.representative)[0]
+            assert basic_spin_trace(cg, g, n, times_z(c.representative))[0] == -1 * tr
+
+
+def test_clifford_trace_matches_basis_action():
+    g, cg = builtin("trivial")
+    for n in range(5):
+        for x in ref_elements(cg, n):
+            assert clifford_trace(x, n) == ref_clifford_trace(x, n), x
+
+
+@pytest.mark.parametrize("name", ["klein4", "quaternion8"])
+def test_traces_match_per_v_product(name):
+    g, cg = builtin(name)
+    n = 3
+    nonzero = 0
+    for tc in theory_classes(g, n):
+        rep = representative_of_type(cg, n, SignedType(tc.rho_plus, tc.rho_minus))
+        for x in (rep, times_z(rep)):
+            traces = basic_spin_trace(cg, g, n, x)
+            assert sorted(traces) == sorted(cg.rep_matrices)
+            for v, tr in traces.items():
+                assert tr == ref_basic_spin_trace(cg, g, v, n, x)
+                nonzero += not tr.is_zero()
+    assert nonzero > 0
 
 
 def test_guard():
@@ -388,12 +488,22 @@ def test_guard_comes_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("name,n", [("trivial", 0), ("trivial", 1), ("trivial", 2),
                                     ("trivial", 3), ("trivial", 4), ("cyclic:2", 3),
-                                    ("cyclic:3", 2), ("klein4", 2), ("quaternion8", 2)])
+                                    ("cyclic:3", 2), ("klein4", 2), ("quaternion8", 2),
+                                    ("klein4", 3), ("cyclic:3", 3)])
 def test_classes_match_reference_orbit_closure(name, n):
     g, cg = builtin(name)
     got = [(c.representative, c.size, c.split, c.centralizer_order)
            for c in enumerate_classes_bruteforce(cg, n)]
     assert got == ref_classes(cg, n)
+
+
+@pytest.mark.parametrize("name,n", [("quaternion8", 3), ("trivial", 5)])
+def test_classes_match_whole_cover_closure(name, n):
+    g, cg = builtin(name)
+    classes = enumerate_classes_bruteforce(cg, n)
+    got = [(c.representative, c.size, c.split, c.centralizer_order) for c in classes]
+    assert got == cover_classes(cg, n)
+    assert {c.split for c in classes} == {True, False}
 
 
 def test_oracle_rows_small():
