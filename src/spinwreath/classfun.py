@@ -9,8 +9,9 @@ are, as integer numerators on Gamma's value axis, so the induction product,
 a `Cyc`, for the brute-force oracle.
 
 As `fock.inner` reads a Fock vector's dual, `weighted_inner` reads its right
-argument's weighted dual, made once per weight xi; a table check stays one
-call per pair of rows, as the benchmark counts them (ROADMAP item 1).
+argument's weighted dual, made once per weight xi.  At a self-dual weight
+the pairing is symmetric, as rho -> rho_bar keeps 2^l(rho) Z_rho and the
+weight, so a table check makes one call per pair of rows a <= b.
 
 The characteristic map follows the inverse-relabelled convention
 ch(f) = sum (1/Z_rho) f(rho) a'_{-rho_bar}; so ch sends sigma_n(c) to

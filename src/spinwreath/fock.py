@@ -71,6 +71,8 @@ class FockContext:
         self._partner_cache: Dict[Monomial, List[Monomial]] = {}
         self._pair_rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._a_prime_bar: Dict[MultiPartition, "FockVector"] = {}  # rho -> a'_{-rho_bar}
+        # (char_index, parts) -> prod q_p(gamma), for `qtable.q_power_product`
+        self._q_products: Dict[Tuple[int, Tuple[int, ...]], "FockVector"] = {}
 
     def pair_row(self, coeffs: Sequence[int]) -> Tuple[int, ...]:
         """<coeffs, gamma_j>_xi = sum_i coeffs[i] gram[i][j] for each j, for

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classfun import SpinClassFun, weighted_inner
@@ -28,22 +28,32 @@ from .fock import FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
 from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
-from .scalars import Coeff, cyc_from_numerators, on_one_denominator, value_doc
+from .scalars import Coeff, add_into, cyc_from_numerators, on_one_denominator, value_doc
 from .vertex import TwistContext, x_component
 
 Tuple_ = Tuple[int, ...]
 
 
 def q_power_product(ctx: FockContext, phi: Sequence[int], char_index: int) -> FockVector:
-    """prod_i q_{phi_i}(gamma) with q_0 = 1 and q_m = 0 for m < 0."""
-    coeffs = [1 if t == char_index else 0 for t in range(ctx.gamma.num_classes)]
-    out = FockVector.vacuum(ctx)
-    for p in phi:
-        if p < 0:
-            return FockVector.zero(ctx)
-        if p == 0:
-            continue
-        out = out * q_gen(ctx, p, coeffs)
+    """prod_i q_{phi_i}(gamma) with q_0 = 1 and q_m = 0 for m < 0, gamma the
+    irreducible char_index.
+
+    Products are kept on the context (`FockContext._q_products`), keyed by
+    (char_index, the nonzero entries of phi); each is q_{t_0} times the kept
+    product of its tail, so a tail shared by many tuples, across lambda too,
+    is multiplied out once."""
+    if any(p < 0 for p in phi):
+        return FockVector.zero(ctx)
+    parts = tuple(p for p in phi if p)
+    key = (char_index, parts)
+    out = ctx._q_products.get(key)
+    if out is None:
+        if not parts:
+            out = FockVector.vacuum(ctx)
+        else:
+            coeffs = [1 if t == char_index else 0 for t in range(ctx.gamma.num_classes)]
+            out = q_gen(ctx, parts[0], coeffs) * q_power_product(ctx, parts[1:], char_index)
+        ctx._q_products[key] = out
     return out
 
 
@@ -92,17 +102,26 @@ def raising_coefficients(lam_parts: Tuple_) -> Dict[Tuple_, int]:
 
 
 def raising_expand(ctx: FockContext, lam: MultiPartition) -> FockVector:
-    """Q_lambda = prod_gamma Q_lambda(gamma) via the raising-operator expansion."""
+    """Q_lambda = prod_gamma Q_lambda(gamma) via the raising-operator expansion.
+
+    Each factor Q_lambda(gamma) = sum c_phi q_phi(gamma) over the raising
+    coefficients is summed once, on numerators over one common denominator,
+    as `classfun.ch` sums; its q-products come from `q_power_product`."""
     out = FockVector.vacuum(ctx)
     for i, parts in enumerate(lam.parts):
         if not parts:
             continue
         if len(set(parts)) != len(parts):
             raise ValueError(f"lambda must be strict per index, got {parts}")
-        piece = FockVector.zero(ctx)
-        for tup, coef in raising_coefficients(parts).items():
-            piece = piece + q_power_product(ctx, tup, i).scale(coef)
-        out = out * piece
+        terms = [(coef, q_power_product(ctx, tup, i))
+                 for tup, coef in raising_coefficients(parts).items()]
+        den = lcm(*(vec.den for _, vec in terms))
+        nums: Dict = {}
+        for coef, vec in terms:
+            c = coef * (den // vec.den)
+            for m, a in vec.nums.items():
+                add_into(nums, m, tuple(c * x for x in a))
+        out = out * FockVector.from_numerators(ctx, den, nums)
     return out
 
 
@@ -302,24 +321,28 @@ def verify_table(table: CharTable) -> None:
     """Row orthogonality with the type norms, degree formula, squareness,
     and the unitriangular integral transition of the raising expansion.
 
-    Each pair of rows is one `classfun.weighted_inner` call, in row order,
-    as the benchmark counts them (ROADMAP item 1): one exact integer dot
-    with the right row's weighted dual, its column of W M_bar^T in the Gram
-    product M W M_bar^T, made once per row, so no change to a norm or a
-    zero is too small to see.  A failure shows the value as a `Cyc`."""
+    Each pair of rows a <= b is one `classfun.weighted_inner` call, in
+    row-major order: one exact integer dot with row b's weighted dual, its
+    column of W M_bar^T in the Gram product M W M_bar^T, made once per row,
+    so no change to a norm or a zero is too small to see.  The upper
+    triangle is the whole check: rho -> rho_bar keeps 2^l(rho) Z_rho and the
+    standard weight is real, so the pairing is symmetric, on any values.  A
+    pair (a, b) with b < a fails only if (b, a) does, which comes first, so
+    the first failure and its message are the full scan's.  A failure shows
+    the value as a `Cyc`."""
     gamma = table.gamma
     if len(table.rows) != len(table.columns):
         raise TableCheckError(
             f"table is not square: {len(table.rows)} rows, {len(table.columns)} columns")
     xi0 = VirtualChar.trivial(gamma)
     axis = gamma.value_numerators[0]
-    for a, ra in enumerate(table.rows):
-        for b, rb in enumerate(table.rows):
+    zero, norm_m, norm_q = (gamma.on_axis(c) for c in (0, 1, 2))
+    rows = table.rows
+    for a, ra in enumerate(rows):
+        norm = norm_m if ra.module_type == "M" else norm_q
+        for b, rb in enumerate(rows[a:], a):
             val = weighted_inner(ra.values, rb.values, xi0)
-            expect = 0
-            if a == b:
-                expect = 1 if ra.module_type == "M" else 2
-            if val != gamma.on_axis(expect):
+            if val != (norm if b == a else zero):
                 shown = cyc_from_numerators(axis, val[1], val[0])
                 raise TableCheckError(
                     f"orthogonality fails at rows {ra.lam!r}, {rb.lam!r}: {shown!r}")

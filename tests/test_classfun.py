@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwreath.classfun import (SpinClassFun, basic_char, ch, induction_product,
                                  sigma_class, sigma_rho, weighted_inner)
@@ -309,3 +311,34 @@ def test_weighted_dual_is_kept_per_weight():
     h = SpinClassFun(g, 1, {rho_bar: Cyc.zeta(3)})
     assert weighted_inner(f, h, xis[0]) == (6, (0, 1))
     assert weighted_inner(f, f, xis[0]) == (1, (0, 0))
+
+
+# -- symmetry at the standard weight ------------------------------------------------
+
+
+def values_on_axis(order):
+    """Values in Q(zeta_order), irrational when order > 1: each has a nonzero
+    zeta_order coefficient."""
+    q = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    if order == 1:
+        return q
+    width = euler_phi(order)
+    return st.lists(q, min_size=width, max_size=width).map(
+        lambda c: Cyc(order, [c[0], c[1] or 1, *c[2:]]))
+
+
+@pytest.mark.parametrize("name", ["cyclic:3", "cyclic:5", "klein4", "quaternion8"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_weighted_inner_is_symmetric_at_the_standard_weight(name, data):
+    # rho -> rho_bar keeps 2^l(rho) Z_rho and the standard weight, so the
+    # pairing is symmetric on any values; cyclic:3 and cyclic:5 have non-real
+    # classes, where rho_bar != rho
+    g, xi, _ = setup(name)
+    n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+    rhos = list(multipartitions(n, g.num_classes, "OP"))
+    values = st.dictionaries(st.sampled_from(rhos), values_on_axis(g.value_numerators[0]),
+                             min_size=1, max_size=len(rhos))
+    f = SpinClassFun(g, n, data.draw(values, label="f"))
+    h = SpinClassFun(g, n, data.draw(values, label="h"))
+    assert weighted_inner(f, h, xi) == weighted_inner(h, f, xi)

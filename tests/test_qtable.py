@@ -7,7 +7,7 @@ import pytest
 from spinwreath import cli, qtable
 from spinwreath import vertex as vx
 from spinwreath.classfun import SpinClassFun, weighted_inner
-from spinwreath.fock import FockContext, FockVector, a_prime_vector, create, inner
+from spinwreath.fock import FockContext, FockVector, a_prime_vector, create, inner, q_gen
 from spinwreath.gammadata import VirtualChar, builtin
 from spinwreath.partitions import MultiPartition, multipartitions
 from spinwreath.qtable import (TableCheckError, build_table, char_degree,
@@ -32,6 +32,19 @@ def as_cyc(g, value):
     return cyc_from_numerators(g.value_numerators[0], nums, den)
 
 
+def left_to_right_q_product(ctx, phi, char_index):
+    """prod_i q_{phi_i}(gamma) multiplied out from the vacuum, left to right:
+    the reference for `q_power_product`'s kept products."""
+    coeffs = [1 if t == char_index else 0 for t in range(ctx.gamma.num_classes)]
+    out = FockVector.vacuum(ctx)
+    for p in phi:
+        if p < 0:
+            return FockVector.zero(ctx)
+        if p:
+            out = out * q_gen(ctx, p, coeffs)
+    return out
+
+
 def test_q_power_product():
     g, t = setup("trivial")
     ctx = t.fock
@@ -42,6 +55,38 @@ def test_q_power_product():
     a111 = create(create(a1, 1, [1]), 1, [1])
     assert q_power_product(ctx, (2, 1), 0) == a111.scale(4)
     assert q_power_product(ctx, (0, 0), 0) == vac
+    # a second call reads the kept product, which equals a fresh one
+    for name in ("trivial", "cyclic:3"):
+        g, t = setup(name)
+        ctx = t.fock
+        for i in range(g.num_classes):
+            for phi in ((1,), (2, -1), (2, 1), (0, 0), (3, 1, 1), (1, 0, 3), (4, 2, 1)):
+                first = q_power_product(ctx, phi, i)
+                assert q_power_product(ctx, phi, i) == first \
+                    == left_to_right_q_product(ctx, phi, i), (name, i, phi)
+    assert {(0, (2, 1)), (0, (1,)), (0, ())} <= set(ctx._q_products)
+
+
+def per_term_raising_expand(ctx, lam):
+    """Q_lambda with each factor summed one raising term at a time, by
+    `FockVector` addition: the reference for `raising_expand`."""
+    out = FockVector.vacuum(ctx)
+    for i, parts in enumerate(lam.parts):
+        if not parts:
+            continue
+        piece = FockVector.zero(ctx)
+        for tup, coef in raising_coefficients(parts).items():
+            piece = piece + q_power_product(ctx, tup, i).scale(coef)
+        out = out * piece
+    return out
+
+
+@pytest.mark.parametrize("name,nmax", [("trivial", 8), ("cyclic:3", 4), ("klein4", 3)])
+def test_raising_expand_matches_the_per_term_sum(name, nmax):
+    g, t = setup(name)
+    for n in range(nmax + 1):
+        for lam in multipartitions(n, g.num_classes, "SP"):
+            assert raising_expand(t.fock, lam) == per_term_raising_expand(t.fock, lam), lam
 
 
 def test_raising_single_row():
@@ -295,6 +340,72 @@ def test_orthogonality_catches_a_small_perturbation(name, n, perturb, message):
     with pytest.raises(TableCheckError) as err:
         verify_table(tab)
     assert str(err.value) == "orthogonality fails at rows " + message
+
+
+def full_scan_message(table):
+    """The first failure of a rows x rows orthogonality scan in row-major
+    order, worded as `verify_table` words it, or None: the reference for the
+    upper-triangle check."""
+    g = table.gamma
+    xi = VirtualChar.trivial(g)
+    for a, ra in enumerate(table.rows):
+        for b, rb in enumerate(table.rows):
+            expect = 0 if a != b else 1 if ra.module_type == "M" else 2
+            val = weighted_inner(ra.values, rb.values, xi)
+            if val != g.on_axis(expect):
+                return f"orthogonality fails at rows {ra.lam!r}, {rb.lam!r}: {as_cyc(g, val)!r}"
+    return None
+
+
+def _first_row(tab):
+    # a nonzero entry of the first row, off the identity column
+    row = tab.rows[0]
+    support = [mu for mu in tab.columns[1:] if mu in row.values.nums]
+    return row, support[len(support) // 2]
+
+
+def _last_row(tab):
+    # the last nonzero entry of the last row
+    row = tab.rows[-1]
+    return row, [mu for mu in tab.columns if mu in row.values.nums][-1]
+
+
+def _irrational_entry(tab):
+    return next((row, mu) for row in tab.rows for mu in row.values.nums
+                if row.values.value(mu).as_rational() is None)
+
+
+@pytest.mark.parametrize("name,n,where,change", [
+    ("cyclic:5", 2, _first_row, lambda v: v + 1),
+    ("cyclic:5", 2, _last_row, lambda v: -v),
+    ("cyclic:5", 2, _irrational_entry, lambda v: v * Cyc.zeta(5)),
+    ("quaternion8", 3, _first_row, lambda v: -v),
+    ("quaternion8", 3, _last_row, lambda v: v + Fraction(1, 3)),
+    ("quaternion8", 3, _last_row, lambda v: -v),
+], ids=["cyclic5-first-row", "cyclic5-last-row", "cyclic5-irrational",
+        "quaternion8-first-row", "quaternion8-last-row", "quaternion8-last-row-negated"])
+def test_upper_triangle_reports_the_full_scans_first_failure(name, n, where, change):
+    g, t = setup(name)
+    tab = build_table(g, n, tctx=t)
+    row, mu = where(tab)
+    _perturb(g, tab, row, mu, change)
+    expect = full_scan_message(tab)
+    assert expect is not None
+    with pytest.raises(TableCheckError) as err:
+        verify_table(tab)
+    assert str(err.value) == expect
+
+
+def test_verify_table_pairs_each_pair_of_rows_once(monkeypatch):
+    g, t = setup("cyclic:3")
+    tab = build_table(g, 2, tctx=t)
+    pairs = []
+    monkeypatch.setattr(qtable, "weighted_inner",
+                        lambda f, h, xi: pairs.append((f, h)) or weighted_inner(f, h, xi))
+    verify_table(tab)
+    rows = [r.values for r in tab.rows]
+    assert pairs == [(rows[a], rows[b]) for a in range(len(rows)) for b in range(a, len(rows))]
+    assert len(pairs) == len(rows) * (len(rows) + 1) // 2
 
 
 @pytest.mark.parametrize("factor,shown", [
