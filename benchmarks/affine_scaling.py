@@ -61,7 +61,7 @@ def main() -> int:
         failed = failed or any(s != "pass" for s in statuses.values())
         print(json.dumps({"gamma": name, "window": window, "degree": degree,
                           "indices": gamma.num_classes, "instances": counted[0],
-                          "panel_monomials": len(vertex._panel_monomials(tctx, degree)),
+                          "panel_monomials": len(tctx.fock.basis(degree)),
                           "statuses": statuses,
                           "median_s": statistics.median(runs), "runs_s": runs}), flush=True)
     return 1 if failed else 0

@@ -12,9 +12,10 @@ Where `mckay_xi` finds a McKay weight, the row's `mckay_isometry` field holds
 the same for the isometry at that weight, whose Gram matrix is not diagonal,
 so a monomial can have more than one partner; it is null elsewhere.
 `--src` points at the `src` directory of the checkout to measure (default:
-this checkout's).  It exits 1 when an isometry does not pass, or when a
-row's value on the identity class is not its degree from
-`qtable.char_degree`, so a timing is never reported for a wrong result.
+this checkout's).  It exits 2 on an unknown Gamma, before any timing, and 1
+when an isometry does not pass, or when a row's value on the identity class
+is not its degree from `qtable.char_degree`, so a timing is never reported
+for a wrong result.
 """
 
 import argparse
@@ -40,6 +41,10 @@ def main() -> int:
     from spinwreath.qtable import build_table, char_degree
     from spinwreath.vertex import TwistContext
 
+    try:
+        gamma, _ = builtin(args.gamma)
+    except ValueError as exc:
+        ap.error(str(exc))
     # the isometry suite builds its own FockContext; record it to read its cache
     contexts = []
 
@@ -49,7 +54,6 @@ def main() -> int:
             contexts.append(self)
 
     suites.FockContext = RecordedContext
-    gamma, _ = builtin(args.gamma)
     xi = VirtualChar.trivial(gamma)
     try:
         mckay = mckay_xi(gamma)

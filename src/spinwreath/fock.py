@@ -1,12 +1,19 @@
 """The Fock space: symmetric algebra on odd-degree creation generators.
 
-Monomials are sorted tuples of (n, char_index) with n odd positive.  A vector
-is (den, {monomial: numerators}): every coefficient lies in Q(zeta_N), N
-Gamma's value axis (`GammaData.value_numerators`, the lcm of the orders of
-its character values; N = 1 when they are all rational), and is stored as
-its phi(N) integer numerators in the power basis mod Phi_N, over the
-vector's one denominator.  The form is canonical: no zero coefficient is
-stored and den is the least, so a zero test and `==` compare integers.
+A monomial is a sorted tuple of factors (n, char_index), n odd positive, and
+`FockContext` alone handles one: it numbers each monomial once (`index`,
+`monos` back, `VACUUM` the empty one, `basis` up to a degree) and holds the
+factor tables on those numbers, `removals`, `insert` and `merge`, which this
+module's operators and the row engine of `vertex` share.  An index turns back into its tuple only in
+a failure witness, a repr or a coproduct split.
+
+A vector is (den, {monomial index: numerators}): every coefficient lies in
+Q(zeta_N), N Gamma's value axis (`GammaData.value_numerators`, the lcm of
+the orders of its character values; N = 1 when they are all rational), and
+is stored as its phi(N) integer numerators in the power basis mod Phi_N,
+over the vector's one denominator.  The form is canonical: no zero
+coefficient is stored and den is the least, so a zero test and `==` compare
+integers.
 
 Annihilation acts as a derivation with the commutator normalization
 
@@ -46,16 +53,17 @@ from operator import add, index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .gammadata import GammaData, ValueLike, VirtualChar, gram_matrix
-from .partitions import MultiPartition
+from .partitions import MultiPartition, multipartitions
 from .scalars import (Coeff, add_into, axis_scalar, canonical, euler_phi, on_one_denominator,
                       poly_mul, reduce_mod_phi, times)
 
 Monomial = Tuple[Tuple[int, int], ...]  # sorted ((n, char_index), ...)
+VACUUM = 0  # the empty monomial's index in every context
 
 
 class FockContext:
     """Shared state: the group, the weight xi, the integer Gram matrix and
-    its nonzero pattern, and Gamma's value axis N."""
+    its nonzero pattern, Gamma's value axis N, and the monomial numbering."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
@@ -66,9 +74,12 @@ class FockContext:
         self.links = [[j for j in range(k) if self.gram[i][j]] for i in range(k)]
         self.axis = gamma.value_numerators[0]
         self.width = euler_phi(self.axis)  # numerators per coefficient
+        self.monos: List[Monomial] = [()]
+        self._index: Dict[Monomial, int] = {(): VACUUM}
+        self._removals: Dict[Tuple[int, int], Tuple] = {}
         self._q_cache: Dict[Tuple[Tuple[int, ...], int], "FockVector"] = {}
-        self._inner_cache: Dict[Tuple[Monomial, Monomial], Fraction] = {}
-        self._partner_cache: Dict[Monomial, List[Monomial]] = {}
+        self._inner_cache: Dict[Tuple[int, int], Fraction] = {}
+        self._partner_cache: Dict[int, List[int]] = {}
         self._pair_rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._a_prime_bar: Dict[MultiPartition, "FockVector"] = {}  # rho -> a'_{-rho_bar}
         # (char_index, parts) -> prod q_p(gamma), for `qtable.q_power_product`
@@ -85,14 +96,43 @@ class FockContext:
                 sum(key[i] * self.gram[i][j] for i in range(k)) for j in range(k))
         return row
 
+    def index(self, mono: Monomial) -> int:
+        """The number of a monomial, assigned on first sight."""
+        i = self._index.get(mono)
+        if i is None:
+            i = self._index[mono] = len(self.monos)
+            self.monos.append(mono)
+        return i
 
-def _sorted_insert(mono: Monomial, factor: Tuple[int, int]) -> Monomial:
-    lo = bisect_left(mono, factor)
-    return mono[:lo] + (factor,) + mono[lo:]
+    def removals(self, i: int, n: int) -> Tuple[Tuple[int, int, int], ...]:
+        """(j, n * mult, rest) for each distinct factor (n, j) of monomial i, of
+        multiplicity mult, rest the monomial less one copy; cached by (i, n)."""
+        key = (i, n)
+        table = self._removals.get(key)
+        if table is None:
+            mono = self.monos[i]
+            table = self._removals[key] = tuple(
+                (f[1], n * mono.count(f), self.index(mono[:pos] + mono[pos + 1:]))
+                for pos, f in enumerate(mono)
+                if f[0] == n and (pos == 0 or mono[pos - 1] != f))
+        return table
 
+    def insert(self, i: int, n: int, j: int) -> int:
+        """Monomial i times the factor (n, j)."""
+        mono = self.monos[i]
+        lo = bisect_left(mono, (n, j))
+        return self.index(mono[:lo] + ((n, j),) + mono[lo:])
 
-def _merge(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b))
+    def merge(self, a: int, b: int) -> int:
+        """The product of monomials a and b."""
+        return self.index(tuple(sorted(self.monos[a] + self.monos[b])))
+
+    def basis(self, max_degree: int) -> List[int]:
+        """Every monomial of degree <= max_degree, by degree, then in
+        `multipartitions` order."""
+        k = self.gamma.num_classes
+        return [self.index(tuple(sorted((n, i) for i, part in enumerate(mp.parts) for n in part)))
+                for d in range(max_degree + 1) for mp in multipartitions(d, k, "OP")]
 
 
 def mono_degree(mono: Monomial) -> int:
@@ -108,15 +148,16 @@ class FockVector:
     __slots__ = ("ctx", "den", "nums", "_dual")
 
     def __init__(self, ctx: FockContext, terms: Optional[Dict[Monomial, ValueLike]] = None):
-        """sum terms[m] m, each scalar in Gamma's value field (`GammaData.on_axis`)."""
+        """sum terms[m] m over monomial tuples m, each scalar in Gamma's value
+        field (`GammaData.on_axis`); the monomials are numbered by ctx."""
         self.ctx, self._dual = ctx, None
         self.den, self.nums = canonical(*on_one_denominator(
-            {m: ctx.gamma.on_axis(c) for m, c in (terms or {}).items()}))
+            {ctx.index(m): ctx.gamma.on_axis(c) for m, c in (terms or {}).items()}))
 
     @staticmethod
     def from_numerators(ctx: FockContext, den: int, nums: Dict) -> "FockVector":
-        """sum nums[m] m / den, nums[m] the power-basis numerators of m's
-        coefficient on the context's axis."""
+        """sum nums[i] m_i / den over monomial indices i, nums[i] the
+        power-basis numerators of m_i's coefficient on the context's axis."""
         v = object.__new__(FockVector)
         v.ctx, v._dual = ctx, None
         v.den, v.nums = canonical(den, nums)
@@ -124,14 +165,14 @@ class FockVector:
 
     @staticmethod
     def from_row(ctx: FockContext, den: int,
-                 entries: Iterable[Tuple[Monomial, int]]) -> "FockVector":
-        """The rational vector sum num m / den over the (m, num) entries."""
+                 entries: Iterable[Tuple[int, int]]) -> "FockVector":
+        """sum num m_i / den over the (monomial index i, integer num) entries."""
         pad = (0,) * (ctx.width - 1)
         return FockVector.from_numerators(ctx, den, {m: (num,) + pad for m, num in entries})
 
     @staticmethod
     def vacuum(ctx: FockContext) -> "FockVector":
-        return FockVector.from_row(ctx, 1, [((), 1)])
+        return FockVector.from_row(ctx, 1, [(VACUUM, 1)])
 
     @staticmethod
     def zero(ctx: FockContext) -> "FockVector":
@@ -144,7 +185,8 @@ class FockVector:
         """This vector's partner sums, a memo (`_Dual`) made on first use."""
         if self._dual is None:
             d = self._dual = _Dual()
-            d.ctx, d.nums, d.top = self.ctx, self.nums, max(map(len, self.nums), default=0)
+            d.ctx, d.nums = self.ctx, self.nums
+            d.top = max((len(self.ctx.monos[i]) for i in self.nums), default=0)
         return self._dual
 
     def _check_ctx(self, other: "FockVector") -> None:
@@ -173,11 +215,11 @@ class FockVector:
     def __mul__(self, other: "FockVector") -> "FockVector":
         """Product in the symmetric algebra."""
         self._check_ctx(other)
-        axis = self.ctx.axis
-        out: Dict[Monomial, Coeff] = {}
-        for ma, ca in self.nums.items():
-            for mb, cb in other.nums.items():
-                add_into(out, _merge(ma, mb), times(axis, ca, cb))
+        axis, merge = self.ctx.axis, self.ctx.merge
+        out: Dict[int, Coeff] = {}
+        for ia, ca in self.nums.items():
+            for ib, cb in other.nums.items():
+                add_into(out, merge(ia, ib), times(axis, ca, cb))
         return FockVector.from_numerators(self.ctx, self.den * other.den, out)
 
     def __eq__(self, other) -> bool:
@@ -188,7 +230,8 @@ class FockVector:
     def __repr__(self) -> str:
         if not self.nums:
             return "FockVector(0)"
-        bits = [f"{c}*{m}" for m, c in sorted(self.nums.items())]
+        monos = self.ctx.monos
+        bits = [f"{c}*{m}" for m, c in sorted((monos[i], c) for i, c in self.nums.items())]
         return f"FockVector(({' + '.join(bits)}) / {self.den})"
 
 
@@ -200,11 +243,12 @@ def _require_odd_positive(n: int) -> None:
 def create(v: FockVector, n: int, coeffs: Sequence[int]) -> FockVector:
     """Multiplication by a_{-n}(gamma) for gamma = sum coeffs[i] gamma_i."""
     _require_odd_positive(n)
-    out: Dict[Monomial, Coeff] = {}
-    for i, ci in enumerate(map(index, coeffs)):
-        if ci:
-            for m, c in v.nums.items():
-                add_into(out, _sorted_insert(m, (n, i)), tuple(ci * x for x in c))
+    insert = v.ctx.insert
+    out: Dict[int, Coeff] = {}
+    for j, cj in enumerate(map(index, coeffs)):
+        if cj:
+            for i, c in v.nums.items():
+                add_into(out, insert(i, n, j), tuple(cj * x for x in c))
     return FockVector.from_numerators(v.ctx, v.den, out)
 
 
@@ -213,12 +257,13 @@ def annihilate(v: FockVector, n: int, coeffs: Sequence[int]) -> FockVector:
     factor (n, j) of multiplicity k goes with weight (n/2) k <gamma, gamma_j>_xi."""
     _require_odd_positive(n)
     row = v.ctx.pair_row(coeffs)
-    out: Dict[Monomial, Coeff] = {}
-    for m, c in v.nums.items():
-        for pos, f in enumerate(m):
-            if f[0] == n and row[f[1]] and (pos == 0 or m[pos - 1] != f):
-                w = n * m.count(f) * row[f[1]]
-                add_into(out, m[:pos] + m[pos + 1:], tuple(w * x for x in c))
+    removals = v.ctx.removals
+    out: Dict[int, Coeff] = {}
+    for i, c in v.nums.items():
+        for j, weight, rest in removals(i, n):
+            if row[j]:
+                w = weight * row[j]
+                add_into(out, rest, tuple(w * x for x in c))
     return FockVector.from_numerators(v.ctx, 2 * v.den, out)
 
 
@@ -232,7 +277,7 @@ def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
     once, at the end."""
     gamma = ctx.gamma
     order, den, nums = gamma.value_numerators
-    terms: Dict[Monomial, List[int]] = {(): [1] + [0] * (order - 1)}
+    terms: Dict[int, List[int]] = {VACUUM: [1] + [0] * (order - 1)}
     scale = 1
     for ci, part in enumerate(rho.parts):
         inv = gamma.dual_class(ci)
@@ -241,10 +286,10 @@ def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
             if r % 2 == 0:
                 raise ValueError(f"a'_-rho needs odd parts, got {r}")
             scale *= den
-            nxt: Dict[Monomial, List[int]] = {}
+            nxt: Dict[int, List[int]] = {}
             for m, poly in terms.items():
                 for i, gen in gens:
-                    mm = _sorted_insert(m, (r, i))
+                    mm = ctx.insert(m, r, i)
                     acc = nxt.get(mm)
                     if acc is None:
                         acc = nxt[mm] = [0] * order
@@ -257,35 +302,35 @@ def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
         ctx, scale, {m: tuple(reduce_mod_phi(order, poly)) for m, poly in terms.items()})
 
 
-def _partners(ctx: FockContext, mu: Monomial) -> List[Monomial]:
+def _partners(ctx: FockContext, mu: int) -> List[int]:
     """The monomials mv with <mu, mv> not forced to vanish, sorted and distinct:
     each factor (n, i) of mu replaced by some (n, j) with gram[i][j] != 0."""
     cached = ctx._partner_cache.get(mu)
     if cached is not None:
         return cached
-    out = {()}
-    for n, i in mu:
-        out = {_sorted_insert(p, (n, j)) for p in out for j in ctx.links[i]}
+    out = {VACUUM}
+    for n, i in ctx.monos[mu]:
+        out = {ctx.insert(p, n, j) for p in out for j in ctx.links[i]}
     result = ctx._partner_cache[mu] = sorted(out)
     return result
 
 
-def _inner_monomials(ctx: FockContext, mu: Monomial, mv: Monomial) -> Fraction:
+def _inner_monomials(ctx: FockContext, mu: int, mv: int) -> Fraction:
     """<mu, mv> by normal ordering; rational, as the Gram matrix is integer."""
     cached = ctx._inner_cache.get((mu, mv))
     if cached is not None:
         return cached
     v = FockVector.from_row(ctx, 1, [(mv, 1)])
     k = ctx.gamma.num_classes
-    for n, i in reversed(mu):
+    for n, i in reversed(ctx.monos[mu]):
         v = annihilate(v, n, [1 if t == i else 0 for t in range(k)])
         if v.is_zero():
             break
-    result = ctx._inner_cache[(mu, mv)] = Fraction(v.nums.get((), (0,))[0], v.den)
+    result = ctx._inner_cache[(mu, mv)] = Fraction(v.nums.get(VACUUM, (0,))[0], v.den)
     return result
 
 
-def _partner_sum(ctx: FockContext, mu: Monomial, nums: Dict, top: int) -> Optional[List[int]]:
+def _partner_sum(ctx: FockContext, mu: int, nums: Dict, top: int) -> Optional[List[int]]:
     """sum 2^top <mu, mv> nums[mv] over the partners mv of mu in nums that
     pair with mu to a nonzero value, as numerators; None when there are none.
     2^top, top at least mu's length, clears every pair value's denominator."""
@@ -311,7 +356,7 @@ class _Dual(dict):
 
     __slots__ = ("ctx", "nums", "top")
 
-    def __missing__(self, mu: Monomial) -> Optional[List[int]]:
+    def __missing__(self, mu: int) -> Optional[List[int]]:
         s = self[mu] = _partner_sum(self.ctx, mu, self.nums, self.top)
         return s
 
@@ -361,25 +406,25 @@ def q_gen(ctx: FockContext, n: int, coeffs: Sequence[int]) -> FockVector:
     return out
 
 
-TensorTerms = Tuple[int, Dict[Tuple[Monomial, Monomial], Coeff]]  # (den, nums)
+TensorTerms = Tuple[int, Dict[Tuple[int, int], Coeff]]  # (den, {(left, right): nums})
 
 
 def coproduct(v: FockVector) -> TensorTerms:
     """Algebra-morphism extension of Delta(a) = a(x)1 + 1(x)a on monomials,
     over v's denominator: each split (left, right) of a monomial's factors
     occurs once, weighted by the binomials of the multiplicities."""
-    out: Dict[Tuple[Monomial, Monomial], Coeff] = {}
-    for m, c in v.nums.items():
+    ctx = v.ctx
+    out: Dict[Tuple[int, int], Coeff] = {}
+    for i, c in v.nums.items():
+        m = ctx.monos[i]
         factors = [(f, m.count(f)) for f in sorted(set(m))]
         for pick in product(*[range(mult + 1) for _, mult in factors]):
-            left: List[Tuple[int, int]] = []
-            right: List[Tuple[int, int]] = []
-            weight = 1
+            left, right, weight = [], [], 1
             for (f, mult), take in zip(factors, pick):
                 weight *= comb(mult, take)
-                left.extend([f] * take)
-                right.extend([f] * (mult - take))
-            out[(tuple(left), tuple(right))] = tuple(weight * x for x in c)
+                left += [f] * take
+                right += [f] * (mult - take)
+            out[(ctx.index(tuple(left)), ctx.index(tuple(right)))] = tuple(weight * x for x in c)
     return v.den, out
 
 

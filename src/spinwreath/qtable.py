@@ -24,7 +24,7 @@ from math import factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classfun import SpinClassFun, weighted_inner
-from .fock import FockContext, FockVector, a_prime_vector, inner, q_gen
+from .fock import VACUUM, FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
 from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
@@ -135,17 +135,17 @@ def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> FockVector:
     iterated on the lattice vacuum e^(-[lambda]).
 
     Components are applied per character index in table order, smallest part
-    first within an index.  Their Fock parts compose on one integer row of
-    monomial indices from the Fock vacuum (`x_component`), read back as
-    monomials once, at the end; their lattice parts carry e^(-[lambda]) to
-    the zero class, each step signed by the cocycle, and that sign chain
+    first within an index.  Their Fock parts compose on one integer index row
+    from the Fock vacuum (`x_component`), whose entries the vector keeps as
+    they are (`FockVector.from_row`); their lattice parts carry e^(-[lambda])
+    to the zero class, each step signed by the cocycle, and that sign chain
     scales the final row.  (In this order every step's sign is +1: epsilon
     (gamma_i, b) = +1 when b has no bit below i.)  The result is the Fock
     vector in the zero class.
     """
     cur = vec_to_mask(lambda_shift(lam))  # -[lambda] mod 2
     sign = 1
-    row = (1, ((tctx.index(()), 1),))
+    row = (1, ((VACUUM, 1),))
     for i, parts in enumerate(lam.parts):
         if parts and len(set(parts)) != len(parts):
             raise ValueError(f"lambda must be strict per index, got {parts}")
@@ -155,7 +155,7 @@ def x_lambda_vector(tctx: TwistContext, lam: MultiPartition) -> FockVector:
             eps, cur = tctx.twist.act(1 << i, cur)
             sign *= eps
     den, entries = row
-    return FockVector.from_row(tctx.fock, den, [(tctx.monos[i], sign * num) for i, num in entries])
+    return FockVector.from_row(tctx.fock, den, [(i, sign * num) for i, num in entries])
 
 
 def char_value(tctx: TwistContext, lam: MultiPartition, mu: MultiPartition,

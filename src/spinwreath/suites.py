@@ -20,9 +20,8 @@ from .partitions import big_z, multipartitions
 from .spingroup import (SignedType, TheoryClass, basic_spin_trace,
                         enumerate_classes_bruteforce, is_split, representative_of_type,
                         theory_classes)
-from .vertex import (TwistContext, _panel_monomials, affine_relation_check,
-                     certify_instances, clifford_check, hh_instances, ope_check,
-                     prim_commutator_check, x_parity_check)
+from .vertex import (TwistContext, affine_relation_check, certify_instances, clifford_check,
+                     hh_instances, ope_check, prim_commutator_check, x_parity_check)
 
 
 class ConfigError(ValueError):
@@ -37,7 +36,7 @@ def heisenberg_docs(tctx: TwistContext, degree: int, n_max: int) -> List[dict]:
     |m|, |m'| <= n_max on every basis vector of Fock degree <= degree, through
     the row engine's H layers (the affine suite's `hh` instances)."""
     instances = hh_instances(tctx, range(tctx.gamma.num_classes), n_max)
-    return [certify_instances(tctx, "heisenberg", instances, _panel_monomials(tctx, degree),
+    return [certify_instances(tctx, "heisenberg", instances, tctx.fock.basis(degree),
                               {"degree": degree, "n_max": n_max}).to_doc()]
 
 

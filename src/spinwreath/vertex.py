@@ -14,17 +14,16 @@ series truncation is ever involved.  The weighted Gram matrix is the
 integer one of `gammadata.gram_matrix`, computed once per context and
 shared by the Fock form and the cocycle.
 
-The engine works on integers only.  The context numbers each Fock monomial
-once (`TwistContext.index`), a row's entries are (monomial index, integer
-numerator) pairs, and every cache keys on those indices: the layers' rows,
-the annihilation table and the products with q_n.  Rows never meet `Cyc`
-scalars: the a_m rows come from the annihilation table, weighted by the
-Fock context's integer pair rows (`FockContext.pair_row`), and from
-inserting a factor, and only q_n is read off `fock`'s vectors, once per
-(n, gamma), as their integer numerators.  Indices turn back into monomials
-only in a failure witness;
-`x_component` applies an X layer to an index row (the character table's
-X_lambda vectors, `qtable.x_lambda_vector`).
+The engine works on integers only, on the Fock context's monomial numbering
+and factor tables (`FockContext.index`, `basis`, `removals`, `insert`,
+`merge`), which `fock` owns; this module keeps neither of its own.  A row's
+entries are (monomial index, integer numerator) pairs, and every cache here
+keys on those indices.  The a_m rows remove or insert one factor, the
+removals weighted by the context's integer pair rows
+(`FockContext.pair_row`), and q_n is `fock.q_gen`'s vector, read with its
+keys as they are.  An index turns back into its monomial only in a failure
+witness; `x_component` applies an X layer to an index row (the character
+table's X_lambda vectors, `qtable.x_lambda_vector`).
 
 Every relation checker -- Clifford, OPE, X parity, the primary-field
 commutator and the affine families -- is a generator of instances
@@ -46,11 +45,10 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fock import FockContext, Monomial, _merge, mono_degree, q_gen
+from .fock import FockContext, mono_degree, q_gen
 from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks vertex.create
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
-from .partitions import multipartitions
 
 IntVec = Tuple[int, ...]
 
@@ -59,28 +57,17 @@ class TwistContext:
     """Fock context plus lattice twist for one (Gamma, xi) pair, both on the
     Fock context's integer Gram matrix.
 
-    The context numbers every Fock monomial the row engine meets, once:
-    `index` gives a monomial's number and `monos` maps numbers back."""
+    Its caches of layer rows, ladders and products with q_n key on the Fock
+    context's monomial numbering (`FockContext.index`)."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
         self.xi = xi
         self.fock = FockContext(gamma, xi)
         self.twist = LatticeTwist(self.fock.gram)
-        self.monos: List[Monomial] = []
-        self._index: Dict[Monomial, int] = {}
         self._lean_rows: Dict[Layer, Dict[int, LeanRow]] = {}
         self._iladder_cache: Dict[Tuple[IntVec, int], List[LeanRow]] = {}
-        self._ann_table: Dict[Tuple[int, int], Tuple] = {}
         self._q_rows: Dict[Tuple[int, IntVec], Tuple] = {}
-
-    def index(self, mono: Monomial) -> int:
-        """The number of a Fock monomial, assigned on first sight."""
-        i = self._index.get(mono)
-        if i is None:
-            i = self._index[mono] = len(self.monos)
-            self.monos.append(mono)
-        return i
 
     def basis_vector(self, i: int) -> IntVec:
         return tuple(1 if t == i else 0 for t in range(self.gamma.num_classes))
@@ -95,7 +82,7 @@ class TwistContext:
 # The vertex algebra is rational and X components carry integer character
 # vectors, so every operator row is rational with small denominators.  A row
 # is (denominator, ((monomial index, integer numerator), ...)) over the
-# context's monomial numbering (`TwistContext.index`), its entries in no
+# Fock context's monomial numbering (`FockContext.index`), its entries in no
 # particular order and its denominator the least one; a layer names the
 # operator:
 #
@@ -106,10 +93,7 @@ class TwistContext:
 # `_lean_row` is the one cached way to get a layer's row on a monomial, and
 # `_apply_block` the one way to apply a layer to rows: to a panel block (the
 # instance engine below), or to a single index row as a one-entry panel
-# (`x_component`).  The products the rows are built from are tables on
-# indices: annihilating one factor of degree n (`_ann`), which gives the X
-# ladders and the a_m rows, and multiplying by q_n (`_q_parts`).  Indices
-# map back to monomials only in a failure witness.
+# (`x_component`).
 
 IDict = Dict[int, int]
 LeanRow = Tuple[int, Tuple[Tuple[int, int], ...]]  # (denominator, entries)
@@ -117,27 +101,13 @@ Layer = Tuple
 XLayer = Tuple[str, int, IntVec, int]  # an X or H layer
 
 
-def _ann(tctx: TwistContext, i: int, n: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(j, n * mult, index) for each distinct factor (n, j) of monomial i: its
-    multiplicity times n, and the monomial with one copy removed."""
-    key = (i, n)
-    table = tctx._ann_table.get(key)
-    if table is None:
-        mono = tctx.monos[i]
-        out = []
-        for pos, f in enumerate(mono):
-            if f[0] == n and (pos == 0 or mono[pos - 1] != f):
-                out.append((f[1], n * mono.count(f), tctx.index(mono[:pos] + mono[pos + 1:])))
-        table = tctx._ann_table[key] = tuple(out)
-    return table
-
-
 def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[int, int]],
                       n: int, coeffs: IntVec) -> Tuple[int, Iterable[Tuple[int, int]]]:
     prow = tctx.fock.pair_row(coeffs)
+    removals = tctx.fock.removals
     out: IDict = {}
     for i, num in vec:
-        for j, weight, rest in _ann(tctx, i, n):
+        for j, weight, rest in removals(i, n):
             if prow[j]:
                 out[rest] = out.get(rest, 0) + num * weight * prow[j]
     return den * 2, out.items()
@@ -176,7 +146,7 @@ def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
     if cached is not None:
         return cached
     ladder: List[LeanRow] = [(1, ((i, 1),))]
-    for j in range(1, mono_degree(tctx.monos[i]) + 1):
+    for j in range(1, mono_degree(tctx.fock.monos[i]) + 1):
         ladder.append(_sum_rows([(-2,) + _ilean_annihilate(tctx, *ladder[j - k], k, coeffs)
                                  for k in range(1, j + 1, 2)], j))
     tctx._iladder_cache[key] = ladder
@@ -187,24 +157,22 @@ def _q_parts(tctx: TwistContext, n: int, coeffs: IntVec, num: int, den: int,
              entries: Iterable[Tuple[int, int]]) -> List[Tuple]:
     """The `_sum_rows` parts of (num/den) q_n(coeffs) * entries, one per entry.
 
-    q_n is `fock.q_gen`, whose coefficients are rational, read once per
-    (n, coeffs) as a row of its numerators; beside it is cached the product
-    of q_n with each monomial met, as index entries."""
+    q_n is `fock.q_gen`, whose coefficients are rational and whose keys are
+    the row engine's monomial indices, so its numerators are read as they
+    are.  Kept per (n, coeffs) beside it is the product of q_n with each
+    monomial met, as index entries (`FockContext.merge`)."""
     key = (n, coeffs)
     q = tctx._q_rows.get(key)
     if q is None:
         vec = q_gen(tctx.fock, n, coeffs)
-        q = tctx._q_rows[key] = (vec.den, tuple((tctx.index(m), c[0])
-                                                for m, c in vec.nums.items()), {})
-    dq, qvec, products = q
-    monos = tctx.monos
+        q = tctx._q_rows[key] = (vec.den, vec.nums, {})
+    dq, qnums, products = q
+    merge = tctx.fock.merge
     parts = []
     for i, e in entries:
         prod = products.get(i)
         if prod is None:
-            mono = monos[i]
-            prod = products[i] = tuple((tctx.index(_merge(monos[iq], mono)), nq)
-                                       for iq, nq in qvec)
+            prod = products[i] = tuple((merge(iq, i), c[0]) for iq, c in qnums.items())
         parts.append((num * e, den * dq, prod))
     return parts
 
@@ -253,9 +221,7 @@ def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
     elif m > 0:
         row = _sum_rows([(1,) + _ilean_annihilate(tctx, 1, ((i, 1),), m, layer[2])])
     else:
-        mono = tctx.monos[i]
-        row = 1, tuple((tctx.index(_merge(mono, ((-m, j),))), c)
-                       for j, c in enumerate(layer[2]) if c)
+        row = 1, tuple((tctx.fock.insert(i, -m, j), c) for j, c in enumerate(layer[2]) if c)
     rows[i] = row
     return row
 
@@ -301,19 +267,6 @@ class RelationResult:
         if self.witness is not None:
             doc["witness"] = self.witness
         return doc
-
-
-def _panel_monomials(tctx: TwistContext, max_degree: int) -> List[Monomial]:
-    """All Fock monomials of degree <= max_degree."""
-    k = tctx.gamma.num_classes
-    out: List[Monomial] = []
-    for d in range(max_degree + 1):
-        for mp in multipartitions(d, k, "OP"):
-            factors: List[Tuple[int, int]] = []
-            for i, part in enumerate(mp.parts):
-                factors.extend((n, i) for n in part)
-            out.append(tuple(sorted(factors)))
-    return out
 
 
 # -- the instance engine: one certification loop for every checker -----------------
@@ -460,20 +413,22 @@ def _witness(tctx: TwistContext, prepared: Sequence[Prepared], panel: Tuple[int,
         for j, n in row:
             acc[j] = acc.get(j, 0) + Fraction(num * n, cden * den)
     shift, acc = next(item for item in by_shift.items() if any(item[1].values()))
-    worst = sorted((tctx.monos[j], q) for j, q in acc.items() if q)[:3]
+    monos = tctx.fock.monos
+    worst = sorted((monos[j], q) for j, q in acc.items() if q)[:3]
     den = dens[shift]
-    return {"coset": 0, "mono": list(map(list, tctx.monos[panel[p]])),
+    return {"coset": 0, "mono": list(map(list, monos[panel[p]])),
             "residual": [[list(map(list, mo)), f"{(q * den).numerator}/{den}"]
                          for mo, q in worst]}
 
 
 def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instance],
-                      monos: Sequence[Monomial], pass_params: dict) -> RelationResult:
-    """The family `name` on the monomials: a "fail" result with the first
-    failing instance's params and witness, else "pass" with pass_params.  A
-    family with no instance or no monomial fails with the reason
-    "no_instances", so a pass never rests on an empty check."""
-    panel = tuple(tctx.index(mono) for mono in monos)
+                      panel: Sequence[int], pass_params: dict) -> RelationResult:
+    """The family `name` on the panel's monomials (indices, as
+    `FockContext.basis` gives them): a "fail" result with the first failing
+    instance's params and witness, else "pass" with pass_params.  A family
+    with no instance or no monomial fails with the reason "no_instances", so
+    a pass never rests on an empty check."""
+    panel = tuple(panel)
     blocks: Dict[Tuple[Layer, ...], Block] = {}
     checked = False
     for params, terms in instances:
@@ -548,7 +503,7 @@ def x_parity_check(tctx: TwistContext, gamma_vec: Sequence[int], m_window: int,
     """X_m(-gamma) = (-1)^m X_m(gamma) on all basis vectors."""
     label = {"gamma": list(gamma_vec)}
     instances = parity_instances(tctx, [(label, gamma_vec)], m_window)
-    return certify_instances(tctx, "x_parity", instances, _panel_monomials(tctx, max_degree),
+    return certify_instances(tctx, "x_parity", instances, tctx.fock.basis(max_degree),
                              dict(label, window=m_window, degree=max_degree))
 
 
@@ -559,8 +514,7 @@ def prim_commutator_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequen
         raise ValueError("Heisenberg index must be odd")
     label = {"alpha": list(alpha), "beta": list(beta)}
     instances = hx_instances(tctx, [(label, alpha, beta)], [n], m_window)
-    return certify_instances(tctx, "prim_commutator", instances,
-                             _panel_monomials(tctx, max_degree),
+    return certify_instances(tctx, "prim_commutator", instances, tctx.fock.basis(max_degree),
                              dict(label, n=n, window=m_window, degree=max_degree))
 
 
@@ -599,7 +553,7 @@ def ope_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
                         terms.append((-eps * series[t], (("N", m - t, mp + t, av, bv, mask),)))
                 yield {"alpha": list(alpha), "beta": list(beta), "m": m, "mprime": mp}, terms
 
-    return certify_instances(tctx, "ope", instances(), _panel_monomials(tctx, max_degree),
+    return certify_instances(tctx, "ope", instances(), tctx.fock.basis(max_degree),
                              {"alpha": list(alpha), "beta": list(beta),
                               "cutoff": cutoff, "degree": max_degree})
 
@@ -634,7 +588,7 @@ def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[Rel
                             yield {"family": family, "i": i, "j": j, "neg_i": flip_i,
                                    "neg_j": flip_j, "n": n, "nprime": npr}, terms
 
-    return [certify_instances(tctx, "clifford", instances(), _panel_monomials(tctx, max_degree),
+    return [certify_instances(tctx, "clifford", instances(), tctx.fock.basis(max_degree),
                               {"window": window, "degree": max_degree})]
 
 
@@ -656,7 +610,7 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
     """
     results: List[RelationResult] = []
     gram = tctx.twist.gram
-    monos = _panel_monomials(tctx, max_degree)
+    panel = tctx.fock.basis(max_degree)
     odd = [m for m in range(-window, window + 1) if m % 2]
     one = Fraction(1)
 
@@ -706,7 +660,7 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
             ("x_parity", parity_instances(tctx, [({"i": i}, basis[i]) for i in index_set],
                                           window)),
             ("xx_central_4n", xx_instances()), ("serre", serre_instances())):
-        results.append(certify_instances(tctx, name, instances, monos, {
+        results.append(certify_instances(tctx, name, instances, panel, {
             "window": window, "degree": max_degree, "indices": list(index_set)}))
         if results[-1].status == "fail":
             return results

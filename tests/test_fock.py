@@ -1,17 +1,19 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from spinwreath import fock
-from spinwreath.fock import (FockContext, FockVector, _inner_monomials, _partners,
+from spinwreath.fock import (VACUUM, FockContext, FockVector, _inner_monomials, _partners,
                              a_prime_vector, annihilate, coproduct, create, inner, q_gen,
                              tensor_inner)
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.partitions import MultiPartition, big_z, multipartitions
 from spinwreath.qtable import x_lambda_vector
-from spinwreath.scalars import Cyc, CycError, cyc_from_numerators, euler_phi
+from spinwreath.scalars import (Cyc, CycError, add_into, canonical, cyc_from_numerators,
+                                euler_phi, times)
 from spinwreath.vertex import TwistContext
 
 from test_scalars import weighted_dot
@@ -23,8 +25,9 @@ def ctx_for(name, xi=None):
 
 
 def cyc_terms(v):
-    """A vector's coefficients as `Cyc` values at Gamma's value axis."""
-    return {m: cyc_from_numerators(v.ctx.axis, c, v.den) for m, c in v.nums.items()}
+    """A vector's coefficients as `Cyc` values at Gamma's value axis, keyed by
+    monomial tuples."""
+    return {v.ctx.monos[i]: cyc_from_numerators(v.ctx.axis, c, v.den) for i, c in v.nums.items()}
 
 
 def as_cyc(ctx, value):
@@ -89,7 +92,7 @@ def test_create_basics():
     ctx = ctx_for("trivial")
     vac = FockVector.vacuum(ctx)
     a1 = create(vac, 1, [1])
-    assert list(a1.nums) == [((1, 0),)]
+    assert [ctx.monos[i] for i in a1.nums] == [((1, 0),)]
     # creations commute
     assert create(create(vac, 1, [1]), 3, [1]) == create(create(vac, 3, [1]), 1, [1])
     with pytest.raises(ValueError):
@@ -257,25 +260,25 @@ def test_coproduct():
     ctx = ctx_for("trivial")
     vac = FockVector.vacuum(ctx)
     a1 = create(vac, 1, [1])
+    one, two = ctx.index(((1, 0),)), ctx.index(((1, 0), (1, 0)))
     den, t = coproduct(a1)
-    key_l = (((1, 0),), ())
-    key_r = ((), ((1, 0),))
-    assert den == 1 and t[key_l] == (1,) and t[key_r] == (1,) and len(t) == 2
+    assert den == 1 and t[(one, VACUUM)] == (1,) and t[(VACUUM, one)] == (1,) and len(t) == 2
     a11 = create(a1, 1, [1])
     den2, t2 = coproduct(a11)
     assert den2 == 1
-    assert t2[(((1, 0), (1, 0)), ())] == (1,)
-    assert t2[(((1, 0),), ((1, 0),))] == (2,)
+    assert t2[(two, VACUUM)] == (1,)
+    assert t2[(one, one)] == (2,)
     # counit: the (full, empty) component recovers the vector
     for mono, c in a11.nums.items():
-        assert t2[(mono, ())] == c
+        assert t2[(mono, VACUUM)] == c
     # over the vector's denominator, with irrational coefficients
     ctx3 = ctx_for("cyclic:3")
     v = FockVector(ctx3, {((1, 1), (1, 1)): Cyc.zeta(3) / 5, ((3, 2),): Fraction(1, 2)})
     den3, t3 = coproduct(v)
     assert den3 == v.den == 10
-    assert cyc_from_numerators(3, t3[(((1, 1),), ((1, 1),))], den3) == Cyc.zeta(3) * Fraction(2, 5)
-    assert cyc_from_numerators(3, t3[((), ((3, 2),))], den3) == Fraction(1, 2)
+    m11, m32 = ctx3.index(((1, 1),)), ctx3.index(((3, 2),))
+    assert cyc_from_numerators(3, t3[(m11, m11)], den3) == Cyc.zeta(3) * Fraction(2, 5)
+    assert cyc_from_numerators(3, t3[(VACUUM, m32)], den3) == Fraction(1, 2)
 
 
 def test_pairing_characterization():
@@ -295,10 +298,11 @@ def test_pairing_characterization():
 def all_pairs_inner(u, v):
     """<u, v> over every monomial pair, each valued by normal ordering."""
     total = Cyc.rational(0)
+    index = u.ctx.index
     vterms = cyc_terms(v)
     for mu, cu in cyc_terms(u).items():
         for mv, cv in vterms.items():
-            total = total + cu * cv * _inner_monomials(u.ctx, mu, mv)
+            total = total + cu * cv * _inner_monomials(u.ctx, index(mu), index(mv))
     return total
 
 
@@ -307,8 +311,8 @@ def all_pairs_tensor_inner(ctx, t, u, v):
     den, nums = t
     for (ml, mr), c in nums.items():
         c = cyc_from_numerators(ctx.axis, c, den)
-        lval = all_pairs_inner(FockVector(ctx, {ml: 1}), u)
-        rval = all_pairs_inner(FockVector(ctx, {mr: 1}), v)
+        lval = all_pairs_inner(FockVector.from_row(ctx, 1, [(ml, 1)]), u)
+        rval = all_pairs_inner(FockVector.from_row(ctx, 1, [(mr, 1)]), v)
         total = total + c * lval * rval
     return total
 
@@ -409,6 +413,90 @@ def test_a_second_pass_of_one_column_values_no_partner_sum(monkeypatch):
     assert any(any(nums) for _, nums in first)
 
 
+# -- the factor tables against tuple-keyed references -------------------------------
+#
+# `create`, `annihilate` and the product run on the context's monomial
+# numbering and factor tables, which the row engine of `vertex` reads too (so
+# the ladder and X references of test_vertex.py share them).  These references
+# keep monomials as sorted tuples and insert, remove and merge factors by
+# hand, sharing neither the numbering nor the tables.
+
+
+def tuple_form(v):
+    """A vector as (den, {monomial tuple: numerators})."""
+    return v.den, {v.ctx.monos[i]: c for i, c in v.nums.items()}
+
+
+def reference_create(v, n, coeffs):
+    """a_{-n}(gamma) v on monomial tuples: the factor (n, i) inserted in
+    sorted position, weighted by coeffs[i]."""
+    den, nums = tuple_form(v)
+    out = {}
+    for i, ci in enumerate(coeffs):
+        if ci:
+            for m, c in nums.items():
+                lo = bisect_left(m, (n, i))
+                add_into(out, m[:lo] + ((n, i),) + m[lo:], tuple(ci * x for x in c))
+    return canonical(den, out)
+
+
+def reference_annihilate(ctx, v, n, coeffs):
+    """a_n(gamma) v on monomial tuples: a factor (n, j) of multiplicity k goes
+    with weight n k <gamma, gamma_j>_xi, over 2 den."""
+    den, nums = tuple_form(v)
+    k = len(ctx.gram)
+    row = [sum(coeffs[i] * ctx.gram[i][j] for i in range(k)) for j in range(k)]
+    out = {}
+    for m, c in nums.items():
+        for pos, f in enumerate(m):
+            if f[0] == n and row[f[1]] and (pos == 0 or m[pos - 1] != f):
+                w = n * m.count(f) * row[f[1]]
+                add_into(out, m[:pos] + m[pos + 1:], tuple(w * x for x in c))
+    return canonical(2 * den, out)
+
+
+def reference_product(ctx, u, v):
+    """u v on monomial tuples: each pair of monomials concatenated and sorted."""
+    (du, nu), (dv, nv) = tuple_form(u), tuple_form(v)
+    out = {}
+    for ma, ca in nu.items():
+        for mb, cb in nv.items():
+            add_into(out, tuple(sorted(ma + mb)), times(ctx.axis, ca, cb))
+    return canonical(du * dv, out)
+
+
+@pytest.mark.parametrize("name,weight", [
+    ("cyclic:3", "standard"), ("cyclic:3", "mckay"), ("cyclic:4", "standard"),
+    ("cyclic:4", "mckay"), ("klein4", "standard"), ("quaternion8", "standard")])
+def test_factor_tables_match_the_tuple_references(name, weight):
+    rng = random.Random(f"factor tables {name}:{weight}")
+    ctx = pairing_ctx(name, weight)
+    order = max(c.order for row in ctx.gamma.chars for c in row)
+    k = ctx.gamma.num_classes
+    monos = monomials(k, 5)
+
+    def rand_vec(size):
+        return FockVector(ctx, {m: Cyc(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                               for _ in range(euler_phi(order))])
+                                for m in rng.sample(monos, min(size, len(monos)))})
+
+    nonzero = irrational = 0
+    for _ in range(30):
+        v = rand_vec(rng.choice((1, 5, 20)))
+        n = rng.choice((1, 3, 5))
+        coeffs = [rng.randint(-2, 2) for _ in range(k)]
+        for got, expect in ((create(v, n, coeffs), reference_create(v, n, coeffs)),
+                            (annihilate(v, n, coeffs), reference_annihilate(ctx, v, n, coeffs))):
+            assert tuple_form(got) == expect, (n, coeffs)
+            nonzero += bool(expect[1])
+        u = rand_vec(rng.choice((1, 4, 12)))
+        got = u * v
+        assert tuple_form(got) == reference_product(ctx, u, v)
+        irrational += sum(any(c[1:]) for c in got.nums.values())
+    assert nonzero > 30  # the comparisons are not vacuous
+    assert (irrational > 0) == (ctx.axis > 1)
+
+
 # -- the integer routes against the Cyc routes they replaced ------------------------
 
 
@@ -437,21 +525,23 @@ def test_a_prime_vector_matches_the_create_product(name):
 
 
 def weighted_dot_pairings(ctx, mu, v):
-    """(<mu, mv>, v_mv) over the partners mv of mu present in v, nonzero."""
+    """(<mu, mv>, v_mv) over the partners mv of mu (an index) present in v,
+    nonzero."""
     out = []
     terms = cyc_terms(v)
     for mv in _partners(ctx, mu):
-        if mv in terms:
+        c = terms.get(ctx.monos[mv])
+        if c is not None:
             w = _inner_monomials(ctx, mu, mv)
             if w:
-                out.append((w, terms[mv]))
+                out.append((w, c))
     return out
 
 
 def weighted_dot_inner(u, v):
     """`inner` as one `scalars.weighted_dot` over the partner pairings."""
     return weighted_dot((w, cu, cv) for mu, cu in cyc_terms(u).items()
-                        for w, cv in weighted_dot_pairings(u.ctx, mu, v))
+                        for w, cv in weighted_dot_pairings(u.ctx, u.ctx.index(mu), v))
 
 
 def weighted_dot_tensor_inner(ctx, t, u, v):
@@ -518,7 +608,7 @@ def test_integer_pairing_matches_the_weighted_dot_route(name, order):
 @pytest.mark.parametrize("name", ["cyclic:3", "quaternion8"])
 def test_standard_weight_pairs_equal_monomials_only(name):
     ctx = pairing_ctx(name, "standard")
-    for mu in monomials(ctx.gamma.num_classes, 5):
+    for mu in map(ctx.index, monomials(ctx.gamma.num_classes, 5)):
         assert _partners(ctx, mu) == [mu]
 
 

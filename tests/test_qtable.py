@@ -428,7 +428,7 @@ def test_poisoned_x_row_fails_the_realization_check(monkeypatch, capsys):
     def poisoned(gamma, xi):
         t = TwistContext(gamma, xi)
         layer = vx._x_layer(t, -2, t.basis_vector(0))
-        vac = t.index(())
+        vac = t.fock.index(())
         den, entries = vx._lean_row(t, layer, vac)
         t._lean_rows.setdefault(layer, {})[vac] = (den, tuple((i, 2 * num) for i, num in entries))
         return t

@@ -21,7 +21,9 @@ Further checks pin where `Cyc` may appear: the twisted space's operators
 (`vertex`) and the cocycle (`lattice`) are integer-valued and import nothing
 from `scalars`, `vertex` applies no Fock operator, `fock` names no `Cyc`,
 and `classfun` and `qtable` build one only at the edges: the oracle's
-accessor, documents and failure messages.
+accessor, documents and failure messages.  One more pins that Fock
+monomials have one numbering and one set of factor tables, both owned by
+`fock.FockContext`.
 """
 
 import ast
@@ -255,6 +257,51 @@ def test_fock_vectors_hold_integers_and_name_no_cyc():
     assert all(type(v.den) is int for v in images)
     assert all(len(c) == 2 and all(type(x) is int for x in c) for c in coeffs)
     assert any(c[1] for c in coeffs)  # irrational coefficients occur
+    assert all(type(m) is int for v in images for m in v.nums)  # keyed by monomial index
+
+
+def _attributes_in(path, name):
+    """The attribute names that the body of the function `name` mentions."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    node = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def test_fock_owns_the_one_monomial_numbering_and_its_factor_tables():
+    # `FockContext` numbers each monomial once and holds the tables that
+    # remove one factor, insert one and merge two; the row engine and the
+    # table side read those and define no numbering or factor operation
+    from spinwreath import fock, vertex
+    from spinwreath.gammadata import VirtualChar, builtin
+
+    assert {"index", "basis", "removals", "insert", "merge"} <= set(vars(fock.FockContext))
+    g, _ = builtin("cyclic:3")
+    t = vertex.TwistContext(g, VirtualChar.trivial(g))
+    assert t.fock.monos == [()] and t.fock.index(()) == fock.VACUUM
+    assert not {"index", "monos", "_index", "_ann_table"} & (set(vars(t))
+                                                             | set(vars(vertex.TwistContext)))
+    assert not hasattr(vertex, "_ann") and not hasattr(vertex, "_ann_table")
+    assert not hasattr(fock, "_merge") and not hasattr(fock, "_sorted_insert")
+    # (`spingroup` keeps a `merge` table of Clifford mask parities, no monomial)
+    operations = {"index", "basis", "removals", "insert", "merge", "_merge", "_sorted_insert",
+                  "_ann", "_panel_monomials"}
+    tables = {"monos", "_index", "_removals", "_ann_table"}
+    for fname in sorted(os.listdir(PACKAGE)):
+        if fname.endswith(".py") and fname != "fock.py":
+            with open(os.path.join(PACKAGE, fname)) as fh:
+                tree = ast.parse(fh.read())
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            stored = {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+            assert not defined & operations and not stored & tables, fname
+    # the row engine's product with q_n and the table's X_lambda vector take
+    # indices as they are, with no conversion between numberings
+    assert not _attributes_in(os.path.join(PACKAGE, "vertex.py"), "_q_parts") & {"monos", "index"}
+    assert not _attributes_in(os.path.join(PACKAGE, "qtable.py"),
+                              "x_lambda_vector") & {"monos", "index"}
 
 
 def test_class_functions_and_tables_build_cyc_only_at_the_edges():

@@ -38,9 +38,9 @@ def apply_word(t, layers, v):
         out = {}
         for (b, mono), c in v.items():
             sign, b2 = t.twist.act(layer[-1], b)
-            den, entries = vx._lean_row(t, layer, t.index(mono))
+            den, entries = vx._lean_row(t, layer, t.fock.index(mono))
             for i, num in entries:
-                mo = t.monos[i]
+                mo = t.fock.monos[i]
                 out[(b2, mo)] = out.get((b2, mo), 0) + c * Fraction(sign * num, den)
         v = {key: c for key, c in out.items() if c}
     return v
@@ -57,7 +57,7 @@ def terms_on(t, terms, v):
 
 def vacuum_row(t):
     """The Fock vacuum as an index row."""
-    return 1, ((t.index(()), 1),)
+    return 1, ((t.fock.index(()), 1),)
 
 
 def test_x_kills_vacuum_positive_components():
@@ -76,18 +76,18 @@ def test_x0_translates_with_cocycle_sign():
 def test_x_minus1_is_q1():
     t = tctx_for("trivial")
     den, entries = x_component(t, -1, (1,), vacuum_row(t))
-    assert (den, [(t.monos[i], num) for i, num in entries]) == (1, [(((1, 0),), 2)])
+    assert (den, [(t.fock.monos[i], num) for i, num in entries]) == (1, [(((1, 0),), 2)])
 
 
 def test_x_degree_shift():
     t = tctx_for("cyclic:2")
     v = x_component(t, -3, (1, 0), x_component(t, -2, (0, 1), vacuum_row(t)))
-    d = max_degree(t.monos[i] for i, _ in v[1])
+    d = max_degree(t.fock.monos[i] for i, _ in v[1])
     assert d == 5
     for m in (-2, -1, 0, 1, 2):
         _, out = x_component(t, m, (1, 1), v)
         if out:
-            assert max_degree(t.monos[i] for i, _ in out) == d - m
+            assert max_degree(t.fock.monos[i] for i, _ in out) == d - m
 
 
 def test_x_parity():
@@ -167,7 +167,7 @@ def _bump_gram(t):
 
 
 def _poison_x0_on_vacuum(t):
-    vac = t.index(())
+    vac = t.fock.index(())
     t._lean_rows.setdefault(vx._x_layer(t, 0, t.basis_vector(0)), {})[vac] = (1, ((vac, 7),))
 
 
@@ -227,10 +227,10 @@ def test_h_even_is_zero():
 
 def test_checker_catches_wrong_relation():
     # the instance engine must reject a deliberately wrong identity
-    from spinwreath.vertex import _check_instance, _panel_monomials, _x_layer
+    from spinwreath.vertex import _check_instance, _x_layer
 
     t = tctx_for("cyclic:2", mckay_xi(builtin("cyclic:2")[0]))
-    panel = tuple(map(t.index, _panel_monomials(t, 2)))
+    panel = tuple(t.fock.basis(2))
     g1 = t.basis_vector(1)
     xa = _x_layer(t, 1, g1)
     xb = _x_layer(t, -1, neg(g1))
@@ -292,8 +292,8 @@ def test_words_factor_through_coset_zero(name, weight):
     # image of (0, mono) is the coset-0 reduction: the word's row in its
     # panel block (`_block`) times the sign chain (`_term_sign`).
     t = _twist_for(name, weight)
-    monos = vx._panel_monomials(t, 2)
-    panel = tuple(map(t.index, monos))
+    panel = tuple(t.fock.basis(2))
+    monos = [t.fock.monos[i] for i in panel]
     nonzero = 0
     kinds = set()
     for word, shift in _random_words(t, random.Random(21), 16):
@@ -304,7 +304,7 @@ def test_words_factor_through_coset_zero(name, weight):
             images = [apply_word(t, word, {(b, mono): Fraction(1)})
                       for b in range(1 << t.twist.dim)]
             base = images[0]
-            assert base == {(shift, t.monos[i]): Fraction(chain * num, den)
+            assert base == {(shift, t.fock.monos[i]): Fraction(chain * num, den)
                             for i, num in rows.get(p, {}).items()}
             nonzero += bool(base)
             if base:
@@ -332,7 +332,7 @@ def test_blocks_match_per_monomial_composition(name, weight):
     # every panel row of a word's block equals the per-monomial composition,
     # and its least denominator is the one a witness reports
     t = _twist_for(name, weight)
-    panel = tuple(map(t.index, vx._panel_monomials(t, 3)))
+    panel = tuple(t.fock.basis(3))
     blocks = {}
     nonzero = 0
     for word, _ in _random_words(t, random.Random(5), 40):
@@ -387,10 +387,15 @@ def _normal_ordered_reference(ctx, a, b, alpha, beta, mono):
     return out
 
 
+def panel_monomials(t, max_degree):
+    """The monomials of degree <= max_degree, as tuples, in panel order."""
+    return [t.fock.monos[i] for i in t.fock.basis(max_degree)]
+
+
 def _row_as_fock(t, row):
     den, entries = row
     assert all(num for _, num in entries)
-    return FockVector(t.fock, {t.monos[i]: Fraction(num, den) for i, num in entries})
+    return FockVector(t.fock, {t.fock.monos[i]: Fraction(num, den) for i, num in entries})
 
 
 def _row_contexts():
@@ -405,10 +410,10 @@ def test_lean_engine_matches_production_operator():
     for t in _row_contexts():
         k = t.gamma.num_classes
         nonzero = 0
-        for mono in vx._panel_monomials(t, 3):
+        for mono in panel_monomials(t, 3):
             for m in (-2, -1, 0, 1, 2, 3):
                 for coeffs in [t.basis_vector(i) for i in range(k)] + [(1,) * k, (-1,) + (1,) * (k - 1)]:
-                    got = _row_as_fock(t, vx._x_row_int(t, m, coeffs, t.index(mono)))
+                    got = _row_as_fock(t, vx._x_row_int(t, m, coeffs, t.fock.index(mono)))
                     assert got == _x_reference(t.fock, m, coeffs, mono), (m, coeffs, mono)
                     nonzero += not got.is_zero()
         assert nonzero > 100
@@ -420,12 +425,12 @@ def test_heisenberg_rows_match_the_production_operator():
         k = t.gamma.num_classes
         mixed = [(1,) * k, (-1,) + (1,) * (k - 1), (2,) + (-1,) * (k - 1)]
         nonzero = 0
-        for mono in vx._panel_monomials(t, 3):
+        for mono in panel_monomials(t, 3):
             base = FockVector(t.fock, {mono: 1})
             for m in (-3, -1, 1, 3):
                 for coeffs in [t.basis_vector(i) for i in range(k)] + mixed:
                     got = _row_as_fock(t, vx._lean_row(t, vx._h_layer(t, m, coeffs),
-                                                       t.index(mono)))
+                                                       t.fock.index(mono)))
                     expect = annihilate(base, m, coeffs) if m > 0 else create(base, -m, coeffs)
                     assert got == expect, (m, coeffs, mono)
                     nonzero += not got.is_zero()
@@ -438,7 +443,7 @@ def test_stored_rows_are_over_their_least_denominator(name, weight):
     # the row's numerators; that is the stored row's own only if every
     # stored X, H and N row is over its least denominator
     t = _twist_for(name, weight)
-    panel = tuple(map(t.index, vx._panel_monomials(t, 2)))
+    panel = tuple(t.fock.basis(2))
     blocks = {}
     for word, _ in _random_words(t, random.Random(13), 40):
         vx._block(t, word, panel, blocks)
@@ -454,7 +459,7 @@ def test_normal_ordered_rows_match_the_reference_formula():
     for t in _row_contexts():
         k = t.gamma.num_classes
         nonzero = 0
-        for mono in vx._panel_monomials(t, 3):
+        for mono in panel_monomials(t, 3):
             for i in range(k):
                 for j in range(k):
                     alpha, beta = t.basis_vector(i), t.basis_vector(j)
@@ -462,7 +467,7 @@ def test_normal_ordered_rows_match_the_reference_formula():
                     for a in (-1, 1):
                         for b in (-2, 0, 1):
                             layer = ("N", a, b, alpha, beta, mask)
-                            got = _row_as_fock(t, vx._lean_row(t, layer, t.index(mono)))
+                            got = _row_as_fock(t, vx._lean_row(t, layer, t.fock.index(mono)))
                             expect = _normal_ordered_reference(t.fock, a, b, alpha, beta, mono)
                             assert got == expect, (a, b, alpha, beta, mono)
                             nonzero += not got.is_zero()
@@ -526,7 +531,7 @@ def test_ratio_series_of_kappa_and_minus_kappa_multiply_to_one():
 
 def _poisoned_clifford(t):
     # the X_0(gamma_0) row on a_{-1}(gamma_1) times 2/3
-    layer, i = vx._x_layer(t, 0, t.basis_vector(0)), t.index(((1, 1),))
+    layer, i = vx._x_layer(t, 0, t.basis_vector(0)), t.fock.index(((1, 1),))
     den, entries = vx._lean_row(t, layer, i)
     t._lean_rows.setdefault(layer, {})[i] = (3 * den, tuple((j, 2 * num) for j, num in entries))
     return clifford_check(t, 1, 3)[-1]
@@ -538,7 +543,7 @@ def _wrong_central_hh(t):
         for params, terms in vx.hh_instances(t, range(t.gamma.num_classes), 3):
             yield params, [(c * Fraction(3, 2) if not layers else c, layers)
                            for c, layers in terms]
-    return vx.certify_instances(t, "hh", instances(), vx._panel_monomials(t, 3), {})
+    return vx.certify_instances(t, "hh", instances(), t.fock.basis(3), {})
 
 
 def _flipped_ope(index, alpha=None, beta=None):
@@ -574,7 +579,7 @@ def _mixed_shifts(t):
              (Fraction(2), (x(0, e(0)), x(-1, e(1)), h(1, e(2)))),
              (Fraction(3, 4), (x(1, e(0)), h(-1, e(0)), h(1, e(1))))]
     return vx.certify_instances(t, "mixed", iter([({"case": "mixed"}, terms)]),
-                                vx._panel_monomials(t, 2), {})
+                                t.fock.basis(2), {})
 
 
 def _bumped_hx(t):
@@ -585,7 +590,7 @@ def _bumped_hx(t):
     alpha, beta = t.basis_vector(0), (0, 1, 1)
     label = {"alpha": list(alpha), "beta": list(beta)}
     instances = vx.hx_instances(t, [(label, alpha, beta)], [3], 1)
-    return vx.certify_instances(t, "hx", instances, vx._panel_monomials(t, 3), {})
+    return vx.certify_instances(t, "hx", instances, t.fock.basis(3), {})
 
 
 PINNED_WITNESSES = [
@@ -641,7 +646,7 @@ def test_failure_documents_are_pinned(name, weight, broken, expect, monkeypatch)
 def test_an_empty_family_cannot_pass():
     # no instance, or no panel monomial to check them on, is a failure
     t = tctx_for("cyclic:2")
-    monos = vx._panel_monomials(t, 1)
+    monos = t.fock.basis(1)
     no_instances = {"reason": "no_instances"}
 
     def parity():
