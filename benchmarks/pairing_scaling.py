@@ -8,6 +8,9 @@ n = 2..max-n, it times `qtable.build_table` and the `verify isometry` suite,
 each from a fresh context per repeat, and prints one JSON row per n: the
 median seconds and every repeat of each, and the number of monomial pairs
 each valued by normal ordering (the size of its `FockContext._inner_cache`).
+`rows` counts the table's rows and `rows_paired` those built and paired
+through the vertex route, one per orbit of Gamma's linear characters; the
+others are filled by the twist (`qtable.build_table`).
 Where `mckay_xi` finds a McKay weight, the row's `mckay_isometry` field holds
 the same for the isometry at that weight, whose Gram matrix is not diagonal,
 so a monomial can have more than one partner; it is null elsewhere.
@@ -35,7 +38,7 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from spinwreath import suites
+    from spinwreath import qtable, suites
     from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
     from spinwreath.partitions import MultiPartition
     from spinwreath.qtable import build_table, char_degree
@@ -54,6 +57,10 @@ def main() -> int:
             contexts.append(self)
 
     suites.FockContext = RecordedContext
+    # count the X_lambda vectors a table builds: one per paired row
+    paired = []
+    x_lambda_vector = qtable.x_lambda_vector
+    qtable.x_lambda_vector = lambda tctx, lam: paired.append(lam) or x_lambda_vector(tctx, lam)
     xi = VirtualChar.trivial(gamma)
     try:
         mckay = mckay_xi(gamma)
@@ -73,6 +80,7 @@ def main() -> int:
         table_runs, iso_runs, mckay_runs = [], [], []
         for _ in range(args.repeats):
             tctx = TwistContext(gamma, xi)
+            paired.clear()
             start = time.perf_counter()
             table = build_table(gamma, n, tctx=tctx)
             table_runs.append(round(time.perf_counter() - start, 4))
@@ -88,6 +96,7 @@ def main() -> int:
         failed = (failed or status != "pass" or not degrees_ok
                   or (mckay is not None and mckay_status != "pass"))
         print(json.dumps({"gamma": args.gamma, "n": n, "rows": len(table.rows),
+                          "rows_paired": len(paired),
                           "degrees_ok": degrees_ok, "isometry": status,
                           "repeats": args.repeats,
                           "table_median_s": statistics.median(table_runs),

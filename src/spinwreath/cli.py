@@ -7,8 +7,8 @@ suites of `verify` live in `suites.SUITES`.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 verification
 failure.  All output is exact; documents are deterministic for a fixed
-configuration.  The SPINWREATH_LOG environment variable sets the log level
-and nothing else.
+configuration.  The SPINWREATH_LOG environment variable sets the log level,
+by name in any case, and nothing else; log records go to stderr.
 """
 
 from __future__ import annotations
@@ -254,7 +254,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("SPINWREATH_LOG", "WARNING"))
+    name = os.environ.get("SPINWREATH_LOG") or "WARNING"
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        sys.stderr.write(f"error: SPINWREATH_LOG must name a log level "
+                         f"(DEBUG, INFO, WARNING, ERROR, CRITICAL), got {name!r}\n")
+        return EXIT_USAGE
+    logging.basicConfig(level=level)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

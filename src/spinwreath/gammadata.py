@@ -15,7 +15,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import Coeff, Cyc, CycError, cyc_from_numerators, euler_phi, reduce_mod_phi
+from .scalars import (Coeff, Cyc, CycError, cyc_from_numerators, euler_phi, reduce_mod_phi,
+                      root_matrix, times_root, zeta_powers)
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
 ValueLike = Union[int, Fraction, Cyc]  # a value of Gamma's value field, as handed in
@@ -190,6 +191,41 @@ class GammaData:
         if q is None:
             return c.promote(order).numerators()
         return q.denominator, (q.numerator,) + (0,) * (euler_phi(order) - 1)
+
+    @cached_property
+    def linear_twists(self) -> List[Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]]:
+        """(d, perm, roots) for each linear character delta = gamma_d other
+        than gamma_0: perm[i] = j where gamma_j = delta_bar gamma_i, and
+        roots[c] = (s, k) where delta(c) = s z^k, s = +-1 and z the root of
+        unity of the axis of `value_numerators` (`scalars.zeta_powers`).
+
+        Tensoring with the linear character prod_i delta(g_i) of Gamma wr S_n
+        permutes the spin table's rows: chi_{delta_bar.lambda}(D_mu^+) =
+        delta(mu) chi_lambda(D_mu^+), delta_bar.lambda putting lambda(gamma_i)
+        at gamma_perm[i].  Values are compared exactly, as canonical
+        numerators (`on_axis`); a delta with a value that is no root of
+        unity, or under which some delta_bar gamma_i is no irreducible or
+        two coincide, is left out.  Derived once, on first use."""
+        order = self.value_numerators[0]
+        k = self.num_classes
+        vals = [[self.on_axis(v) for v in row] for row in self.chars]
+        where = {tuple(row): i for i, row in enumerate(vals)}
+        roots: Dict[Coeff, Tuple[int, int]] = {}
+        for s in (1, -1):
+            for e, z in enumerate(zeta_powers(order)):
+                roots.setdefault(tuple(s * x for x in z), (s, e))
+        out = []
+        for d in range(1, k):
+            exps = tuple(roots.get(nums) if den == 1 else None for den, nums in vals[d])
+            if None in exps:  # no root of unity at some class; else delta(1) = 1
+                continue
+            bar = [root_matrix(order, *exps[c.inverse]) for c in self.classes]
+            perm = tuple(where.get(tuple((den, times_root(bar[c], nums))
+                                         for c, (den, nums) in enumerate(row)), -1)
+                         for row in vals)
+            if len(set(perm) - {-1}) == k:
+                out.append((d, perm, exps))
+        return out
 
     def _against_duals(self, prods: Sequence[Tuple[int, Numerators]]) -> List[List[int]]:
         """For each t, sum_c p_c gamma_t(c^{-1}) over the (c, p_c) in prods,

@@ -10,6 +10,14 @@ come from the matrix
 coefficient 2^(l(mu) - floor(l(lambda)/2)) <X_lambda e^(-[lambda]), a'_-mu>
 at the standard weight; every ceiling in the source formulas is read as a
 floor (the n = 1 norm and the basic-module dimension force that reading).
+
+Tensoring with a linear character delta of Gamma is a symmetry of the
+table: chi_{delta_bar.lambda}(D_mu^+) = delta(mu) chi_lambda(D_mu^+), with
+delta(mu) = prod_c delta(c)^l(mu(c)) and delta_bar.lambda putting
+lambda(gamma) at delta_bar gamma (`GammaData.linear_twists`).  So
+`build_table` pairs one row per orbit of the linear characters and fills
+the others by that rule; with check it pairs every row and certifies the
+rule on every filled entry (`verify_twists`).
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,10 +37,12 @@ from .fock import VACUUM, FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
 from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
-from .scalars import Coeff, add_into, cyc_from_numerators, on_one_denominator, value_doc
+from .scalars import (Coeff, add_into, cyc_from_numerators, euler_phi, on_one_denominator,
+                      root_matrix, times_root, value_doc)
 from .vertex import TwistContext, x_component
 
 Tuple_ = Tuple[int, ...]
+_LOG = logging.getLogger(__name__)
 
 
 def q_power_product(ctx: FockContext, phi: Sequence[int], char_index: int) -> FockVector:
@@ -58,11 +69,17 @@ def q_power_product(ctx: FockContext, phi: Sequence[int], char_index: int) -> Fo
 
 
 def _raising_tuples(parts: Tuple_, total: int) -> Dict[Tuple_, int]:
-    """Expand prod_{i<j} (1-R_ij)/(1+R_ij) on the exponent tuple.
+    """Expand prod_{i<j} (1-R_ij)/(1+R_ij) on the exponent tuple, keeping
+    every tuple whose entries can all end nonnegative.
 
     Pairs are processed in lexicographic order; position i is final once its
     block of pairs (i, *) is done, which bounds every series (a final entry
-    can never exceed the total weight) and guarantees termination.
+    can never exceed the total weight) and guarantees termination.  A step
+    R_ab (a < b) lowers the suffix sums sum_{h >= h0} t[h] with a < h0 <= b
+    and leaves the others alone, so no suffix sum ever rises: a tuple with a
+    negative suffix sum ends with a negative entry, which
+    `raising_coefficients` drops.  The series of pair (i, j) therefore stops
+    once a suffix sum with i < h0 <= j would go negative.
     """
     m = len(parts)
     state: Dict[Tuple_, int] = {tuple(parts): 1}
@@ -70,17 +87,14 @@ def _raising_tuples(parts: Tuple_, total: int) -> Dict[Tuple_, int]:
         for j in range(i + 1, m):
             nxt: Dict[Tuple_, int] = {}
             for tup, coef in state.items():
+                room = min(total - tup[i], *(sum(tup[h0:]) for h0 in range(i + 1, j + 1)))
                 lst = list(tup)
-                k = 0
-                while True:
-                    cur = tuple(lst)
-                    c = coef if k == 0 else coef * 2 * (-1) ** k
-                    nxt[cur] = nxt.get(cur, 0) + c
-                    k += 1
-                    if lst[i] + 1 > total:
-                        break
+                nxt[tup] = nxt.get(tup, 0) + coef
+                for k in range(1, room + 1):
                     lst[i] += 1
                     lst[j] -= 1
+                    cur = tuple(lst)
+                    nxt[cur] = nxt.get(cur, 0) + coef * 2 * (-1) ** k
             state = {t: c for t, c in nxt.items() if c}
         # all pairs with first index i are done; entry i is final
         state = {t: c for t, c in state.items() if 0 <= t[i] <= total}
@@ -265,15 +279,93 @@ class TableCheckError(AssertionError):
     """A verification pass over a character table failed."""
 
 
+# (d, perm, roots) of a linear character gamma_d: `GammaData.linear_twists`
+Twist = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]
+Orbits = Dict[MultiPartition, Tuple[MultiPartition, Twist]]
+
+
+def _twist_orbits(gamma: GammaData, lambdas: Sequence[MultiPartition]) -> Orbits:
+    """{lambda: (rep, twist)} for each lambda that is not the first of its
+    orbit under Gamma's linear characters: lambda = delta_bar.rep for the
+    twist (d, perm, roots) of delta = gamma_d, rep the orbit's first
+    member in the order of lambdas.  Keys come in the order of lambdas."""
+    found: Orbits = {}
+    reps = set()
+    inverses = []
+    for twist in gamma.linear_twists:
+        perm = twist[1]
+        inverses.append((twist, [perm.index(j) for j in range(len(perm))]))
+    for lam in lambdas:
+        if lam in found:
+            continue
+        reps.add(lam)
+        for twist, inverse in inverses:
+            image = lam.relabel(inverse)  # lambda(gamma_i) moved to gamma_perm[i]
+            if image not in reps and image not in found:
+                found[image] = (lam, twist)
+    return {lam: found[lam] for lam in lambdas if lam in found}
+
+
+def _root_actions(gamma: GammaData, columns: Sequence[MultiPartition],
+                  roots: Sequence[Tuple[int, int]]) -> Dict[MultiPartition, object]:
+    """How multiplying by delta(mu) = prod_c delta(c)^l(mu(c)), a root of
+    unity, acts on a value's numerators at each column mu: None for 1, -1
+    for -1, else its `scalars.root_matrix`.  roots[c] = (s, k) with
+    delta(c) = s z^k (`linear_twists`), so delta(mu) is a sign and an
+    exponent mod N, taken below N/2 for even N, where z^(N/2) = -1."""
+    axis = gamma.value_numerators[0]
+    out = {}
+    for mu in columns:
+        sign, k = 1, 0
+        for (s, e), part in zip(roots, mu.parts):
+            sign *= s ** len(part)
+            k += e * len(part)
+        k %= axis
+        if axis % 2 == 0 and k >= axis // 2:
+            sign, k = -sign, k - axis // 2
+        out[mu] = (root_matrix(axis, sign, k) if k else None if sign == 1 else -1)
+    return out
+
+
+def _twisted_rows(gamma: GammaData, columns: Sequence[MultiPartition],
+                  orbits: Orbits, rows: Dict[MultiPartition, CharRow]):
+    """(lambda, rep, d, values) for each lambda of orbits, in its order:
+    values the sign-normalized row of rep with each entry multiplied by
+    delta(mu), which is chi_lambda on the columns (`GammaData.linear_twists`).
+    delta(mu) is made once per (delta, column) (`_root_actions`)."""
+    actions: Dict[int, Dict[MultiPartition, object]] = {}
+    for lam, (rep, (d, _, roots)) in orbits.items():
+        act = actions.get(d)
+        if act is None:
+            act = actions[d] = _root_actions(gamma, columns, roots)
+        f = rows[rep].values
+        nums = {}
+        for mu, c in f.nums.items():
+            a = act[mu]
+            nums[mu] = (c if a is None else tuple([-x for x in c]) if a == -1
+                        else times_root(a, c))
+        yield lam, rep, d, SpinClassFun.from_numerators(gamma, f.n, f.den, nums)
+
+
 def build_table(gamma: GammaData, n: int, check: bool = False,
                 tctx: Optional[TwistContext] = None) -> CharTable:
     """Rows for all strict multipartitions over the characters, with the row
     sign normalized so the degree entry is positive.
 
+    Tensoring with a linear character delta of Gamma permutes the rows:
+    chi_{delta_bar.lambda}(D_mu^+) = delta(mu) chi_lambda(D_mu^+)
+    (`GammaData.linear_twists`).  Without check, only the first lambda of
+    each orbit of the linear characters is computed through the vertex
+    route, and every other row is its representative's row times delta(mu)
+    (`_twisted_rows`), with the same module type and degree, as
+    delta(1^n) = 1.  With check, every row is computed through the vertex
+    route: each X_lambda vector is certified against Q_lambda
+    (`verify_realization`) before any pairing, every other row against the
+    twist of its representative (`verify_twists`) once each identity value
+    is found a nonzero integer, and the finished table by `verify_table`.
+
     Column by column: each a'_-mu is expanded once and paired with every
-    row's X_lambda vector, which are all built first.  With check, each
-    X_lambda vector is certified against Q_lambda (`verify_realization`)
-    before any pairing, and the finished table by `verify_table`.
+    computed row's X_lambda vector, which are all built first.
     """
     if tctx is None:
         tctx = TwistContext(gamma, VirtualChar.trivial(gamma))
@@ -281,19 +373,21 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     columns = list(multipartitions(n, k, "OP", per_index_ascending=True))
     lambdas = list(multipartitions(n, k, "SP"))
     identity_col = MultiPartition.single(k, 0, (1,) * n) if n else MultiPartition.empty(k)
-    x_vecs = [x_lambda_vector(tctx, lam) for lam in lambdas]
+    orbits = {} if check else _twist_orbits(gamma, lambdas)
+    paired = [lam for lam in lambdas if lam not in orbits]
+    x_vecs = [x_lambda_vector(tctx, lam) for lam in paired]
     if check:
-        for lam, x_vec in zip(lambdas, x_vecs):
+        for lam, x_vec in zip(paired, x_vecs):
             verify_realization(tctx, lam, x_vec)
-    row_values: List[Dict[MultiPartition, Tuple[int, Coeff]]] = [{} for _ in lambdas]
+    row_values: List[Dict[MultiPartition, Tuple[int, Coeff]]] = [{} for _ in paired]
     for mu in columns:
         a_vec = a_prime_vector(tctx.fock, mu)
-        for lam, x_vec, values in zip(lambdas, x_vecs, row_values):
+        for lam, x_vec, values in zip(paired, x_vecs, row_values):
             v = char_value(tctx, lam, mu, x_vec, a_vec)
             if any(v[1]):
                 values[mu] = v
-    rows: List[CharRow] = []
-    for lam, values in zip(lambdas, row_values):
+    rows: Dict[MultiPartition, CharRow] = {}
+    for lam, values in zip(paired, row_values):
         deg_den, deg = values.get(identity_col, (1, (0,)))
         if deg_den != 1 or any(deg[1:]) or not deg[0]:
             shown = cyc_from_numerators(tctx.fock.axis, deg, deg_den)
@@ -301,12 +395,43 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
         if deg[0] < 0:  # resolve the global sign so the degree is positive
             values = {mu: (d, tuple(-x for x in c)) for mu, (d, c) in values.items()}
         row_type = "M" if lam.length % 2 == 0 else "Q"
-        rows.append(CharRow(lam, row_type, abs(deg[0]),
-                            SpinClassFun.from_numerators(gamma, n, *on_one_denominator(values))))
-    table = CharTable(gamma, n, columns, rows)
+        rows[lam] = CharRow(lam, row_type, abs(deg[0]),
+                            SpinClassFun.from_numerators(gamma, n, *on_one_denominator(values)))
+    for lam, rep, _, values in _twisted_rows(gamma, columns, orbits, rows):
+        rows[lam] = CharRow(lam, rows[rep].module_type, rows[rep].degree, values)
+    _LOG.info("chartable %s n=%d: %d rows, %d paired, %d filled, %d linear characters",
+              gamma.name, n, len(lambdas), len(paired), len(lambdas) - len(paired),
+              sum(gamma.degree(i) == 1 for i in range(k)))
+    table = CharTable(gamma, n, columns, [rows[lam] for lam in lambdas])
     if check:
+        verify_twists(table)
         verify_table(table)
     return table
+
+
+def verify_twists(table: CharTable) -> None:
+    """chi_{delta_bar.lambda}(D_mu^+) = delta(mu) chi_lambda(D_mu^+) on every
+    entry: each row that is not the first of its orbit under Gamma's linear
+    characters against its representative's row times delta(mu)
+    (`_twisted_rows`).  Reads only the table and Gamma's twist data
+    (`GammaData.linear_twists`).  A failure names the row, its
+    representative, delta and the first column where they differ."""
+    gamma = table.gamma
+    axis = gamma.value_numerators[0]
+    rows = {row.lam: row for row in table.rows}
+    orbits = _twist_orbits(gamma, [row.lam for row in table.rows])
+    for lam, rep, d, expect in _twisted_rows(gamma, table.columns, orbits, rows):
+        found = rows[lam].values
+        if found == expect:
+            continue
+        zero = (0,) * euler_phi(axis)
+        mu = next(mu for mu in table.columns
+                  if [x * expect.den for x in found.nums.get(mu, zero)]
+                  != [x * found.den for x in expect.nums.get(mu, zero)])
+        shown = [_pretty(value_doc(axis, f.nums.get(mu, zero), f.den)) for f in (found, expect)]
+        raise TableCheckError(
+            f"twist symmetry fails at {lam!r}, the g{d} twist of {rep!r}, at {mu!r}: "
+            f"{shown[0]}, but delta(mu) times the representative's value is {shown[1]}")
 
 
 def verify_realization(tctx: TwistContext, lam: MultiPartition, x_vec: FockVector) -> None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -113,6 +113,29 @@ def reduce_mod_phi(order: int, acc: Sequence[RationalLike]) -> List[RationalLike
                     if phi[j]:
                         out[k - deg + j] -= c * phi[j]
     return out[:deg]
+
+
+@lru_cache(maxsize=None)
+def zeta_powers(order: int) -> Tuple[Coeff, ...]:
+    """z^m for m = 0..order-1, z = zeta_order, as numerators reduced mod
+    Phi_order.  With their negatives they are all the roots of unity in
+    Q(zeta_order)."""
+    return tuple(tuple(reduce_mod_phi(order, [0] * m + [1])) for m in range(order))
+
+
+@lru_cache(maxsize=None)
+def root_matrix(order: int, sign: int, k: int) -> Tuple[Coeff, ...]:
+    """The rows of the integer matrix that multiplies numerators reduced mod
+    Phi_order by the root of unity sign z^k: column j is sign z^(k + j)
+    (`zeta_powers`).  A unit, so a canonical value stays canonical."""
+    powers = zeta_powers(order)
+    return tuple(zip(*(tuple(sign * x for x in powers[(k + j) % order])
+                       for j in range(euler_phi(order)))))
+
+
+def times_root(rows: Tuple[Coeff, ...], a: Coeff) -> Coeff:
+    """a times the root of unity whose `root_matrix` is rows."""
+    return tuple([sum(map(mul, r, a)) for r in rows])
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:

@@ -15,9 +15,14 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*argv):
+def run_cli(*argv, log=None):
+    """Run the CLI; log, when given, is the SPINWREATH_LOG setting, which
+    is unset otherwise."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("SPINWREATH_LOG", None)
+    if log is not None:
+        env["SPINWREATH_LOG"] = log
     proc = subprocess.run([sys.executable, "-m", "spinwreath.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
@@ -292,6 +297,18 @@ OUTPUT_SHA256 = {
         "0c9cde056adc3d6f899281f2fd7c1846f29be886e62097236e29fc7d55f8fea9",
     "classes --oracle --gamma trivial --n 5":
         "288234cc121f44e0bfc1ba6ffdb75be1d3013b028fd666a01c258fda7f666ee0",
+    # tables whose rows are mostly filled by the linear twists; the first has
+    # the same bytes as its --check pin above
+    "chartable --gamma quaternion8 --n 4":
+        "181f7a35efb041ac1ef6bbcd4778387c1de30b04c4e91c296d14689c9ab475c0",
+    "chartable --gamma klein4 --n 4":
+        "ea513fe4ec272142d908a1fb0885b56dffa926f9c2b13876171c3e227c6d2715",
+    "chartable --gamma cyclic:6 --n 3":
+        "6f7b78b02191c13bab0e28d6f9f0599a339cc871a7587f1f9d50d54d639326e6",
+    "chartable --gamma cyclic:4 --n 4":
+        "50629283158389147b396cd3e702b990f1c8a044c08ffb849d81a00cd3631e07",
+    "chartable --gamma cyclic:9 --n 3":
+        "53249b4ec83aa6b0eb774bd49be382b45be1599d2868a567a798075fe10be31a",
 }
 
 
@@ -300,3 +317,30 @@ def test_output_bytes_are_pinned(job):
     code, out, err = run_cli(*job.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[job]
+
+
+def test_unknown_log_level_is_one_usage_error():
+    code, out, err = run_cli("chartable", "--gamma", "cyclic:3", "--n", "2", log="bogus")
+    assert_one_usage_error(code, out, err, "SPINWREATH_LOG must name a log level")
+    assert "'bogus'" in err
+
+
+@pytest.mark.parametrize("level", ["debug", "Warning", "ERROR"])
+def test_log_level_names_are_read_in_any_case(level):
+    argv = ("chartable", "--gamma", "cyclic:3", "--n", "2")
+    code, out, err = run_cli(*argv, log=level)
+    assert code == 0 and "Traceback" not in err
+    assert out == run_cli(*argv)[1]
+
+
+def test_info_log_goes_to_stderr_and_leaves_the_document_alone():
+    argv = ("chartable", "--gamma", "cyclic:3", "--n", "3")
+    code, out, err = run_cli(*argv, log="INFO")
+    assert code == 0
+    assert out == run_cli(*argv)[1]
+    assert err.splitlines() == [
+        "INFO:spinwreath.qtable:chartable cyclic3 n=3: "
+        "13 rows, 5 paired, 8 filled, 3 linear characters"]
+    code, _, err = run_cli(*argv, "--check", log="INFO")
+    assert code == 0
+    assert "13 rows, 13 paired, 0 filled, 3 linear characters" in err

@@ -8,8 +8,8 @@ from spinwreath import cli, qtable
 from spinwreath import vertex as vx
 from spinwreath.classfun import SpinClassFun, weighted_inner
 from spinwreath.fock import FockContext, FockVector, a_prime_vector, create, inner, q_gen
-from spinwreath.gammadata import VirtualChar, builtin
-from spinwreath.partitions import MultiPartition, multipartitions
+from spinwreath.gammadata import GammaData, VirtualChar, builtin
+from spinwreath.partitions import MultiPartition, multipartitions, partitions_of
 from spinwreath.qtable import (TableCheckError, build_table, char_degree,
                                char_value, q_power_product,
                                raising_coefficients, raising_expand,
@@ -453,3 +453,126 @@ def test_csv_values_render_as_the_cyc_round_trip_did(name, n):
     # character values are integral: add values with denominators by hand
     values += [value_doc(1, (1,), 2), value_doc(3, (-3, 0), 4), value_doc(5, (1, 0, 2, 0), 6)]
     assert [qtable._pretty(v) for v in values] == [Cyc.from_doc(v).pretty() for v in values]
+
+
+def unpruned_raising_tuples(parts, total):
+    """The raising expansion with every series run to the total weight: the
+    reference for `qtable._raising_tuples`, which stops a series once a
+    suffix sum would go negative."""
+    m = len(parts)
+    state = {tuple(parts): 1}
+    for i in range(m):
+        for j in range(i + 1, m):
+            nxt = {}
+            for tup, coef in state.items():
+                lst = list(tup)
+                k = 0
+                while True:
+                    cur = tuple(lst)
+                    c = coef if k == 0 else coef * 2 * (-1) ** k
+                    nxt[cur] = nxt.get(cur, 0) + c
+                    k += 1
+                    if lst[i] + 1 > total:
+                        break
+                    lst[i] += 1
+                    lst[j] -= 1
+            state = {t: c for t, c in nxt.items() if c}
+        state = {t: c for t, c in state.items() if 0 <= t[i] <= total}
+    return state
+
+
+def test_pruned_raising_tuples_keep_every_nonnegative_tuple():
+    strict = [p for n in range(1, 15) for p in partitions_of(n, "SP")]
+    assert len(strict) == 109
+    for parts in strict:
+        total = sum(parts)
+        pruned = qtable._raising_tuples(parts, total)
+        full = unpruned_raising_tuples(parts, total)
+        assert set(pruned) <= set(full), parts
+        assert {t: c for t, c in pruned.items() if min(t) >= 0} \
+            == {t: c for t, c in full.items() if min(t) >= 0}, parts
+
+
+@pytest.mark.parametrize("name,n", [
+    ("trivial", 6), ("cyclic:2", 4), ("cyclic:3", 3), ("cyclic:4", 3), ("cyclic:5", 2),
+    ("cyclic:6", 2), ("klein4", 3), ("quaternion8", 3)])
+def test_filled_rows_equal_the_paired_rows(name, n):
+    # without check every row outside its orbit's first is filled by the
+    # twist; with check every row is paired through the vertex route
+    g, t = setup(name)
+    assert build_table(g, n, tctx=t).to_doc() == build_table(g, n, check=True, tctx=t).to_doc()
+
+
+def _count_x_lambda_vectors(monkeypatch):
+    calls = []
+    real = qtable.x_lambda_vector
+    monkeypatch.setattr(qtable, "x_lambda_vector",
+                        lambda tctx, lam: calls.append(lam) or real(tctx, lam))
+    return calls
+
+
+def test_x_lambda_is_built_once_per_orbit_without_check(monkeypatch):
+    g, t = setup("cyclic:3")
+    calls = _count_x_lambda_vectors(monkeypatch)
+    tab = build_table(g, 3, tctx=t)
+    assert len(tab.rows) == 13
+    # the cyclic shift of the three indices: four orbits of three and the
+    # fixed (1 | 1 | 1); each orbit's first in table order is paired
+    assert calls == [MultiPartition([(3,), (), ()]), MultiPartition([(2, 1), (), ()]),
+                     MultiPartition([(2,), (1,), ()]), MultiPartition([(2,), (), (1,)]),
+                     MultiPartition([(1,), (1,), (1,)])]
+    calls.clear()
+    build_table(g, 3, check=True, tctx=t)
+    assert calls == [row.lam for row in tab.rows]
+
+
+def test_twists_permute_the_irreducibles():
+    g, _ = builtin("cyclic:3")
+    # delta_bar gamma_i = gamma_(i - d) for delta = gamma_d
+    assert [(d, perm) for d, perm, _ in g.linear_twists] == [(1, (2, 0, 1)), (2, (1, 2, 0))]
+    q8, _ = builtin("quaternion8")
+    assert [perm[4] for _, perm, _ in q8.linear_twists] == [4, 4, 4]
+    assert builtin("trivial")[0].linear_twists == []
+
+
+def test_a_wrong_irrational_entry_in_a_filled_row_fails_the_twist_check(monkeypatch, capsys):
+    # add zeta_3 to one irrational entry of the g1 row, the g2 twist of the
+    # g0 row: the realization and identity checks pass, the twist check
+    # catches it before the orthogonality check
+    lam = MultiPartition([(), (2,), ()])
+    mu = MultiPartition([(), (1, 1), ()])
+    real = qtable.char_value
+
+    def wrong(tctx, row, col, *vecs):
+        den, nums = real(tctx, row, col, *vecs)
+        if (row, col) == (lam, mu):
+            assert any(nums[1:])
+            nums = (nums[0], nums[1] + den)
+        return den, nums
+
+    monkeypatch.setattr(qtable, "char_value", wrong)
+    argv = ["chartable", "--gamma", "cyclic:3", "--n", "2"]
+    assert cli.main(argv) == 0  # without --check the g1 row is filled, not paired
+    capsys.readouterr()
+    assert cli.main(argv + ["--check"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"] == (
+        "twist symmetry fails at MultiPartition((), (2,), ()), the g2 twist of "
+        "MultiPartition((2,), (), ()), at MultiPartition((), (1, 1), ()): "
+        '{"N":3,"coeffs":[[0,1],[5,1]]}, '
+        "but delta(mu) times the representative's value is "
+        '{"N":3,"coeffs":[[0,1],[4,1]]}')
+
+
+def test_a_twist_by_delta_bar_fails_the_check(monkeypatch, capsys):
+    # a mutant that multiplies by delta_bar(mu) in place of delta(mu)
+    real = GammaData.linear_twists.func
+    monkeypatch.setattr(GammaData, "linear_twists", property(lambda g: [
+        (d, perm, tuple(values[c.inverse] for c in g.classes)) for d, perm, values in real(g)]))
+    assert cli.main(["chartable", "--check", "--gamma", "cyclic:3", "--n", "2"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"] == (
+        "twist symmetry fails at MultiPartition((1,), (), (1,)), the g1 twist of "
+        "MultiPartition((1,), (1,), ()), at MultiPartition((1,), (1,), ()): "
+        '{"N":3,"coeffs":[[2,1],[2,1]]}, '
+        "but delta(mu) times the representative's value is -2")

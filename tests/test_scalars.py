@@ -7,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinwreath.scalars import (Cyc, CycError, axis_scalar, cyc_from_numerators,
-                               cyclotomic_poly, euler_phi, moebius, reduce_mod_phi, value_doc)
+                               cyclotomic_poly, euler_phi, moebius, reduce_mod_phi, root_matrix,
+                               times_root, value_doc, zeta_powers)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -64,6 +65,19 @@ def test_basic_values():
     assert z3 + z3 * z3 == -1
     z6 = Cyc.zeta(6)
     assert Fraction(1, 2) * z6 + z6 * Fraction(1, 2) == z6
+
+
+def test_zeta_powers_and_root_matrices_agree_with_cyc():
+    rng = random.Random(23)
+    for n in ORDERS + [9]:
+        assert len(zeta_powers(n)) == n
+        for m, nums in enumerate(zeta_powers(n)):
+            assert cyc_from_numerators(n, nums, 1) == Cyc.zeta(n, m), (n, m)
+            a = tuple(rng.randint(-5, 5) for _ in range(euler_phi(n)))
+            for sign in (1, -1):
+                got = times_root(root_matrix(n, sign, m), a)
+                assert cyc_from_numerators(n, got, 1) \
+                    == cyc_from_numerators(n, a, 1) * Cyc.zeta(n, m) * sign, (n, m, sign)
 
 
 def test_roots_of_unity_and_moebius():
