@@ -1,14 +1,18 @@
-"""Time the brute-force spin-class oracle against n on trivial, klein4, cyclic:3 and quaternion8.
+"""Time the brute-force spin-class oracle against n on trivial, klein4, cyclic:3, quaternion8 and cyclic:5.
 
     python3 benchmarks/oracle_scaling.py [--src SRC] [--max-n 6] [--repeats 3]
 
-For trivial at n = 1..6 and klein4, cyclic:3 and quaternion8 at n = 1..3
-(each capped at --max-n), each repeat builds Gamma afresh and times
-`spingroup.enumerate_classes_bruteforce`, then the whole `verify oracle`
-suite (the class enumeration again, checked against the theory-side classes,
-then the basic spin traces).  It prints one JSON row per (Gamma, n): the
-element count (the sum of the class sizes), the class count, and the median
-seconds and every repeat of each.  `--src` points at the `src` directory of
+For trivial at n = 1..6, klein4, cyclic:3 and quaternion8 at n = 1..3 and
+cyclic:5 (phi(5) = 4 numerators per value) at n = 1..2, each capped at
+--max-n, each repeat builds Gamma afresh and times the `enumerate` column:
+building the group law `spingroup.SpinLaw`, then
+`spingroup.enumerate_classes_bruteforce` on it.  The law's tables are timed
+with the enumeration, as in earlier runs, where the enumeration built them
+itself, so rows stay comparable.  Then it times the whole `verify oracle`
+suite (its own law, the class enumeration checked against the theory-side
+classes, then the basic spin traces).  It prints one JSON row per (Gamma,
+n): the element count (the sum of the class sizes), the class count, and
+the median seconds and every repeat of each.  `--src` points at the `src` directory of
 the checkout to measure (default: this checkout's).  It exits 1 when the
 suite's `split_classification` result, the verdict of
 `suites.oracle_class_report`, or its `basic_spin_trace` result is not a
@@ -24,7 +28,7 @@ import sys
 import time
 from math import factorial
 
-CASES = (("trivial", 6), ("klein4", 3), ("cyclic:3", 3), ("quaternion8", 3))
+CASES = (("trivial", 6), ("klein4", 3), ("cyclic:3", 3), ("quaternion8", 3), ("cyclic:5", 2))
 
 
 def main() -> int:
@@ -36,7 +40,7 @@ def main() -> int:
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from spinwreath.gammadata import VirtualChar, builtin
-    from spinwreath.spingroup import enumerate_classes_bruteforce
+    from spinwreath.spingroup import SpinLaw, enumerate_classes_bruteforce
     from spinwreath.suites import SUITES
 
     failed = False
@@ -46,7 +50,7 @@ def main() -> int:
             for _ in range(args.repeats):
                 gamma, cg = builtin(name)
                 start = time.perf_counter()
-                classes = enumerate_classes_bruteforce(cg, n)
+                classes = enumerate_classes_bruteforce(SpinLaw(cg, n))
                 runs["enumerate"].append(round(time.perf_counter() - start, 4))
                 gamma, cg = builtin(name)
                 start = time.perf_counter()

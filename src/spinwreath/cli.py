@@ -25,7 +25,7 @@ from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks
 from .gammadata import (ConcreteGroup, GammaData, GammaValidationError, VirtualChar,
                         builtin, gram_matrix, identify_affine_type, load_gamma, mckay_xi)
 from .qtable import TableCheckError, build_table, table_csv
-from .spingroup import theory_classes
+from .spingroup import SpinLaw, theory_classes
 from .suites import SUITES, ConfigError, oracle_class_report
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def cmd_classes(args) -> int:
     if args.oracle:
         if cg is None:
             raise ConfigError("--oracle needs a built-in Gamma with a multiplication table")
-        report = oracle_class_report(cg, gamma, n, classes)
+        report = oracle_class_report(SpinLaw(cg, n), gamma, classes)
         doc["oracle"] = report
         if report["status"] != "ok":
             status = EXIT_VERIFY

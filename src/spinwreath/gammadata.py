@@ -15,8 +15,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import (Coeff, Cyc, CycError, cyc_from_numerators, euler_phi, reduce_mod_phi,
-                      root_matrix, times_root, zeta_powers)
+from .scalars import (Coeff, Cyc, CycError, cyc_from_numerators, doc_int, euler_phi,
+                      reduce_mod_phi, root_matrix, times_root, zeta_powers)
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
 ValueLike = Union[int, Fraction, Cyc]  # a value of Gamma's value field, as handed in
@@ -277,12 +277,15 @@ class GammaData:
 
     @staticmethod
     def from_doc(doc: dict) -> "GammaData":
+        """The validated Gamma of a document; every number in it must be a JSON
+        integer (`scalars.doc_int`), and any fault raises
+        `GammaValidationError`."""
         try:
-            classes = [ClassInfo(str(c["name"]), int(c["size"]),
-                                 int(c["element_order"]), int(c["inverse"]))
-                       for c in doc["classes"]]
+            classes = [ClassInfo(str(c["name"]), *(doc_int(c[key], f"classes[{ci}].{key}")
+                                                   for key in ("size", "element_order", "inverse")))
+                       for ci, c in enumerate(doc["classes"])]
             chars = [[Cyc.from_doc(v) for v in row] for row in doc["chars"]]
-            gamma = GammaData(str(doc["name"]), int(doc["order"]), classes, chars)
+            gamma = GammaData(str(doc["name"]), doc_int(doc["order"], "order"), classes, chars)
         except (KeyError, TypeError, ValueError, CycError) as exc:
             if isinstance(exc, GammaValidationError):
                 raise
@@ -488,28 +491,15 @@ class VirtualChar:
         return VirtualChar([1] + [0] * gamma.r)
 
 
-def weighted_form(gamma: GammaData, xi: VirtualChar,
-                  f: Sequence[ValueLike],
-                  g: Sequence[ValueLike]) -> Cyc:
-    """Test oracle: <f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) g(c^{-1}), f and g
-    char vectors; the tests check `gram_matrix` against it."""
-    total = Cyc.rational(0)
-    for ci, cls in enumerate(gamma.classes):
-        zc = gamma.centralizer_order(ci)
-        term = xi.value_at(gamma, ci) * gamma.char_value(f, ci) \
-            * gamma.char_value(g, cls.inverse)
-        total = total + term / Fraction(zc)
-    return total
-
-
 def _weighted_gram(gamma: GammaData, xi: Sequence[int]) -> Tuple[int, List[List[List[int]]]]:
     """(den, form): form[i][j] the numerators over den, reduced mod Phi_N, of
     <gamma_i, gamma_j>_xi for the integer vector xi over the irreducibles.
 
-    Same sum as :func:`weighted_form` on basis vectors, with 1/zeta_c =
-    |c|/|Gamma|: row i is one `GammaData._against_duals` sum of the products
-    |c| xi(c) gamma_i(c) over the classes, on `value_numerators`.  The entry
-    is the multiplicity of gamma_j in xi gamma_i when xi is a character.
+    The sum <f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) g(c^{-1}) on basis
+    vectors, with 1/zeta_c = |c|/|Gamma|: row i is one
+    `GammaData._against_duals` sum of the products |c| xi(c) gamma_i(c)
+    over the classes, on `value_numerators`.  The entry is the multiplicity
+    of gamma_j in xi gamma_i when xi is a character.
     """
     order, den, nums = gamma.value_numerators
     xis = []  # xi(c) d, as numerators

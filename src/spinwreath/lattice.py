@@ -70,26 +70,6 @@ class LatticeTwist:
 
     # -- the form and the cocycle ------------------------------------------
 
-    def c1(self, a: int, b: int) -> int:
-        """Test oracle: c1 on GF(2) masks, read off its rows; the cocycle tests
-        check epsilon's commutator sign against it."""
-        out = 0
-        for i in range(self.dim):
-            if a >> i & 1:
-                out ^= bin(self.c1_rows[i] & b).count("1") & 1
-        return out
-
-    def c1_pair(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        """Test oracle: c1 on honest lattice vectors, <a,b> + <a,a><b,b> mod 2,
-        straight from the Gram matrix."""
-        ab = sum(alpha[i] * self.gram[i][j] * beta[j]
-                 for i in range(self.dim) for j in range(self.dim))
-        aa = sum(alpha[i] * self.gram[i][j] * alpha[j]
-                 for i in range(self.dim) for j in range(self.dim))
-        bb = sum(beta[i] * self.gram[i][j] * beta[j]
-                 for i in range(self.dim) for j in range(self.dim))
-        return (ab + aa * bb) % 2
-
     def epsilon_masks(self, a: int, b: int) -> int:
         """epsilon as +-1 on GF(2) reductions, bi-additive."""
         acc = 0

@@ -12,6 +12,7 @@ is no floating point anywhere.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -43,26 +44,6 @@ def euler_phi(n: int) -> int:
         p += 1
     if m > 1:
         result -= result // m
-    return result
-
-
-def moebius(n: int) -> int:
-    """Test oracle: the Moebius function mu(n), which the primitive n-th
-    roots of unity must sum to in `Cyc` arithmetic."""
-    if n <= 0:
-        raise ValueError("moebius needs n >= 1")
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
     return result
 
 
@@ -195,6 +176,14 @@ def value_doc(order: int, nums: Sequence[int], den: int) -> dict:
         g = gcd(c, den)
         coeffs.append([c // g, den // g])
     return {"N": order, "coeffs": coeffs}
+
+
+def doc_int(value, what: str) -> int:
+    """A number a document must hold as a JSON integer; a float, a bool or a
+    string is refused with `ValueError`, never rounded or read."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -385,9 +374,14 @@ class Cyc:
 
     @staticmethod
     def from_doc(doc: dict) -> "Cyc":
-        n = int(doc["N"])
-        coeffs = [Fraction(int(p), int(q)) for p, q in doc["coeffs"]]
-        return Cyc(n, coeffs)
+        """The value of a {"N", "coeffs": [[p, q], ...]} document: N, p and q
+        JSON integers (`doc_int`) and q nonzero, or `ValueError`."""
+        coeffs = []
+        for p, q in doc["coeffs"]:
+            if doc_int(q, "a coefficient's denominator") == 0:
+                raise ValueError(f"coefficient [{json.dumps(p)}, 0] has a zero denominator")
+            coeffs.append(Fraction(doc_int(p, "a coefficient's numerator"), q))
+        return Cyc(doc_int(doc["N"], "N"), coeffs)
 
     def __repr__(self) -> str:
         q = self.as_rational()
@@ -404,8 +398,6 @@ class Cyc:
         q = self.as_rational()
         if q is not None:
             return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        import json
-
         return json.dumps(self.to_doc(), separators=(",", ":"))
 
 

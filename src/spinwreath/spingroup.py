@@ -1,22 +1,22 @@
 """Concrete construction of the double cover of (Gamma x Z2)^n x| S_n.
 
-Elements are kept in the normal form (g, z^k a_I s) with I strictly
-increasing.  `SpinLaw` is the one group law: for a given (Gamma, n) it packs
-elements as (g, k, mask of I, permutation index) and reads the z power of a
-product from tables, by a closed form of the Pi_n relations a_i^2 = z,
-a_i a_j = z a_j a_i (see its docstring) that the tests check against sorting
-the a-word one swap at a time.  Everything here is oracle machinery for small
-n: exact conjugacy classes, closed on the quotient by the central z with k
-as a label (a label conflict marks a non-split class, a split one has a
-z-twin), and traces of the basic spin supermodules on the Clifford algebra
-L_n, for every V at once.  Tables are built on demand, after the oracle's
-size guard, never at import.
+An element (g, z^k a_I s), I strictly increasing, has one form here: the
+packed (g, k, mask of I, permutation index) of `SpinLaw`, the group law for
+one (Gamma, n).  The law reads the z power of a product, and at z = -1 the
+Clifford trace, from tables, by a closed form of the Pi_n relations a_i^2 =
+z, a_i a_j = z a_j a_i (see its docstring) that the tests check against
+sorting the a-word one swap at a time.  Everything here is oracle machinery
+for small n: exact conjugacy classes, closed on the quotient by the central
+z with k as a label (a label conflict marks a non-split class, a split one
+has a z-twin), and traces of the basic spin supermodules on the Clifford
+algebra L_n, for every V at once.  A law over the size guard raises before
+it builds any table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import factorial
 from operator import getitem, itemgetter
 from typing import Callable, Dict, Iterator, List, Set, Tuple
@@ -46,23 +46,6 @@ def perm_cycles(s: Perm) -> List[List[int]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class SpinElement:
-    """Normal form (g, z^k a_I s); g is a tuple of ConcreteGroup element ids."""
-
-    g: Tuple[int, ...]
-    k: int
-    I: Tuple[int, ...]
-    s: Perm
-
-    @property
-    def parity(self) -> int:
-        return len(self.I) % 2
-
-    def __str__(self) -> str:
-        return f"(g={self.g}, z^{self.k} a{list(self.I)} s={self.s})"
-
-
 class SpinLaw:
     """The group law of the double cover for one (Gamma, n), on packed elements.
 
@@ -79,10 +62,15 @@ class SpinLaw:
     permutation products and inverses, the image mask and inversion parity of
     each (perm, mask), and the merge parity of each (mask, mask) pair, so a
     product is one Gamma-table lookup per slot plus three table lookups for
-    k, the mask and the permutation.
+    k, the mask and the permutation.  A cover of order over 10^6 raises
+    `ValueError` before any table is built.
     """
 
     def __init__(self, cg: ConcreteGroup, n: int):
+        self.group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
+        if self.group_order > 10**6:
+            raise ValueError(f"oracle guard exceeded: group order {self.group_order}")
+        self.cg = cg
         self.n = n
         self.order = cg.order
         self.grow = cg.table.__getitem__  # a -> the row of a in Gamma's table
@@ -161,9 +149,15 @@ class SpinLaw:
         return product(product(range(self.order), repeat=self.n), (0, 1),
                        range(1 << self.n), range(len(self.perms)))
 
-    def unpack(self, x: Packed) -> SpinElement:
-        g, k, m, p = x
-        return SpinElement(g, k, tuple(i for i in range(self.n) if m >> i & 1), self.perms[p])
+    def clifford_trace(self, x: Packed) -> int:
+        """Trace of a_I s on L_n, k left out.  s takes e_J to e_{s(j_1)} ...
+        e_{s(j_m)}, which is e_K, K = s(J), times the inversion sign of that
+        sequence, and e_I e_K = (-1)^e e_{I ^ K} with e the merge parity: the
+        rule of `mul` at z = -1, read from the same tables."""
+        _, _, mask, p = x
+        merge = self.merge[mask]
+        return sum(-1 if par ^ merge[img] else 1
+                   for subset, (img, par) in enumerate(self.image[p]) if mask ^ img == subset)
 
 
 @dataclass(frozen=True)
@@ -178,24 +172,25 @@ class SignedType:
         return self.rho_minus.length % 2
 
 
-def _cycle_classes(cg: ConcreteGroup, x: SpinElement) -> List[Tuple[List[int], int]]:
+def _cycle_classes(law: SpinLaw, x: Packed) -> List[Tuple[List[int], int]]:
     """Each cycle (j_1 ... j_m) of s with the Gamma class of g_{j_m} ... g_{j_1}."""
+    g, _, _, p = x
     out = []
-    for cyc in perm_cycles(x.s):
+    for cyc in perm_cycles(law.perms[p]):
         prod = 0
         for j in cyc:
-            prod = cg.mul(x.g[j], prod)
-        out.append((cyc, cg.class_of[prod]))
+            prod = law.grow(g[j])[prod]
+        out.append((cyc, law.cg.class_of[prod]))
     return out
 
 
-def signed_type(cg: ConcreteGroup, x: SpinElement) -> SignedType:
-    num_classes = max(cg.class_of) + 1
+def signed_type(law: SpinLaw, x: Packed) -> SignedType:
+    num_classes = max(law.cg.class_of) + 1
     plus: List[List[int]] = [[] for _ in range(num_classes)]
     minus: List[List[int]] = [[] for _ in range(num_classes)]
-    iset = set(x.I)
-    for cyc, c in _cycle_classes(cg, x):
-        target = plus if len(iset & set(cyc)) % 2 == 0 else minus
+    mask = x[2]
+    for cyc, c in _cycle_classes(law, x):
+        target = plus if sum(mask >> j & 1 for j in cyc) % 2 == 0 else minus
         target[c].append(len(cyc))
     plus_parts = [tuple(sorted(p, reverse=True)) for p in plus]
     minus_parts = [tuple(sorted(p, reverse=True)) for p in minus]
@@ -215,26 +210,27 @@ def is_split(t: SignedType) -> bool:
     return strict and t.rho_minus.length % 2 == 1
 
 
-def representative_of_type(cg: ConcreteGroup, n: int, t: SignedType) -> SpinElement:
+def representative_of_type(law: SpinLaw, t: SignedType) -> Packed:
     """Element (g, a_I s) of the given signed type: one Gamma-class witness at
     the first slot of each cycle; one a-generator per negative cycle."""
     class_reps: Dict[int, int] = {}
-    for e in range(cg.order):
-        class_reps.setdefault(cg.class_of[e], e)
+    for e in range(law.order):
+        class_reps.setdefault(law.cg.class_of[e], e)
+    n = law.n
     g = [0] * n
     images = list(range(n))
-    I: List[int] = []
+    mask = 0
     pos = 0
 
     def place(ci: int, m: int, negative: bool) -> None:
-        nonlocal pos
+        nonlocal mask, pos
         slots = list(range(pos, pos + m))
         for a, b in zip(slots, slots[1:]):
             images[a] = b
         images[slots[-1]] = slots[0]
         g[slots[0]] = class_reps[ci]
         if negative:
-            I.append(slots[0])
+            mask |= 1 << slots[0]
         pos += m
 
     for ci, part in enumerate(t.rho_plus.parts):
@@ -245,12 +241,12 @@ def representative_of_type(cg: ConcreteGroup, n: int, t: SignedType) -> SpinElem
             place(ci, m, True)
     if pos != n:
         raise ValueError("type weight does not match n")
-    return SpinElement(tuple(g), 0, tuple(sorted(I)), tuple(images))
+    return tuple(g), 0, mask, law.perm_index[tuple(images)]
 
 
 @dataclass
 class OracleClass:
-    representative: SpinElement
+    representative: Packed
     size: int
     centralizer_order: int
     signed_type: SignedType
@@ -280,14 +276,14 @@ def _generating_set(cg: ConcreteGroup) -> List[int]:
     return gens
 
 
-def _generators(cg: ConcreteGroup, law: SpinLaw) -> List[Packed]:
+def _generators(law: SpinLaw) -> List[Packed]:
     """Generators of the double cover: generators of Gamma at the first slot,
     the first a_i, the transposition of the first two slots and the n-cycle."""
     n = law.n
     unit = (0,) * n
     generators: List[Packed] = []
     if n:  # at n = 0 there is no slot and no a_i
-        generators += [((e,) + unit[1:], 0, 0, 0) for e in _generating_set(cg)]
+        generators += [((e,) + unit[1:], 0, 0, 0) for e in _generating_set(law.cg)]
         generators.append((unit, 0, 1, 0))
     if n >= 2:
         generators.append((unit, 0, 0, law.perm_index[(1, 0) + tuple(range(2, n))]))
@@ -296,9 +292,9 @@ def _generators(cg: ConcreteGroup, law: SpinLaw) -> List[Packed]:
     return generators
 
 
-def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]:
-    """Exact conjugacy classes of the double cover by orbit closure on the
-    quotient by z.
+def enumerate_classes_bruteforce(law: SpinLaw) -> List[OracleClass]:
+    """Exact conjugacy classes of the double cover that `law` multiplies, by
+    orbit closure on the quotient by z; representatives are packed elements.
 
     z is central, so each class C has a z-twin z.C over the same orbit of the
     quotient (g, mask, perm).  Each orbit is closed under conjugation by
@@ -310,12 +306,7 @@ def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]
     (g, k, mask, perm) of the class: the order in which a closure over the
     whole cover in `SpinLaw.elements` order meets them.
     """
-    group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
-    if group_order > 10**6:
-        raise ValueError(f"oracle guard exceeded: group order {group_order}")
-
-    law = SpinLaw(cg, n)
-    steps = [law.conjugation(h) for h in _generators(cg, law)]
+    steps = [law.conjugation(h) for h in _generators(law)]
     assigned: Set[Packed] = set()
     found: List[Tuple[Packed, int, bool]] = []  # (representative, size, split)
     for x in law.elements():  # (g, 1, m, p) comes after (g, 0, m, p): k = 0 starts
@@ -343,45 +334,26 @@ def enumerate_classes_bruteforce(cg: ConcreteGroup, n: int) -> List[OracleClass]
                           len(orbit), True))
     classes: List[OracleClass] = []
     for x, size, split in sorted(found):
-        rep = law.unpack(x)
-        st = signed_type(cg, rep)
-        classes.append(OracleClass(rep, size, group_order // size, st, st.parity, split))
+        st = signed_type(law, x)
+        classes.append(OracleClass(x, size, law.group_order // size, st, st.parity, split))
     return classes
 
 
 # -- basic spin supermodule traces ---------------------------------------------
 
 
-def clifford_trace(x: SpinElement, n: int) -> int:
-    """Trace of a_I s on L_n.  s takes e_J to e_{s(j_1)} ... e_{s(j_m)}, which
-    is e_K, K = s(J), times the sign of that sequence; and e_I e_K =
-    (-1)^e e_{I ^ K}, e = |I & K| + #{(i, j) in I x K : i > j}, as in
-    `SpinLaw` at z = -1."""
-    mask = sum(1 << i for i in x.I)
-    total = 0
-    for subset in range(1 << n):
-        seq = [x.s[j] for j in range(n) if subset >> j & 1]
-        img = sum(1 << i for i in seq)
-        if mask ^ img == subset:
-            total += (-1) ** (sum(a > b for a, b in combinations(seq, 2))
-                              + (mask & img).bit_count()
-                              + sum((mask >> j + 1).bit_count() for j in seq))
-    return total
-
-
-def basic_spin_trace(cg: ConcreteGroup, gdata: GammaData, n: int,
-                     x: SpinElement) -> Dict[int, Cyc]:
-    """Trace of x on V^(x)n (x) L_n, for each V realized in cg.
+def basic_spin_trace(law: SpinLaw, gdata: GammaData, x: Packed) -> Dict[int, Cyc]:
+    """Trace of x on V^(x)n (x) L_n, for each V realized in law's Gamma.
 
     The module factorizes, so the trace is the wreath-product character of
-    (g, s) on V^(x)n times the Clifford trace of a_I s, times (-1)^k.  The
-    Clifford trace and the cycles' Gamma classes are found once for every V,
-    and when the Clifford trace is 0 no character value is read.
+    (g, s) on V^(x)n times `SpinLaw.clifford_trace` of a_I s, times (-1)^k,
+    found once for every V; when it is 0 no character value is read.  Values
+    are `Cyc`, so the check of `classfun.basic_char` shares none of its kernels.
     """
-    clifford = (-1) ** x.k * clifford_trace(x, n)
-    classes = [c for _, c in _cycle_classes(cg, x)] if clifford else []
+    clifford = (-1) ** x[1] * law.clifford_trace(x)
+    classes = [c for _, c in _cycle_classes(law, x)] if clifford else []
     out = {}
-    for v in cg.rep_matrices:
+    for v in law.cg.rep_matrices:
         val = Cyc.rational(clifford)
         for c in classes:
             val = val * gdata.chars[v][c]

@@ -17,7 +17,7 @@ from .classfun import (SpinClassFun, basic_char, ch, induction_product, sigma_rh
 from .fock import FockContext, coproduct, inner, tensor_inner
 from .gammadata import ConcreteGroup, GammaData, VirtualChar, mckay_xi
 from .partitions import big_z, multipartitions
-from .spingroup import (SignedType, TheoryClass, basic_spin_trace,
+from .spingroup import (SignedType, SpinLaw, TheoryClass, basic_spin_trace,
                         enumerate_classes_bruteforce, is_split, representative_of_type,
                         theory_classes)
 from .vertex import (TwistContext, affine_relation_check, certify_instances, clifford_check,
@@ -155,12 +155,11 @@ def _hopf(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
     return [{"relation": "hopf", "params": {"n_max": args.n}, "status": "pass"}]
 
 
-def oracle_class_report(cg: ConcreteGroup, gamma: GammaData, n: int,
-                        theory: List[TheoryClass]) -> dict:
-    """Brute-force class data against the split-classification and centralizer
-    formula and the theory-side classes `theory_classes(gamma, n)`; exact
-    equality or a witness."""
-    classes = enumerate_classes_bruteforce(cg, n)
+def oracle_class_report(law: SpinLaw, gamma: GammaData, theory: List[TheoryClass]) -> dict:
+    """Brute-force class data of `law`'s cover against the split-classification
+    and centralizer formula and the theory-side classes `theory_classes(gamma,
+    law.n)`; exact equality or a witness."""
+    classes = enumerate_classes_bruteforce(law)
     zetas = gamma.centralizer_orders
     mismatches = []
     by_type: Dict[Tuple, List] = {}
@@ -201,15 +200,16 @@ def _oracle(gamma: GammaData, cg: Optional[ConcreteGroup], xi: VirtualChar,
     if cg is None:
         raise ConfigError("the oracle suite needs a built-in Gamma")
     n = args.n
+    law = SpinLaw(cg, n)
     theory = theory_classes(gamma, n)
-    report = oracle_class_report(cg, gamma, n, theory)
+    report = oracle_class_report(law, gamma, theory)
     results = [{"relation": "split_classification",
                 "params": {"n": n}, "status": "pass" if report["status"] == "ok" else "fail",
                 "witness": report["mismatches"] or None}]
     # basic spin traces against the closed character values
     k = gamma.num_classes
-    traces = [basic_spin_trace(cg, gamma, n, representative_of_type(
-        cg, n, SignedType(tc.rho_plus, tc.rho_minus))) for tc in theory]
+    traces = [basic_spin_trace(law, gamma, representative_of_type(
+        law, SignedType(tc.rho_plus, tc.rho_minus))) for tc in theory]
     for v_index in range(k):
         if v_index not in cg.rep_matrices:
             continue

@@ -1,27 +1,49 @@
-"""Reference spin character rows of the double cover, for trivial Gamma.
+"""Readable elements of the double cover, and reference spin character rows
+for trivial Gamma.
 
-The rows come from concrete induced products of basic spin modules on the
-brute-force group `spingroup.SpinLaw`, by triangular reduction; the tests
-compare `qtable.build_table` against them.  No command uses this module.
+`spingroup` knows one element form, `SpinLaw`'s packed (g, k, mask,
+permutation index).  The tests write elements as `Element`s, (g, z^k a_I s)
+with I a strictly increasing tuple and s a tuple of images, and cross to the
+packed form and back with `pack` and `unpack`.  The rows come from concrete
+induced products of basic spin modules on the brute-force group, by
+triangular reduction; the tests compare `qtable.build_table` against them.
+No command uses this module.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from spinwreath.gammadata import ConcreteGroup, GammaData
 from spinwreath.partitions import MultiPartition, big_z, multipartitions, partitions_of
 from spinwreath.scalars import Cyc
-from spinwreath.spingroup import (Packed, SignedType, SpinElement, SpinLaw, basic_spin_trace,
+from spinwreath.spingroup import (Packed, SignedType, SpinLaw, basic_spin_trace,
                                   representative_of_type)
 
 
-def pack(law: SpinLaw, x: SpinElement) -> Packed:
+@dataclass(frozen=True)
+class Element:
+    """(g, z^k a_I s); g a tuple of ConcreteGroup element ids, s maps i to s[i]."""
+
+    g: Tuple[int, ...]
+    k: int
+    I: Tuple[int, ...]
+    s: Tuple[int, ...]
+
+
+def pack(law: SpinLaw, x: Element) -> Packed:
     """The packed form of x under `law`."""
     return (x.g, x.k, sum(1 << i for i in x.I), law.perm_index[x.s])
 
 
-def _block_decompose(x: SpinElement, blocks: List[Tuple[int, int]]) -> Optional[List[SpinElement]]:
+def unpack(law: SpinLaw, x: Packed) -> Element:
+    """The readable form of the packed x under `law`."""
+    g, k, m, p = x
+    return Element(g, k, tuple(i for i in range(law.n) if m >> i & 1), law.perms[p])
+
+
+def _block_decompose(x: Element, blocks: List[Tuple[int, int]]) -> Optional[List[Element]]:
     """Split (g, z^k a_I s) into contiguous-block factors; None if s mixes
     blocks.
 
@@ -40,13 +62,13 @@ def _block_decompose(x: SpinElement, blocks: List[Tuple[int, int]]) -> Optional[
         g = tuple(x.g[lo:hi])
         I = tuple(i - lo for i in x.I if lo <= i < hi)
         k = x.k if bi == 0 else 0
-        out.append(SpinElement(g, k, I, tuple(images)))
+        out.append(Element(g, k, I, tuple(images)))
     return out
 
 
 def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, law: SpinLaw,
                                     nu: Sequence[int],
-                                    targets: List[SpinElement]) -> List[Cyc]:
+                                    targets: List[Packed]) -> List[Cyc]:
     """The character of Ind[ L_{nu_1} (x) ... (x) L_{nu_l} ] at the target elements, normalized by
     2^(-floor(l/2)) for the type-Q pair collapses.
 
@@ -62,13 +84,16 @@ def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, law: Sp
     if pos != n:
         raise ValueError("partition does not sum to n")
 
-    def f(h: SpinElement) -> Optional[Cyc]:
+    block_laws: Dict[int, SpinLaw] = {m: SpinLaw(cg, m) for m in set(nu)}
+
+    def f(h: Element) -> Optional[Cyc]:
         parts = _block_decompose(h, blocks)
         if parts is None:
             return None
         val = Cyc.rational(1)
         for bi, (lo, hi) in enumerate(blocks):
-            val = val * basic_spin_trace(cg, gdata, hi - lo, parts[bi])[0]
+            block_law = block_laws[hi - lo]
+            val = val * basic_spin_trace(block_law, gdata, pack(block_law, parts[bi]))[0]
         return val
 
     subgroup_order = 1
@@ -78,11 +103,10 @@ def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, law: Sp
 
     out = []
     conjugators = [(y, law.inv(y)) for y in law.elements()]
-    for x in targets:
-        px = pack(law, x)
+    for px in targets:
         total = Cyc.rational(0)
         for y, yinv in conjugators:
-            val = f(law.unpack(law.mul(law.mul(y, px), yinv)))
+            val = f(unpack(law, law.mul(law.mul(y, px), yinv)))
             if val is not None:
                 total = total + val
         total = total / Fraction(subgroup_order)
@@ -107,7 +131,7 @@ def oracle_spin_rows(cg: ConcreteGroup, gdata: GammaData, n: int):
     reps = {}
     for mu in columns:
         st = SignedType(mu, MultiPartition.empty(1))
-        reps[mu] = representative_of_type(cg, n, st)
+        reps[mu] = representative_of_type(law, st)
     targets = [reps[mu] for mu in columns]
     zetas = gdata.centralizer_orders
 

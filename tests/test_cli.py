@@ -195,6 +195,36 @@ def test_gamma_with_a_negative_degree_is_a_usage_error(tmp_path):
                                "degree of character 1 is not a positive integer: -1")
 
 
+@pytest.mark.parametrize("path,value,expect", [
+    (("order",), 3.9, "order must be an integer, got 3.9"),
+    (("classes", 0, "size"), True, "classes[0].size must be an integer, got true"),
+    (("chars", 0, 0, "coeffs"), [[1, 0]], "coefficient [1, 0] has a zero denominator"),
+])
+def test_gamma_number_that_is_no_json_integer_is_a_usage_error(tmp_path, path, value, expect):
+    # int() would read 3.9 as 3 and true as 1, and Fraction(1, 0) raises
+    # ZeroDivisionError: each is one usage error instead
+    doc = {"name": "c3", "order": 3,
+           "classes": [{"name": "e", "size": 1, "element_order": 1, "inverse": 0},
+                       {"name": "c1", "size": 1, "element_order": 3, "inverse": 2},
+                       {"name": "c2", "size": 1, "element_order": 3, "inverse": 1}],
+           "chars": [[{"N": 1, "coeffs": [[1, 1]]}] * 3,
+                     [{"N": 1, "coeffs": [[1, 1]]}, {"N": 3, "coeffs": [[0, 1], [1, 1]]},
+                      {"N": 3, "coeffs": [[-1, 1], [-1, 1]]}],
+                     [{"N": 1, "coeffs": [[1, 1]]}, {"N": 3, "coeffs": [[-1, 1], [-1, 1]]},
+                      {"N": 3, "coeffs": [[0, 1], [1, 1]]}]]}
+    doc_file = tmp_path / "c3.json"
+    doc_file.write_text(json.dumps(doc))
+    code, out, _ = run_cli("chartable", "--gamma", f"@{doc_file}", "--n", "1")
+    assert code == 0 and out
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    doc_file.write_text(json.dumps(doc))
+    assert_one_usage_error(*run_cli("chartable", "--gamma", f"@{doc_file}", "--n", "1"),
+                           f"malformed Gamma document: {expect}")
+
+
 # orthonormal rows with positive degrees, but no group: g1*g1 has g1 with
 # multiplicity -8/9, and the McKay-like weight 2,-1,0,0 has Gram entry 26/9
 FAKE4 = {"name": "fake4", "order": 4,

@@ -5,10 +5,22 @@ from fractions import Fraction
 import pytest
 
 from spinwreath.gammadata import (GammaData, GammaValidationError, VirtualChar, builtin,
-                                  gram_matrix, load_gamma, mckay_xi, weighted_form)
+                                  gram_matrix, load_gamma, mckay_xi)
 from spinwreath.scalars import Cyc, CycError
 
 BUILTINS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:6", "klein4", "quaternion8"]
+
+
+def weighted_form(gamma, xi, f, g):
+    """<f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) g(c^{-1}), f and g char
+    vectors, in `Cyc` arithmetic: the reference for `gram_matrix`."""
+    total = Cyc.rational(0)
+    for ci, cls in enumerate(gamma.classes):
+        zc = gamma.centralizer_order(ci)
+        term = xi.value_at(gamma, ci) * gamma.char_value(f, ci) \
+            * gamma.char_value(g, cls.inverse)
+        total = total + term / Fraction(zc)
+    return total
 
 
 def test_trivial():
@@ -133,6 +145,36 @@ def test_load_rejects_garbage():
         load_gamma(b"not json at all {")
     with pytest.raises(GammaValidationError):
         load_gamma(json.dumps({"name": "x"}))
+
+
+# Each edit of the cyclic:3 document below puts in a number that is no JSON
+# integer, or a zero denominator: int() would read 3.9 as 3 and true as 1, and
+# Fraction(1, 0) raises ZeroDivisionError, so each must be refused by name.
+NOT_INTEGERS = [
+    (("order",), 3.9, "order must be an integer, got 3.9"),
+    (("classes", 1, "size"), True, "classes[1].size must be an integer, got true"),
+    (("classes", 1, "element_order"), 3.0, "classes[1].element_order must be an integer, got 3.0"),
+    (("classes", 2, "inverse"), "1", 'classes[2].inverse must be an integer, got "1"'),
+    (("chars", 1, 1, "N"), 3.0, "N must be an integer, got 3.0"),
+    (("chars", 0, 0, "coeffs"), [[1, 0]], "coefficient [1, 0] has a zero denominator"),
+    (("chars", 1, 1, "coeffs"), [[0, 1], [1, True]],
+     "a coefficient's denominator must be an integer, got true"),
+    (("chars", 1, 1, "coeffs"), [[0, 1], [1.0, 1]],
+     "a coefficient's numerator must be an integer, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("path,value,expect", NOT_INTEGERS)
+def test_load_accepts_only_json_integers(path, value, expect):
+    doc = builtin("cyclic:3")[0].to_doc()
+    load_gamma(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(GammaValidationError) as err:
+        load_gamma(json.dumps(doc))
+    assert str(err.value) == f"malformed Gamma document: {expect}"
 
 
 def test_weighted_form_standard_is_delta():

@@ -7,10 +7,31 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinwreath.scalars import (Cyc, CycError, axis_scalar, cyc_from_numerators,
-                               cyclotomic_poly, euler_phi, moebius, reduce_mod_phi, root_matrix,
+                               cyclotomic_poly, euler_phi, reduce_mod_phi, root_matrix,
                                times_root, value_doc, zeta_powers)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
+
+
+def moebius(n: int) -> int:
+    """The Moebius function mu(n), which the primitive n-th roots of unity
+    must sum to in `Cyc` arithmetic."""
+    if n <= 0:
+        raise ValueError("moebius needs n >= 1")
+    result = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if m > 1:
+        result = -result
+    return result
+
 
 
 def weighted_dot(terms):

@@ -9,15 +9,14 @@ from spinwreath import spingroup
 from spinwreath.gammadata import builtin
 from spinwreath.partitions import MultiPartition, big_z
 from spinwreath.scalars import Cyc
-from spinwreath.spingroup import (SignedType, SpinElement, SpinLaw, basic_spin_trace,
-                                  clifford_trace, enumerate_classes_bruteforce,
-                                  is_split, representative_of_type, signed_type,
-                                  theory_classes)
+from spinwreath.spingroup import (SignedType, SpinLaw, basic_spin_trace,
+                                  enumerate_classes_bruteforce, is_split,
+                                  representative_of_type, signed_type, theory_classes)
 
-from spin_oracle import oracle_spin_rows, pack
+from spin_oracle import Element, oracle_spin_rows, pack, unpack
 
 
-# -- reference group law: word sorting on SpinElement ----------------------------
+# -- reference group law: word sorting on readable elements ----------------------
 
 
 def normalize_word(indices):
@@ -61,7 +60,7 @@ def ref_multiply(cg, x, y):
     s_inv = perm_inv(x.s)
     g = tuple(cg.mul(x.g[i], y.g[s_inv[i]]) for i in range(n))
     z, word = normalize_word(list(x.I) + [x.s[j] for j in y.I])
-    return SpinElement(g, (x.k + y.k + z) % 2, word, tuple(x.s[t] for t in y.s))
+    return Element(g, (x.k + y.k + z) % 2, word, tuple(x.s[t] for t in y.s))
 
 
 def ref_inverse(cg, x):
@@ -71,7 +70,7 @@ def ref_inverse(cg, x):
     # a_I^{-1} = z^{|I|} a_{i_m} ... a_{i_1}; conjugating through s^{-1}
     # relabels each index.
     z, word = normalize_word([s_inv[i] for i in reversed(x.I)])
-    return SpinElement(g, (x.k + len(x.I) + z) % 2, word, s_inv)
+    return Element(g, (x.k + len(x.I) + z) % 2, word, s_inv)
 
 
 def ref_elements(cg, n):
@@ -81,7 +80,7 @@ def ref_elements(cg, n):
         for k in (0, 1):
             for I in subsets:
                 for s in perms:
-                    yield SpinElement(g, k, I, s)
+                    yield Element(g, k, I, s)
 
 
 def ref_classes(cg, n):
@@ -89,13 +88,13 @@ def ref_classes(cg, n):
     every adjacent transposition, on the reference law."""
     group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
     ident = identity_element(n)
-    generators = [SpinElement((e,) + (0,) * (n - 1), 0, (), ident.s)
+    generators = [Element((e,) + (0,) * (n - 1), 0, (), ident.s)
                   for e in range(1, cg.order if n else 1)]
-    generators += [SpinElement((0,) * n, 0, (i,), ident.s) for i in range(n)]
+    generators += [Element((0,) * n, 0, (i,), ident.s) for i in range(n)]
     for i in range(n - 1):
         images = list(range(n))
         images[i], images[i + 1] = images[i + 1], images[i]
-        generators.append(SpinElement((0,) * n, 0, (), tuple(images)))
+        generators.append(Element((0,) * n, 0, (), tuple(images)))
     gen_invs = [ref_inverse(cg, h) for h in generators]
     assigned = set()
     out = []
@@ -117,7 +116,7 @@ def ref_classes(cg, n):
 
 
 def identity_element(n):
-    return SpinElement((0,) * n, 0, (), tuple(range(n)))
+    return Element((0,) * n, 0, (), tuple(range(n)))
 
 
 def times_z(x):
@@ -125,10 +124,10 @@ def times_z(x):
 
 
 def rand_element(rng, order, n):
-    return SpinElement(tuple(rng.randrange(order) for _ in range(n)),
-                       rng.randrange(2),
-                       tuple(sorted(rng.sample(range(n), rng.randrange(n + 1)))),
-                       tuple(rng.sample(range(n), n)))
+    return Element(tuple(rng.randrange(order) for _ in range(n)),
+                   rng.randrange(2),
+                   tuple(sorted(rng.sample(range(n), rng.randrange(n + 1)))),
+                   tuple(rng.sample(range(n), n)))
 
 
 def cover_classes(cg, n):
@@ -136,7 +135,7 @@ def cover_classes(cg, n):
     `SpinLaw.elements` order: (representative, size, split, centralizer)."""
     group_order = 2 ** (n + 1) * factorial(n) * cg.order**n
     law = SpinLaw(cg, n)
-    pairs = [(h, law.inv(h)) for h in spingroup._generators(cg, law)]
+    pairs = [(h, law.inv(h)) for h in spingroup._generators(law)]
     assigned = set()
     out = []
     for x in law.elements():
@@ -153,7 +152,7 @@ def cover_classes(cg, n):
                     frontier.append(w)
         assigned |= orbit
         g, k, m, p = x
-        out.append((law.unpack(x), len(orbit), (g, k ^ 1, m, p) not in orbit,
+        out.append((x, len(orbit), (g, k ^ 1, m, p) not in orbit,
                     group_order // len(orbit)))
     return out
 
@@ -194,17 +193,17 @@ def ref_basic_spin_trace(cg, gdata, v_index, n, x):
 
 
 class Law:
-    """SpinLaw on SpinElement operands, for readable relations."""
+    """SpinLaw on readable operands, for readable relations."""
 
     def __init__(self, name, n):
         self.gamma, self.cg = builtin(name)
         self.law = SpinLaw(self.cg, n)
 
     def mul(self, x, y):
-        return self.law.unpack(self.law.mul(pack(self.law, x), pack(self.law, y)))
+        return unpack(self.law, self.law.mul(pack(self.law, x), pack(self.law, y)))
 
     def inv(self, x):
-        return self.law.unpack(self.law.inv(pack(self.law, x)))
+        return unpack(self.law, self.law.inv(pack(self.law, x)))
 
 
 # -- the tabled law ---------------------------------------------------------------
@@ -213,8 +212,8 @@ class Law:
 def test_pin_relations():
     law = Law("trivial", 2)
     e = identity_element(2)
-    a1 = SpinElement((0, 0), 0, (0,), e.s)
-    a2 = SpinElement((0, 0), 0, (1,), e.s)
+    a1 = Element((0, 0), 0, (0,), e.s)
+    a2 = Element((0, 0), 0, (1,), e.s)
     assert law.mul(a1, a1) == times_z(e)
     assert law.mul(a1, a2) == times_z(law.mul(a2, a1))
     z = times_z(e)
@@ -232,7 +231,7 @@ def test_normalize_word_signs():
         assert normalize_word(word) == expect
         out = e
         for i in word:
-            out = law.mul(out, SpinElement((0, 0, 0), 0, (i,), e.s))
+            out = law.mul(out, Element((0, 0, 0), 0, (i,), e.s))
         assert (out.k, out.I) == expect
 
 
@@ -265,7 +264,7 @@ def test_packed_law_matches_reference(name, n):
     for _ in range(200):
         x = rand_element(rng, law.cg.order, n)
         y = rand_element(rng, law.cg.order, n)
-        assert law.law.unpack(pack(law.law, x)) == x
+        assert unpack(law.law, pack(law.law, x)) == x
         assert law.mul(x, y) == ref_multiply(law.cg, x, y)
         assert law.inv(x) == ref_inverse(law.cg, x)
 
@@ -274,8 +273,8 @@ def test_conjugation_lemma_example():
     # conjugating a_emptyset (12) by a_{1,2} (12) gives z (12)
     law = Law("trivial", 2)
     s12 = (1, 0)
-    x = SpinElement((0, 0), 0, (0, 1), s12)
-    y = SpinElement((0, 0), 0, (), s12)
+    x = Element((0, 0), 0, (0, 1), s12)
+    y = Element((0, 0), 0, (), s12)
     out = law.mul(law.mul(x, y), law.inv(x))
     assert out == times_z(y)
 
@@ -304,7 +303,7 @@ def test_conjugation_step_matches_mul(name, n):
     law = Law(name, n).law
     rng = random.Random(n)
     elements = [pack(law, rand_element(rng, law.order, n)) for _ in range(200)]
-    generators = spingroup._generators(builtin(name)[1], law)
+    generators = spingroup._generators(law)
     assert any(any(h[0]) for h in generators) == (name != "trivial")
     for h in generators:
         step, hinv = law.conjugation(h), law.inv(h)
@@ -314,16 +313,18 @@ def test_conjugation_step_matches_mul(name, n):
 
 def test_signed_type_examples():
     g, cg = builtin("trivial")
-    x = SpinElement((0, 0, 0), 0, (0,), (1, 2, 0))  # a_1 (123)
-    st = signed_type(cg, x)
+    law = SpinLaw(cg, 3)
+    x = Element((0, 0, 0), 0, (0,), (1, 2, 0))  # a_1 (123)
+    st = signed_type(law, pack(law, x))
     assert st.rho_plus == MultiPartition([()])
     assert st.rho_minus == MultiPartition([(3,)])
     ident = identity_element(3)
-    st = signed_type(cg, ident)
+    st = signed_type(law, pack(law, ident))
     assert st.rho_plus == MultiPartition([(1, 1, 1)])
     g2, cg2 = builtin("cyclic:2")
-    x = SpinElement((1, 0), 0, (), (1, 0))
-    st = signed_type(cg2, x)
+    law2 = SpinLaw(cg2, 2)
+    x = Element((1, 0), 0, (), (1, 0))
+    st = signed_type(law2, pack(law2, x))
     assert st.rho_plus == MultiPartition([(), (2,)])
     assert st.rho_minus == MultiPartition([(), ()])
 
@@ -344,7 +345,7 @@ def test_element_count():
     g, cg = builtin("cyclic:2")
     n = 2
     law = SpinLaw(cg, n)
-    elements = [law.unpack(x) for x in law.elements()]
+    elements = [unpack(law, x) for x in law.elements()]
     assert elements == list(ref_elements(cg, n))
     count = len(elements)
     assert count == 2 ** (n + 1) * 2 * cg.order ** n  # 2^{n+1} n! |Gamma|^n
@@ -352,7 +353,8 @@ def test_element_count():
 
 def test_bruteforce_trivial_n2():
     g, cg = builtin("trivial")
-    classes = enumerate_classes_bruteforce(cg, 2)
+    law = SpinLaw(cg, 2)
+    classes = enumerate_classes_bruteforce(law)
     assert sum(c.size for c in classes) == 16
     even_split = {(c.signed_type.rho_plus, c.signed_type.rho_minus)
                   for c in classes if c.split and c.parity == 0}
@@ -362,14 +364,14 @@ def test_bruteforce_trivial_n2():
     assert len(odd_split) == 1   # (2) strict of length 1
     ident = identity_element(2)
     for c in classes:
-        if c.representative == ident:
+        if c.representative == pack(law, ident):
             assert c.centralizer_order == 16
 
 
 def test_bruteforce_matches_theorem_and_centralizers():
     for name, n in (("trivial", 2), ("trivial", 3), ("cyclic:2", 2)):
         g, cg = builtin(name)
-        classes = enumerate_classes_bruteforce(cg, n)
+        classes = enumerate_classes_bruteforce(SpinLaw(cg, n))
         zetas = g.centralizer_orders
         for c in classes:
             assert c.split == is_split(c.signed_type)
@@ -381,7 +383,8 @@ def test_bruteforce_matches_theorem_and_centralizers():
 def test_signed_type_is_class_invariant_for_even_part():
     # elements with k=0 are conjugate in the quotient iff equal signed type
     g, cg = builtin("trivial")
-    classes = enumerate_classes_bruteforce(cg, 3)
+    law = SpinLaw(cg, 3)
+    classes = enumerate_classes_bruteforce(law)
     types = {}
     for c in classes:
         key = (c.signed_type.rho_plus, c.signed_type.rho_minus)
@@ -391,7 +394,7 @@ def test_signed_type_is_class_invariant_for_even_part():
         st0 = c.signed_type
         count = 0
         for x in ref_elements(cg, 3):
-            if signed_type(cg, x) == st0 and x.k == 0:
+            if signed_type(law, pack(law, x)) == st0 and x.k == 0:
                 count += 1
         # total number of k=0 elements of this type equals the quotient class size
         from spinwreath.spingroup import SignedType as ST
@@ -404,63 +407,72 @@ def test_signed_type_is_class_invariant_for_even_part():
 
 def test_representative_of_type_round_trip():
     g, cg = builtin("cyclic:2")
+    law = SpinLaw(cg, 3)
     for tc in theory_classes(g, 3):
-        rep = representative_of_type(cg, 3, SignedType(tc.rho_plus, tc.rho_minus))
-        st = signed_type(cg, rep)
+        rep = representative_of_type(law, SignedType(tc.rho_plus, tc.rho_minus))
+        st = signed_type(law, rep)
         assert st.rho_plus == tc.rho_plus and st.rho_minus == tc.rho_minus
 
 
 def test_clifford_traces():
     g, cg = builtin("trivial")
-    ident = identity_element(3)
-    assert clifford_trace(ident, 3) == 8
-    assert basic_spin_trace(cg, g, 3, ident)[0] == 8
-    rep3 = representative_of_type(cg, 3, SignedType(MultiPartition([(3,)]),
+    law = SpinLaw(cg, 3)
+    ident = pack(law, identity_element(3))
+    assert law.clifford_trace(ident) == 8
+    assert basic_spin_trace(law, g, ident)[0] == 8
+    rep3 = representative_of_type(law, SignedType(MultiPartition([(3,)]),
+                                                  MultiPartition([()])))
+    assert basic_spin_trace(law, g, rep3)[0] == 2
+    rep111 = representative_of_type(law, SignedType(MultiPartition([(1, 1, 1)]),
                                                     MultiPartition([()])))
-    assert basic_spin_trace(cg, g, 3, rep3)[0] == 2
-    rep111 = representative_of_type(cg, 3, SignedType(MultiPartition([(1, 1, 1)]),
-                                                      MultiPartition([()])))
-    assert basic_spin_trace(cg, g, 3, rep111)[0] == 8
+    assert basic_spin_trace(law, g, rep111)[0] == 8
 
 
 def test_basic_trace_dimension_count():
     g, cg = builtin("quaternion8")
-    ident = identity_element(2)
+    law = SpinLaw(cg, 2)
+    ident = pack(law, identity_element(2))
     # trace at the identity is deg(V)^n 2^n
-    assert basic_spin_trace(cg, g, 2, ident)[4] == (2 ** 2) * (2 ** 2)
+    assert basic_spin_trace(law, g, ident)[4] == (2 ** 2) * (2 ** 2)
 
 
 def test_trace_vanishes_off_split_even():
     for name, n in (("trivial", 3), ("cyclic:2", 2)):
         g, cg = builtin(name)
-        classes = enumerate_classes_bruteforce(cg, n)
+        law = SpinLaw(cg, n)
+        classes = enumerate_classes_bruteforce(law)
         for c in classes:
-            traces = basic_spin_trace(cg, g, n, c.representative)
+            traces = basic_spin_trace(law, g, c.representative)
             assert sorted(traces) == list(range(g.num_classes))
             if not c.split or c.parity == 1:
                 assert all(tr.is_zero() for tr in traces.values())
         # z flips the sign: trace(zx) = -trace(x)
         for c in classes[:6]:
-            tr = basic_spin_trace(cg, g, n, c.representative)[0]
-            assert basic_spin_trace(cg, g, n, times_z(c.representative))[0] == -1 * tr
+            tr = basic_spin_trace(law, g, c.representative)[0]
+            z_rep = pack(law, times_z(unpack(law, c.representative)))
+            assert basic_spin_trace(law, g, z_rep)[0] == -1 * tr
 
 
 def test_clifford_trace_matches_basis_action():
     g, cg = builtin("trivial")
     for n in range(5):
+        law = SpinLaw(cg, n)
         for x in ref_elements(cg, n):
-            assert clifford_trace(x, n) == ref_clifford_trace(x, n), x
+            assert law.clifford_trace(pack(law, x)) == ref_clifford_trace(x, n), x
 
 
-@pytest.mark.parametrize("name", ["klein4", "quaternion8"])
+@pytest.mark.parametrize("name", ["klein4", "quaternion8", "cyclic:3", "cyclic:5"])
 def test_traces_match_per_v_product(name):
+    # cyclic:3 and cyclic:5 bring irrational values; cyclic:5 at n = 2 keeps
+    # the cover small
     g, cg = builtin(name)
-    n = 3
+    n = 2 if name == "cyclic:5" else 3
+    law = SpinLaw(cg, n)
     nonzero = 0
     for tc in theory_classes(g, n):
-        rep = representative_of_type(cg, n, SignedType(tc.rho_plus, tc.rho_minus))
+        rep = unpack(law, representative_of_type(law, SignedType(tc.rho_plus, tc.rho_minus)))
         for x in (rep, times_z(rep)):
-            traces = basic_spin_trace(cg, g, n, x)
+            traces = basic_spin_trace(law, g, pack(law, x))
             assert sorted(traces) == sorted(cg.rep_matrices)
             for v, tr in traces.items():
                 assert tr == ref_basic_spin_trace(cg, g, v, n, x)
@@ -471,19 +483,20 @@ def test_traces_match_per_v_product(name):
 def test_guard():
     g, cg = builtin("cyclic:6")
     with pytest.raises(ValueError, match="guard"):
-        enumerate_classes_bruteforce(cg, 5)
+        SpinLaw(cg, 5)
 
 
 def test_guard_comes_before_any_table(monkeypatch):
-    def refuse(cg, n):
+    # the permutation list is the law's first table
+    def refuse(*args):
         raise AssertionError("tables built")
 
-    monkeypatch.setattr(spingroup, "SpinLaw", refuse)
+    monkeypatch.setattr(spingroup, "permutations", refuse)
     g, cg = builtin("cyclic:6")
     with pytest.raises(ValueError, match="guard"):
-        enumerate_classes_bruteforce(cg, 5)
+        SpinLaw(cg, 5)
     with pytest.raises(AssertionError, match="tables built"):  # under the guard
-        enumerate_classes_bruteforce(cg, 1)
+        SpinLaw(cg, 1)
 
 
 @pytest.mark.parametrize("name,n", [("trivial", 0), ("trivial", 1), ("trivial", 2),
@@ -492,15 +505,16 @@ def test_guard_comes_before_any_table(monkeypatch):
                                     ("klein4", 3), ("cyclic:3", 3)])
 def test_classes_match_reference_orbit_closure(name, n):
     g, cg = builtin(name)
-    got = [(c.representative, c.size, c.split, c.centralizer_order)
-           for c in enumerate_classes_bruteforce(cg, n)]
+    law = SpinLaw(cg, n)
+    got = [(unpack(law, c.representative), c.size, c.split, c.centralizer_order)
+           for c in enumerate_classes_bruteforce(law)]
     assert got == ref_classes(cg, n)
 
 
 @pytest.mark.parametrize("name,n", [("quaternion8", 3), ("trivial", 5)])
 def test_classes_match_whole_cover_closure(name, n):
     g, cg = builtin(name)
-    classes = enumerate_classes_bruteforce(cg, n)
+    classes = enumerate_classes_bruteforce(SpinLaw(cg, n))
     got = [(c.representative, c.size, c.split, c.centralizer_order) for c in classes]
     assert got == cover_classes(cg, n)
     assert {c.split for c in classes} == {True, False}

@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from spinwreath.cli import build_parser
@@ -65,6 +67,40 @@ def test_oracle_builds_the_theory_classes_once(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "theory_classes", counted)
     assert cli.main(argv) == 0
     assert calls == [2]
+
+
+@pytest.mark.parametrize("argv", [["verify", "oracle", "--gamma", "klein4", "--n", "2"],
+                                  ["classes", "--oracle", "--gamma", "klein4", "--n", "2"]])
+def test_oracle_builds_one_law(monkeypatch, argv):
+    # the class enumeration and the basic spin traces share one set of tables
+    from spinwreath import cli
+    from spinwreath.spingroup import SpinLaw
+
+    built = []
+    init = SpinLaw.__init__
+
+    def counted(self, cg, n):
+        built.append(n)
+        init(self, cg, n)
+
+    monkeypatch.setattr(SpinLaw, "__init__", counted)
+    assert cli.main(argv) == 0
+    assert built == [2]
+
+
+def test_oracle_fails_on_a_flipped_clifford_sign(monkeypatch):
+    # the identity's Clifford trace on L_n is 2^n, so a sign flipped at mask 0
+    # reaches every even split type's representative
+    from spinwreath.spingroup import SpinLaw
+
+    trace = SpinLaw.clifford_trace
+    monkeypatch.setattr(SpinLaw, "clifford_trace",
+                        lambda law, x: -trace(law, x) if x[2] == 0 else trace(law, x))
+    g, cg = builtin("klein4")
+    results = SUITES["oracle"](g, cg, VirtualChar.trivial(g), argparse.Namespace(n=2))
+    assert results[0]["status"] == "pass"  # the class data never reads a trace
+    assert results[-1] == {"relation": "basic_spin_trace", "status": "fail",
+                           "params": {"V": 0, "type": "((1, 1), (), (), ())"}}
 
 
 # -- the Fock-side suites fail on a perturbed Fock side ------------------------------

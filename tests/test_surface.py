@@ -23,7 +23,8 @@ from `scalars`, `vertex` applies no Fock operator, `fock` names no `Cyc`,
 and `classfun` and `qtable` build one only at the edges: the oracle's
 accessor, documents and failure messages.  One more pins that Fock
 monomials have one numbering and one set of factor tables, both owned by
-`fock.FockContext`.
+`fock.FockContext`, and another that the brute-force oracle has one element
+form, `spingroup.SpinLaw`'s packed one.
 """
 
 import ast
@@ -312,3 +313,19 @@ def test_class_functions_and_tables_build_cyc_only_at_the_edges():
     assert _functions_naming(os.path.join(PACKAGE, "classfun.py"), cyc) == {"value"}
     assert _functions_naming(os.path.join(PACKAGE, "qtable.py"), cyc) == {
         "build_table", "verify_table"}
+
+
+def test_the_oracle_has_one_element_form():
+    # `SpinLaw`'s packed (g, k, mask, permutation index) is the oracle's only
+    # element form (the readable one and its conversions live in the tests),
+    # and the Clifford trace is the law's, on the law's sign tables
+    from spinwreath.spingroup import SpinLaw
+
+    with open(os.path.join(PACKAGE, "spingroup.py")) as fh:
+        tree = ast.parse(fh.read())
+    top = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"SpinElement", "unpack"} & defined
+    assert "clifford_trace" not in top and "clifford_trace" in vars(SpinLaw)
