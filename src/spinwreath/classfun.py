@@ -64,8 +64,7 @@ class SpinClassFun:
 
     def value(self, rho: MultiPartition) -> Cyc:
         """The value at D_rho^+ as one `Cyc`, for the brute-force oracle."""
-        return cyc_from_numerators(self.gamma.value_numerators[0],
-                                   self.nums.get(rho, (0,)), self.den)
+        return cyc_from_numerators(self.gamma.axis, self.nums.get(rho, (0,)), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinClassFun):
@@ -112,7 +111,7 @@ def _weighted_dual(g: SpinClassFun, xi: VirtualChar) -> Tuple[int, Dict[MultiPar
     out = g._dual.get(xi)
     if out is None:
         gamma = g.gamma
-        axis = gamma.value_numerators[0]
+        axis = gamma.axis
         weights = _WEIGHTS.setdefault((gamma, xi), {})
         terms = {}
         own = {sigma: sigma for sigma in g.nums}  # so a table's columns match by identity
@@ -122,7 +121,7 @@ def _weighted_dual(g: SpinClassFun, xi: VirtualChar) -> Tuple[int, Dict[MultiPar
             _, norm, lengths = _dual(gamma, rho)
             w = weights.get(lengths)
             if w is None:
-                xivals = {ci: gamma.on_axis(xi.value_at(gamma, ci)) for ci, _ in lengths}
+                xivals = {ci: xi.value_at(gamma, ci) for ci, _ in lengths}
                 w = weights[lengths] = _power_product(axis, xivals, lengths)
             if any(w[1]):
                 terms[rho] = (norm * w[0], times(axis, gval, w[1]))
@@ -142,7 +141,7 @@ def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Tuple[i
     f.den g.den D once (`scalars.axis_scalar`)."""
     if f.n != g.n:
         raise ValueError("degree mismatch")
-    axis = f.gamma.value_numerators[0]
+    axis = f.gamma.axis
     den, dual = _weighted_dual(g, xi)
     terms = [(a, s) for rho, a in f.nums.items() if (s := dual.get(rho)) is not None]
     width = euler_phi(axis)
@@ -158,10 +157,11 @@ def weighted_inner(f: SpinClassFun, g: SpinClassFun, xi: VirtualChar) -> Tuple[i
     return axis_scalar(axis, acc, f.den * g.den * den)
 
 
-def basic_char(gamma: GammaData, n: int, coeffs: Sequence[ValueLike]) -> SpinClassFun:
-    """Basic spin character values 2^l(rho) prod_c gamma(c)^l(rho(c)) at D_rho^+."""
-    axis = gamma.value_numerators[0]
-    class_values = [gamma.on_axis(gamma.char_value(coeffs, ci)) for ci in range(gamma.num_classes)]
+def basic_char(gamma: GammaData, n: int, coeffs: Sequence[int]) -> SpinClassFun:
+    """Basic spin character values 2^l(rho) prod_c gamma(c)^l(rho(c)) at D_rho^+,
+    gamma = sum_i coeffs[i] gamma_i."""
+    axis = gamma.axis
+    class_values = [gamma.char_value(coeffs, ci) for ci in range(gamma.num_classes)]
     values = {}
     for rho in multipartitions(n, gamma.num_classes, "OP"):
         den, x = _power_product(axis, class_values, _dual(gamma, rho)[2])
@@ -194,7 +194,7 @@ def induction_product(f: SpinClassFun, g: SpinClassFun) -> SpinClassFun:
     if f.gamma is not g.gamma:
         raise ValueError("group mismatch")
     gamma = f.gamma
-    axis = gamma.value_numerators[0]
+    axis = gamma.axis
     k = gamma.num_classes
     out: Dict[MultiPartition, Coeff] = {}
     for rho_f, cf in f.nums.items():

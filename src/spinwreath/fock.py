@@ -8,8 +8,8 @@ module's operators and the row engine of `vertex` share.  An index turns back in
 a failure witness, a repr or a coproduct split.
 
 A vector is (den, {monomial index: numerators}): every coefficient lies in
-Q(zeta_N), N Gamma's value axis (`GammaData.value_numerators`, the lcm of
-the orders of its character values; N = 1 when they are all rational), and
+Q(zeta_N), N Gamma's value axis (`GammaData.axis`, the order of its
+irrational character values; N = 1 when they are all rational), and
 is stored as its phi(N) integer numerators in the power basis mod Phi_N,
 over the vector's one denominator.  The form is canonical: no zero
 coefficient is stored and den is the least, so a zero test and `==` compare
@@ -72,7 +72,7 @@ class FockContext:
         k = gamma.num_classes
         # links[i]: the irreducibles gamma_j with gram[i][j] != 0
         self.links = [[j for j in range(k) if self.gram[i][j]] for i in range(k)]
-        self.axis = gamma.value_numerators[0]
+        self.axis = gamma.axis
         self.width = euler_phi(self.axis)  # numerators per coefficient
         self.monos: List[Monomial] = [()]
         self._index: Dict[Monomial, int] = {(): VACUUM}

@@ -4,6 +4,16 @@ The pipeline consumes a finite group Gamma only through its character table
 (:class:`GammaData`); concrete multiplication is needed only by the brute
 force oracle, so built-ins also carry a :class:`ConcreteGroup` with an
 explicit table and irreducible representation matrices.
+
+`GammaData` stores each character value once, as canonical integer
+numerators on Gamma's value axis, and every sum over Gamma (validation,
+the product check, Gram matrices) runs on those through one kernel,
+`_weighted_gram`.  `Cyc` remains only at the input edge, where values are
+handed in (`Cyc.from_doc` parses documents; the cyclic built-ins write
+their roots of unity with it) and converted once (`GammaData.on_axis`),
+and in the `ConcreteGroup` matrices, which the oracle keeps in `Cyc` so it
+shares no kernel with the engines.  Exact values in messages are printed
+by `scalars.value_text`.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import (Coeff, Cyc, CycError, cyc_from_numerators, doc_int, euler_phi,
-                      reduce_mod_phi, root_matrix, times_root, zeta_powers)
+from .scalars import (Coeff, Cyc, CycError, axis_scalar, doc_int, euler_phi, reduce_mod_phi,
+                      root_matrix, times_root, value_doc, value_text, zeta_powers)
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
 ValueLike = Union[int, Fraction, Cyc]  # a value of Gamma's value field, as handed in
@@ -37,62 +47,42 @@ class ClassInfo:
 Numerators = Sequence[Tuple[int, int]]  # (exponent on the axis, numerator), nonzero
 
 
-def _axis_product(order: int, scale: int, *polys: Numerators) -> List[Tuple[int, int]]:
-    """scale times the product of the polys on the axis z^order = 1."""
-    p = {0: scale}
-    for poly in polys:
-        q: Dict[int, int] = {}
-        for e, a in p.items():
-            for f, b in poly:
-                x = (e + f) % order
-                q[x] = q.get(x, 0) + a * b
-        p = q
-    return [(e, a) for e, a in p.items() if a]
-
-
-def _order_clash(left: Sequence[Cyc], right: Sequence[Cyc]) -> Optional[Tuple[int, int]]:
-    """The first two distinct orders above 1 that summing the products x*y
-    term by term in `Cyc` arithmetic would meet, or None."""
-    cur = 1
-    for x, y in zip(left, right):
-        o = x.order
-        if y.order != 1:
-            if o != 1 and o != y.order:
-                return o, y.order
-            o = y.order
-        if o != 1:
-            if cur != 1 and cur != o:
-                return cur, o
-            cur = o
-    return None
+def _value_axis(exponent: int, values: Sequence[ValueLike]) -> int:
+    """The axis N of Gamma's values: 1 when all are rational, else the one
+    order of the irrational ones, each at `exponent` if its own order
+    divides it.  Two distinct orders raise `CycError`, as summing their
+    products in `Cyc` arithmetic would."""
+    axis = 1
+    for v in values:
+        if isinstance(v, Cyc) and v.as_rational() is None:
+            o = exponent if exponent % v.order == 0 else v.order
+            if axis not in (1, o):
+                raise CycError(f"incompatible cyclotomic orders {axis} and {o}; "
+                               "promote explicitly")
+            axis = o
+    return axis
 
 
 class GammaData:
     """Validated class data and irreducible character values of Gamma.
 
     Characters are rows chars[i][c] with chars[0] the trivial character;
-    class 0 is the identity class.  Rational values are stored at order 1;
-    irrational values live in Q(zeta_N) for N the lcm of the class element
-    orders.
+    class 0 is the identity class.  Each value is stored once, as canonical
+    (den, numerators) on Gamma's value axis N (`on_axis`), converted from the
+    values handed in: N is 1 when all are rational, else the lcm of the
+    class element orders, or the values' own order when it does not divide
+    that.  Equal values are equal tuples.
     """
 
     def __init__(self, name: str, order: int, classes: Sequence[ClassInfo],
-                 chars: Sequence[Sequence[Cyc]]):
+                 chars: Sequence[Sequence[ValueLike]]):
         self.name = name
         self.order = order
         self.classes = list(classes)
-        self.exponent = lcm(*[c.element_order for c in classes]) if classes else 1
-        self.chars = [[self._normalize(v) for v in row] for row in chars]
+        exponent = lcm(*[c.element_order for c in classes]) if classes else 1
+        self.axis = _value_axis(exponent, [v for row in chars for v in row])
+        self.chars = [[self.on_axis(v) for v in row] for row in chars]
         self.validate()
-
-    def _normalize(self, v) -> Cyc:
-        v = Cyc.lift(v)
-        q = v.as_rational()
-        if q is not None:
-            return Cyc.rational(q)
-        if v.order != self.exponent and self.exponent % v.order == 0:
-            return v.promote(self.exponent)
-        return v
 
     # -- derived data --------------------------------------------------------
 
@@ -119,16 +109,19 @@ class GammaData:
     def char_names(self) -> List[str]:
         return [f"g{i}" for i in range(self.num_classes)]
 
-    def char_value(self, coeffs: Sequence[ValueLike], ci: int) -> Cyc:
-        """Value at class ci of the virtual character sum_i coeffs[i]*gamma_i."""
-        total = Cyc.rational(0)
+    def char_value(self, coeffs: Sequence[int], ci: int) -> Tuple[int, Coeff]:
+        """Value at class ci of the virtual character sum_i coeffs[i]*gamma_i,
+        coeffs integers, as one canonical value on the axis."""
+        order, den, nums = self.value_numerators
+        acc = [0] * euler_phi(order)
         for i, s in enumerate(coeffs):
             if s:
-                total = total + self.chars[i][ci] * s
-        return total
+                for e, a in nums[i][ci]:
+                    acc[e] += s * a
+        return axis_scalar(order, acc, den)
 
     def degree(self, i: int) -> int:
-        return self.chars[i][0].as_int()
+        return self.chars[i][0][1][0]
 
     def dual_class(self, ci: int) -> int:
         return self.classes[ci].inverse
@@ -150,96 +143,70 @@ class GammaData:
                 raise GammaValidationError("inverse map is not an involution")
         if self.classes[0].inverse != 0:
             raise GammaValidationError("identity class must be self-inverse")
-        if not all(self.chars[0][ci] == 1 for ci in range(k)):
+        one = self.on_axis(1)
+        if any(v != one for v in self.chars[0]):
             raise GammaValidationError("first character must be trivial")
         for i, row in enumerate(self.chars):
-            q = row[0].as_rational()
-            if q is None or q.denominator != 1 or q <= 0:
-                raise GammaValidationError(
-                    f"degree of character {i} is not a positive integer: {row[0].pretty()}")
+            den, nums = row[0]
+            if den != 1 or any(nums[1:]) or nums[0] <= 0:
+                raise GammaValidationError(f"degree of character {i} is not a positive "
+                                           f"integer: {value_text(self.axis, nums, den)}")
         den, form = _weighted_gram(self, [1] + [0] * (k - 1))
-        mixed = len({v.order for row in self.chars for v in row} - {1}) > 1
         for i in range(k):
             for j in range(k):
-                right = [self.chars[j][c.inverse] for c in self.classes]
-                clash = mixed and _order_clash(self.chars[i], right)
-                if clash:
-                    raise CycError(f"incompatible cyclotomic orders {clash[0]} and "
-                                   f"{clash[1]}; promote explicitly")
                 if form[i][j][0] != (den if i == j else 0) or any(form[i][j][1:]):
                     raise GammaValidationError(
                         f"row orthogonality fails for characters ({i}, {j})")
 
     @cached_property
     def value_numerators(self) -> Tuple[int, int, List[List[Numerators]]]:
-        """(N, d, nums): N the lcm of the orders of the character values, d the
-        lcm of their denominators, and nums[i][c] the nonzero power-basis
-        numerators of d * chars[i][c], each exponent put on the axis z^N = 1.
-        Derived once, on first use."""
-        values = [v for row in self.chars for v in row]
-        order = lcm(*(v.order for v in values))
-        den = lcm(*(c.denominator for v in values for c in v.coeffs))
-        return order, den, [[tuple((e * (order // v.order), c.numerator * (den // c.denominator))
-                                   for e, c in enumerate(v.coeffs) if c) for v in row]
-                            for row in self.chars]
+        """(N, d, nums): N the axis, d the lcm of the values' denominators,
+        and nums[i][c] the nonzero numerators (exponent, numerator) of
+        d * chars[i][c].  Derived once, on first use."""
+        den = lcm(*(d for row in self.chars for d, _ in row))
+        return self.axis, den, [[tuple((e, a * (den // d)) for e, a in enumerate(nums) if a)
+                                 for d, nums in row] for row in self.chars]
 
     def on_axis(self, c: ValueLike) -> Tuple[int, Coeff]:
-        """A value of Gamma's value field as canonical (den, numerators) on the
-        axis of `value_numerators`; a `Cyc` outside it raises `CycError`."""
-        order = self.value_numerators[0]
+        """A value of Gamma's value field as canonical (den, numerators) on
+        the axis; a `Cyc` outside it raises `CycError`."""
         q = c.as_rational() if isinstance(c, Cyc) else Fraction(c)
         if q is None:
-            return c.promote(order).numerators()
-        return q.denominator, (q.numerator,) + (0,) * (euler_phi(order) - 1)
+            return c.promote(self.axis).numerators()
+        return q.denominator, (q.numerator,) + (0,) * (euler_phi(self.axis) - 1)
 
     @cached_property
     def linear_twists(self) -> List[Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]]:
         """(d, perm, roots) for each linear character delta = gamma_d other
         than gamma_0: perm[i] = j where gamma_j = delta_bar gamma_i, and
         roots[c] = (s, k) where delta(c) = s z^k, s = +-1 and z the root of
-        unity of the axis of `value_numerators` (`scalars.zeta_powers`).
+        unity of the axis (`scalars.zeta_powers`).
 
         Tensoring with the linear character prod_i delta(g_i) of Gamma wr S_n
         permutes the spin table's rows: chi_{delta_bar.lambda}(D_mu^+) =
         delta(mu) chi_lambda(D_mu^+), delta_bar.lambda putting lambda(gamma_i)
-        at gamma_perm[i].  Values are compared exactly, as canonical
-        numerators (`on_axis`); a delta with a value that is no root of
+        at gamma_perm[i].  Values are compared exactly, as the stored
+        canonical numerators; a delta with a value that is no root of
         unity, or under which some delta_bar gamma_i is no irreducible or
         two coincide, is left out.  Derived once, on first use."""
-        order = self.value_numerators[0]
+        order = self.axis
         k = self.num_classes
-        vals = [[self.on_axis(v) for v in row] for row in self.chars]
-        where = {tuple(row): i for i, row in enumerate(vals)}
+        where = {tuple(row): i for i, row in enumerate(self.chars)}
         roots: Dict[Coeff, Tuple[int, int]] = {}
         for s in (1, -1):
             for e, z in enumerate(zeta_powers(order)):
                 roots.setdefault(tuple(s * x for x in z), (s, e))
         out = []
         for d in range(1, k):
-            exps = tuple(roots.get(nums) if den == 1 else None for den, nums in vals[d])
+            exps = tuple(roots.get(nums) if den == 1 else None for den, nums in self.chars[d])
             if None in exps:  # no root of unity at some class; else delta(1) = 1
                 continue
             bar = [root_matrix(order, *exps[c.inverse]) for c in self.classes]
             perm = tuple(where.get(tuple((den, times_root(bar[c], nums))
                                          for c, (den, nums) in enumerate(row)), -1)
-                         for row in vals)
+                         for row in self.chars)
             if len(set(perm) - {-1}) == k:
                 out.append((d, perm, exps))
-        return out
-
-    def _against_duals(self, prods: Sequence[Tuple[int, Numerators]]) -> List[List[int]]:
-        """For each t, sum_c p_c gamma_t(c^{-1}) over the (c, p_c) in prods,
-        p_c numerators on the axis of `value_numerators`: its numerators
-        reduced mod Phi_N."""
-        order, _, nums = self.value_numerators
-        out = []
-        for row in nums:
-            acc = [0] * order
-            for ci, p in prods:
-                for e, a in p:
-                    for f, b in row[self.classes[ci].inverse]:
-                        acc[(e + f) % order] += a * b
-            out.append(reduce_mod_phi(order, acc))
         return out
 
     def require_products_decompose(self) -> None:
@@ -248,20 +215,19 @@ class GammaData:
         not make a character table.  Run on outside input only.
 
         The multiplicity of gamma_t is sum_c |c| gamma_i(c) gamma_j(c)
-        gamma_t(c^{-1}) / |Gamma|, symmetric in i and j, so only i <= j is
-        summed; each sum runs on the integer numerators of `value_numerators`
-        (`_against_duals`) and is reduced mod Phi_N once."""
-        order, den, nums = self.value_numerators
-        scale = self.order * den ** 3
-        for i in range(len(self.classes)):
-            for j in range(i, len(self.classes)):
-                prods = [(ci, _axis_product(order, cls.size, nums[i][ci], nums[j][ci]))
-                         for ci, cls in enumerate(self.classes)]
-                for t, red in enumerate(self._against_duals(prods)):
+        gamma_t(c^{-1}) / |Gamma| = <gamma_i, gamma_t>_{gamma_j}, entry [i][t]
+        of `_weighted_gram` at the weight gamma_j.  It is symmetric in i and
+        j, so only its rows i <= j are summed."""
+        k = self.num_classes
+        grams = [_weighted_gram(self, [int(t == j) for t in range(k)], j + 1) for j in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                scale, form = grams[j]
+                for t, red in enumerate(form[i]):
                     if any(red[1:]) or red[0] % scale or red[0] < 0:
-                        val = cyc_from_numerators(order, red, scale)
                         raise GammaValidationError(
-                            f"g{i}*g{j} is not a character: g{t} occurs {val.pretty()} times")
+                            f"g{i}*g{j} is not a character: g{t} occurs "
+                            f"{value_text(self.axis, red, scale)} times")
 
     # -- serialization --------------------------------------------------------
 
@@ -272,26 +238,41 @@ class GammaData:
             "classes": [{"name": c.name, "size": c.size,
                          "element_order": c.element_order, "inverse": c.inverse}
                         for c in self.classes],
-            "chars": [[v.to_doc() for v in row] for row in self.chars],
+            "chars": [[value_doc(self.axis, nums, den) for den, nums in row]
+                      for row in self.chars],
         }
 
     @staticmethod
     def from_doc(doc: dict) -> "GammaData":
         """The validated Gamma of a document; every number in it must be a JSON
-        integer (`scalars.doc_int`), and any fault raises
-        `GammaValidationError`."""
+        integer (`scalars.doc_int`), every name a JSON string and the class
+        names distinct, and any fault raises `GammaValidationError`."""
         try:
-            classes = [ClassInfo(str(c["name"]), *(doc_int(c[key], f"classes[{ci}].{key}")
-                                                   for key in ("size", "element_order", "inverse")))
+            classes = [ClassInfo(_doc_str(c["name"], f"classes[{ci}].name"),
+                                 *(doc_int(c[key], f"classes[{ci}].{key}")
+                                   for key in ("size", "element_order", "inverse")))
                        for ci, c in enumerate(doc["classes"])]
+            names = [c.name for c in classes]
+            for ci, name in enumerate(names):
+                if name in names[:ci]:
+                    raise ValueError(f"classes[{ci}].name repeats {json.dumps(name)}")
             chars = [[Cyc.from_doc(v) for v in row] for row in doc["chars"]]
-            gamma = GammaData(str(doc["name"]), doc_int(doc["order"], "order"), classes, chars)
+            gamma = GammaData(_doc_str(doc["name"], "name"), doc_int(doc["order"], "order"),
+                              classes, chars)
         except (KeyError, TypeError, ValueError, CycError) as exc:
             if isinstance(exc, GammaValidationError):
                 raise
             raise GammaValidationError(f"malformed Gamma document: {exc}") from exc
         gamma.require_products_decompose()
         return gamma
+
+
+def _doc_str(value, what: str) -> str:
+    """A name a document must hold as a JSON string; anything else is
+    refused with `ValueError`, never converted."""
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {json.dumps(value)}")
+    return value
 
 
 def load_gamma(document: Union[bytes, str, dict]) -> GammaData:
@@ -354,7 +335,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _builtin_trivial() -> Tuple[GammaData, ConcreteGroup]:
-    g = GammaData("trivial", 1, [ClassInfo("e", 1, 1, 0)], [[Cyc.rational(1)]])
+    g = GammaData("trivial", 1, [ClassInfo("e", 1, 1, 0)], [[1]])
     cg = ConcreteGroup("trivial", [[0]], [0], {0: [((Cyc.rational(1),),)]})
     return g, cg
 
@@ -376,8 +357,7 @@ def _builtin_cyclic(k: int) -> Tuple[GammaData, ConcreteGroup]:
 def _builtin_klein4() -> Tuple[GammaData, ConcreteGroup]:
     classes = [ClassInfo(n, 1, 1 if i == 0 else 2, i) for i, n in enumerate(["e", "a", "b", "ab"])]
     signs = [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]
-    chars = [[Cyc.rational(s) for s in row] for row in signs]
-    g = GammaData("klein4", 4, classes, chars)
+    g = GammaData("klein4", 4, classes, signs)
     table = [[a ^ b for b in range(4)] for a in range(4)]
     reps = {i: [((Cyc.rational(signs[i][x]),),) for x in range(4)] for i in range(4)}
     cg = ConcreteGroup("klein4", table, list(range(4)), reps)
@@ -410,8 +390,7 @@ def _builtin_quaternion8() -> Tuple[GammaData, ConcreteGroup]:
         [1, 1, -1, -1, 1],   # kernel contains <k>
         [2, -2, 0, 0, 0],    # the 2-dimensional symplectic character
     ]
-    chars = [[Cyc.rational(v) for v in row] for row in chars_int]
-    g = GammaData("quaternion8", 8, classes, chars)
+    g = GammaData("quaternion8", 8, classes, chars_int)
 
     zi = Cyc.zeta(4)
     zero = Cyc.rational(0)
@@ -479,7 +458,7 @@ class VirtualChar:
     def __repr__(self) -> str:
         return f"VirtualChar{self.coeffs!r}"
 
-    def value_at(self, gamma: GammaData, ci: int) -> Cyc:
+    def value_at(self, gamma: GammaData, ci: int) -> Tuple[int, Coeff]:
         return gamma.char_value(self.coeffs, ci)
 
     def is_self_dual(self, gamma: GammaData) -> bool:
@@ -491,27 +470,46 @@ class VirtualChar:
         return VirtualChar([1] + [0] * gamma.r)
 
 
-def _weighted_gram(gamma: GammaData, xi: Sequence[int]) -> Tuple[int, List[List[List[int]]]]:
+def _weighted_gram(gamma: GammaData, xi: Sequence[int],
+                   rows: Optional[int] = None) -> Tuple[int, List[List[List[int]]]]:
     """(den, form): form[i][j] the numerators over den, reduced mod Phi_N, of
-    <gamma_i, gamma_j>_xi for the integer vector xi over the irreducibles.
+    <gamma_i, gamma_j>_xi for the integer vector xi over the irreducibles,
+    for the first `rows` i (all by default).
 
     The sum <f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) g(c^{-1}) on basis
-    vectors, with 1/zeta_c = |c|/|Gamma|: row i is one
-    `GammaData._against_duals` sum of the products |c| xi(c) gamma_i(c)
-    over the classes, on `value_numerators`.  The entry is the multiplicity
+    vectors, with 1/zeta_c = |c|/|Gamma|, runs on the integer numerators of
+    `value_numerators` on the axis z^N = 1 and is reduced mod Phi_N once per
+    entry: Gamma's one sum over its classes.  The entry is the multiplicity
     of gamma_j in xi gamma_i when xi is a character.
     """
     order, den, nums = gamma.value_numerators
-    xis = []  # xi(c) d, as numerators
-    for ci in range(gamma.num_classes):
-        p: Dict[int, int] = {}
+    weights = []  # (c, |c| xi(c) d as numerators) where xi(c) is not 0
+    for ci, cls in enumerate(gamma.classes):
+        w: Dict[int, int] = {}
         for t, x in enumerate(xi):
-            for e, a in nums[t][ci]:
-                p[e] = p.get(e, 0) + x * a
-        xis.append([(e, a) for e, a in p.items() if a])
-    form = [gamma._against_duals([(ci, _axis_product(order, cls.size, xis[ci], nums[i][ci]))
-                                  for ci, cls in enumerate(gamma.classes) if xis[ci]])
-            for i in range(gamma.num_classes)]
+            if x:
+                for e, a in nums[t][ci]:
+                    w[e] = w.get(e, 0) + cls.size * x * a
+        if any(w.values()):
+            weights.append((ci, [(e, a) for e, a in w.items() if a]))
+    form = []
+    for row in nums[:rows]:
+        prods = []  # (c^{-1}, |c| xi(c) gamma_i(c) d^2 as numerators)
+        for ci, w in weights:
+            p: Dict[int, int] = {}
+            for e, a in w:
+                for f, b in row[ci]:
+                    x = (e + f) % order
+                    p[x] = p.get(x, 0) + a * b
+            prods.append((gamma.classes[ci].inverse, p.items()))
+        form.append([])
+        for dual in nums:
+            acc = [0] * order
+            for ci, p in prods:
+                for e, a in p:
+                    for f, b in dual[ci]:
+                        acc[(e + f) % order] += a * b
+            form[-1].append(reduce_mod_phi(order, acc))
     return gamma.order * den ** 3, form
 
 
@@ -523,8 +521,8 @@ def gram_matrix(gamma: GammaData, xi: VirtualChar) -> List[List[int]]:
     for i, row in enumerate(form):
         for j, red in enumerate(row):
             if any(red[1:]) or red[0] % den:
-                val = cyc_from_numerators(gamma.value_numerators[0], red, den)
-                raise CycError(f"Gram entry ({i},{j}) is not an integer: {val.pretty()}")
+                raise CycError(f"Gram entry ({i},{j}) is not an integer: "
+                               f"{value_text(gamma.axis, red, den)}")
     return [[red[0] // den for red in row] for row in form]
 
 

@@ -38,7 +38,7 @@ from .gammadata import GammaData, VirtualChar
 from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
 from .scalars import (Coeff, add_into, cyc_from_numerators, euler_phi, on_one_denominator,
-                      root_matrix, times_root, value_doc)
+                      root_matrix, times_root, value_doc, value_text)
 from .vertex import TwistContext, x_component
 
 Tuple_ = Tuple[int, ...]
@@ -234,7 +234,7 @@ class CharTable:
         """Each value's document is written from its numerators (`value_doc`)."""
         cnames = self.gamma.class_names
         gnames = self.gamma.char_names
-        axis = self.gamma.value_numerators[0]
+        axis = self.gamma.axis
         return {
             "gamma": self.gamma.name,
             "n": self.n,
@@ -250,26 +250,19 @@ class CharTable:
         }
 
 
-def _pretty(value: dict) -> str:
-    """A value document as `Cyc.pretty` prints it: "p" or "p/q" when the
-    value is rational, else the compact document itself, as
-    `json.dumps(value, separators=(",", ":"))` writes it."""
-    if not any(p for p, _ in value["coeffs"][1:]):
-        return str(Fraction(*value["coeffs"][0]))
-    cells = ",".join(f"[{p},{q}]" for p, q in value["coeffs"])
-    return f'{{"N":{value["N"]},"coeffs":[{cells}]}}'
-
-
 def table_csv(doc: dict) -> str:
     """The CSV rendering of a `CharTable.to_doc` document: one quoted row per
-    character, exact values as `Cyc.pretty` prints them, read straight from
-    each value's document (`_pretty`)."""
+    character, each exact value read from its document and printed by
+    `scalars.value_text`."""
     buf = io.StringIO()
     w = csv.writer(buf, quoting=csv.QUOTE_ALL)
     cols = [json.dumps(c, separators=(",", ":")) for c in doc["columns"]]
     w.writerow(["lambda", "type", "degree"] + cols)
     for row in doc["rows"]:
-        rendered = [_pretty(v) for v in row["values"]]
+        rendered = []
+        for v in row["values"]:
+            den = lcm(*(q for _, q in v["coeffs"]))
+            rendered.append(value_text(v["N"], [p * (den // q) for p, q in v["coeffs"]], den))
         w.writerow([json.dumps(row["lambda"], separators=(",", ":")),
                     row["type"], row["degree"]] + rendered)
     return buf.getvalue()
@@ -313,7 +306,7 @@ def _root_actions(gamma: GammaData, columns: Sequence[MultiPartition],
     for -1, else its `scalars.root_matrix`.  roots[c] = (s, k) with
     delta(c) = s z^k (`linear_twists`), so delta(mu) is a sign and an
     exponent mod N, taken below N/2 for even N, where z^(N/2) = -1."""
-    axis = gamma.value_numerators[0]
+    axis = gamma.axis
     out = {}
     for mu in columns:
         sign, k = 1, 0
@@ -417,7 +410,7 @@ def verify_twists(table: CharTable) -> None:
     (`GammaData.linear_twists`).  A failure names the row, its
     representative, delta and the first column where they differ."""
     gamma = table.gamma
-    axis = gamma.value_numerators[0]
+    axis = gamma.axis
     rows = {row.lam: row for row in table.rows}
     orbits = _twist_orbits(gamma, [row.lam for row in table.rows])
     for lam, rep, d, expect in _twisted_rows(gamma, table.columns, orbits, rows):
@@ -428,7 +421,7 @@ def verify_twists(table: CharTable) -> None:
         mu = next(mu for mu in table.columns
                   if [x * expect.den for x in found.nums.get(mu, zero)]
                   != [x * found.den for x in expect.nums.get(mu, zero)])
-        shown = [_pretty(value_doc(axis, f.nums.get(mu, zero), f.den)) for f in (found, expect)]
+        shown = [value_text(axis, f.nums.get(mu, zero), f.den) for f in (found, expect)]
         raise TableCheckError(
             f"twist symmetry fails at {lam!r}, the g{d} twist of {rep!r}, at {mu!r}: "
             f"{shown[0]}, but delta(mu) times the representative's value is {shown[1]}")
@@ -460,7 +453,7 @@ def verify_table(table: CharTable) -> None:
         raise TableCheckError(
             f"table is not square: {len(table.rows)} rows, {len(table.columns)} columns")
     xi0 = VirtualChar.trivial(gamma)
-    axis = gamma.value_numerators[0]
+    axis = gamma.axis
     zero, norm_m, norm_q = (gamma.on_axis(c) for c in (0, 1, 2))
     rows = table.rows
     for a, ra in enumerate(rows):

@@ -4,10 +4,15 @@ A value is written in the power basis 1, z, ..., z^(phi(N)-1) reduced mod
 Phi_N, in one of two forms.  The engines keep phi(N) integer numerators
 over one denominator on an axis N that the caller fixes (Gamma's value
 axis); in canonical form (`canonical`, `axis_scalar`) equal values are equal
-tuples.  A :class:`Cyc` holds phi(N) rationals at the value's own order (1
-for a rational): Gamma's character values, the brute-force oracle,
-documents and messages.  `value_doc` writes either form's document.  There
-is no floating point anywhere.
+tuples; Gamma's character values are stored only so (`GammaData.chars`).
+A :class:`Cyc` holds phi(N) rationals at the value's own order (1 for a
+rational).  It remains where a value is not yet on an axis or must not
+share the engines' kernels: values handed in (`Cyc.from_doc` parses
+documents, the cyclic built-ins write their roots of unity with it), the
+brute-force oracle (`spingroup.basic_spin_trace`, `SpinClassFun.value`),
+quaternion8's representation matrices, and failure messages that print
+`Cyc.__repr__`.  `value_doc` writes a value's document and `value_text`
+its text in messages and CSV.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -176,6 +181,15 @@ def value_doc(order: int, nums: Sequence[int], den: int) -> dict:
         g = gcd(c, den)
         coeffs.append([c // g, den // g])
     return {"N": order, "coeffs": coeffs}
+
+
+def value_text(order: int, nums: Sequence[int], den: int) -> str:
+    """sum_i nums[i] zeta_order^i / den (den > 0) as messages and CSV print
+    it: "p" or "p/q" when the value is rational, else its compact
+    `value_doc`."""
+    if not any(nums[1:]):
+        return str(Fraction(nums[0], den))
+    return json.dumps(value_doc(order, nums, den), separators=(",", ":"))
 
 
 def doc_int(value, what: str) -> int:
@@ -355,12 +369,6 @@ class Cyc:
             return None
         return self.coeffs[0]
 
-    def as_int(self) -> int:
-        q = self.as_rational()
-        if q is None or q.denominator != 1:
-            raise CycError(f"not an integer: {self!r}")
-        return q.numerator
-
     # -- serialization -----------------------------------------------------
 
     def numerators(self) -> Tuple[int, Coeff]:
@@ -392,13 +400,6 @@ class Cyc:
             if c:
                 terms.append(f"{c}*z{self.order}^{i}" if i else str(c))
         return "Cyc(" + " + ".join(terms) + ")"
-
-    def pretty(self) -> str:
-        """CSV-facing rendering: p/q for rationals, serialized doc otherwise."""
-        q = self.as_rational()
-        if q is not None:
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return json.dumps(self.to_doc(), separators=(",", ":"))
 
 
 def cyc_from_numerators(order: int, acc: Sequence[int], den: int) -> Cyc:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from .gammadata import ConcreteGroup, GammaData
 from .partitions import MultiPartition, big_z
-from .scalars import Cyc
+from .scalars import Cyc, cyc_from_numerators
 
 Perm = Tuple[int, ...]  # images, 0-based: s maps i -> s[i]
 Packed = Tuple[Tuple[int, ...], int, int, int]  # (g, k, mask of I, permutation index)
@@ -348,7 +348,9 @@ def basic_spin_trace(law: SpinLaw, gdata: GammaData, x: Packed) -> Dict[int, Cyc
     The module factorizes, so the trace is the wreath-product character of
     (g, s) on V^(x)n times `SpinLaw.clifford_trace` of a_I s, times (-1)^k,
     found once for every V; when it is 0 no character value is read.  Values
-    are `Cyc`, so the check of `classfun.basic_char` shares none of its kernels.
+    are `Cyc`, built from Gamma's stored numerators and multiplied in `Cyc`
+    arithmetic, so the check of `classfun.basic_char` shares none of its
+    kernels.
     """
     clifford = (-1) ** x[1] * law.clifford_trace(x)
     classes = [c for _, c in _cycle_classes(law, x)] if clifford else []
@@ -356,7 +358,8 @@ def basic_spin_trace(law: SpinLaw, gdata: GammaData, x: Packed) -> Dict[int, Cyc
     for v in law.cg.rep_matrices:
         val = Cyc.rational(clifford)
         for c in classes:
-            val = val * gdata.chars[v][c]
+            den, nums = gdata.chars[v][c]
+            val = val * cyc_from_numerators(gdata.axis, nums, den)
         out[v] = val
     return out
 

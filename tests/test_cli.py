@@ -225,6 +225,36 @@ def test_gamma_number_that_is_no_json_integer_is_a_usage_error(tmp_path, path, v
                            f"malformed Gamma document: {expect}")
 
 
+@pytest.mark.parametrize("edit,expect", [
+    (lambda doc: doc.update(name=None), "name must be a string, got null"),
+    (lambda doc: doc["classes"][1].update(name=7), "classes[1].name must be a string, got 7"),
+    (lambda doc: doc["classes"][2].update(name="c1"), 'classes[2].name repeats "c1"'),
+])
+def test_gamma_name_that_is_no_distinct_json_string_is_a_usage_error(tmp_path, edit, expect):
+    # str() would print a null name as "None" and a class 7 as a column "7",
+    # and two classes named alike would print two equal columns
+    from spinwreath.gammadata import builtin
+
+    doc = builtin("cyclic:3")[0].to_doc()
+    edit(doc)
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(doc))
+    assert_one_usage_error(*run_cli("chartable", "--gamma", f"@{path}", "--n", "2"),
+                           f"malformed Gamma document: {expect}")
+
+
+def test_gamma_with_an_irrational_degree_prints_it_exactly(tmp_path):
+    from spinwreath.gammadata import builtin
+
+    doc = builtin("cyclic:3")[0].to_doc()
+    doc["chars"][1][0] = {"N": 3, "coeffs": [[0, 1], [1, 1]]}  # zeta_3
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(doc))
+    assert_one_usage_error(*run_cli("chartable", "--gamma", f"@{path}", "--n", "2"),
+                           'degree of character 1 is not a positive integer: '
+                           '{"N":3,"coeffs":[[0,1],[1,1]]}')
+
+
 # orthonormal rows with positive degrees, but no group: g1*g1 has g1 with
 # multiplicity -8/9, and the McKay-like weight 2,-1,0,0 has Gram entry 26/9
 FAKE4 = {"name": "fake4", "order": 4,

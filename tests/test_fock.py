@@ -16,6 +16,7 @@ from spinwreath.scalars import (Cyc, CycError, add_into, canonical, cyc_from_num
                                 euler_phi, times)
 from spinwreath.vertex import TwistContext
 
+from gamma_reference import cyc_chars, cyc_value
 from test_scalars import weighted_dot
 
 
@@ -66,7 +67,7 @@ def class_vector(ctx, ci):
     a_m(c) = sum_i gamma_i(c^{-1}) a_m(gamma_i), which `a_prime_vector`
     reads as integer numerators."""
     inv = ctx.gamma.dual_class(ci)
-    return [ctx.gamma.chars[i][inv] for i in range(ctx.gamma.num_classes)]
+    return [row[inv] for row in cyc_chars(ctx.gamma)]
 
 
 def by_class(op, v, n, ci):
@@ -166,7 +167,7 @@ def test_prop_orth_all_classes_cyclic3():
                     v = by_class(annihilate, by_class(create, vac, n, c), m, g.dual_class(cp))
                     if m == n and cp == c:
                         expect = Fraction(m, 2) * g.centralizer_order(c)
-                        assert vacuum_coeff(v) == Cyc.lift(expect) * xi.value_at(g, c)
+                        assert vacuum_coeff(v) == Cyc.lift(expect) * cyc_value(g, xi.coeffs, c)
                     else:
                         assert v.is_zero()
 
@@ -203,7 +204,7 @@ def test_eq_inner_closed_form():
                                                        2 ** rho.length))
                         for ci, part in enumerate(rho.parts):
                             for _ in part:
-                                expect = expect * xi.value_at(g, ci)
+                                expect = expect * cyc_value(g, xi.coeffs, ci)
                         assert val == expect, (name, rho)
                     else:
                         assert val.is_zero(), (name, rho, pi)
@@ -338,7 +339,7 @@ def pairing_ctx(name, weight):
 def test_partner_pairing_matches_all_pairs(name, weight):
     rng = random.Random(f"{name}:{weight}")
     ctx = pairing_ctx(name, weight)
-    order = max(c.order for row in ctx.gamma.chars for c in row)
+    order = ctx.gamma.axis
     monos = monomials(ctx.gamma.num_classes, 5)
 
     def rand_vec(pool, size):
@@ -374,7 +375,7 @@ def test_a_vector_paired_many_times_reads_its_dual(name, weight):
     # in either tensor factor
     rng = random.Random(f"dual {name}:{weight}")
     ctx = pairing_ctx(name, weight)
-    order = max(c.order for row in ctx.gamma.chars for c in row)
+    order = ctx.gamma.axis
     monos = monomials(ctx.gamma.num_classes, 3)
 
     def rand_vec(size):
@@ -471,7 +472,7 @@ def reference_product(ctx, u, v):
 def test_factor_tables_match_the_tuple_references(name, weight):
     rng = random.Random(f"factor tables {name}:{weight}")
     ctx = pairing_ctx(name, weight)
-    order = max(c.order for row in ctx.gamma.chars for c in row)
+    order = ctx.gamma.axis
     k = ctx.gamma.num_classes
     monos = monomials(k, 5)
 

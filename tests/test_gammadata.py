@@ -8,6 +8,8 @@ from spinwreath.gammadata import (GammaData, GammaValidationError, VirtualChar, 
                                   gram_matrix, load_gamma, mckay_xi)
 from spinwreath.scalars import Cyc, CycError
 
+from gamma_reference import cyc_chars, cyc_value, reference_chars
+
 BUILTINS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:6", "klein4", "quaternion8"]
 
 
@@ -17,8 +19,8 @@ def weighted_form(gamma, xi, f, g):
     total = Cyc.rational(0)
     for ci, cls in enumerate(gamma.classes):
         zc = gamma.centralizer_order(ci)
-        term = xi.value_at(gamma, ci) * gamma.char_value(f, ci) \
-            * gamma.char_value(g, cls.inverse)
+        term = cyc_value(gamma, xi.coeffs, ci) * cyc_value(gamma, f, ci) \
+            * cyc_value(gamma, g, cls.inverse)
         total = total + term / Fraction(zc)
     return total
 
@@ -26,21 +28,20 @@ def weighted_form(gamma, xi, f, g):
 def test_trivial():
     g, cg = builtin("trivial")
     assert g.num_classes == 1
-    assert g.chars[0][0] == 1
+    assert g.chars == [[(1, (1,))]]
     assert cg.order == 1
 
 
 def test_cyclic2_chars():
     g, _ = builtin("cyclic:2")
-    vals = [[v.as_rational() for v in row] for row in g.chars]
-    assert vals == [[1, 1], [1, -1]]
+    assert g.axis == 1
+    assert g.chars == [[(1, (1,)), (1, (1,))], [(1, (1,)), (1, (-1,))]]
 
 
 def test_quaternion8():
     g, cg = builtin("quaternion8")
     assert sorted(c.size for c in g.classes) == [1, 1, 2, 2, 2]
-    two_dim = [v.as_rational() for v in g.chars[4]]
-    assert two_dim == [2, -2, 0, 0, 0]
+    assert g.chars[4] == [(1, (v,)) for v in (2, -2, 0, 0, 0)]
     # concrete classes agree with the class data
     classes = cg.conjugacy_classes()
     assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 2]
@@ -61,12 +62,13 @@ def test_builtin_validation_and_column_orthogonality():
     for name in BUILTINS:
         g, cg = builtin(name)
         k = g.num_classes
+        chars = cyc_chars(g)
         # column orthogonality: sum_i chi_i(c) chi_i(c'^{-1}) = delta zeta_c
         for c in range(k):
             for cp in range(k):
                 total = Cyc.rational(0)
                 for i in range(k):
-                    total = total + g.chars[i][c] * g.chars[i][g.dual_class(cp)]
+                    total = total + chars[i][c] * chars[i][g.dual_class(cp)]
                 expect = g.centralizer_order(c) if c == cp else 0
                 assert total == expect, (name, c, cp)
         if cg is not None:
@@ -79,7 +81,7 @@ def test_load_round_trip():
     doc = json.dumps(g.to_doc())
     g2 = load_gamma(doc)
     assert g2.order == 3 and g2.num_classes == 3
-    assert all(g2.chars[i][j] == g.chars[i][j] for i in range(3) for j in range(3))
+    assert g2.axis == g.axis and g2.chars == g.chars
 
 
 def test_load_rejects_duplicate_row():
@@ -296,15 +298,17 @@ def test_gram_matrix_matches_weighted_form(name):
 
 
 def test_rational_values_stored_at_order_1():
+    # each value is (den, numerators) on the axis: a rational one has no
+    # irrational numerator, and an all-rational Gamma has the axis 1
     q8, _ = builtin("quaternion8")
-    assert q8.chars[4][1].order == 1
-    assert all(v.order == 1 for row in q8.chars for v in row)
+    assert q8.axis == 1 and q8.chars[4][1] == (1, (-2,))
     c4, _ = builtin("cyclic:4")
-    assert c4.chars[2][1].order == 1 and c4.chars[2][1] == -1
-    assert c4.chars[1][1].order == 4  # zeta_4 stays in Q(zeta_4)
+    assert c4.axis == 4
+    assert c4.chars[2][1] == (1, (-1, 0))
+    assert c4.chars[1][1] == (1, (0, 1))  # zeta_4 stays in Q(zeta_4)
     c6, _ = builtin("cyclic:6")
-    assert c6.chars[2][1].order == 6  # zeta_3 = zeta_6^2 is promoted to the exponent
-    assert c6.chars[3][1].order == 1
+    assert c6.chars[2][1] == (1, (-1, 1))  # zeta_3 = zeta_6^2 = zeta_6 - 1 on the axis 6
+    assert c6.chars[3][1] == (1, (-1, 0))
 
 
 def test_to_doc_unchanged_by_rational_storage():
@@ -330,7 +334,7 @@ def test_validate_rejects_one_perturbed_irrational_entry(name, row, col):
     # still break it
     g, _ = builtin(name)
     doc = g.to_doc()
-    value = g.chars[row][col]
+    value = cyc_chars(g)[row][col]
     assert value.as_rational() is None
     doc["chars"][row][col] = (value + Cyc.zeta(value.order, 2) * Fraction(1, 9)).to_doc()
     with pytest.raises(GammaValidationError, match="row orthogonality fails for characters"):
@@ -366,3 +370,64 @@ def test_a_value_is_read_onto_the_value_axis():
     assert q8.on_axis(Cyc.zeta(4) * Cyc.zeta(4)) == (1, (-1,))
     with pytest.raises(CycError, match="cannot promote order 4 into order 1"):
         q8.on_axis(Cyc.zeta(4))
+
+
+ALL_BUILTINS = ["trivial"] + [f"cyclic:{k}" for k in range(1, 10)] + ["klein4", "quaternion8"]
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_stored_values_are_the_reference_table_on_the_axis(name):
+    # the stored form, on the built-in and on its document's round trip, is
+    # `on_axis` of the characters written out in `Cyc`; the axis is the one
+    # every written "N" shows
+    g, _ = builtin(name)
+    loaded = load_gamma(json.dumps(g.to_doc()))
+    ref = reference_chars(name)
+    for gamma in (g, loaded):
+        assert gamma.axis == gamma.value_numerators[0]
+        assert gamma.chars == [[gamma.on_axis(v) for v in row] for row in ref]
+    assert loaded.to_doc() == g.to_doc()
+    assert {v["N"] for row in g.to_doc()["chars"] for v in row} <= {1, g.axis}
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_char_value_and_value_at_match_cyc_sums(name):
+    g, _ = builtin(name)
+    ref = reference_chars(name)
+    weights = [VirtualChar.trivial(g)]
+    try:
+        weights.append(mckay_xi(g))
+    except ValueError:  # no 2-dimensional defining character
+        pass
+    for xi in weights + [VirtualChar([2] + [-1] * g.r)]:
+        for ci in range(g.num_classes):
+            total = Cyc.rational(0)
+            for row, s in zip(ref, xi.coeffs):
+                total = total + row[ci] * s
+            assert g.char_value(xi.coeffs, ci) == g.on_axis(total), (xi, ci)
+            assert xi.value_at(g, ci) == g.on_axis(total), (xi, ci)
+
+
+@pytest.mark.parametrize("edit,expect", [
+    (lambda doc: doc.update(name=None), "name must be a string, got null"),
+    (lambda doc: doc.update(name=3), "name must be a string, got 3"),
+    (lambda doc: doc["classes"][1].update(name=7), "classes[1].name must be a string, got 7"),
+    (lambda doc: doc["classes"][1].update(name=None),
+     "classes[1].name must be a string, got null"),
+    (lambda doc: doc["classes"][2].update(name="c1"), 'classes[2].name repeats "c1"'),
+])
+def test_load_requires_string_names_and_distinct_class_names(edit, expect):
+    doc = builtin("cyclic:3")[0].to_doc()
+    edit(doc)
+    with pytest.raises(GammaValidationError) as err:
+        load_gamma(json.dumps(doc))
+    assert str(err.value) == f"malformed Gamma document: {expect}"
+
+
+def test_validate_prints_an_irrational_degree_exactly():
+    doc = builtin("cyclic:3")[0].to_doc()
+    doc["chars"][1][0] = Cyc.zeta(3).to_doc()
+    with pytest.raises(GammaValidationError) as err:
+        load_gamma(json.dumps(doc))
+    assert str(err.value) == ('degree of character 1 is not a positive integer: '
+                              '{"N":3,"coeffs":[[0,1],[1,1]]}')

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 from math import factorial
@@ -14,7 +16,7 @@ from spinwreath.qtable import (TableCheckError, build_table, char_degree,
                                char_value, q_power_product,
                                raising_coefficients, raising_expand,
                                verify_table, x_lambda_vector)
-from spinwreath.scalars import Cyc, cyc_from_numerators, value_doc
+from spinwreath.scalars import Cyc, cyc_from_numerators, value_text
 from spinwreath.vertex import TwistContext
 
 from spin_oracle import oracle_spin_rows
@@ -443,16 +445,31 @@ def test_poisoned_x_row_fails_the_realization_check(monkeypatch, capsys):
     assert doc["witness"] == "X_lambda e^(-[lambda]) differs from Q_lambda at MultiPartition((2,),)"
 
 
+def cyc_pretty(v):
+    """The text `Cyc.pretty` gave a value before `scalars.value_text`
+    replaced it: "p" or "p/q" for a rational, else the compact document."""
+    q = v.as_rational()
+    if q is not None:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return json.dumps(v.to_doc(), separators=(",", ":"))
+
+
 @pytest.mark.parametrize("name,n", [("cyclic:9", 2), ("cyclic:5", 3), ("quaternion8", 3)])
 def test_csv_values_render_as_the_cyc_round_trip_did(name, n):
-    # `table_csv` reads each value document directly; the reference is the
-    # `Cyc` round trip it replaced
+    # `scalars.value_text` prints every exact value, in CSV (`table_csv`,
+    # which reads each value document directly) and in messages; the
+    # reference is the `Cyc.pretty` it replaced
     g, t = setup(name)
-    values = [v for row in build_table(g, n, tctx=t).to_doc()["rows"] for v in row["values"]]
+    doc = build_table(g, n, tctx=t).to_doc()
+    values = [v for row in doc["rows"] for v in row["values"]]
     assert any(v["N"] > 1 for v in values) == (name != "quaternion8")
+    cells = [cell for line in list(csv.reader(io.StringIO(qtable.table_csv(doc))))[1:]
+             for cell in line[3:]]
+    assert cells == [cyc_pretty(Cyc.from_doc(v)) for v in values]
     # character values are integral: add values with denominators by hand
-    values += [value_doc(1, (1,), 2), value_doc(3, (-3, 0), 4), value_doc(5, (1, 0, 2, 0), 6)]
-    assert [qtable._pretty(v) for v in values] == [Cyc.from_doc(v).pretty() for v in values]
+    for order, nums, den in [(1, (1,), 2), (1, (-3,), 2), (1, (5,), 1), (3, (-3, 0), 4),
+                             (5, (1, 0, 2, 0), 6), (5, (0, 1, 0, 0), 1), (4, (0, -2), 6)]:
+        assert value_text(order, nums, den) == cyc_pretty(cyc_from_numerators(order, nums, den))
 
 
 def unpruned_raising_tuples(parts, total):

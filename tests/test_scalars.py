@@ -179,12 +179,6 @@ def test_serialization_round_trip():
     assert v.to_doc() == {"N": 1, "coeffs": [[-1, 1]]}
 
 
-def test_pretty():
-    assert Cyc.rational(Fraction(-3, 2)).pretty() == "-3/2"
-    assert Cyc.rational(5).pretty() == "5"
-    assert "N" in Cyc.zeta(5).pretty()
-
-
 def test_weighted_dot_empty_and_single_term():
     empty = weighted_dot([])
     assert empty == 0 and empty.order == 1

@@ -13,6 +13,7 @@ from spinwreath.spingroup import (SignedType, SpinLaw, basic_spin_trace,
                                   enumerate_classes_bruteforce, is_split,
                                   representative_of_type, signed_type, theory_classes)
 
+from gamma_reference import cyc_chars
 from spin_oracle import Element, oracle_spin_rows, pack, unpack
 
 
@@ -188,7 +189,7 @@ def ref_basic_spin_trace(cg, gdata, v_index, n, x):
         prod = 0
         for j in cyc:
             prod = cg.mul(x.g[j], prod)
-        val = val * gdata.chars[v_index][cg.class_of[prod]]
+        val = val * cyc_chars(gdata)[v_index][cg.class_of[prod]]
     return val * ref_clifford_trace(x, n)
 
 

@@ -21,7 +21,9 @@ Further checks pin where `Cyc` may appear: the twisted space's operators
 (`vertex`) and the cocycle (`lattice`) are integer-valued and import nothing
 from `scalars`, `vertex` applies no Fock operator, `fock` names no `Cyc`,
 and `classfun` and `qtable` build one only at the edges: the oracle's
-accessor, documents and failure messages.  One more pins that Fock
+accessor, documents and failure messages; `GammaData` stores no `Cyc`, and
+`gammadata` names one only where values are handed in, in the built-ins and
+in the oracle's matrices.  One more pins that Fock
 monomials have one numbering and one set of factor tables, both owned by
 `fock.FockContext`, and another that the brute-force oracle has one element
 form, `spingroup.SpinLaw`'s packed one.
@@ -313,6 +315,42 @@ def test_class_functions_and_tables_build_cyc_only_at_the_edges():
     assert _functions_naming(os.path.join(PACKAGE, "classfun.py"), cyc) == {"value"}
     assert _functions_naming(os.path.join(PACKAGE, "qtable.py"), cyc) == {
         "build_table", "verify_table"}
+
+
+def test_gamma_stores_its_values_once_as_integers():
+    # `GammaData` keeps each character value as canonical (den, numerators)
+    # on its value axis and holds no `Cyc`; `gammadata` names `Cyc` only
+    # where values are handed in and converted, in the built-ins, in the
+    # `ConcreteGroup` matrices (`_mat_mul`) and in the `ValueLike`/`Matrix`
+    # annotations
+    from spinwreath.gammadata import builtin
+    from spinwreath.scalars import Cyc
+
+    def leaves(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                yield from leaves(y)
+        elif isinstance(x, dict):
+            for k, y in x.items():
+                yield from leaves(k)
+                yield from leaves(y)
+        else:
+            yield x
+
+    for name in ("trivial", "cyclic:6", "klein4", "quaternion8"):
+        g, _ = builtin(name)
+        g.value_numerators, g.linear_twists  # the cached derived forms too
+        assert all(type(x) is int for x in leaves(g.chars)), name
+        assert all(type(x) is int for x in leaves(g.value_numerators)), name
+        assert not any(isinstance(x, Cyc) for x in leaves(list(vars(g).values()))), name
+    assert _functions_naming(os.path.join(PACKAGE, "gammadata.py"), {"Cyc"}) == {
+        "_value_axis", "on_axis", "from_doc", "_mat_mul", "_builtin_trivial",
+        "_builtin_cyclic", "_builtin_klein4", "_builtin_quaternion8"}
+    from spinwreath import gammadata, qtable
+    assert not hasattr(qtable, "_pretty")
+    assert not hasattr(gammadata.GammaData, "_normalize")
+    assert not hasattr(gammadata, "_order_clash")
+    assert not hasattr(Cyc, "pretty")
 
 
 def test_the_oracle_has_one_element_form():
