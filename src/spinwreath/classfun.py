@@ -5,8 +5,8 @@ split classes, indexed by odd-part multipartitions over the classes of
 Gamma; negation under the central element and vanishing elsewhere live in
 the bilinear form.  The values are stored as a Fock vector's coefficients
 are, as integer numerators on Gamma's value axis, so the induction product,
-`weighted_inner` and `ch` run on integers; only `SpinClassFun.value` builds
-a `Cyc`, for the brute-force oracle.
+`weighted_inner` and `ch` run on integers.  No `Cyc` is built here: it remains
+only in the built-ins' representation matrices, which no engine reads.
 
 As `fock.inner` reads a Fock vector's dual, `weighted_inner` reads its right
 argument's weighted dual, made once per weight xi.  At a self-dual weight
@@ -28,8 +28,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from .fock import FockContext, FockVector, a_prime_vector
 from .gammadata import GammaData, ValueLike, VirtualChar
 from .partitions import MultiPartition, big_z, multipartitions
-from .scalars import (Coeff, Cyc, add_into, axis_scalar, canonical, cyc_from_numerators,
-                      euler_phi, on_one_denominator, times)
+from .scalars import (Coeff, add_into, axis_scalar, canonical, euler_phi, on_one_denominator,
+                      times)
 
 
 class SpinClassFun:
@@ -61,10 +61,6 @@ class SpinClassFun:
     @staticmethod
     def unit(gamma: GammaData) -> "SpinClassFun":
         return SpinClassFun(gamma, 0, {MultiPartition.empty(gamma.num_classes): 1})
-
-    def value(self, rho: MultiPartition) -> Cyc:
-        """The value at D_rho^+ as one `Cyc`, for the brute-force oracle."""
-        return cyc_from_numerators(self.gamma.axis, self.nums.get(rho, (0,)), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinClassFun):

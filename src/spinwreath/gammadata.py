@@ -8,12 +8,11 @@ explicit table and irreducible representation matrices.
 `GammaData` stores each character value once, as canonical integer
 numerators on Gamma's value axis, and every sum over Gamma (validation,
 the product check, Gram matrices) runs on those through one kernel,
-`_weighted_gram`.  `Cyc` remains only at the input edge, where values are
-handed in (`Cyc.from_doc` parses documents; the cyclic built-ins write
-their roots of unity with it) and converted once (`GammaData.on_axis`),
-and in the `ConcreteGroup` matrices, which the oracle keeps in `Cyc` so it
-shares no kernel with the engines.  Exact values in messages are printed
-by `scalars.value_text`.
+`_weighted_gram`.  Values are handed in as integers and put on the axis
+once (`GammaData.on_axis`); exact values in messages are printed by
+`scalars.value_text`.  `Cyc` remains only in the built-ins' `ConcreteGroup`
+representation matrices (`_mat_mul`), which no code reads but the
+benchmark's `Cyc` counter still counts.
 """
 
 from __future__ import annotations
@@ -26,10 +25,11 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (Coeff, Cyc, CycError, axis_scalar, doc_int, euler_phi, reduce_mod_phi,
-                      root_matrix, times_root, value_doc, value_text, zeta_powers)
+                      root_matrix, times_root, value_doc, value_from_doc, value_text,
+                      zeta_powers)
 
 Matrix = Tuple[Tuple[Cyc, ...], ...]
-ValueLike = Union[int, Fraction, Cyc]  # a value of Gamma's value field, as handed in
+ValueLike = Union[int, Fraction, Tuple[int, int, Coeff]]  # a rational, or (N, den, numerators)
 
 
 class GammaValidationError(ValueError):
@@ -50,12 +50,12 @@ Numerators = Sequence[Tuple[int, int]]  # (exponent on the axis, numerator), non
 def _value_axis(exponent: int, values: Sequence[ValueLike]) -> int:
     """The axis N of Gamma's values: 1 when all are rational, else the one
     order of the irrational ones, each at `exponent` if its own order
-    divides it.  Two distinct orders raise `CycError`, as summing their
-    products in `Cyc` arithmetic would."""
+    divides it.  Two distinct orders raise `CycError`: no product of such
+    values could be summed."""
     axis = 1
     for v in values:
-        if isinstance(v, Cyc) and v.as_rational() is None:
-            o = exponent if exponent % v.order == 0 else v.order
+        if type(v) is tuple and any(v[2][1:]):
+            o = exponent if exponent % v[0] == 0 else v[0]
             if axis not in (1, o):
                 raise CycError(f"incompatible cyclotomic orders {axis} and {o}; "
                                "promote explicitly")
@@ -79,10 +79,11 @@ class GammaData:
         self.name = name
         self.order = order
         self.classes = list(classes)
-        exponent = lcm(*[c.element_order for c in classes]) if classes else 1
+        self._validate_classes(chars)
+        exponent = lcm(*[c.element_order for c in classes])
         self.axis = _value_axis(exponent, [v for row in chars for v in row])
         self.chars = [[self.on_axis(v) for v in row] for row in chars]
-        self.validate()
+        self._validate_characters()
 
     # -- derived data --------------------------------------------------------
 
@@ -128,10 +129,16 @@ class GammaData:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self) -> None:
+    def _validate_classes(self, chars: Sequence[Sequence[ValueLike]]) -> None:
+        """The class data and the table's shape, checked before any value is
+        read: the value axis is found from the element orders."""
         k = len(self.classes)
-        if k == 0 or len(self.chars) != k or any(len(row) != k for row in self.chars):
+        if k == 0 or len(chars) != k or any(len(row) != k for row in chars):
             raise GammaValidationError("character table must be square over the classes")
+        for c in self.classes:
+            if c.size < 1:
+                raise GammaValidationError(f"class {c.name} has size {c.size}; "
+                                           "class sizes must be positive")
         if sum(c.size for c in self.classes) != self.order:
             raise GammaValidationError("class sizes do not sum to the group order")
         if self.classes[0].size != 1 or self.classes[0].element_order != 1:
@@ -139,10 +146,21 @@ class GammaData:
         for ci, c in enumerate(self.classes):
             if self.order % c.size != 0:
                 raise GammaValidationError(f"class size {c.size} does not divide |Gamma|")
+            if c.element_order < 1 or self.order % c.element_order:
+                raise GammaValidationError(f"element order {c.element_order} of class {c.name} "
+                                           f"is not a positive divisor of |Gamma| = {self.order}")
             if not (0 <= c.inverse < k) or self.classes[c.inverse].inverse != ci:
                 raise GammaValidationError("inverse map is not an involution")
+            inverse = self.classes[c.inverse]
+            if inverse.element_order != c.element_order:
+                raise GammaValidationError(
+                    f"classes {c.name} and {inverse.name} are inverse but have element "
+                    f"orders {c.element_order} and {inverse.element_order}")
         if self.classes[0].inverse != 0:
             raise GammaValidationError("identity class must be self-inverse")
+
+    def _validate_characters(self) -> None:
+        k = len(self.classes)
         one = self.on_axis(1)
         if any(v != one for v in self.chars[0]):
             raise GammaValidationError("first character must be trivial")
@@ -168,12 +186,19 @@ class GammaData:
                                  for d, nums in row] for row in self.chars]
 
     def on_axis(self, c: ValueLike) -> Tuple[int, Coeff]:
-        """A value of Gamma's value field as canonical (den, numerators) on
-        the axis; a `Cyc` outside it raises `CycError`."""
-        q = c.as_rational() if isinstance(c, Cyc) else Fraction(c)
-        if q is None:
-            return c.promote(self.axis).numerators()
-        return q.denominator, (q.numerator,) + (0,) * (euler_phi(self.axis) - 1)
+        """A rational, or (N, den, nums) = sum_i nums[i] zeta_N^i / den with
+        den > 0, as canonical (den, numerators) on the axis by zeta_N ->
+        z^(axis/N); an irrational one whose N does not divide it raises."""
+        if type(c) is not tuple:
+            q = Fraction(c)
+            return q.denominator, (q.numerator,) + (0,) * (euler_phi(self.axis) - 1)
+        order, den, nums = c if any(c[2][1:]) else (1, c[1], c[2][:1])
+        step, rest = divmod(self.axis, order)
+        if rest:
+            raise CycError(f"cannot promote order {order} into order {self.axis}")
+        acc = [0] * ((len(nums) - 1) * step + 1)
+        acc[::step] = nums
+        return axis_scalar(self.axis, acc, den)
 
     @cached_property
     def linear_twists(self) -> List[Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]]:
@@ -256,7 +281,7 @@ class GammaData:
             for ci, name in enumerate(names):
                 if name in names[:ci]:
                     raise ValueError(f"classes[{ci}].name repeats {json.dumps(name)}")
-            chars = [[Cyc.from_doc(v) for v in row] for row in doc["chars"]]
+            chars = [[value_from_doc(v) for v in row] for row in doc["chars"]]
             gamma = GammaData(_doc_str(doc["name"], "name"), doc_int(doc["order"], "order"),
                               classes, chars)
         except (KeyError, TypeError, ValueError, CycError) as exc:
@@ -346,7 +371,8 @@ def _builtin_cyclic(k: int) -> Tuple[GammaData, ConcreteGroup]:
     classes = [ClassInfo("e" if m == 0 else f"c{m}", 1,
                          k // gcd(m, k) if m else 1, (-m) % k)
                for m in range(k)]
-    chars = [[Cyc.zeta(k, (i * m) % k) for m in range(k)] for i in range(k)]
+    roots = zeta_powers(k)
+    chars = [[(k, 1, roots[i * m % k]) for m in range(k)] for i in range(k)]
     g = GammaData(f"cyclic{k}", k, classes, chars)
     table = [[(a + b) % k for b in range(k)] for a in range(k)]
     reps = {i: [((Cyc.zeta(k, (i * m) % k),),) for m in range(k)] for i in range(k)}

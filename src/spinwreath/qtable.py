@@ -37,8 +37,8 @@ from .fock import VACUUM, FockContext, FockVector, a_prime_vector, inner, q_gen
 from .gammadata import GammaData, VirtualChar
 from .lattice import vec_to_mask
 from .partitions import MultiPartition, dominates, multipartitions
-from .scalars import (Coeff, add_into, cyc_from_numerators, euler_phi, on_one_denominator,
-                      root_matrix, times_root, value_doc, value_text)
+from .scalars import (Coeff, add_into, euler_phi, on_one_denominator, root_matrix, times_root,
+                      value_doc, value_repr, value_text)
 from .vertex import TwistContext, x_component
 
 Tuple_ = Tuple[int, ...]
@@ -383,8 +383,8 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     for lam, values in zip(paired, row_values):
         deg_den, deg = values.get(identity_col, (1, (0,)))
         if deg_den != 1 or any(deg[1:]) or not deg[0]:
-            shown = cyc_from_numerators(tctx.fock.axis, deg, deg_den)
-            raise TableCheckError(f"identity value of {lam!r} is not a nonzero integer: {shown!r}")
+            raise TableCheckError(f"identity value of {lam!r} is not a nonzero integer: "
+                                  f"{value_repr(tctx.fock.axis, deg, deg_den)}")
         if deg[0] < 0:  # resolve the global sign so the degree is positive
             values = {mu: (d, tuple(-x for x in c)) for mu, (d, c) in values.items()}
         row_type = "M" if lam.length % 2 == 0 else "Q"
@@ -447,7 +447,7 @@ def verify_table(table: CharTable) -> None:
     standard weight is real, so the pairing is symmetric, on any values.  A
     pair (a, b) with b < a fails only if (b, a) does, which comes first, so
     the first failure and its message are the full scan's.  A failure shows
-    the value as a `Cyc`."""
+    the value in its `Cyc(...)` form (`scalars.value_repr`)."""
     gamma = table.gamma
     if len(table.rows) != len(table.columns):
         raise TableCheckError(
@@ -461,9 +461,8 @@ def verify_table(table: CharTable) -> None:
         for b, rb in enumerate(rows[a:], a):
             val = weighted_inner(ra.values, rb.values, xi0)
             if val != (norm if b == a else zero):
-                shown = cyc_from_numerators(axis, val[1], val[0])
-                raise TableCheckError(
-                    f"orthogonality fails at rows {ra.lam!r}, {rb.lam!r}: {shown!r}")
+                raise TableCheckError(f"orthogonality fails at rows {ra.lam!r}, {rb.lam!r}: "
+                                      f"{value_repr(axis, val[1], val[0])}")
     for row in table.rows:
         if char_degree(row.lam, gamma) != row.degree:
             raise TableCheckError(

@@ -1,18 +1,19 @@
 """Exact cyclotomic arithmetic: Q(zeta_N) in the power basis mod Phi_N.
 
 A value is written in the power basis 1, z, ..., z^(phi(N)-1) reduced mod
-Phi_N, in one of two forms.  The engines keep phi(N) integer numerators
-over one denominator on an axis N that the caller fixes (Gamma's value
-axis); in canonical form (`canonical`, `axis_scalar`) equal values are equal
-tuples; Gamma's character values are stored only so (`GammaData.chars`).
-A :class:`Cyc` holds phi(N) rationals at the value's own order (1 for a
-rational).  It remains where a value is not yet on an axis or must not
-share the engines' kernels: values handed in (`Cyc.from_doc` parses
-documents, the cyclic built-ins write their roots of unity with it), the
-brute-force oracle (`spingroup.basic_spin_trace`, `SpinClassFun.value`),
-quaternion8's representation matrices, and failure messages that print
-`Cyc.__repr__`.  `value_doc` writes a value's document and `value_text`
-its text in messages and CSV.  There is no floating point anywhere.
+Phi_N, as phi(N) integer numerators over one denominator.  The engines keep
+values on an axis N that the caller fixes (Gamma's value axis); in
+canonical form (`canonical`, `axis_scalar`) equal values are equal tuples.
+A value enters at its own order as (N, den, numerators) (`value_from_doc`
+reads a document's) and leaves as a document (`value_doc`), as text in
+messages and CSV (`value_text`), or in the `Cyc(...)` form of a few
+failure messages (`value_repr`).
+
+A :class:`Cyc` holds phi(N) rationals at a value's own order.  No engine,
+oracle or edge computes with it: it remains for the built-ins'
+representation matrices (`gammadata._mat_mul`), whose operators the
+benchmark's `Cyc` counter wraps, and as the tests' reference arithmetic.
+There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -192,6 +193,35 @@ def value_text(order: int, nums: Sequence[int], den: int) -> str:
     return json.dumps(value_doc(order, nums, den), separators=(",", ":"))
 
 
+def value_repr(order: int, nums: Sequence[int], den: int) -> str:
+    """sum_i nums[i] zeta_order^i / den (nums reduced mod Phi_order, den > 0)
+    as `Cyc.__repr__` prints it, at order 1 when the value is rational."""
+    if not any(nums[1:]):
+        return f"Cyc({Fraction(nums[0], den)})"
+    terms = (f"{Fraction(c, den)}*z{order}^{i}" if i else str(Fraction(c, den))
+             for i, c in enumerate(nums) if c)
+    return "Cyc(" + " + ".join(terms) + ")"
+
+
+def value_from_doc(doc: dict) -> Tuple[int, int, Coeff]:
+    """(N, den, nums) of a {"N", "coeffs": [[p, q], ...]} document, den the lcm
+    of the q; checked pair by pair (q a JSON integer by `doc_int`, q nonzero,
+    p a JSON integer), then N, then the phi(N) count, or `ValueError`."""
+    pairs = []
+    for p, q in doc["coeffs"]:
+        if doc_int(q, "a coefficient's denominator") == 0:
+            raise ValueError(f"coefficient [{json.dumps(p)}, 0] has a zero denominator")
+        pairs.append((doc_int(p, "a coefficient's numerator"), q))
+    order = doc_int(doc["N"], "N")
+    if order < 1:
+        raise ValueError(f"N must be a positive integer, got {order}")
+    deg = euler_phi(order)
+    if len(pairs) != deg:
+        raise ValueError(f"need {deg} coefficients for order {order}, got {len(pairs)}")
+    den = lcm(*(q for _, q in pairs))
+    return order, den, tuple(p * den // q for p, q in pairs)
+
+
 def doc_int(value, what: str) -> int:
     """A number a document must hold as a JSON integer; a float, a bool or a
     string is refused with `ValueError`, never rounded or read."""
@@ -244,10 +274,7 @@ class Cyc:
     def zeta(n: int, k: int = 1) -> "Cyc":
         """zeta_n^k as an element of Q(zeta_n)."""
         k %= n
-        deg = euler_phi(n)
-        if n == 1:
-            return Cyc(1, (Fraction(1),))
-        coeffs = [_ZERO] * max(deg, k + 1)
+        coeffs = [_ZERO] * max(euler_phi(n), k + 1)
         coeffs[k] = Fraction(1)
         return Cyc._reduce(n, coeffs)
 
@@ -376,37 +403,6 @@ class Cyc:
         den = lcm(*(c.denominator for c in self.coeffs))
         return den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
 
-    def to_doc(self) -> dict:
-        den, nums = self.numerators()
-        return value_doc(self.order, nums, den)
-
-    @staticmethod
-    def from_doc(doc: dict) -> "Cyc":
-        """The value of a {"N", "coeffs": [[p, q], ...]} document: N, p and q
-        JSON integers (`doc_int`) and q nonzero, or `ValueError`."""
-        coeffs = []
-        for p, q in doc["coeffs"]:
-            if doc_int(q, "a coefficient's denominator") == 0:
-                raise ValueError(f"coefficient [{json.dumps(p)}, 0] has a zero denominator")
-            coeffs.append(Fraction(doc_int(p, "a coefficient's numerator"), q))
-        return Cyc(doc_int(doc["N"], "N"), coeffs)
-
     def __repr__(self) -> str:
-        q = self.as_rational()
-        if q is not None:
-            return f"Cyc({q})"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*z{self.order}^{i}" if i else str(c))
-        return "Cyc(" + " + ".join(terms) + ")"
-
-
-def cyc_from_numerators(order: int, acc: Sequence[int], den: int) -> Cyc:
-    """sum_i acc[i] zeta_order^i / den as one Cyc, at this order or at order
-    1 when the value is rational (`reduce_mod_phi`, then one division per
-    nonzero coefficient)."""
-    red = reduce_mod_phi(order, acc)
-    if not any(red[1:]):
-        return Cyc._raw(1, (Fraction(red[0], den),))
-    return Cyc._raw(order, tuple(Fraction(c, den) if c else _ZERO for c in red))
+        den, nums = self.numerators()
+        return value_repr(self.order, nums, den)

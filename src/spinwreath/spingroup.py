@@ -9,8 +9,9 @@ sorting the a-word one swap at a time.  Everything here is oracle machinery
 for small n: exact conjugacy classes, closed on the quotient by the central
 z with k as a label (a label conflict marks a non-split class, a split one
 has a z-twin), and traces of the basic spin supermodules on the Clifford
-algebra L_n, for every V at once.  A law over the size guard raises before
-it builds any table.
+algebra L_n, for every V at once, as canonical values on Gamma's value axis.
+`Cyc` remains only in the built-ins' representation matrices, which the
+oracle does not read.  A law over the size guard raises before it builds a table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from .gammadata import ConcreteGroup, GammaData
 from .partitions import MultiPartition, big_z
-from .scalars import Cyc, cyc_from_numerators
+from .scalars import Coeff, axis_scalar, poly_mul
 
 Perm = Tuple[int, ...]  # images, 0-based: s maps i -> s[i]
 Packed = Tuple[Tuple[int, ...], int, int, int]  # (g, k, mask of I, permutation index)
@@ -342,25 +343,26 @@ def enumerate_classes_bruteforce(law: SpinLaw) -> List[OracleClass]:
 # -- basic spin supermodule traces ---------------------------------------------
 
 
-def basic_spin_trace(law: SpinLaw, gdata: GammaData, x: Packed) -> Dict[int, Cyc]:
-    """Trace of x on V^(x)n (x) L_n, for each V realized in law's Gamma.
+def basic_spin_trace(law: SpinLaw, gdata: GammaData, x: Packed) -> List[Tuple[int, Coeff]]:
+    """Trace of x on V^(x)n (x) L_n for each irreducible V of Gamma, in the
+    order of `gdata.chars`, as one canonical value on Gamma's value axis.
 
     The module factorizes, so the trace is the wreath-product character of
     (g, s) on V^(x)n times `SpinLaw.clifford_trace` of a_I s, times (-1)^k,
-    found once for every V; when it is 0 no character value is read.  Values
-    are `Cyc`, built from Gamma's stored numerators and multiplied in `Cyc`
-    arithmetic, so the check of `classfun.basic_char` shares none of its
-    kernels.
+    found once for every V; when it is 0 no character value is read.  V's
+    stored values are multiplied unreduced (`scalars.poly_mul`) and reduced
+    once (`scalars.axis_scalar`), so the check of `classfun.basic_char`
+    shares none of its kernels.
     """
     clifford = (-1) ** x[1] * law.clifford_trace(x)
     classes = [c for _, c in _cycle_classes(law, x)] if clifford else []
-    out = {}
-    for v in law.cg.rep_matrices:
-        val = Cyc.rational(clifford)
+    out = []
+    for row in gdata.chars:
+        den, acc = 1, [clifford]
         for c in classes:
-            den, nums = gdata.chars[v][c]
-            val = val * cyc_from_numerators(gdata.axis, nums, den)
-        out[v] = val
+            d, nums = row[c]
+            den, acc = den * d, poly_mul(acc, nums)
+        out.append(axis_scalar(gdata.axis, acc, den))
     return out
 
 

@@ -17,6 +17,7 @@ from .classfun import (SpinClassFun, basic_char, ch, induction_product, sigma_rh
 from .fock import FockContext, coproduct, inner, tensor_inner
 from .gammadata import ConcreteGroup, GammaData, VirtualChar, mckay_xi
 from .partitions import big_z, multipartitions
+from .scalars import axis_scalar
 from .spingroup import (SignedType, SpinLaw, TheoryClass, basic_spin_trace,
                         enumerate_classes_bruteforce, is_split, representative_of_type,
                         theory_classes)
@@ -211,15 +212,13 @@ def _oracle(gamma: GammaData, cg: Optional[ConcreteGroup], xi: VirtualChar,
     traces = [basic_spin_trace(law, gamma, representative_of_type(
         law, SignedType(tc.rho_plus, tc.rho_minus))) for tc in theory]
     for v_index in range(k):
-        if v_index not in cg.rep_matrices:
-            continue
         basic = basic_char(gamma, n, [1 if i == v_index else 0 for i in range(k)])
         for tc, tr_by_v in zip(theory, traces):
             tr = tr_by_v[v_index]
             if tc.split and tc.parity == 0:
-                ok = tr == basic.value(tc.rho_plus)
+                ok = tr == axis_scalar(gamma.axis, basic.nums.get(tc.rho_plus, (0,)), basic.den)
             else:
-                ok = tr.is_zero()
+                ok = not any(tr[1])
             if not ok:
                 results.append({"relation": "basic_spin_trace", "status": "fail",
                                 "params": {"V": v_index, "type": str(tc.rho_plus.parts)}})

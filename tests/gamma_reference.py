@@ -1,8 +1,11 @@
 """Gamma's character values as `Cyc`, for tests that check the stored
 integer form (`GammaData.chars`, canonical numerators on the value axis)
-and the code that reads it against `Cyc` arithmetic."""
+and the code that reads it against `Cyc` arithmetic, and the conversions
+between the two forms."""
 
-from spinwreath.scalars import Cyc, cyc_from_numerators
+from fractions import Fraction
+
+from spinwreath.scalars import Cyc, reduce_mod_phi, value_doc
 
 
 def reference_chars(name):
@@ -23,6 +26,27 @@ def reference_chars(name):
     raise ValueError(name)
 
 
+def cyc_from_numerators(order, acc, den):
+    """sum_i acc[i] zeta_order^i / den as one `Cyc`, at this order or at
+    order 1 when the value is rational."""
+    red = reduce_mod_phi(order, acc)
+    if not any(red[1:]):
+        return Cyc.rational(Fraction(red[0], den))
+    return Cyc(order, [Fraction(c, den) for c in red])
+
+
+def at_order(c):
+    """A `Cyc` as the (N, den, numerators) that `GammaData.on_axis` takes."""
+    den, nums = c.numerators()
+    return c.order, den, nums
+
+
+def cyc_doc(c):
+    """A `Cyc`'s {"N", "coeffs"} document, at N = 1 when it is rational."""
+    den, nums = c.numerators()
+    return value_doc(c.order, nums, den)
+
+
 def cyc_chars(g):
     """g's stored values, each as one `Cyc` (rational ones at order 1)."""
     return [[cyc_from_numerators(g.axis, nums, den) for den, nums in row] for row in g.chars]
@@ -34,3 +58,8 @@ def cyc_value(g, coeffs, ci):
     for row, s in zip(cyc_chars(g), coeffs):
         total = total + row[ci] * s
     return total
+
+
+def class_value(f, rho):
+    """A spin class function's value at D_rho^+ as one `Cyc`."""
+    return cyc_from_numerators(f.gamma.axis, f.nums.get(rho, (0,)), f.den)

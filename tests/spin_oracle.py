@@ -21,6 +21,8 @@ from spinwreath.scalars import Cyc
 from spinwreath.spingroup import (Packed, SignedType, SpinLaw, basic_spin_trace,
                                   representative_of_type)
 
+from gamma_reference import cyc_from_numerators
+
 
 @dataclass(frozen=True)
 class Element:
@@ -93,7 +95,8 @@ def induced_basic_product_character(cg: ConcreteGroup, gdata: GammaData, law: Sp
         val = Cyc.rational(1)
         for bi, (lo, hi) in enumerate(blocks):
             block_law = block_laws[hi - lo]
-            val = val * basic_spin_trace(block_law, gdata, pack(block_law, parts[bi]))[0]
+            den, nums = basic_spin_trace(block_law, gdata, pack(block_law, parts[bi]))[0]
+            val = val * cyc_from_numerators(gdata.axis, nums, den)
         return val
 
     subgroup_order = 1

@@ -243,6 +243,27 @@ def test_gamma_name_that_is_no_distinct_json_string_is_a_usage_error(tmp_path, e
                            f"malformed Gamma document: {expect}")
 
 
+@pytest.mark.parametrize("key,values,expect", [
+    ("size", {1: 0, 2: 2}, "class c1 has size 0; class sizes must be positive"),
+    ("element_order", {1: 9},
+     "element order 9 of class c1 is not a positive divisor of |Gamma| = 3"),
+    ("element_order", {1: 0},
+     "element order 0 of class c1 is not a positive divisor of |Gamma| = 3"),
+], ids=["size-0", "order-9", "order-0"])
+def test_gamma_with_bad_class_data_is_a_usage_error(tmp_path, key, values, expect):
+    # a zero size raised ZeroDivisionError (exit 1 with a traceback), and an
+    # element order 9 wrote the table at "N": 9 with exit 0
+    from spinwreath.gammadata import builtin
+
+    doc = builtin("cyclic:3")[0].to_doc()
+    for ci, v in values.items():
+        doc["classes"][ci][key] = v
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(doc))
+    for n in ("1", "2"):
+        assert_one_usage_error(*run_cli("chartable", "--gamma", f"@{path}", "--n", n), expect)
+
+
 def test_gamma_with_an_irrational_degree_prints_it_exactly(tmp_path):
     from spinwreath.gammadata import builtin
 

@@ -8,7 +8,8 @@ from spinwreath.gammadata import (GammaData, GammaValidationError, VirtualChar, 
                                   gram_matrix, load_gamma, mckay_xi)
 from spinwreath.scalars import Cyc, CycError
 
-from gamma_reference import cyc_chars, cyc_value, reference_chars
+from gamma_reference import (at_order, cyc_chars, cyc_doc, cyc_from_numerators, cyc_value,
+                             reference_chars)
 
 BUILTINS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:6", "klein4", "quaternion8"]
 
@@ -336,7 +337,7 @@ def test_validate_rejects_one_perturbed_irrational_entry(name, row, col):
     doc = g.to_doc()
     value = cyc_chars(g)[row][col]
     assert value.as_rational() is None
-    doc["chars"][row][col] = (value + Cyc.zeta(value.order, 2) * Fraction(1, 9)).to_doc()
+    doc["chars"][row][col] = cyc_doc(value + Cyc.zeta(value.order, 2) * Fraction(1, 9))
     with pytest.raises(GammaValidationError, match="row orthogonality fails for characters"):
         load_gamma(json.dumps(doc))
 
@@ -351,8 +352,8 @@ def test_validate_reports_values_at_incompatible_orders():
            "classes": [{"name": f"c{c}", "size": 1, "element_order": 1,
                         "inverse": (-c) % 3} for c in range(3)],
            "chars": [[one, one, one],
-                     [one, Cyc.zeta(3, 1).to_doc(), Cyc.zeta(3, 2).to_doc()],
-                     [one, Cyc.zeta(6, 4).to_doc(), Cyc.zeta(6, 2).to_doc()]]}
+                     [one, cyc_doc(Cyc.zeta(3, 1)), cyc_doc(Cyc.zeta(3, 2))],
+                     [one, cyc_doc(Cyc.zeta(6, 4)), cyc_doc(Cyc.zeta(6, 2))]]}
     with pytest.raises(GammaValidationError, match="malformed Gamma document: incompatible "
                        "cyclotomic orders 3 and 6; promote explicitly"):
         load_gamma(json.dumps(doc))
@@ -362,14 +363,20 @@ def test_a_value_is_read_onto_the_value_axis():
     # (den, numerators) on the axis of `value_numerators`, canonical
     c6, _ = builtin("cyclic:6")
     assert c6.value_numerators[0] == 6
-    assert c6.on_axis(Cyc.zeta(3) / 4) == (4, (-1, 1))  # zeta_3 = zeta_6 - 1
+    assert c6.on_axis((3, 4, (0, 1))) == (4, (-1, 1))  # zeta_3 = zeta_6 - 1
+    assert c6.on_axis((3, 8, (0, 2))) == (4, (-1, 1))  # made canonical
+    assert c6.on_axis((6, 2, (4, -6))) == (1, (2, -3))
     assert c6.on_axis(Fraction(-3, 9)) == (3, (-1, 0))
     assert c6.on_axis(0) == (1, (0, 0))
-    assert c6.on_axis(Cyc.zeta(2)) == (1, (-1, 0))
+    assert c6.on_axis((2, 1, (-1,))) == (1, (-1, 0))
+    assert c6.on_axis((3, 3, (-2, 0))) == (3, (-2, 0))  # rational at order 3
+    for v in (Cyc.zeta(3) / 4, Cyc.zeta(6, 5) * Fraction(2, 7), Cyc.rational(-5)):
+        den, nums = c6.on_axis(at_order(v))
+        assert cyc_from_numerators(6, nums, den) == v
     q8, _ = builtin("quaternion8")
-    assert q8.on_axis(Cyc.zeta(4) * Cyc.zeta(4)) == (1, (-1,))
+    assert q8.on_axis(at_order(Cyc.zeta(4) * Cyc.zeta(4))) == (1, (-1,))
     with pytest.raises(CycError, match="cannot promote order 4 into order 1"):
-        q8.on_axis(Cyc.zeta(4))
+        q8.on_axis(at_order(Cyc.zeta(4)))
 
 
 ALL_BUILTINS = ["trivial"] + [f"cyclic:{k}" for k in range(1, 10)] + ["klein4", "quaternion8"]
@@ -385,7 +392,7 @@ def test_stored_values_are_the_reference_table_on_the_axis(name):
     ref = reference_chars(name)
     for gamma in (g, loaded):
         assert gamma.axis == gamma.value_numerators[0]
-        assert gamma.chars == [[gamma.on_axis(v) for v in row] for row in ref]
+        assert gamma.chars == [[gamma.on_axis(at_order(v)) for v in row] for row in ref]
     assert loaded.to_doc() == g.to_doc()
     assert {v["N"] for row in g.to_doc()["chars"] for v in row} <= {1, g.axis}
 
@@ -404,8 +411,8 @@ def test_char_value_and_value_at_match_cyc_sums(name):
             total = Cyc.rational(0)
             for row, s in zip(ref, xi.coeffs):
                 total = total + row[ci] * s
-            assert g.char_value(xi.coeffs, ci) == g.on_axis(total), (xi, ci)
-            assert xi.value_at(g, ci) == g.on_axis(total), (xi, ci)
+            assert g.char_value(xi.coeffs, ci) == g.on_axis(at_order(total)), (xi, ci)
+            assert xi.value_at(g, ci) == g.on_axis(at_order(total)), (xi, ci)
 
 
 @pytest.mark.parametrize("edit,expect", [
@@ -426,8 +433,78 @@ def test_load_requires_string_names_and_distinct_class_names(edit, expect):
 
 def test_validate_prints_an_irrational_degree_exactly():
     doc = builtin("cyclic:3")[0].to_doc()
-    doc["chars"][1][0] = Cyc.zeta(3).to_doc()
+    doc["chars"][1][0] = cyc_doc(Cyc.zeta(3))
     with pytest.raises(GammaValidationError) as err:
         load_gamma(json.dumps(doc))
     assert str(err.value) == ('degree of character 1 is not a positive integer: '
                               '{"N":3,"coeffs":[[0,1],[1,1]]}')
+
+
+# one value of cyclic:3's document replaced: each fault is one message, and
+# the checks run pair by pair (denominator, zero denominator, numerator),
+# then on N, then on the count of pairs; recorded at the commit before the
+# parser read documents as integers, except N <= 0, which then read
+# "euler_phi needs n >= 1"
+VALUE_DOC_FAULTS = [
+    ({"N": 3, "coeffs": [[0, 1]]}, "need 2 coefficients for order 3, got 1"),
+    ({"N": 3, "coeffs": [[0, 1], [1, 1], [0, 1]]}, "need 2 coefficients for order 3, got 3"),
+    ({"N": 3.0, "coeffs": [[0, 1]]}, "N must be an integer, got 3.0"),
+    ({"N": 3.0, "coeffs": [[0.5, 1], [1, 1]]},
+     "a coefficient's numerator must be an integer, got 0.5"),
+    ({"N": 3.0, "coeffs": [[0.5, 0], [1, 1]]}, "coefficient [0.5, 0] has a zero denominator"),
+    ({"N": 3.0, "coeffs": [[0.5, 1.5], [1, 1]]},
+     "a coefficient's denominator must be an integer, got 1.5"),
+    ({"N": 3, "coeffs": [[0.5, 1], [1, 1.5]]},
+     "a coefficient's numerator must be an integer, got 0.5"),
+    ({"N": 3, "coeffs": [[0, 1], [1.5, 0]]}, "coefficient [1.5, 0] has a zero denominator"),
+    ({"N": 0, "coeffs": [[0, 1]]}, "N must be a positive integer, got 0"),
+    ({"N": -3, "coeffs": [[0, 1], [1, 1]]}, "N must be a positive integer, got -3"),
+]
+
+
+@pytest.mark.parametrize("value,expect", VALUE_DOC_FAULTS)
+def test_value_document_faults_are_checked_in_order(value, expect):
+    doc = builtin("cyclic:3")[0].to_doc()
+    doc["chars"][1][1] = value
+    with pytest.raises(GammaValidationError) as err:
+        load_gamma(json.dumps(doc))
+    assert str(err.value) == f"malformed Gamma document: {expect}"
+
+
+def _set(key, values):
+    def edit(doc):
+        for ci, v in values.items():
+            doc["classes"][ci][key] = v
+    return edit
+
+
+# class data is checked before any value is read: a zero size raised
+# ZeroDivisionError, an element order that is not a positive divisor of
+# |Gamma| chose the value axis (order 9 wrote cyclic:3's values at N = 9,
+# order 0 failed in euler_phi), and inverse classes of different orders
+# loaded
+@pytest.mark.parametrize("name,edit,expect", [
+    ("cyclic:3", _set("size", {1: 0, 2: 2}), "class c1 has size 0; class sizes must be positive"),
+    ("cyclic:3", _set("size", {1: -1, 2: 3}),
+     "class c1 has size -1; class sizes must be positive"),
+    ("cyclic:3", _set("element_order", {1: 9}),
+     "element order 9 of class c1 is not a positive divisor of |Gamma| = 3"),
+    ("cyclic:3", _set("element_order", {1: 0}),
+     "element order 0 of class c1 is not a positive divisor of |Gamma| = 3"),
+    ("cyclic:3", _set("element_order", {1: -3}),
+     "element order -3 of class c1 is not a positive divisor of |Gamma| = 3"),
+    ("klein4", _set("element_order", {1: 0}),
+     "element order 0 of class a is not a positive divisor of |Gamma| = 4"),
+    ("cyclic:3", _set("element_order", {2: 1}),
+     "classes c1 and c2 are inverse but have element orders 3 and 1"),
+    ("cyclic:6", _set("element_order", {5: 3}),
+     "classes c1 and c5 are inverse but have element orders 6 and 3"),
+], ids=["size-0", "size-negative", "order-9", "order-0", "order-negative", "klein4-order-0",
+        "inverse-order-1", "inverse-order-3"])
+def test_class_data_faults_are_one_message(name, edit, expect):
+    doc = builtin(name)[0].to_doc()
+    load_gamma(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(GammaValidationError) as err:
+        load_gamma(json.dumps(doc))
+    assert str(err.value) == expect

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinwreath.scalars import (Cyc, CycError, axis_scalar, cyc_from_numerators,
-                               cyclotomic_poly, euler_phi, reduce_mod_phi, root_matrix,
-                               times_root, value_doc, zeta_powers)
+from spinwreath.scalars import (Cyc, CycError, axis_scalar, cyclotomic_poly, euler_phi,
+                               reduce_mod_phi, root_matrix, times_root, value_doc,
+                               value_from_doc, value_repr, zeta_powers)
+from gamma_reference import cyc_doc, cyc_from_numerators
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -173,10 +174,33 @@ def test_serialization_round_trip():
     for n in ORDERS:
         for _ in range(5):
             a = rand_cyc(rng, n)
-            assert Cyc.from_doc(a.to_doc()) == a
+            order, den, nums = value_from_doc(cyc_doc(a))
+            assert den > 0
+            assert cyc_from_numerators(order, nums, den) == a
     # rationals serialize at N = 1 even when represented at higher order
     v = Cyc.zeta(3) + Cyc.zeta(3, 2)  # equals -1
-    assert v.to_doc() == {"N": 1, "coeffs": [[-1, 1]]}
+    assert cyc_doc(v) == {"N": 1, "coeffs": [[-1, 1]]}
+
+
+def test_a_document_is_read_as_integers_at_its_own_order():
+    # den is the lcm of the denominators, negative ones included; the
+    # numerators are not reduced, `GammaData.on_axis` makes the value canonical
+    doc = {"N": 3, "coeffs": [[1, -2], [2, 4]]}
+    assert value_from_doc(doc) == (3, 4, (-2, 2))
+    assert value_from_doc({"N": 1, "coeffs": [[0, 5]]}) == (1, 5, (0,))
+
+
+def test_value_repr_prints_what_cyc_repr_prints():
+    rng = random.Random(11)
+    for n in ORDERS:
+        for _ in range(10):
+            a = rand_cyc(rng, n)
+            den, nums = a.numerators()
+            assert value_repr(n, nums, den) == repr(a)
+    assert value_repr(3, (4, 0), 3) == repr(Cyc.rational(Fraction(4, 3))) == "Cyc(4/3)"
+    assert value_repr(6, (0, 0), 1) == "Cyc(0)"
+    assert value_repr(3, (0, 4), 1) == repr(Cyc.zeta(3) * 4) == "Cyc(4*z3^1)"
+    assert value_repr(5, (1, 0, -3, 0), 2) == "Cyc(1/2 + -3/2*z5^2)"
 
 
 def test_weighted_dot_empty_and_single_term():
@@ -231,8 +255,8 @@ def axis_values(draw):
 def test_value_doc_is_the_cyc_document(value):
     order, nums, den = value
     cyc = cyc_from_numerators(order, nums, den)
-    assert value_doc(order, nums, den) == cyc.to_doc()
-    assert value_doc(order, tuple(nums), den) == cyc.to_doc()
+    assert value_doc(order, nums, den) == cyc_doc(cyc)
+    assert value_doc(order, tuple(nums), den) == cyc_doc(cyc)
 
 
 @given(axis_values(), st.lists(st.integers(-9, 9), max_size=30))

@@ -103,6 +103,26 @@ def test_oracle_fails_on_a_flipped_clifford_sign(monkeypatch):
                            "params": {"V": 0, "type": "((1, 1), (), (), ())"}}
 
 
+def test_oracle_fails_on_two_swapped_irrational_values():
+    # `basic_char` reads Gamma's values through `value_numerators`, derived
+    # once: read it first, then swap gamma_1(c1) = z and gamma_1(c2) = z^2 in
+    # the stored table, which only the trace side reads.  On a type with a
+    # cycles at c1 and b at c2, gamma_1 gives z^(a + 2b), and the swapped
+    # table z^(2a + b): the first even split type with a != b mod 3 fails
+    from spinwreath.spingroup import theory_classes
+
+    g, cg = builtin("cyclic:3")
+    g.value_numerators
+    g.chars[1][1], g.chars[1][2] = g.chars[1][2], g.chars[1][1]
+    results = SUITES["oracle"](g, cg, VirtualChar.trivial(g), argparse.Namespace(n=2))
+    first = next(tc for tc in theory_classes(g, 2) if tc.split and tc.parity == 0
+                 and (len(tc.rho_plus.parts[1]) - len(tc.rho_plus.parts[2])) % 3)
+    assert str(first.rho_plus.parts) == "((1,), (1,), ())"
+    assert results[0]["status"] == "pass"
+    assert results[-1] == {"relation": "basic_spin_trace", "status": "fail",
+                           "params": {"V": 1, "type": "((1,), (1,), ())"}}
+
+
 # -- the Fock-side suites fail on a perturbed Fock side ------------------------------
 #
 # A pass document names only its sizes, so each suite gets a run in which its

@@ -19,11 +19,10 @@ implementation that only tests run against the code under test.
 
 Further checks pin where `Cyc` may appear: the twisted space's operators
 (`vertex`) and the cocycle (`lattice`) are integer-valued and import nothing
-from `scalars`, `vertex` applies no Fock operator, `fock` names no `Cyc`,
-and `classfun` and `qtable` build one only at the edges: the oracle's
-accessor, documents and failure messages; `GammaData` stores no `Cyc`, and
-`gammadata` names one only where values are handed in, in the built-ins and
-in the oracle's matrices.  One more pins that Fock
+from `scalars`, `vertex` applies no Fock operator, `fock`, `classfun` and
+`qtable` name no `Cyc`, and the oracle (`spingroup`, `suites`) imports none;
+`GammaData` stores no `Cyc`, takes its values as integers, and `gammadata`
+names one only in the built-ins' representation matrices.  One more pins that Fock
 monomials have one numbering and one set of factor tables, both owned by
 `fock.FockContext`, and another that the brute-force oracle has one element
 form, `spingroup.SpinLaw`'s packed one.
@@ -308,21 +307,29 @@ def test_fock_owns_the_one_monomial_numbering_and_its_factor_tables():
 
 
 def test_class_functions_and_tables_build_cyc_only_at_the_edges():
-    # classfun: the oracle's accessor `SpinClassFun.value`; qtable: the
-    # failure messages of the identity and orthogonality checks
-    # (`CharTable.to_doc` writes from numerators, `table_csv` reads documents)
+    # no function of classfun or qtable names a `Cyc`: the failure messages
+    # print values with `scalars.value_repr`, and the oracle compares
+    # canonical values; the oracle's modules import nothing named `Cyc`
+    from spinwreath import classfun, scalars
     cyc = {"Cyc", "cyc_from_numerators"}
-    assert _functions_naming(os.path.join(PACKAGE, "classfun.py"), cyc) == {"value"}
-    assert _functions_naming(os.path.join(PACKAGE, "qtable.py"), cyc) == {
-        "build_table", "verify_table"}
+    assert _functions_naming(os.path.join(PACKAGE, "classfun.py"), cyc) == set()
+    assert _functions_naming(os.path.join(PACKAGE, "qtable.py"), cyc) == set()
+    for name in ("spingroup.py", "suites.py"):
+        with open(os.path.join(PACKAGE, name)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert not {n for n in imported if "cyc" in n.lower()}, name
+    assert not hasattr(scalars, "cyc_from_numerators")
+    assert not hasattr(scalars.Cyc, "from_doc")
+    assert not hasattr(classfun.SpinClassFun, "value")
 
 
 def test_gamma_stores_its_values_once_as_integers():
     # `GammaData` keeps each character value as canonical (den, numerators)
-    # on its value axis and holds no `Cyc`; `gammadata` names `Cyc` only
-    # where values are handed in and converted, in the built-ins, in the
-    # `ConcreteGroup` matrices (`_mat_mul`) and in the `ValueLike`/`Matrix`
-    # annotations
+    # on its value axis and holds no `Cyc`; values are handed in as integers
+    # (`ValueLike`), and `gammadata` names `Cyc` only in the `ConcreteGroup`
+    # matrices (`_mat_mul`, the built-ins and the `Matrix` annotation)
     from spinwreath.gammadata import builtin
     from spinwreath.scalars import Cyc
 
@@ -344,8 +351,8 @@ def test_gamma_stores_its_values_once_as_integers():
         assert all(type(x) is int for x in leaves(g.value_numerators)), name
         assert not any(isinstance(x, Cyc) for x in leaves(list(vars(g).values()))), name
     assert _functions_naming(os.path.join(PACKAGE, "gammadata.py"), {"Cyc"}) == {
-        "_value_axis", "on_axis", "from_doc", "_mat_mul", "_builtin_trivial",
-        "_builtin_cyclic", "_builtin_klein4", "_builtin_quaternion8"}
+        "_mat_mul", "_builtin_trivial", "_builtin_cyclic", "_builtin_klein4",
+        "_builtin_quaternion8"}
     from spinwreath import gammadata, qtable
     assert not hasattr(qtable, "_pretty")
     assert not hasattr(gammadata.GammaData, "_normalize")
