@@ -38,12 +38,12 @@ def main() -> int:
     counted = [0]
     certify = vertex.certify_instances
 
-    def counting(tctx, name, instances, monos, pass_params):
+    def counting(tctx, name, instances, monos, pass_params, blocks=None):
         def each():
             for instance in instances:
                 counted[0] += 1
                 yield instance
-        return certify(tctx, name, each(), monos, pass_params)
+        return certify(tctx, name, each(), monos, pass_params, blocks)
 
     vertex.certify_instances = counting
     failed = False
@@ -55,7 +55,8 @@ def main() -> int:
             tctx = vertex.TwistContext(gamma, xi)
             counted[0] = 0
             start = time.perf_counter()
-            results = vertex.affine_relation_check(tctx, range(gamma.num_classes), window, degree)
+            results, = vertex.affine_relation_check(tctx, [range(gamma.num_classes)], window,
+                                                    degree)
             runs.append(round(time.perf_counter() - start, 4))
         statuses = {r.relation: r.status for r in results}
         failed = failed or any(s != "pass" for s in statuses.values())

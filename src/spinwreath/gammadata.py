@@ -281,7 +281,8 @@ class GammaData:
             for ci, name in enumerate(names):
                 if name in names[:ci]:
                     raise ValueError(f"classes[{ci}].name repeats {json.dumps(name)}")
-            chars = [[value_from_doc(v) for v in row] for row in doc["chars"]]
+            chars = [[value_from_doc(v, f"chars[{r}][{c}]") for c, v in enumerate(row)]
+                     for r, row in enumerate(doc["chars"])]
             gamma = GammaData(_doc_str(doc["name"], "name"), doc_int(doc["order"], "order"),
                               classes, chars)
         except (KeyError, TypeError, ValueError, CycError) as exc:

@@ -203,15 +203,30 @@ def value_repr(order: int, nums: Sequence[int], den: int) -> str:
     return "Cyc(" + " + ".join(terms) + ")"
 
 
-def value_from_doc(doc: dict) -> Tuple[int, int, Coeff]:
+def value_from_doc(doc: dict, where: str = "value") -> Tuple[int, int, Coeff]:
     """(N, den, nums) of a {"N", "coeffs": [[p, q], ...]} document, den the lcm
-    of the q; checked pair by pair (q a JSON integer by `doc_int`, q nonzero,
-    p a JSON integer), then N, then the phi(N) count, or `ValueError`."""
+    of the q; checked pair by pair (a [p, q] pair, q a JSON integer by
+    `doc_int`, q nonzero, p a JSON integer), then N, then the phi(N) count,
+    or `ValueError`.  A fault of shape, a missing field or a pair that is no
+    pair, names the field under `where`, the value's position."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object with N and coeffs, got {json.dumps(doc)}")
+    if "coeffs" not in doc:
+        raise ValueError(f"{where} has no coeffs")
+    if not isinstance(doc["coeffs"], list):
+        raise ValueError(f"{where}.coeffs must be a list of [numerator, denominator] pairs, "
+                         f"got {json.dumps(doc['coeffs'])}")
     pairs = []
-    for p, q in doc["coeffs"]:
+    for t, pair in enumerate(doc["coeffs"]):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{where}.coeffs[{t}] must be a [numerator, denominator] pair, "
+                             f"got {json.dumps(pair)}")
+        p, q = pair
         if doc_int(q, "a coefficient's denominator") == 0:
             raise ValueError(f"coefficient [{json.dumps(p)}, 0] has a zero denominator")
         pairs.append((doc_int(p, "a coefficient's numerator"), q))
+    if "N" not in doc:
+        raise ValueError(f"{where} has no N")
     order = doc_int(doc["N"], "N")
     if order < 1:
         raise ValueError(f"N must be a positive integer, got {order}")

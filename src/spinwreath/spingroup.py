@@ -127,11 +127,28 @@ class SpinLaw:
     def conjugation(self, h: Packed) -> Callable[[Packed], Packed]:
         """y -> h y h^-1, as mul(mul(h, y), inv(h)).  When h's Gamma part is
         the unit, so is inv(h)'s, and the map is one pass over the tables that
-        only moves y's Gamma slots, with no Gamma product."""
+        only moves y's Gamma slots, with no Gamma product.  When h is e at
+        slot 0 and nothing else (mask 0, identity permutation), the map fixes
+        k, the mask and s = perms[p], left-multiplies slot 0 by e and then
+        right-multiplies slot s(0) by e^-1: two Gamma products."""
         hinv, mul = self.inv(h), self.mul
-        if any(h[0]):
+        g, kh, mh, ph = h
+        if any(g[1:]) or any(g) and (mh or ph):
             return lambda y: mul(mul(h, y), hinv)
-        (_, kh, mh, ph), (_, ki, mi, pi) = h, hinv
+        if any(g):
+            left, right = self.grow(g[0]), [row[self.ginv(g[0])] for row in self.cg.table]
+            first = [s[0] for s in self.perms]
+
+            def conj_slot0(y: Packed) -> Packed:
+                gy, ky, my, py = y
+                out = list(gy)
+                out[0] = left[out[0]]
+                t = first[py]
+                out[t] = right[out[t]]
+                return tuple(out), ky, my, py
+
+            return conj_slot0
+        _, ki, mi, pi = hinv
         image, merge, pmul, move = self.image, self.merge, self.pmul, self.unpermuted[ph]
         image_h, merge_h, pmul_h = image[ph], merge[mh], pmul[ph]
 

@@ -72,21 +72,11 @@ def _ope(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
 AFFINE_INDEX_SETS = ("toroidal", "affine")
 
 
-def _affine_docs(tctx: TwistContext, window: int, degree: int, label: str) -> List[dict]:
-    """Affine certification on one index set: "toroidal" (all classes) or
-    "affine" (the nontrivial ones)."""
-    k = tctx.gamma.num_classes
-    index_set = list(range(k)) if label == "toroidal" else list(range(1, k))
-    out = []
-    for item in affine_relation_check(tctx, index_set, window, degree):
-        doc = item.to_doc()
-        doc["index_set"] = label
-        doc["gamma"] = tctx.gamma.name
-        out.append(doc)
-    return out
-
-
 def _affine(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
+    """Affine certification on two index sets: "toroidal" (all classes),
+    then "affine" (the nontrivial ones), in one context and one
+    `affine_relation_check` call, so the affine set reuses the toroidal
+    set's X rows and word blocks."""
     try:
         mckay = mckay_xi(gamma)
     except ValueError as exc:
@@ -96,11 +86,11 @@ def _affine(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
     if args.window < 1:
         # [-window, window] must hold an odd index, or hh and hx check nothing
         raise ConfigError(f"--window must be at least 1 for the affine suite, got {args.window}")
-    # one context for both index sets, so the affine run reuses the
-    # toroidal run's X rows
     tctx = TwistContext(gamma, xi)
-    return [doc for label in AFFINE_INDEX_SETS
-            for doc in _affine_docs(tctx, args.window, args.degree, label)]
+    k = gamma.num_classes
+    results = affine_relation_check(tctx, [range(k), range(1, k)], args.window, args.degree)
+    return [dict(r.to_doc(), index_set=label, gamma=gamma.name)
+            for label, items in zip(AFFINE_INDEX_SETS, results) for r in items]
 
 
 # -- on Fock vectors and the brute-force group -----------------------------------

@@ -5,14 +5,19 @@ that space -- the component X_m(gamma), the Heisenberg generator a_m(gamma)
 and the normal-ordered product :X(alpha,z)X(beta,w): -- runs on one row
 engine: its Fock part is an integer row (numerators over one denominator)
 per monomial, cached on the context, and its lattice part is a +-1 sign
-from the cocycle (`LatticeTwist.epsilon_masks`).  The rows are built from
-the two pieces of the construction, exp(sum (2/k) a_{-k} z^k) (the q_n of
-`fock.q_gen`) and exp(-sum (2/k) a_k z^-k) (the integer ladder D_j), and
-they are exact: the annihilation half contributes only finitely many
-degrees on a finite-degree input, which pins the creation degree, so no
-series truncation is ever involved.  The weighted Gram matrix is the
-integer one of `gammadata.gram_matrix`, computed once per context and
-shared by the Fock form and the cocycle.
+from the cocycle (`LatticeTwist.epsilon_masks`).  X(gamma, z) = E_-(gamma, z)
+E_+(gamma, z), and its rows are built from those two pieces:
+E_-(gamma, z) = exp(sum (2/k) a_{-k} z^k) gives the q_n of `fock.q_gen`, and
+E_+(gamma, z) = exp(-sum (2/k) a_k z^-k) gives the ladder D_j, in closed form
+by
+
+    E_+(gamma, z) a_{-n}(c) E_+(gamma, z)^-1 = a_{-n}(c) - <gamma, c>_xi z^-n,
+
+so D_j on a monomial is an integer row of binomial weights over 1
+(`_ilean_ladder`).  The rows are exact: D_j vanishes above the monomial's
+degree, which pins the creation degree, so no series is truncated.  The
+weighted Gram matrix is the integer one of `gammadata.gram_matrix`,
+computed once per context and shared by the Fock form and the cocycle.
 
 The engine works on integers only, on the Fock context's monomial numbering
 and factor tables (`FockContext.index`, `basis`, `removals`, `insert`,
@@ -32,13 +37,16 @@ loop, `certify_instances`, checks that every instance's terms sum to zero
 on every basis vector up to a degree bound and reports the first witness
 on failure.  It checks a whole panel of monomials at once: a word's rows
 on every panel monomial form one integer block over one denominator,
-built by applying the word's layers to the panel one layer at a time and
-cached per word for one family, and an instance is one sum of its terms'
-blocks.
+built by applying the word's layers to the panel one layer at a time, and
+an instance is one sum of its terms' blocks.  Blocks are cached per word
+for one family (`Blocks`); the affine check runs its index sets family by
+family, so one family's cache serves every index set and is dropped when
+the family ends.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -51,6 +59,7 @@ from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
 
 IntVec = Tuple[int, ...]
+_LOG = logging.getLogger(__name__)
 
 
 class TwistContext:
@@ -140,16 +149,36 @@ def _sum_rows(parts: Sequence[Tuple[int, int, Iterable[Tuple[int, int]]]],
 
 
 def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
-    """D_j of exp(-sum (2/k) a_k z^-k) applied to monomial i: j D_j = sum_k -2 a_k D_{j-k}."""
+    """D_j(gamma), the z^-j coefficient of E_+(gamma, z) = exp(-sum (2/k) a_k z^-k),
+    applied to monomial i, for j up to its degree; cached by (coeffs, i).
+
+    E_+ a_{-n}(c) E_+^-1 = a_{-n}(c) - <gamma, c>_xi z^-n, and E_+ fixes the
+    vacuum, so on prod_f a_{-n_f}(c_f)^e_f, D_j is the sum over the r_f with
+    sum r_f n_f = j of prod_f C(e_f, r_f) (-<gamma, c_f>)^r_f times the
+    monomial less r_f copies of each factor f: an integer row over 1."""
     key = (coeffs, i)
     cached = tctx._iladder_cache.get(key)
     if cached is not None:
         return cached
-    ladder: List[LeanRow] = [(1, ((i, 1),))]
-    for j in range(1, mono_degree(tctx.fock.monos[i]) + 1):
-        ladder.append(_sum_rows([(-2,) + _ilean_annihilate(tctx, *ladder[j - k], k, coeffs)
-                                 for k in range(1, j + 1, 2)], j))
-    tctx._iladder_cache[key] = ladder
+    fock = tctx.fock
+    mono = fock.monos[i]
+    prow = fock.pair_row(coeffs)
+    terms = [(0, 1, mono)]  # (j, weight, what is left of the monomial)
+    for pos, (n, c) in enumerate(mono):
+        p = prow[c]
+        if not p or (pos and mono[pos - 1] == (n, c)):
+            continue
+        e = mono.count((n, c))
+        grown = []
+        for j, w, rest in terms:
+            at = rest.index((n, c))
+            grown += [(j + r * n, w * comb(e, r) * (-p) ** r, rest[:at] + rest[at + r:])
+                      for r in range(1, e + 1)]
+        terms += grown
+    rows: List[List[Tuple[int, int]]] = [[] for _ in range(mono_degree(mono) + 1)]
+    for j, w, rest in terms:
+        rows[j].append((fock.index(rest), w))
+    ladder = tctx._iladder_cache[key] = [(1, tuple(row)) for row in rows]
     return ladder
 
 
@@ -302,6 +331,13 @@ class RelationResult:
 Block = Tuple[int, IDict]  # (denominator, {target * panel size + position: numerator})
 
 
+class Blocks(dict):
+    """Word -> block on one panel, for the instances of one relation family
+    (`certify_instances`); `reused` counts the lookups it answered."""
+
+    reused = 0
+
+
 def _apply_block(tctx: TwistContext, layer: Layer, block: Block, size: int) -> Block:
     """The layer applied to a block over a panel of `size` monomials,
     without the lattice sign."""
@@ -327,7 +363,7 @@ def _apply_block(tctx: TwistContext, layer: Layer, block: Block, size: int) -> B
 
 
 def _block(tctx: TwistContext, layers: Tuple[Layer, ...], panel: Tuple[int, ...],
-           blocks: Dict[Tuple[Layer, ...], Block]) -> Block:
+           blocks: Blocks) -> Block:
     """The word's block on the panel (monomial indices); cached in `blocks`
     by word."""
     block = blocks.get(layers)
@@ -339,6 +375,8 @@ def _block(tctx: TwistContext, layers: Tuple[Layer, ...], panel: Tuple[int, ...]
             size = len(panel)
             block = 1, {i * size + p: 1 for p, i in enumerate(panel)}
         blocks[layers] = block
+    else:
+        blocks.reused += 1
     return block
 
 
@@ -362,7 +400,7 @@ Prepared = Tuple[int, int, int, Block]
 
 
 def _check_instance(tctx: TwistContext, terms: Sequence[Term], panel: Tuple[int, ...],
-                    blocks: Dict[Tuple[Layer, ...], Block]) -> Optional[dict]:
+                    blocks: Blocks) -> Optional[dict]:
     """Verify sum_t coef_t * term_t = 0 on every (coset, monomial) basis
     vector, the monomials given by their indices in `panel`.
 
@@ -422,22 +460,36 @@ def _witness(tctx: TwistContext, prepared: Sequence[Prepared], panel: Tuple[int,
 
 
 def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instance],
-                      panel: Sequence[int], pass_params: dict) -> RelationResult:
+                      panel: Sequence[int], pass_params: dict,
+                      blocks: Optional[Blocks] = None) -> RelationResult:
     """The family `name` on the panel's monomials (indices, as
     `FockContext.basis` gives them): a "fail" result with the first failing
     instance's params and witness, else "pass" with pass_params.  A family
     with no instance or no monomial fails with the reason "no_instances", so
-    a pass never rests on an empty check."""
+    a pass never rests on an empty check.  `blocks` caches word blocks on
+    this panel; a caller passes one in to share it between calls on the same
+    panel (`affine_relation_check`), else the family has its own.  Logs one
+    DEBUG line: the instances checked, the panel size, the blocks built and
+    the blocks reused."""
     panel = tuple(panel)
-    blocks: Dict[Tuple[Layer, ...], Block] = {}
-    checked = False
+    if blocks is None:
+        blocks = Blocks()
+    built, reused = len(blocks), blocks.reused
+    checked = 0
+    result = None
     for params, terms in instances:
         if not panel:
             break
-        checked = True
+        checked += 1
         witness = _check_instance(tctx, terms, panel, blocks)
         if witness is not None:
-            return RelationResult(name, params, "fail", witness)
+            result = RelationResult(name, params, "fail", witness)
+            break
+    _LOG.debug("family %s %s: %d instances on %d monomials, %d blocks built, %d reused",
+               name, pass_params, checked, len(panel), len(blocks) - built,
+               blocks.reused - reused)
+    if result is not None:
+        return result
     if not checked:
         return RelationResult(name, pass_params, "fail", {"reason": "no_instances"})
     return RelationResult(name, pass_params, "pass")
@@ -592,32 +644,12 @@ def clifford_check(tctx: TwistContext, window: int, max_degree: int) -> List[Rel
                               {"window": window, "degree": max_degree})]
 
 
-def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: int,
-                          max_degree: int) -> List[RelationResult]:
-    """Certify the twisted affine/toroidal presentation under the assignment
-    x_n(a_i) -> X_n(gamma_i), x_n(-a_i) -> eps(i,i) X_n(-gamma_i), h_i(m) -> a_m(gamma_i),
-    C -> 1, h_i(even) = 0, on every basis vector of Fock degree <= max_degree.
-
-    Families: h-h (`hh_instances`, which the heisenberg suite shares), h-x
-    (`hx_instances`) and parity (`parity_instances`), which the ope suite's
-    checkers share, the x/-x bracket, and both binomial Serre families.  The
-    x/-x bracket is certified in the form
-
-        [x_n(a_i), x_{n'}(-a_i)] = 8 h_i(n+n') + 4 n delta_{n,-n'} C,
-
-    the central coefficient realized by the construction (8{h + n delta C}
-    is inconsistent with C = 1 under the h-h normalization above).
-    """
-    results: List[RelationResult] = []
+def _affine_families(tctx: TwistContext, index_set: Sequence[int],
+                     window: int) -> List[Tuple[str, Iterator[Instance]]]:
+    """The affine families on one index set, in the order they are checked."""
     gram = tctx.twist.gram
-    panel = tctx.fock.basis(max_degree)
     odd = [m for m in range(-window, window + 1) if m % 2]
     one = Fraction(1)
-
-    for i in index_set:
-        if tctx.twist.epsilon_masks(1 << i, 1 << i) != 1:
-            return [RelationResult("epsilon_diag", {"i": i}, "fail",
-                                   {"note": "epsilon(gamma_i, gamma_i) != +1"})]
 
     def xx_instances():
         for i in index_set:
@@ -654,17 +686,56 @@ def affine_relation_check(tctx: TwistContext, index_set: Sequence[int], window: 
 
     basis = {i: tctx.basis_vector(i) for i in index_set}
     pairs = [({"i": i, "j": j}, basis[i], basis[j]) for i in index_set for j in index_set]
-    for name, instances in (
-            ("hh", hh_instances(tctx, index_set, window)),
+    return [("hh", hh_instances(tctx, index_set, window)),
             ("hx", hx_instances(tctx, pairs, odd, window)),
             ("x_parity", parity_instances(tctx, [({"i": i}, basis[i]) for i in index_set],
                                           window)),
-            ("xx_central_4n", xx_instances()), ("serre", serre_instances())):
-        results.append(certify_instances(tctx, name, instances, panel, {
+            ("xx_central_4n", xx_instances()), ("serre", serre_instances())]
+
+
+def affine_relation_check(tctx: TwistContext, index_sets: Sequence[Sequence[int]], window: int,
+                          max_degree: int) -> List[List[RelationResult]]:
+    """Certify the twisted affine/toroidal presentation on each index set under
+    the assignment x_n(a_i) -> X_n(gamma_i), x_n(-a_i) -> eps(i,i) X_n(-gamma_i),
+    h_i(m) -> a_m(gamma_i), C -> 1, h_i(even) = 0, on every basis vector of
+    Fock degree <= max_degree; one result list per index set, which stops at
+    its first failing family.
+
+    Families: h-h (`hh_instances`, which the heisenberg suite shares), h-x
+    (`hx_instances`) and parity (`parity_instances`), which the ope suite's
+    checkers share, the x/-x bracket, and both binomial Serre families.  The
+    x/-x bracket is certified in the form
+
+        [x_n(a_i), x_{n'}(-a_i)] = 8 h_i(n+n') + 4 n delta_{n,-n'} C,
+
+    the central coefficient realized by the construction (8{h + n delta C}
+    is inconsistent with C = 1 under the h-h normalization above).
+
+    The index sets are checked family by family, and each family's word
+    blocks are cached once for all of them and dropped when it ends: an
+    index set that is a subset of an earlier one builds no block of its own.
+    """
+    panel = tctx.fock.basis(max_degree)
+    results: List[List[RelationResult]] = []
+    live = []  # (results, families, pass params) of each index set past epsilon_diag
+    for index_set in index_sets:
+        bad = next((i for i in index_set if tctx.twist.epsilon_masks(1 << i, 1 << i) != 1),
+                   None)
+        if bad is not None:
+            results.append([RelationResult("epsilon_diag", {"i": bad}, "fail",
+                                           {"note": "epsilon(gamma_i, gamma_i) != +1"})])
+            continue
+        results.append([])
+        live.append((results[-1], _affine_families(tctx, index_set, window), {
             "window": window, "degree": max_degree, "indices": list(index_set)}))
-        if results[-1].status == "fail":
-            return results
-    results.append(RelationResult(
-        "h_even_zero", {"note": "only odd Heisenberg generators exist; "
-                                "h_i(2n) = 0 holds structurally"}, "pass"))
+    for family in zip(*(families for _, families, _ in live)):
+        blocks = Blocks()
+        for (out, _, params), (name, instances) in zip(live, family):
+            if not out or out[-1].status == "pass":
+                out.append(certify_instances(tctx, name, instances, panel, params, blocks))
+    for out, _, _ in live:
+        if out[-1].status == "pass":
+            out.append(RelationResult(
+                "h_even_zero", {"note": "only odd Heisenberg generators exist; "
+                                        "h_i(2n) = 0 holds structurally"}, "pass"))
     return results

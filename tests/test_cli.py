@@ -225,6 +225,26 @@ def test_gamma_number_that_is_no_json_integer_is_a_usage_error(tmp_path, path, v
                            f"malformed Gamma document: {expect}")
 
 
+@pytest.mark.parametrize("value,expect", [
+    ({"N": 3, "coeffs": [[0, 1, 2], [1, 1]]},
+     "chars[1][1].coeffs[0] must be a [numerator, denominator] pair, got [0, 1, 2]"),
+    ({"N": 3, "coeffs": [[0], [1, 1]]},
+     "chars[1][1].coeffs[0] must be a [numerator, denominator] pair, got [0]"),
+    ({"N": 3, "coeffs": 5},
+     "chars[1][1].coeffs must be a list of [numerator, denominator] pairs, got 5"),
+    ({"coeffs": [[0, 1], [1, 1]]}, "chars[1][1] has no N"),
+], ids=["pair-of-3", "pair-of-1", "coeffs-int", "no-N"])
+def test_gamma_value_of_the_wrong_shape_is_a_usage_error(tmp_path, value, expect):
+    from spinwreath.gammadata import builtin
+
+    doc = builtin("cyclic:3")[0].to_doc()
+    doc["chars"][1][1] = value
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(doc))
+    assert_one_usage_error(*run_cli("chartable", "--gamma", f"@{path}", "--n", "2"),
+                           f"malformed Gamma document: {expect}")
+
+
 @pytest.mark.parametrize("edit,expect", [
     (lambda doc: doc.update(name=None), "name must be a string, got null"),
     (lambda doc: doc["classes"][1].update(name=7), "classes[1].name must be a string, got 7"),

@@ -471,6 +471,29 @@ def test_value_document_faults_are_checked_in_order(value, expect):
     assert str(err.value) == f"malformed Gamma document: {expect}"
 
 
+# a value of the wrong shape names its position and field, not Python's own
+# error: these read "too many values to unpack (expected 2)", "not enough
+# values to unpack (expected 2, got 1)", "'int' object is not iterable" and
+# "'N'" before
+@pytest.mark.parametrize("value,expect", [
+    ({"N": 3, "coeffs": [[0, 1, 2], [1, 1]]},
+     "chars[1][1].coeffs[0] must be a [numerator, denominator] pair, got [0, 1, 2]"),
+    ({"N": 3, "coeffs": [[0, 1], [1]]},
+     "chars[1][1].coeffs[1] must be a [numerator, denominator] pair, got [1]"),
+    ({"N": 3, "coeffs": 5},
+     "chars[1][1].coeffs must be a list of [numerator, denominator] pairs, got 5"),
+    ({"coeffs": [[0, 1], [1, 1]]}, "chars[1][1] has no N"),
+    ({"N": 3}, "chars[1][1] has no coeffs"),
+    (5, "chars[1][1] must be an object with N and coeffs, got 5"),
+], ids=["pair-of-3", "pair-of-1", "coeffs-int", "no-N", "no-coeffs", "value-int"])
+def test_value_document_shape_faults_name_the_field(value, expect):
+    doc = builtin("cyclic:3")[0].to_doc()
+    doc["chars"][1][1] = value
+    with pytest.raises(GammaValidationError) as err:
+        load_gamma(json.dumps(doc))
+    assert str(err.value) == f"malformed Gamma document: {expect}"
+
+
 def _set(key, values):
     def edit(doc):
         for ci, v in values.items():

@@ -310,6 +310,20 @@ def test_conjugation_step_matches_mul(name, n):
         step, hinv = law.conjugation(h), law.inv(h)
         for y in elements:
             assert step(y) == law.mul(law.mul(h, y), hinv)
+    # every element of the n = 2 law, under the generators and under h with
+    # Gamma at slot 0 and k = 1 (two slots), at slot 1 or beside a_1 (two
+    # products); y's permutation fixes slot 0 or moves it
+    small = Law(name, 2).law
+    hs = spingroup._generators(small) + [
+        h for e in range(1, small.order) for h in (((e, 0), 1, 0, 0), ((0, e), 0, 0, 0),
+                                                   ((e, 0), 0, 1, 0))]
+    moved = set()
+    for h in hs:
+        step, hinv = small.conjugation(h), small.inv(h)
+        for y in small.elements():
+            assert step(y) == small.mul(small.mul(h, y), hinv), (h, y)
+            moved.add(small.perms[y[3]][0])
+    assert moved == {0, 1}
 
 
 def test_signed_type_examples():

@@ -170,3 +170,67 @@ def test_hopf_fails_on_a_doubled_fock_side(monkeypatch, capsys, perturbed, relat
         '{"suite":"hopf","gamma":"cyclic3","xi":"standard","params":{"n":3,"degree":4,'
         f'"window":2}},"results":[{{"relation":"{relation}","status":"fail","params":{params}}}],'
         '"status":"fail"}\n')
+
+
+def test_affine_logs_one_debug_line_per_family(caplog, capsys):
+    # each family on each index set logs its instances, panel size and
+    # blocks; the affine set is a subset of the toroidal one and, with one
+    # block cache per family, builds no block of its own.  stdout is the
+    # same with the log on
+    import logging
+    import re
+
+    from spinwreath import cli
+
+    argv = ["verify", "affine", "--xi", "mckay", "--gamma", "cyclic:2", "--window", "1",
+            "--degree", "2"]
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr().out
+    caplog.set_level(logging.DEBUG, logger="spinwreath.vertex")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == quiet
+    pattern = re.compile(r"family (\w+) \{.*'indices': (\[[\d, ]*\])\}: (\d+) instances on "
+                         r"(\d+) monomials, (\d+) blocks built, (\d+) reused")
+    lines = [pattern.fullmatch(r.getMessage()).groups() for r in caplog.records
+             if r.name == "spinwreath.vertex"]
+    families = ["hh", "hx", "x_parity", "xx_central_4n", "serre"]
+    assert [(name, indices) for name, indices, *_ in lines] == \
+        [(f, s) for f in families for s in ("[0, 1]", "[1]")]
+    counts = [tuple(map(int, line[2:])) for line in lines]
+    assert counts[:2] == [(16, 6, 21, 39), (4, 6, 0, 10)]  # hh: 2 * 2 * 2 * 2 and 2 * 2
+    for (instances, panel, built, reused), toroidal in zip(counts, [True, False] * 5):
+        assert instances and panel == 6 and reused
+        assert bool(built) == toroidal
+
+
+def test_affine_index_sets_stop_at_their_own_first_failure(monkeypatch, capsys):
+    # <gamma_0, gamma_1> off by one on the pairing side: the toroidal set
+    # stops at hx, and the affine set, which has no gamma_0, runs every
+    # family; the document was recorded when each index set ran on its own
+    from spinwreath.vertex import TwistContext as Twist
+
+    real = Twist.pairing
+    monkeypatch.setattr(Twist, "pairing",
+                        lambda self, alpha, beta: real(self, alpha, beta) + alpha[0] * beta[1])
+    code, out = _run_verify(capsys, ["verify", "affine", "--xi", "mckay", "--gamma", "cyclic:3",
+                                     "--window", "2", "--degree", "2"])
+    assert code == 3
+    assert out == (
+        '{"suite":"affine","gamma":"cyclic3","xi":"mckay","params":{"n":2,"degree":2,'
+        '"window":2},"results":[{"relation":"hh","params":{"window":2,"degree":2,'
+        '"indices":[0,1,2]},"status":"pass","index_set":"toroidal","gamma":"cyclic3"},'
+        '{"relation":"hx","params":{"i":0,"j":1,"n":-1,"m":-2},"status":"fail",'
+        '"witness":{"coset":0,"mono":[],"residual":[[[[1,1],[1,1],[1,1]],"-4/3"],[[[3,1]],'
+        '"-2/3"]]},"index_set":"toroidal","gamma":"cyclic3"},{"relation":"hh",'
+        '"params":{"window":2,"degree":2,"indices":[1,2]},"status":"pass",'
+        '"index_set":"affine","gamma":"cyclic3"},{"relation":"hx","params":{"window":2,'
+        '"degree":2,"indices":[1,2]},"status":"pass","index_set":"affine",'
+        '"gamma":"cyclic3"},{"relation":"x_parity","params":{"window":2,"degree":2,'
+        '"indices":[1,2]},"status":"pass","index_set":"affine","gamma":"cyclic3"},'
+        '{"relation":"xx_central_4n","params":{"window":2,"degree":2,"indices":[1,2]},'
+        '"status":"pass","index_set":"affine","gamma":"cyclic3"},{"relation":"serre",'
+        '"params":{"window":2,"degree":2,"indices":[1,2]},"status":"pass",'
+        '"index_set":"affine","gamma":"cyclic3"},{"relation":"h_even_zero",'
+        '"params":{"note":"only odd Heisenberg generators exist; h_i(2n) = 0 holds structurally"},'
+        '"status":"pass","index_set":"affine","gamma":"cyclic3"}],"status":"fail"}'
+        "\n")

@@ -207,14 +207,67 @@ def test_xx_bracket_instances():
 def test_affine_families_small():
     g2, _ = builtin("cyclic:2")
     t2 = TwistContext(g2, mckay_xi(g2))
-    for r in affine_relation_check(t2, [0, 1], window=2, max_degree=3):
+    for r in affine_relation_check(t2, [[0, 1]], window=2, max_degree=3)[0]:
         assert r.status == "pass", r
-    for r in affine_relation_check(t2, [1], window=2, max_degree=3):
+    for r in affine_relation_check(t2, [[1]], window=2, max_degree=3)[0]:
         assert r.status == "pass", r
     g3, _ = builtin("cyclic:3")
     t3 = TwistContext(g3, mckay_xi(g3))
-    for r in affine_relation_check(t3, [0, 1, 2], window=2, max_degree=2):
+    for r in affine_relation_check(t3, [[0, 1, 2]], window=2, max_degree=2)[0]:
         assert r.status == "pass", r
+
+
+# -- the ladder D_j against the recursion it replaced -------------------------------
+
+ALL_BUILTINS = ["trivial"] + [f"cyclic:{k}" for k in range(1, 10)] + ["klein4", "quaternion8"]
+
+
+def _recursive_ladder(t, coeffs, i):
+    """D_j of exp(-sum (2/k) a_k z^-k) on monomial i by the recursion
+    j D_j = sum_{k odd <= j} -2 a_k D_{j-k}, each a_k through the H layers'
+    annihilation (`_ilean_annihilate`), each sum over its least denominator."""
+    ladder = [(1, ((i, 1),))]
+    for j in range(1, mono_degree(t.fock.monos[i]) + 1):
+        ladder.append(vx._sum_rows([(-2,) + vx._ilean_annihilate(t, *ladder[j - k], k, coeffs)
+                                    for k in range(1, j + 1, 2)], j))
+    return ladder
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_closed_form_ladder_matches_the_recursion(name):
+    g, _ = builtin(name)
+    weights = [VirtualChar.trivial(g)]
+    try:
+        weights.append(mckay_xi(g))
+    except ValueError:
+        pass  # no McKay weight: trivial, cyclic:1 and klein4
+    compared = 0
+    for xi in weights:
+        t = TwistContext(g, xi)
+        for i in t.fock.basis(4):
+            for c in range(g.num_classes):
+                for gamma in (t.basis_vector(c), neg(t.basis_vector(c))):
+                    got = vx._ilean_ladder(t, gamma, i)
+                    ref = _recursive_ladder(t, gamma, i)
+                    assert [(d, dict(e)) for d, e in got] == \
+                        [(d, dict(e)) for d, e in ref], (xi.coeffs, t.fock.monos[i], gamma)
+                    assert all(len(e) == len(dict(e)) for _, e in got)
+                    compared += 1
+    assert compared >= 14 * len(weights)
+
+
+def test_poisoned_ladder_entry_fails_the_affine_families():
+    # D_1(gamma_1) on a_{-1}(gamma_1)^2 carries C(2, 1) (-<gamma_1, gamma_1>);
+    # with the binomial read as 1, both index sets fail with a witness
+    g, _ = builtin("cyclic:3")
+    t = TwistContext(g, mckay_xi(g))
+    g1, i = t.basis_vector(1), t.fock.index(((1, 1), (1, 1)))
+    ladder = vx._ilean_ladder(t, g1, i)
+    assert ladder[1] == (1, ((t.fock.index(((1, 1),)), -4),))
+    ladder[1] = (1, ((t.fock.index(((1, 1),)), -2),))
+    for results in affine_relation_check(t, [range(3), range(1, 3)], window=1, max_degree=2):
+        assert [r.status for r in results] == ["pass", "fail"]
+        assert results[-1].relation == "hx" and results[-1].witness["residual"]
 
 
 def test_h_even_is_zero():
@@ -236,11 +289,11 @@ def test_checker_catches_wrong_relation():
     xb = _x_layer(t, -1, neg(g1))
     # correct central coefficient is 4, claim 8 instead
     terms = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-8), ())]
-    witness = _check_instance(t, terms, panel, {})
+    witness = _check_instance(t, terms, panel, vx.Blocks())
     assert witness is not None
     assert witness["coset"] == 0
     good = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-4), ())]
-    assert _check_instance(t, good, panel, {}) is None
+    assert _check_instance(t, good, panel, vx.Blocks()) is None
 
 
 def _random_words(t, rng, count):
@@ -299,7 +352,7 @@ def test_words_factor_through_coset_zero(name, weight):
     for word, shift in _random_words(t, random.Random(21), 16):
         term_shift, chain = vx._term_sign(t, word)
         assert term_shift == shift
-        den, rows = _block_rows(vx._block(t, word, panel, {}), len(panel))
+        den, rows = _block_rows(vx._block(t, word, panel, vx.Blocks()), len(panel))
         for p, mono in enumerate(monos):
             images = [apply_word(t, word, {(b, mono): Fraction(1)})
                       for b in range(1 << t.twist.dim)]
@@ -333,7 +386,7 @@ def test_blocks_match_per_monomial_composition(name, weight):
     # and its least denominator is the one a witness reports
     t = _twist_for(name, weight)
     panel = tuple(t.fock.basis(3))
-    blocks = {}
+    blocks = vx.Blocks()
     nonzero = 0
     for word, _ in _random_words(t, random.Random(5), 40):
         den, rows = _block_rows(vx._block(t, word, panel, blocks), len(panel))
@@ -444,7 +497,7 @@ def test_stored_rows_are_over_their_least_denominator(name, weight):
     # stored X, H and N row is over its least denominator
     t = _twist_for(name, weight)
     panel = tuple(t.fock.basis(2))
-    blocks = {}
+    blocks = vx.Blocks()
     for word, _ in _random_words(t, random.Random(13), 40):
         vx._block(t, word, panel, blocks)
     kinds = {layer[0] for layer in t._lean_rows}
