@@ -2,16 +2,18 @@
 
     python3 benchmarks/affine_scaling.py [--src SRC] [--sizes 4] [--repeats 3]
 
-At the McKay weight on the toroidal index set (every class), it times
-`affine_relation_check` for cyclic:3 at (window, degree) = (2, 2), (3, 3)
-and (3, 4), then quaternion8 at (2, 3), in a fresh `TwistContext` per
-repeat (context building is not timed); `--sizes` keeps the first that
-many.  It prints one JSON row per size: the number of relation instances
-checked, the panel monomials each is checked on, the status of each
-relation family, the median seconds and every repeat.  `--src` points at
-the `src` directory of the checkout to measure (default: this checkout's).
-It exits 1 when a family's status is not "pass", so a timing is never
-reported for a check that failed.
+At the McKay weight, on both index sets that `verify affine` checks --
+"toroidal" (every class) and "affine" (the nontrivial classes), in one
+call -- it times `affine_relation_check` for cyclic:3 at (window, degree)
+= (2, 2), (3, 3) and (3, 4), then quaternion8 at (2, 3), in a fresh
+`TwistContext` per repeat (context building is not timed); `--sizes` keeps
+the first that many.  It prints one JSON row per size: per index set, its
+classes, the number of relation instances checked and the status of each
+relation family; then the panel monomials each instance is checked on, the
+median seconds and every repeat.  `--src` points at the `src` directory of
+the checkout to measure (default: this checkout's).  It exits 1 when a
+family of either index set does not pass, so a timing is never reported
+for a check that failed.
 """
 
 import argparse
@@ -35,13 +37,15 @@ def main() -> int:
     from spinwreath import vertex
     from spinwreath.gammadata import builtin, mckay_xi
 
-    counted = [0]
+    counted = {}  # indices -> instances checked
     certify = vertex.certify_instances
 
     def counting(tctx, name, instances, monos, pass_params, blocks=None):
+        key = tuple(pass_params["indices"])
+
         def each():
             for instance in instances:
-                counted[0] += 1
+                counted[key] = counted.get(key, 0) + 1
                 yield instance
         return certify(tctx, name, each(), monos, pass_params, blocks)
 
@@ -50,20 +54,24 @@ def main() -> int:
     for name, window, degree in SIZES[:args.sizes]:
         gamma, _ = builtin(name)
         xi = mckay_xi(gamma)
+        k = gamma.num_classes
+        index_sets = [range(k), range(1, k)]
         runs = []
         for _ in range(args.repeats):
             tctx = vertex.TwistContext(gamma, xi)
-            counted[0] = 0
+            counted.clear()
             start = time.perf_counter()
-            results, = vertex.affine_relation_check(tctx, [range(gamma.num_classes)], window,
-                                                    degree)
+            results = vertex.affine_relation_check(tctx, index_sets, window, degree)
             runs.append(round(time.perf_counter() - start, 4))
-        statuses = {r.relation: r.status for r in results}
-        failed = failed or any(s != "pass" for s in statuses.values())
+        sets = []
+        for label, index_set, items in zip(("toroidal", "affine"), index_sets, results):
+            statuses = {r.relation: r.status for r in items}
+            failed = failed or any(s != "pass" for s in statuses.values())
+            sets.append({"index_set": label, "indices": list(index_set),
+                         "instances": counted.get(tuple(index_set), 0), "statuses": statuses})
         print(json.dumps({"gamma": name, "window": window, "degree": degree,
-                          "indices": gamma.num_classes, "instances": counted[0],
+                          "index_sets": sets,
                           "panel_monomials": len(tctx.fock.basis(degree)),
-                          "statuses": statuses,
                           "median_s": statistics.median(runs), "runs_s": runs}), flush=True)
     return 1 if failed else 0
 

@@ -273,17 +273,18 @@ class GammaData:
         integer (`scalars.doc_int`), every name a JSON string and the class
         names distinct, and any fault raises `GammaValidationError`."""
         try:
-            classes = [ClassInfo(_doc_str(c["name"], f"classes[{ci}].name"),
-                                 *(doc_int(c[key], f"classes[{ci}].{key}")
-                                   for key in ("size", "element_order", "inverse")))
-                       for ci, c in enumerate(doc["classes"])]
+            entries = _doc_list(_doc_field(doc, "classes", "the document"), "classes")
+            classes = [_class_from_doc(c, f"classes[{ci}]") for ci, c in enumerate(entries)]
             names = [c.name for c in classes]
             for ci, name in enumerate(names):
                 if name in names[:ci]:
                     raise ValueError(f"classes[{ci}].name repeats {json.dumps(name)}")
-            chars = [[value_from_doc(v, f"chars[{r}][{c}]") for c, v in enumerate(row)]
-                     for r, row in enumerate(doc["chars"])]
-            gamma = GammaData(_doc_str(doc["name"], "name"), doc_int(doc["order"], "order"),
+            rows = _doc_list(_doc_field(doc, "chars", "the document"), "chars")
+            chars = [[value_from_doc(v, f"chars[{r}][{c}]")
+                      for c, v in enumerate(_doc_list(row, f"chars[{r}]"))]
+                     for r, row in enumerate(rows)]
+            gamma = GammaData(_doc_str(_doc_field(doc, "name", "the document"), "name"),
+                              doc_int(_doc_field(doc, "order", "the document"), "order"),
                               classes, chars)
         except (KeyError, TypeError, ValueError, CycError) as exc:
             if isinstance(exc, GammaValidationError):
@@ -291,6 +292,31 @@ class GammaData:
             raise GammaValidationError(f"malformed Gamma document: {exc}") from exc
         gamma.require_products_decompose()
         return gamma
+
+
+def _class_from_doc(c, where: str) -> ClassInfo:
+    """The class that the document's entry at position `where` names."""
+    return ClassInfo(_doc_str(_doc_field(c, "name", where), f"{where}.name"),
+                     *(doc_int(_doc_field(c, key, where), f"{where}.{key}")
+                       for key in ("size", "element_order", "inverse")))
+
+
+def _doc_field(obj, key: str, where: str):
+    """obj[key] of a document object; a missing field, or an object that is
+    none, is refused with `ValueError` naming its position `where`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {json.dumps(obj)}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key}")
+    return obj[key]
+
+
+def _doc_list(value, what: str) -> list:
+    """A field a document must hold as a JSON list; anything else is refused
+    with `ValueError`."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
 
 
 def _doc_str(value, what: str) -> str:

@@ -76,7 +76,7 @@ def _affine(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
     """Affine certification on two index sets: "toroidal" (all classes),
     then "affine" (the nontrivial ones), in one context and one
     `affine_relation_check` call, so the affine set reuses the toroidal
-    set's X rows and word blocks."""
+    set's X rows, word blocks and instance verdicts."""
     try:
         mckay = mckay_xi(gamma)
     except ValueError as exc:

@@ -14,8 +14,10 @@ by
     E_+(gamma, z) a_{-n}(c) E_+(gamma, z)^-1 = a_{-n}(c) - <gamma, c>_xi z^-n,
 
 so D_j on a monomial is an integer row of binomial weights over 1
-(`_ilean_ladder`).  The rows are exact: D_j vanishes above the monomial's
-degree, which pins the creation degree, so no series is truncated.  The
+(`_ilean_ladder`).  An X row sums each ladder entry times its q_n straight
+into one integer map over the lcm of the q_n denominators (`_q_product`).
+The rows are exact: D_j vanishes above the monomial's degree, which pins
+the creation degree, so no series is truncated.  The
 weighted Gram matrix is the integer one of `gammadata.gram_matrix`,
 computed once per context and shared by the Fock form and the cocycle.
 
@@ -38,10 +40,14 @@ on every basis vector up to a degree bound and reports the first witness
 on failure.  It checks a whole panel of monomials at once: a word's rows
 on every panel monomial form one integer block over one denominator,
 built by applying the word's layers to the panel one layer at a time, and
-an instance is one sum of its terms' blocks.  Blocks are cached per word
-for one family (`Blocks`); the affine check runs its index sets family by
-family, so one family's cache serves every index set and is dropped when
-the family ends.
+an instance is one sum of its terms' blocks.  Each word is built once per
+family and kept in `Blocks` as (shift, sign, block): the sum of its layer
+masks, its cocycle sign chain on coset 0 and its block.  Each instance's
+verdict -- pass, or the witness -- is kept there too, keyed by its terms'
+(shift, signed coefficient, block).  The affine check runs its index sets
+family by family, so one family's words and verdicts serve every index
+set, and are dropped when the family ends; its X and H layers are
+interned per context, so equal layers are one tuple.
 """
 
 from __future__ import annotations
@@ -67,16 +73,18 @@ class TwistContext:
     Fock context's integer Gram matrix.
 
     Its caches of layer rows, ladders and products with q_n key on the Fock
-    context's monomial numbering (`FockContext.index`)."""
+    context's monomial numbering (`FockContext.index`); its X and H layers
+    are interned (`_layer`), so equal layers are one tuple."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
         self.xi = xi
         self.fock = FockContext(gamma, xi)
         self.twist = LatticeTwist(self.fock.gram)
+        self._layers: Dict[Tuple, XLayer] = {}
         self._lean_rows: Dict[Layer, Dict[int, LeanRow]] = {}
         self._iladder_cache: Dict[Tuple[IntVec, int], List[LeanRow]] = {}
-        self._q_rows: Dict[Tuple[int, IntVec], Tuple] = {}
+        self._q_rows: Dict[IntVec, Dict[int, Tuple]] = {}
 
     def basis_vector(self, i: int) -> IntVec:
         return tuple(1 if t == i else 0 for t in range(self.gamma.num_classes))
@@ -111,7 +119,9 @@ XLayer = Tuple[str, int, IntVec, int]  # an X or H layer
 
 
 def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[int, int]],
-                      n: int, coeffs: IntVec) -> Tuple[int, Iterable[Tuple[int, int]]]:
+                      n: int, coeffs: IntVec) -> Tuple[int, IDict]:
+    """a_n(coeffs), n odd and positive, on the row vec over den: the
+    removals of one factor (n, j), weighted by the pair row, over 2 den."""
     prow = tctx.fock.pair_row(coeffs)
     removals = tctx.fock.removals
     out: IDict = {}
@@ -119,33 +129,18 @@ def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[int, int
         for j, weight, rest in removals(i, n):
             if prow[j]:
                 out[rest] = out.get(rest, 0) + num * weight * prow[j]
-    return den * 2, out.items()
+    return den * 2, out
 
 
-def _sum_rows(parts: Sequence[Tuple[int, int, Iterable[Tuple[int, int]]]],
-              scale: int = 1) -> LeanRow:
-    """sum f * entries / d over the parts (f, d, entries), divided by `scale`,
-    as a row over its least denominator."""
-    den = 1
-    for _, d, _ in parts:
-        if den % d:
-            den = lcm(den, d)
-    acc: IDict = {}
-    get = acc.get
-    for f, d, entries in parts:
-        f *= den // d
-        for i, num in entries:
-            acc[i] = get(i, 0) + f * num
-    den *= scale
-    g = den
-    for v in acc.values():
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
+def _least_row(den: int, acc: IDict) -> LeanRow:
+    """The integer map acc over den as a row over its least denominator,
+    its zero entries dropped."""
+    g = gcd(den, *acc.values())
+    if 0 in acc.values():
+        acc = {i: v for i, v in acc.items() if v}
     if g == 1:
-        return den, tuple([(i, v) for i, v in acc.items() if v])
-    return den // g, tuple([(i, v // g) for i, v in acc.items() if v])
+        return den, tuple(acc.items())
+    return den // g, tuple([(i, v // g) for i, v in acc.items()])
 
 
 def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
@@ -182,37 +177,53 @@ def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
     return ladder
 
 
-def _q_parts(tctx: TwistContext, n: int, coeffs: IntVec, num: int, den: int,
-             entries: Iterable[Tuple[int, int]]) -> List[Tuple]:
-    """The `_sum_rows` parts of (num/den) q_n(coeffs) * entries, one per entry.
+def _q_product(tctx: TwistContext, coeffs: IntVec,
+               parts: Iterable[Tuple[int, int, int, Iterable[Tuple[int, int]]]]) -> LeanRow:
+    """sum (num/den) q_n(coeffs) * entries over the parts (n, num, den,
+    entries), accumulated in one integer map over the lcm of the parts'
+    denominators times q_n's (rescaled when a part raises it), as a row
+    over its least denominator.
 
     q_n is `fock.q_gen`, whose coefficients are rational and whose keys are
     the row engine's monomial indices, so its numerators are read as they
-    are.  Kept per (n, coeffs) beside it is the product of q_n with each
+    are.  Kept per coeffs and n beside it is the product of q_n with each
     monomial met, as index entries (`FockContext.merge`)."""
-    key = (n, coeffs)
-    q = tctx._q_rows.get(key)
-    if q is None:
-        vec = q_gen(tctx.fock, n, coeffs)
-        q = tctx._q_rows[key] = (vec.den, vec.nums, {})
-    dq, qnums, products = q
+    q_rows = tctx._q_rows.get(coeffs)
+    if q_rows is None:
+        q_rows = tctx._q_rows[coeffs] = {}
     merge = tctx.fock.merge
-    parts = []
-    for i, e in entries:
-        prod = products.get(i)
-        if prod is None:
-            prod = products[i] = tuple((merge(iq, i), c[0]) for iq, c in qnums.items())
-        parts.append((num * e, den * dq, prod))
-    return parts
+    lcd = 1
+    acc: IDict = {}
+    get = acc.get
+    for n, num, den, entries in parts:
+        q = q_rows.get(n)
+        if q is None:
+            vec = q_gen(tctx.fock, n, coeffs)
+            q = q_rows[n] = (vec.den, vec.nums, {})
+        dq, qnums, products = q
+        den *= dq
+        if den != lcd:
+            if lcd % den:
+                step = den // gcd(lcd, den)
+                lcd *= step
+                for t in acc:
+                    acc[t] *= step
+            num *= lcd // den
+        for i, e in entries:
+            prod = products.get(i)
+            if prod is None:
+                prod = products[i] = tuple((merge(iq, i), c[0]) for iq, c in qnums.items())
+            e *= num
+            for t, c in prod:
+                acc[t] = get(t, 0) + e * c
+    return _least_row(lcd, acc)
 
 
 def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, i: int) -> LeanRow:
     """The X_m(gamma) row on monomial i: sum_j q_{j-m}(gamma) D_j(gamma) mono."""
     ladder = _ilean_ladder(tctx, coeffs, i)
-    parts: List[Tuple] = []
-    for j in range(max(0, m), len(ladder)):
-        parts += _q_parts(tctx, j - m, coeffs, 1, *ladder[j])
-    return _sum_rows(parts)
+    return _q_product(tctx, coeffs, [(j - m, 1) + ladder[j]
+                                     for j in range(max(0, m), len(ladder)) if ladder[j][1]])
 
 
 def _n_row(tctx: TwistContext, a: int, b: int, alpha: IntVec, beta: IntVec,
@@ -222,13 +233,13 @@ def _n_row(tctx: TwistContext, a: int, b: int, alpha: IntVec, beta: IntVec,
     alpha half, summed over j1, is the X_a(alpha) row."""
     xa = _x_layer(tctx, a, alpha)
     ladder = _ilean_ladder(tctx, beta, i)
-    parts: List[Tuple] = []
+    parts = []
     for j2 in range(max(0, b), len(ladder)):
         d2, entries = ladder[j2]
         for j, num in entries:
             dx, xrow = _lean_row(tctx, xa, j)
-            parts += _q_parts(tctx, j2 - b, beta, num, d2 * dx, xrow)
-    return _sum_rows(parts)
+            parts.append((j2 - b, num, d2 * dx, xrow))
+    return _q_product(tctx, beta, parts)
 
 
 def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
@@ -248,20 +259,30 @@ def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
     elif m % 2 == 0:
         row = (1, ())
     elif m > 0:
-        row = _sum_rows([(1,) + _ilean_annihilate(tctx, 1, ((i, 1),), m, layer[2])])
+        row = _least_row(*_ilean_annihilate(tctx, 1, ((i, 1),), m, layer[2]))
     else:
         row = 1, tuple((tctx.fock.insert(i, -m, j), c) for j, c in enumerate(layer[2]) if c)
     rows[i] = row
     return row
 
 
+def _layer(tctx: TwistContext, kind: str, m: int, coeffs: Sequence[int]) -> XLayer:
+    """The X or H layer of index m on coeffs, interned in the context: equal
+    arguments, as a list or a tuple, give the identical tuple."""
+    key = (kind, m, tuple(coeffs))
+    layer = tctx._layers.get(key)
+    if layer is None:
+        vec = tuple(int(c) for c in coeffs)
+        layer = tctx._layers[key] = (kind, m, vec, vec_to_mask(vec) if kind == "X" else 0)
+    return layer
+
+
 def _x_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
-    vec = tuple(int(c) for c in coeffs)
-    return ("X", m, vec, vec_to_mask(vec))
+    return _layer(tctx, "X", m, coeffs)
 
 
 def _h_layer(tctx: TwistContext, m: int, coeffs: Sequence[int]) -> XLayer:
-    return ("H", m, tuple(int(c) for c in coeffs), 0)
+    return _layer(tctx, "H", m, coeffs)
 
 
 def x_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
@@ -269,8 +290,7 @@ def x_component(tctx: TwistContext, m: int, gamma_vec: Sequence[int],
     """The Fock part of the coefficient of z^{-m} in X(gamma, z) applied to
     an integer row on monomial indices, over its least denominator; the
     lattice sign is the caller's."""
-    den, block = _apply_block(tctx, _x_layer(tctx, m, gamma_vec), (row[0], dict(row[1])), 1)
-    return _sum_rows([(1, den, block.items())])
+    return _least_row(*_apply_block(tctx, _x_layer(tctx, m, gamma_vec), (row[0], dict(row[1])), 1))
 
 
 def neg(vec: Sequence[int]) -> IntVec:
@@ -323,74 +343,81 @@ class RelationResult:
 # panel monomial at once, one integer map (target index * panel size +
 # panel position) -> numerator over one denominator.  A word's block is its
 # left layer applied, through the layer's cached rows (`_lean_row`), to the
-# block of the rest of the word, down to the panel itself; blocks are cached
-# by word for one family (`certify_instances`).  An instance then sums its
-# term blocks per shift over one common denominator, and only a failing
-# instance goes back to single monomials, to write its witness.
+# block of the rest of the word, down to the panel itself, and its sign
+# chain is the rest's extended by the left layer's mask; both are cached by
+# word for one family (`Blocks`).  An instance then sums its term blocks per
+# shift over one common denominator, and only a failing instance goes back
+# to single monomials, to write its witness.  Its verdict is cached too, on
+# its terms' (shift, signed coefficient, block): an index set that repeats
+# an instance of an earlier one reads the verdict, witness included.
 
 Block = Tuple[int, IDict]  # (denominator, {target * panel size + position: numerator})
+Word = Tuple[int, int, Block]  # (shift, sign chain on coset 0, block)
 
 
 class Blocks(dict):
-    """Word -> block on one panel, for the instances of one relation family
-    (`certify_instances`); `reused` counts the lookups it answered."""
+    """Word -> (shift, sign, block) on one panel, for the instances of one
+    relation family (`certify_instances`): the sum of the word's layer
+    masks, its exact +-1 cocycle sign chain on coset 0, and its block.
+    `verdicts` maps an instance's terms' (shift, signed coefficient, block)
+    to its verdict, None or the witness.  `reused` and `verdicts_reused`
+    count the lookups each answered."""
 
-    reused = 0
+    def __init__(self) -> None:
+        super().__init__()
+        self.reused = 0
+        self.verdicts: Dict[Tuple, Optional[dict]] = {}
+        self.verdicts_reused = 0
 
 
 def _apply_block(tctx: TwistContext, layer: Layer, block: Block, size: int) -> Block:
     """The layer applied to a block over a panel of `size` monomials,
     without the lattice sign."""
     den, entries = block
-    cached = tctx._lean_rows.setdefault(layer, {})
-    parts = []
+    cached = tctx._lean_rows.get(layer)
+    if cached is None:
+        cached = tctx._lean_rows[layer] = {}
     lcd = 1
+    out: IDict = {}
+    get = out.get
     for key, num in entries.items():
         j, p = divmod(key, size)
         d, row = cached.get(j) or _lean_row(tctx, layer, j)
-        if row:
+        if d != lcd:
             if lcd % d:
-                lcd = lcm(lcd, d)
-            parts.append((p, num, d, row))
-    out: IDict = {}
-    get = out.get
-    for p, num, d, row in parts:
-        f = num * (lcd // d)
+                step = d // gcd(lcd, d)
+                lcd *= step
+                for k in out:
+                    out[k] *= step
+            num *= lcd // d
         for t, e in row:
             key = t * size + p
-            out[key] = get(key, 0) + f * e
-    return den * lcd, {key: v for key, v in out.items() if v}
+            out[key] = get(key, 0) + num * e
+    if 0 in out.values():
+        out = {key: v for key, v in out.items() if v}
+    return den * lcd, out
 
 
-def _block(tctx: TwistContext, layers: Tuple[Layer, ...], panel: Tuple[int, ...],
-           blocks: Blocks) -> Block:
-    """The word's block on the panel (monomial indices); cached in `blocks`
-    by word."""
-    block = blocks.get(layers)
-    if block is None:
+def _word(tctx: TwistContext, layers: Tuple[Layer, ...], panel: Tuple[int, ...],
+          blocks: Blocks) -> Word:
+    """The word's shift, sign chain and block on the panel (monomial
+    indices); cached in `blocks` by word."""
+    word = blocks.get(layers)
+    if word is None:
         if layers:
-            block = _apply_block(tctx, layers[0], _block(tctx, layers[1:], panel, blocks),
-                                 len(panel))
+            shift, sign, block = _word(tctx, layers[1:], panel, blocks)
+            mask = layers[0][-1]
+            if mask:
+                sign *= tctx.twist.epsilon_masks(mask, shift)
+                shift ^= mask
+            word = shift, sign, _apply_block(tctx, layers[0], block, len(panel))
         else:
             size = len(panel)
-            block = 1, {i * size + p: 1 for p, i in enumerate(panel)}
-        blocks[layers] = block
+            word = 0, 1, (1, {i * size + p: 1 for p, i in enumerate(panel)})
+        blocks[layers] = word
     else:
         blocks.reused += 1
-    return block
-
-
-def _term_sign(tctx: TwistContext, layers: Tuple[Layer, ...]) -> Tuple[int, int]:
-    """A term's shift (the sum of its layers' masks) and its exact +-1
-    cocycle sign chain on coset 0."""
-    sign = 1
-    cur = 0
-    for layer in reversed(layers):
-        mask = layer[-1]
-        if mask:
-            sign *= tctx.twist.epsilon_masks(mask, cur)
-            cur ^= mask
-    return cur, sign
+    return word
 
 
 Term = Tuple[Fraction, Tuple[Layer, ...]]
@@ -409,27 +436,39 @@ def _check_instance(tctx: TwistContext, terms: Sequence[Term], panel: Tuple[int,
     chain there; the blocks, cached in `blocks` by word, are summed over one
     lcm of their denominators times their coefficients'.  Returns None on
     success, else the witness of `_witness` on the first failing panel
-    monomial.
+    monomial; the verdict is kept in `blocks.verdicts`.
     """
     prepared: List[Prepared] = []
     lcd = 1
     for coef, layers in terms:
-        shift, sign = _term_sign(tctx, layers)
-        block = _block(tctx, layers, panel, blocks)
-        prepared.append((shift, sign * coef.numerator, coef.denominator, block))
-        den = block[0] * coef.denominator
+        shift, sign, block = _word(tctx, layers, panel, blocks)
+        cden = coef.denominator
+        prepared.append((shift, sign * coef.numerator, cden, block))
+        den = block[0] * cden
         if lcd % den:
             lcd = lcm(lcd, den)
+    key = tuple([(shift, num, cden, id(block)) for shift, num, cden, block in prepared])
+    verdicts = blocks.verdicts
+    if key in verdicts:
+        blocks.verdicts_reused += 1
+        return verdicts[key]
     by_shift: Dict[int, IDict] = {}
     for shift, num, cden, (den, entries) in prepared:
         scale = num * (lcd // (den * cden))
-        acc = by_shift.setdefault(shift, {})
+        acc = by_shift.get(shift)
+        if acc is None:
+            by_shift[shift] = {k: scale * n for k, n in entries.items()}
+            continue
         get = acc.get
-        for key, n in entries.items():
-            acc[key] = get(key, 0) + scale * n
-    size = len(panel)
-    failing = [key % size for acc in by_shift.values() for key, v in acc.items() if v]
-    return _witness(tctx, prepared, panel, min(failing)) if failing else None
+        for k, n in entries.items():
+            acc[k] = get(k, 0) + scale * n
+    witness = None
+    if any(any(acc.values()) for acc in by_shift.values()):
+        size = len(panel)
+        p = min(k % size for acc in by_shift.values() for k, v in acc.items() if v)
+        witness = _witness(tctx, prepared, panel, p)
+    verdicts[key] = witness
+    return witness
 
 
 def _witness(tctx: TwistContext, prepared: Sequence[Prepared], panel: Tuple[int, ...],
@@ -466,15 +505,16 @@ def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instanc
     `FockContext.basis` gives them): a "fail" result with the first failing
     instance's params and witness, else "pass" with pass_params.  A family
     with no instance or no monomial fails with the reason "no_instances", so
-    a pass never rests on an empty check.  `blocks` caches word blocks on
-    this panel; a caller passes one in to share it between calls on the same
-    panel (`affine_relation_check`), else the family has its own.  Logs one
-    DEBUG line: the instances checked, the panel size, the blocks built and
-    the blocks reused."""
+    a pass never rests on an empty check.  `blocks` caches word blocks and
+    instance verdicts on this panel; a caller passes one in to share it
+    between calls on the same panel (`affine_relation_check`), else the
+    family has its own.  Logs one DEBUG line: the instances checked, the
+    panel size, the blocks built, the blocks reused and the verdicts
+    reused."""
     panel = tuple(panel)
     if blocks is None:
         blocks = Blocks()
-    built, reused = len(blocks), blocks.reused
+    built, reused, verdicts = len(blocks), blocks.reused, blocks.verdicts_reused
     checked = 0
     result = None
     for params, terms in instances:
@@ -485,9 +525,9 @@ def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instanc
         if witness is not None:
             result = RelationResult(name, params, "fail", witness)
             break
-    _LOG.debug("family %s %s: %d instances on %d monomials, %d blocks built, %d reused",
-               name, pass_params, checked, len(panel), len(blocks) - built,
-               blocks.reused - reused)
+    _LOG.debug("family %s %s: %d instances on %d monomials, %d blocks built, %d reused, "
+               "%d verdicts reused", name, pass_params, checked, len(panel),
+               len(blocks) - built, blocks.reused - reused, blocks.verdicts_reused - verdicts)
     if result is not None:
         return result
     if not checked:

@@ -195,6 +195,34 @@ def test_gamma_with_a_negative_degree_is_a_usage_error(tmp_path):
                                "degree of character 1 is not a positive integer: -1")
 
 
+def _c3_doc():
+    """cyclic:3 as a Gamma document."""
+    return {"name": "c3", "order": 3,
+            "classes": [{"name": "e", "size": 1, "element_order": 1, "inverse": 0},
+                        {"name": "c1", "size": 1, "element_order": 3, "inverse": 2},
+                        {"name": "c2", "size": 1, "element_order": 3, "inverse": 1}],
+            "chars": [[{"N": 1, "coeffs": [[1, 1]]}] * 3,
+                      [{"N": 1, "coeffs": [[1, 1]]}, {"N": 3, "coeffs": [[0, 1], [1, 1]]},
+                       {"N": 3, "coeffs": [[-1, 1], [-1, 1]]}],
+                      [{"N": 1, "coeffs": [[1, 1]]}, {"N": 3, "coeffs": [[-1, 1], [-1, 1]]},
+                       {"N": 3, "coeffs": [[0, 1], [1, 1]]}]]}
+
+
+@pytest.mark.parametrize("edit,expect", [
+    (lambda doc: doc["chars"].__setitem__(1, 5), "chars[1] must be a list, got 5"),
+    (lambda doc: doc["classes"].__setitem__(1, 5), "classes[1] must be an object, got 5"),
+    (lambda doc: doc.pop("classes"), "the document has no classes"),
+    (lambda doc: doc["classes"][1].pop("size"), "classes[1] has no size"),
+], ids=["chars-row-int", "class-int", "no-classes", "class-no-size"])
+def test_gamma_document_shape_fault_is_a_usage_error(tmp_path, edit, expect):
+    doc = _c3_doc()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_one_usage_error(*run_cli("chartable", "--gamma", f"@{path}", "--n", "1"),
+                           f"malformed Gamma document: {expect}")
+
+
 @pytest.mark.parametrize("path,value,expect", [
     (("order",), 3.9, "order must be an integer, got 3.9"),
     (("classes", 0, "size"), True, "classes[0].size must be an integer, got true"),
@@ -203,15 +231,7 @@ def test_gamma_with_a_negative_degree_is_a_usage_error(tmp_path):
 def test_gamma_number_that_is_no_json_integer_is_a_usage_error(tmp_path, path, value, expect):
     # int() would read 3.9 as 3 and true as 1, and Fraction(1, 0) raises
     # ZeroDivisionError: each is one usage error instead
-    doc = {"name": "c3", "order": 3,
-           "classes": [{"name": "e", "size": 1, "element_order": 1, "inverse": 0},
-                       {"name": "c1", "size": 1, "element_order": 3, "inverse": 2},
-                       {"name": "c2", "size": 1, "element_order": 3, "inverse": 1}],
-           "chars": [[{"N": 1, "coeffs": [[1, 1]]}] * 3,
-                     [{"N": 1, "coeffs": [[1, 1]]}, {"N": 3, "coeffs": [[0, 1], [1, 1]]},
-                      {"N": 3, "coeffs": [[-1, 1], [-1, 1]]}],
-                     [{"N": 1, "coeffs": [[1, 1]]}, {"N": 3, "coeffs": [[-1, 1], [-1, 1]]},
-                      {"N": 3, "coeffs": [[0, 1], [1, 1]]}]]}
+    doc = _c3_doc()
     doc_file = tmp_path / "c3.json"
     doc_file.write_text(json.dumps(doc))
     code, out, _ = run_cli("chartable", "--gamma", f"@{doc_file}", "--n", "1")

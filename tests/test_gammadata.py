@@ -494,6 +494,23 @@ def test_value_document_shape_faults_name_the_field(value, expect):
     assert str(err.value) == f"malformed Gamma document: {expect}"
 
 
+# a document of the wrong shape above the value level names its field and
+# position: these read "'int' object is not iterable", "'int' object is not
+# subscriptable", "'classes'" and "'size'" before
+@pytest.mark.parametrize("edit,expect", [
+    (lambda doc: doc["chars"].__setitem__(1, 5), "chars[1] must be a list, got 5"),
+    (lambda doc: doc["classes"].__setitem__(1, 5), "classes[1] must be an object, got 5"),
+    (lambda doc: doc.pop("classes"), "the document has no classes"),
+    (lambda doc: doc["classes"][1].pop("size"), "classes[1] has no size"),
+], ids=["chars-row-int", "class-int", "no-classes", "class-no-size"])
+def test_document_shape_faults_name_the_field(edit, expect):
+    doc = builtin("cyclic:3")[0].to_doc()
+    edit(doc)
+    with pytest.raises(GammaValidationError) as err:
+        load_gamma(json.dumps(doc))
+    assert str(err.value) == f"malformed Gamma document: {expect}"
+
+
 def _set(key, values):
     def edit(doc):
         for ci, v in values.items():

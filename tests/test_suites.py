@@ -178,7 +178,6 @@ def test_affine_logs_one_debug_line_per_family(caplog, capsys):
     # block cache per family, builds no block of its own.  stdout is the
     # same with the log on
     import logging
-    import re
 
     from spinwreath import cli
 
@@ -189,18 +188,45 @@ def test_affine_logs_one_debug_line_per_family(caplog, capsys):
     caplog.set_level(logging.DEBUG, logger="spinwreath.vertex")
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == quiet
-    pattern = re.compile(r"family (\w+) \{.*'indices': (\[[\d, ]*\])\}: (\d+) instances on "
-                         r"(\d+) monomials, (\d+) blocks built, (\d+) reused")
-    lines = [pattern.fullmatch(r.getMessage()).groups() for r in caplog.records
-             if r.name == "spinwreath.vertex"]
+    lines = _family_lines(caplog)
     families = ["hh", "hx", "x_parity", "xx_central_4n", "serre"]
     assert [(name, indices) for name, indices, *_ in lines] == \
         [(f, s) for f in families for s in ("[0, 1]", "[1]")]
-    counts = [tuple(map(int, line[2:])) for line in lines]
+    counts = [tuple(map(int, line[2:6])) for line in lines]
     assert counts[:2] == [(16, 6, 21, 39), (4, 6, 0, 10)]  # hh: 2 * 2 * 2 * 2 and 2 * 2
     for (instances, panel, built, reused), toroidal in zip(counts, [True, False] * 5):
         assert instances and panel == 6 and reused
         assert bool(built) == toroidal
+
+
+def _family_lines(caplog):
+    """The DEBUG lines of `certify_instances` as (family, indices,
+    instances, panel size, blocks built, blocks reused, verdicts reused)."""
+    import re
+
+    pattern = re.compile(r"family (\w+) \{.*'indices': (\[[\d, ]*\])\}: (\d+) instances on "
+                         r"(\d+) monomials, (\d+) blocks built, (\d+) reused, "
+                         r"(\d+) verdicts reused")
+    return [pattern.fullmatch(r.getMessage()).groups() for r in caplog.records
+            if r.name == "spinwreath.vertex"]
+
+
+def test_affine_set_reuses_the_toroidal_verdicts(caplog, capsys):
+    # every affine instance is a toroidal one on the same words, so each
+    # family of the affine set reads verdicts the toroidal set left
+    import logging
+
+    from spinwreath import cli
+
+    caplog.set_level(logging.DEBUG, logger="spinwreath.vertex")
+    assert cli.main(["verify", "affine", "--xi", "mckay", "--gamma", "cyclic:3", "--window", "1",
+                     "--degree", "1"]) == 0
+    capsys.readouterr()
+    lines = _family_lines(caplog)
+    affine = [line for line in lines if line[1] == "[1, 2]"]
+    assert [line[0] for line in affine] == ["hh", "hx", "x_parity", "xx_central_4n", "serre"]
+    for name, _, instances, _, built, _, verdicts in affine:
+        assert int(verdicts) == int(instances) > 0 and built == "0", name
 
 
 def test_affine_index_sets_stop_at_their_own_first_failure(monkeypatch, capsys):

@@ -301,7 +301,7 @@ def test_fock_owns_the_one_monomial_numbering_and_its_factor_tables():
             assert not defined & operations and not stored & tables, fname
     # the row engine's product with q_n and the table's X_lambda vector take
     # indices as they are, with no conversion between numberings
-    assert not _attributes_in(os.path.join(PACKAGE, "vertex.py"), "_q_parts") & {"monos", "index"}
+    assert not _attributes_in(os.path.join(PACKAGE, "vertex.py"), "_q_product") & {"monos", "index"}
     assert not _attributes_in(os.path.join(PACKAGE, "qtable.py"),
                               "x_lambda_vector") & {"monos", "index"}
 

@@ -222,14 +222,35 @@ def test_affine_families_small():
 ALL_BUILTINS = ["trivial"] + [f"cyclic:{k}" for k in range(1, 10)] + ["klein4", "quaternion8"]
 
 
+def _sum_rows(parts, scale=1):
+    """sum f * entries / d over the parts (f, d, entries), divided by `scale`,
+    as a row over its least denominator: the row engine's summation before
+    it accumulated each row in one integer map."""
+    den = 1
+    for _, d, _ in parts:
+        if den % d:
+            den = math.lcm(den, d)
+    acc = {}
+    for f, d, entries in parts:
+        f *= den // d
+        for i, num in entries:
+            acc[i] = acc.get(i, 0) + f * num
+    den *= scale
+    g = math.gcd(den, *acc.values())
+    return den // g, tuple((i, v // g) for i, v in acc.items() if v)
+
+
 def _recursive_ladder(t, coeffs, i):
     """D_j of exp(-sum (2/k) a_k z^-k) on monomial i by the recursion
     j D_j = sum_{k odd <= j} -2 a_k D_{j-k}, each a_k through the H layers'
     annihilation (`_ilean_annihilate`), each sum over its least denominator."""
     ladder = [(1, ((i, 1),))]
     for j in range(1, mono_degree(t.fock.monos[i]) + 1):
-        ladder.append(vx._sum_rows([(-2,) + vx._ilean_annihilate(t, *ladder[j - k], k, coeffs)
-                                    for k in range(1, j + 1, 2)], j))
+        parts = []
+        for k in range(1, j + 1, 2):
+            den, out = vx._ilean_annihilate(t, *ladder[j - k], k, coeffs)
+            parts.append((-2, den, out.items()))
+        ladder.append(_sum_rows(parts, j))
     return ladder
 
 
@@ -256,6 +277,46 @@ def test_closed_form_ladder_matches_the_recursion(name):
     assert compared >= 14 * len(weights)
 
 
+def _q_parts(t, n, coeffs, num, den, entries):
+    """The `_sum_rows` parts of (num/den) q_n(coeffs) * entries, one per
+    entry, each product of q_n with a monomial through `FockContext.merge`."""
+    vec = q_gen(t.fock, n, coeffs)
+    return [(num * e, den * vec.den,
+             [(t.fock.merge(iq, i), c[0]) for iq, c in vec.nums.items()])
+            for i, e in entries]
+
+
+def _x_row_reference(t, m, coeffs, i):
+    """sum_j q_{j-m}(gamma) D_j(gamma) on monomial i as a list of parts, one
+    per ladder entry, summed by `_sum_rows`."""
+    ladder = vx._ilean_ladder(t, coeffs, i)
+    parts = []
+    for j in range(max(0, m), len(ladder)):
+        parts += _q_parts(t, j - m, coeffs, 1, *ladder[j])
+    return _sum_rows(parts)
+
+
+@pytest.mark.parametrize("name,weight", [("cyclic:3", "mckay"), ("quaternion8", "standard")])
+def test_fused_x_rows_match_the_parts_route(name, weight):
+    # every X_m row on every monomial of degree <= 3 equals the sum of its
+    # per-entry parts, entry for entry and in the same order, and is over
+    # its least denominator
+    t = _twist_for(name, weight)
+    k = t.gamma.num_classes
+    vectors = [t.basis_vector(c) for c in range(k)] + [neg(t.basis_vector(0)), (1,) * k]
+    compared = fractional = 0
+    for i in t.fock.basis(3):
+        for m in range(-3, 4):
+            for coeffs in vectors:
+                den, entries = vx._x_row_int(t, m, coeffs, i)
+                ref_den, ref = _x_row_reference(t, m, coeffs, i)
+                assert (den, entries) == (ref_den, ref), (m, coeffs, i)
+                assert math.gcd(den, *(num for _, num in entries)) == 1
+                compared += bool(entries)
+                fractional += den > 1
+    assert compared > 500 and fractional > 50
+
+
 def test_poisoned_ladder_entry_fails_the_affine_families():
     # D_1(gamma_1) on a_{-1}(gamma_1)^2 carries C(2, 1) (-<gamma_1, gamma_1>);
     # with the binomial read as 1, both index sets fail with a witness
@@ -268,6 +329,71 @@ def test_poisoned_ladder_entry_fails_the_affine_families():
     for results in affine_relation_check(t, [range(3), range(1, 3)], window=1, max_degree=2):
         assert [r.status for r in results] == ["pass", "fail"]
         assert results[-1].relation == "hx" and results[-1].witness["residual"]
+
+
+def _poison_negative_x_row(t):
+    # X_{-1}(-gamma_1) on the vacuum doubled: hh and hx use no negative
+    # vector, so x_parity on i = 1 is the first failing instance of both
+    # index sets
+    layer, vac = vx._x_layer(t, -1, neg(t.basis_vector(1))), t.fock.index(())
+    den, entries = vx._lean_row(t, layer, vac)
+    t._lean_rows[layer][vac] = (den, tuple((j, 2 * num) for j, num in entries))
+
+
+def test_shared_verdicts_give_each_index_set_its_own_witness(caplog):
+    # the affine set reads the toroidal set's failing verdict; each index
+    # set's documents equal those of a fresh context that checks it alone
+    import json
+    import logging
+
+    g, _ = builtin("cyclic:3")
+    index_sets = [range(3), range(1, 3)]
+    t = TwistContext(g, mckay_xi(g))
+    _poison_negative_x_row(t)
+    caplog.set_level(logging.DEBUG, logger="spinwreath.vertex")
+    shared = affine_relation_check(t, index_sets, window=1, max_degree=2)
+    assert caplog.records[-1].getMessage().endswith(", 1 verdicts reused")
+    for index_set, results in zip(index_sets, shared):
+        alone = TwistContext(g, mckay_xi(g))
+        _poison_negative_x_row(alone)
+        [expect] = affine_relation_check(alone, [index_set], window=1, max_degree=2)
+        assert (results[-1].relation, results[-1].params["i"]) == ("x_parity", 1)
+        assert results[-1].witness["residual"]
+        assert [json.dumps(r.to_doc()) for r in results] == \
+            [json.dumps(r.to_doc()) for r in expect]
+
+
+def test_layers_are_interned_per_context():
+    # equal arguments give the identical tuple, from a list or a tuple
+    t = tctx_for("cyclic:3")
+    for make, mask in ((vx._x_layer, 0b101), (vx._h_layer, 0)):
+        layer = make(t, -1, (1, 0, -1))
+        assert layer == (layer[0], -1, (1, 0, -1), mask)
+        assert make(t, -1, [1, 0, -1]) is layer and make(t, -1, (1, 0, -1)) is layer
+        assert make(t, 1, (1, 0, -1)) is not layer
+    assert vx._x_layer(t, 0, (1, 0, 0)) != vx._h_layer(t, 0, (1, 0, 0))
+    other = tctx_for("cyclic:3")
+    assert vx._x_layer(other, -1, (1, 0, -1)) is not vx._x_layer(t, -1, (1, 0, -1))
+
+
+@pytest.mark.parametrize("name,weight", [("cyclic:3", "mckay"), ("cyclic:2", "standard")])
+def test_cached_sign_chains_match_the_layer_by_layer_chain(name, weight):
+    # every word a family caches, and every suffix built on the way, carries
+    # the shift and sign chain `_term_sign` computes afresh
+    t = _twist_for(name, weight)
+    panel = tuple(t.fock.basis(2))
+    blocks = vx.Blocks()
+    for word, _ in _random_words(t, random.Random(8), 40):
+        vx._word(t, word, panel, blocks)
+    index_set = range(t.gamma.num_classes)
+    for _, instances in vx._affine_families(t, index_set, 1):
+        for _, terms in instances:
+            vx._check_instance(t, terms, panel, blocks)
+    signs = [word[:2] for word in blocks.values()]
+    assert len(blocks) > 100 and -1 in {sign for _, sign in signs}
+    assert len({shift for shift, _ in signs}) > 2
+    for word, entry in blocks.items():
+        assert entry[:2] == _term_sign(t, word), word
 
 
 def test_h_even_is_zero():
@@ -294,6 +420,13 @@ def test_checker_catches_wrong_relation():
     assert witness["coset"] == 0
     good = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-4), ())]
     assert _check_instance(t, good, panel, vx.Blocks()) is None
+    # one family's verdicts key on the coefficients too: the wrong identity
+    # on the same words is summed again, not read from the right one
+    blocks = vx.Blocks()
+    assert _check_instance(t, good, panel, blocks) is None
+    assert _check_instance(t, terms, panel, blocks) == witness
+    assert _check_instance(t, good, panel, blocks) is None
+    assert blocks.verdicts_reused == 1
 
 
 def _random_words(t, rng, count):
@@ -322,6 +455,18 @@ def _random_words(t, rng, count):
         yield tuple(word), shift
 
 
+def _term_sign(t, layers):
+    """A word's shift (the sum of its layers' masks) and its +-1 cocycle
+    sign chain on coset 0, computed layer by layer from the right."""
+    sign, cur = 1, 0
+    for layer in reversed(layers):
+        mask = layer[-1]
+        if mask:
+            sign *= t.twist.epsilon_masks(mask, cur)
+            cur ^= mask
+    return cur, sign
+
+
 def _block_rows(block, size):
     """A block's rows by panel position: position -> {target index: numerator}."""
     den, entries = block
@@ -341,18 +486,18 @@ def _twist_for(name, weight):
 def test_words_factor_through_coset_zero(name, weight):
     # a word whose layer masks add up to `shift` maps (b, mono) to
     # epsilon(shift, b) times its image of (0, mono), moved to b + shift;
-    # X, H and N layers alike, which is what `_term_sign` relies on.  The
+    # X, H and N layers alike, which is what the sign chain relies on.  The
     # image of (0, mono) is the coset-0 reduction: the word's row in its
-    # panel block (`_block`) times the sign chain (`_term_sign`).
+    # panel block times its sign chain, both from `_word`.
     t = _twist_for(name, weight)
     panel = tuple(t.fock.basis(2))
     monos = [t.fock.monos[i] for i in panel]
     nonzero = 0
     kinds = set()
     for word, shift in _random_words(t, random.Random(21), 16):
-        term_shift, chain = vx._term_sign(t, word)
+        term_shift, chain, block = vx._word(t, word, panel, vx.Blocks())
         assert term_shift == shift
-        den, rows = _block_rows(vx._block(t, word, panel, vx.Blocks()), len(panel))
+        den, rows = _block_rows(block, len(panel))
         for p, mono in enumerate(monos):
             images = [apply_word(t, word, {(b, mono): Fraction(1)})
                       for b in range(1 << t.twist.dim)]
@@ -377,7 +522,7 @@ def _compose_reference(t, layers, i):
     if not layers:
         return 1, ((i, 1),)
     den, entries = _compose_reference(t, layers[1:], i)
-    return vx._sum_rows([(num,) + vx._lean_row(t, layers[0], j) for j, num in entries], den)
+    return _sum_rows([(num,) + vx._lean_row(t, layers[0], j) for j, num in entries], den)
 
 
 @pytest.mark.parametrize("name,weight", [("cyclic:3", "standard"), ("cyclic:2", "mckay")])
@@ -389,7 +534,7 @@ def test_blocks_match_per_monomial_composition(name, weight):
     blocks = vx.Blocks()
     nonzero = 0
     for word, _ in _random_words(t, random.Random(5), 40):
-        den, rows = _block_rows(vx._block(t, word, panel, blocks), len(panel))
+        den, rows = _block_rows(vx._word(t, word, panel, blocks)[2], len(panel))
         for p, i in enumerate(panel):
             ref_den, ref = _compose_reference(t, word, i)
             got = rows.get(p, {})
@@ -499,7 +644,7 @@ def test_stored_rows_are_over_their_least_denominator(name, weight):
     panel = tuple(t.fock.basis(2))
     blocks = vx.Blocks()
     for word, _ in _random_words(t, random.Random(13), 40):
-        vx._block(t, word, panel, blocks)
+        vx._word(t, word, panel, blocks)
     kinds = {layer[0] for layer in t._lean_rows}
     assert kinds == {"X", "H", "N"}
     stored = [row for rows in t._lean_rows.values() for row in rows.values()]
