@@ -10,7 +10,9 @@ median seconds and every repeat of each, and the number of monomial pairs
 each valued by normal ordering (the size of its `FockContext._inner_cache`).
 `rows` counts the table's rows and `rows_paired` those built and paired
 through the vertex route, one per orbit of Gamma's linear characters; the
-others are filled by the twist (`qtable.build_table`).
+others are filled by the twist.  `columns` counts the table's columns and
+`columns_expanded` those whose a'_-mu is expanded and paired, one per
+Galois orbit; the others are filled by sigma_a (`qtable.build_table`).
 Where `mckay_xi` finds a McKay weight, the row's `mckay_isometry` field holds
 the same for the isometry at that weight, whose Gram matrix is not diagonal,
 so a monomial can have more than one partner; it is null elsewhere.
@@ -61,6 +63,10 @@ def main() -> int:
     paired = []
     x_lambda_vector = qtable.x_lambda_vector
     qtable.x_lambda_vector = lambda tctx, lam: paired.append(lam) or x_lambda_vector(tctx, lam)
+    # and the a'_-mu vectors: one per expanded column
+    expanded = []
+    a_prime_vector = qtable.a_prime_vector
+    qtable.a_prime_vector = lambda fock, mu: expanded.append(mu) or a_prime_vector(fock, mu)
     xi = VirtualChar.trivial(gamma)
     try:
         mckay = mckay_xi(gamma)
@@ -81,6 +87,7 @@ def main() -> int:
         for _ in range(args.repeats):
             tctx = TwistContext(gamma, xi)
             paired.clear()
+            expanded.clear()
             start = time.perf_counter()
             table = build_table(gamma, n, tctx=tctx)
             table_runs.append(round(time.perf_counter() - start, 4))
@@ -98,6 +105,8 @@ def main() -> int:
                   or (mckay is not None and mckay_status != "pass"))
         print(json.dumps({"gamma": args.gamma, "n": n, "rows": len(table.rows),
                           "rows_paired": len(paired),
+                          "columns": len(table.columns),
+                          "columns_expanded": len(expanded),
                           "degrees_ok": degrees_ok, "isometry": status,
                           "repeats": args.repeats,
                           "table_median_s": statistics.median(table_runs),

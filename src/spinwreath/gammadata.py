@@ -221,17 +221,57 @@ class GammaData:
         for s in (1, -1):
             for e, z in enumerate(zeta_powers(order)):
                 roots.setdefault(tuple(s * x for x in z), (s, e))
+        # (s, e) is unique per root: s = 1 for even N, where -1 = z^(N/2)
+        exps = [tuple(roots.get(nums) if den == 1 else None for den, nums in row)
+                for row in self.chars]
+        linear = {row: i for i, row in enumerate(exps) if None not in row}
         out = []
         for d in range(1, k):
-            exps = tuple(roots.get(nums) if den == 1 else None for den, nums in self.chars[d])
-            if None in exps:  # no root of unity at some class; else delta(1) = 1
+            if None in exps[d]:  # no root of unity at some class; else delta(1) = 1
                 continue
-            bar = [root_matrix(order, *exps[c.inverse]) for c in self.classes]
-            perm = tuple(where.get(tuple((den, times_root(bar[c], nums))
-                                         for c, (den, nums) in enumerate(row)), -1)
-                         for row in self.chars)
+            dbar = [exps[d][c.inverse] for c in self.classes]  # delta_bar(c) = delta(c^-1)
+            bar = None
+            perm = []
+            for row, ex in zip(self.chars, exps):
+                if None not in ex:  # delta_bar gamma_i is s t z^(e + f) at each class
+                    perm.append(linear.get(tuple((s * t, (e + f) % order)
+                                                 for (s, e), (t, f) in zip(dbar, ex)), -1))
+                    continue
+                if bar is None:
+                    bar = [root_matrix(order, *root) for root in dbar]
+                perm.append(where.get(tuple((den, times_root(bar[c], nums))
+                                            for c, (den, nums) in enumerate(row)), -1))
             if len(set(perm) - {-1}) == k:
-                out.append((d, perm, exps))
+                out.append((d, tuple(perm), exps[d]))
+        return out
+
+    @cached_property
+    def galois(self) -> List[Tuple[int, Tuple[Coeff, ...], Tuple[int, ...]]]:
+        """(a, rows, perm) for each a in (Z/N)^* other than 1, N the axis:
+        rows the integer matrix of sigma_a: z -> z^a on the phi(N) numerators,
+        column j z^(a j) (`scalars.zeta_powers`; apply it by
+        `scalars.times_root`), and perm[c] the class of c^a, as
+        sigma_a(gamma_i(c)) = gamma_i(c^a) for every irreducible.
+
+        sigma_a is a unit of Z[z], so a canonical value stays canonical.
+        perm matches sigma_a of each class's column of stored values exactly
+        against another class's column (characters separate classes); an a
+        whose map is no permutation is left out.  No a for N <= 2.  Derived
+        once, on first use."""
+        order = self.axis
+        k = self.num_classes
+        powers = zeta_powers(order)
+        columns = [tuple(row[c] for row in self.chars) for c in range(k)]
+        where = {col: c for c, col in enumerate(columns)}
+        out = []
+        for a in range(2, order):
+            if gcd(a, order) != 1:
+                continue
+            rows = tuple(zip(*(powers[a * j % order] for j in range(euler_phi(order)))))
+            perm = tuple(where.get(tuple((den, times_root(rows, nums)) for den, nums in col), -1)
+                         for col in columns)
+            if len(set(perm) - {-1}) == k:
+                out.append((a, rows, perm))
         return out
 
     def require_products_decompose(self) -> None:

@@ -18,6 +18,14 @@ lambda(gamma) at delta_bar gamma (`GammaData.linear_twists`).  So
 `build_table` pairs one row per orbit of the linear characters and fills
 the others by that rule; with check it pairs every row and certifies the
 rule on every filled entry (`verify_twists`).
+
+The Galois group acts on the columns the same way:
+sigma_a(chi_lambda(D_mu^+)) = chi_lambda(D_mu^(a)^+) for each a prime to
+Gamma's value axis N, with sigma_a: z -> z^a and mu^(a) putting mu(c) at the
+class of c^a (`GammaData.galois`).  So `build_table` expands and pairs
+a'_-mu for one column per Galois orbit and fills the others by sigma_a; with
+check it pairs every column and certifies the rule on every entry
+(`verify_galois`).
 """
 
 from __future__ import annotations
@@ -231,10 +239,27 @@ class CharTable:
     rows: List[CharRow]
 
     def to_doc(self) -> dict:
-        """Each value's document is written from its numerators (`value_doc`)."""
+        """Each distinct value's document is written once from its numerators
+        (`value_doc`) and shared by every equal entry of the table."""
         cnames = self.gamma.class_names
         gnames = self.gamma.char_names
         axis = self.gamma.axis
+        zero = value_doc(axis, (0,), 1)
+        docs: Dict[Tuple[Coeff, int], dict] = {}  # (numerators, den) -> its document
+
+        def values(f: SpinClassFun) -> List[dict]:
+            out = []
+            for mu in self.columns:
+                c = f.nums.get(mu)
+                if c is None:
+                    out.append(zero)
+                    continue
+                doc = docs.get((c, f.den))
+                if doc is None:
+                    doc = docs[c, f.den] = value_doc(axis, c, f.den)
+                out.append(doc)
+            return out
+
         return {
             "gamma": self.gamma.name,
             "n": self.n,
@@ -244,8 +269,7 @@ class CharTable:
                 "lambda": row.lam.to_doc(gnames),
                 "type": row.module_type,
                 "degree": row.degree,
-                "values": [value_doc(axis, row.values.nums.get(mu, (0,)), row.values.den)
-                           for mu in self.columns],
+                "values": values(row.values),
             } for row in self.rows],
         }
 
@@ -272,31 +296,42 @@ class TableCheckError(AssertionError):
     """A verification pass over a character table failed."""
 
 
-# (d, perm, roots) of a linear character gamma_d: `GammaData.linear_twists`
-Twist = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]
-Orbits = Dict[MultiPartition, Tuple[MultiPartition, Twist]]
+# (d, perm, roots) of a linear character gamma_d: `GammaData.linear_twists`;
+# (a, rows, perm) of sigma_a: `GammaData.galois`
+Action = Tuple[int, Tuple, Tuple]
+Orbits = Dict[MultiPartition, Tuple[MultiPartition, Action]]
+
+
+def _orbits(items: Sequence[MultiPartition], actions: Sequence[Tuple[Action, Tuple[int, ...]]]
+            ) -> Orbits:
+    """{x: (rep, action)} for each x of items that is not the first of its
+    orbit under the actions, each (action, perm) moving x(i) to index
+    perm[i]: x is rep so moved, rep the orbit's first member in the order
+    of items.  Keys come in the order of items."""
+    found: Orbits = {}
+    reps = set()
+    inverses = [(action, [perm.index(j) for j in range(len(perm))]) for action, perm in actions]
+    for x in items:
+        if x in found:
+            continue
+        reps.add(x)
+        for action, inverse in inverses:
+            image = x.relabel(inverse)  # x(i) moved to perm[i]
+            if image not in reps and image not in found:
+                found[image] = (x, action)
+    return {x: found[x] for x in items if x in found}
 
 
 def _twist_orbits(gamma: GammaData, lambdas: Sequence[MultiPartition]) -> Orbits:
-    """{lambda: (rep, twist)} for each lambda that is not the first of its
-    orbit under Gamma's linear characters: lambda = delta_bar.rep for the
-    twist (d, perm, roots) of delta = gamma_d, rep the orbit's first
-    member in the order of lambdas.  Keys come in the order of lambdas."""
-    found: Orbits = {}
-    reps = set()
-    inverses = []
-    for twist in gamma.linear_twists:
-        perm = twist[1]
-        inverses.append((twist, [perm.index(j) for j in range(len(perm))]))
-    for lam in lambdas:
-        if lam in found:
-            continue
-        reps.add(lam)
-        for twist, inverse in inverses:
-            image = lam.relabel(inverse)  # lambda(gamma_i) moved to gamma_perm[i]
-            if image not in reps and image not in found:
-                found[image] = (lam, twist)
-    return {lam: found[lam] for lam in lambdas if lam in found}
+    """{lambda: (rep, twist)}: lambda = delta_bar.rep for the twist (d, perm,
+    roots) of delta = gamma_d (`_orbits` under `GammaData.linear_twists`)."""
+    return _orbits(lambdas, [(twist, twist[1]) for twist in gamma.linear_twists])
+
+
+def _galois_orbits(gamma: GammaData, columns: Sequence[MultiPartition]) -> Orbits:
+    """{mu: (rep, (a, rows, perm))}: mu = rep^(a), rep(c) put at the class
+    perm[c] of c^a (`_orbits` under `GammaData.galois`)."""
+    return _orbits(columns, [(g, g[2]) for g in gamma.galois])
 
 
 def _root_actions(gamma: GammaData, columns: Sequence[MultiPartition],
@@ -357,8 +392,18 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     twist of its representative (`verify_twists`) once each identity value
     is found a nonzero integer, and the finished table by `verify_table`.
 
-    Column by column: each a'_-mu is expanded once and paired with every
-    computed row's X_lambda vector, which are all built first.
+    The Galois group permutes the columns:
+    sigma_a(chi_lambda(D_mu^+)) = chi_lambda(D_mu^(a)^+) (`GammaData.galois`).
+    Without check, a'_-mu is expanded and paired only for the first mu of
+    each Galois orbit, and each other column mu^(a) of every paired row is
+    sigma_a of its representative's entry, before the sign normalization
+    and the twist fill; the identity column is fixed, and sigma_a, a unit,
+    keeps each canonical value canonical.  With check, every column is
+    paired, and the finished table is certified against the rule by
+    `verify_galois`, after `verify_twists`.
+
+    Column by column: each expanded a'_-mu is paired with every computed
+    row's X_lambda vector, which are all built first.
     """
     if tctx is None:
         tctx = TwistContext(gamma, VirtualChar.trivial(gamma))
@@ -367,6 +412,7 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
     lambdas = list(multipartitions(n, k, "SP"))
     identity_col = MultiPartition.single(k, 0, (1,) * n) if n else MultiPartition.empty(k)
     orbits = {} if check else _twist_orbits(gamma, lambdas)
+    galois = {} if check else _galois_orbits(gamma, columns)
     paired = [lam for lam in lambdas if lam not in orbits]
     x_vecs = [x_lambda_vector(tctx, lam) for lam in paired]
     if check:
@@ -374,11 +420,18 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
             verify_realization(tctx, lam, x_vec)
     row_values: List[Dict[MultiPartition, Tuple[int, Coeff]]] = [{} for _ in paired]
     for mu in columns:
+        if mu in galois:
+            continue
         a_vec = a_prime_vector(tctx.fock, mu)
         for lam, x_vec, values in zip(paired, x_vecs, row_values):
             v = char_value(tctx, lam, mu, x_vec, a_vec)
             if any(v[1]):
                 values[mu] = v
+    for mu, (rep, (_, sigma, _)) in galois.items():
+        for values in row_values:
+            v = values.get(rep)
+            if v is not None:
+                values[mu] = (v[0], times_root(sigma, v[1]))
     rows: Dict[MultiPartition, CharRow] = {}
     for lam, values in zip(paired, row_values):
         deg_den, deg = values.get(identity_col, (1, (0,)))
@@ -392,12 +445,14 @@ def build_table(gamma: GammaData, n: int, check: bool = False,
                             SpinClassFun.from_numerators(gamma, n, *on_one_denominator(values)))
     for lam, rep, _, values in _twisted_rows(gamma, columns, orbits, rows):
         rows[lam] = CharRow(lam, rows[rep].module_type, rows[rep].degree, values)
-    _LOG.info("chartable %s n=%d: %d rows, %d paired, %d filled, %d linear characters",
-              gamma.name, n, len(lambdas), len(paired), len(lambdas) - len(paired),
-              sum(gamma.degree(i) == 1 for i in range(k)))
+    _LOG.info("chartable %s n=%d: %d rows, %d paired, %d filled, %d linear characters; "
+              "%d columns, %d expanded", gamma.name, n, len(lambdas), len(paired),
+              len(lambdas) - len(paired), sum(gamma.degree(i) == 1 for i in range(k)),
+              len(columns), len(columns) - len(galois))
     table = CharTable(gamma, n, columns, [rows[lam] for lam in lambdas])
     if check:
         verify_twists(table)
+        verify_galois(table)
         verify_table(table)
     return table
 
@@ -425,6 +480,27 @@ def verify_twists(table: CharTable) -> None:
         raise TableCheckError(
             f"twist symmetry fails at {lam!r}, the g{d} twist of {rep!r}, at {mu!r}: "
             f"{shown[0]}, but delta(mu) times the representative's value is {shown[1]}")
+
+
+def verify_galois(table: CharTable) -> None:
+    """sigma_a(chi_lambda(D_mu^+)) = chi_lambda(D_mu^(a)^+) on every entry:
+    each column that is not the first of its Galois orbit against sigma_a
+    of its representative's column, row by row (`GammaData.galois`).  Reads
+    only the table and Gamma's Galois data.  A failure names the row, both
+    columns, a and both values."""
+    axis = table.gamma.axis
+    zero = (0,) * euler_phi(axis)
+    orbits = _galois_orbits(table.gamma, table.columns)
+    for row in table.rows:
+        f = row.values
+        for image, (mu, (a, sigma, _)) in orbits.items():
+            found = f.nums.get(image, zero)
+            expect = times_root(sigma, f.nums.get(mu, zero))
+            if found != expect:
+                raise TableCheckError(
+                    f"Galois symmetry fails at {row.lam!r}, at {image!r}, the sigma_{a} image "
+                    f"of {mu!r}: {value_text(axis, found, f.den)}, but sigma_{a} of the value "
+                    f"at {mu!r} is {value_text(axis, expect, f.den)}")
 
 
 def verify_realization(tctx: TwistContext, lam: MultiPartition, x_vec: FockVector) -> None:

@@ -121,7 +121,9 @@ def root_matrix(order: int, sign: int, k: int) -> Tuple[Coeff, ...]:
 
 
 def times_root(rows: Tuple[Coeff, ...], a: Coeff) -> Coeff:
-    """a times the root of unity whose `root_matrix` is rows."""
+    """The integer matrix rows applied to the numerators a: a times the root
+    of unity whose `root_matrix` is rows, or the image of a under a Galois
+    map (`GammaData.galois`)."""
     return tuple([sum(map(mul, r, a)) for r in rows])
 
 

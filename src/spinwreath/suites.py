@@ -97,14 +97,18 @@ def _affine(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
 
 
 def _isometry(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
+    """<sigma_rho1, sigma_rho2>_xi = <ch sigma_rho1, ch sigma_rho2> for each pair
+    rho1 <= rho2 per degree, in row-major order.  Both forms are symmetric
+    at a self-dual xi, and every weight `cli._resolve_xi` gives is one, so a
+    pair (rho2, rho1) fails only if (rho1, rho2), which comes first, does."""
     ctx = FockContext(gamma, xi)
     k = gamma.num_classes
     for n in range(args.n + 1):
         rhos = list(multipartitions(n, k, "OP"))
         sigmas = {rho: sigma_rho(gamma, rho) for rho in rhos}
         images = {rho: ch(ctx, sigmas[rho]) for rho in rhos}
-        for r1 in rhos:
-            for r2 in rhos:
+        for a, r1 in enumerate(rhos):
+            for r2 in rhos[a:]:
                 lhs = weighted_inner(sigmas[r1], sigmas[r2], xi)
                 rhs = inner(images[r1], images[r2])
                 if not lhs == rhs:

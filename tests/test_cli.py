@@ -461,7 +461,9 @@ def test_info_log_goes_to_stderr_and_leaves_the_document_alone():
     assert out == run_cli(*argv)[1]
     assert err.splitlines() == [
         "INFO:spinwreath.qtable:chartable cyclic3 n=3: "
-        "13 rows, 5 paired, 8 filled, 3 linear characters"]
+        "13 rows, 5 paired, 8 filled, 3 linear characters; 13 columns, 8 expanded"]
     code, _, err = run_cli(*argv, "--check", log="INFO")
     assert code == 0
-    assert "13 rows, 13 paired, 0 filled, 3 linear characters" in err
+    assert err.splitlines() == [
+        "INFO:spinwreath.qtable:chartable cyclic3 n=3: "
+        "13 rows, 13 paired, 0 filled, 3 linear characters; 13 columns, 13 expanded"]

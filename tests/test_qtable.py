@@ -10,13 +10,13 @@ from spinwreath import cli, qtable
 from spinwreath import vertex as vx
 from spinwreath.classfun import SpinClassFun, weighted_inner
 from spinwreath.fock import FockContext, FockVector, a_prime_vector, create, inner, q_gen
-from spinwreath.gammadata import GammaData, VirtualChar, builtin
+from spinwreath.gammadata import GammaData, VirtualChar, builtin, load_gamma
 from spinwreath.partitions import MultiPartition, multipartitions, partitions_of
 from spinwreath.qtable import (TableCheckError, build_table, char_degree,
                                char_value, q_power_product,
                                raising_coefficients, raising_expand,
                                verify_table, x_lambda_vector)
-from spinwreath.scalars import Cyc, value_from_doc, value_text
+from spinwreath.scalars import Cyc, times_root, value_from_doc, value_text, zeta_powers
 from spinwreath.vertex import TwistContext
 
 from gamma_reference import at_order, class_value, cyc_doc, cyc_from_numerators
@@ -515,10 +515,12 @@ def test_pruned_raising_tuples_keep_every_nonnegative_tuple():
 
 @pytest.mark.parametrize("name,n", [
     ("trivial", 6), ("cyclic:2", 4), ("cyclic:3", 3), ("cyclic:4", 3), ("cyclic:5", 2),
-    ("cyclic:6", 2), ("klein4", 3), ("quaternion8", 3)])
+    ("cyclic:6", 2), ("klein4", 3), ("quaternion8", 3), ("cyclic:7", 2), ("cyclic:8", 2),
+    ("cyclic:9", 2), ("cyclic:5", 3)])
 def test_filled_rows_equal_the_paired_rows(name, n):
     # without check every row outside its orbit's first is filled by the
-    # twist; with check every row is paired through the vertex route
+    # twist, and every column outside its Galois orbit's first by sigma_a;
+    # with check every row and column is paired through the vertex route
     g, t = setup(name)
     assert build_table(g, n, tctx=t).to_doc() == build_table(g, n, check=True, tctx=t).to_doc()
 
@@ -596,3 +598,126 @@ def test_a_twist_by_delta_bar_fails_the_check(monkeypatch, capsys):
         "MultiPartition((1,), (1,), ()), at MultiPartition((1,), (1,), ()): "
         '{"N":3,"coeffs":[[2,1],[2,1]]}, '
         "but delta(mu) times the representative's value is -2")
+
+
+# The dihedral group of order 10: classes e, r, r^2 (rotations) and s
+# (reflections); characters 1, the sign and two 2-dimensional ones with
+# values z + z^4 and z^2 + z^3, z = zeta_5, on the rotations.  sigma_3
+# swaps r and r^2; twisting by the sign fixes both 2-dimensional characters.
+def _zeta5(*coeffs):
+    return {"N": 5, "coeffs": [[c, 1] for c in coeffs]}
+
+
+DIHEDRAL10 = {
+    "name": "dihedral10", "order": 10,
+    "classes": [{"name": "e", "size": 1, "element_order": 1, "inverse": 0},
+                {"name": "r", "size": 2, "element_order": 5, "inverse": 1},
+                {"name": "r2", "size": 2, "element_order": 5, "inverse": 2},
+                {"name": "s", "size": 5, "element_order": 2, "inverse": 3}],
+    "chars": [[_zeta5(1, 0, 0, 0)] * 4, [_zeta5(1, 0, 0, 0)] * 3 + [_zeta5(-1, 0, 0, 0)],
+              [_zeta5(2, 0, 0, 0), _zeta5(-1, 0, -1, -1), _zeta5(0, 0, 1, 1), _zeta5(0, 0, 0, 0)],
+              [_zeta5(2, 0, 0, 0), _zeta5(0, 0, 1, 1), _zeta5(-1, 0, -1, -1), _zeta5(0, 0, 0, 0)]]}
+
+
+def test_galois_maps_are_the_powers_of_the_classes():
+    g, _ = builtin("cyclic:5")
+    # sigma_a sends class c^m to c^(am); its matrix sends z to z^a
+    assert [(a, perm) for a, _, perm in g.galois] == [
+        (2, (0, 2, 4, 1, 3)), (3, (0, 3, 1, 4, 2)), (4, (0, 4, 3, 2, 1))]
+    for a, sigma, _ in g.galois:
+        assert times_root(sigma, zeta_powers(5)[1]) == zeta_powers(5)[a]
+    for name in ("trivial", "cyclic:2", "klein4", "quaternion8"):
+        assert builtin(name)[0].galois == [], name
+    d10 = load_gamma(DIHEDRAL10)
+    assert d10.axis == 10
+    assert [(a, perm) for a, _, perm in d10.galois] == [
+        (3, (0, 2, 1, 3)), (7, (0, 2, 1, 3)), (9, (0, 1, 2, 3))]
+
+
+def test_a_map_that_is_no_permutation_is_left_out():
+    # swapping gamma_1 and gamma_2 at the class c2 makes the columns of c1
+    # and c2 equal, so sigma_2 sends c1 to no class; the table is no longer
+    # a character table, so it is changed after validation
+    g, _ = builtin("cyclic:3")
+    g.chars[1][2], g.chars[2][2] = g.chars[2][2], g.chars[1][2]
+    assert g.galois == []
+
+
+def test_galois_fill_on_a_nonabelian_gamma():
+    g = load_gamma(DIHEDRAL10)
+    t = TwistContext(g, VirtualChar.trivial(g))
+    assert build_table(g, 3, tctx=t).to_doc() == build_table(g, 3, check=True, tctx=t).to_doc()
+
+
+def test_a_prime_is_expanded_once_per_galois_orbit_without_check(monkeypatch):
+    g, t = setup("cyclic:3")
+    calls = []
+    real = qtable.a_prime_vector
+    monkeypatch.setattr(qtable, "a_prime_vector",
+                        lambda ctx, mu: calls.append(mu) or real(ctx, mu))
+    tab = build_table(g, 3, tctx=t)
+    assert len(tab.columns) == 13
+    # sigma_2 swaps the classes c1 and c2: four orbits of two, five fixed
+    # columns; each orbit's first in column order is expanded
+    filled = {MultiPartition([(1, 1), (), (1,)]), MultiPartition([(1,), (), (1, 1)]),
+              MultiPartition([(), (1,), (1, 1)]), MultiPartition([(), (), (1, 1, 1)]),
+              MultiPartition([(), (), (3,)])}
+    assert calls == [mu for mu in tab.columns if mu not in filled]
+    calls.clear()
+    build_table(g, 3, check=True, tctx=t)
+    assert calls == tab.columns
+
+
+def test_a_wrong_irrational_entry_in_a_galois_filled_column_fails_the_check(
+        monkeypatch, capsys, tmp_path):
+    # add z_10 to the irrational entry of the row (2) at the second
+    # 2-dimensional character, a row alone in its twist orbit, at a column
+    # that sigma_3 fills: every check before the Galois check passes
+    lam = MultiPartition([(), (), (2,), ()])
+    mu = MultiPartition([(1,), (), (1,), ()])
+    real = qtable.char_value
+
+    def wrong(tctx, row, col, *vecs):
+        den, nums = real(tctx, row, col, *vecs)
+        if (row, col) == (lam, mu):
+            assert any(nums[1:])
+            nums = (nums[0], nums[1] + den) + nums[2:]
+        return den, nums
+
+    monkeypatch.setattr(qtable, "char_value", wrong)
+    path = tmp_path / "dihedral10.json"
+    path.write_text(json.dumps(DIHEDRAL10))
+    argv = ["chartable", "--gamma", f"@{path}", "--n", "2"]
+    assert cli.main(argv) == 0  # without --check the column is filled, not paired
+    capsys.readouterr()
+    assert cli.main(argv + ["--check"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"] == (
+        "Galois symmetry fails at MultiPartition((), (), (2,), ()), at "
+        "MultiPartition((1,), (), (1,), ()), the sigma_3 image of "
+        "MultiPartition((1,), (1,), (), ()): "
+        '{"N":10,"coeffs":[[-8,1],[1,1],[-8,1],[8,1]]}, '
+        "but sigma_3 of the value at MultiPartition((1,), (1,), (), ()) is "
+        '{"N":10,"coeffs":[[-8,1],[0,1],[-8,1],[8,1]]}')
+
+
+def test_galois_with_the_class_map_of_the_inverse_fails_the_check(monkeypatch, capsys):
+    # a mutant that pairs sigma_a with the class map of a^-1
+    real = GammaData.galois.func
+
+    def swapped(g):
+        maps = {a: perm for a, _, perm in real(g)}
+        return [(a, sigma, maps[pow(a, -1, g.axis)]) for a, sigma, _ in real(g)]
+
+    monkeypatch.setattr(GammaData, "galois", property(swapped))
+    assert cli.main(["chartable", "--gamma", "cyclic:5", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main(["chartable", "--check", "--gamma", "cyclic:5", "--n", "2"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"] == (
+        "Galois symmetry fails at MultiPartition((1,), (1,), (), (), ()), at "
+        "MultiPartition((1,), (), (1,), (), ()), the sigma_3 image of "
+        "MultiPartition((1,), (1,), (), (), ()): "
+        '{"N":5,"coeffs":[[2,1],[0,1],[0,1],[2,1]]}, '
+        "but sigma_3 of the value at MultiPartition((1,), (1,), (), (), ()) is "
+        '{"N":5,"coeffs":[[2,1],[0,1],[2,1],[0,1]]}')
