@@ -3,9 +3,10 @@
 A monomial is a sorted tuple of factors (n, char_index), n odd positive, and
 `FockContext` alone handles one: it numbers each monomial once (`index`,
 `monos` back, `VACUUM` the empty one, `basis` up to a degree) and holds the
-factor tables on those numbers, `removals`, `insert` and `merge`, which this
-module's operators and the row engine of `vertex` share.  An index turns back into its tuple only in
-a failure witness, a repr or a coproduct split.
+factor tables on those numbers, `removals`, `insert` (one table per factor,
+`inserts`) and `merge`, which this module's operators and the row engine of
+`vertex` share.  An index turns back into its tuple only in a failure
+witness, a repr or a coproduct split.
 
 A vector is (den, {monomial index: numerators}): every coefficient lies in
 Q(zeta_N), N Gamma's value axis (`GammaData.axis`, the order of its
@@ -77,6 +78,7 @@ class FockContext:
         self.monos: List[Monomial] = [()]
         self._index: Dict[Monomial, int] = {(): VACUUM}
         self._removals: Dict[Tuple[int, int], Tuple] = {}
+        self._inserts: Dict[Tuple[int, int], "_Inserts"] = {}
         self._q_cache: Dict[Tuple[Tuple[int, ...], int], "FockVector"] = {}
         self._inner_cache: Dict[Tuple[int, int], Fraction] = {}
         self._partner_cache: Dict[int, List[int]] = {}
@@ -117,11 +119,18 @@ class FockContext:
                 if f[0] == n and (pos == 0 or mono[pos - 1] != f))
         return table
 
+    def inserts(self, n: int, j: int) -> Dict[int, int]:
+        """Monomial index i -> monomial i times the factor (n, j): one table
+        per (n, j), each entry made on its first lookup (`_Inserts`)."""
+        table = self._inserts.get((n, j))
+        if table is None:
+            table = self._inserts[(n, j)] = _Inserts()
+            table.ctx, table.factor = self, (n, j)
+        return table
+
     def insert(self, i: int, n: int, j: int) -> int:
-        """Monomial i times the factor (n, j)."""
-        mono = self.monos[i]
-        lo = bisect_left(mono, (n, j))
-        return self.index(mono[:lo] + ((n, j),) + mono[lo:])
+        """Monomial i times the factor (n, j), read from `inserts`."""
+        return self.inserts(n, j)[i]
 
     def merge(self, a: int, b: int) -> int:
         """The product of monomials a and b."""
@@ -133,6 +142,19 @@ class FockContext:
         k = self.gamma.num_classes
         return [self.index(tuple(sorted((n, i) for i, part in enumerate(mp.parts) for n in part)))
                 for d in range(max_degree + 1) for mp in multipartitions(d, k, "OP")]
+
+
+class _Inserts(dict):
+    """One `FockContext.inserts` table: self[i] is monomial i times the
+    factor, numbered by the context on the first lookup of i and kept."""
+
+    __slots__ = ("ctx", "factor")
+
+    def __missing__(self, i: int) -> int:
+        mono = self.ctx.monos[i]
+        lo = bisect_left(mono, self.factor)
+        out = self[i] = self.ctx.index(mono[:lo] + (self.factor,) + mono[lo:])
+        return out
 
 
 def mono_degree(mono: Monomial) -> int:
@@ -243,12 +265,12 @@ def _require_odd_positive(n: int) -> None:
 def create(v: FockVector, n: int, coeffs: Sequence[int]) -> FockVector:
     """Multiplication by a_{-n}(gamma) for gamma = sum coeffs[i] gamma_i."""
     _require_odd_positive(n)
-    insert = v.ctx.insert
     out: Dict[int, Coeff] = {}
     for j, cj in enumerate(map(index, coeffs)):
         if cj:
+            moved = v.ctx.inserts(n, j)
             for i, c in v.nums.items():
-                add_into(out, insert(i, n, j), tuple(cj * x for x in c))
+                add_into(out, moved[i], tuple(cj * x for x in c))
     return FockVector.from_numerators(v.ctx, v.den, out)
 
 
@@ -286,10 +308,11 @@ def a_prime_vector(ctx: FockContext, rho: MultiPartition) -> FockVector:
             if r % 2 == 0:
                 raise ValueError(f"a'_-rho needs odd parts, got {r}")
             scale *= den
+            moves = [(ctx.inserts(r, i), gen) for i, gen in gens]
             nxt: Dict[int, List[int]] = {}
             for m, poly in terms.items():
-                for i, gen in gens:
-                    mm = ctx.insert(m, r, i)
+                for moved, gen in moves:
+                    mm = moved[m]
                     acc = nxt.get(mm)
                     if acc is None:
                         acc = nxt[mm] = [0] * order

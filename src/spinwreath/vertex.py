@@ -6,20 +6,26 @@ and the normal-ordered product :X(alpha,z)X(beta,w): -- runs on one row
 engine: its Fock part is an integer row (numerators over one denominator)
 per monomial, cached on the context, and its lattice part is a +-1 sign
 from the cocycle (`LatticeTwist.epsilon_masks`).  X(gamma, z) = E_-(gamma, z)
-E_+(gamma, z), and its rows are built from those two pieces:
-E_-(gamma, z) = exp(sum (2/k) a_{-k} z^k) gives the q_n of `fock.q_gen`, and
-E_+(gamma, z) = exp(-sum (2/k) a_k z^-k) gives the ladder D_j, in closed form
-by
+E_+(gamma, z), where E_-(gamma, z) = exp(sum (2/k) a_{-k} z^k) has the q_n of
+`fock.q_gen` as coefficients and E_+(gamma, z) = exp(-sum (2/k) a_k z^-k)
+fixes the vacuum and satisfies
 
-    E_+(gamma, z) a_{-n}(c) E_+(gamma, z)^-1 = a_{-n}(c) - <gamma, c>_xi z^-n,
+    E_+(gamma, z) a_{-n}(c) E_+(gamma, z)^-1 = a_{-n}(c) - <gamma, c>_xi z^-n.
 
-so D_j on a monomial is an integer row of binomial weights over 1
-(`_ilean_ladder`).  An X row sums each ladder entry times its q_n straight
-into one integer map over the lcm of the q_n denominators (`_q_product`).
-The rows are exact: D_j vanishes above the monomial's degree, which pins
-the creation degree, so no series is truncated.  The
-weighted Gram matrix is the integer one of `gammadata.gram_matrix`,
-computed once per context and shared by the Fock form and the cocycle.
+So an X row comes from X rows on a shorter monomial: with v the monomial
+less its first factor a_{-n}(c),
+
+    X_m(a_{-n}(c) v) = a_{-n}(c) X_m(v) - <gamma, c>_xi X_{m-n}(v),
+
+down to X_m(1) = q_{-m}(gamma), which is zero for m > 0 (`_x_row_int`).  The
+normal-ordered rows still use the ladder D_j, the z^-j coefficients of E_+,
+which the same identity gives in closed form as an integer row of binomial
+weights over 1 (`_ilean_ladder`); each ladder entry times its q_n is summed
+into one integer map (`_q_product`).  The rows are exact: the recursion ends
+at the vacuum and D_j vanishes above the monomial's degree, so no series is
+truncated.  The weighted Gram matrix is the integer one of
+`gammadata.gram_matrix`, computed once per context and shared by the Fock
+form and the cocycle.
 
 The engine works on integers only, on the Fock context's monomial numbering
 and factor tables (`FockContext.index`, `basis`, `removals`, `insert`,
@@ -44,10 +50,10 @@ an instance is one sum of its terms' blocks.  Each word is built once per
 family and kept in `Blocks` as (shift, sign, block): the sum of its layer
 masks, its cocycle sign chain on coset 0 and its block.  Each instance's
 verdict -- pass, or the witness -- is kept there too, keyed by its terms'
-(shift, signed coefficient, block).  The affine check runs its index sets
-family by family, so one family's words and verdicts serve every index
-set, and are dropped when the family ends; its X and H layers are
-interned per context, so equal layers are one tuple.
+(shift, signed coefficient, block), a pass in any order of the terms.  The
+affine check runs its index sets family by family, so one family's words
+and verdicts serve every index set, and are dropped when the family ends;
+its X and H layers are interned per context, so equal layers are one tuple.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fock import FockContext, mono_degree, q_gen
+from .fock import VACUUM, FockContext, mono_degree, q_gen
 from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks vertex.create
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
@@ -146,6 +152,7 @@ def _least_row(den: int, acc: IDict) -> LeanRow:
 def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
     """D_j(gamma), the z^-j coefficient of E_+(gamma, z) = exp(-sum (2/k) a_k z^-k),
     applied to monomial i, for j up to its degree; cached by (coeffs, i).
+    Only the normal-ordered rows (`_n_row`) read it.
 
     E_+ a_{-n}(c) E_+^-1 = a_{-n}(c) - <gamma, c>_xi z^-n, and E_+ fixes the
     vacuum, so on prod_f a_{-n_f}(c_f)^e_f, D_j is the sum over the r_f with
@@ -182,7 +189,7 @@ def _q_product(tctx: TwistContext, coeffs: IntVec,
     """sum (num/den) q_n(coeffs) * entries over the parts (n, num, den,
     entries), accumulated in one integer map over the lcm of the parts'
     denominators times q_n's (rescaled when a part raises it), as a row
-    over its least denominator.
+    over its least denominator; the normal-ordered rows' (`_n_row`) sum.
 
     q_n is `fock.q_gen`, whose coefficients are rational and whose keys are
     the row engine's monomial indices, so its numerators are read as they
@@ -220,10 +227,33 @@ def _q_product(tctx: TwistContext, coeffs: IntVec,
 
 
 def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, i: int) -> LeanRow:
-    """The X_m(gamma) row on monomial i: sum_j q_{j-m}(gamma) D_j(gamma) mono."""
-    ladder = _ilean_ladder(tctx, coeffs, i)
-    return _q_product(tctx, coeffs, [(j - m, 1) + ladder[j]
-                                     for j in range(max(0, m), len(ladder)) if ladder[j][1]])
+    """The X_m(gamma) row on monomial i, by the factor recursion: on
+    i = a_{-n}(c) v, v from `FockContext.removals`,
+
+        X_m(i) = a_{-n}(c) X_m(v) - <gamma, c>_xi X_{m-n}(v),
+
+    the rows on v read through `_lean_row`, moved up by the factor's
+    `FockContext.inserts` table; on the vacuum, X_m = q_{-m}(gamma)."""
+    fock = tctx.fock
+    if i == VACUUM:
+        vec = q_gen(fock, -m, coeffs)
+        return vec.den, tuple([(t, c[0]) for t, c in vec.nums.items()])
+    n = fock.monos[i][0][0]
+    c, _, v = fock.removals(i, n)[0]
+    den, up = _lean_row(tctx, _x_layer(tctx, m, coeffs), v)
+    moved = fock.inserts(n, c)
+    p = fock.pair_row(coeffs)[c]
+    if not p:
+        return den, tuple([(moved[t], e) for t, e in up])
+    dd, down = _lean_row(tctx, _x_layer(tctx, m - n, coeffs), v)
+    lcd = den * dd // gcd(den, dd)
+    f = lcd // den
+    acc = {moved[t]: f * e for t, e in up}
+    get = acc.get
+    f = p * (lcd // dd)
+    for t, e in down:
+        acc[t] = get(t, 0) - f * e
+    return _least_row(lcd, acc)
 
 
 def _n_row(tctx: TwistContext, a: int, b: int, alpha: IntVec, beta: IntVec,
@@ -349,7 +379,8 @@ class RelationResult:
 # shift over one common denominator, and only a failing instance goes back
 # to single monomials, to write its witness.  Its verdict is cached too, on
 # its terms' (shift, signed coefficient, block): an index set that repeats
-# an instance of an earlier one reads the verdict, witness included.
+# an instance of an earlier one reads the verdict, witness included, and an
+# instance whose terms are an earlier pass's in another order reads the pass.
 
 Block = Tuple[int, IDict]  # (denominator, {target * panel size + position: numerator})
 Word = Tuple[int, int, Block]  # (shift, sign chain on coset 0, block)
@@ -359,15 +390,20 @@ class Blocks(dict):
     """Word -> (shift, sign, block) on one panel, for the instances of one
     relation family (`certify_instances`): the sum of the word's layer
     masks, its exact +-1 cocycle sign chain on coset 0, and its block.
-    `verdicts` maps an instance's terms' (shift, signed coefficient, block)
-    to its verdict, None or the witness.  `reused` and `verdicts_reused`
-    count the lookups each answered."""
+    An instance's verdict is kept on its terms' (shift, signed coefficient,
+    block): a pass in `passes`, on those terms sorted, since a sum does not
+    depend on their order, mapped to the order it was first seen in; a
+    witness in `failures`, on the terms in order, since a witness does.
+    `reused` and `verdicts_reused` count the lookups each answered,
+    `reordered` the passes read for terms in another order."""
 
     def __init__(self) -> None:
         super().__init__()
         self.reused = 0
-        self.verdicts: Dict[Tuple, Optional[dict]] = {}
+        self.passes: Dict[Tuple, Tuple] = {}
+        self.failures: Dict[Tuple, dict] = {}
         self.verdicts_reused = 0
+        self.reordered = 0
 
 
 def _apply_block(tctx: TwistContext, layer: Layer, block: Block, size: int) -> Block:
@@ -436,7 +472,8 @@ def _check_instance(tctx: TwistContext, terms: Sequence[Term], panel: Tuple[int,
     chain there; the blocks, cached in `blocks` by word, are summed over one
     lcm of their denominators times their coefficients'.  Returns None on
     success, else the witness of `_witness` on the first failing panel
-    monomial; the verdict is kept in `blocks.verdicts`.
+    monomial; the verdict is kept in `blocks`, a pass for the terms in any
+    order.
     """
     prepared: List[Prepared] = []
     lcd = 1
@@ -448,10 +485,15 @@ def _check_instance(tctx: TwistContext, terms: Sequence[Term], panel: Tuple[int,
         if lcd % den:
             lcd = lcm(lcd, den)
     key = tuple([(shift, num, cden, id(block)) for shift, num, cden, block in prepared])
-    verdicts = blocks.verdicts
-    if key in verdicts:
+    terms_sorted = tuple(sorted(key))
+    seen = blocks.passes.get(terms_sorted)
+    if seen is not None:
         blocks.verdicts_reused += 1
-        return verdicts[key]
+        blocks.reordered += seen != key
+        return None
+    if key in blocks.failures:
+        blocks.verdicts_reused += 1
+        return blocks.failures[key]
     by_shift: Dict[int, IDict] = {}
     for shift, num, cden, (den, entries) in prepared:
         scale = num * (lcd // (den * cden))
@@ -466,8 +508,9 @@ def _check_instance(tctx: TwistContext, terms: Sequence[Term], panel: Tuple[int,
     if any(any(acc.values()) for acc in by_shift.values()):
         size = len(panel)
         p = min(k % size for acc in by_shift.values() for k, v in acc.items() if v)
-        witness = _witness(tctx, prepared, panel, p)
-    verdicts[key] = witness
+        blocks.failures[key] = witness = _witness(tctx, prepared, panel, p)
+    else:
+        blocks.passes[terms_sorted] = key
     return witness
 
 
@@ -498,6 +541,11 @@ def _witness(tctx: TwistContext, prepared: Sequence[Prepared], panel: Tuple[int,
                          for mo, q in worst]}
 
 
+def _x_rows_built(tctx: TwistContext) -> int:
+    """The X rows in the context's row caches."""
+    return sum(len(rows) for layer, rows in tctx._lean_rows.items() if layer[0] == "X")
+
+
 def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instance],
                       panel: Sequence[int], pass_params: dict,
                       blocks: Optional[Blocks] = None) -> RelationResult:
@@ -509,12 +557,14 @@ def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instanc
     instance verdicts on this panel; a caller passes one in to share it
     between calls on the same panel (`affine_relation_check`), else the
     family has its own.  Logs one DEBUG line: the instances checked, the
-    panel size, the blocks built, the blocks reused and the verdicts
-    reused."""
+    panel size, the blocks built, the blocks reused, the verdicts reused
+    (and how many of them were passes of the terms in another order) and
+    the X rows built."""
     panel = tuple(panel)
     if blocks is None:
         blocks = Blocks()
     built, reused, verdicts = len(blocks), blocks.reused, blocks.verdicts_reused
+    reordered, x_rows = blocks.reordered, _x_rows_built(tctx)
     checked = 0
     result = None
     for params, terms in instances:
@@ -526,8 +576,10 @@ def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instanc
             result = RelationResult(name, params, "fail", witness)
             break
     _LOG.debug("family %s %s: %d instances on %d monomials, %d blocks built, %d reused, "
-               "%d verdicts reused", name, pass_params, checked, len(panel),
-               len(blocks) - built, blocks.reused - reused, blocks.verdicts_reused - verdicts)
+               "%d verdicts reused (%d in another order), %d X rows built", name, pass_params,
+               checked, len(panel), len(blocks) - built, blocks.reused - reused,
+               blocks.verdicts_reused - verdicts, blocks.reordered - reordered,
+               _x_rows_built(tctx) - x_rows)
     if result is not None:
         return result
     if not checked:

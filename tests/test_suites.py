@@ -173,10 +173,10 @@ def test_hopf_fails_on_a_doubled_fock_side(monkeypatch, capsys, perturbed, relat
 
 
 def test_affine_logs_one_debug_line_per_family(caplog, capsys):
-    # each family on each index set logs its instances, panel size and
-    # blocks; the affine set is a subset of the toroidal one and, with one
-    # block cache per family, builds no block of its own.  stdout is the
-    # same with the log on
+    # each family on each index set logs its instances, panel size, blocks
+    # and X rows; the affine set is a subset of the toroidal one and, with
+    # one block cache per family, builds no block and no X row of its own.
+    # stdout is the same with the log on
     import logging
 
     from spinwreath import cli
@@ -197,16 +197,20 @@ def test_affine_logs_one_debug_line_per_family(caplog, capsys):
     for (instances, panel, built, reused), toroidal in zip(counts, [True, False] * 5):
         assert instances and panel == 6 and reused
         assert bool(built) == toroidal
+    x_rows = {(name, indices): int(line[-1]) for name, indices, *line in lines}
+    assert x_rows[("hh", "[0, 1]")] == 0 and x_rows[("hx", "[0, 1]")] > 0
+    assert not any(n for (_, indices), n in x_rows.items() if indices == "[1]")
 
 
 def _family_lines(caplog):
     """The DEBUG lines of `certify_instances` as (family, indices,
-    instances, panel size, blocks built, blocks reused, verdicts reused)."""
+    instances, panel size, blocks built, blocks reused, verdicts reused,
+    verdicts reused in another order, X rows built)."""
     import re
 
     pattern = re.compile(r"family (\w+) \{.*'indices': (\[[\d, ]*\])\}: (\d+) instances on "
                          r"(\d+) monomials, (\d+) blocks built, (\d+) reused, "
-                         r"(\d+) verdicts reused")
+                         r"(\d+) verdicts reused \((\d+) in another order\), (\d+) X rows built")
     return [pattern.fullmatch(r.getMessage()).groups() for r in caplog.records
             if r.name == "spinwreath.vertex"]
 
@@ -225,7 +229,7 @@ def test_affine_set_reuses_the_toroidal_verdicts(caplog, capsys):
     lines = _family_lines(caplog)
     affine = [line for line in lines if line[1] == "[1, 2]"]
     assert [line[0] for line in affine] == ["hh", "hx", "x_parity", "xx_central_4n", "serre"]
-    for name, _, instances, _, built, _, verdicts in affine:
+    for name, _, instances, _, built, _, verdicts, *_ in affine:
         assert int(verdicts) == int(instances) > 0 and built == "0", name
 
 

@@ -288,7 +288,8 @@ def _q_parts(t, n, coeffs, num, den, entries):
 
 def _x_row_reference(t, m, coeffs, i):
     """sum_j q_{j-m}(gamma) D_j(gamma) on monomial i as a list of parts, one
-    per ladder entry, summed by `_sum_rows`."""
+    per ladder entry, summed by `_sum_rows`: the closed form the factor
+    recursion of `_x_row_int` replaced."""
     ladder = vx._ilean_ladder(t, coeffs, i)
     parts = []
     for j in range(max(0, m), len(ladder)):
@@ -299,8 +300,9 @@ def _x_row_reference(t, m, coeffs, i):
 @pytest.mark.parametrize("name,weight", [("cyclic:3", "mckay"), ("quaternion8", "standard")])
 def test_fused_x_rows_match_the_parts_route(name, weight):
     # every X_m row on every monomial of degree <= 3 equals the sum of its
-    # per-entry parts, entry for entry and in the same order, and is over
-    # its least denominator
+    # per-entry parts as a map (a row's entries are in no particular order,
+    # and the recursion lists them in another order than the parts), and is
+    # over its least denominator with no zero and no repeated entry
     t = _twist_for(name, weight)
     k = t.gamma.num_classes
     vectors = [t.basis_vector(c) for c in range(k)] + [neg(t.basis_vector(0)), (1,) * k]
@@ -310,25 +312,76 @@ def test_fused_x_rows_match_the_parts_route(name, weight):
             for coeffs in vectors:
                 den, entries = vx._x_row_int(t, m, coeffs, i)
                 ref_den, ref = _x_row_reference(t, m, coeffs, i)
-                assert (den, entries) == (ref_den, ref), (m, coeffs, i)
+                assert (den, dict(entries)) == (ref_den, dict(ref)), (m, coeffs, i)
+                assert len(dict(entries)) == len(entries) and all(n for _, n in entries)
                 assert math.gcd(den, *(num for _, num in entries)) == 1
                 compared += bool(entries)
                 fractional += den > 1
     assert compared > 500 and fractional > 50
 
 
-def test_poisoned_ladder_entry_fails_the_affine_families():
-    # D_1(gamma_1) on a_{-1}(gamma_1)^2 carries C(2, 1) (-<gamma_1, gamma_1>);
-    # with the binomial read as 1, both index sets fail with a witness
+def _transposed_pair_row(t):
+    # <c, gamma>_xi in place of <gamma, c>_xi: gamma on the wrong side
+    gram, k = t.fock.gram, t.gamma.num_classes
+    return lambda coeffs: tuple(sum(gram[j][i] * coeffs[i] for i in range(k)) for j in range(k))
+
+
+def _recursion_against_the_closed_form(t, ref_t):
+    """The rows of `_x_row_int` on t against `_x_row_reference` on ref_t, a
+    second context of the same (Gamma, xi), as maps, on every monomial of
+    degree <= 4, every m in [-4, 4] and a few gamma: (rows compared, rows
+    that differ)."""
+    k = t.gamma.num_classes
+    vectors = [t.basis_vector(c) for c in range(k)] + [neg(t.basis_vector(0)),
+                                                      (2,) + (-1,) * (k - 1)]
+    compared = differ = 0
+    for i in t.fock.basis(4):
+        for m in range(-4, 5):
+            for coeffs in vectors:
+                den, entries = vx._x_row_int(t, m, coeffs, t.fock.index(ref_t.fock.monos[i]))
+                ref_den, ref = _x_row_reference(ref_t, m, coeffs, i)
+                got = {t.fock.monos[j]: Fraction(n, den) for j, n in entries}
+                compared += bool(ref)
+                differ += got != {ref_t.fock.monos[j]: Fraction(n, ref_den) for j, n in ref}
+    return compared, differ
+
+
+@pytest.mark.parametrize("name,weight", [("cyclic:3", (1, 2, 0)), ("quaternion8", "mckay")],
+                         ids=["cyclic:3-xi120", "quaternion8-mckay"])
+def test_factor_recursion_matches_the_closed_form_rows(name, weight):
+    # X_m(a_{-n}(c) v) = a_{-n}(c) X_m(v) - <gamma, c>_xi X_{m-n}(v) down to
+    # X_m(1) = q_{-m}(gamma) gives sum_j q_{j-m} D_j.  At xi = (1, 2, 0) the
+    # cyclic:3 Gram matrix is not symmetric, so <gamma, c> and <c, gamma>
+    # differ, and a recursion that reads the transposed pair row must fail
+    # the comparison; quaternion8's McKay Gram matrix is not diagonal
+    g, _ = builtin(name)
+    xi = mckay_xi(g) if weight == "mckay" else VirtualChar(weight)
+    ref_t = TwistContext(g, xi)
+    compared, differ = _recursion_against_the_closed_form(TwistContext(g, xi), ref_t)
+    assert differ == 0 and compared > 1500
+    gram = ref_t.fock.gram
+    if any(gram[i][j] != gram[j][i] for i in range(len(gram)) for j in range(i)):
+        mutant = TwistContext(g, xi)
+        mutant.fock.pair_row = _transposed_pair_row(mutant)
+        assert _recursion_against_the_closed_form(mutant, ref_t)[1] > 100
+
+
+def test_poisoned_x_row_fails_the_affine_families():
+    # X_1(gamma_1) on a_{-1}(gamma_1)^2 is a_{-1}(gamma_1) X_1(a_{-1}(gamma_1))
+    # - <gamma_1, gamma_1> X_0(a_{-1}(gamma_1)); with the cached X_0 row that
+    # the recursion reads there doubled, both index sets fail with a witness
     g, _ = builtin("cyclic:3")
     t = TwistContext(g, mckay_xi(g))
-    g1, i = t.basis_vector(1), t.fock.index(((1, 1), (1, 1)))
-    ladder = vx._ilean_ladder(t, g1, i)
-    assert ladder[1] == (1, ((t.fock.index(((1, 1),)), -4),))
-    ladder[1] = (1, ((t.fock.index(((1, 1),)), -2),))
+    layer, i = vx._x_layer(t, 0, t.basis_vector(1)), t.fock.index(((1, 1),))
+    den, entries = vx._lean_row(t, layer, i)
+    assert entries
+    t._lean_rows[layer][i] = (den, tuple((j, 2 * num) for j, num in entries))
     for results in affine_relation_check(t, [range(3), range(1, 3)], window=1, max_degree=2):
         assert [r.status for r in results] == ["pass", "fail"]
         assert results[-1].relation == "hx" and results[-1].witness["residual"]
+    top = t.fock.index(((1, 1), (1, 1)))
+    assert dict(t._lean_rows[vx._x_layer(t, 1, t.basis_vector(1))][top][1]) != \
+        dict(_x_row_reference(t, 1, t.basis_vector(1), top)[1])
 
 
 def _poison_negative_x_row(t):
@@ -352,7 +405,8 @@ def test_shared_verdicts_give_each_index_set_its_own_witness(caplog):
     _poison_negative_x_row(t)
     caplog.set_level(logging.DEBUG, logger="spinwreath.vertex")
     shared = affine_relation_check(t, index_sets, window=1, max_degree=2)
-    assert caplog.records[-1].getMessage().endswith(", 1 verdicts reused")
+    assert caplog.records[-1].getMessage().endswith(
+        ", 1 verdicts reused (0 in another order), 0 X rows built")
     for index_set, results in zip(index_sets, shared):
         alone = TwistContext(g, mckay_xi(g))
         _poison_negative_x_row(alone)
@@ -427,6 +481,35 @@ def test_checker_catches_wrong_relation():
     assert _check_instance(t, terms, panel, blocks) == witness
     assert _check_instance(t, good, panel, blocks) is None
     assert blocks.verdicts_reused == 1
+
+
+def test_a_pass_is_shared_across_term_orders_and_a_witness_is_not(caplog):
+    # a sum does not depend on the order of its terms, so a pass is read for
+    # the same terms in another order; a witness lists shifts in term order,
+    # so a failure in another order is summed again and gets its own witness
+    import logging
+
+    from spinwreath.vertex import _check_instance, _x_layer
+
+    t = tctx_for("cyclic:2", mckay_xi(builtin("cyclic:2")[0]))
+    panel = tuple(t.fock.basis(2))
+    g1 = t.basis_vector(1)
+    xa, xb = _x_layer(t, 1, g1), _x_layer(t, -1, neg(g1))
+    good = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-4), ())]
+    bad = [(Fraction(1), (xa, xb)), (Fraction(-1), (xb, xa)), (Fraction(-8), ())]
+    blocks = vx.Blocks()
+    assert _check_instance(t, good, panel, blocks) is None
+    assert _check_instance(t, good[::-1], panel, blocks) is None
+    assert (blocks.verdicts_reused, blocks.reordered) == (1, 1)
+    assert _check_instance(t, bad, panel, blocks) is not None
+    witness = _check_instance(t, bad[::-1], panel, blocks)
+    assert (blocks.verdicts_reused, blocks.reordered) == (1, 1)
+    assert witness == _check_instance(t, bad[::-1], panel, vx.Blocks())
+    # {X_n(g_i), X_n'(g_j)} is {X_n'(g_j), X_n(g_i)} with its words swapped
+    caplog.set_level(logging.DEBUG, logger="spinwreath.vertex")
+    assert clifford_check(tctx_for("cyclic:8"), 1, 1)[-1].status == "pass"
+    assert "1728 instances on 9 monomials" in caplog.records[-1].getMessage()
+    assert ", 552 verdicts reused (552 in another order), " in caplog.records[-1].getMessage()
 
 
 def _random_words(t, rng, count):
@@ -728,8 +811,11 @@ def test_ratio_series_of_kappa_and_minus_kappa_multiply_to_one():
 
 
 def _poisoned_clifford(t):
-    # the X_0(gamma_0) row on a_{-1}(gamma_1) times 2/3
+    # the X_0(gamma_0) row on a_{-1}(gamma_1) times 2/3, and no other row:
+    # the rows on the panel are built first, so none is built from it
     layer, i = vx._x_layer(t, 0, t.basis_vector(0)), t.fock.index(((1, 1),))
+    for j in t.fock.basis(3):
+        vx._lean_row(t, layer, j)
     den, entries = vx._lean_row(t, layer, i)
     t._lean_rows.setdefault(layer, {})[i] = (3 * den, tuple((j, 2 * num) for j, num in entries))
     return clifford_check(t, 1, 3)[-1]
