@@ -76,6 +76,7 @@ class FockContext:
         self.axis = gamma.axis
         self.width = euler_phi(self.axis)  # numerators per coefficient
         self.monos: List[Monomial] = [()]
+        self.degrees: List[int] = [0]  # degrees[i]: the degree of monomial i
         self._index: Dict[Monomial, int] = {(): VACUUM}
         self._removals: Dict[Tuple[int, int], Tuple] = {}
         self._inserts: Dict[Tuple[int, int], "_Inserts"] = {}
@@ -89,7 +90,10 @@ class FockContext:
 
     def pair_row(self, coeffs: Sequence[int]) -> Tuple[int, ...]:
         """<coeffs, gamma_j>_xi = sum_i coeffs[i] gram[i][j] for each j, for
-        an integer vector coeffs; cached by coeffs."""
+        an integer vector coeffs; cached by coeffs, a tuple read as it is."""
+        row = self._pair_rows.get(coeffs) if type(coeffs) is tuple else None
+        if row is not None:
+            return row
         key = tuple(map(index, coeffs))
         row = self._pair_rows.get(key)
         if row is None:
@@ -104,6 +108,7 @@ class FockContext:
         if i is None:
             i = self._index[mono] = len(self.monos)
             self.monos.append(mono)
+            self.degrees.append(mono_degree(mono))
         return i
 
     def removals(self, i: int, n: int) -> Tuple[Tuple[int, int, int], ...]:

@@ -22,7 +22,7 @@ from .spingroup import (SignedType, SpinLaw, TheoryClass, basic_spin_trace,
                         enumerate_classes_bruteforce, is_split, representative_of_type,
                         theory_classes)
 from .vertex import (TwistContext, affine_relation_check, certify_instances, clifford_check,
-                     hh_instances, ope_check, prim_commutator_check, x_parity_check)
+                     hh_instances, hx_instances, ope_check, parity_instances)
 
 
 class ConfigError(ValueError):
@@ -54,18 +54,23 @@ def _clifford(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
 
 
 def _ope(gamma: GammaData, cg, xi: VirtualChar, args) -> List[dict]:
+    """The OPE for every pair of basis vectors, then X parity on gamma_0 and
+    the primary-field commutator [a_1(gamma_0), X_m(gamma_1)], through the
+    affine suite's `parity_instances` and `hx_instances`."""
     tctx = TwistContext(gamma, xi)
     k = gamma.num_classes
-    results = []
-    for i in range(k):
-        for j in range(k):
-            results.append(ope_check(tctx, tctx.basis_vector(i), tctx.basis_vector(j),
-                                     args.window, args.degree).to_doc())
-    results.append(x_parity_check(tctx, tctx.basis_vector(0), args.window,
-                                  args.degree).to_doc())
-    results.append(prim_commutator_check(tctx, tctx.basis_vector(0),
-                                         tctx.basis_vector(min(1, k - 1)), 1,
-                                         args.window, args.degree).to_doc())
+    window, degree = args.window, args.degree
+    results = [ope_check(tctx, tctx.basis_vector(i), tctx.basis_vector(j), window,
+                         degree).to_doc() for i in range(k) for j in range(k)]
+    g0, g1 = tctx.basis_vector(0), tctx.basis_vector(min(1, k - 1))
+    panel = tctx.fock.basis(degree)
+    parity = {"gamma": list(g0)}
+    results.append(certify_instances(tctx, "x_parity", parity_instances(
+        tctx, [(parity, g0)], window), panel, dict(parity, window=window, degree=degree)).to_doc())
+    prim = {"alpha": list(g0), "beta": list(g1)}
+    results.append(certify_instances(tctx, "prim_commutator", hx_instances(
+        tctx, [(prim, g0, g1)], [1], window), panel,
+        dict(prim, n=1, window=window, degree=degree)).to_doc())
     return results
 
 

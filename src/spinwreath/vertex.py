@@ -18,12 +18,16 @@ less its first factor a_{-n}(c),
     X_m(a_{-n}(c) v) = a_{-n}(c) X_m(v) - <gamma, c>_xi X_{m-n}(v),
 
 down to X_m(1) = q_{-m}(gamma), which is zero for m > 0 (`_x_row_int`).  The
-normal-ordered rows still use the ladder D_j, the z^-j coefficients of E_+,
-which the same identity gives in closed form as an integer row of binomial
-weights over 1 (`_ilean_ladder`); each ladder entry times its q_n is summed
-into one integer map (`_q_product`).  The rows are exact: the recursion ends
-at the vacuum and D_j vanishes above the monomial's degree, so no series is
-truncated.  The weighted Gram matrix is the integer one of
+normal-ordered product :X(alpha,z)X(beta,w): = E_-(alpha,z)E_-(beta,w)
+E_+(alpha,z)E_+(beta,w) moves a_{-n}(c) past both E_+ factors, so the same
+recursion builds its rows with one more term,
+
+    N_{a,b}(a_{-n}(c) v) = a_{-n}(c) N_{a,b}(v) - <alpha, c>_xi N_{a-n,b}(v)
+                           - <beta, c>_xi N_{a,b-n}(v),
+
+down to N_{a,b}(1) = q_{-a}(alpha) q_{-b}(beta), the product of two X vacuum
+rows (`_n_row`).  The rows are exact: the recursion ends at the vacuum, so
+no series is truncated.  The weighted Gram matrix is the integer one of
 `gammadata.gram_matrix`, computed once per context and shared by the Fock
 form and the cocycle.
 
@@ -65,7 +69,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fock import VACUUM, FockContext, mono_degree, q_gen
+from .fock import VACUUM, FockContext, q_gen
 from .fock import create  # noqa: F401  kept: perfbench/test_perfbench.py checks vertex.create
 from .gammadata import GammaData, VirtualChar
 from .lattice import LatticeTwist, vec_to_mask
@@ -78,9 +82,10 @@ class TwistContext:
     """Fock context plus lattice twist for one (Gamma, xi) pair, both on the
     Fock context's integer Gram matrix.
 
-    Its caches of layer rows, ladders and products with q_n key on the Fock
-    context's monomial numbering (`FockContext.index`); its X and H layers
-    are interned (`_layer`), so equal layers are one tuple."""
+    Its one cache, of layer rows, keys on the layer, then on the Fock
+    context's monomial numbering (`FockContext.index`): X and N rows alike
+    are built by the factor recursion from rows kept there.  Its X and H
+    layers are interned (`_layer`), so equal layers are one tuple."""
 
     def __init__(self, gamma: GammaData, xi: VirtualChar):
         self.gamma = gamma
@@ -89,8 +94,6 @@ class TwistContext:
         self.twist = LatticeTwist(self.fock.gram)
         self._layers: Dict[Tuple, XLayer] = {}
         self._lean_rows: Dict[Layer, Dict[int, LeanRow]] = {}
-        self._iladder_cache: Dict[Tuple[IntVec, int], List[LeanRow]] = {}
-        self._q_rows: Dict[IntVec, Dict[int, Tuple]] = {}
 
     def basis_vector(self, i: int) -> IntVec:
         return tuple(1 if t == i else 0 for t in range(self.gamma.num_classes))
@@ -149,83 +152,6 @@ def _least_row(den: int, acc: IDict) -> LeanRow:
     return den // g, tuple([(i, v // g) for i, v in acc.items()])
 
 
-def _ilean_ladder(tctx: TwistContext, coeffs: IntVec, i: int) -> List[LeanRow]:
-    """D_j(gamma), the z^-j coefficient of E_+(gamma, z) = exp(-sum (2/k) a_k z^-k),
-    applied to monomial i, for j up to its degree; cached by (coeffs, i).
-    Only the normal-ordered rows (`_n_row`) read it.
-
-    E_+ a_{-n}(c) E_+^-1 = a_{-n}(c) - <gamma, c>_xi z^-n, and E_+ fixes the
-    vacuum, so on prod_f a_{-n_f}(c_f)^e_f, D_j is the sum over the r_f with
-    sum r_f n_f = j of prod_f C(e_f, r_f) (-<gamma, c_f>)^r_f times the
-    monomial less r_f copies of each factor f: an integer row over 1."""
-    key = (coeffs, i)
-    cached = tctx._iladder_cache.get(key)
-    if cached is not None:
-        return cached
-    fock = tctx.fock
-    mono = fock.monos[i]
-    prow = fock.pair_row(coeffs)
-    terms = [(0, 1, mono)]  # (j, weight, what is left of the monomial)
-    for pos, (n, c) in enumerate(mono):
-        p = prow[c]
-        if not p or (pos and mono[pos - 1] == (n, c)):
-            continue
-        e = mono.count((n, c))
-        grown = []
-        for j, w, rest in terms:
-            at = rest.index((n, c))
-            grown += [(j + r * n, w * comb(e, r) * (-p) ** r, rest[:at] + rest[at + r:])
-                      for r in range(1, e + 1)]
-        terms += grown
-    rows: List[List[Tuple[int, int]]] = [[] for _ in range(mono_degree(mono) + 1)]
-    for j, w, rest in terms:
-        rows[j].append((fock.index(rest), w))
-    ladder = tctx._iladder_cache[key] = [(1, tuple(row)) for row in rows]
-    return ladder
-
-
-def _q_product(tctx: TwistContext, coeffs: IntVec,
-               parts: Iterable[Tuple[int, int, int, Iterable[Tuple[int, int]]]]) -> LeanRow:
-    """sum (num/den) q_n(coeffs) * entries over the parts (n, num, den,
-    entries), accumulated in one integer map over the lcm of the parts'
-    denominators times q_n's (rescaled when a part raises it), as a row
-    over its least denominator; the normal-ordered rows' (`_n_row`) sum.
-
-    q_n is `fock.q_gen`, whose coefficients are rational and whose keys are
-    the row engine's monomial indices, so its numerators are read as they
-    are.  Kept per coeffs and n beside it is the product of q_n with each
-    monomial met, as index entries (`FockContext.merge`)."""
-    q_rows = tctx._q_rows.get(coeffs)
-    if q_rows is None:
-        q_rows = tctx._q_rows[coeffs] = {}
-    merge = tctx.fock.merge
-    lcd = 1
-    acc: IDict = {}
-    get = acc.get
-    for n, num, den, entries in parts:
-        q = q_rows.get(n)
-        if q is None:
-            vec = q_gen(tctx.fock, n, coeffs)
-            q = q_rows[n] = (vec.den, vec.nums, {})
-        dq, qnums, products = q
-        den *= dq
-        if den != lcd:
-            if lcd % den:
-                step = den // gcd(lcd, den)
-                lcd *= step
-                for t in acc:
-                    acc[t] *= step
-            num *= lcd // den
-        for i, e in entries:
-            prod = products.get(i)
-            if prod is None:
-                prod = products[i] = tuple((merge(iq, i), c[0]) for iq, c in qnums.items())
-            e *= num
-            for t, c in prod:
-                acc[t] = get(t, 0) + e * c
-    return _least_row(lcd, acc)
-
-
 def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, i: int) -> LeanRow:
     """The X_m(gamma) row on monomial i, by the factor recursion: on
     i = a_{-n}(c) v, v from `FockContext.removals`,
@@ -256,20 +182,51 @@ def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, i: int) -> LeanRow:
     return _least_row(lcd, acc)
 
 
-def _n_row(tctx: TwistContext, a: int, b: int, alpha: IntVec, beta: IntVec,
-           i: int) -> LeanRow:
-    """The z^-a w^-b row of :X(alpha,z)X(beta,w): on monomial i,
-    sum q_{j1-a}(alpha) q_{j2-b}(beta) D_{j1}(alpha) D_{j2}(beta) mono; the
-    alpha half, summed over j1, is the X_a(alpha) row."""
-    xa = _x_layer(tctx, a, alpha)
-    ladder = _ilean_ladder(tctx, beta, i)
-    parts = []
-    for j2 in range(max(0, b), len(ladder)):
-        d2, entries = ladder[j2]
-        for j, num in entries:
-            dx, xrow = _lean_row(tctx, xa, j)
-            parts.append((j2 - b, num, d2 * dx, xrow))
-    return _q_product(tctx, beta, parts)
+def _n_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
+    """The z^-a w^-b row of :X(alpha,z)X(beta,w): on monomial i, for the
+    layer ("N", a, b, alpha, beta, mask), by `_x_row_int`'s factor recursion
+    with a term for each E_+ factor (see the module docstring), down to
+    q_{-a}(alpha) q_{-b}(beta), the product of two X vacuum rows.  N_{a,b}
+    vanishes below degree max(a, 0) + max(b, 0)."""
+    _, a, b, alpha, beta, mask = layer
+    fock = tctx.fock
+    if fock.degrees[i] < max(a, 0) + max(b, 0):
+        return 1, ()
+    if i == VACUUM:
+        da, qa = _lean_row(tctx, _x_layer(tctx, a, alpha), VACUUM)
+        db, qb = _lean_row(tctx, _x_layer(tctx, b, beta), VACUUM)
+        acc: IDict = {}
+        for s, x in qa:
+            for t, y in qb:
+                st = fock.merge(s, t)
+                acc[st] = acc.get(st, 0) + x * y
+        return _least_row(da * db, acc)
+    n = fock.monos[i][0][0]
+    c, _, v = fock.removals(i, n)[0]
+    den, up = _lean_row(tctx, layer, v)
+    moved = fock.inserts(n, c)
+    pa, pb = fock.pair_row(alpha)[c], fock.pair_row(beta)[c]
+    if not (pa or pb):
+        return den, tuple([(moved[t], e) for t, e in up])
+    acc = {moved[t]: e for t, e in up}
+    get = acc.get
+    for p, down in ((pa, ("N", a - n, b, alpha, beta, mask)),
+                    (pb, ("N", a, b - n, alpha, beta, mask))):
+        if not p:
+            continue
+        dd, rows = _lean_row(tctx, down, v)
+        if not rows:
+            continue
+        lcd = den * dd // gcd(den, dd)
+        if lcd != den:
+            f = lcd // den
+            for t in acc:
+                acc[t] *= f
+            den = lcd
+        f = p * (lcd // dd)
+        for t, e in rows:
+            acc[t] = get(t, 0) - f * e
+    return _least_row(den, acc)
 
 
 def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
@@ -285,7 +242,7 @@ def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
     if kind == "X":
         row = _x_row_int(tctx, m, layer[2], i)
     elif kind == "N":
-        row = _n_row(tctx, m, *layer[2:5], i)
+        row = _n_row(tctx, layer, i)
     elif m % 2 == 0:
         row = (1, ())
     elif m > 0:
@@ -559,12 +516,13 @@ def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instanc
     family has its own.  Logs one DEBUG line: the instances checked, the
     panel size, the blocks built, the blocks reused, the verdicts reused
     (and how many of them were passes of the terms in another order) and
-    the X rows built."""
+    the X rows built, counted over every cached layer only at DEBUG."""
     panel = tuple(panel)
     if blocks is None:
         blocks = Blocks()
+    debug = _LOG.isEnabledFor(logging.DEBUG)
     built, reused, verdicts = len(blocks), blocks.reused, blocks.verdicts_reused
-    reordered, x_rows = blocks.reordered, _x_rows_built(tctx)
+    reordered, x_rows = blocks.reordered, _x_rows_built(tctx) if debug else 0
     checked = 0
     result = None
     for params, terms in instances:
@@ -575,11 +533,12 @@ def certify_instances(tctx: TwistContext, name: str, instances: Iterable[Instanc
         if witness is not None:
             result = RelationResult(name, params, "fail", witness)
             break
-    _LOG.debug("family %s %s: %d instances on %d monomials, %d blocks built, %d reused, "
-               "%d verdicts reused (%d in another order), %d X rows built", name, pass_params,
-               checked, len(panel), len(blocks) - built, blocks.reused - reused,
-               blocks.verdicts_reused - verdicts, blocks.reordered - reordered,
-               _x_rows_built(tctx) - x_rows)
+    if debug:
+        _LOG.debug("family %s %s: %d instances on %d monomials, %d blocks built, %d reused, "
+                   "%d verdicts reused (%d in another order), %d X rows built", name,
+                   pass_params, checked, len(panel), len(blocks) - built,
+                   blocks.reused - reused, blocks.verdicts_reused - verdicts,
+                   blocks.reordered - reordered, _x_rows_built(tctx) - x_rows)
     if result is not None:
         return result
     if not checked:
@@ -615,8 +574,8 @@ def hx_instances(tctx: TwistContext, pairs: Iterable[Tuple[dict, Sequence[int], 
                  ns: Sequence[int], window: int) -> Iterator[Instance]:
     """[a_n(alpha), X_m(beta)] = <alpha, beta>_xi X_{n+m}(beta) for each
     (label, alpha, beta) in pairs, n in ns and |m| <= window; an instance's
-    params are its label with n and m.  Shared by `prim_commutator_check`
-    and the affine `hx` family."""
+    params are its label with n and m.  Shared by the ope suite's
+    `prim_commutator` family and the affine `hx` family."""
     one = Fraction(1)
     for label, alpha, beta in pairs:
         pairing = tctx.pairing(alpha, beta)
@@ -634,32 +593,12 @@ def parity_instances(tctx: TwistContext, gammas: Iterable[Tuple[dict, Sequence[i
                      window: int) -> Iterator[Instance]:
     """X_n(-gamma) = (-1)^n X_n(gamma) for each (label, gamma) in gammas and
     |n| <= window; an instance's params are its label with n.  Shared by
-    `x_parity_check` and the affine `x_parity` family."""
+    the `x_parity` families of the ope and affine suites."""
     one = Fraction(1)
     for label, gamma in gammas:
         for n in range(-window, window + 1):
             yield dict(label, n=n), [(one, (_x_layer(tctx, n, gamma),)),
                                      (Fraction(-sign_pow(n)), (_x_layer(tctx, n, neg(gamma)),))]
-
-
-def x_parity_check(tctx: TwistContext, gamma_vec: Sequence[int], m_window: int,
-                   max_degree: int) -> RelationResult:
-    """X_m(-gamma) = (-1)^m X_m(gamma) on all basis vectors."""
-    label = {"gamma": list(gamma_vec)}
-    instances = parity_instances(tctx, [(label, gamma_vec)], m_window)
-    return certify_instances(tctx, "x_parity", instances, tctx.fock.basis(max_degree),
-                             dict(label, window=m_window, degree=max_degree))
-
-
-def prim_commutator_check(tctx: TwistContext, alpha: Sequence[int], beta: Sequence[int],
-                          n: int, m_window: int, max_degree: int) -> RelationResult:
-    """[a_n(alpha), X_m(beta)] = <alpha,beta>_xi X_{m+n}(beta)."""
-    if n % 2 == 0:
-        raise ValueError("Heisenberg index must be odd")
-    label = {"alpha": list(alpha), "beta": list(beta)}
-    instances = hx_instances(tctx, [(label, alpha, beta)], [n], m_window)
-    return certify_instances(tctx, "prim_commutator", instances, tctx.fock.basis(max_degree),
-                             dict(label, n=n, window=m_window, degree=max_degree))
 
 
 def _ratio_series(kappa: int, nterms: int) -> List[Fraction]:

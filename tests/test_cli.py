@@ -430,6 +430,12 @@ OUTPUT_SHA256 = {
         "50629283158389147b396cd3e702b990f1c8a044c08ffb849d81a00cd3631e07",
     "chartable --gamma cyclic:9 --n 3":
         "53249b4ec83aa6b0eb774bd49be382b45be1599d2868a567a798075fe10be31a",
+    # the normal-ordered rows at a diagonal and at a non-diagonal Gram
+    # matrix, with the ope suite's x_parity and prim_commutator families
+    "verify ope --gamma quaternion8 --window 2 --degree 3":
+        "63b14b928a351f634c6597d07d9d6e7f37b79215f90ee4e71d1366a5918e4c40",
+    "verify ope --xi mckay --gamma cyclic:3 --window 2 --degree 3":
+        "8b67f7cf7e453062d90b0371993d4a12f90fc97ce6d3b6d6beaab4f2ccfc0461",
 }
 
 

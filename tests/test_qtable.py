@@ -428,7 +428,9 @@ def test_an_identity_value_off_the_integers_is_reported(monkeypatch, factor, sho
 
 def test_poisoned_x_row_fails_the_realization_check(monkeypatch, capsys):
     # double the cached X_{-2}(gamma_0) row on the vacuum, which builds the
-    # one row lambda = (2) of the trivial table at n = 2
+    # one row lambda = (2) of the trivial table at n = 2; the factor
+    # recursion starts at the vacuum rows, so every X or N row built later
+    # from this one reads the poison too
     def poisoned(gamma, xi):
         t = TwistContext(gamma, xi)
         layer = vx._x_layer(t, -2, t.basis_vector(0))

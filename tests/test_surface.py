@@ -25,7 +25,8 @@ from `scalars`, `vertex` applies no Fock operator, `fock`, `classfun` and
 names one only in the built-ins' representation matrices.  One more pins that Fock
 monomials have one numbering and one set of factor tables, both owned by
 `fock.FockContext`, and another that the brute-force oracle has one element
-form, `spingroup.SpinLaw`'s packed one.
+form, `spingroup.SpinLaw`'s packed one.  The last fails on an imported name
+that its module never uses, unless the import is marked `# noqa: F401`.
 """
 
 import ast
@@ -299,9 +300,10 @@ def test_fock_owns_the_one_monomial_numbering_and_its_factor_tables():
             stored = {node.attr for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
             assert not defined & operations and not stored & tables, fname
-    # the row engine's product with q_n and the table's X_lambda vector take
-    # indices as they are, with no conversion between numberings
-    assert not _attributes_in(os.path.join(PACKAGE, "vertex.py"), "_q_product") & {"monos", "index"}
+    # the normal-ordered rows' product of two q_n vacuum rows and the
+    # table's X_lambda vector take indices as they are, with no conversion
+    # between numberings (`_n_row` reads `monos` only for a first factor)
+    assert "index" not in _attributes_in(os.path.join(PACKAGE, "vertex.py"), "_n_row")
     assert not _attributes_in(os.path.join(PACKAGE, "qtable.py"),
                               "x_lambda_vector") & {"monos", "index"}
 
@@ -374,3 +376,28 @@ def test_the_oracle_has_one_element_form():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not {"SpinElement", "unpack"} & defined
     assert "clifford_trace" not in top and "clifford_trace" in vars(SpinLaw)
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports and never names is dead weight; `# noqa: F401`
+    # on the import keeps one on purpose (the `create` that perfbench checks)
+    unused = []
+    for fname in sorted(os.listdir(PACKAGE)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, fname)) as fh:
+            source = fh.read()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in named:
+                    unused.append((fname, node.lineno, bound))
+    assert unused == []

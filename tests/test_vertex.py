@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from spinwreath.fock import FockVector, annihilate, create, mono_degree, q_gen
+from spinwreath.fock import VACUUM, FockVector, annihilate, create, mono_degree, q_gen
 from spinwreath.gammadata import VirtualChar, builtin, mckay_xi
 from spinwreath.vertex import (TwistContext, affine_relation_check, clifford_check, neg,
-                               ope_check, prim_commutator_check, x_component,
-                               x_parity_check)
+                               ope_check, x_component)
 import spinwreath.vertex as vx
 
 
@@ -90,24 +89,41 @@ def test_x_degree_shift():
             assert max_degree(t.fock.monos[i] for i, _ in out) == d - m
 
 
+def x_parity(t, gamma, window, degree):
+    """X_n(-gamma) = (-1)^n X_n(gamma) for |n| <= window on every monomial of
+    degree <= degree, as the ope suite certifies it."""
+    label = {"gamma": list(gamma)}
+    return vx.certify_instances(t, "x_parity", vx.parity_instances(t, [(label, gamma)], window),
+                                t.fock.basis(degree), dict(label, window=window, degree=degree))
+
+
+def prim_commutator(t, alpha, beta, n, window, degree):
+    """[a_n(alpha), X_m(beta)] = <alpha, beta>_xi X_{n+m}(beta) for |m| <= window
+    on every monomial of degree <= degree, as the ope suite certifies it."""
+    label = {"alpha": list(alpha), "beta": list(beta)}
+    instances = vx.hx_instances(t, [(label, alpha, beta)], [n], window)
+    return vx.certify_instances(t, "prim_commutator", instances, t.fock.basis(degree),
+                                dict(label, n=n, window=window, degree=degree))
+
+
 def test_x_parity():
     for name in ("trivial", "cyclic:2"):
         t = tctx_for(name)
         gam = tuple(1 if i == 0 else 0 for i in range(t.gamma.num_classes))
-        assert x_parity_check(t, gam, 3, 3).status == "pass"
+        assert x_parity(t, gam, 3, 3).status == "pass"
 
 
 def test_prim_commutator():
     t = tctx_for("trivial")
-    r = prim_commutator_check(t, (1,), (1,), 1, 2, 3)
+    r = prim_commutator(t, (1,), (1,), 1, 2, 3)
     assert r.status == "pass"
-    r = prim_commutator_check(t, (1,), (1,), -3, 2, 3)
+    r = prim_commutator(t, (1,), (1,), -3, 2, 3)
     assert r.status == "pass"
     t2 = tctx_for("cyclic:2", mckay_xi(builtin("cyclic:2")[0]))
     # orthogonal arguments commute: <g0+g1, g0-g1> = 0 under the McKay form?
     # gram = [[2,-2],[-2,2]]: (1,1) pairs to 0 with everything
     assert t2.pairing((1, 1), (1, 0)) == 0
-    r = prim_commutator_check(t2, (1, 1), (1, 0), 1, 2, 3)
+    r = prim_commutator(t2, (1, 1), (1, 0), 1, 2, 3)
     assert r.status == "pass"
 
 
@@ -167,6 +183,9 @@ def _bump_gram(t):
 
 
 def _poison_x0_on_vacuum(t):
+    # X_0(gamma_0) on the vacuum set to 7 times the vacuum; the factor
+    # recursion starts at the vacuum rows, so every X or N row built later
+    # from this one reads the poison too
     vac = t.fock.index(())
     t._lean_rows.setdefault(vx._x_layer(t, 0, t.basis_vector(0)), {})[vac] = (1, ((vac, 7),))
 
@@ -174,9 +193,9 @@ def _poison_x0_on_vacuum(t):
 @pytest.mark.parametrize("relation,perturb,check", [
     ("ope", _bump_gram,
      lambda t: ope_check(t, t.basis_vector(0), t.basis_vector(1), cutoff=1, max_degree=2)),
-    ("x_parity", _poison_x0_on_vacuum, lambda t: x_parity_check(t, t.basis_vector(0), 1, 1)),
+    ("x_parity", _poison_x0_on_vacuum, lambda t: x_parity(t, t.basis_vector(0), 1, 1)),
     ("prim_commutator", _bump_gram,
-     lambda t: prim_commutator_check(t, t.basis_vector(0), t.basis_vector(1), 1, 1, 2)),
+     lambda t: prim_commutator(t, t.basis_vector(0), t.basis_vector(1), 1, 1, 2)),
     ("clifford", _poison_x0_on_vacuum, lambda t: clifford_check(t, 1, 1)[-1]),
 ])
 def test_folded_families_fail_with_a_coset_zero_witness(relation, perturb, check):
@@ -217,7 +236,7 @@ def test_affine_families_small():
         assert r.status == "pass", r
 
 
-# -- the ladder D_j against the recursion it replaced -------------------------------
+# -- the E_+ ladder D_j in closed form: the reference for the X and N rows ---------
 
 ALL_BUILTINS = ["trivial"] + [f"cyclic:{k}" for k in range(1, 10)] + ["klein4", "quaternion8"]
 
@@ -238,6 +257,35 @@ def _sum_rows(parts, scale=1):
     den *= scale
     g = math.gcd(den, *acc.values())
     return den // g, tuple((i, v // g) for i, v in acc.items() if v)
+
+
+def _closed_form_ladder(t, coeffs, i):
+    """D_j(gamma), the z^-j coefficient of E_+(gamma, z) = exp(-sum (2/k) a_k z^-k),
+    applied to monomial i, for j up to its degree, as integer rows over 1.
+
+    E_+ a_{-n}(c) E_+^-1 = a_{-n}(c) - <gamma, c>_xi z^-n, and E_+ fixes the
+    vacuum, so on prod_f a_{-n_f}(c_f)^e_f, D_j is the sum over the r_f with
+    sum r_f n_f = j of prod_f C(e_f, r_f) (-<gamma, c_f>)^r_f times the
+    monomial less r_f copies of each factor f."""
+    fock = t.fock
+    mono = fock.monos[i]
+    prow = fock.pair_row(coeffs)
+    terms = [(0, 1, mono)]  # (j, weight, what is left of the monomial)
+    for pos, (n, c) in enumerate(mono):
+        p = prow[c]
+        if not p or (pos and mono[pos - 1] == (n, c)):
+            continue
+        e = mono.count((n, c))
+        grown = []
+        for j, w, rest in terms:
+            at = rest.index((n, c))
+            grown += [(j + r * n, w * math.comb(e, r) * (-p) ** r, rest[:at] + rest[at + r:])
+                      for r in range(1, e + 1)]
+        terms += grown
+    rows = [[] for _ in range(mono_degree(mono) + 1)]
+    for j, w, rest in terms:
+        rows[j].append((fock.index(rest), w))
+    return [(1, tuple(row)) for row in rows]
 
 
 def _recursive_ladder(t, coeffs, i):
@@ -268,7 +316,7 @@ def test_closed_form_ladder_matches_the_recursion(name):
         for i in t.fock.basis(4):
             for c in range(g.num_classes):
                 for gamma in (t.basis_vector(c), neg(t.basis_vector(c))):
-                    got = vx._ilean_ladder(t, gamma, i)
+                    got = _closed_form_ladder(t, gamma, i)
                     ref = _recursive_ladder(t, gamma, i)
                     assert [(d, dict(e)) for d, e in got] == \
                         [(d, dict(e)) for d, e in ref], (xi.coeffs, t.fock.monos[i], gamma)
@@ -290,7 +338,7 @@ def _x_row_reference(t, m, coeffs, i):
     """sum_j q_{j-m}(gamma) D_j(gamma) on monomial i as a list of parts, one
     per ladder entry, summed by `_sum_rows`: the closed form the factor
     recursion of `_x_row_int` replaced."""
-    ladder = vx._ilean_ladder(t, coeffs, i)
+    ladder = _closed_form_ladder(t, coeffs, i)
     parts = []
     for j in range(max(0, m), len(ladder)):
         parts += _q_parts(t, j - m, coeffs, 1, *ladder[j])
@@ -366,6 +414,69 @@ def test_factor_recursion_matches_the_closed_form_rows(name, weight):
         assert _recursion_against_the_closed_form(mutant, ref_t)[1] > 100
 
 
+def _n_rows_reference(t, alpha, beta, i, span, x_rows, merged):
+    """N_{a,b}(alpha, beta) on monomial i for a, b in span, as {(a, b): row}:
+    sum_j q_{j-b}(beta) X_a(alpha) D_j(beta) i, the ladder in closed form and
+    each X_a(alpha) row by `_x_row_reference` (kept in x_rows), each product
+    with q_n through `FockContext.merge` (kept in merged), each sum by
+    `_sum_rows`."""
+    fock = t.fock
+    ladder = _closed_form_ladder(t, beta, i)
+    out = {}
+    for a in span:
+        y = []  # y[j]: X_a(alpha) D_j(beta) i
+        for _, entries in ladder:
+            rows = []
+            for k, w in entries:
+                if (a, alpha, k) not in x_rows:
+                    x_rows[a, alpha, k] = _x_row_reference(t, a, alpha, k)
+                rows.append((w,) + x_rows[a, alpha, k])
+            y.append(_sum_rows(rows))
+        for b in span:
+            rows = []
+            for j in range(max(0, b), len(ladder)):
+                q = q_gen(fock, j - b, beta)
+                yd, ys = y[j]
+                products = []
+                for iq, c in q.nums.items():
+                    for s, e in ys:
+                        if (iq, s) not in merged:
+                            merged[iq, s] = fock.merge(iq, s)
+                        products.append((merged[iq, s], c[0] * e))
+                rows.append((1, yd * q.den, products))
+            out[a, b] = _sum_rows(rows)
+    return out
+
+
+@pytest.mark.parametrize("name,weight", [("cyclic:3", "mckay"), ("quaternion8", "standard")])
+def test_normal_ordered_recursion_matches_the_closed_form(name, weight):
+    # N_{a,b}(a_{-n}(c) v) = a_{-n}(c) N_{a,b}(v) - <alpha, c> N_{a-n,b}(v)
+    # - <beta, c> N_{a,b-n}(v), cut off below degree max(a, 0) + max(b, 0),
+    # against sum_j q_{j-b}(beta) X_a(alpha) D_j(beta) as maps, on every
+    # monomial of degree <= 4 and a, b in [-4, 4].  The cyclic:3 McKay Gram
+    # matrix is not diagonal, so both pair terms fire on one factor
+    t = _twist_for(name, weight)
+    k = t.gamma.num_classes
+    vectors = [t.basis_vector(c) for c in range(k)] + [neg(t.basis_vector(0)),
+                                                      (1, -1) + (0,) * (k - 2)]
+    pairs = list(zip(vectors, vectors[1:] + vectors[:1]))
+    span = range(-4, 5)
+    x_rows, merged = {}, {}
+    compared = both = 0
+    for i in t.fock.basis(4):
+        c = t.fock.monos[i][0][1] if i != VACUUM else None
+        for alpha, beta in pairs:
+            mask = vx.vec_to_mask(alpha) ^ vx.vec_to_mask(beta)
+            fires = c is not None and bool(t.fock.pair_row(alpha)[c] and t.fock.pair_row(beta)[c])
+            for (a, b), (ref_den, ref) in _n_rows_reference(t, alpha, beta, i, span, x_rows,
+                                                            merged).items():
+                den, entries = vx._lean_row(t, ("N", a, b, alpha, beta, mask), i)
+                assert (den, dict(entries)) == (ref_den, dict(ref)), (a, b, alpha, beta, i)
+                compared += bool(entries)
+                both += bool(entries) and fires
+    assert compared > 10000 and both > 5000
+
+
 def test_poisoned_x_row_fails_the_affine_families():
     # X_1(gamma_1) on a_{-1}(gamma_1)^2 is a_{-1}(gamma_1) X_1(a_{-1}(gamma_1))
     # - <gamma_1, gamma_1> X_0(a_{-1}(gamma_1)); with the cached X_0 row that
@@ -387,7 +498,8 @@ def test_poisoned_x_row_fails_the_affine_families():
 def _poison_negative_x_row(t):
     # X_{-1}(-gamma_1) on the vacuum doubled: hh and hx use no negative
     # vector, so x_parity on i = 1 is the first failing instance of both
-    # index sets
+    # index sets.  The factor recursion starts at the vacuum rows, so every
+    # X or N row built later from this one reads the poison too
     layer, vac = vx._x_layer(t, -1, neg(t.basis_vector(1))), t.fock.index(())
     den, entries = vx._lean_row(t, layer, vac)
     t._lean_rows[layer][vac] = (den, tuple((j, 2 * num) for j, num in entries))
@@ -925,6 +1037,77 @@ def test_failure_documents_are_pinned(name, weight, broken, expect, monkeypatch)
     g, _ = builtin(name)
     t = TwistContext(g, mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g))
     assert json.dumps(broken(t, monkeypatch).to_doc()) == expect
+
+
+# -- the caches change no document -----------------------------------------------
+
+
+def _without_caches(monkeypatch):
+    """Make every instance start from a fresh `Blocks` and an empty row
+    cache, so no word block, verdict or layer row is read from another;
+    the instances checked so are counted in the list returned."""
+    check = vx._check_instance
+    checked = []
+
+    def fresh(tctx, terms, panel, blocks):
+        tctx._lean_rows.clear()
+        checked.append(terms)
+        return check(tctx, terms, panel, vx.Blocks())
+
+    monkeypatch.setattr(vx, "_check_instance", fresh)
+    return checked
+
+
+def _suite_run(suite, name, weight, window, degree):
+    def run():
+        from argparse import Namespace
+
+        from spinwreath.suites import SUITES
+
+        g, cg = builtin(name)
+        xi = mckay_xi(g) if weight == "mckay" else VirtualChar.trivial(g)
+        return SUITES[suite](g, cg, xi, Namespace(n=2, window=window, degree=degree))
+    return run
+
+
+def _bumped_ope_run():
+    t = tctx_for("cyclic:2")
+    _bump_gram(t)
+    return [ope_check(t, t.basis_vector(0), t.basis_vector(1), cutoff=1, max_degree=2).to_doc()]
+
+
+@pytest.mark.parametrize("run", [
+    _suite_run("clifford", "cyclic:3", "standard", 1, 1),
+    _suite_run("ope", "cyclic:3", "mckay", 1, 2),
+    _suite_run("heisenberg", "cyclic:3", "standard", 2, 4),
+    _suite_run("affine", "cyclic:3", "mckay", 1, 1),
+    _bumped_ope_run,
+], ids=["clifford", "ope-mckay", "heisenberg", "affine-mckay", "ope-bumped"])
+def test_documents_do_not_depend_on_the_caches(run, monkeypatch):
+    # the same documents, witnesses included, with every word block, verdict
+    # and X, H or N row built afresh for each instance
+    import json
+
+    cached = json.dumps(run())
+    assert ('"witness"' in cached) == (run is _bumped_ope_run)
+    checked = _without_caches(monkeypatch)
+    assert json.dumps(run()) == cached
+    assert checked
+
+
+def test_the_debug_counts_are_not_taken_below_debug(monkeypatch, caplog):
+    # the X rows built are counted over every cached layer, so only at DEBUG
+    import logging
+
+    calls = []
+    count = vx._x_rows_built
+    monkeypatch.setattr(vx, "_x_rows_built", lambda t: calls.append(t) or count(t))
+    caplog.set_level(logging.WARNING, logger="spinwreath.vertex")
+    _suite_run("ope", "cyclic:3", "mckay", 1, 2)()
+    assert calls == []
+    caplog.set_level(logging.DEBUG, logger="spinwreath.vertex")
+    _suite_run("ope", "cyclic:3", "mckay", 1, 2)()
+    assert len(calls) == 2 * 11  # nine ope families, x_parity and prim_commutator
 
 
 def test_an_empty_family_cannot_pass():
