@@ -20,10 +20,10 @@ a_{-n}(c^{-1}) (bar relabel on non-real classes).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, lcm, prod
 from operator import mul
 from typing import Dict, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from .fock import FockContext, FockVector, a_prime_vector
 from .gammadata import GammaData, ValueLike, VirtualChar
@@ -72,14 +72,23 @@ class SpinClassFun:
         return f"SpinClassFun(n={self.n}, {self.nums!r} / {self.den})"
 
 
-@lru_cache(maxsize=None)
+# Gamma -> {rho: _dual(Gamma, rho)}, held weakly, so a Gamma's entries go with it
+_DUALS: WeakKeyDictionary[GammaData, Dict] = WeakKeyDictionary()
+
+
 def _dual(gamma: GammaData, rho: MultiPartition) -> Tuple[MultiPartition, int, Tuple]:
     """rho_bar, 2^l(rho) Z_rho and the pairs (c, l(rho(c))) with l(rho(c)) > 0:
-    all depend only on (Gamma, rho)."""
-    perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
-    norm = 2 ** rho.length * big_z(rho, gamma.centralizer_orders)
-    lengths = tuple((ci, len(part)) for ci, part in enumerate(rho.parts) if part)
-    return rho.relabel(perm), norm, lengths
+    all depend only on (Gamma, rho), and are kept per Gamma (`_DUALS`)."""
+    duals = _DUALS.get(gamma)
+    if duals is None:
+        duals = _DUALS[gamma] = {}
+    out = duals.get(rho)
+    if out is None:
+        perm = [gamma.dual_class(i) for i in range(gamma.num_classes)]
+        norm = 2 ** rho.length * big_z(rho, gamma.centralizer_orders)
+        lengths = tuple((ci, len(part)) for ci, part in enumerate(rho.parts) if part)
+        out = duals[rho] = rho.relabel(perm), norm, lengths
+    return out
 
 
 def _power_product(axis: int, values, lengths: Tuple) -> Tuple[int, Coeff]:
@@ -93,8 +102,9 @@ def _power_product(axis: int, values, lengths: Tuple) -> Tuple[int, Coeff]:
     return den, x
 
 
-# (Gamma, xi) -> {lengths: prod_c xi(c)^l}: the pairings at one weight ask for few
-_WEIGHTS: Dict[Tuple[GammaData, VirtualChar], Dict[Tuple, Tuple[int, Coeff]]] = {}
+# Gamma -> {xi: {lengths: prod_c xi(c)^l}}, held weakly as `_DUALS` is: the
+# pairings at one weight ask for few
+_WEIGHTS: WeakKeyDictionary[GammaData, Dict[VirtualChar, Dict]] = WeakKeyDictionary()
 
 
 def _weighted_dual(g: SpinClassFun, xi: VirtualChar) -> Tuple[int, Dict[MultiPartition, Coeff]]:
@@ -108,7 +118,7 @@ def _weighted_dual(g: SpinClassFun, xi: VirtualChar) -> Tuple[int, Dict[MultiPar
     if out is None:
         gamma = g.gamma
         axis = gamma.axis
-        weights = _WEIGHTS.setdefault((gamma, xi), {})
+        weights = _WEIGHTS.setdefault(gamma, {}).setdefault(xi, {})
         terms = {}
         own = {sigma: sigma for sigma in g.nums}  # so a table's columns match by identity
         for sigma, gval in g.nums.items():

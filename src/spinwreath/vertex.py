@@ -12,22 +12,19 @@ fixes the vacuum and satisfies
 
     E_+(gamma, z) a_{-n}(c) E_+(gamma, z)^-1 = a_{-n}(c) - <gamma, c>_xi z^-n.
 
-So an X row comes from X rows on a shorter monomial: with v the monomial
-less its first factor a_{-n}(c),
+The normal-ordered product :X(alpha,z)X(beta,w): = E_-(alpha,z)E_-(beta,w)
+E_+(alpha,z)E_+(beta,w) is the same construction on two operators, and
+X(gamma, z) is its one-operator case.  So one recursion builds both: for
+the operators gamma_s at the indices m_s (s = 1 for X_m(gamma), s = 1, 2
+for N_{a,b}(alpha, beta)), moving a_{-n}(c) past every E_+ factor gives,
+with v the monomial less its first factor a_{-n}(c),
 
-    X_m(a_{-n}(c) v) = a_{-n}(c) X_m(v) - <gamma, c>_xi X_{m-n}(v),
+    row(a_{-n}(c) v) = a_{-n}(c) row(v) - sum_s <gamma_s, c>_xi row_s(v),
 
-down to X_m(1) = q_{-m}(gamma), which is zero for m > 0 (`_x_row_int`).  The
-normal-ordered product :X(alpha,z)X(beta,w): = E_-(alpha,z)E_-(beta,w)
-E_+(alpha,z)E_+(beta,w) moves a_{-n}(c) past both E_+ factors, so the same
-recursion builds its rows with one more term,
-
-    N_{a,b}(a_{-n}(c) v) = a_{-n}(c) N_{a,b}(v) - <alpha, c>_xi N_{a-n,b}(v)
-                           - <beta, c>_xi N_{a,b-n}(v),
-
-down to N_{a,b}(1) = q_{-a}(alpha) q_{-b}(beta), the product of two X vacuum
-rows (`_n_row`).  The rows are exact: the recursion ends at the vacuum, so
-no series is truncated.  The weighted Gram matrix is the integer one of
+row_s the row with m_s lowered by n, down to prod_s q_{-m_s}(gamma_s) on
+the vacuum; the row is zero below degree sum_s max(m_s, 0) (`_vo_row`).
+The rows are exact: the recursion ends at the vacuum, so no series is
+truncated.  The weighted Gram matrix is the integer one of
 `gammadata.gram_matrix`, computed once per context and shared by the Fock
 form and the cocycle.
 
@@ -116,6 +113,8 @@ class TwistContext:
 #     ("H", m, coeffs, 0)                a_m(gamma)
 #     ("N", a, b, alpha, beta, mask)     coefficient of z^-a w^-b in :X(alpha,z)X(beta,w):
 #
+# X and N rows are built by one factor recursion (`_vo_row`), an X layer
+# its one-operator case; an H row inserts or removes one factor.
 # `_lean_row` is the one cached way to get a layer's row on a monomial, and
 # `_apply_block` the one way to apply a layer to rows: to a panel block (the
 # instance engine below), or to a single index row as a one-entry panel
@@ -125,20 +124,6 @@ IDict = Dict[int, int]
 LeanRow = Tuple[int, Tuple[Tuple[int, int], ...]]  # (denominator, entries)
 Layer = Tuple
 XLayer = Tuple[str, int, IntVec, int]  # an X or H layer
-
-
-def _ilean_annihilate(tctx: TwistContext, den: int, vec: Iterable[Tuple[int, int]],
-                      n: int, coeffs: IntVec) -> Tuple[int, IDict]:
-    """a_n(coeffs), n odd and positive, on the row vec over den: the
-    removals of one factor (n, j), weighted by the pair row, over 2 den."""
-    prow = tctx.fock.pair_row(coeffs)
-    removals = tctx.fock.removals
-    out: IDict = {}
-    for i, num in vec:
-        for j, weight, rest in removals(i, n):
-            if prow[j]:
-                out[rest] = out.get(rest, 0) + num * weight * prow[j]
-    return den * 2, out
 
 
 def _least_row(den: int, acc: IDict) -> LeanRow:
@@ -152,80 +137,65 @@ def _least_row(den: int, acc: IDict) -> LeanRow:
     return den // g, tuple([(i, v // g) for i, v in acc.items()])
 
 
-def _x_row_int(tctx: TwistContext, m: int, coeffs: IntVec, i: int) -> LeanRow:
-    """The X_m(gamma) row on monomial i, by the factor recursion: on
-    i = a_{-n}(c) v, v from `FockContext.removals`,
+def _vo_row(tctx: TwistContext, layer: Layer, rows: Dict[int, LeanRow], i: int) -> LeanRow:
+    """The row on monomial i of E_-(gamma_1, z_1) .. E_-(gamma_k, z_k)
+    E_+(gamma_1, z_1) .. E_+(gamma_k, z_k) at z_1^-m_1 .. z_k^-m_k, for the
+    layer (kind, m_1 .. m_k, gamma_1 .. gamma_k, mask): an X layer (k = 1)
+    or an N layer (k = 2).  On i = a_{-n}(c) v, v from
+    `FockContext.removals`,
 
-        X_m(i) = a_{-n}(c) X_m(v) - <gamma, c>_xi X_{m-n}(v),
+        row(i) = a_{-n}(c) row(v) - sum_s <gamma_s, c>_xi row_s(v),
 
-    the rows on v read through `_lean_row`, moved up by the factor's
-    `FockContext.inserts` table; on the vacuum, X_m = q_{-m}(gamma)."""
+    row_s the layer with m_s lowered by n, the rows on v read from the
+    layer's cached rows (`rows`) or through `_lean_row` and moved up by the
+    factor's `FockContext.inserts` table; on the vacuum, prod_s
+    q_{-m_s}(gamma_s) (`fock.q_gen`).  The row is zero below degree
+    sum_s max(m_s, 0)."""
     fock = tctx.fock
-    if i == VACUUM:
-        vec = q_gen(fock, -m, coeffs)
-        return vec.den, tuple([(t, c[0]) for t, c in vec.nums.items()])
-    n = fock.monos[i][0][0]
-    c, _, v = fock.removals(i, n)[0]
-    den, up = _lean_row(tctx, _x_layer(tctx, m, coeffs), v)
-    moved = fock.inserts(n, c)
-    p = fock.pair_row(coeffs)[c]
-    if not p:
-        return den, tuple([(moved[t], e) for t, e in up])
-    dd, down = _lean_row(tctx, _x_layer(tctx, m - n, coeffs), v)
-    lcd = den * dd // gcd(den, dd)
-    f = lcd // den
-    acc = {moved[t]: f * e for t, e in up}
-    get = acc.get
-    f = p * (lcd // dd)
-    for t, e in down:
-        acc[t] = get(t, 0) - f * e
-    return _least_row(lcd, acc)
-
-
-def _n_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
-    """The z^-a w^-b row of :X(alpha,z)X(beta,w): on monomial i, for the
-    layer ("N", a, b, alpha, beta, mask), by `_x_row_int`'s factor recursion
-    with a term for each E_+ factor (see the module docstring), down to
-    q_{-a}(alpha) q_{-b}(beta), the product of two X vacuum rows.  N_{a,b}
-    vanishes below degree max(a, 0) + max(b, 0)."""
-    _, a, b, alpha, beta, mask = layer
-    fock = tctx.fock
-    if fock.degrees[i] < max(a, 0) + max(b, 0):
+    k = len(layer) // 2 - 1
+    cut = 0
+    for m in layer[1:k + 1]:
+        if m > 0:
+            cut += m
+    if fock.degrees[i] < cut:
         return 1, ()
     if i == VACUUM:
-        da, qa = _lean_row(tctx, _x_layer(tctx, a, alpha), VACUUM)
-        db, qb = _lean_row(tctx, _x_layer(tctx, b, beta), VACUUM)
-        acc: IDict = {}
-        for s, x in qa:
-            for t, y in qb:
-                st = fock.merge(s, t)
-                acc[st] = acc.get(st, 0) + x * y
-        return _least_row(da * db, acc)
+        den, row = 1, ((VACUUM, 1),)
+        for s in range(1, k + 1):
+            q = q_gen(fock, -layer[s], layer[s + k])
+            acc = {}
+            for t, x in row:
+                for u, y in q.nums.items():
+                    tu = fock.merge(t, u)
+                    acc[tu] = acc.get(tu, 0) + x * y[0]
+            den, row = _least_row(den * q.den, acc)
+        return den, row
     n = fock.monos[i][0][0]
     c, _, v = fock.removals(i, n)[0]
-    den, up = _lean_row(tctx, layer, v)
+    den, up = rows.get(v) or _lean_row(tctx, layer, v)
     moved = fock.inserts(n, c)
-    pa, pb = fock.pair_row(alpha)[c], fock.pair_row(beta)[c]
-    if not (pa or pb):
-        return den, tuple([(moved[t], e) for t, e in up])
-    acc = {moved[t]: e for t, e in up}
-    get = acc.get
-    for p, down in ((pa, ("N", a - n, b, alpha, beta, mask)),
-                    (pb, ("N", a, b - n, alpha, beta, mask))):
+    acc = None
+    for s in range(1, k + 1):
+        p = fock.pair_row(layer[s + k])[c]
         if not p:
             continue
-        dd, rows = _lean_row(tctx, down, v)
-        if not rows:
+        dd, down = _lean_row(tctx, layer[:s] + (layer[s] - n,) + layer[s + 1:], v)
+        if not down:
             continue
         lcd = den * dd // gcd(den, dd)
-        if lcd != den:
-            f = lcd // den
+        f = lcd // den
+        if acc is None:
+            acc = {moved[t]: f * e for t, e in up}
+            get = acc.get
+        elif f != 1:
             for t in acc:
                 acc[t] *= f
-            den = lcd
+        den = lcd
         f = p * (lcd // dd)
-        for t, e in rows:
+        for t, e in down:
             acc[t] = get(t, 0) - f * e
+    if acc is None:
+        return den, tuple([(moved[t], e) for t, e in up])
     return _least_row(den, acc)
 
 
@@ -239,14 +209,14 @@ def _lean_row(tctx: TwistContext, layer: Layer, i: int) -> LeanRow:
     if row is not None:
         return row
     kind, m = layer[0], layer[1]
-    if kind == "X":
-        row = _x_row_int(tctx, m, layer[2], i)
-    elif kind == "N":
-        row = _n_row(tctx, layer, i)
+    if kind != "H":
+        row = _vo_row(tctx, layer, rows, i)
     elif m % 2 == 0:
         row = (1, ())
     elif m > 0:
-        row = _least_row(*_ilean_annihilate(tctx, 1, ((i, 1),), m, layer[2]))
+        prow = tctx.fock.pair_row(layer[2])
+        row = _least_row(2, {rest: weight * prow[j]
+                             for j, weight, rest in tctx.fock.removals(i, m) if prow[j]})
     else:
         row = 1, tuple((tctx.fock.insert(i, -m, j), c) for j, c in enumerate(layer[2]) if c)
     rows[i] = row

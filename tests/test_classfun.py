@@ -314,6 +314,24 @@ def test_weighted_dual_is_kept_per_weight():
     assert weighted_inner(f, f, xis[0]) == (1, (0, 0))
 
 
+def test_a_checked_table_does_not_keep_its_gamma_alive():
+    # the dual and weight caches are kept per Gamma and hold it weakly, so a
+    # Gamma goes when its last table does, and its cache entries with it
+    import gc
+    import weakref
+    from spinwreath import classfun
+    from spinwreath.qtable import build_table
+
+    g, _ = builtin("cyclic:3")
+    table = build_table(g, 2, check=True)
+    assert g in classfun._DUALS and g in classfun._WEIGHTS  # the check filled both
+    ref = weakref.ref(g)
+    del g, table
+    gc.collect()
+    assert ref() is None
+    assert all(gamma.name != "cyclic:3" for gamma in classfun._DUALS)
+
+
 # -- symmetry at the standard weight ------------------------------------------------
 
 

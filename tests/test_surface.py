@@ -300,10 +300,10 @@ def test_fock_owns_the_one_monomial_numbering_and_its_factor_tables():
             stored = {node.attr for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
             assert not defined & operations and not stored & tables, fname
-    # the normal-ordered rows' product of two q_n vacuum rows and the
-    # table's X_lambda vector take indices as they are, with no conversion
-    # between numberings (`_n_row` reads `monos` only for a first factor)
-    assert "index" not in _attributes_in(os.path.join(PACKAGE, "vertex.py"), "_n_row")
+    # the X and N rows' product of q_n vacuum rows and the table's
+    # X_lambda vector take indices as they are, with no conversion
+    # between numberings (`_vo_row` reads `monos` only for a first factor)
+    assert "index" not in _attributes_in(os.path.join(PACKAGE, "vertex.py"), "_vo_row")
     assert not _attributes_in(os.path.join(PACKAGE, "qtable.py"),
                               "x_lambda_vector") & {"monos", "index"}
 

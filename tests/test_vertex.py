@@ -290,15 +290,17 @@ def _closed_form_ladder(t, coeffs, i):
 
 def _recursive_ladder(t, coeffs, i):
     """D_j of exp(-sum (2/k) a_k z^-k) on monomial i by the recursion
-    j D_j = sum_{k odd <= j} -2 a_k D_{j-k}, each a_k through the H layers'
-    annihilation (`_ilean_annihilate`), each sum over its least denominator."""
+    j D_j = sum_{k odd <= j} -2 a_k D_{j-k}, each a_k read from the H
+    layers' rows (`_lean_row`), each sum over its least denominator."""
     ladder = [(1, ((i, 1),))]
     for j in range(1, mono_degree(t.fock.monos[i]) + 1):
         parts = []
         for k in range(1, j + 1, 2):
-            den, out = vx._ilean_annihilate(t, *ladder[j - k], k, coeffs)
-            parts.append((-2, den, out.items()))
-        ladder.append(_sum_rows(parts, j))
+            den, entries = ladder[j - k]
+            layer = vx._h_layer(t, k, coeffs)
+            parts.append((-2, den, _sum_rows([(num,) + vx._lean_row(t, layer, r)
+                                              for r, num in entries])))
+        ladder.append(_sum_rows([(f, d * sd, rows) for f, d, (sd, rows) in parts], j))
     return ladder
 
 
@@ -334,10 +336,17 @@ def _q_parts(t, n, coeffs, num, den, entries):
             for i, e in entries]
 
 
+def _x_row(t, m, coeffs, i):
+    """The X_m(gamma) row on monomial i, built by the factor recursion
+    (`_vo_row` on the X layer), its rows on shorter monomials cached."""
+    layer = vx._x_layer(t, m, coeffs)
+    return vx._vo_row(t, layer, t._lean_rows.setdefault(layer, {}), i)
+
+
 def _x_row_reference(t, m, coeffs, i):
     """sum_j q_{j-m}(gamma) D_j(gamma) on monomial i as a list of parts, one
     per ladder entry, summed by `_sum_rows`: the closed form the factor
-    recursion of `_x_row_int` replaced."""
+    recursion replaced."""
     ladder = _closed_form_ladder(t, coeffs, i)
     parts = []
     for j in range(max(0, m), len(ladder)):
@@ -358,7 +367,7 @@ def test_fused_x_rows_match_the_parts_route(name, weight):
     for i in t.fock.basis(3):
         for m in range(-3, 4):
             for coeffs in vectors:
-                den, entries = vx._x_row_int(t, m, coeffs, i)
+                den, entries = _x_row(t, m, coeffs, i)
                 ref_den, ref = _x_row_reference(t, m, coeffs, i)
                 assert (den, dict(entries)) == (ref_den, dict(ref)), (m, coeffs, i)
                 assert len(dict(entries)) == len(entries) and all(n for _, n in entries)
@@ -375,7 +384,7 @@ def _transposed_pair_row(t):
 
 
 def _recursion_against_the_closed_form(t, ref_t):
-    """The rows of `_x_row_int` on t against `_x_row_reference` on ref_t, a
+    """The X rows of `_vo_row` on t against `_x_row_reference` on ref_t, a
     second context of the same (Gamma, xi), as maps, on every monomial of
     degree <= 4, every m in [-4, 4] and a few gamma: (rows compared, rows
     that differ)."""
@@ -386,7 +395,7 @@ def _recursion_against_the_closed_form(t, ref_t):
     for i in t.fock.basis(4):
         for m in range(-4, 5):
             for coeffs in vectors:
-                den, entries = vx._x_row_int(t, m, coeffs, t.fock.index(ref_t.fock.monos[i]))
+                den, entries = _x_row(t, m, coeffs, t.fock.index(ref_t.fock.monos[i]))
                 ref_den, ref = _x_row_reference(ref_t, m, coeffs, i)
                 got = {t.fock.monos[j]: Fraction(n, den) for j, n in entries}
                 compared += bool(ref)
@@ -806,7 +815,7 @@ def test_lean_engine_matches_production_operator():
         for mono in panel_monomials(t, 3):
             for m in (-2, -1, 0, 1, 2, 3):
                 for coeffs in [t.basis_vector(i) for i in range(k)] + [(1,) * k, (-1,) + (1,) * (k - 1)]:
-                    got = _row_as_fock(t, vx._x_row_int(t, m, coeffs, t.fock.index(mono)))
+                    got = _row_as_fock(t, _x_row(t, m, coeffs, t.fock.index(mono)))
                     assert got == _x_reference(t.fock, m, coeffs, mono), (m, coeffs, mono)
                     nonzero += not got.is_zero()
         assert nonzero > 100
